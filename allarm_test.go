@@ -1,6 +1,7 @@
 package allarm_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -73,7 +74,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestRunProducesMetrics(t *testing.T) {
-	res, err := allarm.RunBenchmark(fastConfig(), "barnes")
+	res, err := allarm.RunBenchmarkCtx(context.Background(), fastConfig(), "barnes")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestRunProducesMetrics(t *testing.T) {
 }
 
 func TestRunUnknownBenchmark(t *testing.T) {
-	if _, err := allarm.RunBenchmark(fastConfig(), "nope"); err == nil {
+	if _, err := allarm.RunBenchmarkCtx(context.Background(), fastConfig(), "nope"); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
@@ -124,11 +125,11 @@ func TestRunPairSameSeedComparable(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	cfg := fastConfig()
-	a, err := allarm.RunBenchmark(cfg, "cholesky")
+	a, err := allarm.RunBenchmarkCtx(context.Background(), cfg, "cholesky")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := allarm.RunBenchmark(cfg, "cholesky")
+	b, err := allarm.RunBenchmarkCtx(context.Background(), cfg, "cholesky")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestDeterministicRuns(t *testing.T) {
 		t.Fatal("identical configs produced different results")
 	}
 	cfg.Seed = 999
-	c, err := allarm.RunBenchmark(cfg, "cholesky")
+	c, err := allarm.RunBenchmarkCtx(context.Background(), cfg, "cholesky")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestALLARMRangesDisableEverything(t *testing.T) {
 		cfg.ALLARMRanges = append(cfg.ALLARMRanges,
 			allarm.AddrRange{Start: base + nodeBytes/2, End: base + nodeBytes})
 	}
-	res, err := allarm.RunBenchmark(cfg, "barnes")
+	res, err := allarm.RunBenchmarkCtx(context.Background(), cfg, "barnes")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestALLARMRangesDisableEverything(t *testing.T) {
 func TestMultiProcessRun(t *testing.T) {
 	cfg := fastConfig()
 	mp := allarm.DefaultMultiProcess()
-	res, err := allarm.RunMultiProcess(cfg, mp, "barnes")
+	res, err := allarm.RunMultiProcessCtx(context.Background(), cfg, mp, "barnes")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestMultiProcessRun(t *testing.T) {
 	// Two separate address spaces: every page is process-local, so under
 	// ALLARM nearly all requests are local and PF allocations tiny.
 	cfg.Policy = allarm.ALLARM
-	opt, err := allarm.RunMultiProcess(cfg, mp, "barnes")
+	opt, err := allarm.RunMultiProcessCtx(context.Background(), cfg, mp, "barnes")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +192,11 @@ func TestMultiProcessValidation(t *testing.T) {
 	cfg := fastConfig()
 	mp := allarm.DefaultMultiProcess()
 	mp.Copies = 99
-	if _, err := allarm.RunMultiProcess(cfg, mp, "barnes"); err == nil {
+	if _, err := allarm.RunMultiProcessCtx(context.Background(), cfg, mp, "barnes"); err == nil {
 		t.Fatal("too many copies accepted")
 	}
 	mp = allarm.DefaultMultiProcess()
-	if _, err := allarm.RunMultiProcess(cfg, mp, "nope"); err == nil {
+	if _, err := allarm.RunMultiProcessCtx(context.Background(), cfg, mp, "nope"); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
@@ -218,7 +219,7 @@ func TestBenchmarksList(t *testing.T) {
 
 func TestRunExperimentTable1(t *testing.T) {
 	var sb strings.Builder
-	if err := allarm.RunExperiment(&sb, fastConfig(), "table1"); err != nil {
+	if err := allarm.RunExperimentWith(context.Background(), &sb, fastConfig(), "table1", nil); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -231,7 +232,7 @@ func TestRunExperimentTable1(t *testing.T) {
 
 func TestRunExperimentArea(t *testing.T) {
 	var sb strings.Builder
-	if err := allarm.RunExperiment(&sb, fastConfig(), "area"); err != nil {
+	if err := allarm.RunExperimentWith(context.Background(), &sb, fastConfig(), "area", nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "70.89") {
@@ -241,7 +242,7 @@ func TestRunExperimentArea(t *testing.T) {
 
 func TestRunExperimentUnknown(t *testing.T) {
 	var sb strings.Builder
-	if err := allarm.RunExperiment(&sb, fastConfig(), "fig99"); err == nil {
+	if err := allarm.RunExperimentWith(context.Background(), &sb, fastConfig(), "fig99", nil); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -250,7 +251,7 @@ func TestRunExperimentFig2(t *testing.T) {
 	var sb strings.Builder
 	cfg := fastConfig()
 	cfg.CheckInvariants = false // speed: eight runs
-	if err := allarm.RunExperiment(&sb, cfg, "fig2"); err != nil {
+	if err := allarm.RunExperimentWith(context.Background(), &sb, cfg, "fig2", nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range allarm.Benchmarks() {

@@ -10,6 +10,7 @@ package allarm_test
 // BENCH_*.json.
 
 import (
+	"context"
 	"testing"
 
 	allarm "allarm"
@@ -23,7 +24,7 @@ func benchSim(b *testing.B, benchmark string, accesses int, pol allarm.Policy) {
 	var events uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := allarm.RunBenchmark(cfg, benchmark)
+		res, err := allarm.RunBenchmarkCtx(context.Background(), cfg, benchmark)
 		if err != nil {
 			b.Fatal(err)
 		}

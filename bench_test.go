@@ -9,6 +9,7 @@ package allarm_test
 // wall-clock alone: the unit of work is "one full experiment".
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -25,7 +26,7 @@ func benchConfig() allarm.Config {
 func BenchmarkTable1SystemConfig(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		if err := allarm.RunExperiment(io.Discard, cfg, "table1"); err != nil {
+		if err := allarm.RunExperimentWith(context.Background(), io.Discard, cfg, "table1", nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -36,7 +37,7 @@ func BenchmarkFig2LocalRemoteRatio(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var locals []float64
 		for _, name := range allarm.Benchmarks() {
-			res, err := allarm.RunBenchmark(cfg, name)
+			res, err := allarm.RunBenchmarkCtx(context.Background(), cfg, name)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -125,7 +126,7 @@ func BenchmarkFig3gSnoopHiding(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var fracs []float64
 		for _, name := range allarm.Benchmarks() {
-			res, err := allarm.RunBenchmark(cfg, name)
+			res, err := allarm.RunBenchmarkCtx(context.Background(), cfg, name)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -142,7 +143,7 @@ func BenchmarkFig3hPFSizeSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := cfg
 		c.Policy = allarm.Baseline
-		ref, err := allarm.RunBenchmark(c, "blackscholes")
+		ref, err := allarm.RunBenchmarkCtx(context.Background(), c, "blackscholes")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func BenchmarkFig3hPFSizeSweep(b *testing.B) {
 			c := cfg
 			c.Policy = allarm.ALLARM
 			c.PFBytes = cfg.PFBytes / div
-			res, err := allarm.RunBenchmark(c, "blackscholes")
+			res, err := allarm.RunBenchmarkCtx(context.Background(), c, "blackscholes")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -169,7 +170,7 @@ func fig4Bench(b *testing.B, policy allarm.Policy, metric string) {
 	for i := 0; i < b.N; i++ {
 		c := cfg
 		c.Policy = allarm.Baseline
-		ref, err := allarm.RunMultiProcess(c, mp, "ocean-cont")
+		ref, err := allarm.RunMultiProcessCtx(context.Background(), c, mp, "ocean-cont")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -178,7 +179,7 @@ func fig4Bench(b *testing.B, policy allarm.Policy, metric string) {
 			c := cfg
 			c.Policy = policy
 			c.PFBytes = cfg.PFBytes / div
-			res, err := allarm.RunMultiProcess(c, mp, "ocean-cont")
+			res, err := allarm.RunMultiProcessCtx(context.Background(), c, mp, "ocean-cont")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -216,7 +217,7 @@ func BenchmarkFig4fMultiProcessALLARMTraffic(b *testing.B) {
 
 func BenchmarkAreaTablePFArea(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := allarm.RunExperiment(io.Discard, benchConfig(), "area"); err != nil {
+		if err := allarm.RunExperimentWith(context.Background(), io.Discard, benchConfig(), "area", nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -230,7 +231,7 @@ func BenchmarkAblationSerialLocalProbe(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Policy = allarm.ALLARM
 	for i := 0; i < b.N; i++ {
-		res, err := allarm.RunBenchmark(cfg, "ocean-cont")
+		res, err := allarm.RunBenchmarkCtx(context.Background(), cfg, "ocean-cont")
 		if err != nil {
 			b.Fatal(err)
 		}

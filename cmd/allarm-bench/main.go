@@ -27,14 +27,12 @@
 //
 // -benchjson ignores -exp and instead measures the simulator itself on
 // the fixed small/large × policy matrix (the same one the
-// BenchmarkSim* benchmarks run), each cell under every engine-shard
-// count in {1, 2, 4, 8} (-sim-threads is ignored; the matrix owns that
-// axis), emitting one JSON snapshot on stdout. It runs one simulation
-// at a time regardless of -parallel (clean allocation attribution) and
-// rejects -fullscale/-accesses, which would change the measured
-// workload. Snapshots are committed as BENCH_<PR>.json to track the
-// performance trajectory across PRs; see README.md's Performance
-// section.
+// BenchmarkSim* benchmarks run), emitting one JSON snapshot on stdout.
+// It runs single-threaded regardless of -parallel (clean allocation
+// attribution) and rejects -fullscale/-accesses, which would change the
+// measured workload. Snapshots are committed as BENCH_<PR>.json to
+// track the performance trajectory across PRs; see README.md's
+// Performance section.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the run, so
 // hot-path regressions are diagnosable without editing code; -exectrace
@@ -89,7 +87,6 @@ func run() int {
 		seed       = flag.Uint64("seed", 1, "simulation seed")
 		fullScale  = flag.Bool("fullscale", false, "use unscaled Table I SRAM sizes")
 		parallel   = flag.Int("parallel", 0, "simulation worker count (0 = all cores)")
-		simThr     = flag.Int("sim-threads", 0, "parallel event shards per simulation (0/1 = serial engine; results are bit-identical at any setting)")
 		jsonOut    = flag.Bool("json", false, "emit raw per-run records as JSON")
 		csvOut     = flag.Bool("csv", false, "emit raw per-run records as CSV")
 		progress   = flag.Bool("progress", false, "report per-run progress on stderr")
@@ -119,9 +116,6 @@ func run() int {
 	cfg.Seed = *seed
 	if *accesses > 0 {
 		cfg.AccessesPerThread = *accesses
-	}
-	if *simThr > 0 {
-		cfg.SimThreads = *simThr
 	}
 
 	opt, err := allarm.ParsePolicy(*policy)
@@ -263,7 +257,6 @@ type benchRun struct {
 	Name         string  `json:"name"`
 	Benchmark    string  `json:"benchmark"`
 	Policy       string  `json:"policy"`
-	SimThreads   int     `json:"sim_threads"`
 	Accesses     int     `json:"accesses_per_thread"`
 	WallNs       int64   `json:"wall_ns"`
 	Events       uint64  `json:"events"`
@@ -283,19 +276,11 @@ type benchSnapshot struct {
 	Runs      []benchRun `json:"runs"`
 }
 
-// benchThreadMatrix is the SimThreads axis -benchjson measures each
-// cell under. The serial column keeps the historical cell names
-// ("small/baseline"), so snapshots stay comparable with pre-PDES
-// BENCH_*.json files; parallel columns append "/tN".
-var benchThreadMatrix = []int{1, 2, 4, 8}
-
-// emitBenchJSON measures every cell of the fixed matrix under every
-// engine-shard count (one warmup run, one measured run per cell; one
-// simulation at a time so allocation attribution is clean — SimThreads
-// parallelism is inside the single simulation) and writes the snapshot
-// as indented JSON. Cancellation is checked between cells, so an
-// interrupt lets run() return — and its profile defers execute —
-// instead of killing the process mid-measurement.
+// emitBenchJSON measures every cell of the fixed matrix (one warmup run,
+// one measured run, single-threaded so allocation attribution is clean)
+// and writes the snapshot as indented JSON. Cancellation is checked
+// between cells, so an interrupt lets run() return — and its profile
+// defers execute — instead of killing the process mid-measurement.
 func emitBenchJSON(ctx context.Context, w io.Writer, seed uint64) error {
 	snap := benchSnapshot{
 		GoVersion: runtime.Version(),
@@ -305,46 +290,38 @@ func emitBenchJSON(ctx context.Context, w io.Writer, seed uint64) error {
 	}
 	for _, cell := range allarm.SimBenchMatrix {
 		for _, pol := range []allarm.Policy{allarm.Baseline, allarm.ALLARM} {
-			for _, st := range benchThreadMatrix {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				cfg := allarm.ExperimentConfig()
-				cfg.Seed = seed
-				cfg.Policy = pol
-				cfg.AccessesPerThread = cell.Accesses
-				cfg.SimThreads = st
-				if _, err := allarm.RunBenchmark(cfg, cell.Benchmark); err != nil {
-					return err
-				}
-				var before, after runtime.MemStats
-				runtime.GC()
-				runtime.ReadMemStats(&before)
-				start := time.Now()
-				res, err := allarm.RunBenchmark(cfg, cell.Benchmark)
-				wall := time.Since(start)
-				runtime.ReadMemStats(&after)
-				if err != nil {
-					return err
-				}
-				name := cell.Size + "/" + pol.String()
-				if st > 1 {
-					name = fmt.Sprintf("%s/t%d", name, st)
-				}
-				snap.Runs = append(snap.Runs, benchRun{
-					Name:         name,
-					Benchmark:    cell.Benchmark,
-					Policy:       pol.String(),
-					SimThreads:   st,
-					Accesses:     cell.Accesses,
-					WallNs:       wall.Nanoseconds(),
-					Events:       res.Events,
-					EventsPerSec: float64(res.Events) / wall.Seconds(),
-					Allocs:       after.Mallocs - before.Mallocs,
-					AllocBytes:   after.TotalAlloc - before.TotalAlloc,
-					SimRuntimeNs: res.RuntimeNs,
-				})
+			if err := ctx.Err(); err != nil {
+				return err
 			}
+			cfg := allarm.ExperimentConfig()
+			cfg.Seed = seed
+			cfg.Policy = pol
+			cfg.AccessesPerThread = cell.Accesses
+			if _, err := allarm.RunBenchmarkCtx(context.Background(), cfg, cell.Benchmark); err != nil {
+				return err
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			res, err := allarm.RunBenchmarkCtx(context.Background(), cfg, cell.Benchmark)
+			wall := time.Since(start)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				return err
+			}
+			snap.Runs = append(snap.Runs, benchRun{
+				Name:         cell.Size + "/" + pol.String(),
+				Benchmark:    cell.Benchmark,
+				Policy:       pol.String(),
+				Accesses:     cell.Accesses,
+				WallNs:       wall.Nanoseconds(),
+				Events:       res.Events,
+				EventsPerSec: float64(res.Events) / wall.Seconds(),
+				Allocs:       after.Mallocs - before.Mallocs,
+				AllocBytes:   after.TotalAlloc - before.TotalAlloc,
+				SimRuntimeNs: res.RuntimeNs,
+			})
 		}
 	}
 	enc := json.NewEncoder(w)

@@ -101,7 +101,6 @@ func run() int {
 		attempts     = flag.Int("attempts", 0, "attempts per shard request before giving up (0 = default 3)")
 		backoff      = flag.Duration("retry-backoff", 0, "base backoff between retries, doubled per attempt with full jitter (0 = default 100ms)")
 		shardTimeout = flag.Duration("shard-timeout", 0, "per-attempt deadline on every shard call (0 = default 30s)")
-		reqTimeout   = flag.Duration("request-timeout", 0, "deprecated alias for -shard-timeout")
 		logLevel     = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
 		logFormat    = flag.String("log-format", "text", "log encoding: text or json")
 		version      = flag.Bool("version", false, "print version and exit")
@@ -144,7 +143,6 @@ func run() int {
 		Attempts:       *attempts,
 		RetryBackoff:   *backoff,
 		ShardTimeout:   *shardTimeout,
-		RequestTimeout: *reqTimeout,
 		StateDir:       *stateDir,
 		Logger:         logger,
 	}

@@ -114,8 +114,7 @@ func main() {
 func run() int {
 	var (
 		addr       = flag.String("addr", ":8347", "listen address (host:port; port 0 picks one)")
-		parallel   = flag.Int("parallel", 0, "simulation worker count (0 = all cores / -sim-threads)")
-		simThreads = flag.Int("sim-threads", 0, "parallel event shards per simulation (0/1 = serial engine; results are bit-identical at any setting)")
+		parallel   = flag.Int("parallel", 0, "simulation worker count (0 = all cores)")
 		cacheSize  = flag.Int("cache", server.DefaultCacheEntries, "in-memory result cache capacity in entries")
 		cacheDir   = flag.String("cache-dir", "", "directory for the persistent result store and restart recovery")
 		retain     = flag.Duration("retain", 0, "evict finished sweeps this long after completion (0 = keep forever)")
@@ -147,7 +146,6 @@ func run() int {
 
 	opts := server.Options{
 		Workers:            *parallel,
-		SimThreads:         *simThreads,
 		CacheEntries:       *cacheSize,
 		CacheDir:           *cacheDir,
 		Retain:             *retain,

@@ -63,7 +63,6 @@ func run() int {
 		multi     = flag.Int("multi", 0, "run N single-threaded copies instead (Figure 4 mode)")
 		fullScale = flag.Bool("fullscale", false, "use unscaled Table I SRAM sizes")
 		parallel  = flag.Int("parallel", 0, "simulation worker count (0 = all cores)")
-		simThr    = flag.Int("sim-threads", 0, "parallel event shards per simulation (0/1 = serial engine; results are bit-identical at any setting)")
 		jsonOut   = flag.Bool("json", false, "emit raw per-run records as JSON")
 		csvOut    = flag.Bool("csv", false, "emit raw per-run records as CSV")
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
@@ -107,9 +106,6 @@ func run() int {
 	}
 	if *pfKiB > 0 {
 		cfg.PFBytes = *pfKiB << 10
-	}
-	if *simThr > 0 {
-		cfg.SimThreads = *simThr
 	}
 
 	pol, perr := allarm.ParsePolicy(*policy)

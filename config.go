@@ -75,17 +75,6 @@ type Config struct {
 	CheckInvariants bool
 	// MaxEvents bounds a run as a deadlock guard (0 = library default).
 	MaxEvents uint64
-
-	// SimThreads is the number of event-engine shards (goroutines) the
-	// simulation runs on. 0 or 1 selects the exact serial engine; higher
-	// values partition the tiles into that many conservatively
-	// synchronized event shards with bit-identical results (see the
-	// Performance section of README.md). The machine silently falls back
-	// to serial when sharding is unsupported (invariant checker on,
-	// next-touch placement, zero NoC lookahead). SimThreads is an
-	// execution knob, not part of the simulated machine: it never
-	// changes results, and sweep job identities ignore it.
-	SimThreads int
 }
 
 // AddrRange is a physical address range [Start, End) for ALLARM's range
@@ -220,19 +209,7 @@ func (c Config) systemConfig() (system.Config, error) {
 		MemBytesPerNode: uint64(c.MemMiBPerNode) << 20,
 		CheckInvariants: c.CheckInvariants,
 		MaxEvents:       c.MaxEvents,
-		SimThreads:      c.effectiveSimThreads(),
 	}, nil
-}
-
-// effectiveSimThreads lowers the sharding knob, forcing serial where
-// the facade knows sharding is unsound: next-touch placement migrates
-// pages mid-run, which races once translation happens on shard
-// goroutines (the system layer handles the remaining fallbacks).
-func (c Config) effectiveSimThreads() int {
-	if c.MemPolicy == NextTouch {
-		return 1
-	}
-	return c.SimThreads
 }
 
 // memPolicy lowers the OS placement policy.

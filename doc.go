@@ -29,17 +29,18 @@
 //	wl, _ = allarm.LoadTrace("barnes.trace")    // captured with CaptureTrace / allarm-trace
 //	wl, _ = allarm.NewWorkload(allarm.WorkloadSpec{...}) // programmatic
 //
-// Every entry point has a context-aware variant (RunCtx,
-// RunBenchmarkCtx, RunMultiProcessCtx, Job.RunCtx): the simulation
-// polls the context once per sim.CancelCheckBudget events — amortised
-// to nothing on the hot path — and a cancelled run returns a partial
+// Run and Job.Run have context-aware variants (RunCtx, Job.RunCtx);
+// the preset entry points RunBenchmarkCtx and RunMultiProcessCtx always
+// take a context. The simulation polls the context once per
+// sim.CancelCheckBudget events — amortised to nothing on the hot
+// path — and a cancelled run returns a partial
 // Result (Partial == true, metrics up to the abort instant) together
 // with an error IsCancellation recognises. Partial results are never
 // cached anywhere; re-running the job from a clean start reproduces
 // the bit-identical complete result.
 //
-// RunBenchmark(cfg, name) is the preset shortcut, and RunPair runs the
-// paper's baseline/ALLARM comparison:
+// RunBenchmarkCtx(ctx, cfg, name) is the preset shortcut, and RunPair
+// runs the paper's baseline/ALLARM comparison:
 //
 //	base, opt, err := allarm.RunPair(cfg, "ocean-cont")
 //	cmp := allarm.Compare(base, opt)
@@ -80,32 +81,11 @@
 // CSVEmitter, JSONEmitter) or consumed directly.
 //
 // Every table and figure of the paper is such a spec: ExperimentSweep
-// returns the grid behind an experiment id, RunExperiment (the
-// compatibility shim over it) runs the grid and prints the series the
-// paper plots, and the Vs variants (ExperimentSweepVs, RunExperimentVs)
+// returns the grid behind an experiment id, RunExperimentWith runs the
+// grid and prints the series the paper plots, and the Vs variants (ExperimentSweepVs, RunExperimentVs)
 // regenerate any figure with a different optimised policy standing in
 // for ALLARM. See README.md for a quickstart and cmd/allarm-bench for
 // the figure-regeneration CLI.
-//
-// # Parallel simulation
-//
-// Config.SimThreads (CLI: -sim-threads) runs one simulation on several
-// cores: the mesh's tiles are partitioned into contiguous blocks, one
-// event heap per block, drained concurrently in conservative time
-// windows bounded by the NoC's minimum cross-tile latency (the PDES
-// lookahead). Cross-tile messages are staged during a window, and the
-// window barrier replays each shard's log of dispatches and scheduling
-// calls through one virtual heap with a true global FIFO counter,
-// reconstructing the serial engine's event order exactly — results are
-// bit-identical to SimThreads=1 for every workload, policy and
-// GOMAXPROCS, which is why SimThreads is excluded from Job.Key (a
-// cached result serves requests at any thread count) and why machine
-// checkpoints are interchangeable across thread counts. Machines the
-// scheme cannot shard (CheckInvariants, the next-touch memory policy,
-// workloads that do not declare their pages) silently run serial;
-// SimThreads <= 1 is the unchanged serial engine. See README.md's
-// "Parallel simulation (PDES)" section for the model and when it
-// helps.
 //
 // # Serving
 //

@@ -10,7 +10,7 @@ import (
 	"allarm/internal/stats"
 )
 
-// Experiment identifiers accepted by RunExperiment and ExperimentSweep
+// Experiment identifiers accepted by RunExperimentWith and ExperimentSweep
 // (one per table/figure of the paper).
 var ExperimentIDs = []string{
 	"table1",
@@ -138,19 +138,12 @@ func ExperimentSweepVs(cfg Config, id string, opt Policy) (*Sweep, error) {
 	}
 }
 
-// RunExperiment regenerates one of the paper's tables or figures at the
-// given configuration, writing the series the paper plots to w. It is
-// the compatibility shim over the Sweep API: ExperimentSweep(cfg, id)
-// executed by a default Runner (all cores) and rendered by the
-// experiment's table formatter — output is byte-identical to the
-// pre-sweep serial runner, because every simulation is deterministic.
-func RunExperiment(w io.Writer, cfg Config, id string) error {
-	return RunExperimentWith(context.Background(), w, cfg, id, nil)
-}
-
-// RunExperimentWith is RunExperiment with an explicit context and
-// Runner (nil means a default all-cores Runner), for callers that want
-// cancellation, bounded parallelism or progress observation.
+// RunExperimentWith regenerates one of the paper's tables or figures at
+// the given configuration, writing the series the paper plots to w:
+// ExperimentSweep(cfg, id) executed by r (nil means a default all-cores
+// Runner) and rendered by the experiment's table formatter. Output is
+// byte-identical to the pre-sweep serial runner, because every
+// simulation is deterministic.
 func RunExperimentWith(ctx context.Context, w io.Writer, cfg Config, id string, r *Runner) error {
 	return RunExperimentVs(ctx, w, cfg, id, ALLARM, r)
 }

@@ -116,11 +116,6 @@ func (c *CacheCtrl) HasPending() bool { return c.hasPending }
 // recycle diagnostics).
 func (c *CacheCtrl) PoolStats() MsgPoolStats { return c.pool.Stats() }
 
-// SharePool switches the controller's message pool to cross-goroutine
-// release (see MsgPool.SetShared). Parallel machines call it at
-// construction, before any event runs.
-func (c *CacheCtrl) SharePool() { c.pool.SetShared() }
-
 // ResetStats zeroes the controller and hierarchy counters, keeping cache
 // contents (measurement begins after warmup).
 func (c *CacheCtrl) ResetStats() {

@@ -7,7 +7,6 @@ package coherence
 
 import (
 	"fmt"
-	"sync"
 
 	"allarm/internal/cache"
 	"allarm/internal/mem"
@@ -167,24 +166,14 @@ type Port interface {
 // simulation recycles a small working set instead of allocating per
 // message.
 //
-// A pool is by default NOT safe for concurrent use: all controllers of
-// one serial machine share that machine's single event goroutine, and
-// messages never cross machines. A parallel (sharded) machine is
-// different — a message allocated by one shard's controller is released
-// by the receiving controller on another shard's goroutine — so such
-// machines call SetShared, which routes Release through a small
-// mutex-protected side buffer the owner drains on its next empty Get.
-// Get itself stays lock-free on the owner's goroutine except for that
-// refill, so the serial hot path is untouched and the shared path locks
-// only at release/refill, never per message-field access.
+// A pool is NOT safe for concurrent use — but it never needs to be: all
+// controllers of one simulated machine share that machine's single event
+// goroutine, and messages never cross machines. Parallel sweeps run one
+// machine (and therefore one set of pools) per worker; the pool-recycle
+// tests run such sweeps under -race to enforce this.
 type MsgPool struct {
 	free  []*Msg
 	stats MsgPoolStats
-
-	shared   bool
-	mu       sync.Mutex
-	returned []*Msg // released under mu when shared; drained by Get
-	puts     uint64 // Puts under mu when shared
 }
 
 // MsgPoolStats counts pool activity; News≪Gets means recycling works.
@@ -195,33 +184,12 @@ type MsgPoolStats struct {
 }
 
 // Stats returns a copy of the pool counters.
-func (p *MsgPool) Stats() MsgPoolStats {
-	s := p.stats
-	if p.shared {
-		p.mu.Lock()
-		s.Puts += p.puts
-		p.mu.Unlock()
-	}
-	return s
-}
-
-// SetShared enables cross-goroutine release (parallel machines). Call
-// before the machine runs; Get must still only be called by the owning
-// controller's shard.
-func (p *MsgPool) SetShared() { p.shared = true }
+func (p *MsgPool) Stats() MsgPoolStats { return p.stats }
 
 // Get returns a zeroed message owned by p. Pass it to Port.Send as usual;
 // the receiver returns it with Release.
 func (p *MsgPool) Get() *Msg {
 	p.stats.Gets++
-	if len(p.free) == 0 && p.shared {
-		// Refill from the cross-shard return buffer. Any message in it
-		// was released at or before the last window barrier, which
-		// happens-before this Get.
-		p.mu.Lock()
-		p.free, p.returned = p.returned, p.free
-		p.mu.Unlock()
-	}
 	if n := len(p.free); n > 0 {
 		m := p.free[n-1]
 		p.free[n-1] = nil
@@ -247,15 +215,6 @@ func (m *Msg) Release() {
 		panic(fmt.Sprintf("coherence: message %v released twice", m))
 	}
 	m.freed = true
-	if p.shared {
-		// Releasing shard may differ from the owning shard: park the
-		// message in the return buffer instead of touching p.free.
-		p.mu.Lock()
-		p.returned = append(p.returned, m)
-		p.puts++
-		p.mu.Unlock()
-		return
-	}
 	p.stats.Puts++
 	p.free = append(p.free, m)
 }

@@ -82,39 +82,3 @@ func TestCacheCtrlRecyclesMessages(t *testing.T) {
 type loopbackPort struct{}
 
 func (p *loopbackPort) Send(m *Msg) { m.Release() }
-
-func TestMsgPoolSharedCrossGoroutineRelease(t *testing.T) {
-	// A sharded machine releases messages on goroutines other than the
-	// owner's: Release must park them in the side buffer (no data race
-	// with the owner's Get — run with -race) and Get must recycle them
-	// on its next refill.
-	var p MsgPool
-	p.SetShared()
-
-	const n = 64
-	msgs := make([]*Msg, n)
-	for i := range msgs {
-		msgs[i] = p.Get()
-	}
-	done := make(chan struct{})
-	go func() {
-		for _, m := range msgs {
-			m.Release()
-		}
-		close(done)
-	}()
-	<-done // a window barrier: releases happen-before the next Get
-
-	for i := 0; i < n; i++ {
-		if m := p.Get(); m.pool != &p {
-			t.Fatal("recycled message lost its pool")
-		}
-	}
-	s := p.Stats()
-	if s.News != n {
-		t.Fatalf("News = %d after recycling %d messages, want %d", s.News, n, n)
-	}
-	if s.Gets != 2*n || s.Puts != n {
-		t.Fatalf("Gets = %d, Puts = %d, want %d and %d", s.Gets, s.Puts, 2*n, n)
-	}
-}

@@ -214,11 +214,6 @@ func (d *DirCtrl) Stats() DirStats { return d.stats }
 // recycle diagnostics).
 func (d *DirCtrl) PoolStats() coherence.MsgPoolStats { return d.pool.Stats() }
 
-// SharePool switches the directory's message pool to cross-goroutine
-// release (see coherence.MsgPool.SetShared). Parallel machines call it
-// at construction, before any event runs.
-func (d *DirCtrl) SharePool() { d.pool.SetShared() }
-
 // ResetStats zeroes the directory counters (including the probe
 // filter's), keeping all protocol state; measurement begins after warmup.
 func (d *DirCtrl) ResetStats() {

@@ -147,12 +147,9 @@ type Options struct {
 	// overrides the schedule.
 	RetryBackoff time.Duration
 	// ShardTimeout bounds every non-streaming shard call — submit, poll,
-	// record fetch, trace upload (<= 0: RequestTimeout, then 30s). A hung
-	// shard therefore costs at most Attempts × ShardTimeout per step.
+	// record fetch, trace upload (<= 0: 30s). A hung shard therefore
+	// costs at most Attempts × ShardTimeout per step.
 	ShardTimeout time.Duration
-	// RequestTimeout is the deprecated name for ShardTimeout, honored
-	// when ShardTimeout is unset.
-	RequestTimeout time.Duration
 	// StateDir, when non-empty, enables the sweep journal: accepted
 	// sweeps, gathered-record checkpoints, uploaded traces and membership
 	// changes are persisted there and recovered at boot.
@@ -253,9 +250,6 @@ func New(opts Options) (*Router, error) {
 	}
 	if rt.backoff <= 0 {
 		rt.backoff = defaultRetryBackoff
-	}
-	if rt.timeout <= 0 {
-		rt.timeout = opts.RequestTimeout
 	}
 	if rt.timeout <= 0 {
 		rt.timeout = defaultShardTimeout

@@ -189,7 +189,6 @@ type AddressSpace struct {
 	policy Policy
 	pages  map[VAddr]*pte
 	stats  ASStats
-	sealed bool
 }
 
 // NewAddressSpace creates an empty address space over phys with the given
@@ -205,13 +204,6 @@ func NewAddressSpace(phys *PhysMem, policy Policy) *AddressSpace {
 // Policy returns the address space's placement policy.
 func (as *AddressSpace) Policy() Policy { return as.policy }
 
-// Seal freezes the page table: any later first touch panics instead of
-// allocating. Parallel (sharded) machines seal every space after page
-// pre-placement — translation then only reads the map, which several
-// shard goroutines may do concurrently, and a workload that touches an
-// undeclared page fails loudly instead of racing on placement.
-func (as *AddressSpace) Seal() { as.sealed = true }
-
 // Stats returns a copy of the accumulated allocation statistics.
 func (as *AddressSpace) Stats() ASStats { return as.stats }
 
@@ -225,9 +217,6 @@ func (as *AddressSpace) Translate(va VAddr, requester NodeID) PAddr {
 	vp := VPageOf(va)
 	e, ok := as.pages[vp]
 	if !ok {
-		if as.sealed {
-			panic(fmt.Sprintf("mem: first touch of page %#x in a sealed address space (parallel runs need every page declared via ForEachPage; use SimThreads=1)", uint64(vp)))
-		}
 		frame, home := as.allocate(requester)
 		e = &pte{frame: frame, home: home}
 		as.pages[vp] = e

@@ -191,26 +191,6 @@ func (m *Mesh) FlitsFor(c Class) int {
 	return (b + m.cfg.FlitBytes - 1) / m.cfg.FlitBytes
 }
 
-// MinCrossLatency returns the smallest latency any node-to-node
-// (src != dst) message can have: one hop of link latency plus the
-// serialization time of the smallest (control) message, with no
-// contention. It is the lookahead bound of conservative parallel
-// simulation: a message sent at time t cannot influence another tile
-// before t + MinCrossLatency, so shards may drain events independently
-// within windows of that width.
-func (m *Mesh) MinCrossLatency() sim.Time {
-	ser := sim.Time(float64(m.cfg.ControlBytes) / m.cfg.LinkBandwidth * float64(sim.Nanosecond))
-	return m.cfg.LinkLatency + ser
-}
-
-// AbsorbLocalMsgs folds node-internal deliveries counted outside the
-// mesh into its statistics. Parallel machines deliver same-node
-// messages on the owning shard without touching the mesh (no link
-// state is involved) and account them here at collection and
-// checkpoint boundaries, keeping Stats and the checkpoint format
-// identical to a serial run's.
-func (m *Mesh) AbsorbLocalMsgs(n uint64) { m.stats.LocalMsgs += n }
-
 // Send accounts for one message injected at time now and returns its
 // arrival time at dst. Node-internal messages (src == dst) are delivered
 // after LocalLatency and generate no NoC traffic.

@@ -177,45 +177,3 @@ func TestFlitsFor(t *testing.T) {
 		t.Fatal("bytes wrong")
 	}
 }
-
-func TestMinCrossLatency(t *testing.T) {
-	// LinkLatency 10ns + 8 control bytes at 8 B/ns = 11ns: the PDES
-	// lookahead. Changing the formula silently changes every parallel
-	// machine's window width, so the value is pinned.
-	m := New(testCfg())
-	if got := m.MinCrossLatency(); got != 11*sim.Nanosecond {
-		t.Fatalf("MinCrossLatency = %v, want 11ns", got)
-	}
-}
-
-func TestMinCrossLatencyIsALowerBound(t *testing.T) {
-	// The conservative window is only sound if NO cross-node message —
-	// any class, any route, any congestion — arrives earlier than
-	// now + MinCrossLatency.
-	m := New(testCfg())
-	min := m.MinCrossLatency()
-	f := func(a, b uint8, now uint16, data bool) bool {
-		src, dst := mem.NodeID(a%16), mem.NodeID(b%16)
-		if src == dst {
-			return true
-		}
-		class := Control
-		if data {
-			class = Data
-		}
-		t0 := sim.Time(now) * sim.Nanosecond
-		return m.Send(t0, src, dst, class) >= t0+min
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAbsorbLocalMsgs(t *testing.T) {
-	m := New(testCfg())
-	m.Send(0, 3, 3, Control)
-	m.AbsorbLocalMsgs(7)
-	if got := m.Stats().LocalMsgs; got != 8 {
-		t.Fatalf("LocalMsgs = %d after absorb, want 8", got)
-	}
-}

@@ -161,6 +161,33 @@ func TestRestartReenqueuesOnlyMissingJobs(t *testing.T) {
 	}
 }
 
+// TestCloseWaitsForSweeps: Close returns only after every sweep
+// goroutine has finished writing, so a restarted daemon (or a test's
+// directory cleanup) never races a dying one's cache-dir writes, and it
+// refuses submissions from then on.
+func TestCloseWaitsForSweeps(t *testing.T) {
+	dir := t.TempDir()
+	s, base := newTestServer(t, Options{
+		Workers:  1,
+		CacheDir: dir,
+		RunJob: func(ctx context.Context, j allarm.Job) (*allarm.Result, error) {
+			<-ctx.Done()
+			time.Sleep(50 * time.Millisecond) // a slow abort
+			return nil, ctx.Err()
+		},
+	})
+	sr := submit(t, base, tinySweepRequest())
+	waitJob(t, base, sr.ID, 0, JobRunning)
+	s.Close()
+	if _, err := os.Stat(filepath.Join(dir, "checkpoints", sr.ID+".ndjson")); err != nil {
+		t.Errorf("Close returned before the sweep's checkpoint landed: %v", err)
+	}
+	resp, body := postJSON(t, base+"/v1/sweeps", tinySweepRequest())
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("submit after Close: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestDrainAbortsExecutingJob: with cancellation threaded through
 // Exec, a drain interrupts the running simulation (status "aborted",
 // partial metrics in the checkpoint) and skips the queued one (status

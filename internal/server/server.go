@@ -98,18 +98,9 @@ const (
 // Options configures a Server.
 type Options struct {
 	// Workers bounds concurrently running simulations across all sweeps
-	// (<= 0: NumCPU, divided by SimThreads when that is set so the
-	// total goroutine demand stays near the core count). Request
-	// handling is not bounded by it: cache hits and status reads never
-	// wait for a worker.
+	// (<= 0: NumCPU). Request handling is not bounded by it: cache hits
+	// and status reads never wait for a worker.
 	Workers int
-	// SimThreads, when > 1, runs every executed simulation on that many
-	// parallel event shards (Config.SimThreads). It is applied at
-	// execution time and is NOT part of a job's cache identity: the
-	// parallel engine is bit-identical to the serial one, so a result
-	// computed at any thread count serves every client. Machines that
-	// cannot shard fall back to serial execution on their own.
-	SimThreads int
 	// CacheEntries bounds the in-memory result cache (<= 0:
 	// DefaultCacheEntries). The disk tier, when enabled, is unbounded.
 	CacheEntries int
@@ -194,6 +185,8 @@ type Server struct {
 	jobCkptDir    string       // machine-state job checkpoints; "" = off
 	ckptInterval  uint64       // events between job checkpoints
 	waiting       atomic.Int64 // jobs blocked on the worker pool (preemption signal)
+	// janitors tracks the Retain janitor goroutine; Close waits for it.
+	janitors sync.WaitGroup
 
 	mu       sync.Mutex
 	draining bool
@@ -225,13 +218,6 @@ func New(opts Options) (*Server, error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
-		if opts.SimThreads > 1 {
-			// Each running job occupies SimThreads cores; keep the
-			// default pool from oversubscribing the machine.
-			if workers = workers / opts.SimThreads; workers < 1 {
-				workers = 1
-			}
-		}
 	}
 	entries := opts.CacheEntries
 	if entries <= 0 {
@@ -377,6 +363,7 @@ func New(opts Options) (*Server, error) {
 		return nil, err
 	}
 	if opts.Retain > 0 {
+		s.janitors.Add(1)
 		go s.janitor()
 	}
 	return s, nil
@@ -392,8 +379,18 @@ func handleVersion(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]string{"version": allarm.Version})
 }
 
-// Close cancels everything immediately (tests; production uses Drain).
-func (s *Server) Close() { s.cancel() }
+// Close cancels everything immediately (tests; production uses Drain)
+// and returns once every sweep goroutine and the janitor have exited,
+// so nothing writes into the cache directory afterwards. Submissions
+// are refused from the moment Close starts, as during Drain.
+func (s *Server) Close() {
+	s.mu.Lock()
+	s.draining = true
+	s.mu.Unlock()
+	s.cancel()
+	s.active.Wait()
+	s.janitors.Wait()
+}
 
 func (s *Server) logf(format string, args ...any) {
 	switch {
@@ -544,6 +541,7 @@ func (s *Server) recover() error {
 
 // janitor periodically evicts finished sweeps older than Retain.
 func (s *Server) janitor() {
+	defer s.janitors.Done()
 	interval := s.opts.Retain / 4
 	if interval < time.Second {
 		interval = time.Second
@@ -966,12 +964,6 @@ func (s *Server) lead(ctx context.Context, key string, job allarm.Job) (*allarm.
 	s.met.queueWait.ObserveSince(enqueued)
 
 	s.met.cacheMisses.Add(1)
-	if s.opts.SimThreads > 0 {
-		// Execution-time knob only: the key the result is cached under
-		// was computed before this (SimThreads is excluded from Job.Key
-		// because results are thread-count-invariant).
-		job.Config.SimThreads = s.opts.SimThreads
-	}
 	start := time.Now()
 	res, err := s.runJob(ctx, job)
 	s.met.jobsRun.Add(1)

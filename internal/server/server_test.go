@@ -608,36 +608,3 @@ func TestListSweeps(t *testing.T) {
 		t.Fatalf("listing: %+v", views)
 	}
 }
-
-// TestSimThreadsInjectedAtExec: Options.SimThreads reaches every
-// executed job at run time without entering its cache identity — the
-// submitted jobs' keys (and so cached results) are the same at any
-// thread count.
-func TestSimThreadsInjectedAtExec(t *testing.T) {
-	var seen atomic.Int64
-	_, base := newTestServer(t, Options{
-		SimThreads: 4,
-		RunJob: func(ctx context.Context, j allarm.Job) (*allarm.Result, error) {
-			seen.Store(int64(j.Config.SimThreads))
-			return j.RunCtx(ctx)
-		},
-	})
-	sr := submit(t, base, SweepRequest{
-		Benchmarks: []string{"ocean-cont"},
-		Config:     &ConfigOverrides{Threads: 4, AccessesPerThread: 400},
-	})
-	waitDone(t, base, sr.ID)
-	if got := seen.Load(); got != 4 {
-		t.Fatalf("executed job ran with SimThreads=%d, want 4", got)
-	}
-
-	serial := tinySweepRequest().Config
-	cfgA := RequestConfig(serial)
-	cfgB := cfgA
-	cfgB.SimThreads = 4
-	jobA := allarm.Job{Benchmark: "ocean-cont", Config: cfgA}
-	jobB := allarm.Job{Benchmark: "ocean-cont", Config: cfgB}
-	if jobA.Key() != jobB.Key() {
-		t.Fatal("SimThreads changed the job key; cached results would split by thread count")
-	}
-}

@@ -103,46 +103,12 @@ func (a *item) before(b *item) bool {
 
 // Engine is a single-threaded discrete-event scheduler.
 // The zero value is ready to use.
-//
-// A parallel machine runs several engines — one per tile shard — each
-// still single-threaded within its goroutine, coordinated by
-// conservative windows at the system layer. Such engines use keyed
-// tie-break order (see SetKeyed in keyed.go) so their combined event
-// order matches what one serial engine would produce.
 type Engine struct {
 	now     Time
 	seq     uint64
 	queue   []item // 4-ary min-heap ordered by (at, seq)
 	stopped bool
 	fired   uint64
-
-	// Keyed tie-break state (see keyed.go); serial engines never touch
-	// these beyond the single keyed branch in nextSeq.
-	keyed      bool
-	keyInstant Time
-	keyCount   uint64
-
-	// Window-log state (see windowlog.go): between BeginWindowLog and
-	// EndWindowLog the engine records each dispatched event and, in call
-	// order, every scheduling call it made, so a parallel machine's
-	// barrier can replay the window's scheduling structure and
-	// reconstruct the exact serial event order. Serial engines never
-	// turn it on; the logOn branches predict perfectly.
-	logOn   bool
-	log     []LogEntry
-	logKids []LogChild
-}
-
-// nextSeq assigns the next tie-break sequence: the plain FIFO counter,
-// or — for shard engines of a parallel machine — the keyed form that
-// encodes the scheduling instant (keyed.go). The branch predicts
-// perfectly on the serial hot path.
-func (e *Engine) nextSeq() uint64 {
-	if e.keyed {
-		return e.keyedNext()
-	}
-	e.seq++
-	return e.seq
 }
 
 // Now returns the current simulated time.
@@ -226,11 +192,8 @@ func (e *Engine) At(at Time, fn Event) {
 	if fn == nil {
 		panic("sim: nil event")
 	}
-	seq := e.nextSeq()
-	if e.logOn {
-		e.logKids = append(e.logKids, LogChild{At: at, Seq: seq, Ext: -1})
-	}
-	e.push(item{at: at, seq: seq, fire: fn})
+	e.seq++
+	e.push(item{at: at, seq: e.seq, fire: fn})
 }
 
 // After schedules fn to run delay picoseconds from now. Negative delays
@@ -244,11 +207,8 @@ func (e *Engine) Schedule(at Time, h Handler) {
 	if h == nil {
 		panic("sim: nil handler")
 	}
-	seq := e.nextSeq()
-	if e.logOn {
-		e.logKids = append(e.logKids, LogChild{At: at, Seq: seq, Ext: -1})
-	}
-	e.push(item{at: at, seq: seq, h: h})
+	e.seq++
+	e.push(item{at: at, seq: e.seq, h: h})
 }
 
 // ScheduleAfter schedules h.Handle to run delay picoseconds from now.
@@ -257,9 +217,6 @@ func (e *Engine) ScheduleAfter(delay Time, h Handler) { e.Schedule(e.now+delay, 
 // dispatch fires one popped event.
 func (e *Engine) dispatch(it *item) {
 	e.now = it.at
-	if e.logOn {
-		e.log = append(e.log, LogEntry{At: it.at, Seq: it.seq, Kids: int32(len(e.logKids))})
-	}
 	if it.fire != nil {
 		it.fire(it.at)
 	} else {

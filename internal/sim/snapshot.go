@@ -44,8 +44,6 @@ func (e *Engine) RestoreClock(now Time, seq, fired uint64) error {
 	e.seq = seq
 	e.fired = fired
 	e.stopped = false
-	e.keyInstant = -1 // keyed engines restart their per-instant rank
-	e.keyCount = 0
 	return nil
 }
 

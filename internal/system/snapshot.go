@@ -3,7 +3,6 @@ package system
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"allarm/internal/checkpoint"
 	"allarm/internal/coherence"
@@ -60,12 +59,10 @@ func (m *Machine) CanSnapshot() bool {
 		return false
 	}
 	ok := true
-	m.eachEngine(func(e *sim.Engine) {
-		e.ForEachPending(func(at sim.Time, seq uint64, h sim.Handler) {
-			if !m.knownHandler(h) {
-				ok = false
-			}
-		})
+	m.eng.ForEachPending(func(at sim.Time, seq uint64, h sim.Handler) {
+		if !m.knownHandler(h) {
+			ok = false
+		}
 	})
 	return ok
 }
@@ -101,26 +98,10 @@ func (m *Machine) Snapshot(w io.Writer, meta string) error {
 	e.Section("machine")
 	e.Len(m.cfg.Nodes)
 
-	// A sharded machine is checkpointed as if it were serial: at a
-	// window barrier every shard clock agrees, so the shard heaps are
-	// merged into one canonical heap — ordered by (time, tie-break key,
-	// owning tile) — and re-ranked 1..n. The encoded records are then
-	// indistinguishable from a serial engine whose sequence counter is
-	// n, keeping the checkpoint format identical for every SimThreads
-	// and letting a checkpoint written under one thread count resume
-	// under any other.
-	var merged []mergedEvent
 	e.Section("engine")
-	if m.shards == nil {
-		e.I64(int64(m.eng.Now()))
-		e.U64(m.eng.Seq())
-		e.U64(m.eng.Fired())
-	} else {
-		merged = m.mergedHeap()
-		e.I64(int64(m.now()))
-		e.U64(uint64(len(merged)))
-		e.U64(m.Fired())
-	}
+	e.I64(int64(m.eng.Now()))
+	e.U64(m.eng.Seq())
+	e.U64(m.eng.Fired())
 
 	e.Section("run")
 	e.U64(r.phaseFired)
@@ -141,15 +122,6 @@ func (m *Machine) Snapshot(w io.Writer, meta string) error {
 	for _, s := range m.spaces {
 		s.EncodeState(e)
 	}
-	if m.shards != nil {
-		// Same-node messages bypass the mesh on a sharded machine and
-		// are counted per shard; fold them into the mesh's statistics
-		// so the encoded NoC section matches a serial run's.
-		for _, s := range m.shards {
-			m.mesh.AbsorbLocalMsgs(s.localMsgs)
-			s.localMsgs = 0
-		}
-	}
 	m.mesh.EncodeState(e)
 
 	for _, n := range m.nodes {
@@ -163,17 +135,6 @@ func (m *Machine) Snapshot(w io.Writer, meta string) error {
 	}
 
 	e.Section("heap")
-	if m.shards != nil {
-		e.Len(len(merged))
-		for i := range merged {
-			e.I64(int64(merged[i].at))
-			e.U64(uint64(i + 1))
-			if err := m.encodeHandler(e, merged[i].h); err != nil {
-				return err
-			}
-		}
-		return e.Close(w)
-	}
 	e.Len(m.eng.Pending())
 	var heapErr error
 	m.eng.ForEachPending(func(at sim.Time, seq uint64, h sim.Handler) {
@@ -188,42 +149,6 @@ func (m *Machine) Snapshot(w io.Writer, meta string) error {
 		return heapErr
 	}
 	return e.Close(w)
-}
-
-// mergedEvent is one pending event of a sharded machine during heap
-// merge: its fire time, tie-break key, and owning tile.
-type mergedEvent struct {
-	at   sim.Time
-	key  uint64
-	node mem.NodeID
-	h    sim.Handler
-}
-
-// mergedHeap flattens every shard heap into canonical serial order.
-// Snapshots are only taken at window barriers, where the barrier
-// replay has already rewritten every pending key to its dense global
-// serial rank — so (at, key) is a total order identical to the serial
-// engine's pop order. The owning tile is a defensive residual
-// tie-break; it cannot fire on a well-formed heap.
-func (m *Machine) mergedHeap() []mergedEvent {
-	var items []mergedEvent
-	for _, s := range m.shards {
-		s.eng.ForEachPending(func(at sim.Time, key uint64, h sim.Handler) {
-			n, _ := m.ownerNode(h) // unknown handlers fail in encodeHandler
-			items = append(items, mergedEvent{at: at, key: key, node: n, h: h})
-		})
-	}
-	sort.Slice(items, func(i, j int) bool {
-		a, b := &items[i], &items[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.key != b.key {
-			return a.key < b.key
-		}
-		return a.node < b.node
-	})
-	return items
 }
 
 // encodeHandler writes one handler record's tag and payload.
@@ -292,12 +217,6 @@ func (m *Machine) decodeHandler(d *checkpoint.Decoder) (sim.Handler, error) {
 		if int(msg.Dst) < 0 || int(msg.Dst) >= len(m.nodes) {
 			return nil, fmt.Errorf("system: in-flight message to invalid node %d", msg.Dst)
 		}
-		if m.shards != nil {
-			sh := m.shards[m.shardOf[msg.Dst]]
-			dl := sh.deliveries.Get()
-			dl.m, dl.sh, dl.msg = m, sh, msg
-			return dl, nil
-		}
 		dl := m.deliveries.Get()
 		dl.m, dl.msg = m, msg
 		return dl, nil
@@ -335,13 +254,7 @@ func (m *Machine) Restore(r io.Reader, threads []ThreadSpec) (string, error) {
 	if m.check != nil {
 		return "", fmt.Errorf("system: restore with the invariant checker enabled")
 	}
-	used := false
-	m.eachEngine(func(e *sim.Engine) {
-		if e.Pending() != 0 || e.Fired() != 0 {
-			used = true
-		}
-	})
-	if used {
+	if m.eng.Pending() != 0 || m.eng.Fired() != 0 {
 		return "", fmt.Errorf("system: restore into a used machine")
 	}
 
@@ -440,29 +353,15 @@ func (m *Machine) Restore(r io.Reader, threads []ThreadSpec) (string, error) {
 
 	// The clock must be set before the heap is refilled (RestorePending
 	// rejects events in the past), and the heap after every controller
-	// (directory events bind to restored transactions). On a sharded
-	// machine every shard clock is set to the checkpointed barrier time;
-	// the fired count — global, it feeds the event budget — lives on
-	// shard 0, which m.Fired sums with the rest.
-	var restoreErr error
-	m.eachEngine(func(e *sim.Engine) {
-		f := fired
-		if m.shards != nil && e != m.shards[0].eng {
-			f = 0
-		}
-		if err := e.RestoreClock(now, seq, f); err != nil && restoreErr == nil {
-			restoreErr = err
-		}
-	})
-	if restoreErr != nil {
-		return meta, restoreErr
+	// (directory events bind to restored transactions).
+	if err := m.eng.RestoreClock(now, seq, fired); err != nil {
+		return meta, err
 	}
 	d.Expect("heap")
 	pending := d.Len(maxHeapEvents)
 	if err := d.Err(); err != nil {
 		return meta, err
 	}
-	var queued []mergedEvent // sharded machines buffer, sort, then insert
 	for i := 0; i < pending; i++ {
 		at := sim.Time(d.I64())
 		sq := d.U64()
@@ -473,36 +372,8 @@ func (m *Machine) Restore(r io.Reader, threads []ThreadSpec) (string, error) {
 		if err != nil {
 			return meta, err
 		}
-		if m.shards != nil {
-			queued = append(queued, mergedEvent{at: at, key: sq, h: h})
-			continue
-		}
 		if err := m.eng.RestorePending(at, sq, h); err != nil {
 			return meta, err
-		}
-	}
-	if m.shards != nil {
-		// Re-establish canonical order — checkpoints store the heap in
-		// backing-array order — then re-rank 1..n and distribute each
-		// event to the shard owning its tile. The ranks sort below every
-		// runtime tie-break key, so restored events fire before anything
-		// scheduled after the resume at the same instant, exactly as
-		// their original sequence numbers would have made them.
-		sort.Slice(queued, func(i, j int) bool {
-			if queued[i].at != queued[j].at {
-				return queued[i].at < queued[j].at
-			}
-			return queued[i].key < queued[j].key
-		})
-		for i := range queued {
-			n, ok := m.ownerNode(queued[i].h)
-			if !ok {
-				return meta, fmt.Errorf("system: restored handler %T has no owning tile", queued[i].h)
-			}
-			eng := m.shards[m.shardOf[n]].eng
-			if err := eng.RestorePending(queued[i].at, uint64(i+1), queued[i].h); err != nil {
-				return meta, err
-			}
 		}
 	}
 	if err := d.Err(); err != nil {

@@ -57,15 +57,6 @@ type Config struct {
 	// MaxEvents aborts a run that exceeds this event budget (deadlock
 	// guard); 0 means no limit.
 	MaxEvents uint64
-
-	// SimThreads partitions the machine's tiles over that many event
-	// shards, drained concurrently in conservative NoC-lookahead windows
-	// with results bit-identical to a serial run (see pdes.go). Values
-	// <= 1 select the serial engine. The machine silently falls back to
-	// serial when a shard per thread cannot be formed or parallel
-	// execution is unsupported (invariant checker on, zero lookahead);
-	// Shards reports the effective count.
-	SimThreads int
 }
 
 // Validate reports the first configuration inconsistency.
@@ -103,21 +94,12 @@ type ThreadSpec struct {
 // Machine is one simulated system instance.
 type Machine struct {
 	cfg   Config
-	eng   *sim.Engine // serial engine; nil when the machine is sharded
+	eng   *sim.Engine
 	mesh  *noc.Mesh
 	phys  *mem.PhysMem
 	nodes []*node
 	cpus  []*cpu
 	check *checker
-
-	// Parallel (PDES) state — see pdes.go. shards is nil for serial
-	// machines; shardOf maps a node to its owning shard index.
-	shards     []*shard
-	shardOf    []int
-	lookahead  sim.Time
-	mergeBuf   []stagedMsg
-	replayHeap []replayNode
-	delivBuf   []replayNode
 
 	// spaces records every address space created through
 	// NewAddressSpace, in creation order, so a machine checkpoint can
@@ -169,10 +151,9 @@ type port struct{ m *Machine }
 
 // delivery is one NoC in-flight record: a message travelling the mesh,
 // scheduled as a sim.Handler for its arrival time. Records cycle through
-// the machine's free list (serial) or the destination shard's (sh set).
+// the machine's free list.
 type delivery struct {
 	m   *Machine
-	sh  *shard // owning shard on parallel machines; nil on serial ones
 	msg *coherence.Msg
 }
 
@@ -181,11 +162,7 @@ type delivery struct {
 func (d *delivery) Handle(now sim.Time) {
 	m, msg := d.m, d.msg
 	d.msg = nil
-	if d.sh != nil {
-		d.sh.deliveries.Put(d)
-	} else {
-		m.deliveries.Put(d)
-	}
+	m.deliveries.Put(d)
 	dst := m.nodes[msg.Dst]
 	if msg.ToDir {
 		dst.dir.HandleMsg(now, msg)
@@ -212,23 +189,14 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m := &Machine{
 		cfg:  cfg,
+		eng:  &sim.Engine{},
 		mesh: noc.New(cfg.NoC),
 		phys: mem.NewPhysMem(cfg.Nodes, cfg.MemBytesPerNode),
-	}
-	if shards := m.effectiveShards(); shards > 1 {
-		m.buildShards(shards)
-	} else {
-		m.eng = &sim.Engine{}
 	}
 	p := &port{m: m}
 	home := func(a mem.PAddr) mem.NodeID { return m.phys.Home(a) }
 	for i := 0; i < cfg.Nodes; i++ {
 		id := mem.NodeID(i)
-		eng := m.engFor(id)
-		prt := coherence.Port(p)
-		if m.shards != nil {
-			prt = m.shards[m.shardOf[i]].port
-		}
 		hier := cache.NewHierarchy(cfg.L1Bytes, cfg.L1Ways, cfg.L2Bytes, cfg.L2Ways)
 		dc := dram.New(cfg.DRAMLatency, cfg.DRAMInterval)
 		var alloc core.AllocPolicy
@@ -238,19 +206,13 @@ func New(cfg Config) (*Machine, error) {
 		n := &node{
 			id:   id,
 			hier: hier,
-			cc:   coherence.NewCacheCtrl(id, hier, eng, prt, home, cfg.CacheLatency),
+			cc:   coherence.NewCacheCtrl(id, hier, m.eng, p, home, cfg.CacheLatency),
 			dram: dc,
 			dir: core.NewDirCtrl(core.Config{
 				Node: id, Nodes: cfg.Nodes,
 				Alloc: alloc, Policy: cfg.Policy, Ranges: cfg.Ranges,
 				LookupLatency: cfg.DirLatency,
-			}, core.NewProbeFilter(cfg.PFCoverage, cfg.PFWays), eng, prt, dc),
-		}
-		if m.shards != nil {
-			// Messages allocated by this node's controllers are released
-			// by receivers that may live on other shards.
-			n.cc.SharePool()
-			n.dir.SharePool()
+			}, core.NewProbeFilter(cfg.PFCoverage, cfg.PFWays), m.eng, p, dc),
 		}
 		m.nodes = append(m.nodes, n)
 	}
@@ -260,68 +222,8 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Engine exposes the event engine (tests; serial machines only — a
-// sharded machine has one engine per shard and returns nil here).
+// Engine exposes the machine's event engine (event counts, tests).
 func (m *Machine) Engine() *sim.Engine { return m.eng }
-
-// Shards reports the machine's effective event-shard count: 1 for the
-// serial engine, the (possibly clamped) SimThreads otherwise.
-func (m *Machine) Shards() int {
-	if m.shards == nil {
-		return 1
-	}
-	return len(m.shards)
-}
-
-// engFor returns the engine that owns node n's events.
-func (m *Machine) engFor(n mem.NodeID) *sim.Engine {
-	if m.shards == nil {
-		return m.eng
-	}
-	return m.shards[m.shardOf[n]].eng
-}
-
-// now returns the current simulated time: the serial engine's clock or
-// the latest shard clock (all shard clocks agree at window barriers, so
-// they only differ transiently inside a cancelled window).
-func (m *Machine) now() sim.Time {
-	if m.shards == nil {
-		return m.eng.Now()
-	}
-	var t sim.Time
-	for _, s := range m.shards {
-		if s.eng.Now() > t {
-			t = s.eng.Now()
-		}
-	}
-	return t
-}
-
-// Fired returns the total number of simulation events executed so far,
-// across all shards (and, after a restore, including the checkpointed
-// segment's events).
-func (m *Machine) Fired() uint64 {
-	if m.shards == nil {
-		return m.eng.Fired()
-	}
-	var f uint64
-	for _, s := range m.shards {
-		f += s.eng.Fired()
-	}
-	return f
-}
-
-// pendingTotal returns the number of queued events across all engines.
-func (m *Machine) pendingTotal() int {
-	if m.shards == nil {
-		return m.eng.Pending()
-	}
-	n := 0
-	for _, s := range m.shards {
-		n += s.eng.Pending()
-	}
-	return n
-}
 
 // Phys returns the machine's physical memory map.
 func (m *Machine) Phys() *mem.PhysMem { return m.phys }
@@ -358,7 +260,6 @@ func Preplace(space *mem.AddressSpace, wl workload.Preplacer, nodeOf func(thread
 // accesses pended behind a think delay (at most one is outstanding).
 type cpu struct {
 	m        *Machine
-	eng      *sim.Engine // the engine owning this cpu's node
 	idx      int
 	spec     ThreadSpec
 	issued   uint64
@@ -380,7 +281,7 @@ type cpuStep struct{ c *cpu }
 func (s *cpuStep) Handle(now sim.Time) { s.c.step(now) }
 
 func newCPU(m *Machine, idx int, spec ThreadSpec) *cpu {
-	c := &cpu{m: m, eng: m.engFor(spec.Node), idx: idx, spec: spec}
+	c := &cpu{m: m, idx: idx, spec: spec}
 	c.stepH.c = c
 	return c
 }
@@ -401,7 +302,7 @@ func (c *cpu) step(now sim.Time) {
 	pa := c.spec.Space.Translate(acc.VAddr, c.spec.Node)
 	if acc.Think > 0 {
 		c.pendPA, c.pendWr = pa, acc.Write
-		c.eng.ScheduleAfter(acc.Think, c)
+		c.m.eng.ScheduleAfter(acc.Think, c)
 	} else {
 		c.m.nodes[c.spec.Node].cc.CoreAccess(now, pa, acc.Write, &c.stepH)
 	}
@@ -500,7 +401,6 @@ func (m *Machine) Start(threads []ThreadSpec) error {
 	}
 	m.run.phase = phaseWarmup
 	m.cpus = m.cpus[:0]
-	base := m.now()
 	for i, t := range threads {
 		if t.Warmup == nil {
 			continue
@@ -509,25 +409,23 @@ func (m *Machine) Start(threads []ThreadSpec) error {
 		w.Stream = t.Warmup
 		c := newCPU(m, i, w)
 		m.cpus = append(m.cpus, c)
-		c.eng.Schedule(base+sim.Time(i)*100*sim.Picosecond, &c.stepH)
+		m.eng.Schedule(m.eng.Now()+sim.Time(i)*100*sim.Picosecond, &c.stepH)
 	}
 	return nil
 }
 
 // beginROI opens the measured region: fresh cpus for every thread,
 // starts staggered by 100 ps per thread to break lockstep symmetry.
-// On a sharded machine this runs at a window barrier, where every
-// shard's clock agrees.
 func (m *Machine) beginROI() {
 	r := m.run
-	r.roiStart = m.now()
+	r.roiStart = m.eng.Now()
 	r.phase = phaseROI
 	r.phaseFired = 0
 	m.cpus = m.cpus[:0]
 	for i, t := range r.threads {
 		c := newCPU(m, i, t)
 		m.cpus = append(m.cpus, c)
-		c.eng.Schedule(r.roiStart+sim.Time(i)*100*sim.Picosecond, &c.stepH)
+		m.eng.Schedule(r.roiStart+sim.Time(i)*100*sim.Picosecond, &c.stepH)
 	}
 }
 
@@ -544,12 +442,6 @@ func (m *Machine) StepCtx(ctx context.Context, window uint64) (bool, error) {
 	}
 	if r.phase == phaseDone {
 		return true, nil
-	}
-	if m.shards != nil {
-		// Sharded machines advance in whole conservative windows (a
-		// snapshot is only safe at a window barrier), so the event
-		// bound is rounded up to the window that crosses it.
-		return m.stepParallel(ctx, window)
 	}
 	limit := window
 	if m.cfg.MaxEvents > 0 {
@@ -577,46 +469,32 @@ func (m *Machine) StepCtx(ctx context.Context, window uint64) (bool, error) {
 			m.eng.Now(), len(m.cpus), cerr)
 	}
 	if m.eng.Pending() == 0 {
-		return m.phaseEnd()
-	}
-	if m.cfg.MaxEvents > 0 && r.phaseFired >= m.cfg.MaxEvents {
-		return false, m.budgetExhausted()
-	}
-	return false, nil
-}
-
-// phaseEnd handles an emptied event queue: the warmup→ROI transition
-// (reset statistics, fresh cpus) or run completion. Shared by the
-// serial step loop and the parallel window scheduler (which calls it
-// at a barrier, where all shard clocks agree).
-func (m *Machine) phaseEnd() (bool, error) {
-	r := m.run
-	if r.phase == phaseWarmup {
+		if r.phase == phaseWarmup {
+			for _, c := range m.cpus {
+				if !c.done {
+					return false, fmt.Errorf("system: warmup thread %d(%s) did not finish", c.idx, c.spec.Name)
+				}
+			}
+			m.resetStats()
+			m.beginROI()
+			return false, nil
+		}
 		for _, c := range m.cpus {
 			if !c.done {
-				return false, fmt.Errorf("system: warmup thread %d(%s) did not finish", c.idx, c.spec.Name)
+				return false, fmt.Errorf("system: thread %d(%s) did not finish (deadlock?)", c.idx, c.spec.Name)
 			}
 		}
-		m.resetStats()
-		m.beginROI()
-		return false, nil
+		m.roiStart = r.roiStart
+		r.phase = phaseDone
+		return true, nil
 	}
-	for _, c := range m.cpus {
-		if !c.done {
-			return false, fmt.Errorf("system: thread %d(%s) did not finish (deadlock?)", c.idx, c.spec.Name)
+	if m.cfg.MaxEvents > 0 && r.phaseFired >= m.cfg.MaxEvents {
+		if r.phase == phaseWarmup {
+			return false, fmt.Errorf("system: event budget exhausted during warmup at t=%v", m.eng.Now())
 		}
+		return false, fmt.Errorf("system: event budget %d exhausted at t=%v (possible deadlock)", m.cfg.MaxEvents, m.eng.Now())
 	}
-	m.roiStart = r.roiStart
-	r.phase = phaseDone
-	return true, nil
-}
-
-// budgetExhausted builds the per-phase MaxEvents error.
-func (m *Machine) budgetExhausted() error {
-	if m.run.phase == phaseWarmup {
-		return fmt.Errorf("system: event budget exhausted during warmup at t=%v", m.now())
-	}
-	return fmt.Errorf("system: event budget %d exhausted at t=%v (possible deadlock)", m.cfg.MaxEvents, m.now())
+	return false, nil
 }
 
 // Finish collects the completed run's statistics and applies the final
@@ -646,13 +524,10 @@ func (m *Machine) resetStats() {
 		n.dram.ResetStats()
 	}
 	m.mesh.ResetStats()
-	for _, s := range m.shards {
-		s.localMsgs = 0
-	}
 }
 
 func (m *Machine) collect() *RunResult {
-	res := &RunResult{Events: m.Fired()}
+	res := &RunResult{Events: m.eng.Fired()}
 	for _, c := range m.cpus {
 		res.Accesses += c.issued
 		// A thread still in flight (cancelled run) has no completion
@@ -663,7 +538,7 @@ func (m *Machine) collect() *RunResult {
 		// non-negative times.
 		end := c.finished
 		if !c.done {
-			end = m.now()
+			end = m.eng.Now()
 		}
 		if end < m.roiStart {
 			end = m.roiStart
@@ -681,13 +556,6 @@ func (m *Machine) collect() *RunResult {
 		res.DRAM = append(res.DRAM, n.dram.Stats())
 	}
 	res.NoC = m.mesh.Stats()
-	// Sharded machines deliver same-node messages on the owning shard
-	// without a mesh call; fold those counts in so NoC statistics match
-	// a serial run's exactly. (Snapshot folds them into the mesh itself;
-	// by then the shard counters are zero, so nothing double-counts.)
-	for _, s := range m.shards {
-		res.NoC.LocalMsgs += s.localMsgs
-	}
 	res.Energy = energy.Compute(res.NoC, res.PF, res.DRAM, energy.Default32nm())
 	return res
 }

@@ -43,13 +43,13 @@ func sameResult(t *testing.T, label string, a, b *allarm.Result) {
 	}
 }
 
-// TestRunBenchmarkMatchesWorkloadRun: the RunBenchmark shim and the
+// TestRunBenchmarkMatchesWorkloadRun: the RunBenchmarkCtx shortcut and the
 // first-class Workload path are the same simulation, bit for bit.
 func TestRunBenchmarkMatchesWorkloadRun(t *testing.T) {
 	cfg := fastConfig()
 	for _, pol := range []allarm.Policy{allarm.Baseline, allarm.ALLARM} {
 		cfg.Policy = pol
-		shim, err := allarm.RunBenchmark(cfg, "barnes")
+		shim, err := allarm.RunBenchmarkCtx(context.Background(), cfg, "barnes")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestPreRedesignGolden(t *testing.T) {
 		cfg.Seed = snap.Seed
 		cfg.Policy = pol
 		cfg.AccessesPerThread = run.Accesses
-		res, err := allarm.RunBenchmark(cfg, run.Benchmark)
+		res, err := allarm.RunBenchmarkCtx(context.Background(), cfg, run.Benchmark)
 		if err != nil {
 			t.Fatalf("%s: %v", run.Name, err)
 		}
@@ -200,7 +200,7 @@ func TestALLARMHystScheme(t *testing.T) {
 	results := map[allarm.Policy]*allarm.Result{}
 	for _, pol := range []allarm.Policy{allarm.Baseline, allarm.ALLARM, allarm.ALLARMHyst} {
 		cfg.Policy = pol
-		res, err := allarm.RunBenchmark(cfg, "dedup")
+		res, err := allarm.RunBenchmarkCtx(context.Background(), cfg, "dedup")
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
@@ -290,14 +290,14 @@ func TestCustomPolicyIsUsed(t *testing.T) {
 	}
 	base := cfg
 	base.Policy = allarm.Baseline
-	res, err := allarm.RunBenchmark(cfg, "barnes")
+	res, err := allarm.RunBenchmarkCtx(context.Background(), cfg, "barnes")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if misses == 0 {
 		t.Fatal("registered policy never consulted")
 	}
-	ref, err := allarm.RunBenchmark(base, "barnes")
+	ref, err := allarm.RunBenchmarkCtx(context.Background(), base, "barnes")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestIllegalPolicyDecisionsPanic(t *testing.T) {
 			cfg.CheckInvariants = false
 			cfg.AccessesPerThread = 500
 			cfg.Policy = allarm.Policy(name)
-			_, _ = allarm.RunBenchmark(cfg, "dedup")
+			_, _ = allarm.RunBenchmarkCtx(context.Background(), cfg, "dedup")
 		})
 	}
 }
@@ -431,7 +431,7 @@ func TestRunWorkloadValidation(t *testing.T) {
 		t.Fatal("workload wider than the machine accepted")
 	}
 	cfg.Policy = "registered-nowhere"
-	if _, err := allarm.RunBenchmark(cfg, "barnes"); err == nil {
+	if _, err := allarm.RunBenchmarkCtx(context.Background(), cfg, "barnes"); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
@@ -534,14 +534,14 @@ func TestCrossWorkloads(t *testing.T) {
 }
 
 // TestExperimentVsDefaultsMatchShims: the Vs variants at opt=ALLARM are
-// the existing shims, byte for byte (extends the shim acceptance test).
+// RunExperimentWith, byte for byte.
 func TestExperimentVsDefaultsMatchShims(t *testing.T) {
 	cfg := fastConfig()
 	cfg.CheckInvariants = false
 	cfg.AccessesPerThread = 1000
 	for _, id := range []string{"table1", "fig2"} {
 		var shim, vs strings.Builder
-		if err := allarm.RunExperiment(&shim, cfg, id); err != nil {
+		if err := allarm.RunExperimentWith(context.Background(), &shim, cfg, id, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := allarm.RunExperimentVs(context.Background(), &vs, cfg, id, allarm.ALLARM, nil); err != nil {

@@ -148,7 +148,7 @@ func (h *RunHandle) Step(ctx context.Context, window uint64) (bool, error) {
 // Events returns the total simulation events fired so far (across a
 // resume, this includes the events of the pre-checkpoint segment — they
 // were restored, not re-simulated).
-func (h *RunHandle) Events() uint64 { return h.m.Fired() }
+func (h *RunHandle) Events() uint64 { return h.m.Engine().Fired() }
 
 // CanSnapshot reports whether the run is at a snapshottable point: at a
 // Step boundary inside the measured region, with the invariant checker

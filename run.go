@@ -28,7 +28,7 @@ func MultiProcessBenchmarks() []string {
 // BenchmarkInfo describes one synthetic benchmark preset — the discovery
 // record behind DescribeBenchmarks and allarm-serve's GET /v1/benchmarks.
 type BenchmarkInfo struct {
-	// Name is the preset name Job.Benchmark and RunBenchmark accept.
+	// Name is the preset name Job.Benchmark and RunBenchmarkCtx accept.
 	Name string `json:"name"`
 	// PrivateBytes, SharedBytes and GlobalBytes are the preset's region
 	// sizes at default scale (per thread, shared, and machine-wide
@@ -98,15 +98,10 @@ func RunCtx(ctx context.Context, cfg Config, wl Workload) (*Result, error) {
 	return runWorkloadCtx(ctx, cfg, wl)
 }
 
-// RunBenchmark simulates one named benchmark preset under cfg (scaled by
-// cfg.Threads and cfg.AccessesPerThread) and returns its metrics. It is
-// the compatibility shim over Run: output is byte-identical to the
+// RunBenchmarkCtx simulates one named benchmark preset under cfg (scaled
+// by cfg.Threads and cfg.AccessesPerThread) and returns its metrics,
+// with cancellation as in RunCtx. Output is byte-identical to the
 // pre-Workload-API Run(cfg, benchmark).
-func RunBenchmark(cfg Config, benchmark string) (*Result, error) {
-	return RunBenchmarkCtx(context.Background(), cfg, benchmark)
-}
-
-// RunBenchmarkCtx is RunBenchmark with cancellation (see RunCtx).
 func RunBenchmarkCtx(ctx context.Context, cfg Config, benchmark string) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -128,17 +123,6 @@ func buildWorkloadMachine(cfg Config, wl Workload) (*system.Machine, []system.Th
 	if err != nil {
 		return nil, nil, err
 	}
-	if sysCfg.SimThreads > 1 {
-		// Sharded runs need the whole footprint declared up front (the
-		// address space is sealed below). A workload that declares no
-		// pages at all — a programmatic Workload without Pages — gets the
-		// serial engine instead of a mid-run failure.
-		declared := false
-		wl.ForEachPage(func(uint64, int) { declared = true })
-		if !declared {
-			sysCfg.SimThreads = 1
-		}
-	}
 	m, err := system.New(sysCfg)
 	if err != nil {
 		return nil, nil, err
@@ -148,12 +132,6 @@ func buildWorkloadMachine(cfg Config, wl Workload) (*system.Machine, []system.Th
 	wl.ForEachPage(func(page uint64, thread int) {
 		space.Translate(mem.VAddr(page), nodeOf(thread))
 	})
-	if m.Shards() > 1 {
-		// Shard goroutines translate concurrently; with every page
-		// pre-placed above, sealing makes translation read-only (and an
-		// undeclared page a loud failure instead of a data race).
-		space.Seal()
-	}
 
 	threads := make([]system.ThreadSpec, 0, wl.Threads())
 	for t := 0; t < wl.Threads(); t++ {
@@ -237,14 +215,10 @@ func DefaultMultiProcess() MultiProcessConfig {
 	}
 }
 
-// RunMultiProcess simulates mp.Copies single-threaded copies of the named
-// benchmark (coordinated to start together, as in the paper) and returns
-// combined metrics. Runtime is the completion time of the slower copy.
-func RunMultiProcess(cfg Config, mp MultiProcessConfig, benchmark string) (*Result, error) {
-	return RunMultiProcessCtx(context.Background(), cfg, mp, benchmark)
-}
-
-// RunMultiProcessCtx is RunMultiProcess with cancellation (see RunCtx).
+// RunMultiProcessCtx simulates mp.Copies single-threaded copies of the
+// named benchmark (coordinated to start together, as in the paper) and
+// returns combined metrics, with cancellation as in RunCtx. Runtime is
+// the completion time of the slower copy.
 func RunMultiProcessCtx(ctx context.Context, cfg Config, mp MultiProcessConfig, benchmark string) (*Result, error) {
 	m, threads, err := buildMultiProcessMachine(cfg, mp, benchmark)
 	if err != nil {
@@ -324,9 +298,6 @@ func buildMultiProcessMachine(cfg Config, mp MultiProcessConfig, benchmark strin
 		node := mem.NodeID(c * spread)
 		space := m.NewAddressSpace(cfg.memPolicy())
 		system.Preplace(space, wl, func(int) mem.NodeID { return node })
-		if m.Shards() > 1 {
-			space.Seal() // see buildWorkloadMachine
-		}
 		threads = append(threads, system.ThreadSpec{
 			Node:   node,
 			Stream: wl.Stream(0, cfg.Seed+uint64(c)*7919),

@@ -25,7 +25,7 @@ type Job struct {
 	// Config is the machine (and, for presets, workload scale) for this
 	// job.
 	Config Config
-	// MultiProcess, when non-nil, runs the job through RunMultiProcess
+	// MultiProcess, when non-nil, runs the job through RunMultiProcessCtx
 	// (Figure 4 mode) instead; it applies to benchmark presets only.
 	MultiProcess *MultiProcessConfig
 }
@@ -99,77 +99,7 @@ func (j Job) Key() string {
 	if mpActive {
 		mp = *j.MultiProcess
 	}
-	return fmt.Sprintf("%s|%t|%+v|%+v", j.workloadKey(), mpActive, mp, j.configKey())
-}
-
-// configKey mirrors Config's behaviour-affecting fields, in Config's
-// order, for Key's %+v fingerprint. SimThreads is deliberately absent:
-// it is an execution knob with bit-identical results for every value,
-// so it must not split the result cache (a 4-thread run may serve a
-// cached serial result and vice versa). A field added to Config that
-// affects simulation output must be added here too — the
-// TestJobKeyGolden* tests pin the rendered form.
-type configKey struct {
-	Threads           int
-	AccessesPerThread int
-	Seed              uint64
-
-	Policy       Policy
-	ALLARMRanges []AddrRange
-	MemPolicy    MemPolicy
-
-	Nodes        int
-	MeshW, MeshH int
-
-	L1Bytes, L1Ways int
-	L2Bytes, L2Ways int
-
-	PFBytes, PFWays int
-
-	CacheNs, DirNs, DRAMNs, LinkNs float64
-	DRAMIntervalNs                 float64
-
-	LinkBytesPerNs             float64
-	FlitBytes                  int
-	CtrlMsgBytes, DataMsgBytes int
-
-	MemMiBPerNode int
-
-	CheckInvariants bool
-	MaxEvents       uint64
-}
-
-func (j Job) configKey() configKey {
-	c := j.Config
-	return configKey{
-		Threads:           c.Threads,
-		AccessesPerThread: c.AccessesPerThread,
-		Seed:              c.Seed,
-		Policy:            c.Policy,
-		ALLARMRanges:      c.ALLARMRanges,
-		MemPolicy:         c.MemPolicy,
-		Nodes:             c.Nodes,
-		MeshW:             c.MeshW,
-		MeshH:             c.MeshH,
-		L1Bytes:           c.L1Bytes,
-		L1Ways:            c.L1Ways,
-		L2Bytes:           c.L2Bytes,
-		L2Ways:            c.L2Ways,
-		PFBytes:           c.PFBytes,
-		PFWays:            c.PFWays,
-		CacheNs:           c.CacheNs,
-		DirNs:             c.DirNs,
-		DRAMNs:            c.DRAMNs,
-		LinkNs:            c.LinkNs,
-		DRAMIntervalNs:    c.DRAMIntervalNs,
-		LinkBytesPerNs:    c.LinkBytesPerNs,
-		FlitBytes:         c.FlitBytes,
-		CtrlMsgBytes:      c.CtrlMsgBytes,
-		DataMsgBytes:      c.DataMsgBytes,
-		MemMiBPerNode:     c.MemMiBPerNode,
-		CheckInvariants:   c.CheckInvariants,
-		MaxEvents:         c.MaxEvents,
-	}
+	return fmt.Sprintf("%s|%t|%+v|%+v", j.workloadKey(), mpActive, mp, j.Config)
 }
 
 // Sweep is an ordered list of jobs — the declarative spec of an

@@ -219,8 +219,8 @@ func TestSweepProgressReporting(t *testing.T) {
 	}
 }
 
-// TestRunExperimentByteStableAcrossParallelism is the compatibility-shim
-// acceptance check: the tables RunExperiment prints are byte-identical
+// TestRunExperimentByteStableAcrossParallelism is the experiment-harness
+// acceptance check: the tables RunExperimentWith prints are byte-identical
 // no matter how many workers execute the underlying sweep (the serial
 // pre-sweep runner is the Parallelism=1 case).
 func TestRunExperimentByteStableAcrossParallelism(t *testing.T) {
@@ -241,13 +241,13 @@ func TestRunExperimentByteStableAcrossParallelism(t *testing.T) {
 			t.Fatalf("%s output differs between parallelism 1 and 8:\n--- serial ---\n%s--- parallel ---\n%s",
 				id, serial.String(), parallel.String())
 		}
-		// And the default shim matches both.
-		var shim strings.Builder
-		if err := allarm.RunExperiment(&shim, cfg, id); err != nil {
-			t.Fatalf("%s shim: %v", id, err)
+		// And the default (nil) runner matches both.
+		var def strings.Builder
+		if err := allarm.RunExperimentWith(context.Background(), &def, cfg, id, nil); err != nil {
+			t.Fatalf("%s default runner: %v", id, err)
 		}
-		if shim.String() != serial.String() {
-			t.Fatalf("%s RunExperiment differs from explicit runner output", id)
+		if def.String() != serial.String() {
+			t.Fatalf("%s default-runner output differs from explicit runner output", id)
 		}
 	}
 }
