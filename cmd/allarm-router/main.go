@@ -1,9 +1,10 @@
 // Command allarm-router fronts a fleet of allarm-serve shards with the
-// same sweep API a single daemon speaks. Jobs are consistent-hashed
-// onto shards by the same content key the shards cache under, so
-// identical jobs always land where their result is already warm. All
-// simulation results live in the shards; with -state-dir the router
-// additionally journals every accepted sweep so a crash or SIGKILL
+// sweep front end a single daemon serves (internal/server's Front) over
+// a remote executor (internal/fleet). Jobs are consistent-hashed onto
+// shards by the same content key the shards cache under, so identical
+// jobs always land where their result is already warm. All simulation
+// results live in the shards; with -state-dir the router keeps the same
+// journal a daemon keeps under -cache-dir, so a crash or SIGKILL
 // mid-gather resumes — under the original sweep ids, with byte-identical
 // results and zero re-simulations — at the next boot.
 //

@@ -1,7 +1,8 @@
-// Command allarm-serve runs the simulation-as-a-service daemon: a REST
-// API over the sweep engine with a job queue, a bounded worker pool and
-// a content-addressed result cache, so identical simulations are run
-// once and served to every client.
+// Command allarm-serve runs the simulation-as-a-service daemon: the
+// sweep front end (internal/server's Front, shared with allarm-router)
+// over the local executor — a bounded worker pool and a
+// content-addressed result cache, so identical simulations are run once
+// and served to every client.
 //
 // Usage:
 //

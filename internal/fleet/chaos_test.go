@@ -42,7 +42,7 @@ func TestFleetChaosByteIdentical(t *testing.T) {
 
 	sr := submit(t, base, bigRequest())
 	v := waitFleetDone(t, base, sr.ID)
-	if v.Status != StatusDone {
+	if v.Status != server.StatusDone {
 		t.Fatalf("chaos sweep status %q, want done: %+v", v.Status, v.Jobs)
 	}
 	// Exactly once per job: retried submits coalesce on the shards'
@@ -105,7 +105,7 @@ func TestFleetRetryAfterHonored(t *testing.T) {
 	sr := submit(t, base, req)
 	v := waitFleetDone(t, base, sr.ID)
 	elapsed := time.Since(begin)
-	if v.Status != StatusDone {
+	if v.Status != server.StatusDone {
 		t.Fatalf("throttled sweep status %q", v.Status)
 	}
 	// 900ms rounds up to a "Retry-After: 1" header; honoring it means
@@ -190,7 +190,7 @@ func TestFleetHealthFlapChurn(t *testing.T) {
 
 	// With the victim finally out, every job must end up done on the
 	// survivor — none lost, none skipped, none run twice.
-	v := waitFleetStatus(t, base, sr.ID, StatusDone)
+	v := waitFleetStatus(t, base, sr.ID, server.StatusDone)
 	for i, j := range v.Jobs {
 		if j.Shard != healthy.url || j.Status != server.JobDone {
 			t.Errorf("job %d after churn: shard %s status %q", i, j.Shard, j.Status)
@@ -271,7 +271,7 @@ func TestFleetChaosRecovery(t *testing.T) {
 	})
 
 	v := waitFleetDone(t, ts2.URL, sr.ID)
-	if v.Status != StatusDone || !v.Recovered {
+	if v.Status != server.StatusDone || !v.Recovered {
 		t.Fatalf("chaos recovery: status %q recovered %v: %+v", v.Status, v.Recovered, v.Jobs)
 	}
 	if got := sh.runs.Load(); got != 24 {

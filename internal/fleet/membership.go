@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
+	"time"
 
 	"allarm/internal/server"
 )
@@ -140,7 +143,7 @@ func (rt *Router) mutateMembership(next func(cur *membership) ([]string, error))
 		return err
 	}
 	rt.mem.Store(mem)
-	rt.journal.writeMembership(mem.names())
+	rt.saveMembership(mem.names())
 	rt.met.membershipChanges.Add(1)
 	rt.memMu.Unlock()
 	rt.logf("membership: %d shard(s): %s", len(mem.shards), strings.Join(mem.names(), ", "))
@@ -164,7 +167,7 @@ func (rt *Router) handleShardsList(w http.ResponseWriter, r *http.Request) {
 	for i, sh := range mem.shards {
 		out[i] = ShardInfo{URL: sh.name, Healthy: sh.isHealthy()}
 	}
-	writeJSON(w, out)
+	server.WriteJSON(w, out)
 }
 
 // shardMutation decodes the POST/DELETE /v1/shards payload: a JSON body
@@ -185,37 +188,37 @@ func shardMutation(r *http.Request) (string, error) {
 
 func (rt *Router) handleShardAdd(w http.ResponseWriter, r *http.Request) {
 	if err := server.CheckAdmin(r); err != nil {
-		writeError(w, http.StatusForbidden, err)
+		server.WriteError(w, http.StatusForbidden, err)
 		return
 	}
 	url, err := shardMutation(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := rt.AddShard(url); err != nil {
-		writeError(w, http.StatusConflict, err)
+		server.WriteError(w, http.StatusConflict, err)
 		return
 	}
 	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, map[string]any{"shards": rt.mem.Load().names()})
+	server.WriteJSON(w, map[string]any{"shards": rt.mem.Load().names()})
 }
 
 func (rt *Router) handleShardRemove(w http.ResponseWriter, r *http.Request) {
 	if err := server.CheckAdmin(r); err != nil {
-		writeError(w, http.StatusForbidden, err)
+		server.WriteError(w, http.StatusForbidden, err)
 		return
 	}
 	url, err := shardMutation(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := rt.RemoveShard(url); err != nil {
-		writeError(w, http.StatusConflict, err)
+		server.WriteError(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, map[string]any{"shards": rt.mem.Load().names()})
+	server.WriteJSON(w, map[string]any{"shards": rt.mem.Load().names()})
 }
 
 // requeueSkipped sweeps every known sweep for skipped jobs whose
@@ -227,40 +230,68 @@ func (rt *Router) requeueSkipped(reason string) {
 	if rt.ctx.Err() != nil {
 		return
 	}
-	rt.mu.Lock()
-	sts := make([]*fleetSweep, 0, len(rt.sweeps))
-	for _, st := range rt.sweeps {
-		sts = append(sts, st)
-	}
-	rt.mu.Unlock()
-	for _, st := range sts {
+	for _, st := range rt.front.Sweeps() {
 		rt.requeueSweep(st, reason)
 	}
 }
 
 // requeueSweep re-places one sweep's skipped jobs on the current ring.
-func (rt *Router) requeueSweep(st *fleetSweep, reason string) {
+func (rt *Router) requeueSweep(st *server.SweepState, reason string) {
 	mem := rt.mem.Load()
-	moved := st.claimSkipped(func(i int) (string, bool) {
-		si := mem.ring.lookup(st.expanded[i].Key(), mem.alive)
-		if si < 0 {
+	moved := st.Requeue(maxRequeueWaves, func(i int, jv server.JobView) (string, bool) {
+		if jv.Status != server.JobSkipped {
 			return "", false
 		}
-		return mem.shards[si].name, true
+		return owner(mem, st.Sweep.Jobs[i])
 	})
 	if len(moved) == 0 {
 		return
 	}
-	groups := make(map[*shard][]int, len(moved))
-	n := 0
-	for name, idxs := range moved {
-		groups[mem.byName(name)] = idxs
-		n += len(idxs)
+	rt.met.jobsRequeued.Add(uint64(len(moved)))
+	st.Timeline("requeued", -1, "", fmt.Sprintf("%d skipped job(s) after %s", len(moved), reason))
+	rt.front.Journal(st)
+	rt.logf("sweep %s: requeued %d skipped job(s) after %s", st.ID, len(moved), reason)
+	groups := groupsOf(st, mem, moved)
+	rt.front.Go(func() { rt.dispatch(st, groups) })
+}
+
+// journalMembership is the persisted shard set (<StateDir>/membership.json).
+// It exists only after a runtime membership mutation; while absent, the
+// boot flags rule.
+type journalMembership struct {
+	Shards  []string  `json:"shards"`
+	Updated time.Time `json:"updated"`
+}
+
+// saveMembership persists the current shard set (no-op without a
+// StateDir).
+func (rt *Router) saveMembership(names []string) {
+	if rt.opts.StateDir == "" {
+		return
 	}
-	rt.met.jobsRequeued.Add(uint64(n))
-	st.timeline("requeued", -1, "", fmt.Sprintf("%d skipped job(s) after %s", n, reason))
-	rt.journalSweep(st)
-	rt.logf("sweep %s: requeued %d skipped job(s) after %s", st.id, n, reason)
-	rt.active.Add(1)
-	go rt.dispatch(st, groups)
+	data, err := json.MarshalIndent(journalMembership{Shards: names, Updated: time.Now().UTC()}, "", "  ")
+	if err == nil {
+		err = server.AtomicWrite(filepath.Join(rt.opts.StateDir, "membership.json"), append(data, '\n'))
+	}
+	if err != nil {
+		rt.logf("journal: membership: %v", err)
+	}
+}
+
+// loadMembership returns the journaled shard set, ok == false when none
+// was ever written (or it is unreadable).
+func (rt *Router) loadMembership() ([]string, bool) {
+	if rt.opts.StateDir == "" {
+		return nil, false
+	}
+	data, err := os.ReadFile(filepath.Join(rt.opts.StateDir, "membership.json"))
+	if err != nil {
+		return nil, false
+	}
+	var m journalMembership
+	if err := json.Unmarshal(data, &m); err != nil || len(m.Shards) == 0 {
+		rt.logf("journal: membership.json unreadable, using boot flags")
+		return nil, false
+	}
+	return m.Shards, true
 }

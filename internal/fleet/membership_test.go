@@ -99,7 +99,7 @@ func TestFleetMembershipAPI(t *testing.T) {
 	// exactly once, fleet-wide.
 	sr := submit(t, base, bigRequest(), admin...)
 	v := waitFleetDone(t, base, sr.ID, admin...)
-	if v.Status != StatusDone {
+	if v.Status != server.StatusDone {
 		t.Fatalf("post-add sweep status %q", v.Status)
 	}
 	if got := totalRuns(append(shards, third)); got != 24 {
@@ -169,7 +169,7 @@ func TestFleetRequeueAfterShardRemoval(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		_, body := get(t, base+"/v1/sweeps/"+sr.ID)
-		var v SweepView
+		var v server.SweepView
 		if err := json.Unmarshal(body, &v); err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestFleetRequeueAfterShardRemoval(t *testing.T) {
 	victim.kill()
 
 	v := waitFleetDone(t, base, sr.ID)
-	if v.Status != StatusDegraded {
+	if v.Status != server.StatusDegraded {
 		t.Fatalf("sweep status %q, want degraded", v.Status)
 	}
 
@@ -203,7 +203,7 @@ func TestFleetRequeueAfterShardRemoval(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("remove victim: status %d: %s", resp.StatusCode, body)
 	}
-	final := waitFleetStatus(t, base, sr.ID, StatusDone)
+	final := waitFleetStatus(t, base, sr.ID, server.StatusDone)
 	if final.Requeued < 1 {
 		t.Errorf("requeued = %d, want >= 1", final.Requeued)
 	}
@@ -320,7 +320,7 @@ func TestFleetSetShardsReload(t *testing.T) {
 	// The reloaded fleet serves: jobs land only on current members.
 	sr := submit(t, base, bigRequest())
 	v := waitFleetDone(t, base, sr.ID)
-	if v.Status != StatusDone {
+	if v.Status != server.StatusDone {
 		t.Fatalf("post-reload sweep status %q", v.Status)
 	}
 	for i, j := range v.Jobs {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"allarm/internal/obs"
+	"allarm/internal/server"
 )
 
 // routerMetrics are the router's internal counters and latency
@@ -13,16 +14,13 @@ import (
 // source.
 type routerMetrics struct {
 	reg               *obs.Registry
-	sweepsSubmitted   *obs.Counter
 	sweepsCompleted   *obs.Counter
 	sweepsDegraded    *obs.Counter
-	sweepsRecovered   *obs.Counter
 	jobsScattered     *obs.Counter
 	jobsRequeued      *obs.Counter
 	jobsMigrated      *obs.Counter
 	shardFailures     *obs.Counter
 	membershipChanges *obs.Counter
-	tracesUploaded    *obs.Counter
 	gathers           *obs.Counter
 	gatherNs          *obs.Counter
 
@@ -32,21 +30,19 @@ type routerMetrics struct {
 }
 
 // newRouterMetrics registers the router's metric families under the
-// allarm_router_ prefix.
+// allarm_router_ prefix (the Front adds the lifecycle counters it
+// shares with allarm-serve).
 func newRouterMetrics() *routerMetrics {
 	reg := obs.NewRegistry()
 	return &routerMetrics{
 		reg:               reg,
-		sweepsSubmitted:   reg.Counter("allarm_router_sweeps_submitted_total", "Sweeps accepted by the router."),
 		sweepsCompleted:   reg.Counter("allarm_router_sweeps_completed_total", "Sweeps fully gathered."),
 		sweepsDegraded:    reg.Counter("allarm_router_sweeps_degraded_total", "Sweeps finished with at least one shard's jobs skipped."),
-		sweepsRecovered:   reg.Counter("allarm_router_sweeps_recovered_total", "Sweeps restored from the journal at boot."),
 		jobsScattered:     reg.Counter("allarm_router_jobs_scattered_total", "Jobs dispatched to shards."),
 		jobsRequeued:      reg.Counter("allarm_router_jobs_requeued_total", "Skipped jobs re-dispatched onto a new ring owner."),
 		jobsMigrated:      reg.Counter("allarm_router_jobs_migrated_total", "In-flight jobs whose checkpoint moved to a new owner."),
 		shardFailures:     reg.Counter("allarm_router_shard_failures_total", "Shard sub-sweeps lost past the retry budget."),
 		membershipChanges: reg.Counter("allarm_router_membership_changes_total", "Runtime shard-set mutations."),
-		tracesUploaded:    reg.Counter("allarm_router_traces_uploaded_total", "Traces accepted and broadcast to shards."),
 		gathers:           reg.Counter("allarm_router_gathers_total", "Completed dispatch waves."),
 		gatherNs:          reg.Counter("allarm_router_gather_nanoseconds_total", "Wall nanoseconds summed over dispatch waves."),
 		gatherLatency: reg.Histogram("allarm_router_gather_duration_seconds",
@@ -117,19 +113,20 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	now := time.Now()
 	mem := rt.mem.Load()
+	c := rt.front.Counts()
 	m := Metrics{
 		UptimeSeconds:      time.Since(rt.start).Seconds(),
 		ShardsTotal:        len(mem.shards),
-		SweepsSubmitted:    rt.met.sweepsSubmitted.Load(),
+		SweepsSubmitted:    c.Submitted,
 		SweepsCompleted:    rt.met.sweepsCompleted.Load(),
 		SweepsDegraded:     rt.met.sweepsDegraded.Load(),
-		SweepsRecovered:    rt.met.sweepsRecovered.Load(),
+		SweepsRecovered:    c.Recovered,
 		JobsScattered:      rt.met.jobsScattered.Load(),
 		JobsRequeued:       rt.met.jobsRequeued.Load(),
 		JobsMigrated:       rt.met.jobsMigrated.Load(),
 		ShardFailures:      rt.met.shardFailures.Load(),
 		MembershipChanges:  rt.met.membershipChanges.Load(),
-		TracesUploaded:     rt.met.tracesUploaded.Load(),
+		TracesUploaded:     c.TracesUploaded,
 		Gathers:            rt.met.gathers.Load(),
 		GatherSecondsTotal: float64(rt.met.gatherNs.Load()) / 1e9,
 		Shards:             make([]ShardMetrics, len(mem.shards)),
@@ -154,5 +151,5 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Version:            version,
 		}
 	}
-	writeJSON(w, m)
+	server.WriteJSON(w, m)
 }

@@ -36,54 +36,43 @@ func (rt *Router) migrateInFlight(old, cur *membership) {
 	if len(departed) == 0 {
 		return
 	}
-	rt.mu.Lock()
-	sts := make([]*fleetSweep, 0, len(rt.sweeps))
-	for _, st := range rt.sweeps {
-		sts = append(sts, st)
-	}
-	rt.mu.Unlock()
-	for _, st := range sts {
+	for _, st := range rt.front.Sweeps() {
 		rt.migrateSweep(st, old, cur, departed)
 	}
 }
 
 // migrateSweep migrates one sweep's orphaned in-flight jobs.
-func (rt *Router) migrateSweep(st *fleetSweep, old, cur *membership, departed map[string]bool) {
-	moved := st.claimMoved(
-		func(name string) bool { return departed[name] },
-		func(i int) (string, bool) {
-			si := cur.ring.lookup(st.expanded[i].Key(), cur.alive)
-			if si < 0 {
-				return "", false
-			}
-			return cur.shards[si].name, true
-		})
+func (rt *Router) migrateSweep(st *server.SweepState, old, cur *membership, departed map[string]bool) {
+	from := make(map[int]string)
+	moved := st.Reassign(func(i int, jv server.JobView) (string, bool) {
+		if !owed(jv) || !departed[jv.Shard] {
+			return "", false
+		}
+		from[i] = jv.Shard
+		return owner(cur, st.Sweep.Jobs[i])
+	})
 	if len(moved) == 0 {
 		return
 	}
-	groups := make(map[*shard][]int)
-	for _, m := range moved {
-		name := server.CheckpointName(st.expanded[m.index].Key())
-		src, dst := old.byName(m.from), cur.byName(m.to)
-		switch data, ok := src.fetchCheckpoint(rt.ctx, name, rt.timeout); {
-		case !ok:
-			rt.logf("sweep %s: job %d: no checkpoint on %s; %s re-simulates from scratch",
-				st.id, m.index, m.from, m.to)
-		default:
+	groups := groupsOf(st, cur, moved)
+	for dst, idxs := range groups {
+		for _, i := range idxs {
+			name := server.CheckpointName(st.Sweep.Jobs[i].Key())
+			data, ok := old.byName(from[i]).fetchCheckpoint(rt.ctx, name, rt.timeout)
+			if !ok {
+				rt.logf("sweep %s: job %d: no checkpoint on %s; %s re-simulates from scratch", st.ID, i, from[i], dst.name)
+				continue
+			}
 			if err := dst.pushCheckpoint(rt.ctx, name, data, rt.timeout); err != nil {
-				rt.logf("sweep %s: job %d: checkpoint push to %s: %v; it re-simulates from scratch",
-					st.id, m.index, m.to, err)
-				break
+				rt.logf("sweep %s: job %d: checkpoint push to %s: %v; it re-simulates from scratch", st.ID, i, dst.name, err)
+				continue
 			}
 			rt.met.jobsMigrated.Add(1)
-			st.timeline("migrated", m.index, m.to, fmt.Sprintf("checkpoint moved from %s (%d bytes)", m.from, len(data)))
-			rt.logf("sweep %s: job %d: checkpoint migrated %s -> %s (%d bytes)",
-				st.id, m.index, m.from, m.to, len(data))
+			st.Timeline("migrated", i, dst.name, fmt.Sprintf("checkpoint moved from %s (%d bytes)", from[i], len(data)))
+			rt.logf("sweep %s: job %d: checkpoint migrated %s -> %s (%d bytes)", st.ID, i, from[i], dst.name, len(data))
 		}
-		groups[dst] = append(groups[dst], m.index)
 	}
-	rt.journalSweep(st)
-	rt.logf("sweep %s: migrated %d in-flight job(s) off retired shard(s)", st.id, len(moved))
-	rt.active.Add(1)
-	go rt.dispatch(st, groups)
+	rt.front.Journal(st)
+	rt.logf("sweep %s: migrated %d in-flight job(s) off retired shard(s)", st.ID, len(moved))
+	rt.front.Go(func() { rt.dispatch(st, groups) })
 }

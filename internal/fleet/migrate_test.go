@@ -96,7 +96,7 @@ func TestFleetMigratesInFlightJob(t *testing.T) {
 			t.Fatal("job was never placed on a shard")
 		}
 		_, body := get(t, rts.URL+"/v1/sweeps/"+sr.ID)
-		var v SweepView
+		var v server.SweepView
 		if err := json.Unmarshal(body, &v); err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestFleetMigratesInFlightJob(t *testing.T) {
 	}
 
 	v := waitFleetDone(t, rts.URL, sr.ID)
-	if v.Status != StatusDone {
+	if v.Status != server.StatusDone {
 		t.Fatalf("sweep after migration: %+v", v)
 	}
 	if v.Jobs[0].Shard != other.url {

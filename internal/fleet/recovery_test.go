@@ -14,7 +14,7 @@ import (
 // waitFleetStatus polls the router until the sweep reaches exactly the
 // wanted status (waitFleetDone accepts any terminal state; requeue
 // tests need to see a degraded sweep re-open and land on done).
-func waitFleetStatus(t *testing.T, base, id, want string) SweepView {
+func waitFleetStatus(t *testing.T, base, id, want string) server.SweepView {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -22,7 +22,7 @@ func waitFleetStatus(t *testing.T, base, id, want string) SweepView {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status: %d: %s", resp.StatusCode, body)
 		}
-		var v SweepView
+		var v server.SweepView
 		if err := json.Unmarshal(body, &v); err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func waitFleetStatus(t *testing.T, base, id, want string) SweepView {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("sweep %s never reached status %q", id, want)
-	return SweepView{}
+	return server.SweepView{}
 }
 
 // waitTotalRuns polls the shard-side simulation counters until they
@@ -83,7 +83,7 @@ func TestFleetJournalRecoveryMidSweep(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		_, body := get(t, ts1.URL+"/v1/sweeps/"+sr.ID)
-		var v SweepView
+		var v server.SweepView
 		if err := json.Unmarshal(body, &v); err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestFleetJournalRecoveryMidSweep(t *testing.T) {
 	})
 
 	v := waitFleetDone(t, ts2.URL, sr.ID)
-	if v.Status != StatusDone {
+	if v.Status != server.StatusDone {
 		t.Fatalf("recovered sweep status %q, want done: %+v", v.Status, v.Jobs)
 	}
 	if !v.Recovered {
@@ -207,7 +207,7 @@ func TestFleetJournalRecoveryTerminal(t *testing.T) {
 	})
 
 	v := waitFleetDone(t, ts2.URL, sr.ID)
-	if v.Status != StatusDone || !v.Recovered {
+	if v.Status != server.StatusDone || !v.Recovered {
 		t.Fatalf("recovered terminal sweep: status %q recovered %v", v.Status, v.Recovered)
 	}
 	_, after := get(t, ts2.URL+"/v1/sweeps/"+sr.ID+"/results?format=csv")

@@ -183,7 +183,7 @@ func submit(t *testing.T, base string, req server.SweepRequest, header ...string
 }
 
 // waitFleetDone polls the router until the sweep is final.
-func waitFleetDone(t *testing.T, base, id string, header ...string) SweepView {
+func waitFleetDone(t *testing.T, base, id string, header ...string) server.SweepView {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -191,17 +191,17 @@ func waitFleetDone(t *testing.T, base, id string, header ...string) SweepView {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status: %d: %s", resp.StatusCode, body)
 		}
-		var v SweepView
+		var v server.SweepView
 		if err := json.Unmarshal(body, &v); err != nil {
 			t.Fatal(err)
 		}
-		if v.Status == StatusDone || v.Status == StatusDegraded {
+		if v.Status == server.StatusDone || v.Status == server.StatusDegraded {
 			return v
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("fleet sweep did not finish in time")
-	return SweepView{}
+	return server.SweepView{}
 }
 
 func totalRuns(shards []*testShard) int64 {
@@ -233,7 +233,7 @@ func TestFleetByteIdenticalToSingleNode(t *testing.T) {
 	fleetID := submit(t, fleetBase, req)
 	singleID := submit(t, single.url, req)
 	fv := waitFleetDone(t, fleetBase, fleetID.ID)
-	if fv.Status != StatusDone {
+	if fv.Status != server.StatusDone {
 		t.Fatalf("fleet sweep status %q, want done", fv.Status)
 	}
 	deadline := time.Now().Add(30 * time.Second)
@@ -282,7 +282,7 @@ func TestFleetByteIdenticalToSingleNode(t *testing.T) {
 	seen := make(map[int]bool)
 	for _, line := range strings.Split(string(events), "\n") {
 		if data, ok := strings.CutPrefix(line, "data: "); ok {
-			var je jobEvent
+			var je server.JobEvent
 			if json.Unmarshal([]byte(data), &je) == nil && je.Shard != "" {
 				seen[je.Index] = true
 			}
@@ -309,7 +309,7 @@ func TestFleetResubmitZeroResimulations(t *testing.T) {
 
 	second := submit(t, base, req)
 	v := waitFleetDone(t, base, second.ID)
-	if v.Status != StatusDone {
+	if v.Status != server.StatusDone {
 		t.Fatalf("resubmit status %q, want done", v.Status)
 	}
 	if got := totalRuns(shards); got != ran {
@@ -353,7 +353,7 @@ func TestFleetShardDeathDegradesGracefully(t *testing.T) {
 
 	// Find the placement and wait until every job on the healthy shard
 	// is done (the victim's are blocked on its gate).
-	var view SweepView
+	var view server.SweepView
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		_, body := get(t, base+"/v1/sweeps/"+sr.ID)
@@ -391,7 +391,7 @@ func TestFleetShardDeathDegradesGracefully(t *testing.T) {
 	close(victim.gate) // release its workers so cleanup can proceed
 
 	final := waitFleetDone(t, base, sr.ID)
-	if final.Status != StatusDegraded {
+	if final.Status != server.StatusDegraded {
 		t.Fatalf("sweep status %q, want degraded", final.Status)
 	}
 	for i, j := range final.Jobs {
@@ -458,7 +458,7 @@ func TestFleetHealthExclusionAndReadmission(t *testing.T) {
 	// With the sick shard excluded, everything lands on the survivor.
 	sr := submit(t, base, bigRequest())
 	v := waitFleetDone(t, base, sr.ID)
-	if v.Status != StatusDone {
+	if v.Status != server.StatusDone {
 		t.Fatalf("sweep status %q, want done", v.Status)
 	}
 	for i, j := range v.Jobs {
@@ -585,7 +585,7 @@ func TestFleetGuardRails(t *testing.T) {
 	auth := []string{"Authorization", "Bearer tok-full"}
 	sr := submit(t, base, small, auth...)
 	v := waitFleetDone(t, base, sr.ID, auth...)
-	if v.Status != StatusDone {
+	if v.Status != server.StatusDone {
 		t.Fatalf("guarded sweep status %q, want done", v.Status)
 	}
 	if got := totalRuns(shards); got != 3 {
@@ -639,7 +639,7 @@ func TestFleetTraceReupload(t *testing.T) {
 	}
 	sr := submit(t, base, req)
 	v := waitFleetDone(t, base, sr.ID)
-	if v.Status != StatusDone {
+	if v.Status != server.StatusDone {
 		t.Fatalf("trace sweep status %q, want done: %+v", v.Status, v.Jobs)
 	}
 	if amnesiac.runs.Load() == 0 {

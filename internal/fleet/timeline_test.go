@@ -46,7 +46,7 @@ func TestFleetMergedTimeline(t *testing.T) {
 	req := bigRequest()
 	sr := submit(t, base, req, obs.RequestIDHeader, reqID)
 	v := waitFleetDone(t, base, sr.ID)
-	if v.Status != StatusDone {
+	if v.Status != server.StatusDone {
 		t.Fatalf("sweep: %+v", v)
 	}
 

@@ -179,18 +179,18 @@ func (g *Guard) Wrap(next http.Handler) http.Handler {
 		token, ok := bearerToken(r)
 		if !ok {
 			w.Header().Set("WWW-Authenticate", `Bearer realm="allarm"`)
-			writeError(w, http.StatusUnauthorized, fmt.Errorf("missing bearer token"))
+			WriteError(w, http.StatusUnauthorized, fmt.Errorf("missing bearer token"))
 			return
 		}
 		c, ok := g.clients[token]
 		if !ok {
 			w.Header().Set("WWW-Authenticate", `Bearer realm="allarm"`)
-			writeError(w, http.StatusUnauthorized, fmt.Errorf("unknown token"))
+			WriteError(w, http.StatusUnauthorized, fmt.Errorf("unknown token"))
 			return
 		}
 		if !c.allow(time.Now()) {
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, fmt.Errorf("client %s over rate limit", c.name))
+			WriteError(w, http.StatusTooManyRequests, fmt.Errorf("client %s over rate limit", c.name))
 			return
 		}
 		ctx := context.WithValue(r.Context(), guardCtxKey{}, Client{Name: c.name, MaxJobs: c.maxJobs, Admin: c.admin})
@@ -210,8 +210,8 @@ func bearerToken(r *http.Request) (string, bool) {
 
 // CheckJobQuota enforces a client's per-sweep job-count quota against
 // an expanded sweep size: nil when allowed, the 403 error otherwise.
-// Both submit handlers (allarm-serve and allarm-router) call it after
-// expansion, which is the only point the real job count is known.
+// The Front's submit handler calls it after expansion, which is the
+// only point the real job count is known.
 func CheckJobQuota(r *http.Request, jobs int) error {
 	c, ok := ClientFromRequest(r)
 	if !ok || c.MaxJobs <= 0 || jobs <= c.MaxJobs {

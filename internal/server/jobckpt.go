@@ -185,12 +185,12 @@ func (s *Server) takeResumed(key string) bool {
 func (s *Server) handleCheckpointGet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !validCheckpointName(name) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed checkpoint name %q", name))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("malformed checkpoint name %q", name))
 		return
 	}
 	data, err := os.ReadFile(filepath.Join(s.jobCkptDir, name))
 	if err != nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no checkpoint %s", name))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("no checkpoint %s", name))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -205,16 +205,16 @@ func (s *Server) handleCheckpointGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCheckpointPut(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !validCheckpointName(name) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed checkpoint name %q", name))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("malformed checkpoint name %q", name))
 		return
 	}
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCheckpointBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading checkpoint: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("reading checkpoint: %w", err))
 		return
 	}
 	if err := AtomicWrite(filepath.Join(s.jobCkptDir, name), data); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	s.logf("checkpoint %s: accepted (%d bytes)", name, len(data))

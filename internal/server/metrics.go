@@ -1,6 +1,11 @@
 package server
 
-import "allarm/internal/obs"
+import (
+	"net/http"
+	"time"
+
+	"allarm/internal/obs"
+)
 
 // metrics are the daemon's monotonic counters plus the latency/size
 // histograms, all registered in an obs.Registry so GET /metrics can
@@ -9,12 +14,8 @@ import "allarm/internal/obs"
 // worker goroutines and read from handlers; everything is atomic.
 type metrics struct {
 	reg                *obs.Registry
-	sweepsSubmitted    *obs.Counter
 	sweepsCompleted    *obs.Counter
 	sweepsCheckpointed *obs.Counter
-	sweepsRecovered    *obs.Counter
-	sweepsDeleted      *obs.Counter
-	sweepsExpired      *obs.Counter
 	jobsRun            *obs.Counter
 	jobsAborted        *obs.Counter
 	jobErrors          *obs.Counter
@@ -22,7 +23,6 @@ type metrics struct {
 	cacheDiskHits      *obs.Counter
 	cacheMisses        *obs.Counter
 	coalesced          *obs.Counter
-	tracesUploaded     *obs.Counter
 	simEvents          *obs.Counter
 	simWallNs          *obs.Counter
 	checkpointsWritten *obs.Counter
@@ -41,17 +41,14 @@ type metrics struct {
 
 // newMetrics registers every counter and histogram family under the
 // allarm_ prefix. Gauges that need the Server (uptime, active sweeps,
-// cache occupancy) are registered by New once the Server exists.
+// cache occupancy) are registered by registerGauges once it exists, and
+// the Front registers the lifecycle counters both daemons share.
 func newMetrics() *metrics {
 	reg := obs.NewRegistry()
 	m := &metrics{
 		reg:                reg,
-		sweepsSubmitted:    reg.Counter("allarm_sweeps_submitted_total", "Sweeps accepted by POST /v1/sweeps."),
 		sweepsCompleted:    reg.Counter("allarm_sweeps_completed_total", "Sweeps that reached a terminal status."),
 		sweepsCheckpointed: reg.Counter("allarm_sweeps_checkpointed_total", "Sweeps checkpointed with partial results at drain."),
-		sweepsRecovered:    reg.Counter("allarm_sweeps_recovered_total", "Unfinished sweeps re-enqueued from disk at boot."),
-		sweepsDeleted:      reg.Counter("allarm_sweeps_deleted_total", "Sweeps evicted by DELETE /v1/sweeps/{id}."),
-		sweepsExpired:      reg.Counter("allarm_sweeps_expired_total", "Finished sweeps evicted by the -retain reaper."),
 		jobsRun:            reg.Counter("allarm_jobs_run_total", "Jobs actually simulated (cache misses that ran)."),
 		jobsAborted:        reg.Counter("allarm_jobs_aborted_total", "Jobs cancelled mid-simulation by drain."),
 		jobErrors:          reg.Counter("allarm_job_errors_total", "Jobs that failed with an error."),
@@ -59,7 +56,6 @@ func newMetrics() *metrics {
 		cacheDiskHits:      reg.Counter("allarm_cache_disk_hits_total", "Results served from the persistent store."),
 		cacheMisses:        reg.Counter("allarm_cache_misses_total", "Jobs absent from every cache tier."),
 		coalesced:          reg.Counter("allarm_inflight_coalesced_total", "Duplicate concurrent jobs joined to one in-flight run."),
-		tracesUploaded:     reg.Counter("allarm_traces_uploaded_total", "Traces accepted by POST /v1/traces."),
 		simEvents:          reg.Counter("allarm_sim_events_total", "Simulation events executed across all jobs."),
 		simWallNs:          reg.Counter("allarm_sim_busy_nanoseconds_total", "Wall-clock nanoseconds spent actually simulating."),
 		checkpointsWritten: reg.Counter("allarm_checkpoints_written_total", "Machine-state job checkpoints persisted."),
@@ -130,4 +126,92 @@ type Metrics struct {
 	CheckpointBytes    uint64 `json:"checkpoint_bytes"`
 	JobsResumed        uint64 `json:"jobs_resumed"`
 	JobsPreempted      uint64 `json:"jobs_preempted"`
+}
+
+// registerGauges adds the families that read live server state at
+// exposition time.
+func (s *Server) registerGauges() {
+	reg := s.met.reg
+	reg.Gauge("allarm_uptime_seconds", "Seconds since the daemon started.",
+		func() float64 { return time.Since(s.start).Seconds() })
+	reg.Gauge("allarm_sweeps_active", "Sweeps currently running.",
+		func() float64 { return float64(s.actives.Load()) })
+	reg.Gauge("allarm_draining", "1 while the daemon is draining.",
+		func() float64 {
+			if s.front.draining() {
+				return 1
+			}
+			return 0
+		})
+	reg.Gauge("allarm_cache_entries", "Results in the in-memory cache.",
+		func() float64 { return float64(s.cache.lru.Len()) })
+	reg.Gauge("allarm_cache_capacity", "In-memory cache capacity.",
+		func() float64 { return float64(s.cache.lru.cap) })
+	reg.Gauge("allarm_sim_events_per_second", "Simulation events over accumulated busy time.",
+		func() float64 {
+			wallNs, events := s.met.simWallNs.Load(), s.met.simEvents.Load()
+			if wallNs == 0 {
+				return 0
+			}
+			return float64(events) / (float64(wallNs) / 1e9)
+		})
+}
+
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	// ?format=prometheus (or a text/plain Accept, what scrapers send)
+	// selects text exposition; the default stays the flat JSON object,
+	// whose existing field names are a compatibility contract.
+	if obs.WantsPrometheus(r) {
+		w.Header().Set("Content-Type", obs.PrometheusContentType)
+		s.met.reg.WritePrometheus(w)
+		return
+	}
+	wallNs := s.met.simWallNs.Load()
+	events := s.met.simEvents.Load()
+	// The headline rate is events over accumulated busy time, so it
+	// reflects simulator throughput and holds steady while the daemon
+	// idles; the uptime-based rate is exposed alongside for comparison.
+	perSec := 0.0
+	if wallNs > 0 {
+		perSec = float64(events) / (float64(wallNs) / 1e9)
+	}
+	uptime := time.Since(s.start).Seconds()
+	perUptimeSec := 0.0
+	if uptime > 0 {
+		perUptimeSec = float64(events) / uptime
+	}
+	c := s.front.Counts()
+	m := Metrics{
+		UptimeSeconds:         uptime,
+		Draining:              s.front.draining(),
+		SweepsSubmitted:       c.Submitted,
+		SweepsActive:          uint64(s.actives.Load()),
+		SweepsCompleted:       s.met.sweepsCompleted.Load(),
+		SweepsCheckpointed:    s.met.sweepsCheckpointed.Load(),
+		SweepsRecovered:       c.Recovered,
+		SweepsDeleted:         c.Deleted,
+		SweepsExpired:         c.Expired,
+		JobsRun:               s.met.jobsRun.Load(),
+		JobsAborted:           s.met.jobsAborted.Load(),
+		JobErrors:             s.met.jobErrors.Load(),
+		CacheHits:             s.met.cacheHits.Load(),
+		CacheDiskHits:         s.met.cacheDiskHits.Load(),
+		CacheMisses:           s.met.cacheMisses.Load(),
+		InflightCoalesced:     s.met.coalesced.Load(),
+		CacheEntries:          s.cache.lru.Len(),
+		CacheCapacity:         s.cache.lru.cap,
+		TracesUploaded:        c.TracesUploaded,
+		SimEventsTotal:        events,
+		SimEventsPerSec:       perSec,
+		SimBusySeconds:        float64(wallNs) / 1e9,
+		SimEventsPerUptimeSec: perUptimeSec,
+		CheckpointsWritten:    s.met.checkpointsWritten.Load(),
+		CheckpointBytes:       s.met.checkpointBytes.Load(),
+		JobsResumed:           s.met.jobsResumed.Load(),
+		JobsPreempted:         s.met.jobsPreempted.Load(),
+	}
+	if s.cache.disk != nil {
+		m.DiskEntries = s.cache.disk.Len()
+	}
+	WriteJSON(w, m)
 }

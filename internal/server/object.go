@@ -173,25 +173,25 @@ func (h *objectHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		n, err := h.fs.count()
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeJSON(w, map[string]int{"objects": n})
+		WriteJSON(w, map[string]int{"objects": n})
 		return
 	}
 	if !validObjectName(name) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid object name %q", name))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("invalid object name %q", name))
 		return
 	}
 	switch r.Method {
 	case http.MethodGet, http.MethodHead:
 		data, ok, err := h.fs.get(name)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("no object %q", name))
+			WriteError(w, http.StatusNotFound, fmt.Errorf("no object %q", name))
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -202,16 +202,16 @@ func (h *objectHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPut:
 		data, err := io.ReadAll(io.LimitReader(r.Body, maxObjectBytes+1))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		if len(data) > maxObjectBytes {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("object exceeds %d bytes", maxObjectBytes))
+			WriteError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("object exceeds %d bytes", maxObjectBytes))
 			return
 		}
 		created, err := h.fs.put(name, data)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		if created {
