@@ -9,42 +9,57 @@
 //
 // # Event queue
 //
-// The queue is a hand-rolled monomorphic 4-ary heap over concrete item
-// values. Compared to container/heap it avoids the interface{} boxing
-// that used to cost one heap allocation per scheduled event, and the
-// shallower tree halves the number of swap levels per operation (pops
-// do three extra comparisons per level but one fewer level of cache
-// misses, a win for the multi-million-event queues whole-machine runs
-// build up). Vacated slots are zeroed on every pop and drain so the
-// backing array never keeps a fired event's closure — and everything it
-// captured — reachable.
+// The queue is a hand-rolled 4-ary min-heap. Its array holds only
+// pointer-free keys (at, seq, slot), so sifting moves 24-byte values,
+// copies no pointers and pays no GC write barriers; the Handler a key
+// fires lives in a side slab at index slot. The slab and the key array
+// always have the same capacity, and the key array's tail beyond the
+// live heap doubles as the free-slot stack: a pop writes the fired
+// key's slot into the position it vacates, and a push takes the slot
+// already stored at the position it fills. Both grow together, only
+// when the queue outgrows its high-water mark, so scheduling allocates
+// nothing in steady state. A pop nils the fired handler's slab entry, so
+// the engine never keeps a fired handler — or anything it references —
+// reachable.
+//
+// Keys compare as one 128-bit number at<<64|seq through carry-chained
+// subtraction, and a sift-down level with all four children present
+// picks the minimum child by a two-round tournament of such compares
+// selected arithmetically, not by branches: heap order there is data-
+// dependent and a mispredicted branch costs more than the compare. The
+// sift rules — the exact strict comparisons, and the first of equal
+// children winning — fix the array layout for a given schedule;
+// ForEachPending exposes that layout to checkpoints, which is why the
+// heap's shape, not only its pop order, is part of its contract.
 //
 // # Events and handlers
 //
-// Callbacks come in two forms. An Event is a closure, convenient for
-// one-off occurrences. A Handler is a typed object with a Handle method,
-// meant for recurring activities (message deliveries, controller
-// pipelines, CPU issue loops): a model component allocates its handler
-// once — or keeps a free list of them — and re-schedules it for every
-// occurrence, so steady-state simulation schedules no memory at all.
-// Both forms share one queue and one FIFO tie-break sequence, so mixing
-// them cannot perturb event order.
+// Everything scheduled is a Handler: a typed object whose Handle method
+// runs at the scheduled time. Model components allocate their handler
+// records once — or keep a FreeList of them — and re-schedule them for
+// every occurrence (message deliveries, controller pipelines, CPU issue
+// loops), so steady-state simulation schedules no memory at all, and a
+// checkpoint can encode every pending event by its record type.
+// HandlerFunc adapts a closure for tests and one-off call sites; it
+// cannot be checkpointed.
 //
 // # Cancellation
 //
-// RunCtx and RunUntilCtx are the context-aware run loops: they poll
-// ctx.Done once per CancelCheckBudget events (a single non-blocking
-// channel read, no allocation, amortised to nothing on the hot path) so
-// a multi-minute whole-machine run can be aborted from outside within
-// one budget's worth of events. Cancellation is cooperative and leaves
-// the engine consistent: Now, Fired and the queue reflect exactly the
-// events that fired, so a caller can collect partial statistics or —
-// because simulations are deterministic — simply re-run from scratch.
+// RunCtx polls ctx.Done once per CancelCheckBudget events (a single
+// non-blocking channel read, no allocation, amortised to nothing on the
+// hot path) so a multi-minute whole-machine run can be aborted from
+// outside within one budget's worth of events. Cancellation is
+// cooperative and leaves the engine consistent: Now, Fired and the
+// queue reflect exactly the events that fired, so a caller can collect
+// partial statistics or — because simulations are deterministic —
+// simply re-run from scratch.
 package sim
 
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 // Time is a simulated timestamp in picoseconds since the start of the run.
@@ -64,11 +79,6 @@ func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
 // String renders the time in nanoseconds for logs and test failures.
 func (t Time) String() string { return fmt.Sprintf("%gns", t.Nanoseconds()) }
 
-// Event is a scheduled callback closure. It runs at the event's
-// timestamp. For recurring activities prefer Handler, which can be
-// allocated once and rescheduled for free.
-type Event func(now Time)
-
 // Handler is a typed event target: Handle runs at the scheduled time.
 // Handlers exist so hot-path components can preallocate (and pool) their
 // callback state instead of allocating a fresh closure per event.
@@ -85,30 +95,38 @@ type HandlerFunc func(now Time)
 // Handle implements Handler.
 func (f HandlerFunc) Handle(now Time) { f(now) }
 
-// item is one queued event: exactly one of fire/h is set.
-type item struct {
-	at   Time
+// key is one queued event's heap entry; the Handler it fires is
+// slab[slot]. Beyond the live heap, only slot is meaningful: it names a
+// free slab entry.
+type key struct {
+	at   Time // never negative, so it orders as a uint64
 	seq  uint64
-	fire Event
-	h    Handler
+	slot uint32
 }
 
-// before reports the queue ordering: earlier time first, FIFO on ties.
-func (a *item) before(b *item) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// less returns 1 when a orders before b — earlier time first, FIFO on
+// ties — and 0 otherwise, as the borrow out of the 128-bit subtraction
+// (a.at, a.seq) - (b.at, b.seq).
+func less(a, b *key) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return borrow
 }
+
+// minHeapCap is the queue's first capacity; it doubles from there.
+// Whole-machine runs queue from a few to about 150 events, so a start
+// this small skips the tiniest growths without leaving a mostly unused
+// tail on shallow runs.
+const minHeapCap = 20
 
 // Engine is a single-threaded discrete-event scheduler.
 // The zero value is ready to use.
 type Engine struct {
-	now     Time
-	seq     uint64
-	queue   []item // 4-ary min-heap ordered by (at, seq)
-	stopped bool
-	fired   uint64
+	now   Time
+	seq   uint64
+	fired uint64
+	queue []key     // 4-ary min-heap; queue[len:cap] holds the free slots
+	slab  []Handler // len == cap(queue); live entries are the queued handlers
 }
 
 // Now returns the current simulated time.
@@ -120,60 +138,91 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// push inserts it, restoring the heap invariant by sifting up.
-func (e *Engine) push(it item) {
-	q := append(e.queue, it)
-	e.queue = q
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if q[p].before(&q[i]) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
+// grow doubles the capacity of the full queue and its slab, numbering
+// the new free slots in the key array's new tail.
+func (e *Engine) grow() {
+	n := len(e.queue)
+	c := max(2*n, minHeapCap)
+	q := make([]key, c)
+	copy(q, e.queue)
+	for i := n; i < c; i++ {
+		q[i].slot = uint32(i)
 	}
+	slab := make([]Handler, c)
+	copy(slab, e.slab)
+	e.queue, e.slab = q[:n], slab
 }
 
-// pop removes and returns the earliest event. The vacated tail slot is
-// zeroed so the backing array releases its references.
-func (e *Engine) pop() item {
+// push queues h under (at, seq), restoring the heap invariant by
+// sifting the new key up through parents that do not order before it.
+func (e *Engine) push(at Time, seq uint64, h Handler) {
+	n := len(e.queue)
+	if n == cap(e.queue) {
+		e.grow()
+	}
+	q := e.queue[:n+1]
+	e.queue = q
+	it := key{at: at, seq: seq, slot: q[n].slot}
+	e.slab[it.slot] = h
+	i := n
+	for i > 0 {
+		p := (i - 1) >> 2
+		if less(&q[p], &it) != 0 {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = it
+}
+
+// pop removes the earliest event and returns its time and handler. The
+// handler's slab entry is cleared and its slot stored in the vacated
+// tail position, so the engine keeps no reference to it.
+func (e *Engine) pop() (Time, Handler) {
 	q := e.queue
 	top := q[0]
+	h := e.slab[top.slot]
+	e.slab[top.slot] = nil
 	n := len(q) - 1
 	it := q[n]
-	q[n] = item{}
+	q[n].slot = top.slot
 	q = q[:n]
 	e.queue = q
 	if n == 0 {
-		return top
+		return top.at, h
 	}
 	// Sift the former tail down from the root along min-child links,
 	// moving children up into the hole rather than swapping.
 	i := 0
 	for {
 		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		m := c
-		hi := c + 4
-		if hi > n {
-			hi = n
-		}
-		for j := c + 1; j < hi; j++ {
-			if q[j].before(&q[m]) {
-				m = j
+		var m int
+		if c+3 < n {
+			// All four children exist: pick the first minimum by a
+			// tournament, each round a branch-free select.
+			a := c + int(less(&q[c+1], &q[c]))
+			b := c + 2 + int(less(&q[c+3], &q[c+2]))
+			m = a ^ (a^b)&-int(less(&q[b], &q[a]))
+		} else {
+			if c >= n {
+				break
+			}
+			m = c
+			for j := c + 1; j < n; j++ {
+				if less(&q[j], &q[m]) != 0 {
+					m = j
+				}
 			}
 		}
-		if it.before(&q[m]) {
+		if less(&it, &q[m]) != 0 {
 			break
 		}
 		q[i] = q[m]
 		i = m
 	}
 	q[i] = it
-	return top
+	return top.at, h
 }
 
 // checkTime panics when at is in the past: scheduling before Now always
@@ -185,217 +234,81 @@ func (e *Engine) checkTime(at Time) {
 	}
 }
 
-// At schedules fn to run at the absolute time at. Scheduling in the past
-// panics (see checkTime).
-func (e *Engine) At(at Time, fn Event) {
-	e.checkTime(at)
-	if fn == nil {
-		panic("sim: nil event")
-	}
-	e.seq++
-	e.push(item{at: at, seq: e.seq, fire: fn})
-}
-
-// After schedules fn to run delay picoseconds from now. Negative delays
-// panic (see At).
-func (e *Engine) After(delay Time, fn Event) { e.At(e.now+delay, fn) }
-
-// Schedule schedules h.Handle to run at the absolute time at. It is the
-// Handler counterpart of At and shares its queue and tie-break order.
+// Schedule schedules h.Handle to run at the absolute time at.
+// Scheduling in the past panics (see checkTime), as does a nil h.
 func (e *Engine) Schedule(at Time, h Handler) {
 	e.checkTime(at)
 	if h == nil {
 		panic("sim: nil handler")
 	}
 	e.seq++
-	e.push(item{at: at, seq: e.seq, h: h})
+	e.push(at, e.seq, h)
 }
 
 // ScheduleAfter schedules h.Handle to run delay picoseconds from now.
+// Negative delays panic (see Schedule).
 func (e *Engine) ScheduleAfter(delay Time, h Handler) { e.Schedule(e.now+delay, h) }
 
-// dispatch fires one popped event.
-func (e *Engine) dispatch(it *item) {
-	e.now = it.at
-	if it.fire != nil {
-		it.fire(it.at)
-	} else {
-		it.h.Handle(it.at)
-	}
-	e.fired++
-}
-
-// Stop makes Run return after the currently firing event completes.
-// Pending events remain queued.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events in timestamp order until the queue is empty, Stop is
-// called, or limit events have fired (limit <= 0 means no limit). It
-// returns the number of events fired by this call.
+// Run executes events in timestamp order until the queue is empty or
+// limit events have fired (limit 0 means no limit). It returns the
+// number of events fired by this call.
 func (e *Engine) Run(limit uint64) uint64 {
-	e.stopped = false
-	var fired uint64
-	for len(e.queue) > 0 && !e.stopped {
-		if limit > 0 && fired >= limit {
-			break
-		}
-		it := e.pop()
-		e.dispatch(&it)
-		fired++
-	}
+	fired, _ := e.run(nil, limit)
 	return fired
 }
 
-// RunUntil executes events with timestamps <= deadline. Events scheduled
-// beyond the deadline stay queued; Now advances to at most deadline.
-func (e *Engine) RunUntil(deadline Time) uint64 {
-	e.stopped = false
-	var fired uint64
-	for len(e.queue) > 0 && !e.stopped {
-		if e.queue[0].at > deadline {
-			break
-		}
-		it := e.pop()
-		e.dispatch(&it)
-		fired++
-	}
-	if e.now < deadline && !e.stopped {
-		e.now = deadline
-	}
-	return fired
-}
-
-// CancelCheckBudget is the number of events RunCtx and RunUntilCtx
-// fire between polls of ctx.Done. It bounds both the cancellation
-// latency (at most one budget of events after ctx is cancelled) and
-// the cancellation overhead (one non-blocking channel read per budget,
-// unmeasurable against the thousands of events it amortises over).
+// CancelCheckBudget is the number of events RunCtx fires between polls
+// of ctx.Done. It bounds both the cancellation latency (at most one
+// budget of events after ctx is cancelled) and the cancellation
+// overhead (one non-blocking channel read per budget, unmeasurable
+// against the thousands of events it amortises over).
 const CancelCheckBudget = 4096
 
 // RunCtx executes events like Run but additionally stops when ctx is
-// cancelled, checking ctx.Done every CancelCheckBudget events. It
-// returns the number of events fired and, when the run was cut short by
-// cancellation, ctx's error; the queue keeps its unfired events so the
-// caller can inspect or collect partial state. A context that can never
-// be cancelled (Done() == nil, e.g. context.Background()) adds no
-// per-event work at all: RunCtx degenerates to Run.
+// cancelled, checking ctx.Done before the first event and then every
+// CancelCheckBudget events. It returns the number of events fired and,
+// when the run was cut short by cancellation, ctx's error; the queue
+// keeps its unfired events so the caller can inspect or collect partial
+// state. A context that can never be cancelled (Done() == nil, e.g.
+// context.Background()) adds no per-event work at all.
 func (e *Engine) RunCtx(ctx context.Context, limit uint64) (uint64, error) {
-	done := ctx.Done()
-	if done == nil {
-		return e.Run(limit), nil
-	}
-	select {
-	case <-done:
-		return 0, ctx.Err()
-	default:
-	}
-	e.stopped = false
-	var fired uint64
-	check := uint64(CancelCheckBudget)
-	for len(e.queue) > 0 && !e.stopped {
-		if limit > 0 && fired >= limit {
-			break
-		}
-		if fired >= check {
-			check = fired + CancelCheckBudget
-			select {
-			case <-done:
-				return fired, ctx.Err()
-			default:
-			}
-		}
-		it := e.pop()
-		e.dispatch(&it)
-		fired++
+	fired, cancelled := e.run(ctx.Done(), limit)
+	if cancelled {
+		return fired, ctx.Err()
 	}
 	return fired, nil
 }
 
-// RunUntilCtx executes events with timestamps <= deadline, stopping
-// early when ctx is cancelled (polled every CancelCheckBudget events,
-// like RunCtx). On cancellation Now stays at the last fired event — it
-// does not jump to the deadline — so partial statistics remain
-// time-consistent.
-func (e *Engine) RunUntilCtx(ctx context.Context, deadline Time) (uint64, error) {
-	done := ctx.Done()
-	if done == nil {
-		return e.RunUntil(deadline), nil
+// run is the one event loop behind Run and RunCtx. It fires events until
+// the queue empties, limit events have fired (0: no limit) or done is
+// closed, polling done only between budgets of events. With a nil done
+// the budget is the limit, so the inner loop carries no extra check.
+func (e *Engine) run(done <-chan struct{}, limit uint64) (fired uint64, cancelled bool) {
+	start := e.fired
+	end := uint64(math.MaxUint64)
+	if limit > 0 && limit < end-start {
+		end = start + limit
 	}
-	select {
-	case <-done:
-		return 0, ctx.Err()
-	default:
-	}
-	e.stopped = false
-	var fired uint64
-	check := uint64(CancelCheckBudget)
-	for len(e.queue) > 0 && !e.stopped {
-		if e.queue[0].at > deadline {
-			break
-		}
-		if fired >= check {
-			check = fired + CancelCheckBudget
+	for {
+		stop := end
+		if done != nil {
 			select {
 			case <-done:
-				return fired, ctx.Err()
+				return e.fired - start, true
 			default:
 			}
+			stop = min(end, e.fired+CancelCheckBudget)
 		}
-		it := e.pop()
-		e.dispatch(&it)
-		fired++
+		for e.fired < stop && len(e.queue) > 0 {
+			at, h := e.pop()
+			e.now = at
+			h.Handle(at)
+			e.fired++
+		}
+		if e.fired == end || len(e.queue) == 0 {
+			return e.fired - start, false
+		}
 	}
-	if e.now < deadline && !e.stopped {
-		e.now = deadline
-	}
-	return fired, nil
-}
-
-// Drain discards all pending events without firing them. Now is
-// unchanged. Discarded slots are zeroed so their callbacks become
-// collectable.
-func (e *Engine) Drain() {
-	for i := range e.queue {
-		e.queue[i] = item{}
-	}
-	e.queue = e.queue[:0]
-}
-
-// Ticker invokes a fixed callback every period until Cancel is called.
-// It exists for periodic model activities such as thread-migration
-// experiments. The Ticker is its own Handler: one allocation covers
-// every tick.
-type Ticker struct {
-	e         *Engine
-	period    Time
-	fn        Event
-	cancelled bool
-}
-
-// Cancel stops future ticks. Safe to call multiple times, including from
-// inside the tick callback itself.
-func (t *Ticker) Cancel() { t.cancelled = true }
-
-// Handle fires one tick and reschedules the next unless cancelled.
-func (t *Ticker) Handle(now Time) {
-	if t.cancelled {
-		return
-	}
-	t.fn(now)
-	if !t.cancelled {
-		t.e.Schedule(now+t.period, t)
-	}
-}
-
-// Tick schedules fn every period starting at now+period. fn receives the
-// tick time. period must be positive.
-func (e *Engine) Tick(period Time, fn Event) *Ticker {
-	if period <= 0 {
-		panic("sim: Tick with non-positive period")
-	}
-	t := &Ticker{e: e, period: period, fn: fn}
-	e.Schedule(e.now+period, t)
-	return t
 }
 
 // FreeList is a LIFO free list of pointer-to-T records, the common

@@ -18,14 +18,17 @@ func (s *selfScheduler) Handle(now Time) {
 	s.e.Schedule(now+1, s)
 }
 
+// nop is a handler that does nothing.
+var nop = HandlerFunc(func(Time) {})
+
 // TestRunCtxBackgroundMatchesRun: a non-cancellable context takes the
 // plain Run path — same events, same Now, nil error.
 func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	var a, b Engine
 	for i := 0; i < 100; i++ {
 		at := Time(i)
-		a.At(at, func(Time) {})
-		b.At(at, func(Time) {})
+		a.Schedule(at, nop)
+		b.Schedule(at, nop)
 	}
 	na := a.Run(0)
 	nb, err := b.RunCtx(context.Background(), 0)
@@ -67,7 +70,7 @@ func TestRunCtxCancelFromEvent(t *testing.T) {
 	e.Schedule(1, s)
 	ctx, cancel := context.WithCancel(context.Background())
 	stop := CancelCheckBudget / 2
-	e.At(Time(stop), func(Time) { cancel() })
+	e.Schedule(Time(stop), HandlerFunc(func(Time) { cancel() }))
 	fired, err := e.RunCtx(ctx, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -87,7 +90,7 @@ func TestRunCtxResumeAfterCancel(t *testing.T) {
 	const total = 10 * CancelCheckBudget
 	var fired int
 	for i := 1; i <= total; i++ {
-		e.At(Time(i), func(Time) { fired++ })
+		e.Schedule(Time(i), HandlerFunc(func(Time) { fired++ }))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -105,42 +108,12 @@ func TestRunCtxResumeAfterCancel(t *testing.T) {
 	}
 }
 
-// TestRunUntilCtxCancel: RunUntilCtx honours cancellation and does not
-// jump Now to the deadline on an aborted run.
-func TestRunUntilCtxCancel(t *testing.T) {
-	var e Engine
-	s := &selfScheduler{e: &e}
-	e.Schedule(1, s)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	const deadline = Time(1 << 40)
-	fired, err := e.RunUntilCtx(ctx, deadline)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if fired > CancelCheckBudget {
-		t.Fatalf("fired %d events after cancellation, budget is %d", fired, CancelCheckBudget)
-	}
-	if e.Now() >= deadline {
-		t.Fatalf("Now = %v jumped to the deadline on a cancelled run", e.Now())
-	}
-	// And with a background context it behaves exactly like RunUntil.
-	var f Engine
-	f.At(5, func(Time) {})
-	if _, err := f.RunUntilCtx(context.Background(), 100); err != nil {
-		t.Fatal(err)
-	}
-	if f.Now() != 100 {
-		t.Fatalf("Now = %v, want deadline 100", f.Now())
-	}
-}
-
 func TestEventOrdering(t *testing.T) {
 	var e Engine
 	var order []int
-	e.At(30, func(Time) { order = append(order, 3) })
-	e.At(10, func(Time) { order = append(order, 1) })
-	e.At(20, func(Time) { order = append(order, 2) })
+	e.Schedule(30, HandlerFunc(func(Time) { order = append(order, 3) }))
+	e.Schedule(10, HandlerFunc(func(Time) { order = append(order, 1) }))
+	e.Schedule(20, HandlerFunc(func(Time) { order = append(order, 2) }))
 	e.Run(0)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -155,7 +128,7 @@ func TestFIFOTieBreak(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(100, func(Time) { order = append(order, i) })
+		e.Schedule(100, HandlerFunc(func(Time) { order = append(order, i) }))
 	}
 	e.Run(0)
 	for i, v := range order {
@@ -167,42 +140,33 @@ func TestFIFOTieBreak(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	var e Engine
-	e.At(100, func(Time) {})
+	e.Schedule(100, nop)
 	e.Run(0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for past event")
 		}
 	}()
-	e.At(50, func(Time) {})
+	e.Schedule(50, nop)
 }
 
-func TestNilEventPanics(t *testing.T) {
-	var e Engine
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for nil event")
-		}
-	}()
-	e.At(1, nil)
-}
-
+// TestAfterIsRelative: ScheduleAfter counts its delay from Now.
 func TestAfterIsRelative(t *testing.T) {
 	var e Engine
 	var at Time
-	e.At(100, func(now Time) {
-		e.After(50, func(now Time) { at = now })
-	})
+	e.Schedule(100, HandlerFunc(func(now Time) {
+		e.ScheduleAfter(50, HandlerFunc(func(now Time) { at = now }))
+	}))
 	e.Run(0)
 	if at != 150 {
-		t.Fatalf("After fired at %v, want 150", at)
+		t.Fatalf("ScheduleAfter fired at %v, want 150", at)
 	}
 }
 
 func TestRunLimit(t *testing.T) {
 	var e Engine
 	for i := 0; i < 10; i++ {
-		e.At(Time(i), func(Time) {})
+		e.Schedule(Time(i), nop)
 	}
 	if fired := e.Run(4); fired != 4 {
 		t.Fatalf("fired %d, want 4", fired)
@@ -212,60 +176,17 @@ func TestRunLimit(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	var e Engine
-	ran := 0
-	e.At(1, func(Time) { ran++; e.Stop() })
-	e.At(2, func(Time) { ran++ })
-	e.Run(0)
-	if ran != 1 {
-		t.Fatalf("ran %d events, want 1", ran)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending %d", e.Pending())
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	var e Engine
-	var fired []Time
-	for _, at := range []Time{5, 15, 25} {
-		at := at
-		e.At(at, func(Time) { fired = append(fired, at) })
-	}
-	e.RunUntil(20)
-	if len(fired) != 2 {
-		t.Fatalf("fired %v", fired)
-	}
-	if e.Now() != 20 {
-		t.Fatalf("Now = %v, want deadline", e.Now())
-	}
-	e.Run(0)
-	if len(fired) != 3 {
-		t.Fatalf("remaining event lost: %v", fired)
-	}
-}
-
-func TestDrain(t *testing.T) {
-	var e Engine
-	e.At(1, func(Time) { t.Fatal("drained event fired") })
-	e.Drain()
-	if e.Run(0) != 0 {
-		t.Fatal("events after drain")
-	}
-}
-
 func TestEventsScheduleEvents(t *testing.T) {
 	var e Engine
 	depth := 0
-	var recurse Event
+	var recurse HandlerFunc
 	recurse = func(now Time) {
 		if depth < 100 {
 			depth++
-			e.After(1, recurse)
+			e.ScheduleAfter(1, recurse)
 		}
 	}
-	e.At(0, recurse)
+	e.Schedule(0, recurse)
 	e.Run(0)
 	if depth != 100 {
 		t.Fatalf("depth = %d", depth)
@@ -273,35 +194,6 @@ func TestEventsScheduleEvents(t *testing.T) {
 	if e.Now() != 100 {
 		t.Fatalf("Now = %v", e.Now())
 	}
-}
-
-func TestTicker(t *testing.T) {
-	var e Engine
-	ticks := 0
-	var tk *Ticker
-	tk = e.Tick(10, func(now Time) {
-		ticks++
-		if ticks == 5 {
-			tk.Cancel()
-		}
-	})
-	e.Run(0)
-	if ticks != 5 {
-		t.Fatalf("ticks = %d", ticks)
-	}
-	if e.Now() != 50 {
-		t.Fatalf("Now = %v", e.Now())
-	}
-}
-
-func TestTickNonPositivePanics(t *testing.T) {
-	var e Engine
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	e.Tick(0, func(Time) {})
 }
 
 func TestTimeString(t *testing.T) {
@@ -313,7 +205,7 @@ func TestTimeString(t *testing.T) {
 func TestFiredCounter(t *testing.T) {
 	var e Engine
 	for i := 0; i < 7; i++ {
-		e.At(Time(i), func(Time) {})
+		e.Schedule(Time(i), nop)
 	}
 	e.Run(0)
 	if e.Fired() != 7 {
@@ -324,32 +216,37 @@ func TestFiredCounter(t *testing.T) {
 func TestHandlerScheduling(t *testing.T) {
 	var e Engine
 	var got []Time
-	h := handlerFunc(func(now Time) { got = append(got, now) })
+	h := HandlerFunc(func(now Time) { got = append(got, now) })
 	e.Schedule(10, h)
 	e.Schedule(30, h)
-	e.At(20, func(now Time) { got = append(got, now) })
+	e.Schedule(20, h)
 	e.Run(0)
 	if len(got) != 3 || got[0] != 10 || got[1] != 20 || got[2] != 30 {
 		t.Fatalf("fire times = %v", got)
 	}
 }
 
-// handlerFunc adapts a func to Handler for tests.
-type handlerFunc func(now Time)
+// orderRecord is a concrete handler record, the form model components
+// schedule, as opposed to a HandlerFunc closure.
+type orderRecord struct {
+	id    int
+	order *[]int
+}
 
-func (f handlerFunc) Handle(now Time) { f(now) }
+func (r *orderRecord) Handle(Time) { *r.order = append(*r.order, r.id) }
 
 func TestHandlerFIFOTieBreakWithEvents(t *testing.T) {
-	// Handlers and closures share one sequence counter, so same-time
-	// events fire in scheduling order regardless of form.
+	// Handler records and HandlerFunc closures share one sequence
+	// counter, so same-time events fire in scheduling order regardless
+	// of form.
 	var e Engine
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
 		if i%2 == 0 {
-			e.Schedule(100, handlerFunc(func(Time) { order = append(order, i) }))
+			e.Schedule(100, &orderRecord{id: i, order: &order})
 		} else {
-			e.At(100, func(Time) { order = append(order, i) })
+			e.Schedule(100, HandlerFunc(func(Time) { order = append(order, i) }))
 		}
 	}
 	e.Run(0)
@@ -372,77 +269,14 @@ func TestNilHandlerPanics(t *testing.T) {
 
 func TestScheduleHandlerInPastPanics(t *testing.T) {
 	var e Engine
-	e.At(100, func(Time) {})
+	e.Schedule(100, nop)
 	e.Run(0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for past handler")
 		}
 	}()
-	e.Schedule(50, handlerFunc(func(Time) {}))
-}
-
-func TestDrainThenReuse(t *testing.T) {
-	var e Engine
-	e.At(10, func(Time) { t.Fatal("drained event fired") })
-	e.At(20, func(Time) { t.Fatal("drained event fired") })
-	e.Drain()
-	if e.Pending() != 0 {
-		t.Fatalf("pending after drain = %d", e.Pending())
-	}
-	// The engine must be fully usable after Drain: same clock, fresh
-	// events fire normally.
-	var fired []Time
-	e.At(15, func(now Time) { fired = append(fired, now) })
-	e.At(5, func(now Time) { fired = append(fired, now) })
-	if n := e.Run(0); n != 2 {
-		t.Fatalf("fired %d events after reuse, want 2", n)
-	}
-	if len(fired) != 2 || fired[0] != 5 || fired[1] != 15 {
-		t.Fatalf("fire order after reuse: %v", fired)
-	}
-	if e.Now() != 15 {
-		t.Fatalf("Now = %v", e.Now())
-	}
-}
-
-func TestTickerCancelInsideOwnTick(t *testing.T) {
-	var e Engine
-	ticks := 0
-	var tk *Ticker
-	tk = e.Tick(10, func(now Time) {
-		ticks++
-		tk.Cancel()
-		tk.Cancel() // double-cancel inside the tick is allowed
-	})
-	e.Run(0)
-	if ticks != 1 {
-		t.Fatalf("ticks = %d, want 1", ticks)
-	}
-	if e.Now() != 10 {
-		t.Fatalf("Now = %v, want 10 (no further tick scheduled)", e.Now())
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("cancelled ticker left %d pending events", e.Pending())
-	}
-}
-
-func TestRunUntilEventExactlyAtDeadline(t *testing.T) {
-	var e Engine
-	var fired []Time
-	for _, at := range []Time{10, 20, 21} {
-		at := at
-		e.At(at, func(Time) { fired = append(fired, at) })
-	}
-	if n := e.RunUntil(20); n != 2 {
-		t.Fatalf("fired %d events, want 2 (deadline is inclusive)", n)
-	}
-	if len(fired) != 2 || fired[1] != 20 {
-		t.Fatalf("fired %v, want the t=20 event included", fired)
-	}
-	if e.Now() != 20 {
-		t.Fatalf("Now = %v, want 20", e.Now())
-	}
+	e.Schedule(50, nop)
 }
 
 func TestRunLimitResume(t *testing.T) {
@@ -450,7 +284,7 @@ func TestRunLimitResume(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(Time(10*(i+1)), func(Time) { order = append(order, i) })
+		e.Schedule(Time(10*(i+1)), HandlerFunc(func(Time) { order = append(order, i) }))
 	}
 	if fired := e.Run(3); fired != 3 {
 		t.Fatalf("first Run fired %d, want 3", fired)
@@ -471,56 +305,71 @@ func TestRunLimitResume(t *testing.T) {
 	}
 }
 
+// TestRestoreClockRejectsNegativeTime: the queue orders times as
+// unsigned numbers, so a checkpoint may not move the clock before zero.
+func TestRestoreClockRejectsNegativeTime(t *testing.T) {
+	var e Engine
+	if err := e.RestoreClock(-1, 0, 0); err == nil {
+		t.Fatal("RestoreClock accepted a negative time")
+	}
+}
+
+// liveSlabEntries checks that exactly the slab entries of queued keys
+// hold a handler — every fired handler's entry was cleared — and returns
+// how many do.
+func liveSlabEntries(t *testing.T, e *Engine) int {
+	t.Helper()
+	if len(e.slab) != cap(e.queue) {
+		t.Fatalf("slab has %d entries for queue capacity %d", len(e.slab), cap(e.queue))
+	}
+	live := make(map[uint32]bool, len(e.queue))
+	for _, k := range e.queue {
+		if live[k.slot] {
+			t.Fatalf("slot %d queued twice", k.slot)
+		}
+		live[k.slot] = true
+	}
+	n := 0
+	for i, h := range e.slab {
+		if h != nil {
+			n++
+		}
+		if (h != nil) != live[uint32(i)] {
+			t.Fatalf("slab entry %d: handler set %v, queued %v", i, h != nil, live[uint32(i)])
+		}
+	}
+	return n
+}
+
 // TestQueueReleasesReferencesAfterRun is the regression test for the old
 // eventHeap.Pop, which left each popped item's closure reachable in the
-// backing array: after a run drains, no slot of the queue's capacity may
-// still reference a callback.
+// backing array: after a run drains, no slab entry may still reference
+// a handler.
 func TestQueueReleasesReferencesAfterRun(t *testing.T) {
 	var e Engine
 	for i := 0; i < 100; i++ {
 		payload := make([]byte, 1<<10)
-		e.At(Time(i), func(Time) { _ = payload })
+		e.Schedule(Time(i), HandlerFunc(func(Time) { _ = payload }))
 		if i%3 == 0 {
-			e.Schedule(Time(i), handlerFunc(func(Time) {}))
+			e.Schedule(Time(i), nop)
 		}
 	}
 	e.Run(0)
-	full := e.queue[:cap(e.queue)]
-	for i := range full {
-		if full[i].fire != nil || full[i].h != nil {
-			t.Fatalf("queue slot %d still references a callback after drain", i)
-		}
+	if n := liveSlabEntries(t, &e); n != 0 {
+		t.Fatalf("%d slab entries still reference a handler after the run", n)
 	}
 }
 
 // TestRunLimitReleasesPoppedSlots checks the same property mid-run:
-// events popped by a limited Run must not linger beyond the live queue.
+// handlers fired by a limited Run must not linger beside the live queue.
 func TestRunLimitReleasesPoppedSlots(t *testing.T) {
 	var e Engine
 	for i := 0; i < 50; i++ {
-		e.At(Time(i), func(Time) {})
+		e.Schedule(Time(i), nop)
 	}
 	e.Run(20)
-	live := len(e.queue)
-	full := e.queue[:cap(e.queue)]
-	for i := live; i < len(full); i++ {
-		if full[i].fire != nil || full[i].h != nil {
-			t.Fatalf("vacated slot %d still references a callback (live=%d)", i, live)
-		}
-	}
-}
-
-func TestDrainReleasesReferences(t *testing.T) {
-	var e Engine
-	for i := 0; i < 50; i++ {
-		e.At(Time(i), func(Time) {})
-	}
-	e.Drain()
-	full := e.queue[:cap(e.queue)]
-	for i := range full {
-		if full[i].fire != nil || full[i].h != nil {
-			t.Fatalf("queue slot %d still references a callback after Drain", i)
-		}
+	if n := liveSlabEntries(t, &e); n != 30 {
+		t.Fatalf("%d slab entries hold a handler, want the 30 still queued", n)
 	}
 }
 
@@ -538,32 +387,11 @@ func (c *churnHandler) Handle(now Time) {
 	}
 }
 
-// BenchmarkEngineChurn measures the scheduler's steady-state cost:
-// preallocated handlers churning through a populated queue. With the
-// monomorphic heap this runs allocation-free once the queue's backing
-// array has grown.
-func BenchmarkEngineChurn(b *testing.B) {
-	const width = 1024
-	var e Engine
-	handlers := make([]churnHandler, width)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for j := range handlers {
-			handlers[j] = churnHandler{e: &e, remaining: 64}
-			e.Schedule(e.Now()+Time(j), &handlers[j])
-		}
-		e.Run(0)
-	}
-}
-
-// BenchmarkEngineChurnCancellable is BenchmarkEngineChurn through
-// RunCtx with a genuinely cancellable context: the budgeted
-// cancellation poll must add no per-event allocations (and no
-// measurable per-event time) over the plain Run loop.
-func BenchmarkEngineChurnCancellable(b *testing.B) {
-	const width = 1024
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+// benchmarkChurn measures the scheduler's steady-state cost: width
+// preallocated handlers churning through a queue that holds about width
+// events, run through RunCtx with ctx. It runs allocation-free once the
+// queue has grown.
+func benchmarkChurn(b *testing.B, ctx context.Context, width int) {
 	var e Engine
 	handlers := make([]churnHandler, width)
 	b.ReportAllocs()
@@ -576,4 +404,26 @@ func BenchmarkEngineChurnCancellable(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkEngineChurn runs a 1024-deep queue, far deeper than any
+// whole-machine run, so it weighs the heap's depth.
+func BenchmarkEngineChurn(b *testing.B) { benchmarkChurn(b, context.Background(), 1024) }
+
+// BenchmarkEngineChurnDepth48 matches the average queue depth of a
+// 16-node machine under a hot home directory.
+func BenchmarkEngineChurnDepth48(b *testing.B) { benchmarkChurn(b, context.Background(), 48) }
+
+// BenchmarkEngineChurnDepth3 matches the average queue depth of the
+// two-process multiprogrammed runs.
+func BenchmarkEngineChurnDepth3(b *testing.B) { benchmarkChurn(b, context.Background(), 3) }
+
+// BenchmarkEngineChurnCancellable is BenchmarkEngineChurn with a
+// genuinely cancellable context: the budgeted cancellation poll must add
+// no per-event allocations (and no measurable per-event time) over the
+// plain Run loop.
+func BenchmarkEngineChurnCancellable(b *testing.B) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	benchmarkChurn(b, ctx, 1024)
 }

@@ -11,22 +11,16 @@ import "fmt"
 // ForEachPending, encodes each handler through its own registry, and
 // rebuilds the queue on restore with RestoreClock + RestorePending.
 // Items are visited and re-inserted in raw backing-array order: that
-// order is deterministic for a deterministic run, and because restored
-// items keep their original (at, seq) keys, pop order — the only order
-// that affects simulation results — is bit-identical even though the
-// heap's internal layout may differ.
+// order is deterministic for a deterministic run, and re-inserting it
+// into an empty queue rebuilds the same layout (each item's parent is
+// already in place and orders before it), so restored items keep both
+// their pop order and their array positions, and a resumed run
+// re-snapshots byte for byte.
 
-// ForEachPending visits every queued item in backing-array order.
-// Closure events (fire != nil) are reported with a nil Handler; a
-// snapshotting caller treats those as unserializable and refuses.
+// ForEachPending visits every queued event in backing-array order.
 func (e *Engine) ForEachPending(fn func(at Time, seq uint64, h Handler)) {
-	for i := range e.queue {
-		it := &e.queue[i]
-		if it.fire != nil {
-			fn(it.at, it.seq, nil)
-		} else {
-			fn(it.at, it.seq, it.h)
-		}
+	for _, k := range e.queue {
+		fn(k.at, k.seq, e.slab[k.slot])
 	}
 }
 
@@ -40,10 +34,12 @@ func (e *Engine) RestoreClock(now Time, seq, fired uint64) error {
 	if len(e.queue) != 0 {
 		return fmt.Errorf("sim: RestoreClock with %d events pending", len(e.queue))
 	}
+	if now < 0 {
+		return fmt.Errorf("sim: RestoreClock at negative time %v", now)
+	}
 	e.now = now
 	e.seq = seq
 	e.fired = fired
-	e.stopped = false
 	return nil
 }
 
@@ -61,6 +57,6 @@ func (e *Engine) RestorePending(at Time, seq uint64, h Handler) error {
 	if h == nil {
 		return fmt.Errorf("sim: restored event with nil handler")
 	}
-	e.push(item{at: at, seq: seq, h: h})
+	e.push(at, seq, h)
 	return nil
 }
