@@ -177,7 +177,7 @@ func (c Config) systemConfig() (system.Config, error) {
 	if len(c.ALLARMRanges) > 0 {
 		rs := make([]core.AddrRange, 0, len(c.ALLARMRanges))
 		for _, r := range c.ALLARMRanges {
-			rs = append(rs, core.AddrRange{Start: mem.PAddr(r.Start), End: mem.PAddr(r.End)})
+			rs = append(rs, core.AddrRange(r))
 		}
 		set, err := core.NewRangeSet(rs...)
 		if err != nil {
@@ -195,6 +195,7 @@ func (c Config) systemConfig() (system.Config, error) {
 		L2Bytes: c.L2Bytes, L2Ways: c.L2Ways,
 		PFCoverage: c.PFBytes, PFWays: c.PFWays,
 		Alloc:        alloc,
+		AllocName:    c.Policy.String(),
 		CacheLatency: ns(c.CacheNs), DirLatency: ns(c.DirNs),
 		DRAMLatency: ns(c.DRAMNs), DRAMInterval: ns(c.DRAMIntervalNs),
 		NoC: noc.Config{

@@ -20,7 +20,9 @@
 // Run simulates one Workload on one machine. Workloads come in three
 // kinds — the synthetic SPLASH2/Parsec presets, bit-exact trace replays,
 // and user-programmatic generators — and any Workload implementation is
-// accepted:
+// accepted. Workload, Access and Stream are the simulator's own
+// definitions: the cores and the trace capturer consume the same values
+// user code produces, with no conversion in between:
 //
 //	cfg := allarm.DefaultConfig()               // Table I parameters
 //	wl, _ := allarm.BenchmarkWorkload("ocean-cont", cfg.Threads, cfg.AccessesPerThread)
@@ -31,7 +33,8 @@
 //
 // Run and Job.Run have context-aware variants (RunCtx, Job.RunCtx);
 // the preset entry points RunBenchmarkCtx and RunMultiProcessCtx always
-// take a context. The simulation polls the context once per
+// take a context. Every one of them steps a RunHandle (StartJob) to
+// completion. The simulation polls the context once per
 // sim.CancelCheckBudget events — amortised to nothing on the hot
 // path — and a cancelled run returns a partial
 // Result (Partial == true, metrics up to the abort instant) together
@@ -55,6 +58,9 @@
 // probe-filter miss (Track, GrantUntracked, GrantUncached) per
 // directory, and registered names work uniformly across single runs,
 // sweeps, the experiment harness and the CLI tools' -policy flags.
+// DirectoryPolicy is the one policy interface: the directories consult
+// it directly, and the built-in Baseline and ALLARM schemes register
+// through the same PolicyFactory as user schemes.
 //
 // # Sweeps
 //

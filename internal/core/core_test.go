@@ -118,8 +118,10 @@ func TestEntryStateString(t *testing.T) {
 }
 
 func TestPolicyString(t *testing.T) {
-	if Baseline.String() != "baseline" || ALLARM.String() != "allarm" {
-		t.Fatal("Policy.String wrong")
+	// Out-of-range decisions print their number, so a policy returning
+	// garbage is identifiable in a panic message.
+	if s := MissAction(7).String(); s != "MissAction(7)" {
+		t.Fatalf("MissAction(7) prints %q", s)
 	}
 }
 
@@ -143,14 +145,14 @@ func TestRangeSetBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		a    mem.PAddr
+		a    uint64
 		want bool
 	}{
 		{0x0fff, false}, {0x1000, true}, {0x1fff, true}, {0x2000, false},
 	}
 	for _, c := range cases {
 		if got := s.Enabled(c.a); got != c.want {
-			t.Fatalf("Enabled(%#x) = %v", uint64(c.a), got)
+			t.Fatalf("Enabled(%#x) = %v", c.a, got)
 		}
 	}
 }
@@ -190,7 +192,7 @@ func TestRangeSetProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(raw uint32) bool {
-		a := mem.PAddr(raw)
+		a := uint64(raw)
 		want := (a >= 0x1000 && a < 0x2000) || (a >= 0x8000 && a < 0x9000)
 		return s.Enabled(a) == want
 	}
@@ -216,43 +218,41 @@ func TestProbeFilterBadGeometryPanics(t *testing.T) {
 }
 
 func TestBuiltinAllocPolicies(t *testing.T) {
-	local := MissInfo{Addr: line(1), Requester: 2, Home: 2, Local: true}
-	remote := MissInfo{Addr: line(1), Requester: 3, Home: 2, Local: false}
+	addr := func(i int) uint64 { return uint64(line(i)) }
+	local := Miss{Addr: addr(1), Requester: 2, Home: 2, Local: true}
+	remote := Miss{Addr: addr(1), Requester: 3, Home: 2, Local: false}
+	var all *RangeSet // nil: ALLARM everywhere
+	ctx := PolicyContext{Node: 2, Nodes: 4, InRange: all.Enabled}
 
-	base := NewAllocPolicy(Baseline, nil)
-	if base.Name() != "baseline" {
-		t.Fatalf("name %q", base.Name())
-	}
+	base := NewBaseline(ctx)
 	if base.OnMiss(local) != Track || base.OnMiss(remote) != Track {
 		t.Fatal("baseline must always track")
 	}
-	if base.ProbeLocalOnRemoteMiss(line(1)) {
+	if base.ProbeLocalOnRemoteMiss(addr(1)) {
 		t.Fatal("baseline never probes the local core")
 	}
 
-	al := NewAllocPolicy(ALLARM, nil)
-	if al.Name() != "allarm" {
-		t.Fatalf("name %q", al.Name())
-	}
+	al := NewALLARM(ctx)
 	if al.OnMiss(local) != GrantUntracked || al.OnMiss(remote) != Track {
 		t.Fatal("allarm decisions wrong")
 	}
-	if !al.ProbeLocalOnRemoteMiss(line(1)) {
+	if !al.ProbeLocalOnRemoteMiss(addr(1)) {
 		t.Fatal("allarm must probe on remote misses")
 	}
 
 	// Range registers gate both the untracked grant and the probe.
-	rs, err := NewRangeSet(AddrRange{Start: line(100), End: line(200)})
+	rs, err := NewRangeSet(AddrRange{Start: addr(100), End: addr(200)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranged := NewAllocPolicy(ALLARM, rs)
-	if ranged.OnMiss(local) != Track || ranged.ProbeLocalOnRemoteMiss(line(1)) {
+	ctx.InRange = rs.Enabled
+	ranged := NewALLARM(ctx)
+	if ranged.OnMiss(local) != Track || ranged.ProbeLocalOnRemoteMiss(addr(1)) {
 		t.Fatal("out-of-range address not treated as baseline")
 	}
 	in := local
-	in.Addr = line(150)
-	if ranged.OnMiss(in) != GrantUntracked || !ranged.ProbeLocalOnRemoteMiss(line(150)) {
+	in.Addr = addr(150)
+	if ranged.OnMiss(in) != GrantUntracked || !ranged.ProbeLocalOnRemoteMiss(addr(150)) {
 		t.Fatal("in-range address lost ALLARM behaviour")
 	}
 }

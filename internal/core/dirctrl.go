@@ -124,14 +124,11 @@ type Config struct {
 	Node mem.NodeID
 	// Nodes is the machine's node count (broadcast fan-out).
 	Nodes int
-	// Alloc is the directory's allocation policy. When nil, the legacy
-	// Policy/Ranges fields select a built-in (NewAllocPolicy).
-	Alloc AllocPolicy
-	// Policy selects Baseline or ALLARM allocation (fallback when Alloc
-	// is nil).
-	Policy Policy
-	// Ranges optionally restricts ALLARM to physical ranges (nil = all).
-	Ranges *RangeSet
+	// Alloc is the directory's allocation policy (required) and
+	// AllocName the registry name it was built under, which checkpoints
+	// record and verify on restore.
+	Alloc     DirectoryPolicy
+	AllocName string
 	// LookupLatency is the probe-filter access latency (Table I: 1 ns).
 	LookupLatency sim.Time
 	// RetryDelay spaces re-attempts when an allocation finds every way of
@@ -144,7 +141,7 @@ type Config struct {
 // every line homed at the node.
 type DirCtrl struct {
 	cfg   Config
-	alloc AllocPolicy
+	alloc DirectoryPolicy
 	pf    *ProbeFilter
 	eng   *sim.Engine
 	port  coherence.Port
@@ -180,7 +177,7 @@ func NewDirCtrl(cfg Config, pf *ProbeFilter, eng *sim.Engine, port coherence.Por
 		cfg.RetryDelay = 5 * sim.Nanosecond
 	}
 	if cfg.Alloc == nil {
-		cfg.Alloc = NewAllocPolicy(cfg.Policy, cfg.Ranges)
+		panic("core: directory needs an allocation policy")
 	}
 	return &DirCtrl{
 		cfg:     cfg,
@@ -197,9 +194,6 @@ func NewDirCtrl(cfg Config, pf *ProbeFilter, eng *sim.Engine, port coherence.Por
 
 // Node returns the directory's node ID.
 func (d *DirCtrl) Node() mem.NodeID { return d.cfg.Node }
-
-// Alloc returns the allocation policy in force.
-func (d *DirCtrl) Alloc() AllocPolicy { return d.alloc }
 
 // PF exposes the probe filter (stats, invariant checks).
 func (d *DirCtrl) PF() *ProbeFilter { return d.pf }
@@ -392,10 +386,10 @@ func (d *DirCtrl) missFlow(now sim.Time, t *txn, isLocal bool) {
 	// reuse the decision, so stateful policies see each miss once.
 	if !t.decided {
 		t.decided = true
-		t.action = d.alloc.OnMiss(MissInfo{
-			Addr:      t.addr,
-			Requester: r,
-			Home:      d.cfg.Node,
+		t.action = d.alloc.OnMiss(Miss{
+			Addr:      uint64(t.addr),
+			Requester: int(r),
+			Home:      int(d.cfg.Node),
 			Local:     isLocal,
 			Write:     wantM,
 		})
@@ -405,7 +399,7 @@ func (d *DirCtrl) missFlow(now sim.Time, t *txn, isLocal bool) {
 	case GrantUntracked:
 		if !isLocal {
 			panic(fmt.Sprintf("core: policy %q granted an untracked copy to remote node %d (undiscoverable)",
-				d.alloc.Name(), r))
+				d.cfg.AllocName, r))
 		}
 		// Thread-local fast path: serve from DRAM with no allocation and
 		// no coherence traffic (§II-A).
@@ -418,7 +412,7 @@ func (d *DirCtrl) missFlow(now sim.Time, t *txn, isLocal bool) {
 
 	case GrantUncached:
 		if wantM {
-			panic(fmt.Sprintf("core: policy %q granted an uncached fill for a store miss", d.alloc.Name()))
+			panic(fmt.Sprintf("core: policy %q granted an uncached fill for a store miss", d.cfg.AllocName))
 		}
 		// Serve the read without installing state anywhere: no entry, no
 		// cached copy. The home's own core may still hold the line
@@ -426,7 +420,7 @@ func (d *DirCtrl) missFlow(now sim.Time, t *txn, isLocal bool) {
 		t.untracked = true
 		t.noFill = true
 		d.stats.UncachedGrants++
-		if !isLocal && d.alloc.ProbeLocalOnRemoteMiss(t.addr) {
+		if !isLocal && d.alloc.ProbeLocalOnRemoteMiss(uint64(t.addr)) {
 			d.sendLocalProbe(t, r, cache.Shared, true)
 			d.issueDRAM(now, t)
 			return
@@ -452,7 +446,7 @@ func (d *DirCtrl) missFlow(now sim.Time, t *txn, isLocal bool) {
 	t.finalState = EntryEM
 	t.finalOwner = r
 
-	if !isLocal && d.alloc.ProbeLocalOnRemoteMiss(t.addr) {
+	if !isLocal && d.alloc.ProbeLocalOnRemoteMiss(uint64(t.addr)) {
 		// Remote miss under a policy with untracked local copies: query
 		// the home's own core, in parallel with the DRAM access (§II-D).
 		probeGrant := cache.Shared // a hit means the line is now shared

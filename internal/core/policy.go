@@ -3,55 +3,27 @@ package core
 import (
 	"fmt"
 	"sort"
-
-	"allarm/internal/mem"
 )
 
-// Policy selects the probe-filter allocation policy of a directory.
-type Policy uint8
-
-const (
-	// Baseline allocates a probe-filter entry on any miss, local or
-	// remote — the conventional sparse directory, including the
-	// notify-on-clean-exclusive-eviction optimisation (PutE).
-	Baseline Policy = iota
-	// ALLARM allocates only on a miss from a *remote* affinity domain
-	// (ALLocAte on Remote Miss). Local misses are served from DRAM with
-	// no tracking state; remote misses additionally probe the home's
-	// local core, in parallel with DRAM, to discover untracked copies.
-	ALLARM
-)
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case Baseline:
-		return "baseline"
-	case ALLARM:
-		return "allarm"
-	default:
-		return fmt.Sprintf("Policy(%d)", uint8(p))
-	}
-}
-
-// MissAction is an allocation policy's decision for one probe-filter
-// miss.
+// MissAction is a DirectoryPolicy's decision for one probe-filter miss.
 type MissAction uint8
 
 const (
-	// Track installs a probe-filter entry for the line (the conventional
-	// sparse-directory behaviour; always legal).
+	// Track installs a probe-filter entry for the line — the
+	// conventional sparse-directory behaviour, always legal.
 	Track MissAction = iota
 	// GrantUntracked serves the miss from DRAM with no entry; the
-	// requester caches the line marked untracked. Only legal for local
-	// requesters: untracked copies are discoverable solely by the home's
-	// PrbLocal query of its own core.
+	// requester caches the line untracked. Only legal for local misses:
+	// untracked copies are discoverable solely by the home directory's
+	// probe of its own core, so granting one to a remote node would
+	// break coherence (the simulator panics).
 	GrantUntracked
-	// GrantUncached serves the miss from DRAM (or a forwarding local
-	// copy) with no entry and no fill: the requester consumes the data
-	// without caching the line, so no state survives anywhere. Only
-	// legal for read misses. Deferred-allocation schemes use it to make
-	// a line prove its sharing before spending an entry on it.
+	// GrantUncached serves the miss with no entry and no fill: the
+	// requester consumes the data without caching the line, so no state
+	// survives anywhere and the next access to the line misses again.
+	// Only legal for read misses (the simulator panics on writes).
+	// Deferred-allocation schemes use it to make a line prove its
+	// sharing before spending an entry on it.
 	GrantUncached
 )
 
@@ -69,95 +41,113 @@ func (a MissAction) String() string {
 	}
 }
 
-// MissInfo describes one demand request that missed the probe filter,
-// for the allocation policy's decision.
-type MissInfo struct {
+// Miss describes one demand request that missed the probe filter, for a
+// DirectoryPolicy's decision.
+type Miss struct {
 	// Addr is the line-aligned physical address.
-	Addr mem.PAddr
-	// Requester and Home are the requesting and home nodes.
-	Requester, Home mem.NodeID
+	Addr uint64
+	// Requester and Home are the requesting and home node ids.
+	Requester, Home int
 	// Local reports whether the requester is in the home's affinity
 	// domain (Requester == Home).
 	Local bool
-	// Write reports whether the request wants ownership (GetM).
+	// Write reports whether the request wants ownership (a store miss).
 	Write bool
 }
 
-// AllocPolicy decides how a directory controller handles probe-filter
-// misses — the axis the paper explores (allocate-on-any-miss versus
-// allocate-on-remote-miss, §II). One instance serves one directory and
-// may keep per-directory state (it is consulted on that directory's
-// event goroutine only); it is consulted exactly once per transaction
-// that misses, so stateful policies are not skewed by retries.
-type AllocPolicy interface {
-	// Name identifies the policy (stats, error messages).
-	Name() string
-	// OnMiss picks the action for a miss. Returning GrantUntracked for a
-	// remote requester, or GrantUncached for a write, is a protocol
-	// violation and panics in the directory.
-	OnMiss(m MissInfo) MissAction
+// PolicyContext describes the directory controller a policy instance
+// will serve. One instance is built per directory, so policies may keep
+// per-directory state without synchronisation.
+type PolicyContext struct {
+	// Node is the directory's node id; Nodes the machine's node count.
+	Node, Nodes int
+	// InRange reports whether the configuration's ALLARM range registers
+	// enable an address (always true when no ranges are configured).
+	// Policies that honour the paper's boot-time range registers gate
+	// their non-Track decisions on it.
+	InRange func(addr uint64) bool
+}
+
+// DirectoryPolicy decides how one directory handles probe-filter misses
+// — the axis the paper explores (allocate-on-any-miss versus
+// allocate-on-remote-miss, §II). Implementations must be deterministic
+// functions of their own state and the miss sequence (no wall-clock, no
+// global mutable state): the simulator's reproducibility contract
+// extends to policies. OnMiss is consulted exactly once per missing
+// transaction, so stateful schemes are not skewed by internal retries.
+type DirectoryPolicy interface {
+	// OnMiss picks the action for a miss (see MissAction for legality
+	// rules).
+	OnMiss(m Miss) MissAction
 	// ProbeLocalOnRemoteMiss reports whether a remote miss to addr must
-	// query the home's own core (PrbLocal) for an untracked copy, in
-	// parallel with the DRAM access. Any policy that may ever leave addr
-	// untracked at the home core must return true, or those copies
-	// become undiscoverable.
-	ProbeLocalOnRemoteMiss(addr mem.PAddr) bool
+	// query the home's own core for an untracked copy, in parallel with
+	// the DRAM access. Any policy that may ever return GrantUntracked
+	// for addr must return true here, or those copies become
+	// undiscoverable.
+	ProbeLocalOnRemoteMiss(addr uint64) bool
 }
 
-// NewAllocPolicy returns the built-in policy implementation for the
-// legacy Policy enum (the fallback used when no explicit AllocPolicy is
-// configured).
-func NewAllocPolicy(p Policy, ranges *RangeSet) AllocPolicy {
-	if p == ALLARM {
-		return &ALLARMAlloc{Ranges: ranges}
-	}
-	return BaselineAlloc{}
+// StatefulDirectoryPolicy is optionally implemented by DirectoryPolicy
+// schemes that keep mutable decision state. Implementing it makes the
+// state part of machine checkpoints: a job snapshotted mid-run and
+// resumed elsewhere replays the policy's decisions bit-identically. The
+// serialization must be deterministic — same state, same bytes —
+// because checkpoint equality is compared bytewise. Stateful policies
+// that do NOT implement it cannot be checkpointed; resume would silently
+// diverge, so the snapshot layer has no way to carry them and jobs under
+// such policies re-simulate from scratch after a restart.
+type StatefulDirectoryPolicy interface {
+	DirectoryPolicy
+	// SavePolicyState returns an opaque deterministic serialization of
+	// the policy's mutable state.
+	SavePolicyState() ([]byte, error)
+	// LoadPolicyState overwrites the policy's mutable state with a
+	// serialization produced by SavePolicyState.
+	LoadPolicyState(data []byte) error
 }
 
-// BaselineAlloc is the conventional sparse directory: every miss
-// allocates, no local probes are needed.
-type BaselineAlloc struct{}
+// PolicyFactory builds one directory's policy instance.
+type PolicyFactory func(ctx PolicyContext) DirectoryPolicy
 
-// Name implements AllocPolicy.
-func (BaselineAlloc) Name() string { return "baseline" }
+// NewBaseline is the PolicyFactory of the conventional sparse
+// directory: every miss allocates, no local probes are needed.
+func NewBaseline(PolicyContext) DirectoryPolicy { return baselinePolicy{} }
 
-// OnMiss implements AllocPolicy.
-func (BaselineAlloc) OnMiss(MissInfo) MissAction { return Track }
+type baselinePolicy struct{}
 
-// ProbeLocalOnRemoteMiss implements AllocPolicy.
-func (BaselineAlloc) ProbeLocalOnRemoteMiss(mem.PAddr) bool { return false }
+// OnMiss implements DirectoryPolicy.
+func (baselinePolicy) OnMiss(Miss) MissAction { return Track }
 
-// ALLARMAlloc is the paper's contribution: local misses within the
-// enabled ranges are served untracked; remote misses allocate and probe
-// the home's core for untracked copies.
-type ALLARMAlloc struct {
-	// Ranges restricts the policy to physical ranges (nil = everywhere).
-	Ranges *RangeSet
+// ProbeLocalOnRemoteMiss implements DirectoryPolicy.
+func (baselinePolicy) ProbeLocalOnRemoteMiss(uint64) bool { return false }
+
+// NewALLARM is the PolicyFactory of the paper's contribution: local
+// misses within the enabled ranges are served untracked; remote misses
+// allocate and probe the home's core for untracked copies.
+func NewALLARM(ctx PolicyContext) DirectoryPolicy { return allarmPolicy{inRange: ctx.InRange} }
+
+type allarmPolicy struct {
+	inRange func(addr uint64) bool
 }
 
-// Name implements AllocPolicy.
-func (*ALLARMAlloc) Name() string { return "allarm" }
-
-// OnMiss implements AllocPolicy.
-func (p *ALLARMAlloc) OnMiss(m MissInfo) MissAction {
-	if m.Local && p.Ranges.Enabled(m.Addr) {
+// OnMiss implements DirectoryPolicy.
+func (p allarmPolicy) OnMiss(m Miss) MissAction {
+	if m.Local && p.inRange(m.Addr) {
 		return GrantUntracked
 	}
 	return Track
 }
 
-// ProbeLocalOnRemoteMiss implements AllocPolicy.
-func (p *ALLARMAlloc) ProbeLocalOnRemoteMiss(addr mem.PAddr) bool {
-	return p.Ranges.Enabled(addr)
-}
+// ProbeLocalOnRemoteMiss implements DirectoryPolicy.
+func (p allarmPolicy) ProbeLocalOnRemoteMiss(addr uint64) bool { return p.inRange(addr) }
 
 // AddrRange is a half-open physical address range [Start, End).
 type AddrRange struct {
-	Start, End mem.PAddr
+	Start, End uint64
 }
 
 // Contains reports whether a lies in the range.
-func (r AddrRange) Contains(a mem.PAddr) bool { return a >= r.Start && a < r.End }
+func (r AddrRange) Contains(a uint64) bool { return a >= r.Start && a < r.End }
 
 // RangeSet models the paper's boot-time range registers (§II-C): MTRR-like
 // registers on each directory controller that restrict ALLARM to selected
@@ -176,7 +166,7 @@ func NewRangeSet(ranges ...AddrRange) (*RangeSet, error) {
 	rs := make([]AddrRange, 0, len(ranges))
 	for _, r := range ranges {
 		if r.Start >= r.End {
-			return nil, fmt.Errorf("core: empty or inverted range [%#x,%#x)", uint64(r.Start), uint64(r.End))
+			return nil, fmt.Errorf("core: empty or inverted range [%#x,%#x)", r.Start, r.End)
 		}
 		rs = append(rs, r)
 	}
@@ -196,7 +186,7 @@ func NewRangeSet(ranges ...AddrRange) (*RangeSet, error) {
 
 // Enabled reports whether ALLARM applies to a. A nil or empty set enables
 // every address.
-func (s *RangeSet) Enabled(a mem.PAddr) bool {
+func (s *RangeSet) Enabled(a uint64) bool {
 	if s == nil || len(s.ranges) == 0 {
 		return true
 	}

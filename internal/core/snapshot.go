@@ -28,18 +28,6 @@ import (
 // id 0 otherwise — real ids start at 1, so the pointer/id check in
 // Handle discards it exactly as the original would have been.
 
-// PolicyStateCodec is implemented by stateful allocation policies that
-// need their decision state carried across a checkpoint (for example, a
-// policy that remembers which lines have proven sharing). Stateless
-// policies need not implement it.
-type PolicyStateCodec interface {
-	// SavePolicyState returns an opaque, deterministic serialization of
-	// the policy's mutable state.
-	SavePolicyState() ([]byte, error)
-	// LoadPolicyState overwrites the policy's mutable state.
-	LoadPolicyState(data []byte) error
-}
-
 // DirEventOwner reports whether h is a directory event record and, if
 // so, which node's directory owns it.
 func DirEventOwner(h sim.Handler) (mem.NodeID, bool) {
@@ -117,11 +105,11 @@ func (d *DirCtrl) EncodeState(e *checkpoint.Encoder) error {
 
 	// Allocation policy: name always (verified on decode), state only
 	// when the policy is stateful.
-	e.String(d.alloc.Name())
-	if codec, ok := d.alloc.(PolicyStateCodec); ok {
+	e.String(d.cfg.AllocName)
+	if codec, ok := d.alloc.(StatefulDirectoryPolicy); ok {
 		state, err := codec.SavePolicyState()
 		if err != nil {
-			return fmt.Errorf("core: policy %q state: %w", d.alloc.Name(), err)
+			return fmt.Errorf("core: policy %q state: %w", d.cfg.AllocName, err)
 		}
 		e.Bool(true)
 		e.Bytes(state)
@@ -203,15 +191,15 @@ func (d *DirCtrl) DecodeState(dec *checkpoint.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if name != d.alloc.Name() {
-		return fmt.Errorf("core: checkpoint policy %q, directory has %q", name, d.alloc.Name())
+	if name != d.cfg.AllocName {
+		return fmt.Errorf("core: checkpoint policy %q, directory has %q", name, d.cfg.AllocName)
 	}
 	if hasPolState {
 		state := dec.Bytes()
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		codec, ok := d.alloc.(PolicyStateCodec)
+		codec, ok := d.alloc.(StatefulDirectoryPolicy)
 		if !ok {
 			return fmt.Errorf("core: checkpoint carries state for policy %q, which has none", name)
 		}

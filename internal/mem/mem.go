@@ -11,7 +11,10 @@
 // domain's memory is exhausted (§II-A of the paper).
 package mem
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // VAddr is a virtual address within one process's address space.
 type VAddr uint64
@@ -207,22 +210,47 @@ func (as *AddressSpace) Policy() Policy { return as.policy }
 // Stats returns a copy of the accumulated allocation statistics.
 func (as *AddressSpace) Stats() ASStats { return as.stats }
 
+// ErrExhausted reports a page fault that found no free frame on any
+// node.
+var ErrExhausted = errors.New("mem: physical memory exhausted")
+
+// Lookup is the per-access fast path of Translate: it returns the
+// physical address of va when va's page is mapped and no next-touch
+// migration is pending on it. Otherwise ok is false and the access must
+// fault through Translate.
+func (as *AddressSpace) Lookup(va VAddr) (pa PAddr, ok bool) {
+	e, ok := as.pages[VPageOf(va)]
+	if !ok || e.nextTouch {
+		return 0, false
+	}
+	return e.frame + PAddr(PageOffset(va)), true
+}
+
 // Translate maps va to a physical address, allocating the page at
 // requester's node on first touch (falling back to the nearest node with
 // free memory, in ascending hop order, when the local node is full).
 //
 // With the NextTouch policy, pages previously marked by MarkNextTouch are
 // migrated to requester's node on their next access.
-func (as *AddressSpace) Translate(va VAddr, requester NodeID) PAddr {
+//
+// A fault that finds no free frame on any node returns ErrExhausted and
+// leaves the address space unchanged.
+func (as *AddressSpace) Translate(va VAddr, requester NodeID) (PAddr, error) {
 	vp := VPageOf(va)
 	e, ok := as.pages[vp]
 	if !ok {
-		frame, home := as.allocate(requester)
+		frame, home, err := as.allocate(requester)
+		if err != nil {
+			return 0, err
+		}
 		e = &pte{frame: frame, home: home}
 		as.pages[vp] = e
 	} else if e.nextTouch && as.policy == NextTouch && e.home != requester {
 		// Migrate: allocate at the new node, free the old frame.
-		frame, home := as.allocate(requester)
+		frame, home, err := as.allocate(requester)
+		if err != nil {
+			return 0, err
+		}
 		as.phys.FreeFrame(e.frame)
 		e.frame = frame
 		e.home = home
@@ -231,12 +259,12 @@ func (as *AddressSpace) Translate(va VAddr, requester NodeID) PAddr {
 	} else if e.nextTouch {
 		e.nextTouch = false
 	}
-	return e.frame + PAddr(PageOffset(va))
+	return e.frame + PAddr(PageOffset(va)), nil
 }
 
 // allocate places a frame at want, or at the next node (mod N) with free
-// memory. Total memory exhaustion panics — workloads are sized to fit.
-func (as *AddressSpace) allocate(want NodeID) (PAddr, NodeID) {
+// memory.
+func (as *AddressSpace) allocate(want NodeID) (PAddr, NodeID, error) {
 	n := as.phys.Nodes()
 	for i := 0; i < n; i++ {
 		node := NodeID((int(want) + i) % n)
@@ -247,10 +275,10 @@ func (as *AddressSpace) allocate(want NodeID) (PAddr, NodeID) {
 			} else {
 				as.stats.RemoteFallbacks++
 			}
-			return frame, node
+			return frame, node, nil
 		}
 	}
-	panic("mem: physical memory exhausted")
+	return 0, 0, ErrExhausted
 }
 
 // MarkNextTouch marks every page overlapping [va, va+length) for next-

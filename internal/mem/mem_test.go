@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -83,15 +84,25 @@ func TestFreeFrameReuse(t *testing.T) {
 	}
 }
 
+// translate is Translate for faults that must succeed.
+func translate(t *testing.T, as *AddressSpace, va VAddr, node NodeID) PAddr {
+	t.Helper()
+	pa, err := as.Translate(va, node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pa
+}
+
 func TestFirstTouchPlacesLocally(t *testing.T) {
 	m := NewPhysMem(4, 1<<20)
 	as := NewAddressSpace(m, FirstTouch)
-	pa := as.Translate(0x1000, 2)
+	pa := translate(t, as, 0x1000, 2)
 	if m.Home(pa) != 2 {
 		t.Fatalf("first touch homed at %d, want 2", m.Home(pa))
 	}
 	// Same page from another node keeps its home.
-	pa2 := as.Translate(0x1008, 3)
+	pa2 := translate(t, as, 0x1008, 3)
 	if PageOf(pa2) != PageOf(pa) {
 		t.Fatal("same virtual page translated to different frames")
 	}
@@ -107,8 +118,8 @@ func TestFirstTouchPlacesLocally(t *testing.T) {
 func TestFirstTouchFallsBackWhenFull(t *testing.T) {
 	m := NewPhysMem(2, PageBytes) // one frame per node
 	as := NewAddressSpace(m, FirstTouch)
-	as.Translate(0x0000, 0)
-	pa := as.Translate(0x2000, 0) // node 0 full → falls back to node 1
+	translate(t, as, 0x0000, 0)
+	pa := translate(t, as, 0x2000, 0) // node 0 full → falls back to node 1
 	if m.Home(pa) != 1 {
 		t.Fatalf("fallback home = %d", m.Home(pa))
 	}
@@ -117,24 +128,28 @@ func TestFirstTouchFallsBackWhenFull(t *testing.T) {
 	}
 }
 
-func TestMemoryExhaustionPanics(t *testing.T) {
+func TestMemoryExhaustionErrors(t *testing.T) {
 	m := NewPhysMem(1, PageBytes)
 	as := NewAddressSpace(m, FirstTouch)
-	as.Translate(0x0000, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on exhaustion")
-		}
-	}()
-	as.Translate(0x2000, 0)
+	pa := translate(t, as, 0x0000, 0)
+	if _, err := as.Translate(0x2000, 0); !errors.Is(err, ErrExhausted) {
+		t.Fatalf("fault on a full machine: err = %v, want ErrExhausted", err)
+	}
+	// The failed fault maps nothing; the mapped page still translates.
+	if _, ok := as.Lookup(0x2000); ok || as.MappedPages() != 1 {
+		t.Fatalf("failed fault mapped a page (%d mapped)", as.MappedPages())
+	}
+	if got, ok := as.Lookup(0x0008); !ok || got != pa+8 {
+		t.Fatalf("Lookup(0x8) = %#x,%v, want %#x", uint64(got), ok, uint64(pa+8))
+	}
 }
 
 func TestNextTouchMigration(t *testing.T) {
 	m := NewPhysMem(4, 1<<20)
 	as := NewAddressSpace(m, NextTouch)
-	as.Translate(0x1000, 0)
+	translate(t, as, 0x1000, 0)
 	as.MarkNextTouch(0x1000, PageBytes)
-	pa := as.Translate(0x1004, 3)
+	pa := translate(t, as, 0x1004, 3)
 	if m.Home(pa) != 3 {
 		t.Fatalf("next-touch did not migrate: home %d", m.Home(pa))
 	}
@@ -146,7 +161,7 @@ func TestNextTouchMigration(t *testing.T) {
 		t.Fatal("old frame leaked")
 	}
 	// Further touches from other nodes no longer migrate.
-	pa2 := as.Translate(0x1008, 1)
+	pa2 := translate(t, as, 0x1008, 1)
 	if m.Home(pa2) != 3 {
 		t.Fatal("page migrated twice without a new mark")
 	}
@@ -155,9 +170,9 @@ func TestNextTouchMigration(t *testing.T) {
 func TestMarkNextTouchIgnoredUnderFirstTouch(t *testing.T) {
 	m := NewPhysMem(2, 1<<20)
 	as := NewAddressSpace(m, FirstTouch)
-	as.Translate(0x1000, 0)
+	translate(t, as, 0x1000, 0)
 	as.MarkNextTouch(0x1000, PageBytes)
-	pa := as.Translate(0x1004, 1)
+	pa := translate(t, as, 0x1004, 1)
 	if m.Home(pa) != 0 {
 		t.Fatal("first-touch policy migrated a page")
 	}
@@ -168,7 +183,7 @@ func TestTranslatePreservesOffsets(t *testing.T) {
 	as := NewAddressSpace(m, FirstTouch)
 	f := func(off uint16) bool {
 		va := VAddr(0x40000) + VAddr(off%PageBytes)
-		pa := as.Translate(va, 1)
+		pa := translate(t, as, va, 1)
 		return uint64(pa)%PageBytes == uint64(va)%PageBytes
 	}
 	if err := quick.Check(f, nil); err != nil {

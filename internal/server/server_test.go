@@ -424,6 +424,63 @@ func TestTraceUploadAndSweep(t *testing.T) {
 	}
 }
 
+// TestTraceLargerThanMemoryFailsJob: an uploaded trace whose placement
+// section declares one page more than the default machine's 2 GiB of
+// DRAM fails its job with an error; the daemon keeps serving.
+func TestTraceLargerThanMemoryFailsJob(t *testing.T) {
+	const pages = 16*128<<20/4096 + 1
+	wl, err := allarm.NewWorkload(allarm.WorkloadSpec{
+		Name: "too-big", Threads: 1,
+		Stream: func(int, uint64) allarm.Stream {
+			return allarm.StreamFunc(func() (allarm.Access, bool) { return allarm.Access{}, false })
+		},
+		Pages: func(fn func(page uint64, thread int)) {
+			for i := uint64(0); i < pages; i++ {
+				fn(i*4096, 0)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace bytes.Buffer
+	if err := allarm.CaptureTrace(&trace, wl, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	_, base := newTestServer(t, Options{Workers: 1})
+	resp, err := http.Post(base+"/v1/traces", "application/octet-stream", &trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload: %d: %s", resp.StatusCode, body)
+	}
+	var tr TraceResponse
+	if err := json.Unmarshal(body, &tr); err != nil {
+		t.Fatal(err)
+	}
+
+	v := waitDone(t, base, submit(t, base, SweepRequest{
+		Workloads: []string{tr.Workload},
+		Policies:  []string{"baseline"},
+	}).ID)
+	if len(v.Jobs) != 1 || v.Jobs[0].Status != JobError ||
+		!strings.Contains(v.Jobs[0].Error, "physical memory exhausted") {
+		t.Fatalf("oversized trace: %+v", v)
+	}
+
+	// The daemon survived and still runs simulations.
+	v = waitDone(t, base, submit(t, base, tinySweepRequest()).ID)
+	for _, j := range v.Jobs {
+		if j.Status != JobDone {
+			t.Fatalf("sweep after the failed job: %+v", v)
+		}
+	}
+}
+
 func TestSSEEvents(t *testing.T) {
 	_, base := newTestServer(t, Options{Workers: 2})
 	sr := submit(t, base, tinySweepRequest())

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"allarm/internal/core"
 	"allarm/internal/mem"
 	"allarm/internal/workload"
 )
@@ -17,7 +16,7 @@ import (
 // rebuilds machine and streams from the job spec, then Restore
 // fast-forwards). Invariant checking is off — checker shadow state is
 // not serializable.
-func snapBuild(t *testing.T, policy core.Policy, warmup bool) (*Machine, []ThreadSpec) {
+func snapBuild(t *testing.T, policy testPolicy, warmup bool) (*Machine, []ThreadSpec) {
 	t.Helper()
 	cfg := testConfig(policy)
 	cfg.CheckInvariants = false
@@ -27,7 +26,7 @@ func snapBuild(t *testing.T, policy core.Policy, warmup bool) (*Machine, []Threa
 	}
 	wl := workload.MustSynthetic(stressParams(4, 2000))
 	space := m.NewAddressSpace(mem.FirstTouch)
-	Preplace(space, wl, func(th int) mem.NodeID { return mem.NodeID(th % cfg.Nodes) })
+	preplace(t, space, wl, func(th int) mem.NodeID { return mem.NodeID(th % cfg.Nodes) })
 	var specs []ThreadSpec
 	for th := 0; th < 4; th++ {
 		s := ThreadSpec{
@@ -94,7 +93,7 @@ func assertIdentical(t *testing.T, want, got *RunResult, label string) {
 // with results bit-identical to an uninterrupted run — and taking the
 // snapshot must not perturb the original machine either.
 func TestSnapshotResumeBitIdentical(t *testing.T) {
-	for _, policy := range []core.Policy{core.Baseline, core.ALLARM} {
+	for _, policy := range []testPolicy{baselinePolicy, allarmPolicy} {
 		t.Run(policy.String(), func(t *testing.T) {
 			// Reference: uninterrupted run.
 			m1, specs1 := snapBuild(t, policy, false)
@@ -143,13 +142,13 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 // is baked into the component state, statistics were reset at the
 // boundary, and the resume must not replay warmup.
 func TestSnapshotResumeAfterWarmup(t *testing.T) {
-	m1, specs1 := snapBuild(t, core.ALLARM, true)
+	m1, specs1 := snapBuild(t, allarmPolicy, true)
 	ref, err := m1.Run(specs1)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
 
-	m2, specs2 := snapBuild(t, core.ALLARM, true)
+	m2, specs2 := snapBuild(t, allarmPolicy, true)
 	if err := m2.Start(specs2); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -166,7 +165,7 @@ func TestSnapshotResumeAfterWarmup(t *testing.T) {
 		t.Fatalf("Snapshot: %v", err)
 	}
 
-	m3, specs3 := snapBuild(t, core.ALLARM, true)
+	m3, specs3 := snapBuild(t, allarmPolicy, true)
 	if _, err := m3.Restore(bytes.NewReader(buf.Bytes()), specs3); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -177,7 +176,7 @@ func TestSnapshotResumeAfterWarmup(t *testing.T) {
 // TestSnapshotGuards verifies the refusal paths: no run, warmup phase,
 // invariant checker enabled, restore into a dirty machine.
 func TestSnapshotGuards(t *testing.T) {
-	m, specs := snapBuild(t, core.Baseline, false)
+	m, specs := snapBuild(t, baselinePolicy, false)
 	var buf bytes.Buffer
 	if err := m.Snapshot(&buf, ""); err == nil {
 		t.Fatalf("Snapshot before Start succeeded")
@@ -187,7 +186,7 @@ func TestSnapshotGuards(t *testing.T) {
 	}
 
 	// Checker on: both directions refused.
-	cfg := testConfig(core.Baseline)
+	cfg := testConfig(baselinePolicy)
 	mc, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -209,7 +208,7 @@ func TestSnapshotGuards(t *testing.T) {
 // TestRestoreRejectsCorruption flips and truncates checkpoint bytes and
 // expects clean errors (never a panic, never a silently wrong machine).
 func TestRestoreRejectsCorruption(t *testing.T) {
-	m, specs := snapBuild(t, core.ALLARM, false)
+	m, specs := snapBuild(t, allarmPolicy, false)
 	if err := m.Start(specs); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -234,7 +233,7 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
-			fresh, fspecs := snapBuild(t, core.ALLARM, false)
+			fresh, fspecs := snapBuild(t, allarmPolicy, false)
 			if _, err := fresh.Restore(bytes.NewReader(data), fspecs); err == nil {
 				t.Fatalf("corrupted checkpoint restored without error")
 			}
@@ -242,13 +241,13 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	}
 
 	// Mismatched machine shape: wrong thread count.
-	fresh, fspecs := snapBuild(t, core.ALLARM, false)
+	fresh, fspecs := snapBuild(t, allarmPolicy, false)
 	if _, err := fresh.Restore(bytes.NewReader(blob), fspecs[:2]); err == nil {
 		t.Fatalf("restore with wrong thread count succeeded")
 	}
 
 	// Wrong policy: the directory codec must notice.
-	wrongPol, wpSpecs := snapBuild(t, core.Baseline, false)
+	wrongPol, wpSpecs := snapBuild(t, baselinePolicy, false)
 	if _, err := wrongPol.Restore(bytes.NewReader(blob), wpSpecs); err == nil {
 		t.Fatalf("restore under a different policy succeeded")
 	}

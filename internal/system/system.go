@@ -34,12 +34,11 @@ type Config struct {
 	PFCoverage int // bytes of cached data tracked per directory
 	PFWays     int
 
-	// Alloc, when non-nil, builds each directory's allocation policy
-	// (one instance per directory, so policies may keep per-directory
-	// state). When nil, the legacy Policy/Ranges pair selects a built-in.
-	Alloc  func(node mem.NodeID) core.AllocPolicy
-	Policy core.Policy
-	Ranges *core.RangeSet
+	// Alloc builds each directory's allocation policy (one instance per
+	// directory, so policies may keep per-directory state); AllocName is
+	// the registry name checkpoints record for it.
+	Alloc     func(node mem.NodeID) core.DirectoryPolicy
+	AllocName string
 
 	CacheLatency sim.Time
 	DirLatency   sim.Time
@@ -72,6 +71,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("system: latencies must be non-negative (DRAM positive)")
 	case c.MemBytesPerNode == 0:
 		return fmt.Errorf("system: per-node memory must be positive")
+	case c.Alloc == nil:
+		return fmt.Errorf("system: no directory allocation policy")
 	}
 	return c.NoC.Validate()
 }
@@ -136,6 +137,9 @@ type runState struct {
 	phaseFired uint64
 	roiStart   sim.Time
 	cancelled  bool
+	// fault is the first page fault that found physical memory
+	// exhausted; it fails the run.
+	fault error
 }
 
 type node struct {
@@ -199,10 +203,6 @@ func New(cfg Config) (*Machine, error) {
 		id := mem.NodeID(i)
 		hier := cache.NewHierarchy(cfg.L1Bytes, cfg.L1Ways, cfg.L2Bytes, cfg.L2Ways)
 		dc := dram.New(cfg.DRAMLatency, cfg.DRAMInterval)
-		var alloc core.AllocPolicy
-		if cfg.Alloc != nil {
-			alloc = cfg.Alloc(id)
-		}
 		n := &node{
 			id:   id,
 			hier: hier,
@@ -210,7 +210,7 @@ func New(cfg Config) (*Machine, error) {
 			dram: dc,
 			dir: core.NewDirCtrl(core.Config{
 				Node: id, Nodes: cfg.Nodes,
-				Alloc: alloc, Policy: cfg.Policy, Ranges: cfg.Ranges,
+				Alloc: cfg.Alloc(id), AllocName: cfg.AllocName,
 				LookupLatency: cfg.DirLatency,
 			}, core.NewProbeFilter(cfg.PFCoverage, cfg.PFWays), m.eng, p, dc),
 		}
@@ -242,15 +242,6 @@ func (m *Machine) Node(i int) *core.DirCtrl { return m.nodes[i].dir }
 
 // CacheCtrl returns node i's cache controller (tests/diagnostics).
 func (m *Machine) CacheCtrl(i int) *coherence.CacheCtrl { return m.nodes[i].cc }
-
-// Preplace pre-faults a workload's pages at their first-toucher's node
-// within the given address space, modelling the initialisation phase that
-// precedes the measured region of interest.
-func Preplace(space *mem.AddressSpace, wl workload.Preplacer, nodeOf func(thread int) mem.NodeID) {
-	wl.ForEachPage(func(page mem.VAddr, thread int) {
-		space.Translate(page, nodeOf(thread))
-	})
-}
 
 // cpu is the in-order core model: it replays its stream, blocking on each
 // access until the memory system completes it. The issue loop is
@@ -299,10 +290,22 @@ func (c *cpu) step(now sim.Time) {
 		return
 	}
 	c.issued++
-	pa := c.spec.Space.Translate(acc.VAddr, c.spec.Node)
+	va := mem.VAddr(acc.VAddr)
+	pa, mapped := c.spec.Space.Lookup(va)
+	if !mapped {
+		var err error
+		if pa, err = c.spec.Space.Translate(va, c.spec.Node); err != nil {
+			// The thread stops here; the run fails at the next step
+			// boundary (see StepCtx).
+			if r := c.m.run; r.fault == nil {
+				r.fault = fmt.Errorf("system: thread %d(%s) faulting page %#x at t=%v: %w", c.idx, c.spec.Name, acc.VAddr, now, err)
+			}
+			return
+		}
+	}
 	if acc.Think > 0 {
 		c.pendPA, c.pendWr = pa, acc.Write
-		c.m.eng.ScheduleAfter(acc.Think, c)
+		c.m.eng.ScheduleAfter(sim.Time(acc.Think), c)
 	} else {
 		c.m.nodes[c.spec.Node].cc.CoreAccess(now, pa, acc.Write, &c.stepH)
 	}
@@ -331,34 +334,18 @@ type RunResult struct {
 }
 
 // Run executes the given threads to completion and returns the collected
-// statistics. It returns an error when the event budget is exceeded or a
-// post-run invariant fails. It is RunCtx with a background context.
-func (m *Machine) Run(threads []ThreadSpec) (*RunResult, error) {
-	return m.RunCtx(context.Background(), threads)
-}
-
-// RunCtx executes the given threads to completion, checking ctx for
-// cancellation every sim.CancelCheckBudget events (see sim.RunCtx; a
-// non-cancellable context costs nothing). On cancellation it returns
-// the statistics collected so far — a well-formed partial RunResult
-// whose per-thread times are clamped to the abort instant — together
-// with an error wrapping ctx's error, so callers can checkpoint
-// sub-run progress. It also returns an error when the event budget is
-// exceeded or a post-run invariant fails.
-//
-// RunCtx is a thin loop over the stepwise Start/StepCtx/Finish API,
-// which external drivers use directly when they need safe event
+// statistics. It returns an error when the event budget is exceeded, a
+// page fault finds memory exhausted or a post-run invariant fails. It
+// is a loop over the stepwise Start/StepCtx/Finish API, which external
+// drivers use directly when they need cancellation or safe event
 // boundaries between windows (periodic checkpointing, preemption).
-func (m *Machine) RunCtx(ctx context.Context, threads []ThreadSpec) (*RunResult, error) {
+func (m *Machine) Run(threads []ThreadSpec) (*RunResult, error) {
 	if err := m.Start(threads); err != nil {
 		return nil, err
 	}
 	for {
-		done, err := m.StepCtx(ctx, 0)
+		done, err := m.StepCtx(context.Background(), 0)
 		if err != nil {
-			if m.run.cancelled {
-				return m.collect(), err
-			}
 			return nil, err
 		}
 		if done {
@@ -455,6 +442,9 @@ func (m *Machine) StepCtx(ctx context.Context, window uint64) (bool, error) {
 	}
 	fired, cerr := m.eng.RunCtx(ctx, limit)
 	r.phaseFired += fired
+	if r.fault != nil {
+		return false, r.fault
+	}
 	if cerr != nil {
 		r.cancelled = true
 		if r.phase == phaseWarmup {
@@ -500,7 +490,7 @@ func (m *Machine) StepCtx(ctx context.Context, window uint64) (bool, error) {
 // Finish collects the completed run's statistics and applies the final
 // invariant check (when enabled).
 func (m *Machine) Finish() (*RunResult, error) {
-	res := m.collect()
+	res := m.Collect()
 	if m.check != nil {
 		if err := m.check.finalCheck(); err != nil {
 			return res, err
@@ -508,12 +498,6 @@ func (m *Machine) Finish() (*RunResult, error) {
 	}
 	return res, nil
 }
-
-// Collect returns the statistics gathered so far. It is meaningful
-// after the run completes or after a cancelled StepCtx (which fixes the
-// measured-region origin for partial results); external drivers use it
-// to report partial progress.
-func (m *Machine) Collect() *RunResult { return m.collect() }
 
 // resetStats zeroes every component's counters at the warmup/measurement
 // boundary; protocol and cache state is preserved.
@@ -526,7 +510,11 @@ func (m *Machine) resetStats() {
 	m.mesh.ResetStats()
 }
 
-func (m *Machine) collect() *RunResult {
+// Collect returns the statistics gathered so far. It is meaningful
+// after the run completes or after a cancelled StepCtx (which fixes the
+// measured-region origin for partial results); external drivers use it
+// to report partial progress.
+func (m *Machine) Collect() *RunResult {
 	res := &RunResult{Events: m.eng.Fired()}
 	for _, c := range m.cpus {
 		res.Accesses += c.issued

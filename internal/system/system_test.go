@@ -12,14 +12,41 @@ import (
 	"allarm/internal/workload"
 )
 
+// testPolicy is a built-in directory policy under its registry name.
+type testPolicy struct {
+	name string
+	new  core.PolicyFactory
+}
+
+var (
+	baselinePolicy = testPolicy{"baseline", core.NewBaseline}
+	allarmPolicy   = testPolicy{"allarm", core.NewALLARM}
+)
+
+func (p testPolicy) String() string { return p.name }
+
+// preplace pre-faults wl's pages at their first toucher's node.
+func preplace(t *testing.T, space *mem.AddressSpace, wl workload.Workload, nodeOf func(thread int) mem.NodeID) {
+	t.Helper()
+	wl.ForEachPage(func(page uint64, thread int) {
+		if _, err := space.Translate(mem.VAddr(page), nodeOf(thread)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // testConfig returns a small 2x2 machine with invariant checking on.
-func testConfig(policy core.Policy) Config {
+func testConfig(policy testPolicy) Config {
+	var everywhere *core.RangeSet
 	return Config{
 		Nodes: 4, MeshW: 2, MeshH: 2,
 		L1Bytes: 4 << 10, L1Ways: 2,
 		L2Bytes: 16 << 10, L2Ways: 4,
 		PFCoverage: 32 << 10, PFWays: 4,
-		Policy:       policy,
+		Alloc: func(n mem.NodeID) core.DirectoryPolicy {
+			return policy.new(core.PolicyContext{Node: int(n), InRange: everywhere.Enabled})
+		},
+		AllocName:    policy.name,
 		CacheLatency: 1 * sim.Nanosecond,
 		DirLatency:   1 * sim.Nanosecond,
 		DRAMLatency:  60 * sim.Nanosecond,
@@ -40,7 +67,7 @@ func testConfig(policy core.Policy) Config {
 }
 
 // table1Config returns the full 16-node Table I machine.
-func table1Config(policy core.Policy) Config {
+func table1Config(policy testPolicy) Config {
 	c := testConfig(policy)
 	c.Nodes, c.MeshW, c.MeshH = 16, 4, 4
 	c.NoC.Width, c.NoC.Height = 4, 4
@@ -57,11 +84,11 @@ func stressParams(threads, accesses int) workload.Params {
 		PrivateWriteFrac: 0.4, PrivateHot: 0.5, SeqRunFrac: 0.4,
 		SharedBytes: 64 << 10, SharedWriteFrac: 0.45,
 		Pattern: workload.Uniform, Init: workload.InterleavedInit,
-		Think: 1 * sim.Nanosecond, ThinkJitter: 1 * sim.Nanosecond,
+		Think: 1 * workload.Nanosecond, ThinkJitter: 1 * workload.Nanosecond,
 	}
 }
 
-func runStress(t *testing.T, policy core.Policy, seed uint64) *RunResult {
+func runStress(t *testing.T, policy testPolicy, seed uint64) *RunResult {
 	t.Helper()
 	cfg := testConfig(policy)
 	m, err := New(cfg)
@@ -70,7 +97,7 @@ func runStress(t *testing.T, policy core.Policy, seed uint64) *RunResult {
 	}
 	wl := workload.MustSynthetic(stressParams(4, 3000))
 	space := m.NewAddressSpace(mem.FirstTouch)
-	Preplace(space, wl, func(th int) mem.NodeID { return mem.NodeID(th % cfg.Nodes) })
+	preplace(t, space, wl, func(th int) mem.NodeID { return mem.NodeID(th % cfg.Nodes) })
 	var specs []ThreadSpec
 	for th := 0; th < 4; th++ {
 		specs = append(specs, ThreadSpec{
@@ -89,7 +116,7 @@ func runStress(t *testing.T, policy core.Policy, seed uint64) *RunResult {
 // under the baseline policy with the full invariant checker enabled.
 func TestStressInvariantsBaseline(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		res := runStress(t, core.Baseline, seed)
+		res := runStress(t, baselinePolicy, seed)
 		if res.Accesses == 0 || res.Time <= 0 {
 			t.Fatalf("degenerate run: %+v", res.Totals())
 		}
@@ -100,7 +127,7 @@ func TestStressInvariantsBaseline(t *testing.T) {
 // the untracked-line and local-probe paths.
 func TestStressInvariantsALLARM(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		res := runStress(t, core.ALLARM, seed)
+		res := runStress(t, allarmPolicy, seed)
 		tot := res.Totals()
 		if tot.UntrackedGrants == 0 {
 			t.Errorf("seed %d: ALLARM run produced no untracked grants", seed)
@@ -110,8 +137,8 @@ func TestStressInvariantsALLARM(t *testing.T) {
 
 // TestDeterminism verifies bit-identical metrics for identical seeds.
 func TestDeterminism(t *testing.T) {
-	a := runStress(t, core.ALLARM, 42)
-	b := runStress(t, core.ALLARM, 42)
+	a := runStress(t, allarmPolicy, 42)
+	b := runStress(t, allarmPolicy, 42)
 	if a.Time != b.Time || a.Accesses != b.Accesses {
 		t.Fatalf("runtime differs: %v/%d vs %v/%d", a.Time, a.Accesses, b.Time, b.Accesses)
 	}
@@ -128,7 +155,7 @@ func TestDeterminism(t *testing.T) {
 // workload touching only thread-private data allocates no probe-filter
 // entries and sends no coherence traffic under ALLARM.
 func TestALLARMPrivateOnlyWorkload(t *testing.T) {
-	cfg := testConfig(core.ALLARM)
+	cfg := testConfig(allarmPolicy)
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -139,10 +166,10 @@ func TestALLARMPrivateOnlyWorkload(t *testing.T) {
 		PrivateWriteFrac: 0.5, PrivateHot: 0.3, SeqRunFrac: 0.5,
 		SharedBytes: mem.PageBytes, // minimal, never accessed
 		Pattern:     workload.Uniform, Init: workload.InterleavedInit,
-		Think: 1 * sim.Nanosecond,
+		Think: 1 * workload.Nanosecond,
 	})
 	space := m.NewAddressSpace(mem.FirstTouch)
-	Preplace(space, wl, func(th int) mem.NodeID { return mem.NodeID(th) })
+	preplace(t, space, wl, func(th int) mem.NodeID { return mem.NodeID(th) })
 	var specs []ThreadSpec
 	for th := 0; th < 4; th++ {
 		specs = append(specs, ThreadSpec{
@@ -171,7 +198,7 @@ func TestALLARMPrivateOnlyWorkload(t *testing.T) {
 // TestBaselinePrivateOnlyWorkload contrasts the baseline: the same
 // workload allocates entries for every tracked line.
 func TestBaselinePrivateOnlyWorkload(t *testing.T) {
-	cfg := testConfig(core.Baseline)
+	cfg := testConfig(baselinePolicy)
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -182,10 +209,10 @@ func TestBaselinePrivateOnlyWorkload(t *testing.T) {
 		PrivateWriteFrac: 0.5, PrivateHot: 0.3, SeqRunFrac: 0.5,
 		SharedBytes: mem.PageBytes,
 		Pattern:     workload.Uniform, Init: workload.InterleavedInit,
-		Think: 1 * sim.Nanosecond,
+		Think: 1 * workload.Nanosecond,
 	})
 	space := m.NewAddressSpace(mem.FirstTouch)
-	Preplace(space, wl, func(th int) mem.NodeID { return mem.NodeID(th) })
+	preplace(t, space, wl, func(th int) mem.NodeID { return mem.NodeID(th) })
 	var specs []ThreadSpec
 	for th := 0; th < 4; th++ {
 		specs = append(specs, ThreadSpec{
@@ -213,7 +240,7 @@ func TestFull16NodeBothPolicies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-machine stress skipped in -short")
 	}
-	for _, pol := range []core.Policy{core.Baseline, core.ALLARM} {
+	for _, pol := range []testPolicy{baselinePolicy, allarmPolicy} {
 		cfg := table1Config(pol)
 		m, err := New(cfg)
 		if err != nil {
@@ -226,10 +253,10 @@ func TestFull16NodeBothPolicies(t *testing.T) {
 			SharedBytes: 1 << 20, SharedWriteFrac: 0.35,
 			Pattern: workload.Stencil, Init: workload.PartitionedInit,
 			NeighborFrac: 0.2,
-			Think:        2 * sim.Nanosecond, ThinkJitter: 1 * sim.Nanosecond,
+			Think:        2 * workload.Nanosecond, ThinkJitter: 1 * workload.Nanosecond,
 		})
 		space := m.NewAddressSpace(mem.FirstTouch)
-		Preplace(space, wl, func(th int) mem.NodeID { return mem.NodeID(th) })
+		preplace(t, space, wl, func(th int) mem.NodeID { return mem.NodeID(th) })
 		var specs []ThreadSpec
 		for th := 0; th < 16; th++ {
 			specs = append(specs, ThreadSpec{
@@ -248,7 +275,7 @@ func TestFull16NodeBothPolicies(t *testing.T) {
 // steady state runs on a small recycled working set rather than fresh
 // allocations. The CI race job runs this under -race.
 func TestMsgPoolRecycleSteadyState(t *testing.T) {
-	for _, policy := range []core.Policy{core.Baseline, core.ALLARM} {
+	for _, policy := range []testPolicy{baselinePolicy, allarmPolicy} {
 		cfg := testConfig(policy)
 		m, err := New(cfg)
 		if err != nil {
@@ -256,7 +283,7 @@ func TestMsgPoolRecycleSteadyState(t *testing.T) {
 		}
 		wl := workload.MustSynthetic(stressParams(4, 3000))
 		space := m.NewAddressSpace(mem.FirstTouch)
-		Preplace(space, wl, func(th int) mem.NodeID { return mem.NodeID(th % cfg.Nodes) })
+		preplace(t, space, wl, func(th int) mem.NodeID { return mem.NodeID(th % cfg.Nodes) })
 		var specs []ThreadSpec
 		for th := 0; th < 4; th++ {
 			specs = append(specs, ThreadSpec{

@@ -28,8 +28,6 @@ import (
 	"io"
 	"math"
 
-	"allarm/internal/mem"
-	"allarm/internal/sim"
 	"allarm/internal/workload"
 )
 
@@ -56,10 +54,10 @@ const (
 )
 
 // Placement declares a page's first toucher, mirroring
-// workload.Preplacer: the simulator pre-faults the page at the declared
-// thread's node before the run.
+// Workload.ForEachPage: the simulator pre-faults the page at the
+// declared thread's node before the run.
 type Placement struct {
-	Page   mem.VAddr
+	Page   uint64
 	Thread int
 }
 
@@ -102,7 +100,7 @@ func NewWriter(w io.Writer, threads int, placements []Placement) (*Writer, error
 		}
 		var buf [placementBytesV2]byte
 		binary.LittleEndian.PutUint32(buf[0:], uint32(p.Thread))
-		binary.LittleEndian.PutUint64(buf[4:], uint64(p.Page))
+		binary.LittleEndian.PutUint64(buf[4:], p.Page)
 		if _, err := bw.Write(buf[:]); err != nil {
 			return nil, err
 		}
@@ -132,7 +130,7 @@ func (w *Writer) Write(r Record) error {
 		thinkPs = math.MaxUint32
 	}
 	binary.LittleEndian.PutUint32(buf[4:], uint32(thinkPs))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(r.Access.VAddr))
+	binary.LittleEndian.PutUint64(buf[8:], r.Access.VAddr)
 	_, err := w.w.Write(buf[:])
 	w.wrote++
 	return err
@@ -192,7 +190,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 				return nil, fmt.Errorf("trace: placement thread %d out of range", thread)
 			}
 			rd.placements = append(rd.placements, Placement{
-				Page:   mem.VAddr(binary.LittleEndian.Uint64(buf[4:])),
+				Page:   binary.LittleEndian.Uint64(buf[4:]),
 				Thread: thread,
 			})
 		}
@@ -229,9 +227,9 @@ func (r *Reader) Read() (Record, error) {
 		Thread: thread,
 		Warmup: buf[0]&flagWarmup != 0,
 		Access: workload.Access{
-			VAddr: mem.VAddr(binary.LittleEndian.Uint64(buf[8:])),
+			VAddr: binary.LittleEndian.Uint64(buf[8:]),
 			Write: buf[0]&flagWrite != 0,
-			Think: sim.Time(binary.LittleEndian.Uint32(buf[4:])) * sim.Picosecond,
+			Think: workload.Duration(binary.LittleEndian.Uint32(buf[4:])) * workload.Picosecond,
 		},
 	}, nil
 }
@@ -253,38 +251,33 @@ func (r *Reader) readV1() (Record, error) {
 	return Record{
 		Thread: thread,
 		Access: workload.Access{
-			VAddr: mem.VAddr(binary.LittleEndian.Uint64(buf[4:])),
+			VAddr: binary.LittleEndian.Uint64(buf[4:]),
 			Write: buf[0]&flagWrite != 0,
-			Think: sim.Time(binary.LittleEndian.Uint16(buf[2:])) * sim.Nanosecond,
+			Think: workload.Duration(binary.LittleEndian.Uint16(buf[2:])) * workload.Nanosecond,
 		},
 	}, nil
 }
 
-// Capture writes a complete replayable trace of wl: its page placements
-// (when it implements workload.Preplacer), its warmup pass (when it
-// implements workload.WarmupStreamer) and its measured streams, threads
+// Capture writes a complete replayable trace of wl: its page
+// placements, its warmup pass and its measured streams, threads
 // interleaved round-robin (the interleaving does not matter for replay:
 // records carry their thread). It returns the writer, already flushed,
 // for its record count.
 func Capture(w io.Writer, wl workload.Workload, seed uint64) (*Writer, error) {
 	var placements []Placement
-	if pp, ok := wl.(workload.Preplacer); ok {
-		pp.ForEachPage(func(page mem.VAddr, thread int) {
-			placements = append(placements, Placement{Page: page, Thread: thread})
-		})
-	}
+	wl.ForEachPage(func(page uint64, thread int) {
+		placements = append(placements, Placement{Page: page, Thread: thread})
+	})
 	tw, err := NewWriter(w, wl.Threads(), placements)
 	if err != nil {
 		return nil, err
 	}
-	if ws, ok := wl.(workload.WarmupStreamer); ok {
-		warm := make([]workload.Stream, wl.Threads())
-		for t := range warm {
-			warm[t] = ws.WarmupStream(t, seed)
-		}
-		if err := drain(tw, warm, true); err != nil {
-			return nil, err
-		}
+	warm := make([]workload.Stream, wl.Threads())
+	for t := range warm {
+		warm[t] = wl.WarmupStream(t, seed)
+	}
+	if err := drain(tw, warm, true); err != nil {
+		return nil, err
 	}
 	streams := make([]workload.Stream, wl.Threads())
 	for t := range streams {
@@ -326,9 +319,8 @@ func drain(w *Writer, streams []workload.Stream, warmup bool) error {
 
 // Replay loads an entire trace and exposes per-thread streams (and the
 // captured warmup and page placements) for feeding back into the
-// simulator. It implements workload.Workload, workload.WarmupStreamer
-// and workload.Preplacer; the seed arguments are ignored, since a replay
-// is exact.
+// simulator. It implements workload.Workload; the seed arguments are
+// ignored, since a replay is exact.
 type Replay struct {
 	name       string
 	threads    int
@@ -337,10 +329,11 @@ type Replay struct {
 	placements []Placement
 }
 
-// LoadReplay reads all records from r.
-func LoadReplay(r *Reader) (*Replay, error) {
+// LoadReplay reads all records from r into a replay with the given
+// workload name.
+func LoadReplay(r *Reader, name string) (*Replay, error) {
 	rp := &Replay{
-		name:       "trace",
+		name:       name,
 		threads:    r.Threads(),
 		perThr:     make([][]workload.Access, r.Threads()),
 		warm:       make([][]workload.Access, r.Threads()),
@@ -362,14 +355,16 @@ func LoadReplay(r *Reader) (*Replay, error) {
 	}
 }
 
-// SetName overrides the replay's workload name (e.g. the trace's file
-// name).
-func (rp *Replay) SetName(name string) { rp.name = name }
-
 // Name implements workload.Workload.
 func (rp *Replay) Name() string { return rp.name }
 
-// Threads returns the replay's thread count.
+// Key fingerprints the replay by name, thread count and record counts.
+// Rename distinct traces before mixing them in one deduplicated sweep.
+func (rp *Replay) Key() string {
+	return fmt.Sprintf("trace:%s#%d/%d+%d", rp.name, rp.threads, rp.Records(), rp.WarmupRecords())
+}
+
+// Threads implements workload.Workload.
 func (rp *Replay) Threads() int { return rp.threads }
 
 // Records returns the measured (non-warmup) record count.
@@ -390,13 +385,14 @@ func (rp *Replay) WarmupRecords() int {
 	return n
 }
 
-// Stream returns thread t's replay stream. The seed is ignored.
+// Stream implements workload.Workload: thread t's replay stream. The
+// seed is ignored.
 func (rp *Replay) Stream(t int, _ uint64) workload.Stream {
 	return &replayStream{accs: rp.perThr[t]}
 }
 
-// WarmupStream implements workload.WarmupStreamer; it returns nil when
-// the trace carries no warmup pass for thread t.
+// WarmupStream implements workload.Workload; it returns nil when the
+// trace carries no warmup pass for thread t.
 func (rp *Replay) WarmupStream(t int, _ uint64) workload.Stream {
 	if len(rp.warm[t]) == 0 {
 		return nil
@@ -404,9 +400,9 @@ func (rp *Replay) WarmupStream(t int, _ uint64) workload.Stream {
 	return &replayStream{accs: rp.warm[t]}
 }
 
-// ForEachPage implements workload.Preplacer from the captured placement
+// ForEachPage implements workload.Workload from the captured placement
 // section.
-func (rp *Replay) ForEachPage(fn func(page mem.VAddr, thread int)) {
+func (rp *Replay) ForEachPage(fn func(page uint64, thread int)) {
 	for _, p := range rp.placements {
 		fn(p.Page, p.Thread)
 	}

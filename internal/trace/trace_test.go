@@ -6,8 +6,6 @@ import (
 	"io"
 	"testing"
 
-	"allarm/internal/mem"
-	"allarm/internal/sim"
 	"allarm/internal/workload"
 )
 
@@ -19,7 +17,7 @@ func testWorkload(t *testing.T) *workload.Synthetic {
 		PrivateWriteFrac: 0.4, PrivateHot: 0.5, SeqRunFrac: 0.5,
 		SharedBytes: 32 << 10, SharedWriteFrac: 0.3,
 		Pattern: workload.Uniform, Init: workload.InterleavedInit,
-		Think: 3 * sim.Nanosecond, ThinkJitter: 2 * sim.Nanosecond,
+		Think: 3 * workload.Nanosecond, ThinkJitter: 2 * workload.Nanosecond,
 	})
 }
 
@@ -63,7 +61,7 @@ func TestRoundTrip(t *testing.T) {
 	if r.Threads() != 3 {
 		t.Fatalf("threads = %d", r.Threads())
 	}
-	rp, err := LoadReplay(r)
+	rp, err := LoadReplay(r, "trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +82,11 @@ func TestRoundTrip(t *testing.T) {
 	// Placements must equal the workload's ForEachPage declaration, in
 	// order.
 	var want []Placement
-	wl.ForEachPage(func(page mem.VAddr, thread int) {
+	wl.ForEachPage(func(page uint64, thread int) {
 		want = append(want, Placement{Page: page, Thread: thread})
 	})
 	var got []Placement
-	rp.ForEachPage(func(page mem.VAddr, thread int) {
+	rp.ForEachPage(func(page uint64, thread int) {
 		got = append(got, Placement{Page: page, Thread: thread})
 	})
 	if len(got) != len(want) {
@@ -129,7 +127,7 @@ func TestReadV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Record{Thread: 1, Access: workload.Access{
-		VAddr: 0xdeadbeef40, Write: true, Think: 7 * sim.Nanosecond,
+		VAddr: 0xdeadbeef40, Write: true, Think: 7 * workload.Nanosecond,
 	}}
 	if got != want {
 		t.Fatalf("v1 record = %+v, want %+v", got, want)

@@ -3,8 +3,6 @@ package workload
 import (
 	"fmt"
 	"sort"
-
-	"allarm/internal/sim"
 )
 
 // BenchmarkNames lists the evaluated benchmarks in the paper's plotting
@@ -78,7 +76,7 @@ var presets = map[string]Params{
 		SharedBytes: 768 * kib, SharedWriteFrac: 0.06,
 		GlobalBytes: 224 * kib, GlobalFrac: 0.22, GlobalHot: 0.90, GlobalHomeNodes: 2,
 		Pattern: Uniform, Init: PartitionedInit,
-		Think: 2 * sim.Nanosecond, ThinkJitter: 2 * sim.Nanosecond,
+		Think: 2 * Nanosecond, ThinkJitter: 2 * Nanosecond,
 	},
 	// Option pricing: option data initialised by thread 0 (homed at node
 	// 0) and streamed by everyone — node 0's directory takes the whole
@@ -90,7 +88,7 @@ var presets = map[string]Params{
 		SharedBytes: 768 * kib, SharedWriteFrac: 0.02, SharedHot: 0.45,
 		GlobalBytes: 192 * kib, GlobalFrac: 0.14, GlobalHot: 0.90, GlobalHomeNodes: 1,
 		Pattern: HotOwner, Init: OwnerInit,
-		Think: 3 * sim.Nanosecond, ThinkJitter: 2 * sim.Nanosecond,
+		Think: 3 * Nanosecond, ThinkJitter: 2 * Nanosecond,
 	},
 	// Sparse Cholesky factorisation: panels migrate between threads (the
 	// coherence-miss driver) over a resident frontal working set.
@@ -101,7 +99,7 @@ var presets = map[string]Params{
 		GlobalBytes: 224 * kib, GlobalFrac: 0.18, GlobalHot: 0.90, GlobalHomeNodes: 2,
 		Pattern: Migratory, Init: PartitionedInit,
 		BlockLines: 64, BlockRun: 96,
-		Think: 2 * sim.Nanosecond, ThinkJitter: 2 * sim.Nanosecond,
+		Think: 2 * Nanosecond, ThinkJitter: 2 * Nanosecond,
 	},
 	// Deduplication pipeline: bounded queues between stages, hash tables
 	// larger than one L2 streaming locally.
@@ -111,7 +109,7 @@ var presets = map[string]Params{
 		SharedBytes: 768 * kib, SharedWriteFrac: 0.40, UpstreamFrac: 0.45,
 		GlobalBytes: 224 * kib, GlobalFrac: 0.14, GlobalHot: 0.90, GlobalHomeNodes: 2,
 		Pattern: Pipeline, Init: InterleavedInit,
-		Think: 2 * sim.Nanosecond, ThinkJitter: 2 * sim.Nanosecond,
+		Think: 2 * Nanosecond, ThinkJitter: 2 * Nanosecond,
 	},
 	// Particle fluid simulation: working set far beyond the caches, so
 	// capacity misses dominate and ALLARM's local-probe overhead is all
@@ -123,7 +121,7 @@ var presets = map[string]Params{
 		SharedBytes: 1 * mib, SharedWriteFrac: 0.25, NeighborFrac: 0.40,
 		GlobalBytes: 128 * kib, GlobalFrac: 0.06, GlobalHot: 0.85, GlobalHomeNodes: 8,
 		Pattern: Stencil, Init: PartitionedInit,
-		Think: 1 * sim.Nanosecond, ThinkJitter: 1 * sim.Nanosecond,
+		Think: 1 * Nanosecond, ThinkJitter: 1 * Nanosecond,
 	},
 	// Red-black ocean solver, contiguous partitions: each thread's grid
 	// partition fits its caches and is re-swept every iteration — it hits
@@ -136,7 +134,7 @@ var presets = map[string]Params{
 		SharedBytes: 768 * kib, SharedWriteFrac: 0.33, NeighborFrac: 0.22,
 		GlobalBytes: 224 * kib, GlobalFrac: 0.22, GlobalHot: 0.90, GlobalHomeNodes: 2,
 		Pattern: Stencil, Init: PartitionedInit,
-		Think: 2 * sim.Nanosecond, ThinkJitter: 1 * sim.Nanosecond,
+		Think: 2 * Nanosecond, ThinkJitter: 1 * Nanosecond,
 	},
 	// Non-contiguous ocean: strided rows — worse spatial locality, more
 	// boundary traffic, same NUMA homing.
@@ -146,7 +144,7 @@ var presets = map[string]Params{
 		SharedBytes: 768 * kib, SharedWriteFrac: 0.33, NeighborFrac: 0.30,
 		GlobalBytes: 224 * kib, GlobalFrac: 0.22, GlobalHot: 0.88, GlobalHomeNodes: 2,
 		Pattern: Stencil, Init: PartitionedInit,
-		Think: 2 * sim.Nanosecond, ThinkJitter: 1 * sim.Nanosecond,
+		Think: 2 * Nanosecond, ThinkJitter: 1 * Nanosecond,
 	},
 	// H.264 encoder: macroblock-row threads reading reference frames
 	// (homed at the producers' two nodes) through bounded queues.
@@ -156,7 +154,7 @@ var presets = map[string]Params{
 		SharedBytes: 768 * kib, SharedWriteFrac: 0.20, UpstreamFrac: 0.55,
 		GlobalBytes: 256 * kib, GlobalFrac: 0.17, GlobalHot: 0.88, GlobalHomeNodes: 2,
 		Pattern: Pipeline, Init: InterleavedInit,
-		Think: 2 * sim.Nanosecond, ThinkJitter: 2 * sim.Nanosecond,
+		Think: 2 * Nanosecond, ThinkJitter: 2 * Nanosecond,
 	},
 }
 

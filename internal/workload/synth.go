@@ -1,9 +1,10 @@
 package workload
 
 import (
+	"fmt"
+
 	"allarm/internal/mem"
 	"allarm/internal/rng"
-	"allarm/internal/sim"
 )
 
 // SharePattern selects how threads reference the shared region.
@@ -120,8 +121,8 @@ type Params struct {
 
 	// Think is the mean compute gap between accesses; ThinkJitter its
 	// uniform spread.
-	Think       sim.Time
-	ThinkJitter sim.Time
+	Think       Duration
+	ThinkJitter Duration
 }
 
 // Synthetic is a Workload built from Params.
@@ -155,20 +156,26 @@ func MustSynthetic(p Params) *Synthetic {
 // Name implements Workload.
 func (w *Synthetic) Name() string { return w.p.Name }
 
+// Key fingerprints the simulation the generator produces: presets are
+// fully identified by name, threads and access budget.
+func (w *Synthetic) Key() string {
+	return fmt.Sprintf("bench:%s/t%d/a%d", w.p.Name, w.p.Threads, w.p.AccessesPerThread)
+}
+
 // Threads implements Workload.
 func (w *Synthetic) Threads() int { return w.p.Threads }
 
 // Params returns a copy of the generator parameters.
 func (w *Synthetic) Params() Params { return w.p }
 
-// ForEachPage implements Preplacer: private pages belong to their thread;
+// ForEachPage implements Workload: private pages belong to their thread;
 // global pages interleave across threads (balanced homes); shared pages
 // follow the Init pattern.
-func (w *Synthetic) ForEachPage(fn func(page mem.VAddr, thread int)) {
+func (w *Synthetic) ForEachPage(fn func(page uint64, thread int)) {
 	for t := 0; t < w.p.Threads; t++ {
 		base := PrivateBase(t)
 		for off := 0; off < w.p.PrivateBytes; off += mem.PageBytes {
-			fn(base+mem.VAddr(off), t)
+			fn(base+uint64(off), t)
 		}
 	}
 	ghomes := w.p.GlobalHomeNodes
@@ -176,12 +183,12 @@ func (w *Synthetic) ForEachPage(fn func(page mem.VAddr, thread int)) {
 		ghomes = w.p.Threads
 	}
 	for i := 0; i < w.p.GlobalBytes/mem.PageBytes; i++ {
-		fn(globalBase+mem.VAddr(i*mem.PageBytes), i%ghomes)
+		fn(globalBase+uint64(i*mem.PageBytes), i%ghomes)
 	}
 	pages := w.p.SharedBytes / mem.PageBytes
 	part := (pages + w.p.Threads - 1) / w.p.Threads
 	for i := 0; i < pages; i++ {
-		va := sharedBase + mem.VAddr(i*mem.PageBytes)
+		va := sharedBase + uint64(i*mem.PageBytes)
 		switch w.p.Init {
 		case OwnerInit:
 			fn(va, 0)
@@ -200,7 +207,7 @@ func min(a, b int) int {
 	return b
 }
 
-// WarmupStream returns thread t's initialisation pass, run before the
+// WarmupStream implements Workload: thread t's initialisation pass, run before the
 // measured region of interest: it sweeps the thread's private region, its
 // own shared partition, and a slice of the global region shared with a
 // partner thread (so every global line acquires two readers and its
@@ -224,7 +231,7 @@ func (w *Synthetic) WarmupStream(t int, seed uint64) Stream {
 	part := sharedLines / p.Threads
 	if part > 0 {
 		sweeps = append(sweeps, sweep{
-			base:  sharedBase + mem.VAddr(t*part*mem.LineBytes),
+			base:  sharedBase + uint64(t*part*mem.LineBytes),
 			lines: part,
 			write: p.SharedWriteFrac,
 		})
@@ -237,7 +244,7 @@ func (w *Synthetic) WarmupStream(t int, seed uint64) Stream {
 		slice := p.GlobalBytes / mem.LineBytes / p.Threads
 		if slice > 0 {
 			sweeps = append(sweeps, sweep{
-				base:  globalBase + mem.VAddr(t*slice*mem.LineBytes),
+				base:  globalBase + uint64(t*slice*mem.LineBytes),
 				lines: slice,
 				write: 0,
 			})
@@ -247,7 +254,7 @@ func (w *Synthetic) WarmupStream(t int, seed uint64) Stream {
 }
 
 type sweep struct {
-	base  mem.VAddr
+	base  uint64
 	lines int
 	write float64
 }
@@ -265,7 +272,7 @@ func (ws *warmupStream) Next() (Access, bool) {
 		sw := ws.sweeps[ws.si]
 		if ws.li < sw.lines {
 			a := Access{
-				VAddr: sw.base + mem.VAddr(ws.li*mem.LineBytes),
+				VAddr: sw.base + uint64(ws.li*mem.LineBytes),
 				Write: ws.src.Bool(sw.write),
 			}
 			ws.li++
@@ -343,7 +350,7 @@ func (s *synthStream) Next() (Access, bool) {
 
 	think := s.p.Think
 	if s.p.ThinkJitter > 0 {
-		think += sim.Time(s.src.Uint64n(uint64(s.p.ThinkJitter)))
+		think += Duration(s.src.Uint64n(uint64(s.p.ThinkJitter)))
 	}
 
 	r := s.src.Float64()
@@ -366,7 +373,7 @@ func (s *synthStream) Next() (Access, bool) {
 // revisit, so a back-invalidated slice line is guaranteed to re-miss on
 // the next pass), otherwise it samples the whole region uniformly
 // (creating the multi-reader S entries that linger in the probe filter).
-func (s *synthStream) globalAddr() mem.VAddr {
+func (s *synthStream) globalAddr() uint64 {
 	lines := s.p.GlobalBytes / mem.LineBytes
 	slice := lines / s.p.Threads
 	if slice < 1 {
@@ -375,16 +382,16 @@ func (s *synthStream) globalAddr() mem.VAddr {
 	if s.src.Bool(s.p.GlobalHot) {
 		s.globalCursor = (s.globalCursor + 1) % (slice * wordsPerLine)
 		word := s.t*slice*wordsPerLine + s.globalCursor
-		return globalBase + mem.VAddr(word*wordBytes)
+		return globalBase + uint64(word*wordBytes)
 	}
 	line := s.src.Intn(lines)
-	return globalBase + mem.VAddr(line*mem.LineBytes+s.src.Intn(wordsPerLine)*wordBytes)
+	return globalBase + uint64(line*mem.LineBytes+s.src.Intn(wordsPerLine)*wordBytes)
 }
 
 // privateAddr picks a word in the thread's private arena: a hot subset
 // with strong reuse plus a streaming remainder, with word-granular
 // sequential runs for spatial locality.
-func (s *synthStream) privateAddr() mem.VAddr {
+func (s *synthStream) privateAddr() uint64 {
 	words := s.privLines * wordsPerLine
 	switch {
 	case s.src.Bool(s.p.SeqRunFrac):
@@ -394,11 +401,11 @@ func (s *synthStream) privateAddr() mem.VAddr {
 	default:
 		s.privCursor = s.src.Intn(s.privLines) * wordsPerLine
 	}
-	return PrivateBase(s.t) + mem.VAddr(s.privCursor*wordBytes)
+	return PrivateBase(s.t) + uint64(s.privCursor*wordBytes)
 }
 
 // sharedAddr picks a word in the shared region according to the pattern.
-func (s *synthStream) sharedAddr() (mem.VAddr, bool) {
+func (s *synthStream) sharedAddr() (uint64, bool) {
 	lines := s.p.SharedBytes / mem.LineBytes
 	part := lines / s.p.Threads
 	if part == 0 {
@@ -498,5 +505,5 @@ func (s *synthStream) sharedAddr() (mem.VAddr, bool) {
 	if word > maxWord {
 		word = maxWord
 	}
-	return sharedBase + mem.VAddr(word*wordBytes), write
+	return sharedBase + uint64(word*wordBytes), write
 }

@@ -17,18 +17,30 @@ import (
 	"fmt"
 
 	"allarm/internal/mem"
-	"allarm/internal/sim"
 )
 
-// Access is one memory reference of a thread's instruction stream.
+// Duration is simulated time in integer picoseconds, the simulator's
+// tick, so that workload round trips (capture, replay, programmatic
+// generation) never quantise.
+type Duration int64
+
+// Duration units.
+const (
+	Picosecond  Duration = 1
+	Nanosecond  Duration = 1000
+	Microsecond Duration = 1000 * Nanosecond
+)
+
+// Access is one memory reference of a workload thread.
 type Access struct {
-	// VAddr is the virtual address referenced (any byte of the line).
-	VAddr mem.VAddr
+	// VAddr is the virtual address referenced (any byte of the line;
+	// lines are 64 bytes, pages 4 KiB).
+	VAddr uint64
 	// Write distinguishes stores from loads.
 	Write bool
 	// Think is the core compute time preceding the access (non-memory
 	// instructions).
-	Think sim.Time
+	Think Duration
 }
 
 // Stream produces one thread's access sequence. Next returns ok == false
@@ -37,55 +49,63 @@ type Stream interface {
 	Next() (Access, bool)
 }
 
-// Workload describes a multi-threaded benchmark.
+// StreamFunc adapts a closure to Stream, for compact programmatic
+// generators.
+type StreamFunc func() (Access, bool)
+
+// Next implements Stream.
+func (f StreamFunc) Next() (Access, bool) { return f() }
+
+// Workload is a multi-threaded memory workload the simulator can run.
+// Three kinds ship with the module: the synthetic benchmark presets
+// (Synthetic), trace replays (trace.Replay) and the facade's
+// programmatic generators; any other implementation is accepted too.
+//
+// Thread i is pinned to node i mod the machine's node count, so a
+// workload's thread count must not exceed it (the modelled cores are
+// in-order with one outstanding access).
 type Workload interface {
-	// Name is the benchmark's identifier (e.g. "ocean-cont").
+	// Name identifies the workload in results, tables and errors.
 	Name() string
-	// Threads is the thread count the workload was built for.
+	// Threads is the workload's thread count.
 	Threads() int
-	// Stream returns thread t's deterministic access stream; distinct
-	// seeds give independent executions.
-	Stream(t int, seed uint64) Stream
-}
-
-// WarmupStreamer is implemented by workloads with an initialisation pass
-// that runs before the measured region of interest (statistics are reset
-// at the boundary). A nil returned stream means thread t has no warmup.
-type WarmupStreamer interface {
-	WarmupStream(t int, seed uint64) Stream
-}
-
-// Preplacer is implemented by workloads whose initialisation phase places
-// pages before the measured region of interest (e.g. blackscholes' data
-// is first-touched by thread 0 during init). The simulator pre-faults
-// these pages at the declared toucher's node, mirroring a run where only
-// the region of interest is measured (the paper's methodology).
-type Preplacer interface {
-	// ForEachPage calls fn once per page of the workload's footprint with
-	// the thread that first touches it.
-	ForEachPage(fn func(page mem.VAddr, thread int))
+	// Stream returns thread's deterministic measured access stream;
+	// distinct seeds give independent executions (replays may ignore the
+	// seed).
+	Stream(thread int, seed uint64) Stream
+	// WarmupStream returns thread's initialisation pass, replayed before
+	// the measured region of interest (statistics are reset at the
+	// boundary), or nil for none.
+	WarmupStream(thread int, seed uint64) Stream
+	// ForEachPage declares the workload's page-placement regions: fn is
+	// called once per page of the footprint with the thread that first
+	// touches it during initialisation, and the simulator pre-faults the
+	// page at that thread's node (the paper's first-touch methodology).
+	// Implementations without an initialisation phase may do nothing:
+	// pages then fault at their first toucher during the run.
+	ForEachPage(fn func(page uint64, thread int))
 }
 
 // Layout constants for the synthetic virtual address space. Private
 // arenas are spaced far apart so threads never share a page; the shared
 // arena sits above all private arenas.
 const (
-	privateBase   mem.VAddr = 0x1000_0000
-	privateStride mem.VAddr = 0x0400_0000 // 64 MiB per thread arena
-	globalBase    mem.VAddr = 0x6000_0000
-	sharedBase    mem.VAddr = 0x8000_0000
+	privateBase   uint64 = 0x1000_0000
+	privateStride uint64 = 0x0400_0000 // 64 MiB per thread arena
+	globalBase    uint64 = 0x6000_0000
+	sharedBase    uint64 = 0x8000_0000
 )
 
 // PrivateBase returns thread t's private arena base address.
-func PrivateBase(t int) mem.VAddr {
-	return privateBase + mem.VAddr(t)*privateStride
+func PrivateBase(t int) uint64 {
+	return privateBase + uint64(t)*privateStride
 }
 
 // GlobalBase returns the read-shared (global) arena base address.
-func GlobalBase() mem.VAddr { return globalBase }
+func GlobalBase() uint64 { return globalBase }
 
 // SharedBase returns the shared arena base address.
-func SharedBase() mem.VAddr { return sharedBase }
+func SharedBase() uint64 { return sharedBase }
 
 // validate panics on nonsensical generator parameters; workloads are
 // constructed from trusted presets and explicit test inputs.

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"allarm/internal/mem"
-	"allarm/internal/sim"
 )
 
 func testParams() Params {
@@ -16,7 +15,7 @@ func testParams() Params {
 		SharedBytes: 256 << 10, SharedWriteFrac: 0.3,
 		GlobalBytes: 64 << 10, GlobalFrac: 0.2, GlobalHot: 0.8, GlobalHomeNodes: 2,
 		Pattern: Stencil, Init: PartitionedInit, NeighborFrac: 0.2,
-		Think: 2 * sim.Nanosecond,
+		Think: 2 * Nanosecond,
 	}
 }
 
@@ -33,9 +32,9 @@ func TestStreamLengthAndBounds(t *testing.T) {
 		switch {
 		case a.VAddr >= PrivateBase(1) && a.VAddr < PrivateBase(2):
 			// private arena ok
-		case a.VAddr >= GlobalBase() && a.VAddr < GlobalBase()+mem.VAddr(w.p.GlobalBytes):
+		case a.VAddr >= GlobalBase() && a.VAddr < GlobalBase()+uint64(w.p.GlobalBytes):
 			// global arena ok
-		case a.VAddr >= SharedBase() && a.VAddr < SharedBase()+mem.VAddr(w.p.SharedBytes):
+		case a.VAddr >= SharedBase() && a.VAddr < SharedBase()+uint64(w.p.SharedBytes):
 			// shared arena ok
 		default:
 			t.Fatalf("access %#x outside any arena", uint64(a.VAddr))
@@ -78,7 +77,7 @@ func TestForEachPagePlacement(t *testing.T) {
 	p := testParams()
 	w := MustSynthetic(p)
 	privPages, globalPages, sharedPages := 0, 0, 0
-	w.ForEachPage(func(page mem.VAddr, thread int) {
+	w.ForEachPage(func(page uint64, thread int) {
 		if thread < 0 || thread >= p.Threads {
 			t.Fatalf("page %#x assigned to thread %d", uint64(page), thread)
 		}
@@ -114,7 +113,7 @@ func TestOwnerInitPlacesAtThreadZero(t *testing.T) {
 	p := testParams()
 	p.Init = OwnerInit
 	w := MustSynthetic(p)
-	w.ForEachPage(func(page mem.VAddr, thread int) {
+	w.ForEachPage(func(page uint64, thread int) {
 		if page >= SharedBase() && thread != 0 {
 			t.Fatalf("owner-init shared page at thread %d", thread)
 		}
@@ -230,9 +229,9 @@ func TestStreamBoundsProperty(t *testing.T) {
 			if !ok {
 				return false
 			}
-			in := (a.VAddr >= PrivateBase(th) && a.VAddr < PrivateBase(th)+mem.VAddr(64<<10)) ||
-				(a.VAddr >= GlobalBase() && a.VAddr < GlobalBase()+mem.VAddr(64<<10)) ||
-				(a.VAddr >= SharedBase() && a.VAddr < SharedBase()+mem.VAddr(256<<10))
+			in := (a.VAddr >= PrivateBase(th) && a.VAddr < PrivateBase(th)+uint64(64<<10)) ||
+				(a.VAddr >= GlobalBase() && a.VAddr < GlobalBase()+uint64(64<<10)) ||
+				(a.VAddr >= SharedBase() && a.VAddr < SharedBase()+uint64(256<<10))
 			if !in {
 				return false
 			}

@@ -97,102 +97,51 @@ func DescribePolicies() []PolicyInfo {
 
 // Miss describes one demand request that missed the probe filter, for a
 // DirectoryPolicy's decision.
-type Miss struct {
-	// Addr is the line-aligned physical address.
-	Addr uint64
-	// Requester and Home are the requesting and home node ids.
-	Requester, Home int
-	// Local reports whether the requester is in the home's affinity
-	// domain (Requester == Home).
-	Local bool
-	// Write reports whether the request wants ownership (a store miss).
-	Write bool
-}
+type Miss = core.Miss
 
 // MissAction is a DirectoryPolicy's decision for one miss.
-type MissAction uint8
+type MissAction = core.MissAction
 
+// The three miss actions.
 const (
 	// Track installs a probe-filter entry for the line — the
 	// conventional behaviour, always legal.
-	Track MissAction = iota
+	Track = core.Track
 	// GrantUntracked serves the miss from DRAM with no entry; the
-	// requester caches the line untracked. Only legal for local misses:
-	// untracked copies are discoverable solely by the home directory's
-	// probe of its own core, so granting one to a remote node would
-	// break coherence (the simulator panics).
-	GrantUntracked
-	// GrantUncached serves the miss with no entry and no fill: the
-	// requester consumes the data without caching the line, so no state
-	// survives anywhere and the next access to the line misses again.
-	// Only legal for read misses (the simulator panics on writes).
-	// Deferred-allocation schemes use it to make a line prove its
-	// sharing before spending an entry on it.
-	GrantUncached
+	// requester caches the line untracked. Only legal for local misses
+	// (the simulator panics otherwise).
+	GrantUntracked = core.GrantUntracked
+	// GrantUncached serves a read miss with no entry and no fill: the
+	// requester consumes the data without caching the line. Only legal
+	// for read misses (the simulator panics on writes).
+	GrantUncached = core.GrantUncached
 )
 
 // PolicyContext describes the directory controller a policy instance
-// will serve. One instance is built per directory, so policies may keep
-// per-directory state without synchronisation.
-type PolicyContext struct {
-	// Node is the directory's node id; Nodes the machine's node count.
-	Node, Nodes int
-	// InRange reports whether the configuration's ALLARMRanges enable an
-	// address (always true when no ranges are configured). Policies that
-	// honour the paper's boot-time range registers gate their non-Track
-	// decisions on it.
-	InRange func(addr uint64) bool
-}
+// will serve: its node, the machine's node count, and InRange, which
+// reports whether Config.ALLARMRanges enable an address (always true
+// when no ranges are configured).
+type PolicyContext = core.PolicyContext
 
 // DirectoryPolicy decides how one directory handles probe-filter misses.
-// Implementations must be deterministic functions of their own state and
-// the miss sequence (no wall-clock, no global mutable state): the
-// simulator's reproducibility contract extends to policies. OnMiss is
-// consulted exactly once per missing transaction, so stateful schemes
-// are not skewed by internal retries.
-type DirectoryPolicy interface {
-	// OnMiss picks the action for a miss (see MissAction for legality
-	// rules).
-	OnMiss(m Miss) MissAction
-	// ProbeLocalOnRemoteMiss reports whether a remote miss to addr must
-	// query the home's own core for an untracked copy, in parallel with
-	// the DRAM access. Any policy that may ever return GrantUntracked
-	// for addr must return true here, or those copies become
-	// undiscoverable.
-	ProbeLocalOnRemoteMiss(addr uint64) bool
-}
+// It is the one policy interface: the built-in Baseline and ALLARM
+// schemes implement it exactly like user schemes do. Implementations
+// must be deterministic functions of their own state and the miss
+// sequence; OnMiss is consulted exactly once per missing transaction.
+type DirectoryPolicy = core.DirectoryPolicy
 
 // StatefulDirectoryPolicy is optionally implemented by DirectoryPolicy
-// schemes that keep mutable decision state. Implementing it makes the
-// state part of machine checkpoints (see Checkpoints in README.md): a
-// job snapshotted mid-run and resumed elsewhere replays the policy's
-// decisions bit-identically. The serialization must be deterministic —
-// same state, same bytes — because checkpoint equality is compared
-// bytewise. Stateful policies that do NOT implement it cannot be
-// checkpointed; resume would silently diverge, so the snapshot layer
-// has no way to carry them and jobs under such policies re-simulate
-// from scratch after a restart.
-type StatefulDirectoryPolicy interface {
-	DirectoryPolicy
-	// SavePolicyState returns an opaque deterministic serialization of
-	// the policy's mutable state.
-	SavePolicyState() ([]byte, error)
-	// LoadPolicyState overwrites the policy's mutable state with a
-	// serialization produced by SavePolicyState.
-	LoadPolicyState(data []byte) error
-}
+// schemes that keep mutable decision state, making that state part of
+// machine checkpoints (see Checkpoints in README.md). Its serialization
+// must be deterministic: checkpoint equality is compared bytewise.
+type StatefulDirectoryPolicy = core.StatefulDirectoryPolicy
 
 // PolicyFactory builds one directory's policy instance.
-type PolicyFactory func(ctx PolicyContext) DirectoryPolicy
+type PolicyFactory = core.PolicyFactory
 
-// policyEntry is one registry slot. Built-ins install native (internal)
-// implementations so the compatibility contract — registry-dispatched
-// "baseline" and "allarm" are bit-identical to the pre-registry enum —
-// holds by construction; user registrations go through the public
-// DirectoryPolicy interface.
+// policyEntry is one registry slot.
 type policyEntry struct {
-	public  PolicyFactory
-	native  func(node mem.NodeID, ranges *core.RangeSet) core.AllocPolicy
+	factory PolicyFactory
 	desc    string
 	builtin bool
 }
@@ -204,19 +153,17 @@ var (
 
 func init() {
 	policyRegistry[string(Baseline)] = policyEntry{
-		native:  func(mem.NodeID, *core.RangeSet) core.AllocPolicy { return core.BaselineAlloc{} },
+		factory: core.NewBaseline,
 		desc:    "conventional sparse directory: allocate an entry on any miss",
 		builtin: true,
 	}
 	policyRegistry[string(ALLARM)] = policyEntry{
-		native:  func(_ mem.NodeID, r *core.RangeSet) core.AllocPolicy { return &core.ALLARMAlloc{Ranges: r} },
+		factory: core.NewALLARM,
 		desc:    "allocate only on remote misses; local data stays untracked (the paper)",
 		builtin: true,
 	}
-	// The bundled extensibility proof goes through the public interface,
-	// exactly like a user scheme would.
 	policyRegistry[string(ALLARMHyst)] = policyEntry{
-		public:  newHystPolicy,
+		factory: newHystPolicy,
 		desc:    "ALLARM with hysteresis: a region's first remote read is served uncached",
 		builtin: true,
 	}
@@ -239,7 +186,7 @@ func RegisterPolicy(name string, factory PolicyFactory) error {
 	if _, exists := policyRegistry[name]; exists {
 		return fmt.Errorf("allarm: policy %q already registered", name)
 	}
-	policyRegistry[name] = policyEntry{public: factory}
+	policyRegistry[name] = policyEntry{factory: factory}
 	return nil
 }
 
@@ -251,9 +198,10 @@ func MustRegisterPolicy(name string, factory PolicyFactory) {
 	}
 }
 
-// allocFactory resolves the policy name and lowers it to the internal
-// per-directory factory the machine builder consumes.
-func (c Config) allocFactory(ranges *core.RangeSet) (func(node mem.NodeID) core.AllocPolicy, error) {
+// allocFactory resolves the policy name and returns the per-directory
+// factory the machine builder consumes, each instance seeing the
+// configured range registers through PolicyContext.InRange.
+func (c Config) allocFactory(ranges *core.RangeSet) (func(node mem.NodeID) DirectoryPolicy, error) {
 	name := c.Policy.String()
 	policyMu.RLock()
 	e, ok := policyRegistry[name]
@@ -261,79 +209,18 @@ func (c Config) allocFactory(ranges *core.RangeSet) (func(node mem.NodeID) core.
 	if !ok {
 		return nil, fmt.Errorf("allarm: unknown policy %q (have %v)", name, RegisteredPolicies())
 	}
-	if e.native != nil {
-		return func(node mem.NodeID) core.AllocPolicy { return e.native(node, ranges) }, nil
-	}
-	inRange := func(addr uint64) bool { return ranges.Enabled(mem.PAddr(addr)) }
 	nodes := c.Nodes
-	return func(node mem.NodeID) core.AllocPolicy {
-		p := e.public(PolicyContext{Node: int(node), Nodes: nodes, InRange: inRange})
-		base := allocAdapter{name: name, p: p}
-		if sp, ok := p.(StatefulDirectoryPolicy); ok {
-			// Only stateful schemes advertise the checkpoint codec: the
-			// snapshot layer keys on the interface, and a stateless
-			// adapter claiming it would bloat every checkpoint with
-			// empty markers.
-			return statefulAllocAdapter{allocAdapter: base, sp: sp}
-		}
-		return base
+	return func(node mem.NodeID) DirectoryPolicy {
+		return e.factory(PolicyContext{Node: int(node), Nodes: nodes, InRange: ranges.Enabled})
 	}, nil
 }
-
-// allocAdapter lowers a public DirectoryPolicy to the internal
-// core.AllocPolicy interface. Conversions are exact.
-type allocAdapter struct {
-	name string
-	p    DirectoryPolicy
-}
-
-// Name implements core.AllocPolicy.
-func (a allocAdapter) Name() string { return a.name }
-
-// OnMiss implements core.AllocPolicy.
-func (a allocAdapter) OnMiss(m core.MissInfo) core.MissAction {
-	switch a.p.OnMiss(Miss{
-		Addr:      uint64(m.Addr),
-		Requester: int(m.Requester),
-		Home:      int(m.Home),
-		Local:     m.Local,
-		Write:     m.Write,
-	}) {
-	case GrantUntracked:
-		return core.GrantUntracked
-	case GrantUncached:
-		return core.GrantUncached
-	default:
-		return core.Track
-	}
-}
-
-// ProbeLocalOnRemoteMiss implements core.AllocPolicy.
-func (a allocAdapter) ProbeLocalOnRemoteMiss(addr mem.PAddr) bool {
-	return a.p.ProbeLocalOnRemoteMiss(uint64(addr))
-}
-
-// statefulAllocAdapter additionally bridges a StatefulDirectoryPolicy
-// to the internal checkpoint codec (core.PolicyStateCodec), so the
-// policy's decision state rides along in machine snapshots.
-type statefulAllocAdapter struct {
-	allocAdapter
-	sp StatefulDirectoryPolicy
-}
-
-// SavePolicyState implements core.PolicyStateCodec.
-func (a statefulAllocAdapter) SavePolicyState() ([]byte, error) { return a.sp.SavePolicyState() }
-
-// LoadPolicyState implements core.PolicyStateCodec.
-func (a statefulAllocAdapter) LoadPolicyState(data []byte) error { return a.sp.LoadPolicyState(data) }
 
 // RegionBytes is the granularity at which ALLARMHyst observes sharing:
 // one OS page, the same granule first-touch placement works at.
 const RegionBytes = mem.PageBytes
 
-// hystPolicy implements the allarm-hyst scheme via the public API (it is
-// deliberately not special-cased internally — it exercises exactly the
-// surface user policies get). Local misses are served untracked like
+// hystPolicy implements the allarm-hyst scheme through the public
+// DirectoryPolicy interface, registered like a user scheme. Local misses are served untracked like
 // ALLARM. A remote read miss to a region no remote reader has touched
 // before is served uncached — no entry, no copy — and only from the
 // region's second remote read miss onward (or any remote write) are

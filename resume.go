@@ -21,8 +21,8 @@ func JobFingerprint(j Job) string {
 	return "allarm-job:" + hex.EncodeToString(sum[:])
 }
 
-// RunHandle is a stepwise simulation run — the checkpointable form of
-// Job.RunCtx. StartJob opens one from scratch, ResumeJob from a
+// RunHandle is a stepwise simulation run; Job.RunCtx steps one to
+// completion. StartJob opens one from scratch, ResumeJob from a
 // checkpoint; Step advances it in bounded windows between which the
 // run may be snapshotted (Snapshot), abandoned, or preempted and later
 // resumed in a different process or on a different host. A resumed run
@@ -39,8 +39,8 @@ type RunHandle struct {
 	err       error
 }
 
-// buildRunHandle mirrors Job.RunCtx's dispatch and validation exactly,
-// stopping after machine construction.
+// buildRunHandle validates the job and builds its machine: the one
+// dispatch over the job kinds (workload, multi-process, preset).
 func buildRunHandle(job Job) (*RunHandle, error) {
 	h := &RunHandle{job: job}
 	switch {
@@ -114,8 +114,8 @@ func ResumeJob(job Job, r io.Reader) (*RunHandle, error) {
 	return h, nil
 }
 
-// wrap attaches the run's identity to an error, exactly as Job.RunCtx
-// does ("allarm: <name> (<policy>): ..." / "allarm: multi-process ...").
+// wrap attaches the run's identity to an error ("allarm: <name>
+// (<policy>): ..." / "allarm: multi-process ...").
 func (h *RunHandle) wrap(err error) error {
 	if h.mp {
 		return fmt.Errorf("allarm: multi-process %s (%v): %w", h.name, h.job.Config.Policy, err)
@@ -126,8 +126,8 @@ func (h *RunHandle) wrap(err error) error {
 // Step advances the run by at most window simulation events (0 = run
 // until completion or the machine's event budget) and reports whether
 // it completed. A window boundary is a safe snapshot point. On
-// cancellation Step returns the same wrapped error Job.RunCtx would,
-// and Partial returns the statistics collected so far.
+// cancellation Step returns the wrapped cancellation error, and Partial
+// returns the statistics collected so far.
 func (h *RunHandle) Step(ctx context.Context, window uint64) (bool, error) {
 	if h.err != nil {
 		return false, h.err
@@ -170,7 +170,7 @@ func (h *RunHandle) Snapshot(w io.Writer) error {
 }
 
 // Result finalizes a completed run (Step returned done) and returns its
-// metrics, byte-identical to what Job.RunCtx returns.
+// metrics.
 func (h *RunHandle) Result() (*Result, error) {
 	if !h.done {
 		return nil, fmt.Errorf("allarm: Result before the run completed")
@@ -183,8 +183,8 @@ func (h *RunHandle) Result() (*Result, error) {
 }
 
 // Partial returns the statistics collected up to the abort instant of a
-// cancelled run (Partial == true), matching Job.RunCtx's contract for
-// cancelled jobs. It returns nil when the run was not cancelled.
+// cancelled run (Partial == true). It returns nil when the run was not
+// cancelled.
 func (h *RunHandle) Partial() *Result {
 	if !h.cancelled {
 		return nil

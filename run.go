@@ -88,14 +88,7 @@ func RunCtx(ctx context.Context, cfg Config, wl Workload) (*Result, error) {
 	if wl == nil {
 		return nil, fmt.Errorf("allarm: Run needs a workload (see BenchmarkWorkload, LoadTrace, NewWorkload)")
 	}
-	if err := cfg.validateMachine(); err != nil {
-		return nil, err
-	}
-	if n := wl.Threads(); n <= 0 || n > cfg.Nodes {
-		return nil, fmt.Errorf("allarm: workload %q has %d threads; the machine supports [1,%d]",
-			wl.Name(), n, cfg.Nodes)
-	}
-	return runWorkloadCtx(ctx, cfg, wl)
+	return Job{Workload: wl, Config: cfg}.RunCtx(ctx)
 }
 
 // RunBenchmarkCtx simulates one named benchmark preset under cfg (scaled
@@ -103,14 +96,7 @@ func RunCtx(ctx context.Context, cfg Config, wl Workload) (*Result, error) {
 // with cancellation as in RunCtx. Output is byte-identical to the
 // pre-Workload-API Run(cfg, benchmark).
 func RunBenchmarkCtx(ctx context.Context, cfg Config, benchmark string) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	wl, err := BenchmarkWorkload(benchmark, cfg.Threads, cfg.AccessesPerThread)
-	if err != nil {
-		return nil, err
-	}
-	return runWorkloadCtx(ctx, cfg, wl)
+	return Job{Benchmark: benchmark, Config: cfg}.RunCtx(ctx)
 }
 
 // buildWorkloadMachine constructs the machine and thread specs for a
@@ -129,47 +115,38 @@ func buildWorkloadMachine(cfg Config, wl Workload) (*system.Machine, []system.Th
 	}
 	space := m.NewAddressSpace(cfg.memPolicy())
 	nodeOf := func(t int) mem.NodeID { return mem.NodeID(t % cfg.Nodes) }
-	wl.ForEachPage(func(page uint64, thread int) {
-		space.Translate(mem.VAddr(page), nodeOf(thread))
-	})
+	if err := placePages(space, wl, nodeOf); err != nil {
+		return nil, nil, err
+	}
 
 	threads := make([]system.ThreadSpec, 0, wl.Threads())
 	for t := 0; t < wl.Threads(); t++ {
-		spec := system.ThreadSpec{
+		threads = append(threads, system.ThreadSpec{
 			Node:   nodeOf(t),
-			Stream: intStream{s: wl.Stream(t, cfg.Seed)},
+			Stream: wl.Stream(t, cfg.Seed),
+			Warmup: wl.WarmupStream(t, cfg.Seed),
 			Space:  space,
 			Name:   fmt.Sprintf("%s/t%d", wl.Name(), t),
-		}
-		if ws := wl.WarmupStream(t, cfg.Seed); ws != nil {
-			spec.Warmup = intStream{s: ws}
-		}
-		threads = append(threads, spec)
+		})
 	}
 	return m, threads, nil
 }
 
-// runWorkloadCtx builds a machine, places the workload's pages, pins
-// thread i to node i mod Nodes, and runs to completion or cancellation.
-func runWorkloadCtx(ctx context.Context, cfg Config, wl Workload) (*Result, error) {
-	m, threads, err := buildWorkloadMachine(cfg, wl)
-	if err != nil {
-		return nil, err
-	}
-	rr, err := m.RunCtx(ctx, threads)
-	if err != nil {
-		err = fmt.Errorf("allarm: %s (%v): %w", wl.Name(), cfg.Policy, err)
-		// A cancelled run still yields the partial statistics the machine
-		// collected; other failures (validation, deadlock, a post-run
-		// invariant) have no usable partial result.
-		if rr != nil && IsCancellation(err) {
-			res := newResult(wl.Name(), cfg.Policy, rr)
-			res.Partial = true
-			return res, err
+// placePages pre-faults wl's pages in space at their first toucher's
+// node, modelling the initialisation phase that precedes the measured
+// region of interest. A footprint larger than the machine's memory is
+// an error.
+func placePages(space *mem.AddressSpace, wl Workload, nodeOf func(thread int) mem.NodeID) error {
+	var err error
+	wl.ForEachPage(func(page uint64, thread int) {
+		if err == nil {
+			_, err = space.Translate(mem.VAddr(page), nodeOf(thread))
 		}
-		return nil, err
+	})
+	if err != nil {
+		return fmt.Errorf("allarm: %s: placing pages: %w", wl.Name(), err)
 	}
-	return newResult(wl.Name(), cfg.Policy, rr), nil
+	return nil
 }
 
 // RunPair runs the same benchmark and seed under the baseline and ALLARM
@@ -220,21 +197,7 @@ func DefaultMultiProcess() MultiProcessConfig {
 // returns combined metrics, with cancellation as in RunCtx. Runtime is
 // the completion time of the slower copy.
 func RunMultiProcessCtx(ctx context.Context, cfg Config, mp MultiProcessConfig, benchmark string) (*Result, error) {
-	m, threads, err := buildMultiProcessMachine(cfg, mp, benchmark)
-	if err != nil {
-		return nil, err
-	}
-	rr, err := m.RunCtx(ctx, threads)
-	if err != nil {
-		err = fmt.Errorf("allarm: multi-process %s (%v): %w", benchmark, cfg.Policy, err)
-		if rr != nil && IsCancellation(err) {
-			res := newResult(benchmark, cfg.Policy, rr)
-			res.Partial = true
-			return res, err
-		}
-		return nil, err
-	}
-	return newResult(benchmark, cfg.Policy, rr), nil
+	return Job{Benchmark: benchmark, Config: cfg, MultiProcess: &mp}.RunCtx(ctx)
 }
 
 // buildMultiProcessMachine validates and constructs the machine and
@@ -297,7 +260,9 @@ func buildMultiProcessMachine(cfg Config, mp MultiProcessConfig, benchmark strin
 		}
 		node := mem.NodeID(c * spread)
 		space := m.NewAddressSpace(cfg.memPolicy())
-		system.Preplace(space, wl, func(int) mem.NodeID { return node })
+		if err := placePages(space, wl, func(int) mem.NodeID { return node }); err != nil {
+			return nil, nil, err
+		}
 		threads = append(threads, system.ThreadSpec{
 			Node:   node,
 			Stream: wl.Stream(0, cfg.Seed+uint64(c)*7919),

@@ -25,8 +25,8 @@ type Job struct {
 	// Config is the machine (and, for presets, workload scale) for this
 	// job.
 	Config Config
-	// MultiProcess, when non-nil, runs the job through RunMultiProcessCtx
-	// (Figure 4 mode) instead; it applies to benchmark presets only.
+	// MultiProcess, when non-nil, runs the job in the paper's Figure 4
+	// multi-process mode instead; it applies to benchmark presets only.
 	MultiProcess *MultiProcessConfig
 }
 
@@ -39,13 +39,19 @@ func (j Job) Run() (*Result, error) { return j.RunCtx(context.Background()) }
 // partial Result (Partial == true) together with the cancellation
 // error. See RunCtx for the underlying contract.
 func (j Job) RunCtx(ctx context.Context) (*Result, error) {
-	if j.Workload != nil {
-		return RunCtx(ctx, j.Config, j.Workload)
+	h, err := StartJob(j)
+	if err != nil {
+		return nil, err
 	}
-	if j.MultiProcess != nil {
-		return RunMultiProcessCtx(ctx, j.Config, *j.MultiProcess, j.Benchmark)
+	for {
+		done, err := h.Step(ctx, 0)
+		if err != nil {
+			return h.Partial(), err
+		}
+		if done {
+			return h.Result()
+		}
 	}
-	return RunBenchmarkCtx(ctx, j.Config, j.Benchmark)
 }
 
 // IsCancellation reports whether err stems from a cancelled or expired

@@ -6,9 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"allarm/internal/mem"
 	"allarm/internal/trace"
-	"allarm/internal/workload"
 )
 
 // CaptureTrace writes a complete replayable trace of wl to w: its page
@@ -21,36 +19,8 @@ func CaptureTrace(w io.Writer, wl Workload, seed uint64) error {
 	if wl == nil {
 		return fmt.Errorf("allarm: CaptureTrace needs a workload")
 	}
-	_, err := trace.Capture(w, captureAdapter{wl: wl, seed: seed}, seed)
+	_, err := trace.Capture(w, wl, seed)
 	return err
-}
-
-// captureAdapter presents a public Workload to the internal trace
-// capturer (which consumes the internal workload interfaces).
-type captureAdapter struct {
-	wl   Workload
-	seed uint64
-}
-
-func (a captureAdapter) Name() string { return a.wl.Name() }
-func (a captureAdapter) Threads() int { return a.wl.Threads() }
-
-func (a captureAdapter) Stream(t int, seed uint64) workload.Stream {
-	return intStream{s: a.wl.Stream(t, seed)}
-}
-
-// WarmupStream implements workload.WarmupStreamer.
-func (a captureAdapter) WarmupStream(t int, seed uint64) workload.Stream {
-	ws := a.wl.WarmupStream(t, seed)
-	if ws == nil {
-		return nil
-	}
-	return intStream{s: ws}
-}
-
-// ForEachPage implements workload.Preplacer.
-func (a captureAdapter) ForEachPage(fn func(page mem.VAddr, thread int)) {
-	a.wl.ForEachPage(func(page uint64, thread int) { fn(mem.VAddr(page), thread) })
 }
 
 // LoadTrace reads a trace file captured with CaptureTrace (or the
@@ -62,12 +32,10 @@ func LoadTrace(path string) (Workload, error) {
 		return nil, fmt.Errorf("allarm: %w", err)
 	}
 	defer f.Close()
-	wl, err := ReadTrace(f)
+	wl, err := ReadTraceNamed(f, filepath.Base(path))
 	if err != nil {
 		return nil, fmt.Errorf("allarm: trace %s: %w", path, err)
 	}
-	name := filepath.Base(path)
-	wl.(*traceWorkload).name = name
 	return wl, nil
 }
 
@@ -82,54 +50,16 @@ func ReadTrace(r io.Reader) (Workload, error) {
 // Job.Key — in sweep deduplication and allarm-serve's result cache, so
 // distinct trace contents sharing one deduplicated sweep (or one cache)
 // need distinct names; allarm-serve names uploads by content hash for
-// exactly this reason.
+// exactly this reason. The replay's Key (see Keyer) covers its name,
+// thread count and record counts.
 func ReadTraceNamed(r io.Reader, name string) (Workload, error) {
 	tr, err := trace.NewReader(r)
 	if err != nil {
 		return nil, err
 	}
-	rp, err := trace.LoadReplay(tr)
+	rp, err := trace.LoadReplay(tr, name)
 	if err != nil {
 		return nil, err
 	}
-	return &traceWorkload{name: name, rp: rp}, nil
-}
-
-// traceWorkload adapts an internal trace replay to the public Workload
-// interface.
-type traceWorkload struct {
-	name string
-	rp   *trace.Replay
-}
-
-// Name implements Workload.
-func (t *traceWorkload) Name() string { return t.name }
-
-// Threads implements Workload.
-func (t *traceWorkload) Threads() int { return t.rp.Threads() }
-
-// Stream implements Workload; the seed is ignored (replays are exact).
-func (t *traceWorkload) Stream(thread int, seed uint64) Stream {
-	return pubStream{s: t.rp.Stream(thread, seed)}
-}
-
-// WarmupStream implements Workload.
-func (t *traceWorkload) WarmupStream(thread int, seed uint64) Stream {
-	ws := t.rp.WarmupStream(thread, seed)
-	if ws == nil {
-		return nil
-	}
-	return pubStream{s: ws}
-}
-
-// ForEachPage implements Workload from the trace's placement section.
-func (t *traceWorkload) ForEachPage(fn func(page uint64, thread int)) {
-	t.rp.ForEachPage(func(page mem.VAddr, thread int) { fn(uint64(page), thread) })
-}
-
-// Key implements Keyer: a trace is fingerprinted by name, thread count
-// and record counts. Rename distinct traces (or load them from distinct
-// paths) before mixing them in one deduplicated sweep.
-func (t *traceWorkload) Key() string {
-	return fmt.Sprintf("trace:%s#%d/%d+%d", t.name, t.rp.Threads(), t.rp.Records(), t.rp.WarmupRecords())
+	return rp, nil
 }

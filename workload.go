@@ -3,78 +3,48 @@ package allarm
 import (
 	"fmt"
 
-	"allarm/internal/mem"
-	"allarm/internal/sim"
 	"allarm/internal/workload"
 )
 
 // Duration is simulated time in integer picoseconds — the simulator's
 // tick, exposed exactly so that workload round trips (capture, replay,
 // programmatic generation) never quantise.
-type Duration int64
+type Duration = workload.Duration
 
 // Duration units.
 const (
-	Picosecond  Duration = 1
-	Nanosecond  Duration = 1000
-	Microsecond Duration = 1000 * Nanosecond
+	Picosecond  = workload.Picosecond
+	Nanosecond  = workload.Nanosecond
+	Microsecond = workload.Microsecond
 )
 
-// Access is one memory reference of a workload thread.
-type Access struct {
-	// VAddr is the virtual address referenced (any byte of the line;
-	// lines are 64 bytes, pages 4 KiB).
-	VAddr uint64
-	// Write distinguishes stores from loads.
-	Write bool
-	// Think is the core compute time preceding the access (non-memory
-	// instructions).
-	Think Duration
-}
+// Access is one memory reference of a workload thread: the virtual
+// address referenced (any byte of the line; lines are 64 bytes, pages
+// 4 KiB), whether it is a store, and the core compute time preceding it.
+type Access = workload.Access
 
 // Stream produces one thread's access sequence. Next returns ok == false
 // when the thread's region of interest ends.
-type Stream interface {
-	Next() (Access, bool)
-}
+type Stream = workload.Stream
 
 // StreamFunc adapts a closure to Stream, for compact programmatic
 // generators.
-type StreamFunc func() (Access, bool)
-
-// Next implements Stream.
-func (f StreamFunc) Next() (Access, bool) { return f() }
+type StreamFunc = workload.StreamFunc
 
 // Workload is a multi-threaded memory workload the simulator can run:
-// the first-class input of Run and sweep jobs. Three kinds ship with the
-// package — the synthetic benchmark presets (BenchmarkWorkload), trace
-// replays (LoadTrace) and user-programmatic generators (NewWorkload) —
-// and any user implementation is accepted.
+// the first-class input of Run and sweep jobs, and the same interface
+// the simulator consumes internally. Three kinds ship with the package —
+// the synthetic benchmark presets (BenchmarkWorkload), trace replays
+// (LoadTrace) and user-programmatic generators (NewWorkload) — and any
+// user implementation is accepted.
 //
 // Thread i is pinned to node i mod Config.Nodes, so a workload's thread
 // count must not exceed the machine's node count (the modelled cores are
-// in-order with one outstanding access).
-type Workload interface {
-	// Name identifies the workload in results, tables and errors.
-	Name() string
-	// Threads is the workload's thread count.
-	Threads() int
-	// Stream returns thread's deterministic measured access stream;
-	// distinct seeds give independent executions (replays may ignore the
-	// seed).
-	Stream(thread int, seed uint64) Stream
-	// WarmupStream returns thread's initialisation pass, replayed before
-	// the measured region of interest (statistics are reset at the
-	// boundary), or nil for none.
-	WarmupStream(thread int, seed uint64) Stream
-	// ForEachPage declares the workload's page-placement regions: fn is
-	// called once per page of the footprint with the thread that first
-	// touches it during initialisation, and the simulator pre-faults the
-	// page at that thread's node (the paper's first-touch methodology).
-	// Implementations without an initialisation phase may do nothing:
-	// pages then fault at their first toucher during the run.
-	ForEachPage(fn func(page uint64, thread int))
-}
+// in-order with one outstanding access). ForEachPage declares the
+// page-placement regions: the simulator pre-faults each page at its
+// first toucher's node before the run (the paper's first-touch
+// methodology).
+type Workload = workload.Workload
 
 // Keyer is optionally implemented by workloads to fingerprint the exact
 // simulation they produce. Sweep.Dedup treats two jobs with equal keys
@@ -86,53 +56,14 @@ type Keyer interface {
 
 // BenchmarkWorkload returns the named synthetic benchmark preset (see
 // Benchmarks and MultiProcessBenchmarks) scaled to the given thread
-// count and per-thread access budget.
+// count and per-thread access budget. Its Key (see Keyer) is fully
+// determined by name, threads and access budget.
 func BenchmarkWorkload(name string, threads, accessesPerThread int) (Workload, error) {
 	w, err := workload.Benchmark(name, threads, accessesPerThread)
 	if err != nil {
-		return nil, err
+		return nil, err // not a typed nil in a non-nil Workload
 	}
-	return synthWorkload{w: w}, nil
-}
-
-// synthWorkload adapts the internal synthetic generator to the public
-// Workload interface. All conversions are exact (addresses are uint64,
-// think times integer picoseconds on both sides), so a run through this
-// wrapper is bit-identical to one driven by the internal generator.
-type synthWorkload struct {
-	w *workload.Synthetic
-}
-
-// Name implements Workload.
-func (s synthWorkload) Name() string { return s.w.Name() }
-
-// Threads implements Workload.
-func (s synthWorkload) Threads() int { return s.w.Threads() }
-
-// Stream implements Workload.
-func (s synthWorkload) Stream(thread int, seed uint64) Stream {
-	return pubStream{s: s.w.Stream(thread, seed)}
-}
-
-// WarmupStream implements Workload.
-func (s synthWorkload) WarmupStream(thread int, seed uint64) Stream {
-	ws := s.w.WarmupStream(thread, seed)
-	if ws == nil {
-		return nil
-	}
-	return pubStream{s: ws}
-}
-
-// ForEachPage implements Workload.
-func (s synthWorkload) ForEachPage(fn func(page uint64, thread int)) {
-	s.w.ForEachPage(func(page mem.VAddr, thread int) { fn(uint64(page), thread) })
-}
-
-// Key implements Keyer: presets are fully identified by name, threads
-// and access budget.
-func (s synthWorkload) Key() string {
-	p := s.w.Params()
-	return fmt.Sprintf("bench:%s/t%d/a%d", p.Name, p.Threads, p.AccessesPerThread)
+	return w, nil
 }
 
 // WorkloadSpec builds a programmatic Workload from plain functions — the
@@ -204,26 +135,4 @@ func (w *funcWorkload) Key() string {
 		return "func:" + w.spec.Key
 	}
 	return fmt.Sprintf("func:%s#%d", w.spec.Name, w.spec.Threads)
-}
-
-// pubStream adapts an internal stream to the public interface (exact).
-type pubStream struct {
-	s workload.Stream
-}
-
-// Next implements Stream.
-func (p pubStream) Next() (Access, bool) {
-	a, ok := p.s.Next()
-	return Access{VAddr: uint64(a.VAddr), Write: a.Write, Think: Duration(a.Think)}, ok
-}
-
-// intStream adapts a public stream to the internal interface (exact).
-type intStream struct {
-	s Stream
-}
-
-// Next implements workload.Stream.
-func (i intStream) Next() (workload.Access, bool) {
-	a, ok := i.s.Next()
-	return workload.Access{VAddr: mem.VAddr(a.VAddr), Write: a.Write, Think: sim.Time(a.Think)}, ok
 }
