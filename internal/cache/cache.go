@@ -53,23 +53,24 @@ func (s State) Dirty() bool { return s == Modified || s == Owned }
 // coherence transaction.
 func (s State) Writable() bool { return s == Modified || s == Exclusive }
 
-// Line is one cache line's bookkeeping.
+// Line is one cache line's bookkeeping. The three words come first and
+// the one-byte fields share the last, so a line packs into 32 bytes (two
+// per 64-byte host cache line for the set scans of Peek and Insert).
 type Line struct {
 	// Addr is the line-aligned physical address (the full tag).
 	Addr mem.PAddr
+	// Version is the line's data version (a global store counter carried
+	// by data messages), used to verify the data-value invariant. Not a
+	// hardware field.
+	Version uint64
+	lru     uint64
 	// State is the MOESI state.
 	State State
 	// Untracked marks an ALLARM line cached without a probe-filter entry.
 	// Real hardware has no such bit — ALLARM is stateless — it exists here
 	// only for statistics and invariant checking.
 	Untracked bool
-	// Version is the line's data version (a global store counter carried
-	// by data messages), used to verify the data-value invariant. Not a
-	// hardware field.
-	Version uint64
-
-	valid bool
-	lru   uint64
+	valid     bool
 }
 
 // Stats counts cache events.

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"allarm/internal/mem"
 )
@@ -280,5 +281,11 @@ func TestUpgradeFillInL2(t *testing.T) {
 	}
 	if h.L1().Peek(line(0)) == nil {
 		t.Fatal("upgrade grant did not promote to L1")
+	}
+}
+
+func TestPackedLine(t *testing.T) {
+	if n := unsafe.Sizeof(Line{}); n != 32 {
+		t.Fatalf("Line is %d bytes, want 32", n)
 	}
 }

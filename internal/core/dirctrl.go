@@ -79,12 +79,14 @@ const (
 
 // txn is one in-flight directory transaction. The directory serializes
 // transactions per line: while a txn is busy on a line, later requests for
-// that line queue in the waiters list.
+// that line queue in its waiters list, which finish hands on to the next
+// transaction.
 type txn struct {
-	id   uint64
-	kind txnKind
-	addr mem.PAddr
-	req  *coherence.Msg // request transactions only
+	id      uint64
+	kind    txnKind
+	addr    mem.PAddr
+	req     *coherence.Msg   // request transactions only
+	waiters []*coherence.Msg // requests queued behind this one, FIFO
 
 	counted bool // local/remote classification done (restart-safe)
 
@@ -122,6 +124,10 @@ type txn struct {
 // Config carries the directory controller's construction parameters.
 type Config struct {
 	Node mem.NodeID
+	// Base and Size give the physical range [Base, Base+Size) homed at
+	// this node; every line the directory sees lies in it.
+	Base mem.PAddr
+	Size uint64
 	// Nodes is the machine's node count (broadcast fan-out).
 	Nodes int
 	// Alloc is the directory's allocation policy (required) and
@@ -147,10 +153,14 @@ type DirCtrl struct {
 	port  coherence.Port
 	dram  *dram.Controller
 
-	busy    map[mem.PAddr]*txn
-	waiters map[mem.PAddr][]*coherence.Msg
-	dramVer map[mem.PAddr]uint64
-	txnSeq  uint64
+	// lines is the per-line state of the home's range, indexed by
+	// (addr-Base)/LineBytes. First-touch hands out a home's frames from
+	// the bottom up, so the table covers only the frames touched so far
+	// (Reserve) and grows by doubling when a line beyond it is written.
+	// nbusy counts the lines with a transaction in flight.
+	lines  []lineState
+	nbusy  int
+	txnSeq uint64
 
 	// pool recycles the messages this directory sends; events and txns
 	// recycle scheduled-event records and transaction objects, so the
@@ -179,17 +189,90 @@ func NewDirCtrl(cfg Config, pf *ProbeFilter, eng *sim.Engine, port coherence.Por
 	if cfg.Alloc == nil {
 		panic("core: directory needs an allocation policy")
 	}
-	return &DirCtrl{
-		cfg:     cfg,
-		alloc:   cfg.Alloc,
-		pf:      pf,
-		eng:     eng,
-		port:    port,
-		dram:    dc,
-		busy:    make(map[mem.PAddr]*txn),
-		waiters: make(map[mem.PAddr][]*coherence.Msg),
-		dramVer: make(map[mem.PAddr]uint64),
+	if cfg.Size == 0 || cfg.Size%mem.PageBytes != 0 || uint64(cfg.Base)%mem.PageBytes != 0 {
+		panic("core: directory home range must be page-aligned and non-empty")
 	}
+	return &DirCtrl{
+		cfg:   cfg,
+		alloc: cfg.Alloc,
+		pf:    pf,
+		eng:   eng,
+		port:  port,
+		dram:  dc,
+	}
+}
+
+// lineState is one line's directory state: the transaction in flight on
+// it (nil when idle) and its DRAM data version plus one. A zero ver means
+// no writeback ever reached DRAM for the line (its version reads as 0);
+// snapshots list exactly the lines with ver != 0.
+type lineState struct {
+	busy *txn
+	ver  uint64
+}
+
+// version returns the line's DRAM data version.
+func (l lineState) version() uint64 {
+	if l.ver == 0 {
+		return 0
+	}
+	return l.ver - 1
+}
+
+// index returns addr's slot in the line table. An address outside the
+// home's range is a model bug and panics.
+func (d *DirCtrl) index(addr mem.PAddr) uint64 {
+	off := uint64(addr) - uint64(d.cfg.Base)
+	if addr < d.cfg.Base || off >= d.cfg.Size {
+		panic(fmt.Sprintf("core: directory %d got line %#x outside its home range", d.cfg.Node, uint64(addr)))
+	}
+	return off / mem.LineBytes
+}
+
+// peek returns addr's line state; lines beyond the table are idle and
+// unwritten.
+func (d *DirCtrl) peek(addr mem.PAddr) lineState {
+	if i := d.index(addr); i < uint64(len(d.lines)) {
+		return d.lines[i]
+	}
+	return lineState{}
+}
+
+// line returns addr's line state for update, growing the table to reach
+// it.
+func (d *DirCtrl) line(addr mem.PAddr) *lineState {
+	i := d.index(addr)
+	if i >= uint64(len(d.lines)) {
+		n := 2 * uint64(len(d.lines))
+		if n < mem.LinesPerPage {
+			n = mem.LinesPerPage
+		}
+		for n <= i {
+			n *= 2
+		}
+		d.resize(n)
+	}
+	return &d.lines[i]
+}
+
+// Reserve sizes the line table for the home's first frames pages, the
+// frames handed out so far (mem.PhysMem.FramesTouched). Sizing once up
+// front spares the run the table's doubling steps.
+func (d *DirCtrl) Reserve(frames uint64) {
+	if n := frames * mem.LinesPerPage; n > uint64(len(d.lines)) {
+		d.resize(n)
+	}
+}
+
+// resize reallocates the line table to n slots, capped at the home's
+// range.
+func (d *DirCtrl) resize(n uint64) {
+	if limit := d.cfg.Size / mem.LineBytes; n > limit {
+		n = limit
+	}
+	t := make([]lineState, n)
+	copy(t, d.lines)
+	d.lines = t
 }
 
 // Node returns the directory's node ID.
@@ -216,11 +299,13 @@ func (d *DirCtrl) ResetStats() {
 }
 
 // Quiesced reports whether no transactions are in flight (test helper).
-func (d *DirCtrl) Quiesced() bool { return len(d.busy) == 0 }
+func (d *DirCtrl) Quiesced() bool { return d.nbusy == 0 }
 
 // DRAMVersion returns the current DRAM data version of a line (invariant
 // checks).
-func (d *DirCtrl) DRAMVersion(addr mem.PAddr) uint64 { return d.dramVer[mem.LineOf(addr)] }
+func (d *DirCtrl) DRAMVersion(addr mem.PAddr) uint64 {
+	return d.peek(mem.LineOf(addr)).version()
+}
 
 // occupy reserves the directory pipeline for one message slot starting
 // no earlier than now, returning the slot's completion time.
@@ -262,12 +347,12 @@ func (ev *dirEvent) Handle(now sim.Time) {
 	d.events.Put(ev)
 	switch kind {
 	case evDispatch:
-		if cur, ok := d.busy[t.addr]; !ok || cur != t || t.id != id {
+		if d.peek(t.addr).busy != t || t.id != id {
 			return // superseded (defensive; should not happen)
 		}
 		d.dispatch(now, t)
 	case evDRAM:
-		if cur := d.busy[t.addr]; cur != t || t.id != id {
+		if d.peek(t.addr).busy != t || t.id != id {
 			return // transaction restarted; the stale read is discarded
 		}
 		t.dramDone = true
@@ -278,7 +363,7 @@ func (ev *dirEvent) Handle(now sim.Time) {
 		d.handleAck(now, m)
 		m.Release()
 	case evRetry:
-		if cur := d.busy[t.addr]; cur == t && t.id == id {
+		if d.peek(t.addr).busy == t && t.id == id {
 			d.dispatch(now, t)
 		}
 	}
@@ -325,13 +410,15 @@ type Msg = coherence.Msg
 func isGetM(m *Msg) bool { return m.Op == coherence.GetM }
 
 func (d *DirCtrl) handleRequest(now sim.Time, m *Msg) {
-	if t, ok := d.busy[m.Addr]; ok && t != nil {
-		d.waiters[m.Addr] = append(d.waiters[m.Addr], m)
+	l := d.line(m.Addr)
+	if t := l.busy; t != nil {
+		t.waiters = append(t.waiters, m)
 		return
 	}
 	t := d.newTxn(txnRequest, m.Addr)
 	t.req = m
-	d.busy[m.Addr] = t
+	l.busy = t
+	d.nbusy++
 	d.scheduleDispatch(t)
 }
 
@@ -593,8 +680,7 @@ func (d *DirCtrl) broadcastInv(t *txn, requester mem.NodeID, grant cache.State) 
 // lineBusy reports whether a line has an in-flight transaction (probe-
 // filter victim selection must skip such lines).
 func (d *DirCtrl) lineBusy(addr mem.PAddr) bool {
-	_, ok := d.busy[addr]
-	return ok
+	return d.peek(addr).busy != nil
 }
 
 // issueDRAM starts a DRAM line read for t; the completion event (an
@@ -622,14 +708,14 @@ func (d *DirCtrl) maybeSendData(t *txn) {
 	m := d.pool.Get()
 	m.Op, m.Addr, m.Src, m.Dst = coherence.DataMsg, t.addr, d.cfg.Node, t.req.Src
 	m.Grant, m.Untracked, m.NoFill = t.grant, t.untracked, t.noFill
-	m.Version, m.TxnID = d.dramVer[t.addr], t.id
+	m.Version, m.TxnID = d.peek(t.addr).version(), t.id
 	d.port.Send(m)
 }
 
 // handleAck routes probe acknowledgements to their transaction.
 func (d *DirCtrl) handleAck(now sim.Time, m *Msg) {
-	t, ok := d.busy[m.Addr]
-	if !ok || t.id != m.TxnID {
+	t := d.peek(m.Addr).busy
+	if t == nil || t.id != m.TxnID {
 		// Stale ack from a restarted transaction: impossible by
 		// construction (parking implies all acks arrived), kept as a
 		// defensive drop.
@@ -768,8 +854,8 @@ func (d *DirCtrl) localProbeAck(now sim.Time, t *txn, m *Msg) {
 
 // handleCmpAck closes a transaction once the requester has filled.
 func (d *DirCtrl) handleCmpAck(m *Msg) {
-	t, ok := d.busy[m.Addr]
-	if !ok || t.id != m.TxnID {
+	t := d.peek(m.Addr).busy
+	if t == nil || t.id != m.TxnID {
 		return
 	}
 	t.cmpReceived = true
@@ -819,29 +905,28 @@ func (d *DirCtrl) tryComplete(now sim.Time, t *txn) {
 }
 
 // finish releases the line, recycles the transaction and its request
-// message, and dispatches the next queued request.
+// message, and dispatches the next queued request, which inherits the
+// rest of the queue.
 func (d *DirCtrl) finish(now sim.Time, t *txn) {
-	addr := t.addr
-	delete(d.busy, addr)
+	addr, q := t.addr, t.waiters
 	if t.req != nil {
 		t.req.Release()
 		t.req = nil
 	}
+	t.waiters = nil
 	d.txns.Put(t)
-	q := d.waiters[addr]
+	l := d.line(addr)
 	if len(q) == 0 {
-		delete(d.waiters, addr)
+		l.busy = nil
+		d.nbusy--
 		return
 	}
-	next := q[0]
-	if len(q) == 1 {
-		delete(d.waiters, addr)
-	} else {
-		d.waiters[addr] = q[1:]
-	}
 	nt := d.newTxn(txnRequest, addr)
-	nt.req = next
-	d.busy[addr] = nt
+	nt.req = q[0]
+	if len(q) > 1 {
+		nt.waiters = q[1:]
+	}
+	l.busy = nt
 	d.scheduleDispatch(nt)
 }
 
@@ -872,8 +957,8 @@ func (d *DirCtrl) handlePut(now sim.Time, m *Msg) {
 	if m.Op == coherence.PutM {
 		d.dramWrite(now, m.Addr, m.Version)
 	}
-	t, busy := d.busy[m.Addr]
-	if !busy {
+	t := d.peek(m.Addr).busy
+	if t == nil {
 		d.applyPutToEntry(m)
 		return
 	}
@@ -937,11 +1022,12 @@ func (d *DirCtrl) applyPutToEntry(m *Msg) {
 // invariant: versions must never regress.
 func (d *DirCtrl) dramWrite(now sim.Time, addr mem.PAddr, version uint64) {
 	d.dram.Write(now)
-	if cur := d.dramVer[addr]; version < cur {
+	l := d.line(addr)
+	if version < l.version() {
 		d.stats.StaleVersionWrites++
 		return
 	}
-	d.dramVer[addr] = version
+	l.ver = version + 1
 }
 
 // startEviction launches the back-invalidation of a replaced probe-filter
@@ -950,10 +1036,12 @@ func (d *DirCtrl) dramWrite(now sim.Time, addr mem.PAddr, version uint64) {
 // EvictionMsgs (Figure 3d).
 func (d *DirCtrl) startEviction(now sim.Time, victim Entry) {
 	t := d.newTxn(txnEviction, victim.Addr)
-	if _, clash := d.busy[victim.Addr]; clash {
+	l := d.line(victim.Addr)
+	if l.busy != nil {
 		panic("core: eviction victim line already busy")
 	}
-	d.busy[victim.Addr] = t
+	l.busy = t
+	d.nbusy++
 
 	send := func(dst mem.NodeID) {
 		t.pendingAcks++

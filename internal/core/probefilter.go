@@ -47,15 +47,15 @@ func (s EntryState) String() string {
 	}
 }
 
-// Entry is one probe-filter entry.
+// Entry is one probe-filter entry. Wide fields first: an entry packs
+// into 24 bytes, so victim selection scans a 4-way set in 96.
 type Entry struct {
-	Addr  mem.PAddr
-	State EntryState
+	Addr mem.PAddr
+	lru  uint64
 	// Owner is the owning node for EM and O entries (undefined for S).
 	Owner mem.NodeID
-
+	State EntryState
 	valid bool
-	lru   uint64
 }
 
 // PFStats counts probe-filter array events; the energy model multiplies

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"allarm/internal/cache"
 	"allarm/internal/checkpoint"
@@ -12,21 +11,23 @@ import (
 )
 
 // Checkpoint support for the directory controller. A directory's live
-// state is its probe filter, the DRAM version shadow, the per-line
-// transaction table (busy) and waiter queues, plus the occupancy clock
-// and counters. Each in-flight transaction owns at most one request
-// message, each waiter queue owns its queued requests, and each pending
-// evAck event owns its ack — so messages serialize inline with exactly
-// one owner and restore without pools.
+// state is its probe filter, its line table (DRAM version shadow, the
+// in-flight transaction of each busy line and the requests queued behind
+// it), plus the occupancy clock and counters. The line table is encoded
+// as three sections, dramver, busy and waiters, each listing only the
+// lines that hold that kind of state. Each in-flight transaction owns at
+// most one request message and its waiter queue, and each pending evAck
+// event owns its ack — so messages serialize inline with exactly one
+// owner and restore without pools.
 //
 // Stale events need care: a dirEvent whose transaction restarted (new
 // id) or finished must still fire and drop itself, because dropped
 // events count toward the engine's fired total and the budget
 // accounting must replay bit-identically. Decode therefore binds an
-// event to the live busy[addr] transaction when one exists (an id
-// mismatch then reproduces the drop), and to a dummy transaction with
-// id 0 otherwise — real ids start at 1, so the pointer/id check in
-// Handle discards it exactly as the original would have been.
+// event to the line's live transaction when one exists (an id mismatch
+// then reproduces the drop), and to a dummy transaction with id 0
+// otherwise — real ids start at 1, so the pointer/id check in Handle
+// discards it exactly as the original would have been.
 
 // DirEventOwner reports whether h is a directory event record and, if
 // so, which node's directory owns it.
@@ -69,6 +70,9 @@ func (d *DirCtrl) DecodeEvent(dec *checkpoint.Decoder) (sim.Handler, error) {
 		if m == nil {
 			return nil, fmt.Errorf("core: pending ack event without a message")
 		}
+		if err := d.checkLine(m.Addr); err != nil {
+			return nil, err
+		}
 		ev.m = m
 		return ev, nil
 	}
@@ -80,7 +84,10 @@ func (d *DirCtrl) DecodeEvent(dec *checkpoint.Decoder) (sim.Handler, error) {
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
-	if t, ok := d.busy[addr]; ok {
+	if err := d.checkLine(addr); err != nil {
+		return nil, err
+	}
+	if t := d.peek(addr).busy; t != nil {
 		// Bind to the live transaction. If the encoded id differs (the
 		// txn restarted before the snapshot), Handle's id check drops
 		// the event exactly as it would have in the original run.
@@ -97,9 +104,9 @@ func (d *DirCtrl) DecodeEvent(dec *checkpoint.Decoder) (sim.Handler, error) {
 	return ev, nil
 }
 
-// EncodeState writes the directory's full mutable state. Maps are
-// emitted in ascending address order so the byte stream is
-// deterministic.
+// EncodeState writes the directory's full mutable state. The line table
+// is walked in index order, which is ascending address order, so the
+// byte stream is deterministic.
 func (d *DirCtrl) EncodeState(e *checkpoint.Encoder) error {
 	e.Section("dirctrl")
 
@@ -136,46 +143,65 @@ func (d *DirCtrl) EncodeState(e *checkpoint.Encoder) error {
 		e.U64(en.lru)
 	}
 
-	// DRAM version shadow.
+	// DRAM version shadow: every line a writeback reached, zero
+	// versions included.
 	e.Section("dramver")
-	addrs := make([]mem.PAddr, 0, len(d.dramVer))
-	for a := range d.dramVer {
-		addrs = append(addrs, a)
+	n := 0
+	for i := range d.lines {
+		if d.lines[i].ver != 0 {
+			n++
+		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	e.Len(len(addrs))
-	for _, a := range addrs {
-		e.U64(uint64(a))
-		e.U64(d.dramVer[a])
+	e.Len(n)
+	for i := range d.lines {
+		if l := d.lines[i]; l.ver != 0 {
+			e.U64(uint64(d.addrOf(i)))
+			e.U64(l.version())
+		}
 	}
 
 	// Busy transactions.
 	e.Section("busy")
-	addrs = addrs[:0]
-	for a := range d.busy {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	e.Len(len(addrs))
-	for _, a := range addrs {
-		encodeTxn(e, d.busy[a])
+	e.Len(d.nbusy)
+	for i := range d.lines {
+		if t := d.lines[i].busy; t != nil {
+			encodeTxn(e, t)
+		}
 	}
 
 	// Waiter queues (FIFO order preserved within each queue).
 	e.Section("waiters")
-	addrs = addrs[:0]
-	for a := range d.waiters {
-		addrs = append(addrs, a)
+	n = 0
+	for i := range d.lines {
+		if t := d.lines[i].busy; t != nil && len(t.waiters) > 0 {
+			n++
+		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	e.Len(len(addrs))
-	for _, a := range addrs {
-		q := d.waiters[a]
-		e.U64(uint64(a))
-		e.Len(len(q))
-		for _, m := range q {
+	e.Len(n)
+	for i := range d.lines {
+		t := d.lines[i].busy
+		if t == nil || len(t.waiters) == 0 {
+			continue
+		}
+		e.U64(uint64(t.addr))
+		e.Len(len(t.waiters))
+		for _, m := range t.waiters {
 			coherence.EncodeMsg(e, m)
 		}
+	}
+	return nil
+}
+
+// addrOf returns the address of line-table slot i.
+func (d *DirCtrl) addrOf(i int) mem.PAddr {
+	return d.cfg.Base + mem.PAddr(i)*mem.LineBytes
+}
+
+// checkLine reports whether a decoded address names a line homed here.
+func (d *DirCtrl) checkLine(addr mem.PAddr) error {
+	if mem.LineOf(addr) != addr || addr < d.cfg.Base || uint64(addr-d.cfg.Base) >= d.cfg.Size {
+		return fmt.Errorf("core: checkpoint line %#x is not a line of directory %d's range [%#x, %#x)",
+			uint64(addr), d.cfg.Node, uint64(d.cfg.Base), uint64(d.cfg.Base)+d.cfg.Size)
 	}
 	return nil
 }
@@ -231,15 +257,31 @@ func (d *DirCtrl) DecodeState(dec *checkpoint.Decoder) error {
 		en.lru = dec.U64()
 	}
 
+	clear(d.lines)
+	d.nbusy = 0
+
 	dec.Expect("dramver")
 	n = dec.Len(maxTableEntries)
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	d.dramVer = make(map[mem.PAddr]uint64, n)
 	for i := 0; i < n; i++ {
 		a := mem.PAddr(dec.U64())
-		d.dramVer[a] = dec.U64()
+		v := dec.U64()
+		if err := dec.Err(); err != nil {
+			return err
+		}
+		if err := d.checkLine(a); err != nil {
+			return err
+		}
+		l := d.line(a)
+		switch {
+		case l.ver != 0:
+			return fmt.Errorf("core: duplicate DRAM version for line %#x", uint64(a))
+		case v+1 == 0:
+			return fmt.Errorf("core: DRAM version of line %#x out of range", uint64(a))
+		}
+		l.ver = v + 1
 	}
 
 	dec.Expect("busy")
@@ -247,14 +289,24 @@ func (d *DirCtrl) DecodeState(dec *checkpoint.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	d.busy = make(map[mem.PAddr]*txn, n)
 	for i := 0; i < n; i++ {
 		t := d.txns.Get()
 		decodeTxn(dec, t)
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		d.busy[t.addr] = t
+		if err := d.checkLine(t.addr); err != nil {
+			return err
+		}
+		if t.kind > txnEviction || (t.kind == txnRequest) != (t.req != nil) {
+			return fmt.Errorf("core: malformed transaction for line %#x", uint64(t.addr))
+		}
+		l := d.line(t.addr)
+		if l.busy != nil {
+			return fmt.Errorf("core: duplicate transaction for line %#x", uint64(t.addr))
+		}
+		l.busy = t
+		d.nbusy++
 	}
 
 	dec.Expect("waiters")
@@ -262,12 +314,25 @@ func (d *DirCtrl) DecodeState(dec *checkpoint.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	d.waiters = make(map[mem.PAddr][]*coherence.Msg, n)
 	for i := 0; i < n; i++ {
 		a := mem.PAddr(dec.U64())
-		q := dec.Len(maxTableEntries)
+		// Every message takes at least a byte, which bounds the queue
+		// allocated below by the checkpoint's size.
+		q := dec.Len(dec.Remaining())
 		if err := dec.Err(); err != nil {
 			return err
+		}
+		if err := d.checkLine(a); err != nil {
+			return err
+		}
+		t := d.peek(a).busy
+		switch {
+		case t == nil:
+			return fmt.Errorf("core: waiters for idle line %#x", uint64(a))
+		case len(t.waiters) > 0:
+			return fmt.Errorf("core: duplicate waiter queue for line %#x", uint64(a))
+		case q == 0:
+			return fmt.Errorf("core: empty waiter queue for line %#x", uint64(a))
 		}
 		msgs := make([]*coherence.Msg, 0, q)
 		for j := 0; j < q; j++ {
@@ -280,14 +345,14 @@ func (d *DirCtrl) DecodeState(dec *checkpoint.Decoder) error {
 			}
 			msgs = append(msgs, m)
 		}
-		d.waiters[a] = msgs
+		t.waiters = msgs
 	}
 	return dec.Err()
 }
 
-// maxTableEntries bounds decoded map sizes against corrupt counts; far
-// above anything a real machine produces (tables are bounded by the
-// probe filter and per-line serialization).
+// maxTableEntries bounds decoded section counts against corrupt input;
+// far above anything a real machine produces (the sections are bounded
+// by the probe filter and per-line serialization).
 const maxTableEntries = 1 << 24
 
 func encodeTxn(e *checkpoint.Encoder, t *txn) {

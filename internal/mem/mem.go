@@ -137,6 +137,10 @@ func (m *PhysMem) FreeFrame(pa PAddr) {
 // FramesInUse returns the number of live frames on node n.
 func (m *PhysMem) FramesInUse(n NodeID) uint64 { return m.allocated[n] }
 
+// FramesTouched returns node n's bump pointer: every frame the node has
+// ever handed out lies in its first FramesTouched pages.
+func (m *PhysMem) FramesTouched(n NodeID) uint64 { return m.next[n] }
+
 // Policy selects the OS NUMA page-placement policy for an address space.
 type Policy int
 
@@ -163,11 +167,18 @@ func (p Policy) String() string {
 	}
 }
 
+// pte is one page-table slot, stored by value in the address space's
+// hash table. key is the virtual page with bit 0 set (pages are aligned,
+// so the bit is otherwise zero); key 0 marks an empty slot.
 type pte struct {
+	key       VAddr
 	frame     PAddr
 	home      NodeID
 	nextTouch bool // migrate on next access
 }
+
+// vpage returns the virtual page an occupied slot maps.
+func (p *pte) vpage() VAddr { return p.key &^ 1 }
 
 // ASStats counts address-space events of interest to the evaluation.
 type ASStats struct {
@@ -185,14 +196,25 @@ type ASStats struct {
 // AddressSpace is one process's virtual address space, translating virtual
 // pages to physical frames with a NUMA placement policy.
 //
+// The page table is a flat open-addressed hash table of ptes stored by
+// value: a power-of-two slot array probed linearly from a multiplicative
+// hash of the page number. Pages are never unmapped (migration rewrites
+// a slot in place), so there are no deletes and no tombstones; the table
+// doubles when it passes 3/4 load. A lookup therefore touches one or two
+// adjacent slots and follows no pointer.
+//
 // AddressSpace is not safe for concurrent use; the simulator is single-
 // threaded by design.
 type AddressSpace struct {
 	phys   *PhysMem
 	policy Policy
-	pages  map[VAddr]*pte
+	pages  []pte // len is a power of two, never more than 3/4 full
+	mapped int   // occupied slots
 	stats  ASStats
 }
+
+// minPageSlots is the page table's initial slot count.
+const minPageSlots = 64
 
 // NewAddressSpace creates an empty address space over phys with the given
 // placement policy.
@@ -200,7 +222,59 @@ func NewAddressSpace(phys *PhysMem, policy Policy) *AddressSpace {
 	return &AddressSpace{
 		phys:   phys,
 		policy: policy,
-		pages:  make(map[VAddr]*pte),
+		pages:  make([]pte, minPageSlots),
+	}
+}
+
+// pageHash spreads page numbers over the table (Fibonacci hashing; the
+// high half of the product mixes every page-number bit).
+func pageHash(vp VAddr) uint64 {
+	return (uint64(vp) / PageBytes * 0x9e3779b97f4a7c15) >> 32
+}
+
+// find returns vp's slot, or nil when vp is unmapped.
+func (as *AddressSpace) find(vp VAddr) *pte {
+	key := vp | 1
+	mask := uint64(len(as.pages) - 1)
+	for i := pageHash(vp) & mask; ; i = (i + 1) & mask {
+		p := &as.pages[i]
+		if p.key == key {
+			return p
+		}
+		if p.key == 0 {
+			return nil
+		}
+	}
+}
+
+// insert maps the unmapped page vp and returns its slot.
+func (as *AddressSpace) insert(vp VAddr, frame PAddr, home NodeID) *pte {
+	if (as.mapped+1)*4 > len(as.pages)*3 {
+		as.resize(2 * len(as.pages))
+	}
+	as.mapped++
+	return as.place(pte{key: vp | 1, frame: frame, home: home})
+}
+
+// place stores e in the first free slot of its probe sequence.
+func (as *AddressSpace) place(e pte) *pte {
+	mask := uint64(len(as.pages) - 1)
+	i := pageHash(e.vpage()) & mask
+	for as.pages[i].key != 0 {
+		i = (i + 1) & mask
+	}
+	as.pages[i] = e
+	return &as.pages[i]
+}
+
+// resize rehashes the table into n slots (a power of two).
+func (as *AddressSpace) resize(n int) {
+	old := as.pages
+	as.pages = make([]pte, n)
+	for i := range old {
+		if old[i].key != 0 {
+			as.place(old[i])
+		}
 	}
 }
 
@@ -219,8 +293,8 @@ var ErrExhausted = errors.New("mem: physical memory exhausted")
 // migration is pending on it. Otherwise ok is false and the access must
 // fault through Translate.
 func (as *AddressSpace) Lookup(va VAddr) (pa PAddr, ok bool) {
-	e, ok := as.pages[VPageOf(va)]
-	if !ok || e.nextTouch {
+	e := as.find(VPageOf(va))
+	if e == nil || e.nextTouch {
 		return 0, false
 	}
 	return e.frame + PAddr(PageOffset(va)), true
@@ -237,14 +311,13 @@ func (as *AddressSpace) Lookup(va VAddr) (pa PAddr, ok bool) {
 // leaves the address space unchanged.
 func (as *AddressSpace) Translate(va VAddr, requester NodeID) (PAddr, error) {
 	vp := VPageOf(va)
-	e, ok := as.pages[vp]
-	if !ok {
+	e := as.find(vp)
+	if e == nil {
 		frame, home, err := as.allocate(requester)
 		if err != nil {
 			return 0, err
 		}
-		e = &pte{frame: frame, home: home}
-		as.pages[vp] = e
+		e = as.insert(vp, frame, home)
 	} else if e.nextTouch && as.policy == NextTouch && e.home != requester {
 		// Migrate: allocate at the new node, free the old frame.
 		frame, home, err := as.allocate(requester)
@@ -289,7 +362,7 @@ func (as *AddressSpace) MarkNextTouch(va VAddr, length uint64) {
 		return
 	}
 	for vp := VPageOf(va); vp < va+VAddr(length); vp += PageBytes {
-		if e, ok := as.pages[vp]; ok {
+		if e := as.find(vp); e != nil {
 			e.nextTouch = true
 		}
 	}
@@ -298,12 +371,12 @@ func (as *AddressSpace) MarkNextTouch(va VAddr, length uint64) {
 // HomeOf reports the NUMA home node of va's page and whether the page has
 // been allocated yet.
 func (as *AddressSpace) HomeOf(va VAddr) (NodeID, bool) {
-	e, ok := as.pages[VPageOf(va)]
-	if !ok {
+	e := as.find(VPageOf(va))
+	if e == nil {
 		return 0, false
 	}
 	return e.home, true
 }
 
 // MappedPages returns the number of pages currently mapped.
-func (as *AddressSpace) MappedPages() int { return len(as.pages) }
+func (as *AddressSpace) MappedPages() int { return as.mapped }

@@ -44,9 +44,18 @@ func (m *PhysMem) DecodeState(d *checkpoint.Decoder) error {
 		if err := d.Err(); err != nil {
 			return err
 		}
+		if m.next[n] > m.framesPer || m.allocated[n] > m.next[n] {
+			return fmt.Errorf("mem: node %d checkpoint counts %d live of %d touched frames, node has %d",
+				n, m.allocated[n], m.next[n], m.framesPer)
+		}
+		base := uint64(n) * m.bytesPerNode
 		m.free[n] = m.free[n][:0]
 		for i := 0; i < cnt; i++ {
-			m.free[n] = append(m.free[n], PAddr(d.U64()))
+			pa := PAddr(d.U64())
+			if PageOf(pa) != pa || uint64(pa) < base || uint64(pa) >= base+m.next[n]*PageBytes {
+				return fmt.Errorf("mem: node %d free list holds frame %#x it never handed out", n, uint64(pa))
+			}
+			m.free[n] = append(m.free[n], pa)
 		}
 	}
 	return d.Err()
@@ -60,24 +69,32 @@ func (as *AddressSpace) EncodeState(e *checkpoint.Encoder) {
 	e.Section("space")
 	e.I64(int64(as.policy))
 	checkpoint.EncodeStruct(e, &as.stats)
-	vps := make([]VAddr, 0, len(as.pages))
-	for vp := range as.pages {
-		vps = append(vps, vp)
+	ptes := make([]pte, 0, as.mapped)
+	for i := range as.pages {
+		if as.pages[i].key != 0 {
+			ptes = append(ptes, as.pages[i])
+		}
 	}
-	sort.Slice(vps, func(i, j int) bool { return vps[i] < vps[j] })
-	e.Len(len(vps))
-	for _, vp := range vps {
-		pte := as.pages[vp]
-		e.U64(uint64(vp))
-		e.U64(uint64(pte.frame))
-		e.I64(int64(pte.home))
-		e.Bool(pte.nextTouch)
+	sort.Slice(ptes, func(i, j int) bool { return ptes[i].key < ptes[j].key })
+	e.Len(len(ptes))
+	for i := range ptes {
+		p := &ptes[i]
+		e.U64(uint64(p.vpage()))
+		e.U64(uint64(p.frame))
+		e.I64(int64(p.home))
+		e.Bool(p.nextTouch)
 	}
 }
 
+// pteBytes is the encoded size of one page-table entry.
+const pteBytes = 8 + 8 + 8 + 1
+
 // DecodeState rebuilds the page table from a checkpoint, replacing any
 // existing mappings (a restore may run after the usual pre-placement
-// pass; the checkpointed state wins wholesale).
+// pass; the checkpointed state wins wholesale). It rejects entries that
+// could not have come from a live table: unaligned or repeated pages,
+// and frames that are unaligned, beyond the end of memory or homed at a
+// node other than the one recorded.
 func (as *AddressSpace) DecodeState(d *checkpoint.Decoder) error {
 	d.Expect("space")
 	pol := Policy(d.I64())
@@ -88,19 +105,36 @@ func (as *AddressSpace) DecodeState(d *checkpoint.Decoder) error {
 	if pol != as.policy {
 		return fmt.Errorf("mem: checkpoint policy %v, space has %v", pol, as.policy)
 	}
-	n := d.Len(1 << 40 / PageBytes)
+	// Every entry takes pteBytes of payload, which bounds the table
+	// allocated below by the checkpoint's size.
+	n := d.Len(d.Remaining() / pteBytes)
 	if err := d.Err(); err != nil {
 		return err
 	}
-	as.pages = make(map[VAddr]*pte, n)
+	slots := minPageSlots
+	for n*4 > slots*3 {
+		slots *= 2
+	}
+	as.pages, as.mapped = make([]pte, slots), 0
 	for i := 0; i < n; i++ {
 		vp := VAddr(d.U64())
-		p := &pte{
-			frame:     PAddr(d.U64()),
-			home:      NodeID(d.I64()),
-			nextTouch: d.Bool(),
+		frame := PAddr(d.U64())
+		home := NodeID(d.I64())
+		next := d.Bool()
+		if err := d.Err(); err != nil {
+			return err
 		}
-		as.pages[vp] = p
+		switch {
+		case VPageOf(vp) != vp:
+			return fmt.Errorf("mem: page-table entry for unaligned page %#x", uint64(vp))
+		case as.find(vp) != nil:
+			return fmt.Errorf("mem: duplicate page-table entry for page %#x", uint64(vp))
+		case PageOf(frame) != frame || uint64(frame) >= as.phys.TotalBytes():
+			return fmt.Errorf("mem: page %#x maps to invalid frame %#x", uint64(vp), uint64(frame))
+		case as.phys.Home(frame) != home:
+			return fmt.Errorf("mem: page %#x records home %d for a frame of node %d", uint64(vp), home, as.phys.Home(frame))
+		}
+		as.insert(vp, frame, home).nextTouch = next
 	}
 	return d.Err()
 }

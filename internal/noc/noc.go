@@ -87,9 +87,17 @@ type Stats struct {
 // Mesh is the interconnect instance.
 type Mesh struct {
 	cfg   Config
-	free  []sim.Time // per directed link: next time the link is free
-	route []int      // scratch: the in-flight message's XY route
+	cost  [2]classCost // per Class, fixed by the configuration
+	free  []sim.Time   // per directed link: next time the link is free
+	route []int        // scratch: the in-flight message's XY route
 	stats Stats
+}
+
+// classCost is what one message of a class costs the wire: its size,
+// its flit count and its per-link serialization time.
+type classCost struct {
+	bytes, flits int
+	ser          sim.Time
 }
 
 // New constructs a mesh from cfg. It panics on invalid configuration
@@ -101,11 +109,19 @@ func New(cfg Config) *Mesh {
 	// Four directed links per node (E, W, N, S); edge links exist in the
 	// slice but are never used by XY routing. The route scratch buffer is
 	// sized for the longest XY route so Send never grows it.
-	return &Mesh{
+	m := &Mesh{
 		cfg:   cfg,
 		free:  make([]sim.Time, cfg.Width*cfg.Height*4),
 		route: make([]int, 0, cfg.Width+cfg.Height),
 	}
+	for c, bytes := range [2]int{Control: cfg.ControlBytes, Data: cfg.DataBytes} {
+		m.cost[c] = classCost{
+			bytes: bytes,
+			flits: (bytes + cfg.FlitBytes - 1) / cfg.FlitBytes,
+			ser:   sim.Time(float64(bytes) / cfg.LinkBandwidth * float64(sim.Nanosecond)),
+		}
+	}
+	return m
 }
 
 // Config returns the mesh configuration.
@@ -178,18 +194,10 @@ func (m *Mesh) xyRoute(src, dst mem.NodeID, buf []int) []int {
 }
 
 // BytesFor returns the wire size of a message of the given class.
-func (m *Mesh) BytesFor(c Class) int {
-	if c == Control {
-		return m.cfg.ControlBytes
-	}
-	return m.cfg.DataBytes
-}
+func (m *Mesh) BytesFor(c Class) int { return m.cost[c].bytes }
 
 // FlitsFor returns the flit count of a message of the given class.
-func (m *Mesh) FlitsFor(c Class) int {
-	b := m.BytesFor(c)
-	return (b + m.cfg.FlitBytes - 1) / m.cfg.FlitBytes
-}
+func (m *Mesh) FlitsFor(c Class) int { return m.cost[c].flits }
 
 // Send accounts for one message injected at time now and returns its
 // arrival time at dst. Node-internal messages (src == dst) are delivered
@@ -204,9 +212,8 @@ func (m *Mesh) Send(now sim.Time, src, dst mem.NodeID, class Class) sim.Time {
 		m.stats.LocalMsgs++
 		return now + m.cfg.LocalLatency
 	}
-	bytes := m.BytesFor(class)
-	flits := m.FlitsFor(class)
-	ser := sim.Time(float64(bytes) / m.cfg.LinkBandwidth * float64(sim.Nanosecond))
+	cost := &m.cost[class]
+	ser := cost.ser
 
 	links := m.xyRoute(src, dst, m.route[:0])
 	m.route = links[:0]
@@ -228,9 +235,10 @@ func (m *Mesh) Send(now sim.Time, src, dst mem.NodeID, class Class) sim.Time {
 	} else {
 		m.stats.DataMsgs++
 	}
-	m.stats.Bytes += uint64(bytes)
-	m.stats.Flits += uint64(flits)
-	m.stats.FlitHops += uint64(flits) * hops
-	m.stats.RouterXings += uint64(flits) * (hops + 1)
+	flits := uint64(cost.flits)
+	m.stats.Bytes += uint64(cost.bytes)
+	m.stats.Flits += flits
+	m.stats.FlitHops += flits * hops
+	m.stats.RouterXings += flits * (hops + 1)
 	return arrival
 }

@@ -137,21 +137,18 @@ func (r *Source) Exp(mean float64) float64 {
 	return -mean * math.Log(1-u)
 }
 
-// Zipf draws from a bounded Zipf-like distribution over [0, n) with
-// exponent s using inverse-CDF on a precomputed table. For hot/cold access
-// patterns use NewZipf once and sample repeatedly.
-type Zipf struct {
-	cdf []float64
-	src *Source
-}
+// ZipfCDF is the normalised cumulative distribution of a bounded
+// Zipf-like law over [0, n). It is immutable once built, so one table can
+// back any number of samplers, concurrently.
+type ZipfCDF []float64
 
-// NewZipf builds a Zipf sampler over [0, n) with exponent s >= 0 drawing
-// randomness from src. s == 0 degenerates to uniform. Panics if n <= 0.
-func NewZipf(src *Source, n int, s float64) *Zipf {
+// NewZipfCDF builds the CDF over [0, n) with exponent s >= 0; s == 0
+// degenerates to uniform. Panics if n <= 0.
+func NewZipfCDF(n int, s float64) ZipfCDF {
 	if n <= 0 {
-		panic("rng: NewZipf called with non-positive n")
+		panic("rng: NewZipfCDF called with non-positive n")
 	}
-	cdf := make([]float64, n)
+	cdf := make(ZipfCDF, n)
 	sum := 0.0
 	for i := 0; i < n; i++ {
 		sum += 1 / math.Pow(float64(i+1), s)
@@ -160,8 +157,18 @@ func NewZipf(src *Source, n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{cdf: cdf, src: src}
+	return cdf
 }
+
+// Zipf draws from a ZipfCDF by inverse-CDF lookup, taking randomness
+// from its own source.
+type Zipf struct {
+	cdf ZipfCDF
+	src *Source
+}
+
+// Sampler returns a sampler over c drawing randomness from src.
+func (c ZipfCDF) Sampler(src *Source) *Zipf { return &Zipf{cdf: c, src: src} }
 
 // Next returns the next sample in [0, n).
 func (z *Zipf) Next() int {

@@ -141,7 +141,7 @@ func TestExpZeroMean(t *testing.T) {
 
 func TestZipfSkew(t *testing.T) {
 	r := New(29)
-	z := NewZipf(r, 100, 1.0)
+	z := NewZipfCDF(100, 1.0).Sampler(r)
 	counts := make([]int, 100)
 	for i := 0; i < 100000; i++ {
 		counts[z.Next()]++
@@ -153,7 +153,7 @@ func TestZipfSkew(t *testing.T) {
 
 func TestZipfZeroExponentIsUniformish(t *testing.T) {
 	r := New(31)
-	z := NewZipf(r, 10, 0)
+	z := NewZipfCDF(10, 0).Sampler(r)
 	counts := make([]int, 10)
 	for i := 0; i < 100000; i++ {
 		counts[z.Next()]++
@@ -162,6 +162,21 @@ func TestZipfZeroExponentIsUniformish(t *testing.T) {
 		if c < 8000 || c > 12000 {
 			t.Fatalf("uniform Zipf bucket %d count %d", i, c)
 		}
+	}
+}
+
+func TestZipfSamplersShareCDF(t *testing.T) {
+	cdf := NewZipfCDF(4096, 0.9)
+	a, b := cdf.Sampler(New(41)), cdf.Sampler(New(41))
+	c := NewZipfCDF(4096, 0.9).Sampler(New(41))
+	for i := 0; i < 10000; i++ {
+		x, y, z := a.Next(), b.Next(), c.Next()
+		if x != y || x != z {
+			t.Fatalf("draw %d: %d, %d, %d", i, x, y, z)
+		}
+	}
+	if cdf[len(cdf)-1] != 1 {
+		t.Fatalf("CDF ends at %v", cdf[len(cdf)-1])
 	}
 }
 

@@ -335,6 +335,7 @@ func (m *Machine) Restore(r io.Reader, threads []ThreadSpec) (string, error) {
 			return meta, err
 		}
 	}
+	m.reserveLines()
 	if err := m.mesh.DecodeState(d); err != nil {
 		return meta, err
 	}

@@ -210,6 +210,7 @@ func New(cfg Config) (*Machine, error) {
 			dram: dc,
 			dir: core.NewDirCtrl(core.Config{
 				Node: id, Nodes: cfg.Nodes,
+				Base: mem.PAddr(uint64(i) * cfg.MemBytesPerNode), Size: cfg.MemBytesPerNode,
 				Alloc: cfg.Alloc(id), AllocName: cfg.AllocName,
 				LookupLatency: cfg.DirLatency,
 			}, core.NewProbeFilter(cfg.PFCoverage, cfg.PFWays), m.eng, p, dc),
@@ -373,6 +374,7 @@ func (m *Machine) Start(threads []ThreadSpec) error {
 		}
 	}
 	m.run = &runState{threads: threads}
+	m.reserveLines()
 	// Warmup phase: replay initialisation streams, then reset statistics
 	// (cache, directory and network state carries over).
 	anyWarm := false
@@ -399,6 +401,15 @@ func (m *Machine) Start(threads []ThreadSpec) error {
 		m.eng.Schedule(m.eng.Now()+sim.Time(i)*100*sim.Picosecond, &c.stepH)
 	}
 	return nil
+}
+
+// reserveLines sizes every directory's line table for the frames its
+// home has handed out so far: the pre-placed footprint, which the run
+// will touch.
+func (m *Machine) reserveLines() {
+	for _, n := range m.nodes {
+		n.dir.Reserve(m.phys.FramesTouched(n.id))
+	}
 }
 
 // beginROI opens the measured region: fresh cpus for every thread,

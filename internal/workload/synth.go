@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"allarm/internal/mem"
 	"allarm/internal/rng"
@@ -128,6 +129,11 @@ type Params struct {
 // Synthetic is a Workload built from Params.
 type Synthetic struct {
 	p Params
+
+	// hot is HotOwner's Zipf table, built on the first Stream call and
+	// shared read-only by every thread's sampler.
+	hotOnce sync.Once
+	hot     rng.ZipfCDF
 }
 
 // NewSynthetic validates p and returns the workload.
@@ -297,13 +303,21 @@ func (w *Synthetic) Stream(t int, seed uint64) Stream {
 	s.privLines = privLines
 	s.hotLines = hotLines
 	if p.Pattern == HotOwner {
-		n := p.SharedBytes / mem.LineBytes
+		s.zipf = w.hotCDF().Sampler(src)
+	}
+	return s
+}
+
+// hotCDF returns the workload's shared HotOwner Zipf table.
+func (w *Synthetic) hotCDF() rng.ZipfCDF {
+	w.hotOnce.Do(func() {
+		n := w.p.SharedBytes / mem.LineBytes
 		if n > 4096 {
 			n = 4096 // Zipf table over the hot head; tail sampled uniform
 		}
-		s.zipf = rng.NewZipf(src, n, p.SharedHot)
-	}
-	return s
+		w.hot = rng.NewZipfCDF(n, w.p.SharedHot)
+	})
+	return w.hot
 }
 
 // hashName folds a benchmark name into the seed so different benchmarks

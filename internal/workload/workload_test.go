@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -240,5 +241,37 @@ func TestStreamBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestHotOwnerStreamsShareOneZipfTable(t *testing.T) {
+	p := testParams()
+	p.Pattern, p.Init, p.SharedHot = HotOwner, OwnerInit, 0.9
+	w := MustSynthetic(p)
+	var wg sync.WaitGroup
+	streams := make([]Stream, p.Threads)
+	for i := range streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			streams[i] = w.Stream(i, 9)
+		}()
+	}
+	wg.Wait()
+	table := &w.hot[0]
+	w.Stream(0, 9)
+	if &w.hot[0] != table || len(w.hot) != 4096 {
+		t.Fatal("a later stream rebuilt the Zipf table")
+	}
+	// Sampling a shared table replays a private one exactly.
+	for i, s := range streams {
+		own := MustSynthetic(p).Stream(i, 9)
+		for j := 0; j < p.AccessesPerThread; j++ {
+			x, _ := s.Next()
+			y, _ := own.Next()
+			if x != y {
+				t.Fatalf("thread %d diverges at access %d: %+v vs %+v", i, j, x, y)
+			}
+		}
 	}
 }
