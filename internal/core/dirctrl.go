@@ -220,10 +220,11 @@ func (l lineState) version() uint64 {
 }
 
 // index returns addr's slot in the line table. An address outside the
-// home's range is a model bug and panics.
+// home's range is a model bug and panics; one below Base wraps to an
+// offset beyond Size.
 func (d *DirCtrl) index(addr mem.PAddr) uint64 {
-	off := uint64(addr) - uint64(d.cfg.Base)
-	if addr < d.cfg.Base || off >= d.cfg.Size {
+	off := uint64(addr - d.cfg.Base)
+	if off >= d.cfg.Size {
 		panic(fmt.Sprintf("core: directory %d got line %#x outside its home range", d.cfg.Node, uint64(addr)))
 	}
 	return off / mem.LineBytes

@@ -99,12 +99,17 @@ func encodeDir(t testing.TB, d *DirCtrl) []byte {
 	return buf.Bytes()
 }
 
+// testFrames is the frame count restored test directories reserve: the
+// live scenario touches lines in the first two pages.
+const testFrames = 4
+
 func decodeDir(blob []byte) (*DirCtrl, error) {
 	dec, err := checkpoint.NewDecoder(bytes.NewReader(blob))
 	if err != nil {
 		return nil, err
 	}
 	d, _, _ := newTestDir()
+	d.Reserve(testFrames)
 	return d, d.DecodeState(dec)
 }
 
@@ -240,6 +245,7 @@ func TestDirCtrlDecodeStateRejects(t *testing.T) {
 		{"dramver unaligned", "not a line", patch(dramAddr, uint64(lineA)+8)},
 		{"dramver below home", "not a line", patch(dramAddr, uint64(testBase)-mem.LineBytes)},
 		{"dramver above home", "not a line", patch(dramAddr, uint64(testBase)+testHomeBytes)},
+		{"dramver beyond touched frames", "not a line", patch(dramAddr, uint64(homeLine(testFrames*mem.LinesPerPage)))},
 		{"dramver duplicate", "duplicate DRAM version", patch(dramAddr+16, uint64(lineA))},
 		{"busy outside home", "not a line", patch(busyAddr, 1<<62)},
 		{"busy duplicate", "duplicate transaction", dup},
@@ -274,6 +280,7 @@ func TestDirCtrlDecodeEventRejectsForeignLine(t *testing.T) {
 			t.Fatal(err)
 		}
 		d, _, _ := newTestDir()
+		d.Reserve(testFrames)
 		if _, err := d.DecodeEvent(dec); err == nil || !strings.Contains(err.Error(), "not a line") {
 			t.Fatalf("err = %v", err)
 		}
@@ -343,6 +350,7 @@ func FuzzDirCtrlDecodeState(f *testing.F) {
 			t.Fatal(err)
 		}
 		d, _, _ := newTestDir()
+		d.Reserve(testFrames)
 		if err := d.DecodeState(dec); err != nil {
 			return
 		}

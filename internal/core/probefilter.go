@@ -47,8 +47,9 @@ func (s EntryState) String() string {
 	}
 }
 
-// Entry is one probe-filter entry. Wide fields first: an entry packs
-// into 24 bytes, so victim selection scans a 4-way set in 96.
+// Entry is one probe-filter entry. Wide fields come first so an entry
+// packs into 24 bytes: a 4-way set that Peek or victim selection scans
+// spans 96 bytes instead of 128.
 type Entry struct {
 	Addr mem.PAddr
 	lru  uint64

@@ -197,18 +197,23 @@ func (d *DirCtrl) addrOf(i int) mem.PAddr {
 	return d.cfg.Base + mem.PAddr(i)*mem.LineBytes
 }
 
-// checkLine reports whether a decoded address names a line homed here.
+// checkLine reports whether a decoded address names a line the table
+// covers: a line of a frame this home has handed out.
 func (d *DirCtrl) checkLine(addr mem.PAddr) error {
-	if mem.LineOf(addr) != addr || addr < d.cfg.Base || uint64(addr-d.cfg.Base) >= d.cfg.Size {
-		return fmt.Errorf("core: checkpoint line %#x is not a line of directory %d's range [%#x, %#x)",
-			uint64(addr), d.cfg.Node, uint64(d.cfg.Base), uint64(d.cfg.Base)+d.cfg.Size)
+	if end := uint64(len(d.lines)) * mem.LineBytes; mem.LineOf(addr) != addr || uint64(addr-d.cfg.Base) >= end {
+		return fmt.Errorf("core: checkpoint line %#x is not a line of directory %d's touched range [%#x, %#x)",
+			uint64(addr), d.cfg.Node, uint64(d.cfg.Base), uint64(d.cfg.Base)+end)
 	}
 	return nil
 }
 
 // DecodeState overwrites the directory's mutable state. The controller
 // must have been constructed with the same configuration (node, probe
-// filter geometry, allocation policy) the checkpoint was taken with.
+// filter geometry, allocation policy) the checkpoint was taken with, and
+// its line table reserved for the checkpoint's touched frames (Reserve
+// with the restored mem.PhysMem.FramesTouched). Lines hold state only in
+// frames first-touch has handed out, so an entry beyond the table is
+// corrupt and decoding never grows the table.
 func (d *DirCtrl) DecodeState(dec *checkpoint.Decoder) error {
 	dec.Expect("dirctrl")
 

@@ -193,3 +193,52 @@ func TestPageTableDecodeRejects(t *testing.T) {
 		})
 	}
 }
+
+func TestPhysMemDecodeRejects(t *testing.T) {
+	m := NewPhysMem(2, 4*PageBytes)
+	a, _ := m.AllocFrame(0)
+	m.AllocFrame(0)
+	m.FreeFrame(a)
+	e := checkpoint.NewEncoder("")
+	m.EncodeState(e)
+	var buf bytes.Buffer
+	if err := e.Close(&buf); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+	// After the marker, node count and node size: node 0's bump
+	// pointer, live count, free-list length and free frames.
+	node0 := bytes.Index(blob, []byte("phys")) + len("phys") + 2*8
+	patch := func(off int, v uint64) []byte {
+		b := bytes.Clone(blob)
+		binary.LittleEndian.PutUint64(b[off:], v)
+		n := len(b) - 4
+		binary.LittleEndian.PutUint32(b[n:], crc32.Checksum(b[:n], crc32.MakeTable(crc32.Castagnoli)))
+		return b
+	}
+	for _, tc := range []struct {
+		name, want string
+		blob       []byte
+	}{
+		{"bump pointer beyond node", "touched frames", patch(node0, 5)},
+		{"more live than touched", "touched frames", patch(node0+8, 3)},
+		{"free frame of another node", "never handed out", patch(node0+24, 4*PageBytes)},
+		{"free frame above bump pointer", "never handed out", patch(node0+24, 2*PageBytes)},
+		{"unaligned free frame", "never handed out", patch(node0+24, 8)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := checkpoint.NewDecoder(bytes.NewReader(tc.blob))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = NewPhysMem(2, 4*PageBytes).DecodeState(d)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+		})
+	}
+	d, _ := checkpoint.NewDecoder(bytes.NewReader(blob))
+	if r := NewPhysMem(2, 4*PageBytes); r.DecodeState(d) != nil || r.FramesTouched(0) != 2 || r.FramesInUse(0) != 1 {
+		t.Fatal("intact state did not restore")
+	}
+}
