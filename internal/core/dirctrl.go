@@ -124,9 +124,9 @@ type txn struct {
 // Config carries the directory controller's construction parameters.
 type Config struct {
 	Node mem.NodeID
-	// Base and Size give the physical range [Base, Base+Size) homed at
-	// this node; every line the directory sees lies in it.
-	Base mem.PAddr
+	// Size is the memory each node homes, in bytes: this node's range is
+	// [Node*Size, (Node+1)*Size), and every line the directory sees lies
+	// in it.
 	Size uint64
 	// Nodes is the machine's node count (broadcast fan-out).
 	Nodes int
@@ -153,12 +153,13 @@ type DirCtrl struct {
 	port  coherence.Port
 	dram  *dram.Controller
 
-	// lines is the per-line state of the home's range, indexed by
-	// (addr-Base)/LineBytes. First-touch hands out a home's frames from
-	// the bottom up, so the table covers only the frames touched so far
-	// (Reserve) and grows by doubling when a line beyond it is written.
+	// base is the first address of the home's range.
+	base mem.PAddr
+	// pages, spare and vers hold the per-line state (linestate.go);
 	// nbusy counts the lines with a transaction in flight.
-	lines  []lineState
+	pages  []pageState
+	spare  []*busyBlock
+	vers   verTable
 	nbusy  int
 	txnSeq uint64
 
@@ -189,91 +190,18 @@ func NewDirCtrl(cfg Config, pf *ProbeFilter, eng *sim.Engine, port coherence.Por
 	if cfg.Alloc == nil {
 		panic("core: directory needs an allocation policy")
 	}
-	if cfg.Size == 0 || cfg.Size%mem.PageBytes != 0 || uint64(cfg.Base)%mem.PageBytes != 0 {
+	if cfg.Size == 0 || cfg.Size%mem.PageBytes != 0 {
 		panic("core: directory home range must be page-aligned and non-empty")
 	}
 	return &DirCtrl{
 		cfg:   cfg,
+		base:  mem.PAddr(uint64(cfg.Node) * cfg.Size),
 		alloc: cfg.Alloc,
 		pf:    pf,
 		eng:   eng,
 		port:  port,
 		dram:  dc,
 	}
-}
-
-// lineState is one line's directory state: the transaction in flight on
-// it (nil when idle) and its DRAM data version plus one. A zero ver means
-// no writeback ever reached DRAM for the line (its version reads as 0);
-// snapshots list exactly the lines with ver != 0.
-type lineState struct {
-	busy *txn
-	ver  uint64
-}
-
-// version returns the line's DRAM data version.
-func (l lineState) version() uint64 {
-	if l.ver == 0 {
-		return 0
-	}
-	return l.ver - 1
-}
-
-// index returns addr's slot in the line table. An address outside the
-// home's range is a model bug and panics; one below Base wraps to an
-// offset beyond Size.
-func (d *DirCtrl) index(addr mem.PAddr) uint64 {
-	off := uint64(addr - d.cfg.Base)
-	if off >= d.cfg.Size {
-		panic(fmt.Sprintf("core: directory %d got line %#x outside its home range", d.cfg.Node, uint64(addr)))
-	}
-	return off / mem.LineBytes
-}
-
-// peek returns addr's line state; lines beyond the table are idle and
-// unwritten.
-func (d *DirCtrl) peek(addr mem.PAddr) lineState {
-	if i := d.index(addr); i < uint64(len(d.lines)) {
-		return d.lines[i]
-	}
-	return lineState{}
-}
-
-// line returns addr's line state for update, growing the table to reach
-// it.
-func (d *DirCtrl) line(addr mem.PAddr) *lineState {
-	i := d.index(addr)
-	if i >= uint64(len(d.lines)) {
-		n := 2 * uint64(len(d.lines))
-		if n < mem.LinesPerPage {
-			n = mem.LinesPerPage
-		}
-		for n <= i {
-			n *= 2
-		}
-		d.resize(n)
-	}
-	return &d.lines[i]
-}
-
-// Reserve sizes the line table for the home's first frames pages, the
-// frames handed out so far (mem.PhysMem.FramesTouched). Sizing once up
-// front spares the run the table's doubling steps.
-func (d *DirCtrl) Reserve(frames uint64) {
-	if n := frames * mem.LinesPerPage; n > uint64(len(d.lines)) {
-		d.resize(n)
-	}
-}
-
-// resize reallocates the line table to n slots, capped at the home's
-// range.
-func (d *DirCtrl) resize(n uint64) {
-	if limit := d.cfg.Size / mem.LineBytes; n > limit {
-		n = limit
-	}
-	t := make([]lineState, n)
-	copy(t, d.lines)
-	d.lines = t
 }
 
 // Node returns the directory's node ID.
@@ -305,7 +233,7 @@ func (d *DirCtrl) Quiesced() bool { return d.nbusy == 0 }
 // DRAMVersion returns the current DRAM data version of a line (invariant
 // checks).
 func (d *DirCtrl) DRAMVersion(addr mem.PAddr) uint64 {
-	return d.peek(mem.LineOf(addr)).version()
+	return d.version(mem.LineOf(addr))
 }
 
 // occupy reserves the directory pipeline for one message slot starting
@@ -348,12 +276,12 @@ func (ev *dirEvent) Handle(now sim.Time) {
 	d.events.Put(ev)
 	switch kind {
 	case evDispatch:
-		if d.peek(t.addr).busy != t || t.id != id {
+		if d.busy(t.addr) != t || t.id != id {
 			return // superseded (defensive; should not happen)
 		}
 		d.dispatch(now, t)
 	case evDRAM:
-		if d.peek(t.addr).busy != t || t.id != id {
+		if d.busy(t.addr) != t || t.id != id {
 			return // transaction restarted; the stale read is discarded
 		}
 		t.dramDone = true
@@ -364,7 +292,7 @@ func (ev *dirEvent) Handle(now sim.Time) {
 		d.handleAck(now, m)
 		m.Release()
 	case evRetry:
-		if d.peek(t.addr).busy == t && t.id == id {
+		if d.busy(t.addr) == t && t.id == id {
 			d.dispatch(now, t)
 		}
 	}
@@ -411,15 +339,13 @@ type Msg = coherence.Msg
 func isGetM(m *Msg) bool { return m.Op == coherence.GetM }
 
 func (d *DirCtrl) handleRequest(now sim.Time, m *Msg) {
-	l := d.line(m.Addr)
-	if t := l.busy; t != nil {
+	if t := d.busy(m.Addr); t != nil {
 		t.waiters = append(t.waiters, m)
 		return
 	}
 	t := d.newTxn(txnRequest, m.Addr)
 	t.req = m
-	l.busy = t
-	d.nbusy++
+	d.setBusy(m.Addr, t)
 	d.scheduleDispatch(t)
 }
 
@@ -681,7 +607,7 @@ func (d *DirCtrl) broadcastInv(t *txn, requester mem.NodeID, grant cache.State) 
 // lineBusy reports whether a line has an in-flight transaction (probe-
 // filter victim selection must skip such lines).
 func (d *DirCtrl) lineBusy(addr mem.PAddr) bool {
-	return d.peek(addr).busy != nil
+	return d.busy(addr) != nil
 }
 
 // issueDRAM starts a DRAM line read for t; the completion event (an
@@ -709,13 +635,13 @@ func (d *DirCtrl) maybeSendData(t *txn) {
 	m := d.pool.Get()
 	m.Op, m.Addr, m.Src, m.Dst = coherence.DataMsg, t.addr, d.cfg.Node, t.req.Src
 	m.Grant, m.Untracked, m.NoFill = t.grant, t.untracked, t.noFill
-	m.Version, m.TxnID = d.peek(t.addr).version(), t.id
+	m.Version, m.TxnID = d.version(t.addr), t.id
 	d.port.Send(m)
 }
 
 // handleAck routes probe acknowledgements to their transaction.
 func (d *DirCtrl) handleAck(now sim.Time, m *Msg) {
-	t := d.peek(m.Addr).busy
+	t := d.busy(m.Addr)
 	if t == nil || t.id != m.TxnID {
 		// Stale ack from a restarted transaction: impossible by
 		// construction (parking implies all acks arrived), kept as a
@@ -855,7 +781,7 @@ func (d *DirCtrl) localProbeAck(now sim.Time, t *txn, m *Msg) {
 
 // handleCmpAck closes a transaction once the requester has filled.
 func (d *DirCtrl) handleCmpAck(m *Msg) {
-	t := d.peek(m.Addr).busy
+	t := d.busy(m.Addr)
 	if t == nil || t.id != m.TxnID {
 		return
 	}
@@ -916,10 +842,8 @@ func (d *DirCtrl) finish(now sim.Time, t *txn) {
 	}
 	t.waiters = nil
 	d.txns.Put(t)
-	l := d.line(addr)
 	if len(q) == 0 {
-		l.busy = nil
-		d.nbusy--
+		d.setBusy(addr, nil)
 		return
 	}
 	nt := d.newTxn(txnRequest, addr)
@@ -927,7 +851,7 @@ func (d *DirCtrl) finish(now sim.Time, t *txn) {
 	if len(q) > 1 {
 		nt.waiters = q[1:]
 	}
-	l.busy = nt
+	d.setBusy(addr, nt)
 	d.scheduleDispatch(nt)
 }
 
@@ -958,7 +882,7 @@ func (d *DirCtrl) handlePut(now sim.Time, m *Msg) {
 	if m.Op == coherence.PutM {
 		d.dramWrite(now, m.Addr, m.Version)
 	}
-	t := d.peek(m.Addr).busy
+	t := d.busy(m.Addr)
 	if t == nil {
 		d.applyPutToEntry(m)
 		return
@@ -1023,12 +947,11 @@ func (d *DirCtrl) applyPutToEntry(m *Msg) {
 // invariant: versions must never regress.
 func (d *DirCtrl) dramWrite(now sim.Time, addr mem.PAddr, version uint64) {
 	d.dram.Write(now)
-	l := d.line(addr)
-	if version < l.version() {
+	if version < d.version(addr) {
 		d.stats.StaleVersionWrites++
 		return
 	}
-	l.ver = version + 1
+	d.setVersion(addr, version)
 }
 
 // startEviction launches the back-invalidation of a replaced probe-filter
@@ -1037,12 +960,10 @@ func (d *DirCtrl) dramWrite(now sim.Time, addr mem.PAddr, version uint64) {
 // EvictionMsgs (Figure 3d).
 func (d *DirCtrl) startEviction(now sim.Time, victim Entry) {
 	t := d.newTxn(txnEviction, victim.Addr)
-	l := d.line(victim.Addr)
-	if l.busy != nil {
+	if d.busy(victim.Addr) != nil {
 		panic("core: eviction victim line already busy")
 	}
-	l.busy = t
-	d.nbusy++
+	d.setBusy(victim.Addr, t)
 
 	send := func(dst mem.NodeID) {
 		t.pendingAcks++

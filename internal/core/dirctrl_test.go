@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math/bits"
 	"strings"
 	"testing"
 	"unsafe"
@@ -35,7 +36,7 @@ func newTestDir() (*DirCtrl, *sim.Engine, *recPort) {
 	eng := &sim.Engine{}
 	p := &recPort{}
 	d := NewDirCtrl(Config{
-		Node: 1, Nodes: 4, Base: testBase, Size: testHomeBytes,
+		Node: 1, Nodes: 4, Size: testHomeBytes,
 		Alloc: NewBaseline(PolicyContext{}), AllocName: "baseline",
 		LookupLatency: sim.Nanosecond,
 	}, NewProbeFilter(mem.LineBytes, 1), eng, p, dram.New(50*sim.Nanosecond, 0))
@@ -142,21 +143,15 @@ func TestDirCtrlSnapshotRoundTrip(t *testing.T) {
 	}
 	var vers []ver
 	var busy []mem.PAddr
-	for i, l := range r.lines {
-		if l.ver != 0 {
-			vers = append(vers, ver{r.addrOf(i), l.version()})
-		}
-		if l.busy != nil {
-			busy = append(busy, l.busy.addr)
-		}
-	}
+	r.eachWritten(func(addr mem.PAddr, v uint64) { vers = append(vers, ver{addr, v}) })
+	r.eachBusy(func(t *txn) { busy = append(busy, t.addr) })
 	if want := []ver{{lineA, 0}, {lineD, 5}}; len(vers) != 2 || vers[0] != want[0] || vers[1] != want[1] {
 		t.Fatalf("dramver entries %v, want %v", vers, want)
 	}
 	if len(busy) != 2 || busy[0] != lineB || busy[1] != lineC || r.nbusy != 2 {
 		t.Fatalf("busy lines %#x (nbusy %d), want B then C", busy, r.nbusy)
 	}
-	ev := r.peek(lineB).busy
+	ev := r.busy(lineB)
 	if ev.kind != txnEviction || len(ev.waiters) != 2 ||
 		ev.waiters[0].Op != coherence.GetM || ev.waiters[1].Op != coherence.GetS {
 		t.Fatalf("line B: kind %d, %d waiters", ev.kind, len(ev.waiters))
@@ -190,8 +185,42 @@ func TestDirCtrlSnapshotRoundTrip(t *testing.T) {
 	if !bytes.Equal(encodeDir(t, d), encodeDir(t, r)) || eng.Now() != reng.Now() {
 		t.Fatal("restored directory diverged from the original")
 	}
-	if b := r.peek(lineB).busy; b == nil || b.kind != txnRequest || b.req.Op != coherence.GetM || len(b.waiters) != 1 {
+	if b := r.busy(lineB); b == nil || b.kind != txnRequest || b.req.Op != coherence.GetM || len(b.waiters) != 1 {
 		t.Fatal("line B's queue was not handed to its next transaction")
+	}
+	checkLines(t, d)
+	checkLines(t, r)
+}
+
+// checkLines verifies the line-state bookkeeping: every busy block's
+// count matches its transactions and is non-zero, spare blocks are
+// empty, nbusy counts the busy lines, and the written bits name exactly
+// the version table's lines.
+func checkLines(t *testing.T, d *DirCtrl) {
+	t.Helper()
+	busy, written := 0, 0
+	for p, ps := range d.pages {
+		if b := ps.busy; b != nil {
+			n := 0
+			for _, x := range b.txns {
+				if x != nil {
+					n++
+				}
+			}
+			if n != b.n || n == 0 {
+				t.Fatalf("page %d: busy count %d, %d transactions", p, b.n, n)
+			}
+			busy += n
+		}
+		written += bits.OnesCount64(ps.written)
+	}
+	for _, b := range d.spare {
+		if *b != (busyBlock{}) {
+			t.Fatal("spare busy block is not empty")
+		}
+	}
+	if busy != d.nbusy || written != d.vers.n {
+		t.Fatalf("nbusy %d for %d busy lines; %d versions for %d written lines", d.nbusy, busy, d.vers.n, written)
 	}
 }
 
@@ -233,8 +262,7 @@ func TestDirCtrlDecodeStateRejects(t *testing.T) {
 	dup := func() []byte {
 		d, _, _ := liveDir(t)
 		// The busy section lists line B's transaction twice.
-		d.lines[d.index(lineA)].busy = d.peek(lineB).busy
-		d.nbusy++
+		d.setBusy(lineA, d.busy(lineB))
 		return encodeDir(t, d)
 	}()
 
@@ -289,21 +317,25 @@ func TestDirCtrlDecodeEventRejectsForeignLine(t *testing.T) {
 
 func TestDirCtrlLineTable(t *testing.T) {
 	d, _, _ := newTestDir()
+	// Reserving the whole home costs 16 bytes a page and nothing else.
+	d.Reserve(testHomeBytes / mem.PageBytes * 2)
+	if len(d.pages) != testHomeBytes/mem.PageBytes || len(d.vers.slots) != 0 || len(d.spare) != 0 {
+		t.Fatalf("Reserve sized %d pages, %d version slots", len(d.pages), len(d.vers.slots))
+	}
+
+	d, _, _ = newTestDir()
 	d.Reserve(2)
-	if len(d.lines) != 2*mem.LinesPerPage {
-		t.Fatalf("Reserve(2) sized %d lines", len(d.lines))
+	if d.busy(homeLine(5000)) != nil || d.written(homeLine(5000)) || len(d.pages) != 2 {
+		t.Fatal("reading beyond the page array grew it")
 	}
-	if d.peek(homeLine(5000)) != (lineState{}) || len(d.lines) != 2*mem.LinesPerPage {
-		t.Fatal("reading beyond the table grew it")
-	}
-	d.line(homeLine(1000)).ver = 1
-	if n := len(d.lines); n != 1024 || d.peek(homeLine(1000)).ver != 1 {
-		t.Fatalf("growth to line 1000 sized %d lines", n)
+	d.setVersion(homeLine(1000), 0)
+	if n := len(d.pages); n != 16 || !d.written(homeLine(1000)) || d.DRAMVersion(homeLine(1000)) != 0 {
+		t.Fatalf("growth to line 1000 sized %d pages", n)
 	}
 	// Growth never passes the home's range.
-	d.line(testBase + testHomeBytes - mem.LineBytes)
-	if len(d.lines) != testHomeBytes/mem.LineBytes {
-		t.Fatalf("table of %d lines for a %d-line home", len(d.lines), testHomeBytes/mem.LineBytes)
+	d.setVersion(testBase+testHomeBytes-mem.LineBytes, 3)
+	if len(d.pages) != testHomeBytes/mem.PageBytes || d.version(testBase+testHomeBytes-mem.LineBytes) != 3 {
+		t.Fatalf("%d pages for a %d-page home", len(d.pages), testHomeBytes/mem.PageBytes)
 	}
 	for _, addr := range []mem.PAddr{testBase - mem.LineBytes, testBase + testHomeBytes} {
 		func() {
@@ -312,8 +344,58 @@ func TestDirCtrlLineTable(t *testing.T) {
 					t.Errorf("line %#x outside the home did not panic", uint64(addr))
 				}
 			}()
-			d.line(addr)
+			d.busy(addr)
 		}()
+	}
+
+	// A page holds a busy block while a line of it is busy; the block
+	// is recycled once the page's last transaction finishes.
+	x := &txn{}
+	d.setBusy(homeLine(1), x)
+	d.setBusy(homeLine(2), x)
+	first := d.pages[0].busy
+	d.setBusy(homeLine(1), nil)
+	if d.pages[0].busy != first || d.busy(homeLine(2)) != x || d.nbusy != 1 {
+		t.Fatal("a page with a busy line lost its block")
+	}
+	d.setBusy(homeLine(2), nil)
+	if d.pages[0].busy != nil || len(d.spare) != 1 || d.nbusy != 0 {
+		t.Fatal("an idle page kept its block")
+	}
+	d.setBusy(homeLine(3*mem.LinesPerPage), x)
+	if d.pages[3].busy != first || len(d.spare) != 0 {
+		t.Fatal("a new block did not reuse the spare one")
+	}
+	checkLines(t, d)
+}
+
+func TestVerTable(t *testing.T) {
+	var vt verTable
+	if vt.get(7) != 0 {
+		t.Fatal("empty table has a version")
+	}
+	// Scattered lines, several growth steps, and overwrites.
+	const n = 5000
+	for i := uint64(0); i < n; i++ {
+		vt.put(i*977%(1<<20), i)
+	}
+	for i := uint64(0); i < n; i += 2 {
+		vt.put(i*977%(1<<20), i+n)
+	}
+	if vt.n != n || len(vt.slots) != 8192 {
+		t.Fatalf("%d entries in %d slots", vt.n, len(vt.slots))
+	}
+	for i := uint64(0); i < n; i++ {
+		want := i
+		if i%2 == 0 {
+			want += n
+		}
+		if got := vt.get(i * 977 % (1 << 20)); got != want {
+			t.Fatalf("line %d: version %d, want %d", i*977%(1<<20), got, want)
+		}
+	}
+	if vt.get(1) != 0 {
+		t.Fatal("absent line has a version")
 	}
 }
 
@@ -321,8 +403,8 @@ func TestPackedEntry(t *testing.T) {
 	if n := unsafe.Sizeof(Entry{}); n != 24 {
 		t.Fatalf("Entry is %d bytes, want 24", n)
 	}
-	if n := unsafe.Sizeof(lineState{}); n != 16 {
-		t.Fatalf("lineState is %d bytes, want 16", n)
+	if n := unsafe.Sizeof(pageState{}); n != 16 {
+		t.Fatalf("pageState is %d bytes, want 16", n)
 	}
 }
 

@@ -11,14 +11,15 @@ import (
 )
 
 // Checkpoint support for the directory controller. A directory's live
-// state is its probe filter, its line table (DRAM version shadow, the
-// in-flight transaction of each busy line and the requests queued behind
-// it), plus the occupancy clock and counters. The line table is encoded
-// as three sections, dramver, busy and waiters, each listing only the
-// lines that hold that kind of state. Each in-flight transaction owns at
-// most one request message and its waiter queue, and each pending evAck
-// event owns its ack — so messages serialize inline with exactly one
-// owner and restore without pools.
+// state is its probe filter, its per-line state (DRAM version shadow,
+// the in-flight transaction of each busy line and the requests queued
+// behind it), plus the occupancy clock and counters. The line state is
+// encoded as three sections, dramver, busy and waiters, each listing
+// only the lines that hold that kind of state, in ascending address
+// order. Each in-flight transaction owns at most one request message and
+// its waiter queue, and each pending evAck event owns its ack — so
+// messages serialize inline with exactly one owner and restore without
+// pools.
 //
 // Stale events need care: a dirEvent whose transaction restarted (new
 // id) or finished must still fire and drop itself, because dropped
@@ -87,7 +88,7 @@ func (d *DirCtrl) DecodeEvent(dec *checkpoint.Decoder) (sim.Handler, error) {
 	if err := d.checkLine(addr); err != nil {
 		return nil, err
 	}
-	if t := d.peek(addr).busy; t != nil {
+	if t := d.busy(addr); t != nil {
 		// Bind to the live transaction. If the encoded id differs (the
 		// txn restarted before the snapshot), Handle's id check drops
 		// the event exactly as it would have in the original run.
@@ -104,8 +105,8 @@ func (d *DirCtrl) DecodeEvent(dec *checkpoint.Decoder) (sim.Handler, error) {
 	return ev, nil
 }
 
-// EncodeState writes the directory's full mutable state. The line table
-// is walked in index order, which is ascending address order, so the
+// EncodeState writes the directory's full mutable state. The line state
+// is walked in page order, which is ascending address order, so the
 // byte stream is deterministic.
 func (d *DirCtrl) EncodeState(e *checkpoint.Encoder) error {
 	e.Section("dirctrl")
@@ -146,63 +147,45 @@ func (d *DirCtrl) EncodeState(e *checkpoint.Encoder) error {
 	// DRAM version shadow: every line a writeback reached, zero
 	// versions included.
 	e.Section("dramver")
-	n := 0
-	for i := range d.lines {
-		if d.lines[i].ver != 0 {
-			n++
-		}
-	}
-	e.Len(n)
-	for i := range d.lines {
-		if l := d.lines[i]; l.ver != 0 {
-			e.U64(uint64(d.addrOf(i)))
-			e.U64(l.version())
-		}
-	}
+	e.Len(d.vers.n)
+	d.eachWritten(func(addr mem.PAddr, version uint64) {
+		e.U64(uint64(addr))
+		e.U64(version)
+	})
 
 	// Busy transactions.
 	e.Section("busy")
 	e.Len(d.nbusy)
-	for i := range d.lines {
-		if t := d.lines[i].busy; t != nil {
-			encodeTxn(e, t)
-		}
-	}
+	d.eachBusy(func(t *txn) { encodeTxn(e, t) })
 
 	// Waiter queues (FIFO order preserved within each queue).
 	e.Section("waiters")
-	n = 0
-	for i := range d.lines {
-		if t := d.lines[i].busy; t != nil && len(t.waiters) > 0 {
+	n := 0
+	d.eachBusy(func(t *txn) {
+		if len(t.waiters) > 0 {
 			n++
 		}
-	}
+	})
 	e.Len(n)
-	for i := range d.lines {
-		t := d.lines[i].busy
-		if t == nil || len(t.waiters) == 0 {
-			continue
+	d.eachBusy(func(t *txn) {
+		if len(t.waiters) == 0 {
+			return
 		}
 		e.U64(uint64(t.addr))
 		e.Len(len(t.waiters))
 		for _, m := range t.waiters {
 			coherence.EncodeMsg(e, m)
 		}
-	}
+	})
 	return nil
 }
 
-// addrOf returns the address of line-table slot i.
-func (d *DirCtrl) addrOf(i int) mem.PAddr {
-	return d.cfg.Base + mem.PAddr(i)*mem.LineBytes
-}
-
-// checkLine reports whether a decoded address names a line the table
-// covers: a line of a frame this home has handed out.
+// checkLine reports whether a decoded address names a line the page
+// array covers: a line of a frame this home has handed out.
 func (d *DirCtrl) checkLine(addr mem.PAddr) error {
-	if end := uint64(len(d.lines)) * mem.LineBytes; mem.LineOf(addr) != addr || uint64(addr-d.cfg.Base) >= end {
+	if end := uint64(len(d.pages)) * mem.PageBytes; mem.LineOf(addr) != addr || uint64(addr-d.base) >= end {
 		return fmt.Errorf("core: checkpoint line %#x is not a line of directory %d's touched range [%#x, %#x)",
-			uint64(addr), d.cfg.Node, uint64(d.cfg.Base), uint64(d.cfg.Base)+end)
+			uint64(addr), d.cfg.Node, uint64(d.base), uint64(d.base)+end)
 	}
 	return nil
 }
@@ -210,10 +193,10 @@ func (d *DirCtrl) checkLine(addr mem.PAddr) error {
 // DecodeState overwrites the directory's mutable state. The controller
 // must have been constructed with the same configuration (node, probe
 // filter geometry, allocation policy) the checkpoint was taken with, and
-// its line table reserved for the checkpoint's touched frames (Reserve
+// its page array reserved for the checkpoint's touched frames (Reserve
 // with the restored mem.PhysMem.FramesTouched). Lines hold state only in
-// frames first-touch has handed out, so an entry beyond the table is
-// corrupt and decoding never grows the table.
+// frames first-touch has handed out, so an entry beyond the array is
+// corrupt and decoding never grows the array.
 func (d *DirCtrl) DecodeState(dec *checkpoint.Decoder) error {
 	dec.Expect("dirctrl")
 
@@ -262,8 +245,8 @@ func (d *DirCtrl) DecodeState(dec *checkpoint.Decoder) error {
 		en.lru = dec.U64()
 	}
 
-	clear(d.lines)
-	d.nbusy = 0
+	clear(d.pages)
+	d.vers, d.nbusy = verTable{}, 0
 
 	dec.Expect("dramver")
 	n = dec.Len(maxTableEntries)
@@ -279,14 +262,10 @@ func (d *DirCtrl) DecodeState(dec *checkpoint.Decoder) error {
 		if err := d.checkLine(a); err != nil {
 			return err
 		}
-		l := d.line(a)
-		switch {
-		case l.ver != 0:
+		if d.written(a) {
 			return fmt.Errorf("core: duplicate DRAM version for line %#x", uint64(a))
-		case v+1 == 0:
-			return fmt.Errorf("core: DRAM version of line %#x out of range", uint64(a))
 		}
-		l.ver = v + 1
+		d.setVersion(a, v)
 	}
 
 	dec.Expect("busy")
@@ -306,12 +285,10 @@ func (d *DirCtrl) DecodeState(dec *checkpoint.Decoder) error {
 		if t.kind > txnEviction || (t.kind == txnRequest) != (t.req != nil) {
 			return fmt.Errorf("core: malformed transaction for line %#x", uint64(t.addr))
 		}
-		l := d.line(t.addr)
-		if l.busy != nil {
+		if d.busy(t.addr) != nil {
 			return fmt.Errorf("core: duplicate transaction for line %#x", uint64(t.addr))
 		}
-		l.busy = t
-		d.nbusy++
+		d.setBusy(t.addr, t)
 	}
 
 	dec.Expect("waiters")
@@ -330,7 +307,7 @@ func (d *DirCtrl) DecodeState(dec *checkpoint.Decoder) error {
 		if err := d.checkLine(a); err != nil {
 			return err
 		}
-		t := d.peek(a).busy
+		t := d.busy(a)
 		switch {
 		case t == nil:
 			return fmt.Errorf("core: waiters for idle line %#x", uint64(a))

@@ -162,18 +162,26 @@ func TestPageTableDecodeRejects(t *testing.T) {
 	translate(t, as, 0x3000, 0)
 	translate(t, as, 0x5000, 1)
 	blob := encodeSpace(t, as)
+	// Node 0 hands out its second frame and takes it back, so frame
+	// 0x1000 is free and frame 0x2000 was never handed out.
+	f, _ := m.AllocFrame(0)
+	m.FreeFrame(f)
 	// The entries follow the last stats field: count, then (page, frame,
 	// home, next-touch) per entry.
-	first := len(blob) - 4 - 2*pteBytes
-	patch := func(off int, v uint64) []byte {
+	first := uint64(len(blob) - 4 - 2*pteBytes)
+	// patch writes u64 values at offset, value pairs.
+	patch := func(kv ...uint64) []byte {
 		b := bytes.Clone(blob)
-		binary.LittleEndian.PutUint64(b[off:], v)
+		for i := 0; i < len(kv); i += 2 {
+			binary.LittleEndian.PutUint64(b[kv[i]:], kv[i+1])
+		}
 		// Recompute the CRC so the decoder sees intact bytes.
 		n := len(b) - 4
 		binary.LittleEndian.PutUint32(b[n:], crc32.Checksum(b[:n], crc32.MakeTable(crc32.Castagnoli)))
 		return b
 	}
 	second := first + pteBytes
+	frame0 := binary.LittleEndian.Uint64(blob[first+8:])
 	for _, tc := range []struct {
 		name, want string
 		blob       []byte
@@ -184,6 +192,9 @@ func TestPageTableDecodeRejects(t *testing.T) {
 		{"frame beyond memory", "invalid frame", patch(first+8, 2<<20)},
 		{"home mismatch", "records home", patch(first+16, 1)},
 		{"count beyond payload", "exceeds limit", patch(first-8, 1<<30)},
+		{"frame never handed out", "never handed out", patch(first+8, 0x2000)},
+		{"free frame", "free or already mapped", patch(first+8, 0x1000)},
+		{"frame mapped twice", "free or already mapped", patch(second+8, frame0, second+16, 0)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := decodeSpace(tc.blob, m)

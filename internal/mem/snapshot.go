@@ -91,10 +91,13 @@ const pteBytes = 8 + 8 + 8 + 1
 
 // DecodeState rebuilds the page table from a checkpoint, replacing any
 // existing mappings (a restore may run after the usual pre-placement
-// pass; the checkpointed state wins wholesale). It rejects entries that
-// could not have come from a live table: unaligned or repeated pages,
-// and frames that are unaligned, beyond the end of memory or homed at a
-// node other than the one recorded.
+// pass; the checkpointed state wins wholesale). The physical map must be
+// decoded first. It rejects entries that could not have come from a live
+// table: unaligned or repeated pages, and frames that are unaligned,
+// beyond the end of memory, homed at a node other than the one recorded,
+// never handed out by their node, on its free list, or mapped by an
+// earlier entry. Any of those would let AllocFrame hand the frame to a
+// second page.
 func (as *AddressSpace) DecodeState(d *checkpoint.Decoder) error {
 	d.Expect("space")
 	pol := Policy(d.I64())
@@ -116,6 +119,14 @@ func (as *AddressSpace) DecodeState(d *checkpoint.Decoder) error {
 		slots *= 2
 	}
 	as.pages, as.mapped = make([]pte, slots), 0
+	// taken holds the frames an entry may not map: the free ones, then
+	// each one mapped so far.
+	taken := make(map[PAddr]bool)
+	for _, fl := range as.phys.free {
+		for _, pa := range fl {
+			taken[pa] = true
+		}
+	}
 	for i := 0; i < n; i++ {
 		vp := VAddr(d.U64())
 		frame := PAddr(d.U64())
@@ -133,7 +144,12 @@ func (as *AddressSpace) DecodeState(d *checkpoint.Decoder) error {
 			return fmt.Errorf("mem: page %#x maps to invalid frame %#x", uint64(vp), uint64(frame))
 		case as.phys.Home(frame) != home:
 			return fmt.Errorf("mem: page %#x records home %d for a frame of node %d", uint64(vp), home, as.phys.Home(frame))
+		case uint64(frame)%as.phys.bytesPerNode/PageBytes >= as.phys.FramesTouched(home):
+			return fmt.Errorf("mem: page %#x maps to frame %#x, which node %d never handed out", uint64(vp), uint64(frame), home)
+		case taken[frame]:
+			return fmt.Errorf("mem: page %#x maps to frame %#x, which is free or already mapped", uint64(vp), uint64(frame))
 		}
+		taken[frame] = true
 		as.insert(vp, frame, home).nextTouch = next
 	}
 	return d.Err()

@@ -209,8 +209,7 @@ func New(cfg Config) (*Machine, error) {
 			cc:   coherence.NewCacheCtrl(id, hier, m.eng, p, home, cfg.CacheLatency),
 			dram: dc,
 			dir: core.NewDirCtrl(core.Config{
-				Node: id, Nodes: cfg.Nodes,
-				Base: mem.PAddr(uint64(i) * cfg.MemBytesPerNode), Size: cfg.MemBytesPerNode,
+				Node: id, Nodes: cfg.Nodes, Size: cfg.MemBytesPerNode,
 				Alloc: cfg.Alloc(id), AllocName: cfg.AllocName,
 				LookupLatency: cfg.DirLatency,
 			}, core.NewProbeFilter(cfg.PFCoverage, cfg.PFWays), m.eng, p, dc),
@@ -403,7 +402,7 @@ func (m *Machine) Start(threads []ThreadSpec) error {
 	return nil
 }
 
-// reserveLines sizes every directory's line table for the frames its
+// reserveLines sizes every directory's page array for the frames its
 // home has handed out so far: the pre-placed footprint, which the run
 // will touch.
 func (m *Machine) reserveLines() {
