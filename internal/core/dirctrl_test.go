@@ -194,11 +194,12 @@ func TestDirCtrlSnapshotRoundTrip(t *testing.T) {
 
 // checkLines verifies the line-state bookkeeping: every busy block's
 // count matches its transactions and is non-zero, spare blocks are
-// empty, nbusy counts the busy lines, and the written bits name exactly
-// the version table's lines.
+// empty, nbusy counts the busy lines, and the version table holds a slot
+// for exactly the groups with a written line.
 func checkLines(t *testing.T, d *DirCtrl) {
 	t.Helper()
-	busy, written := 0, 0
+	busy := 0
+	groups := map[uint64]bool{}
 	for p, ps := range d.pages {
 		if b := ps.busy; b != nil {
 			n := 0
@@ -212,15 +213,21 @@ func checkLines(t *testing.T, d *DirCtrl) {
 			}
 			busy += n
 		}
-		written += bits.OnesCount64(ps.written)
+		for w := ps.written; w != 0; w &= w - 1 {
+			g := (uint64(p)*mem.LinesPerPage + uint64(bits.TrailingZeros64(w))) / verGroup
+			if d.vers.find(g+1).key == 0 {
+				t.Fatalf("page %d: written line without a version slot", p)
+			}
+			groups[g] = true
+		}
 	}
 	for _, b := range d.spare {
 		if *b != (busyBlock{}) {
 			t.Fatal("spare busy block is not empty")
 		}
 	}
-	if busy != d.nbusy || written != d.vers.n {
-		t.Fatalf("nbusy %d for %d busy lines; %d versions for %d written lines", d.nbusy, busy, d.vers.n, written)
+	if busy != d.nbusy || len(groups) != d.vers.n {
+		t.Fatalf("nbusy %d for %d busy lines; %d version slots for %d written groups", d.nbusy, busy, d.vers.n, len(groups))
 	}
 }
 
@@ -374,27 +381,33 @@ func TestVerTable(t *testing.T) {
 	if vt.get(7) != 0 {
 		t.Fatal("empty table has a version")
 	}
-	// Scattered lines, several growth steps, and overwrites.
+	// Scattered lines (several growth steps), neighbours sharing a
+	// group, and overwrites.
 	const n = 5000
+	line := func(i uint64) uint64 { return i * 977 % (1 << 20) }
+	groups := map[uint64]bool{}
 	for i := uint64(0); i < n; i++ {
-		vt.put(i*977%(1<<20), i)
+		vt.put(line(i), i)
+		vt.put(line(i)+1, i+1)
+		groups[line(i)/verGroup] = true
+		groups[(line(i)+1)/verGroup] = true
 	}
 	for i := uint64(0); i < n; i += 2 {
-		vt.put(i*977%(1<<20), i+n)
+		vt.put(line(i), i+n)
 	}
-	if vt.n != n || len(vt.slots) != 8192 {
-		t.Fatalf("%d entries in %d slots", vt.n, len(vt.slots))
+	if vt.n != len(groups) || vt.n*4 > len(vt.slots)*3 || len(vt.slots)&(len(vt.slots)-1) != 0 {
+		t.Fatalf("%d slots in use of %d, for %d groups", vt.n, len(vt.slots), len(groups))
 	}
 	for i := uint64(0); i < n; i++ {
 		want := i
 		if i%2 == 0 {
 			want += n
 		}
-		if got := vt.get(i * 977 % (1 << 20)); got != want {
-			t.Fatalf("line %d: version %d, want %d", i*977%(1<<20), got, want)
+		if got := vt.get(line(i)); got != want {
+			t.Fatalf("line %d: version %d, want %d", line(i), got, want)
 		}
 	}
-	if vt.get(1) != 0 {
+	if vt.get(1<<20+3) != 0 {
 		t.Fatal("absent line has a version")
 	}
 }

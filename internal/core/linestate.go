@@ -18,7 +18,8 @@ import (
 //   - a page with a transaction in flight holds a busyBlock, which goes
 //     back to spare once the page's last transaction finishes, so the
 //     blocks in use are bounded by the transactions in flight;
-//   - vers holds one slot per line with a DRAM version.
+//   - vers holds one slot per group of neighbouring lines with a DRAM
+//     version.
 
 // pageState is one page's directory state. written has bit i set when
 // line i of the page has a DRAM version in vers; busy holds the page's
@@ -167,56 +168,69 @@ func (d *DirCtrl) resize(n uint64) {
 // verTable maps line numbers (offsets from the home's base, in lines) to
 // DRAM versions. Like the page table it is a flat open-addressed hash
 // table: a power-of-two slot array probed linearly from a
-// multiplicative hash. A line's version is never dropped, so there are
-// no deletes and no tombstones; the table doubles when it passes 3/4
-// load.
+// multiplicative hash. Each slot holds an aligned group of verGroup
+// lines, so a run of neighbouring lines shares one slot and its cache
+// lines. A version is never dropped, so there are no deletes and no
+// tombstones; the table doubles when it passes 3/4 load. Which lines of
+// a group hold a version is recorded in pageState.written, not here.
 type verTable struct {
 	slots []verSlot // len is zero or a power of two, never more than 3/4 full
 	n     int       // occupied slots
 }
 
-// verSlot is one verTable slot. key is the line number plus one; 0
+// verGroup is the number of lines one verTable slot covers.
+const verGroup = 8
+
+// verSlot is one verTable slot. key is the group number plus one; 0
 // marks an empty slot.
 type verSlot struct {
-	key, ver uint64
+	key  uint64
+	vers [verGroup]uint64
 }
 
 // minVerSlots is the version table's first slot count.
-const minVerSlots = 64
+const minVerSlots = 16
 
-// lineHash spreads line numbers over the table (Fibonacci hashing).
-func lineHash(key uint64) uint64 { return key * 0x9e3779b97f4a7c15 >> 32 }
+// groupHash spreads group numbers over the table (Fibonacci hashing).
+func groupHash(key uint64) uint64 { return key * 0x9e3779b97f4a7c15 >> 32 }
 
 // get returns line's version, 0 when the table has none.
 func (t *verTable) get(line uint64) uint64 {
 	if len(t.slots) == 0 {
 		return 0
 	}
-	return t.find(line + 1).ver
+	return t.find(line/verGroup + 1).vers[line%verGroup]
 }
 
 // put sets line's version.
 func (t *verTable) put(line, ver uint64) {
-	if (t.n+1)*4 > len(t.slots)*3 {
-		old := t.slots
-		t.slots = make([]verSlot, max(2*len(old), minVerSlots))
-		for _, s := range old {
-			if s.key != 0 {
-				*t.find(s.key) = s
-			}
-		}
+	key := line/verGroup + 1
+	if len(t.slots) == 0 {
+		t.slots = make([]verSlot, minVerSlots)
 	}
-	s := t.find(line + 1)
+	s := t.find(key)
 	if s.key == 0 {
+		if (t.n+1)*4 > len(t.slots)*3 {
+			old := t.slots
+			t.slots = make([]verSlot, 2*len(old))
+			for i := range old {
+				if old[i].key != 0 {
+					*t.find(old[i].key) = old[i]
+				}
+			}
+			s = t.find(key)
+		}
+		s.key = key
 		t.n++
 	}
-	*s = verSlot{key: line + 1, ver: ver}
+	s.vers[line%verGroup] = ver
 }
 
-// find returns key's slot, or the empty slot where it belongs.
+// find returns key's slot, or the empty slot where it belongs. The
+// table must have slots.
 func (t *verTable) find(key uint64) *verSlot {
 	mask := uint64(len(t.slots) - 1)
-	for i := lineHash(key) & mask; ; i = (i + 1) & mask {
+	for i := groupHash(key) & mask; ; i = (i + 1) & mask {
 		if s := &t.slots[i]; s.key == key || s.key == 0 {
 			return s
 		}

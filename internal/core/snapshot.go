@@ -147,7 +147,9 @@ func (d *DirCtrl) EncodeState(e *checkpoint.Encoder) error {
 	// DRAM version shadow: every line a writeback reached, zero
 	// versions included.
 	e.Section("dramver")
-	e.Len(d.vers.n)
+	n := 0
+	d.eachWritten(func(mem.PAddr, uint64) { n++ })
+	e.Len(n)
 	d.eachWritten(func(addr mem.PAddr, version uint64) {
 		e.U64(uint64(addr))
 		e.U64(version)
@@ -160,7 +162,7 @@ func (d *DirCtrl) EncodeState(e *checkpoint.Encoder) error {
 
 	// Waiter queues (FIFO order preserved within each queue).
 	e.Section("waiters")
-	n := 0
+	n = 0
 	d.eachBusy(func(t *txn) {
 		if len(t.waiters) > 0 {
 			n++
