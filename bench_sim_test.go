@@ -2,12 +2,11 @@ package allarm_test
 
 // Whole-simulation benchmarks for the simulator itself (as opposed to
 // bench_test.go, which benchmarks the paper's experiments). One benchmark
-// per policy × workload size over the shared SimBenchMatrix; the unit of
-// work (one "op") is a complete simulation, so ns/op and allocs/op are
-// per whole run and the reported events/sec is the engine's throughput.
-// These are the benchmarks the CI smoke job compiles and runs once, and
-// the matrix `allarm-bench -benchjson` measures when regenerating
-// BENCH_*.json.
+// per policy × workload size (small: ocean-cont at 20,000 accesses per
+// thread; large: blackscholes at 60,000); the unit of work (one "op") is
+// a complete simulation, so ns/op and allocs/op are per whole run and
+// the reported events/sec is the engine's throughput. These are the
+// benchmarks the CI smoke job compiles and runs once.
 
 import (
 	"context"
@@ -37,21 +36,17 @@ func benchSim(b *testing.B, benchmark string, accesses int, pol allarm.Policy) {
 }
 
 func BenchmarkSimSmallBaseline(b *testing.B) {
-	c := allarm.SimBenchMatrix[0]
-	benchSim(b, c.Benchmark, c.Accesses, allarm.Baseline)
+	benchSim(b, "ocean-cont", 20_000, allarm.Baseline)
 }
 
 func BenchmarkSimSmallALLARM(b *testing.B) {
-	c := allarm.SimBenchMatrix[0]
-	benchSim(b, c.Benchmark, c.Accesses, allarm.ALLARM)
+	benchSim(b, "ocean-cont", 20_000, allarm.ALLARM)
 }
 
 func BenchmarkSimLargeBaseline(b *testing.B) {
-	c := allarm.SimBenchMatrix[1]
-	benchSim(b, c.Benchmark, c.Accesses, allarm.Baseline)
+	benchSim(b, "blackscholes", 60_000, allarm.Baseline)
 }
 
 func BenchmarkSimLargeALLARM(b *testing.B) {
-	c := allarm.SimBenchMatrix[1]
-	benchSim(b, c.Benchmark, c.Accesses, allarm.ALLARM)
+	benchSim(b, "blackscholes", 60_000, allarm.ALLARM)
 }

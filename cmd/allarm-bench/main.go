@@ -9,7 +9,6 @@
 //	allarm-bench -exp fig3a -policy allarm-hyst   # another registered policy
 //	allarm-bench -exp fig3a -json        # raw per-run records, not tables
 //	allarm-bench -exp all -csv > runs.csv
-//	allarm-bench -benchjson              # simulator perf snapshot (JSON)
 //	allarm-bench -exp fig3a -cpuprofile cpu.pprof -memprofile mem.pprof
 //	allarm-bench -exp fig3a -exectrace trace.out  # runtime execution trace
 //
@@ -25,15 +24,6 @@
 // nothing). Simulations fan out over -parallel workers; results are
 // deterministic at any parallelism.
 //
-// -benchjson ignores -exp and instead measures the simulator itself on
-// the fixed small/large × policy matrix (the same one the
-// BenchmarkSim* benchmarks run), emitting one JSON snapshot on stdout.
-// It runs single-threaded regardless of -parallel (clean allocation
-// attribution) and rejects -fullscale/-accesses, which would change the
-// measured workload. Snapshots are committed as BENCH_<PR>.json to
-// track the performance trajectory across PRs; see README.md's
-// Performance section.
-//
 // -cpuprofile and -memprofile write pprof profiles covering the run, so
 // hot-path regressions are diagnosable without editing code; -exectrace
 // writes a runtime execution trace (go tool trace) covering the same
@@ -42,10 +32,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -90,7 +78,6 @@ func run() int {
 		jsonOut    = flag.Bool("json", false, "emit raw per-run records as JSON")
 		csvOut     = flag.Bool("csv", false, "emit raw per-run records as CSV")
 		progress   = flag.Bool("progress", false, "report per-run progress on stderr")
-		benchJSON  = flag.Bool("benchjson", false, "measure the simulator on the fixed benchmark matrix and emit a BENCH_*.json snapshot")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		execTrace  = flag.String("exectrace", "", "write a runtime execution trace to this file")
@@ -175,21 +162,6 @@ func run() int {
 
 	ctx := mainContext()
 
-	if *benchJSON {
-		// The snapshot is only comparable across PRs when measured on the
-		// fixed matrix at experiment scale; reject flags that would
-		// silently change what BENCH_*.json claims to measure.
-		if *fullScale || *accesses > 0 {
-			logger.Error("-benchjson measures the fixed matrix; -fullscale and -accesses are incompatible")
-			return 2
-		}
-		if err := emitBenchJSON(ctx, os.Stdout, *seed); err != nil {
-			logger.Error(err.Error())
-			return 1
-		}
-		return 0
-	}
-
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = allarm.ExperimentIDs
@@ -248,83 +220,4 @@ func emitRaw(ctx context.Context, cfg allarm.Config, ids []string, opt allarm.Po
 		return 1
 	}
 	return 0
-}
-
-// benchRun is one measured cell of allarm.SimBenchMatrix (the matrix
-// shared with the BenchmarkSim* benchmarks). The "op" of the per-op
-// metrics is one complete simulation.
-type benchRun struct {
-	Name         string  `json:"name"`
-	Benchmark    string  `json:"benchmark"`
-	Policy       string  `json:"policy"`
-	Accesses     int     `json:"accesses_per_thread"`
-	WallNs       int64   `json:"wall_ns"`
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	Allocs       uint64  `json:"allocs_per_op"`
-	AllocBytes   uint64  `json:"alloc_bytes_per_op"`
-	SimRuntimeNs float64 `json:"sim_runtime_ns"`
-}
-
-// benchSnapshot is the -benchjson output: one perf snapshot of the
-// simulator, suitable for committing as (part of) a BENCH_*.json.
-type benchSnapshot struct {
-	GoVersion string     `json:"go_version"`
-	GOOS      string     `json:"goos"`
-	GOARCH    string     `json:"goarch"`
-	Seed      uint64     `json:"seed"`
-	Runs      []benchRun `json:"runs"`
-}
-
-// emitBenchJSON measures every cell of the fixed matrix (one warmup run,
-// one measured run, single-threaded so allocation attribution is clean)
-// and writes the snapshot as indented JSON. Cancellation is checked
-// between cells, so an interrupt lets run() return — and its profile
-// defers execute — instead of killing the process mid-measurement.
-func emitBenchJSON(ctx context.Context, w io.Writer, seed uint64) error {
-	snap := benchSnapshot{
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Seed:      seed,
-	}
-	for _, cell := range allarm.SimBenchMatrix {
-		for _, pol := range []allarm.Policy{allarm.Baseline, allarm.ALLARM} {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			cfg := allarm.ExperimentConfig()
-			cfg.Seed = seed
-			cfg.Policy = pol
-			cfg.AccessesPerThread = cell.Accesses
-			if _, err := allarm.RunBenchmarkCtx(context.Background(), cfg, cell.Benchmark); err != nil {
-				return err
-			}
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			start := time.Now()
-			res, err := allarm.RunBenchmarkCtx(context.Background(), cfg, cell.Benchmark)
-			wall := time.Since(start)
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				return err
-			}
-			snap.Runs = append(snap.Runs, benchRun{
-				Name:         cell.Size + "/" + pol.String(),
-				Benchmark:    cell.Benchmark,
-				Policy:       pol.String(),
-				Accesses:     cell.Accesses,
-				WallNs:       wall.Nanoseconds(),
-				Events:       res.Events,
-				EventsPerSec: float64(res.Events) / wall.Seconds(),
-				Allocs:       after.Mallocs - before.Mallocs,
-				AllocBytes:   after.TotalAlloc - before.TotalAlloc,
-				SimRuntimeNs: res.RuntimeNs,
-			})
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snap)
 }

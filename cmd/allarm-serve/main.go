@@ -15,9 +15,6 @@
 //	                                          # machine-state checkpoints:
 //	                                          # kill-resume + preemption
 //	allarm-serve -auth tokens.json            # bearer-token multi-tenancy
-//	allarm-serve -result-store http://store:8360/v1/objects
-//	allarm-serve -object-serve                # serve this node's results
-//	                                          # as the fleet object store
 //
 // Endpoints:
 //
@@ -38,8 +35,6 @@
 //	GET    /v1/policies             registered directory policies
 //	GET    /v1/benchmarks           benchmark presets
 //	GET    /v1/version              build version (fleet skew checks)
-//	GET    /v1/objects/             S3-style shared result store
-//	                                (with -object-serve)
 //	GET    /v1/checkpoints/{name}   pull a job's machine-state checkpoint
 //	POST   /v1/checkpoints/{name}   push one (fleet migration; with
 //	                                -checkpoint-interval/-checkpoint-dir)
@@ -96,8 +91,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -124,9 +117,6 @@ func run() int {
 		ckptDir    = flag.String("checkpoint-dir", "", "directory for machine-state job checkpoints (default <cache-dir>/jobckpts)")
 		grace      = flag.Duration("grace", 30*time.Second, "drain grace period before in-flight sweeps are cancelled")
 		authFile   = flag.String("auth", "", "JSON file of client tokens (bearer auth, rate limits, job quotas)")
-		storeBase  = flag.String("result-store", "", "result store: an http(s) object endpoint or a directory (overrides <cache-dir>/results)")
-		storeToken = flag.String("result-store-token", "", "bearer token for an http(s) -result-store")
-		objServe   = flag.Bool("object-serve", false, "serve this node's result store to the fleet at /v1/objects/ (requires -cache-dir or a directory -result-store)")
 		logLevel   = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
 		logFormat  = flag.String("log-format", "text", "log encoding: text or json")
 		version    = flag.Bool("version", false, "print version and exit")
@@ -163,28 +153,6 @@ func run() int {
 		}
 		opts.Guard = guard
 	}
-	if *storeBase != "" {
-		store, err := server.NewObjectStore(*storeBase, *storeToken)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "allarm-serve:", err)
-			return 1
-		}
-		opts.Store = store
-	}
-	if *objServe {
-		// Serve whatever directory backs this node's persistent tier. An
-		// HTTP -result-store has no local directory to export.
-		switch {
-		case *storeBase != "" && !strings.HasPrefix(*storeBase, "http://") && !strings.HasPrefix(*storeBase, "https://"):
-			opts.ObjectServeDir = *storeBase
-		case *cacheDir != "":
-			opts.ObjectServeDir = filepath.Join(*cacheDir, "results")
-		default:
-			fmt.Fprintln(os.Stderr, "allarm-serve: -object-serve needs -cache-dir or a directory -result-store")
-			return 1
-		}
-	}
-
 	srv, err := server.New(opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "allarm-serve:", err)

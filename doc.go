@@ -133,11 +133,9 @@
 // gather back in spec order, byte-identical to a single node across
 // every emitter. Shards are health-checked and routed around; a shard
 // lost mid-sweep degrades its jobs to "skipped" instead of failing the
-// gather. The persistent tier is the exported ResultStore interface
-// (internal/server): a content-addressed directory, or any S3-style
-// object endpoint via NewObjectStore — allarm-serve's -object-serve
-// exports one node's directory as exactly such an endpoint
-// (ObjectHandler). Both daemons guard their doors with per-client
+// gather. Each shard's persistent tier is its own ResultStore
+// (internal/server), a content-addressed directory under -cache-dir.
+// Both daemons guard their doors with per-client
 // bearer tokens, token-bucket rate limits and per-sweep job quotas
 // (-auth). See the "Fleet serving" section of README.md for a
 // two-shard quickstart.
@@ -157,10 +155,8 @@
 // the current ring. Retries honor Retry-After on 429 and otherwise use
 // seeded full-jitter exponential backoff, with a -shard-timeout
 // deadline on every attempt. These claims are asserted under
-// deterministic chaos: internal/faultnet turns declarative JSON fault
-// plans (latency, drops, resets, 5xx/429 bursts, slow bodies) into a
-// seeded http.RoundTripper the fleet tests inject in-process, and
-// cmd/allarm-faultnet runs the same plans as an HTTP or TCP proxy
-// between real processes. See the "Fault tolerance" section of
-// README.md.
+// deterministic chaos: internal/faultnet turns declarative fault plans
+// (latency, drops, 5xx/429 bursts, slow bodies) into a seeded
+// http.RoundTripper the fleet tests inject in-process. See the "Fault
+// tolerance" section of README.md.
 package allarm

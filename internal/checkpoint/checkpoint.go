@@ -309,9 +309,10 @@ func (d *Decoder) String() string {
 	return string(d.take(int(n)))
 }
 
-// Len reads a collection length and bounds-checks it against limit
-// (and the remaining payload) so a corrupt count cannot drive a huge
-// allocation.
+// Len reads a collection length and bounds-checks it against limit and
+// the remaining payload, so a corrupt count cannot drive a huge
+// allocation. Every counted element encodes at least one byte, so a
+// count above the bytes left is corrupt.
 func (d *Decoder) Len(limit int) int {
 	n := d.U64()
 	if d.err != nil {
@@ -319,6 +320,10 @@ func (d *Decoder) Len(limit int) int {
 	}
 	if n > uint64(limit) {
 		d.fail("collection length %d exceeds limit %d", n, limit)
+		return 0
+	}
+	if n > uint64(d.Remaining()) {
+		d.fail("collection length %d exceeds remaining payload (%d bytes)", n, d.Remaining())
 		return 0
 	}
 	return int(n)

@@ -21,7 +21,10 @@ func TestRoundTrip(t *testing.T) {
 	e.F64(3.14159)
 	e.Bytes([]byte{1, 2, 3})
 	e.String("hello")
-	e.Len(42)
+	e.Len(3) // a counted collection: three one-byte elements follow
+	for i := uint8(0); i < 3; i++ {
+		e.U8(i)
+	}
 	var buf bytes.Buffer
 	if err := e.Close(&buf); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -59,8 +62,13 @@ func TestRoundTrip(t *testing.T) {
 	if got := d.String(); got != "hello" {
 		t.Fatalf("String = %q", got)
 	}
-	if got := d.Len(100); got != 42 {
+	if got := d.Len(100); got != 3 {
 		t.Fatalf("Len = %d", got)
+	}
+	for i := uint8(0); i < 3; i++ {
+		if got := d.U8(); got != i {
+			t.Fatalf("element %d = %d", i, got)
+		}
 	}
 	if err := d.Err(); err != nil {
 		t.Fatalf("Err: %v", err)
@@ -249,6 +257,28 @@ func TestLenBound(t *testing.T) {
 	}
 	if d.Err() == nil {
 		t.Fatalf("oversized count not rejected")
+	}
+}
+
+// TestLenBeyondPayload: a count within the caller's limit but larger
+// than the bytes left cannot be honest (every element takes a byte).
+func TestLenBeyondPayload(t *testing.T) {
+	e := NewEncoder("")
+	e.Len(1 << 20)
+	e.U8(1)
+	e.U8(2)
+	e.U8(3)
+	var buf bytes.Buffer
+	if err := e.Close(&buf); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	d, err := NewDecoder(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("NewDecoder: %v", err)
+	}
+	if got := d.Len(1 << 30); got != 0 || d.Err() == nil ||
+		!strings.Contains(d.Err().Error(), "exceeds remaining payload") {
+		t.Fatalf("count 1<<20 over 3 bytes: got %d, err %v", got, d.Err())
 	}
 }
 

@@ -1,19 +1,14 @@
 // Package faultnet is a deterministic fault-injection harness for the
 // fleet's network paths: a declarative Plan of faults (latency, dropped
-// connections, resets, 5xx/429 bursts, slow bodies, health-check flaps)
+// connections, 5xx/429 bursts, slow bodies, health-check flaps)
 // applied by a seeded Injector, so every robustness claim the router
 // makes — retry, backoff, exclusion, re-admission, degradation, journal
 // recovery — can be asserted under replayable chaos instead of
 // hand-rolled one-off stubs.
 //
-// The same Injector drives two delivery mechanisms:
-//
-//   - RoundTripper wraps an http.RoundTripper, injecting faults into
-//     in-process clients (the router's shard transport in tests).
-//   - Proxy / ProxyTCP stand between real processes: an HTTP reverse
-//     proxy that can synthesize statuses, delay, drop and slow
-//     responses, and a raw TCP proxy that refuses, delays and resets
-//     connections at the byte level (cmd/allarm-faultnet exposes both).
+// The Injector delivers its faults in-process: RoundTripper wraps an
+// http.RoundTripper, so a client's transport (the router's shard
+// transport in the fleet tests) sees chaos with no proxy in between.
 //
 // # Determinism
 //
@@ -23,18 +18,15 @@
 // is what tests assert exact behaviour against. Probabilistic rules
 // (P < 1) draw from one seeded RNG under a lock: a fixed seed replays
 // the same decision sequence whenever requests arrive in the same
-// order, which is what the chaos suites use for coverage. Plans are
-// plain JSON so CI jobs and tests share them verbatim.
+// order, which is what the chaos suites use for coverage.
 package faultnet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -42,88 +34,61 @@ import (
 )
 
 // Plan is a declarative fault schedule: an ordered rule list evaluated
-// per request (or per connection, for conn-scoped rules). Every rule
-// that matches contributes its faults; the first terminal fault (drop,
-// reset or synthesized status) wins and stops evaluation, while
-// latency from earlier matching rules accumulates.
+// per request. Every rule that matches contributes its faults; the
+// first terminal fault (drop or synthesized status) wins and stops
+// evaluation, while latency from earlier matching rules accumulates.
 type Plan struct {
-	Rules []Rule `json:"rules"`
+	Rules []Rule
 }
 
 // Rule matches a slice of traffic and names the fault to inject.
-// Matching is by scope, method, host and path prefix; the window fields
+// Matching is by method, host and path prefix; the window fields
 // (Skip, Count, Every, P) select which of the matching requests
 // actually fault.
 type Rule struct {
 	// Name labels the rule in logs, stats and injected errors.
-	Name string `json:"name,omitempty"`
+	Name string
 
-	// Scope selects the traffic class: "http" (default) matches HTTP
-	// requests seen by RoundTripper and Proxy; "conn" matches raw TCP
-	// connections seen by ProxyTCP.
-	Scope string `json:"scope,omitempty"`
 	// Method matches the HTTP method exactly ("" = any).
-	Method string `json:"method,omitempty"`
+	Method string
 	// Host matches the request host:port exactly ("" = any).
-	Host string `json:"host,omitempty"`
+	Host string
 	// Path matches the URL path by prefix ("" = any).
-	Path string `json:"path,omitempty"`
+	Path string
 
 	// Skip lets the first N matching requests through untouched before
 	// the rule arms — "the 3rd submit fails" is Skip: 2.
-	Skip int `json:"skip,omitempty"`
+	Skip int
 	// Count bounds how many times the rule fires (0 = unlimited) — a
 	// burst of exactly N faults.
-	Count int `json:"count,omitempty"`
+	Count int
 	// Every fires on every Nth armed match (0 or 1 = every match) — a
 	// deterministic health-check flap is Path:"/healthz", Every:2.
-	Every int `json:"every,omitempty"`
+	Every int
 	// P fires with this probability per armed match (0 or 1 = always),
 	// drawn from the Injector's seeded RNG.
-	P float64 `json:"p,omitempty"`
+	P float64
 
 	// LatencyMs delays the request before it is forwarded; JitterMs adds
 	// a uniform random extra on top (seeded RNG).
-	LatencyMs int `json:"latency_ms,omitempty"`
-	JitterMs  int `json:"jitter_ms,omitempty"`
-	// Drop fails the request with a transport-level error (HTTP scope)
-	// or closes the connection on accept (conn scope) — the client sees
-	// a reset, not an HTTP answer.
-	Drop bool `json:"drop,omitempty"`
+	LatencyMs int
+	JitterMs  int
+	// Drop fails the request with a transport-level error — the client
+	// sees a reset, not an HTTP answer.
+	Drop bool
 	// Status synthesizes this HTTP response instead of forwarding (5xx
 	// outage, 429 throttle, flapping /healthz...).
-	Status int `json:"status,omitempty"`
+	Status int
 	// RetryAfterMs sets a Retry-After header on synthesized responses
 	// (rounded up to whole seconds, the header's granularity).
-	RetryAfterMs int `json:"retry_after_ms,omitempty"`
-	// SlowBodyMs delays every body read/write chunk — a shard that
-	// answers but dribbles.
-	SlowBodyMs int `json:"slow_body_ms,omitempty"`
-	// ResetAfterBytes (conn scope) forwards this many target→client
-	// bytes, then resets both sides mid-stream.
-	ResetAfterBytes int `json:"reset_after_bytes,omitempty"`
-}
-
-// LoadPlan reads a JSON Plan from path.
-func LoadPlan(path string) (Plan, error) {
-	var p Plan
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return p, fmt.Errorf("faultnet: %w", err)
-	}
-	if err := json.Unmarshal(data, &p); err != nil {
-		return p, fmt.Errorf("faultnet: %s: %w", path, err)
-	}
-	return p, p.validate()
+	RetryAfterMs int
+	// SlowBodyMs delays every body read chunk — a shard that answers
+	// but dribbles.
+	SlowBodyMs int
 }
 
 func (p Plan) validate() error {
 	for i, r := range p.Rules {
-		switch r.Scope {
-		case "", "http", "conn":
-		default:
-			return fmt.Errorf("faultnet: rule %d (%s): unknown scope %q", i, r.Name, r.Scope)
-		}
 		if r.P < 0 || r.P > 1 {
 			return fmt.Errorf("faultnet: rule %d (%s): p must be in [0,1]", i, r.Name)
 		}
@@ -134,14 +99,14 @@ func (p Plan) validate() error {
 // RuleStats reports one rule's activity: how many requests matched its
 // selectors and how many actually faulted.
 type RuleStats struct {
-	Name    string `json:"name"`
-	Matched uint64 `json:"matched"`
-	Fired   uint64 `json:"fired"`
+	Name    string
+	Matched uint64
+	Fired   uint64
 }
 
 // Injector applies a Plan deterministically. One Injector carries all
-// per-rule counters and the seeded RNG; share it between a
-// RoundTripper and proxies to keep one global fault sequence.
+// per-rule counters and the seeded RNG; wrap every client's transport
+// with the same Injector to keep one global fault sequence.
 type Injector struct {
 	rules []Rule
 
@@ -165,8 +130,8 @@ func New(plan Plan, seed int64) (*Injector, error) {
 	}, nil
 }
 
-// Stats snapshots per-rule match/fire counters (chaos jobs log them so
-// a "passed" run can be audited for whether faults actually fired).
+// Stats snapshots per-rule match/fire counters (chaos tests audit them
+// so a "passed" run proves its faults actually fired).
 func (in *Injector) Stats() []RuleStats {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -188,27 +153,19 @@ type decision struct {
 	status     int
 	retryAfter time.Duration
 	slowBody   time.Duration
-	resetAfter int
 	rule       string // name of the terminal rule, for error messages
 }
 
 func (d decision) terminal() bool { return d.drop || d.status != 0 }
 
-// decide evaluates the plan for one request/connection. Counters and
-// RNG advance under the lock, so the decision sequence is a pure
-// function of (plan, seed, arrival order).
-func (in *Injector) decide(scope, method, host, path string) decision {
+// decide evaluates the plan for one request. Counters and RNG advance
+// under the lock, so the decision sequence is a pure function of
+// (plan, seed, arrival order).
+func (in *Injector) decide(method, host, path string) decision {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	var d decision
 	for i, r := range in.rules {
-		rScope := r.Scope
-		if rScope == "" {
-			rScope = "http"
-		}
-		if rScope != scope {
-			continue
-		}
 		if r.Method != "" && r.Method != method {
 			continue
 		}
@@ -243,9 +200,6 @@ func (in *Injector) decide(scope, method, host, path string) decision {
 		}
 		if r.SlowBodyMs > 0 && d.slowBody == 0 {
 			d.slowBody = time.Duration(r.SlowBodyMs) * time.Millisecond
-		}
-		if r.ResetAfterBytes > 0 && d.resetAfter == 0 {
-			d.resetAfter = r.ResetAfterBytes
 		}
 		if r.Drop || r.Status != 0 {
 			d.drop = r.Drop
@@ -285,7 +239,7 @@ type faultTransport struct {
 }
 
 func (t *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	d := t.in.decide("http", req.Method, req.URL.Host, req.URL.Path)
+	d := t.in.decide(req.Method, req.URL.Host, req.URL.Path)
 	if d.latency > 0 {
 		if err := sleepCtx(req.Context(), d.latency); err != nil {
 			return nil, err

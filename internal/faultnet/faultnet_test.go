@@ -1,14 +1,10 @@
 package faultnet
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -27,7 +23,7 @@ func TestWindowRulesExactOrdinals(t *testing.T) {
 	}
 	var got []int
 	for i := 0; i < 8; i++ {
-		d := in.decide("http", "GET", "x", "/a")
+		d := in.decide("GET", "x", "/a")
 		got = append(got, d.status)
 	}
 	// Skip 2, then a burst of exactly 3, then clean.
@@ -37,7 +33,7 @@ func TestWindowRulesExactOrdinals(t *testing.T) {
 	}
 	got = got[:0]
 	for i := 0; i < 6; i++ {
-		d := in.decide("http", "GET", "x", "/h")
+		d := in.decide("GET", "x", "/h")
 		got = append(got, d.status)
 	}
 	// Every 2: fire on armed matches 1, 3, 5 — a deterministic flap.
@@ -58,7 +54,7 @@ func TestSeededDeterminism(t *testing.T) {
 		}
 		var b strings.Builder
 		for i := 0; i < 64; i++ {
-			if in.decide("http", "GET", "x", "/").drop {
+			if in.decide("GET", "x", "/").drop {
 				b.WriteByte('1')
 			} else {
 				b.WriteByte('0')
@@ -78,31 +74,27 @@ func TestSeededDeterminism(t *testing.T) {
 	}
 }
 
-// TestRuleMatchers: scope, method, host and path-prefix selection.
+// TestRuleMatchers: method, host and path-prefix selection.
 func TestRuleMatchers(t *testing.T) {
 	plan := Plan{Rules: []Rule{
 		{Name: "post-only", Method: "POST", Status: 500},
-		{Name: "conn-only", Scope: "conn", Drop: true},
 		{Name: "host", Host: "h1:1", Path: "/v1/", Status: 502},
 	}}
 	in, err := New(plan, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := in.decide("http", "GET", "h2:1", "/x"); d.terminal() {
+	if d := in.decide("GET", "h2:1", "/x"); d.terminal() {
 		t.Errorf("unmatched request faulted: %+v", d)
 	}
-	if d := in.decide("http", "POST", "h2:1", "/x"); d.status != 500 {
+	if d := in.decide("POST", "h2:1", "/x"); d.status != 500 {
 		t.Errorf("method match: %+v", d)
 	}
-	if d := in.decide("http", "GET", "h1:1", "/v1/sweeps"); d.status != 502 {
+	if d := in.decide("GET", "h1:1", "/v1/sweeps"); d.status != 502 {
 		t.Errorf("host+path match: %+v", d)
 	}
-	if d := in.decide("http", "GET", "h1:1", "/healthz"); d.terminal() {
+	if d := in.decide("GET", "h1:1", "/healthz"); d.terminal() {
 		t.Errorf("path prefix over-matched: %+v", d)
-	}
-	if d := in.decide("conn", "", "any", ""); !d.drop {
-		t.Errorf("conn scope: %+v", d)
 	}
 }
 
@@ -189,142 +181,15 @@ func TestRoundTripperFaults(t *testing.T) {
 	}
 }
 
-// TestHTTPProxyFaults: the reverse proxy forwards cleanly, synthesizes
-// statuses, and severs connections on drop rules.
-func TestHTTPProxyFaults(t *testing.T) {
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, "ok:%s", r.URL.Path)
-	}))
-	defer backend.Close()
-	target, err := url.Parse(backend.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	plan := Plan{Rules: []Rule{
-		{Name: "outage", Path: "/v1/sweeps", Method: "POST", Count: 2, Status: 503},
-		{Name: "sever", Path: "/sever", Drop: true},
-	}}
-	in, err := New(plan, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := httptest.NewServer(in.Proxy(target))
-	defer proxy.Close()
-
-	// Burst: first two submits 503, third forwarded.
-	for i, want := range []int{503, 503, 200} {
-		resp, err := http.Post(proxy.URL+"/v1/sweeps", "application/json", strings.NewReader("{}"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != want {
-			t.Errorf("submit %d: status %d, want %d", i, resp.StatusCode, want)
+// TestNewRejectsOutOfRangeP: New validates the plan, refusing a rule
+// probability outside [0,1].
+func TestNewRejectsOutOfRangeP(t *testing.T) {
+	for _, p := range []float64{-0.5, 2} {
+		if _, err := New(Plan{Rules: []Rule{{Name: "x", P: p, Drop: true}}}, 1); err == nil {
+			t.Errorf("p = %v accepted", p)
 		}
 	}
-
-	// Drop: the connection dies without an HTTP answer.
-	if resp, err := http.Get(proxy.URL + "/sever"); err == nil {
-		resp.Body.Close()
-		t.Errorf("severed request answered: %d", resp.StatusCode)
-	}
-
-	// Clean paths proxy transparently.
-	resp, err := http.Get(proxy.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if string(body) != "ok:/healthz" {
-		t.Errorf("proxied body %q", body)
-	}
-}
-
-// TestTCPProxyResets: conn-scoped rules refuse connections and reset
-// streams mid-flight at exact byte offsets.
-func TestTCPProxyResets(t *testing.T) {
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write(make([]byte, 64<<10)) // big enough to straddle a reset
-	}))
-	defer backend.Close()
-	backendAddr := strings.TrimPrefix(backend.URL, "http://")
-
-	plan := Plan{Rules: []Rule{
-		{Name: "refuse", Scope: "conn", Count: 1, Drop: true},
-		{Name: "cut", Scope: "conn", Count: 1, ResetAfterBytes: 100},
-	}}
-	in, err := New(plan, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy, err := in.ProxyTCP("127.0.0.1:0", backendAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-	base := "http://" + proxy.Addr()
-
-	// Connection 1: refused at accept — the client sees a reset/EOF.
-	noKeepAlive := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
-	if resp, err := noKeepAlive.Get(base + "/"); err == nil {
-		resp.Body.Close()
-		t.Error("refused connection served a response")
-	}
-
-	// Connection 2: cut after 100 bytes — the body read must fail.
-	resp, err := noKeepAlive.Get(base + "/")
-	if err == nil {
-		_, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr == nil {
-			t.Error("reset stream delivered a complete body")
-		}
-	}
-
-	// Connection 3: clean pass-through, full body.
-	resp, err = noKeepAlive.Get(base + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if rerr != nil || len(body) != 64<<10 {
-		t.Errorf("clean connection: err %v, %d bytes", rerr, len(body))
-	}
-}
-
-// TestLoadPlan: JSON round-trip and validation.
-func TestLoadPlan(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "plan.json")
-	plan := Plan{Rules: []Rule{
-		{Name: "a", Path: "/x", Count: 2, Status: 503, RetryAfterMs: 1000},
-		{Name: "b", Scope: "conn", P: 0.25, Drop: true},
-	}}
-	data, err := json.Marshal(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadPlan(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Rules) != 2 || got.Rules[0].Name != "a" || got.Rules[1].P != 0.25 {
-		t.Errorf("plan round-trip: %+v", got)
-	}
-
-	bad := filepath.Join(dir, "bad.json")
-	os.WriteFile(bad, []byte(`{"rules":[{"name":"x","p":2}]}`), 0o644)
-	if _, err := LoadPlan(bad); err == nil {
-		t.Error("out-of-range p accepted")
-	}
-	os.WriteFile(bad, []byte(`{"rules":[{"scope":"udp"}]}`), 0o644)
-	if _, err := LoadPlan(bad); err == nil {
-		t.Error("unknown scope accepted")
+	if _, err := New(Plan{Rules: []Rule{{Name: "x", P: 0.25, Drop: true}}}, 1); err != nil {
+		t.Errorf("p = 0.25 rejected: %v", err)
 	}
 }

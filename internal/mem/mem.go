@@ -61,6 +61,12 @@ type PhysMem struct {
 	next         []uint64 // per-node bump pointer, in frames
 	free         [][]PAddr
 	allocated    []uint64 // per-node live frame count
+	// claimed is restore bookkeeping, one bit per touched frame of each
+	// node: DecodeState sets the free frames, and every
+	// AddressSpace.DecodeState claims the frames it maps, so no frame
+	// restores as both free and mapped, or as mapped by two spaces. A
+	// running machine never reads it.
+	claimed [][]uint64
 }
 
 // NewPhysMem builds a physical memory map with the given number of nodes,

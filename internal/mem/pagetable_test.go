@@ -89,9 +89,12 @@ func TestPageTableLookupAllocatesNothing(t *testing.T) {
 	}
 }
 
+// encodeSpace checkpoints a space after its physical map, the order a
+// machine checkpoint uses.
 func encodeSpace(t *testing.T, as *AddressSpace) []byte {
 	t.Helper()
 	e := checkpoint.NewEncoder("")
+	as.phys.EncodeState(e)
 	as.EncodeState(e)
 	var buf bytes.Buffer
 	if err := e.Close(&buf); err != nil {
@@ -103,6 +106,9 @@ func encodeSpace(t *testing.T, as *AddressSpace) []byte {
 func decodeSpace(blob []byte, phys *PhysMem) (*AddressSpace, error) {
 	d, err := checkpoint.NewDecoder(bytes.NewReader(blob))
 	if err != nil {
+		return nil, err
+	}
+	if err := phys.DecodeState(d); err != nil {
 		return nil, err
 	}
 	as := NewAddressSpace(phys, NextTouch)
@@ -120,6 +126,9 @@ func TestPageTableEncodeSorted(t *testing.T) {
 
 	d, err := checkpoint.NewDecoder(bytes.NewReader(blob))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := NewPhysMem(2, 8<<20).DecodeState(d); err != nil {
 		t.Fatal(err)
 	}
 	d.Expect("space")
@@ -161,11 +170,11 @@ func TestPageTableDecodeRejects(t *testing.T) {
 	as := NewAddressSpace(m, NextTouch)
 	translate(t, as, 0x3000, 0)
 	translate(t, as, 0x5000, 1)
-	blob := encodeSpace(t, as)
 	// Node 0 hands out its second frame and takes it back, so frame
 	// 0x1000 is free and frame 0x2000 was never handed out.
 	f, _ := m.AllocFrame(0)
 	m.FreeFrame(f)
+	blob := encodeSpace(t, as)
 	// The entries follow the last stats field: count, then (page, frame,
 	// home, next-touch) per entry.
 	first := uint64(len(blob) - 4 - 2*pteBytes)
@@ -233,6 +242,7 @@ func TestPhysMemDecodeRejects(t *testing.T) {
 	}{
 		{"bump pointer beyond node", "touched frames", patch(node0, 5)},
 		{"more live than touched", "touched frames", patch(node0+8, 3)},
+		{"touched frame neither live nor free", "touched frames", patch(node0+8, 0)},
 		{"free frame of another node", "never handed out", patch(node0+24, 4*PageBytes)},
 		{"free frame above bump pointer", "never handed out", patch(node0+24, 2*PageBytes)},
 		{"unaligned free frame", "never handed out", patch(node0+24, 8)},
@@ -251,5 +261,20 @@ func TestPhysMemDecodeRejects(t *testing.T) {
 	d, _ := checkpoint.NewDecoder(bytes.NewReader(blob))
 	if r := NewPhysMem(2, 4*PageBytes); r.DecodeState(d) != nil || r.FramesTouched(0) != 2 || r.FramesInUse(0) != 1 {
 		t.Fatal("intact state did not restore")
+	}
+
+	// Node 0's second frame freed too, then the second free-list entry
+	// rewritten to name the first frame again.
+	m.FreeFrame(PageBytes)
+	e = checkpoint.NewEncoder("")
+	m.EncodeState(e)
+	buf.Reset()
+	if err := e.Close(&buf); err != nil {
+		t.Fatal(err)
+	}
+	blob = buf.Bytes()
+	d, _ = checkpoint.NewDecoder(bytes.NewReader(patch(node0+32, uint64(a))))
+	if err := NewPhysMem(2, 4*PageBytes).DecodeState(d); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("duplicate free frame: err = %v", err)
 	}
 }

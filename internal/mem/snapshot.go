@@ -25,7 +25,8 @@ func (m *PhysMem) EncodeState(e *checkpoint.Encoder) {
 }
 
 // DecodeState overwrites the allocation state. The map must have the
-// geometry the checkpoint was taken with.
+// geometry the checkpoint was taken with. Every touched frame must be
+// either live or free, and free at most once.
 func (m *PhysMem) DecodeState(d *checkpoint.Decoder) error {
 	d.Expect("phys")
 	nodes := d.Len(m.nodes)
@@ -37,6 +38,7 @@ func (m *PhysMem) DecodeState(d *checkpoint.Decoder) error {
 		return fmt.Errorf("mem: checkpoint geometry %d nodes × %d B, map has %d × %d",
 			nodes, bpn, m.nodes, m.bytesPerNode)
 	}
+	m.claimed = make([][]uint64, m.nodes)
 	for n := 0; n < m.nodes; n++ {
 		m.next[n] = d.U64()
 		m.allocated[n] = d.U64()
@@ -44,21 +46,35 @@ func (m *PhysMem) DecodeState(d *checkpoint.Decoder) error {
 		if err := d.Err(); err != nil {
 			return err
 		}
-		if m.next[n] > m.framesPer || m.allocated[n] > m.next[n] {
-			return fmt.Errorf("mem: node %d checkpoint counts %d live of %d touched frames, node has %d",
-				n, m.allocated[n], m.next[n], m.framesPer)
+		if m.next[n] > m.framesPer || m.allocated[n]+uint64(cnt) != m.next[n] {
+			return fmt.Errorf("mem: node %d checkpoint counts %d live and %d free of %d touched frames, node has %d",
+				n, m.allocated[n], cnt, m.next[n], m.framesPer)
 		}
 		base := uint64(n) * m.bytesPerNode
+		m.claimed[n] = make([]uint64, (m.next[n]+63)/64)
 		m.free[n] = m.free[n][:0]
 		for i := 0; i < cnt; i++ {
 			pa := PAddr(d.U64())
 			if PageOf(pa) != pa || uint64(pa) < base || uint64(pa) >= base+m.next[n]*PageBytes {
 				return fmt.Errorf("mem: node %d free list holds frame %#x it never handed out", n, uint64(pa))
 			}
+			if m.claim(pa) {
+				return fmt.Errorf("mem: node %d free list holds frame %#x twice", n, uint64(pa))
+			}
 			m.free[n] = append(m.free[n], pa)
 		}
 	}
 	return d.Err()
+}
+
+// claim marks pa's frame, which its node has handed out, as accounted
+// for by the restore and reports whether it already was.
+func (m *PhysMem) claim(pa PAddr) bool {
+	n, f := uint64(pa)/m.bytesPerNode, uint64(pa)%m.bytesPerNode/PageBytes
+	w, bit := &m.claimed[n][f/64], uint64(1)<<(f%64)
+	was := *w&bit != 0
+	*w |= bit
+	return was
 }
 
 // EncodeState writes one address space's translation state: the page
@@ -96,7 +112,8 @@ const pteBytes = 8 + 8 + 8 + 1
 // table: unaligned or repeated pages, and frames that are unaligned,
 // beyond the end of memory, homed at a node other than the one recorded,
 // never handed out by their node, on its free list, or mapped by an
-// earlier entry. Any of those would let AllocFrame hand the frame to a
+// earlier entry — of this space or of another space restored since the
+// physical map. Any of those would let AllocFrame hand the frame to a
 // second page.
 func (as *AddressSpace) DecodeState(d *checkpoint.Decoder) error {
 	d.Expect("space")
@@ -119,13 +136,8 @@ func (as *AddressSpace) DecodeState(d *checkpoint.Decoder) error {
 		slots *= 2
 	}
 	as.pages, as.mapped = make([]pte, slots), 0
-	// taken holds the frames an entry may not map: the free ones, then
-	// each one mapped so far.
-	taken := make(map[PAddr]bool)
-	for _, fl := range as.phys.free {
-		for _, pa := range fl {
-			taken[pa] = true
-		}
+	if as.phys.claimed == nil {
+		return fmt.Errorf("mem: address space decoded before its physical map")
 	}
 	for i := 0; i < n; i++ {
 		vp := VAddr(d.U64())
@@ -146,10 +158,9 @@ func (as *AddressSpace) DecodeState(d *checkpoint.Decoder) error {
 			return fmt.Errorf("mem: page %#x records home %d for a frame of node %d", uint64(vp), home, as.phys.Home(frame))
 		case uint64(frame)%as.phys.bytesPerNode/PageBytes >= as.phys.FramesTouched(home):
 			return fmt.Errorf("mem: page %#x maps to frame %#x, which node %d never handed out", uint64(vp), uint64(frame), home)
-		case taken[frame]:
+		case as.phys.claim(frame):
 			return fmt.Errorf("mem: page %#x maps to frame %#x, which is free or already mapped", uint64(vp), uint64(frame))
 		}
-		taken[frame] = true
 		as.insert(vp, frame, home).nextTouch = next
 	}
 	return d.Err()

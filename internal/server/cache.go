@@ -78,15 +78,14 @@ const (
 )
 
 // tieredStore is the two-level content-addressed result store: a
-// bounded in-memory LRU in front of an optional unbounded persistent
-// backend (any ResultStore — a local directory or an S3-style object
-// endpoint). Reads probe memory first and promote backend hits into
+// bounded in-memory LRU in front of an optional unbounded ResultStore
+// directory. Reads probe memory first and promote directory hits into
 // the LRU; writes go through to both, so every complete result
 // survives a restart even after the LRU evicts it. With no persistent
 // tier it degenerates to the plain LRU the daemon always had.
 type tieredStore struct {
 	lru  *resultCache
-	disk ResultStore // nil = memory only
+	disk *ResultStore // nil = memory only
 }
 
 // Get returns the cached result for key and the tier that held it.

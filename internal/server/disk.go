@@ -16,59 +16,19 @@ import (
 )
 
 // ResultStore is the persistent tier of the result cache: a
-// content-addressed map from Job.Key (the same golden-tested
+// content-addressed directory mapping Job.Key (the same golden-tested
 // fingerprint the in-memory LRU and Sweep.Dedup use) to the complete
-// simulation result, shared safely between daemons because entries are
-// immutable once written (simulations are deterministic).
+// simulation result. Entries are immutable once written (simulations
+// are deterministic), so one directory is safe to share read-write
+// between a draining old daemon and its restarted successor.
 //
-// Two implementations ship with the package, both layered over the same
-// key-verified entry format by keyedStore: NewDiskStore (a local
-// directory — the PR 5 layout, for one node or nodes sharing a
-// filesystem) and NewObjectStore (an S3-style object API — a local
-// directory today or any HTTP endpoint speaking ObjectHandler's
-// GET/PUT protocol, so a fleet of allarm-serve shards can share results
-// without shared disks).
-//
-// Implementations must treat Get misses and corruption identically
-// (return false, never an error — the simulator can always regenerate),
-// must make Put atomic (concurrent readers and crash recovery only ever
-// see complete entries), and should make Len O(1) (it is scraped by
-// /metrics on an unbounded store).
-type ResultStore interface {
-	// Get returns the stored result for key, or false when the entry is
-	// absent, unreadable or fails key verification.
-	Get(key string) (*allarm.Result, bool)
-	// Put persists res under key, atomically.
-	Put(key string, res *allarm.Result) error
-	// Len reports the number of stored entries (approximate when another
-	// process writes concurrently).
-	Len() int
-}
-
-// objectBackend is the byte-level storage under a keyedStore: a flat
-// namespace of immutable, atomically-written objects. fsObjects backs
-// it with a directory, httpObjects with an S3-style HTTP API
-// (object.go). Splitting bytes from entry semantics is what makes the
-// disk and object stores byte-compatible: both write identical
-// diskEntry JSON under identical names.
-type objectBackend interface {
-	// get returns the object's bytes, or ok == false when absent.
-	get(name string) (data []byte, ok bool, err error)
-	// put writes the object atomically; created reports whether the name
-	// was new (Len bookkeeping).
-	put(name string, data []byte) (created bool, err error)
-	// count returns the number of stored objects (store open).
-	count() (int, error)
-}
-
-// keyedStore implements ResultStore over any objectBackend: it owns the
-// entry format (diskEntry JSON), the content addressing
-// (sha256(key).json names) and the key verification on read. It is the
-// one place results are encoded, so every backend serves byte-identical
-// results.
-type keyedStore struct {
-	objects objectBackend
-	// entries tracks the object count (seeded at open, bumped on new
+// Get treats misses and corruption identically (false, never an error:
+// the simulator can always regenerate), Put is atomic (concurrent
+// readers and crash recovery only ever see complete entries), and Len
+// is O(1) (it is scraped by /metrics on an unbounded store).
+type ResultStore struct {
+	dir string
+	// entries tracks the file count (seeded at open, bumped on new
 	// puts) so /metrics scrapes don't pay a listing on an unbounded
 	// store.
 	entries atomic.Int64
@@ -84,50 +44,41 @@ type diskEntry struct {
 	Result  *allarm.Result `json:"result"`
 }
 
-// newKeyedStore wraps an opened backend, seeding the entry counter.
-func newKeyedStore(objects objectBackend) (*keyedStore, error) {
-	n, err := objects.count()
+// NewDiskStore opens (creating if needed) the ResultStore rooted at
+// dir: one <sha256(key)>.json file per result, written with
+// AtomicWrite so a crash (SIGKILL) midway leaves either the old content
+// or none — never a torn entry. Each file is a single diskEntry JSON
+// object on one line — the same one-object-per-line convention as the
+// drain checkpoints' NDJSON, so `jq` and log pipelines can process a
+// whole store with `cat dir/*.json`.
+func NewDiskStore(dir string) (*ResultStore, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("result store: %w", err)
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
 		return nil, fmt.Errorf("result store: %w", err)
 	}
-	s := &keyedStore{objects: objects}
-	s.entries.Store(int64(n))
+	s := &ResultStore{dir: dir}
+	s.entries.Store(int64(len(names)))
 	return s, nil
 }
 
-// NewDiskStore opens (creating if needed) a directory-backed
-// ResultStore rooted at dir: one <sha256(key)>.json file per result,
-// written via temp file + rename so a crash (SIGKILL) midway leaves
-// either the old content or none — never a torn entry. Each file is a
-// single diskEntry JSON object on one line — the same
-// one-object-per-line convention as the drain checkpoints' NDJSON, so
-// `jq` and log pipelines can process a whole store with `cat
-// dir/*.json`. Immutable entries make the directory safe to share
-// read-write between a draining old daemon and its restarted successor
-// (or a whole fleet on one filesystem).
-func NewDiskStore(dir string) (ResultStore, error) {
-	fs, err := newFSObjects(dir)
-	if err != nil {
-		return nil, err
-	}
-	return newKeyedStore(fs)
-}
-
-// objectName maps a job key to its object name. Keys are arbitrary
+// objectName maps a job key to its entry file name. Keys are arbitrary
 // strings (they embed %+v-rendered configs), so the name is the key's
 // SHA-256; the key itself is stored inside the entry and checked on Get
-// — a hash collision or a foreign object can never serve the wrong
+// — a hash collision or a foreign file can never serve the wrong
 // simulation.
 func objectName(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(sum[:]) + ".json"
 }
 
-// Get implements ResultStore (corrupt or mismatched entries are misses,
-// never errors: the simulator can always regenerate them).
-func (s *keyedStore) Get(key string) (*allarm.Result, bool) {
-	data, ok, err := s.objects.get(objectName(key))
-	if err != nil || !ok {
+// Get returns the stored result for key, or false when the entry is
+// absent, unreadable or fails key verification.
+func (s *ResultStore) Get(key string) (*allarm.Result, bool) {
+	data, err := os.ReadFile(filepath.Join(s.dir, objectName(key)))
+	if err != nil {
 		return nil, false
 	}
 	var e diskEntry
@@ -137,68 +88,29 @@ func (s *keyedStore) Get(key string) (*allarm.Result, bool) {
 	return e.Result, true
 }
 
-// Put implements ResultStore.
-func (s *keyedStore) Put(key string, res *allarm.Result) error {
+// Put persists res under key, atomically.
+func (s *ResultStore) Put(key string, res *allarm.Result) error {
 	data, err := json.Marshal(diskEntry{Key: key, SavedAt: time.Now().UTC(), Result: res})
 	if err != nil {
 		return err
 	}
 	data = append(data, '\n')
-	created, err := s.objects.put(objectName(key), data)
-	if err != nil {
+	path := filepath.Join(s.dir, objectName(key))
+	_, statErr := os.Stat(path)
+	if err := AtomicWrite(path, data); err != nil {
 		return err
 	}
-	if created {
+	if os.IsNotExist(statErr) {
 		s.entries.Add(1)
 	}
 	return nil
 }
 
-// Len implements ResultStore (the store itself is unbounded — retention
-// is the operator's via the content-addressed names).
-func (s *keyedStore) Len() int {
+// Len reports the number of stored entries (approximate when another
+// process writes concurrently; the store itself is unbounded —
+// retention is the operator's via the content-addressed names).
+func (s *ResultStore) Len() int {
 	return int(s.entries.Load())
-}
-
-// fsObjects is the directory objectBackend: one file per object,
-// written atomically.
-type fsObjects struct {
-	dir string
-}
-
-func newFSObjects(dir string) (fsObjects, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fsObjects{}, fmt.Errorf("result store: %w", err)
-	}
-	return fsObjects{dir: dir}, nil
-}
-
-func (f fsObjects) get(name string) ([]byte, bool, error) {
-	data, err := os.ReadFile(filepath.Join(f.dir, name))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, false, nil
-		}
-		return nil, false, err
-	}
-	return data, true, nil
-}
-
-func (f fsObjects) put(name string, data []byte) (bool, error) {
-	path := filepath.Join(f.dir, name)
-	_, statErr := os.Stat(path)
-	if err := AtomicWrite(path, data); err != nil {
-		return false, err
-	}
-	return os.IsNotExist(statErr), nil
-}
-
-func (f fsObjects) count() (int, error) {
-	names, err := filepath.Glob(filepath.Join(f.dir, "*.json"))
-	if err != nil {
-		return 0, err
-	}
-	return len(names), nil
 }
 
 // AtomicWrite writes data to path via a same-directory temp file,

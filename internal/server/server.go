@@ -104,19 +104,9 @@ type Options struct {
 	// traces are journaled, and boot re-enqueues unfinished sweeps (see
 	// the package's Durability section for the layout).
 	CacheDir string
-	// Store, when non-nil, is the persistent result tier, replacing the
-	// <CacheDir>/results disk store — typically NewObjectStore, so fleet
-	// shards share results without shared disks. CacheDir (when also
-	// set) still journals sweeps, traces and checkpoints locally.
-	Store ResultStore
 	// Guard, when non-nil, authenticates and rate-limits every request
 	// (see Guard) and enforces per-client job quotas at submit time.
 	Guard *Guard
-	// ObjectServeDir, when non-empty, additionally serves the S3-style
-	// object protocol (ObjectHandler) from that directory under
-	// /v1/objects/ — one shard's disk becoming the fleet's shared
-	// result store.
-	ObjectServeDir string
 	// CheckpointDir, when non-empty, receives one <sweep-id>.ndjson per
 	// sweep still in flight when Drain cancels it. Empty with a CacheDir
 	// defaults to <CacheDir>/checkpoints.
@@ -214,7 +204,7 @@ func New(opts Options) (*Server, error) {
 		ctx:           ctx,
 		cancel:        cancel,
 		sem:           make(chan struct{}, workers),
-		cache:         &tieredStore{lru: newResultCache(entries), disk: opts.Store},
+		cache:         &tieredStore{lru: newResultCache(entries)},
 		start:         time.Now(),
 		runJob:        opts.RunJob,
 		checkpointDir: opts.CheckpointDir,
@@ -247,13 +237,11 @@ func New(opts Options) (*Server, error) {
 		s.runJob = func(ctx context.Context, j allarm.Job) (*allarm.Result, error) { return j.RunCtx(ctx) }
 	}
 	if opts.CacheDir != "" {
-		if s.cache.disk == nil {
-			disk, err := NewDiskStore(filepath.Join(opts.CacheDir, "results"))
-			if err != nil {
-				return fail(err)
-			}
-			s.cache.disk = disk
+		disk, err := NewDiskStore(filepath.Join(opts.CacheDir, "results"))
+		if err != nil {
+			return fail(err)
 		}
+		s.cache.disk = disk
 		if s.checkpointDir == "" {
 			s.checkpointDir = filepath.Join(opts.CacheDir, "checkpoints")
 		}
@@ -282,13 +270,6 @@ func New(opts Options) (*Server, error) {
 	if s.jobCkptDir != "" {
 		front.HandleFunc("GET /v1/checkpoints/{name}", s.handleCheckpointGet)
 		front.HandleFunc("POST /v1/checkpoints/{name}", s.handleCheckpointPut)
-	}
-	if opts.ObjectServeDir != "" {
-		oh, err := ObjectHandler(opts.ObjectServeDir)
-		if err != nil {
-			return fail(err)
-		}
-		front.mux.Handle("/v1/objects/", http.StripPrefix("/v1/objects", oh))
 	}
 	front.Recover()
 	if opts.Retain > 0 {

@@ -3,8 +3,11 @@ package system
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 
 	"allarm/internal/mem"
@@ -250,5 +253,87 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	wrongPol, wpSpecs := snapBuild(t, baselinePolicy, false)
 	if _, err := wrongPol.Restore(bytes.NewReader(blob), wpSpecs); err == nil {
 		t.Fatalf("restore under a different policy succeeded")
+	}
+}
+
+// twoSpaceBuild is snapBuild's multiprocess (Fig. 4) shape: two copies
+// of a two-thread workload, each in its own address space over the one
+// physical map. leak, when set, hands out a frame no page maps.
+func twoSpaceBuild(t *testing.T, leak bool) (*Machine, []ThreadSpec) {
+	t.Helper()
+	cfg := testConfig(baselinePolicy)
+	cfg.CheckInvariants = false
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	wl := workload.MustSynthetic(stressParams(2, 1000))
+	var specs []ThreadSpec
+	for p := 0; p < 2; p++ {
+		space := m.NewAddressSpace(mem.FirstTouch)
+		preplace(t, space, wl, func(th int) mem.NodeID { return mem.NodeID(2*p + th) })
+		for th := 0; th < 2; th++ {
+			specs = append(specs, ThreadSpec{
+				Node: mem.NodeID(2*p + th), Stream: wl.Stream(th, uint64(42+p)), Space: space,
+				Name: fmt.Sprintf("proc%d/%d", p, th),
+			})
+		}
+	}
+	if leak {
+		m.Phys().AllocFrame(0)
+	}
+	return m, specs
+}
+
+// TestRestoreRejectsCrossSpaceFrames: each address space's page table
+// is valid on its own, yet the machine must refuse a checkpoint whose
+// second space maps the first space's frame, or whose live frames are
+// not all mapped — either would let two pages share one frame.
+func TestRestoreRejectsCrossSpaceFrames(t *testing.T) {
+	snapshot := func(leak bool) []byte {
+		m, specs := twoSpaceBuild(t, leak)
+		if err := m.Start(specs); err != nil {
+			t.Fatalf("Start: %v", err)
+		}
+		stepUntilFired(t, m, 2000)
+		var buf bytes.Buffer
+		if err := m.Snapshot(&buf, ""); err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		return buf.Bytes()
+	}
+	restore := func(blob []byte) error {
+		m, specs := twoSpaceBuild(t, false)
+		_, err := m.Restore(bytes.NewReader(blob), specs)
+		return err
+	}
+	blob := snapshot(false)
+	if err := restore(blob); err != nil {
+		t.Fatalf("intact two-space checkpoint: %v", err)
+	}
+
+	// Each space section is its marker, policy, four stats counters and
+	// the entry count, then (page, frame, home, next-touch) entries.
+	marker := binary.LittleEndian.AppendUint64(nil, uint64(len("space")))
+	marker = append(marker, "space"...)
+	firstPTE := func(from int) int {
+		i := bytes.Index(blob[from:], marker)
+		if i < 0 {
+			t.Fatal("space section not found")
+		}
+		return from + i + len(marker) + 8 + 4*8 + 8
+	}
+	a := firstPTE(0)
+	b := firstPTE(a)
+	aliased := bytes.Clone(blob)
+	copy(aliased[b+8:b+24], blob[a+8:a+24]) // the first space's frame and home
+	n := len(aliased) - 4
+	binary.LittleEndian.PutUint32(aliased[n:], crc32.Checksum(aliased[:n], crc32.MakeTable(crc32.Castagnoli)))
+	if err := restore(aliased); err == nil || !strings.Contains(err.Error(), "already mapped") {
+		t.Errorf("aliased frame: err = %v, want an already-mapped frame", err)
+	}
+
+	if err := restore(snapshot(true)); err == nil || !strings.Contains(err.Error(), "live frames") {
+		t.Errorf("unmapped live frame: err = %v, want a mapped/live mismatch", err)
 	}
 }
