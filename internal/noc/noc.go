@@ -88,10 +88,13 @@ type Stats struct {
 type Mesh struct {
 	cfg   Config
 	cost  [2]classCost // per Class, fixed by the configuration
+	xy    []coord      // per node: its mesh coordinates
 	free  []sim.Time   // per directed link: next time the link is free
-	route []int        // scratch: the in-flight message's XY route
 	stats Stats
 }
+
+// coord is a node's (x, y) position in the mesh.
+type coord struct{ x, y int }
 
 // classCost is what one message of a class costs the wire: its size,
 // its flit count and its per-link serialization time.
@@ -107,12 +110,14 @@ func New(cfg Config) *Mesh {
 		panic(err)
 	}
 	// Four directed links per node (E, W, N, S); edge links exist in the
-	// slice but are never used by XY routing. The route scratch buffer is
-	// sized for the longest XY route so Send never grows it.
+	// slice but are never used by XY routing.
 	m := &Mesh{
-		cfg:   cfg,
-		free:  make([]sim.Time, cfg.Width*cfg.Height*4),
-		route: make([]int, 0, cfg.Width+cfg.Height),
+		cfg:  cfg,
+		xy:   make([]coord, cfg.Width*cfg.Height),
+		free: make([]sim.Time, cfg.Width*cfg.Height*4),
+	}
+	for n := range m.xy {
+		m.xy[n] = coord{n % cfg.Width, n / cfg.Width}
 	}
 	for c, bytes := range [2]int{Control: cfg.ControlBytes, Data: cfg.DataBytes} {
 		m.cost[c] = classCost{
@@ -136,16 +141,11 @@ func (m *Mesh) ResetStats() { m.stats = Stats{} }
 // Nodes returns the number of mesh nodes.
 func (m *Mesh) Nodes() int { return m.cfg.Width * m.cfg.Height }
 
-func (m *Mesh) coords(n mem.NodeID) (x, y int) {
-	return int(n) % m.cfg.Width, int(n) / m.cfg.Width
-}
-
 // Hops returns the XY-route hop count between two nodes (Manhattan
 // distance).
 func (m *Mesh) Hops(src, dst mem.NodeID) int {
-	sx, sy := m.coords(src)
-	dx, dy := m.coords(dst)
-	return abs(sx-dx) + abs(sy-dy)
+	s, d := m.xy[src], m.xy[dst]
+	return abs(s.x-d.x) + abs(s.y-d.y)
 }
 
 func abs(v int) int {
@@ -155,7 +155,8 @@ func abs(v int) int {
 	return v
 }
 
-// Directed-link direction indices.
+// Directed-link direction indices: node n's link in direction dir is
+// free[4n+dir].
 const (
 	dirE = iota
 	dirW
@@ -163,34 +164,15 @@ const (
 	dirS
 )
 
-func (m *Mesh) linkID(node mem.NodeID, dir int) int { return int(node)*4 + dir }
-
-// xyRoute appends the directed links of the XY route src→dst to buf.
-func (m *Mesh) xyRoute(src, dst mem.NodeID, buf []int) []int {
-	x, y := m.coords(src)
-	dx, dy := m.coords(dst)
-	n := src
-	for x != dx {
-		if x < dx {
-			buf = append(buf, m.linkID(n, dirE))
-			x++
-		} else {
-			buf = append(buf, m.linkID(n, dirW))
-			x--
-		}
-		n = mem.NodeID(y*m.cfg.Width + x)
+// leg returns the link-index step, the direction and the hop count of
+// one XY-route leg from coordinate a to b, where one unit of the
+// coordinate is stride nodes and inc and dec are the directions that
+// increase and decrease it.
+func leg(a, b, stride, inc, dec int) (step, dir, hops int) {
+	if a < b {
+		return 4 * stride, inc, b - a
 	}
-	for y != dy {
-		if y < dy {
-			buf = append(buf, m.linkID(n, dirS))
-			y++
-		} else {
-			buf = append(buf, m.linkID(n, dirN))
-			y--
-		}
-		n = mem.NodeID(y*m.cfg.Width + x)
-	}
-	return buf
+	return -4 * stride, dec, a - b
 }
 
 // BytesFor returns the wire size of a message of the given class.
@@ -215,20 +197,24 @@ func (m *Mesh) Send(now sim.Time, src, dst mem.NodeID, class Class) sim.Time {
 	cost := &m.cost[class]
 	ser := cost.ser
 
-	links := m.xyRoute(src, dst, m.route[:0])
-	m.route = links[:0]
+	// Walk the XY route link by link: the X leg first, then the Y leg,
+	// each link moving the head flit on after it frees.
+	sc, dc := m.xy[src], m.xy[dst]
+	l := int(src) * 4
 	t := now
-	for _, l := range links {
-		start := t
-		if m.free[l] > start {
-			start = m.free[l]
-		}
-		m.free[l] = start + ser
-		t = start + m.cfg.LinkLatency
+	xStep, xDir, xHops := leg(sc.x, dc.x, 1, dirE, dirW)
+	yStep, yDir, yHops := leg(sc.y, dc.y, m.cfg.Width, dirS, dirN)
+	for k := 0; k < xHops; k++ {
+		t = m.cross(l+xDir, t, ser)
+		l += xStep
+	}
+	for k := 0; k < yHops; k++ {
+		t = m.cross(l+yDir, t, ser)
+		l += yStep
 	}
 	arrival := t + ser // tail flit trails the head by the serialization time
 
-	hops := uint64(len(links))
+	hops := uint64(xHops + yHops)
 	m.stats.Messages++
 	if class == Control {
 		m.stats.CtrlMsgs++
@@ -241,4 +227,13 @@ func (m *Mesh) Send(now sim.Time, src, dst mem.NodeID, class Class) sim.Time {
 	m.stats.FlitHops += flits * hops
 	m.stats.RouterXings += flits * (hops + 1)
 	return arrival
+}
+
+// cross moves a message's head flit, ready at t, over link: it waits for
+// the link to free, occupies it for ser and reaches the far router one
+// link latency later, when cross returns.
+func (m *Mesh) cross(link int, t, ser sim.Time) sim.Time {
+	start := max(t, m.free[link])
+	m.free[link] = start + ser
+	return start + m.cfg.LinkLatency
 }

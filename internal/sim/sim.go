@@ -9,28 +9,25 @@
 //
 // # Event queue
 //
-// The queue is a hand-rolled 4-ary min-heap. Its array holds only
-// pointer-free keys (at, seq, slot), so sifting moves 24-byte values,
-// copies no pointers and pays no GC write barriers; the Handler a key
-// fires lives in a side slab at index slot. The slab and the key array
-// always have the same capacity, and the key array's tail beyond the
-// live heap doubles as the free-slot stack: a pop writes the fired
-// key's slot into the position it vacates, and a push takes the slot
-// already stored at the position it fills. Both grow together, only
-// when the queue outgrows its high-water mark, so scheduling allocates
-// nothing in steady state. A pop nils the fired handler's slab entry, so
-// the engine never keeps a fired handler — or anything it references —
-// reachable.
+// The queue is a calendar queue (Brown, CACM 1988): a ring of
+// ringBuckets buckets, each bucketWidth picoseconds wide, covering the
+// horizon of ringBuckets×bucketWidth picoseconds that starts at the
+// bucket of the earliest pending event. Each bucket is a list sorted by
+// (at, seq), kept as head and tail indices into a pointer-free node slab
+// of (at, seq, next); the Handler a node fires lives in a side slab at
+// the same index. A bitmap of occupied buckets finds the next non-empty
+// one in a few word scans. Events beyond the horizon wait in an
+// overflow ordered by (at, seq) with O(log n) operations, and move into
+// the ring as the horizon advances over them.
 //
-// Keys compare as one 128-bit number at<<64|seq through carry-chained
-// subtraction, and a sift-down level with all four children present
-// picks the minimum child by a two-round tournament of such compares
-// selected arithmetically, not by branches: heap order there is data-
-// dependent and a mispredicted branch costs more than the compare. The
-// sift rules — the exact strict comparisons, and the first of equal
-// children winning — fix the array layout for a given schedule;
-// ForEachPending exposes that layout to checkpoints, which is why the
-// heap's shape, not only its pop order, is part of its contract.
+// Event deltas in a machine model are a handful of fixed latencies plus
+// contention, far below the horizon, so nearly every push appends at a
+// bucket's tail and nearly every pop takes a bucket's head: both O(1).
+// Freed nodes go on a free list threaded through next, so the slabs
+// grow only when the queue outgrows its high-water mark and scheduling
+// allocates nothing in steady state. A pop nils the fired handler's slab
+// entry, so the engine never keeps a fired handler — or anything it
+// references — reachable.
 //
 // # Events and handlers
 //
@@ -95,38 +92,62 @@ type HandlerFunc func(now Time)
 // Handle implements Handler.
 func (f HandlerFunc) Handle(now Time) { f(now) }
 
-// key is one queued event's heap entry; the Handler it fires is
-// slab[slot]. Beyond the live heap, only slot is meaningful: it names a
-// free slab entry.
-type key struct {
-	at   Time // never negative, so it orders as a uint64
+// Calendar geometry: ringBuckets buckets of bucketWidth picoseconds, so
+// the ring spans a horizon of about 262 ns — above every fixed latency
+// of the machine model (a NoC crossing, a DRAM access).
+const (
+	bucketShift = 9
+	bucketWidth = 1 << bucketShift // picoseconds per bucket
+	ringBits    = 9
+	ringBuckets = 1 << ringBits
+	ringMask    = ringBuckets - 1
+	horizon     = ringBuckets * bucketWidth
+)
+
+// minNodes is the node slabs' first capacity; append doubles it from
+// there. Whole-machine runs queue from a few to about 150 events, so a
+// start this small skips the tiniest growths without leaving a mostly
+// unused slab on shallow runs.
+const minNodes = 32
+
+// node is one queued event; the Handler it fires is slab[i] for node
+// nodes[i]. nodes[0] is a sentinel, never an event: a zero index ends a
+// list, and an empty bucket's tail is 0, so that appending to it takes
+// the same path as appending to any bucket — no event orders before the
+// sentinel's (0, 0) key, and its next field is scratch.
+type node struct {
+	at   Time // never negative, so its bucket number is at >> bucketShift
 	seq  uint64
-	slot uint32
+	next uint32 // next node of the same bucket list or of the free list
 }
 
-// less returns 1 when a orders before b — earlier time first, FIFO on
-// ties — and 0 otherwise, as the borrow out of the 128-bit subtraction
-// (a.at, a.seq) - (b.at, b.seq).
-func less(a, b *key) uint64 {
-	_, borrow := bits.Sub64(a.seq, b.seq, 0)
-	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
-	return borrow
+// before reports whether a orders before b: earlier time first, FIFO on
+// ties.
+func (a *node) before(b *node) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-// minHeapCap is the queue's first capacity; it doubles from there.
-// Whole-machine runs queue from a few to about 150 events, so a start
-// this small skips the tiniest growths without leaving a mostly unused
-// tail on shallow runs.
-const minHeapCap = 20
+// bucket is one ring slot: a list of nodes sorted by (at, seq), both
+// indices 0 when it is empty.
+type bucket struct{ head, tail uint32 }
 
 // Engine is a single-threaded discrete-event scheduler.
 // The zero value is ready to use.
 type Engine struct {
-	now   Time
-	seq   uint64
-	fired uint64
-	queue []key     // 4-ary min-heap; queue[len:cap] holds the free slots
-	slab  []Handler // len == cap(queue); live entries are the queued handlers
+	now     Time
+	seq     uint64
+	fired   uint64
+	pending int
+	// base is the bucket number of the ring's first bucket, never after
+	// the earliest pending event's: ring events lie in buckets
+	// [base, base+ringBuckets), overflow events at or beyond the end.
+	base  uint64
+	free  uint32                   // head of the free-node list
+	nodes []node                   // nodes[0] is the sentinel
+	slab  []Handler                // len == len(nodes); live entries are the queued handlers
+	over  []uint32                 // binary min-heap of overflow node indices
+	occ   [ringBuckets / 64]uint64 // bit i: ring[i] is non-empty
+	ring  [ringBuckets]bucket
 }
 
 // Now returns the current simulated time.
@@ -136,93 +157,170 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.pending }
 
-// grow doubles the capacity of the full queue and its slab, numbering
-// the new free slots in the key array's new tail.
-func (e *Engine) grow() {
-	n := len(e.queue)
-	c := max(2*n, minHeapCap)
-	q := make([]key, c)
-	copy(q, e.queue)
-	for i := n; i < c; i++ {
-		q[i].slot = uint32(i)
+// push queues h under (at, seq). at must not precede the ring's base
+// bucket, which Schedule and RestorePending guarantee by rejecting times
+// before Now.
+func (e *Engine) push(at Time, seq uint64, h Handler) {
+	x := e.free
+	if x != 0 {
+		e.free = e.nodes[x].next
+	} else {
+		if len(e.nodes) == 0 {
+			e.nodes, e.slab = make([]node, 1, minNodes), make([]Handler, 1, minNodes)
+		}
+		x = uint32(len(e.nodes))
+		e.nodes, e.slab = append(e.nodes, node{}), append(e.slab, nil)
 	}
-	slab := make([]Handler, c)
-	copy(slab, e.slab)
-	e.queue, e.slab = q[:n], slab
+	e.nodes[x] = node{at: at, seq: seq}
+	e.slab[x] = h
+	e.pending++
+	bn := uint64(at) >> bucketShift
+	if bn-e.base >= ringBuckets {
+		e.overPush(x)
+		return
+	}
+	if i := bn & ringMask; !e.appendTail(i, x) {
+		e.insertSorted(i, x)
+	}
 }
 
-// push queues h under (at, seq), restoring the heap invariant by
-// sifting the new key up through parents that do not order before it.
-func (e *Engine) push(at Time, seq uint64, h Handler) {
-	n := len(e.queue)
-	if n == cap(e.queue) {
-		e.grow()
+// appendTail links node x, whose next is 0, at the tail of ring bucket
+// i when it does not order before the tail — every push in (at, seq)
+// order — and reports whether it did. An empty bucket's tail is the
+// sentinel, so x always appends there.
+func (e *Engine) appendTail(i uint64, x uint32) bool {
+	b := &e.ring[i]
+	t := &e.nodes[b.tail]
+	if e.nodes[x].before(t) {
+		return false
 	}
-	q := e.queue[:n+1]
-	e.queue = q
-	it := key{at: at, seq: seq, slot: q[n].slot}
-	e.slab[it.slot] = h
-	i := n
+	t.next = x
+	if b.head == 0 {
+		b.head = x
+	}
+	b.tail = x
+	e.occ[i>>6] |= 1 << (i & 63)
+	return true
+}
+
+// insertSorted links node x, which orders before the tail of the
+// non-empty ring bucket i, after the last node that does not order
+// after it.
+func (e *Engine) insertSorted(i uint64, x uint32) {
+	b := &e.ring[i]
+	nx := &e.nodes[x]
+	if nx.before(&e.nodes[b.head]) {
+		nx.next = b.head
+		b.head = x
+		return
+	}
+	p := b.head
+	for !nx.before(&e.nodes[e.nodes[p].next]) {
+		p = e.nodes[p].next
+	}
+	nx.next = e.nodes[p].next
+	e.nodes[p].next = x
+}
+
+// pop removes the earliest event and returns its time and handler. It
+// first moves base to the earliest event's bucket — usually found in
+// base's own bitmap word — and pulls the overflow events the moved
+// horizon now covers into the ring. The handler's slab entry is cleared
+// and its node freed, so the engine keeps no reference to it.
+func (e *Engine) pop() (Time, Handler) {
+	from := e.base & ringMask
+	if m := e.occ[from>>6] >> (from & 63); m != 0 {
+		e.base += uint64(bits.TrailingZeros64(m))
+	} else {
+		e.base = e.nextBucket()
+	}
+	for len(e.over) > 0 && uint64(e.nodes[e.over[0]].at)>>bucketShift-e.base < ringBuckets {
+		x := e.overPop()
+		if i := uint64(e.nodes[x].at) >> bucketShift & ringMask; !e.appendTail(i, x) {
+			e.insertSorted(i, x)
+		}
+	}
+	i := e.base & ringMask
+	b := &e.ring[i]
+	x := b.head
+	n := &e.nodes[x]
+	b.head = n.next
+	if b.head == 0 {
+		b.tail = 0
+		e.occ[i>>6] &^= 1 << (i & 63)
+	}
+	h := e.slab[x]
+	e.slab[x] = nil
+	n.next = e.free
+	e.free = x
+	e.pending--
+	return n.at, h
+}
+
+// nextBucket returns the bucket number of the earliest pending event,
+// which the queue must have: the first occupied ring bucket after base,
+// or the overflow's minimum when the ring is empty — the ring's events
+// all precede the overflow's.
+func (e *Engine) nextBucket() uint64 {
+	from := e.base & ringMask
+	w := from >> 6
+	m := e.occ[w] &^ (1<<(from&63) - 1)
+	for k := 0; k <= len(e.occ); k++ {
+		if m != 0 {
+			i := w<<6 + uint64(bits.TrailingZeros64(m))
+			return e.base + (i-from)&ringMask
+		}
+		w = (w + 1) % uint64(len(e.occ))
+		m = e.occ[w]
+	}
+	return uint64(e.nodes[e.over[0]].at) >> bucketShift
+}
+
+// overPush adds node x to the overflow heap.
+func (e *Engine) overPush(x uint32) {
+	e.over = append(e.over, x)
+	q := e.over
+	i := len(q) - 1
 	for i > 0 {
-		p := (i - 1) >> 2
-		if less(&q[p], &it) != 0 {
+		p := (i - 1) / 2
+		if !e.nodes[x].before(&e.nodes[q[p]]) {
 			break
 		}
 		q[i] = q[p]
 		i = p
 	}
-	q[i] = it
+	q[i] = x
 }
 
-// pop removes the earliest event and returns its time and handler. The
-// handler's slab entry is cleared and its slot stored in the vacated
-// tail position, so the engine keeps no reference to it.
-func (e *Engine) pop() (Time, Handler) {
-	q := e.queue
+// overPop removes and returns the overflow's earliest node.
+func (e *Engine) overPop() uint32 {
+	q := e.over
 	top := q[0]
-	h := e.slab[top.slot]
-	e.slab[top.slot] = nil
 	n := len(q) - 1
-	it := q[n]
-	q[n].slot = top.slot
+	x := q[n]
 	q = q[:n]
-	e.queue = q
-	if n == 0 {
-		return top.at, h
-	}
-	// Sift the former tail down from the root along min-child links,
-	// moving children up into the hole rather than swapping.
+	e.over = q
 	i := 0
 	for {
-		c := i<<2 + 1
-		var m int
-		if c+3 < n {
-			// All four children exist: pick the first minimum by a
-			// tournament, each round a branch-free select.
-			a := c + int(less(&q[c+1], &q[c]))
-			b := c + 2 + int(less(&q[c+3], &q[c+2]))
-			m = a ^ (a^b)&-int(less(&q[b], &q[a]))
-		} else {
-			if c >= n {
-				break
-			}
-			m = c
-			for j := c + 1; j < n; j++ {
-				if less(&q[j], &q[m]) != 0 {
-					m = j
-				}
-			}
-		}
-		if less(&it, &q[m]) != 0 {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		q[i] = q[m]
-		i = m
+		if c+1 < n && e.nodes[q[c+1]].before(&e.nodes[q[c]]) {
+			c++
+		}
+		if !e.nodes[q[c]].before(&e.nodes[x]) {
+			break
+		}
+		q[i] = q[c]
+		i = c
 	}
-	q[i] = it
-	return top.at, h
+	if n > 0 {
+		q[i] = x
+	}
+	return top
 }
 
 // checkTime panics when at is in the past: scheduling before Now always
@@ -299,13 +397,13 @@ func (e *Engine) run(done <-chan struct{}, limit uint64) (fired uint64, cancelle
 			}
 			stop = min(end, e.fired+CancelCheckBudget)
 		}
-		for e.fired < stop && len(e.queue) > 0 {
+		for e.fired < stop && e.pending > 0 {
 			at, h := e.pop()
 			e.now = at
 			h.Handle(at)
 			e.fired++
 		}
-		if e.fired == end || len(e.queue) == 0 {
+		if e.fired == end || e.pending == 0 {
 			return e.fired - start, false
 		}
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 )
 
@@ -314,20 +315,71 @@ func TestRestoreClockRejectsNegativeTime(t *testing.T) {
 	}
 }
 
-// liveSlabEntries checks that exactly the slab entries of queued keys
-// hold a handler — every fired handler's entry was cleared — and returns
-// how many do.
-func liveSlabEntries(t *testing.T, e *Engine) int {
-	t.Helper()
-	if len(e.slab) != cap(e.queue) {
-		t.Fatalf("slab has %d entries for queue capacity %d", len(e.slab), cap(e.queue))
-	}
-	live := make(map[uint32]bool, len(e.queue))
-	for _, k := range e.queue {
-		if live[k.slot] {
-			t.Fatalf("slot %d queued twice", k.slot)
+// TestRestoreEqualKeys: events restored under one (at, seq) — which
+// only a corrupt checkpoint holds, and the system layer rejects — must
+// still queue and all pop, in the ring and in the overflow, rather than
+// wedge the queue.
+func TestRestoreEqualKeys(t *testing.T) {
+	for _, at := range []Time{5, 5 + 2*horizon} {
+		var e Engine
+		if err := e.RestoreClock(0, 9, 0); err != nil {
+			t.Fatal(err)
 		}
-		live[k.slot] = true
+		var order []int
+		for id := 0; id < 3; id++ {
+			if err := e.RestorePending(at, 7, &orderRecord{id: id, order: &order}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := e.Run(0); n != 3 || len(order) != 3 {
+			t.Fatalf("at %v: fired %d events in order %v", at, n, order)
+		}
+	}
+}
+
+// liveSlabEntries checks the queue's structure — every ring bucket a
+// list sorted by (at, seq) inside the horizon, matching its occupancy
+// bit; the overflow beyond it — and that exactly the slab entries of
+// queued nodes hold a handler, every fired handler's entry cleared. It
+// returns how many do.
+func liveSlabEntries(tb testing.TB, e *Engine) int {
+	tb.Helper()
+	if len(e.slab) != len(e.nodes) {
+		tb.Fatalf("slab has %d entries for %d nodes", len(e.slab), len(e.nodes))
+	}
+	live := make(map[uint32]bool)
+	mark := func(x uint32) {
+		if x == 0 || int(x) >= len(e.nodes) || live[x] {
+			tb.Fatalf("node %d queued twice or out of range", x)
+		}
+		live[x] = true
+	}
+	for i := range e.ring {
+		b := e.ring[i]
+		if occ := e.occ[i>>6]>>(i&63)&1 == 1; occ != (b.head != 0) || b.head == 0 && b.tail != 0 {
+			tb.Fatalf("bucket %d: occupancy bit %v, head %d, tail %d", i, occ, b.head, b.tail)
+		}
+		var prev *node
+		for x := b.head; x != 0; x = e.nodes[x].next {
+			mark(x)
+			n := &e.nodes[x]
+			if bn := uint64(n.at) >> bucketShift; bn-e.base >= ringBuckets || bn&ringMask != uint64(i) {
+				tb.Fatalf("node at %v in bucket %d, ring base %d", n.at, i, e.base)
+			}
+			if prev != nil && !prev.before(n) {
+				tb.Fatalf("bucket %d out of order", i)
+			}
+			if n.next == 0 && b.tail != x {
+				tb.Fatalf("bucket %d: tail %d, last node %d", i, b.tail, x)
+			}
+			prev = n
+		}
+	}
+	for _, x := range e.over {
+		mark(x)
+		if uint64(e.nodes[x].at)>>bucketShift-e.base < ringBuckets {
+			tb.Fatalf("overflow node at %v inside the horizon of base %d", e.nodes[x].at, e.base)
+		}
 	}
 	n := 0
 	for i, h := range e.slab {
@@ -335,7 +387,7 @@ func liveSlabEntries(t *testing.T, e *Engine) int {
 			n++
 		}
 		if (h != nil) != live[uint32(i)] {
-			t.Fatalf("slab entry %d: handler set %v, queued %v", i, h != nil, live[uint32(i)])
+			tb.Fatalf("slab entry %d: handler set %v, queued %v", i, h != nil, live[uint32(i)])
 		}
 	}
 	return n
@@ -407,7 +459,8 @@ func benchmarkChurn(b *testing.B, ctx context.Context, width int) {
 }
 
 // BenchmarkEngineChurn runs a 1024-deep queue, far deeper than any
-// whole-machine run, so it weighs the heap's depth.
+// whole-machine run. Its +1 ps deltas put every event in one or two
+// buckets, the calendar queue's worst case: pushes walk long lists.
 func BenchmarkEngineChurn(b *testing.B) { benchmarkChurn(b, context.Background(), 1024) }
 
 // BenchmarkEngineChurnDepth48 matches the average queue depth of a
@@ -427,3 +480,60 @@ func BenchmarkEngineChurnCancellable(b *testing.B) {
 	defer cancel()
 	benchmarkChurn(b, ctx, 1024)
 }
+
+// mixDeltas is a fixed pseudo-random sequence of scheduling deltas in
+// the proportions a whole-machine run measures: about 45% at +1 ns (a
+// cache or controller stage), the rest spread over 2–144 ns (NoC
+// crossings, contention, DRAM).
+var mixDeltas = func() []Time {
+	rng := rand.New(rand.NewSource(1))
+	d := make([]Time, 4096)
+	for i := range d {
+		if rng.Intn(100) < 45 {
+			d[i] = Nanosecond
+		} else {
+			d[i] = 2*Nanosecond + Time(rng.Int63n(int64(142*Nanosecond)))
+		}
+	}
+	return d
+}()
+
+// mixHandler reschedules itself by the next of mixDeltas until its
+// budget runs out.
+type mixHandler struct {
+	e         *Engine
+	next      *int
+	remaining int
+}
+
+func (m *mixHandler) Handle(now Time) {
+	if m.remaining > 0 {
+		m.remaining--
+		*m.next = (*m.next + 1) % len(mixDeltas)
+		m.e.Schedule(now+mixDeltas[*m.next], m)
+	}
+}
+
+// benchmarkMix is benchmarkChurn with the measured delta mix, so events
+// spread over the queue's time range as in a whole-machine run.
+func benchmarkMix(b *testing.B, width int) {
+	var e Engine
+	next := 0
+	handlers := make([]mixHandler, width)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j := range handlers {
+			handlers[j] = mixHandler{e: &e, next: &next, remaining: 64}
+			e.Schedule(e.Now()+Time(j)*Nanosecond, &handlers[j])
+		}
+		e.Run(0)
+	}
+}
+
+// BenchmarkEngineMixDepth48 is BenchmarkEngineChurnDepth48 with the
+// measured delta mix.
+func BenchmarkEngineMixDepth48(b *testing.B) { benchmarkMix(b, 48) }
+
+// BenchmarkEngineMixDepth3 is BenchmarkEngineChurnDepth3 with the
+// measured delta mix.
+func BenchmarkEngineMixDepth3(b *testing.B) { benchmarkMix(b, 3) }

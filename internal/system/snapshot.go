@@ -3,6 +3,7 @@ package system
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"allarm/internal/checkpoint"
 	"allarm/internal/coherence"
@@ -13,14 +14,15 @@ import (
 
 // Machine checkpointing (gem5-style): Snapshot serializes the complete
 // architectural and microarchitectural state of a running simulation —
-// the event heap, every controller, every cache line, the page tables
+// the event queue, every controller, every cache line, the page tables
 // and the workload cursors — such that Restore into a freshly built
 // identical machine continues the run bit-identically to one that was
 // never interrupted.
 //
-// Event handlers cannot be serialized as code, so the heap is encoded
-// as (time, seq, tag, payload) records where the tag names one of the
-// five handler shapes a running machine schedules:
+// Event handlers cannot be serialized as code, so the pending events
+// are encoded, in the "heap" section and in the engine's canonical
+// (time, seq) order, as (time, seq, tag, payload) records where the tag
+// names one of the five handler shapes a running machine schedules:
 //
 //	hCPUStep  — a cpu's "issue next access" record (payload: cpu index)
 //	hCPUPend  — a cpu's think-delay pend (payload: cpu index; the pended
@@ -41,7 +43,7 @@ import (
 // bookkeeping is gone, and statistics since the reset are part of the
 // captured state.
 
-// Handler tags in the encoded heap.
+// Handler tags in the encoded event queue.
 const (
 	hCPUStep uint8 = iota + 1
 	hCPUPend
@@ -136,17 +138,17 @@ func (m *Machine) Snapshot(w io.Writer, meta string) error {
 
 	e.Section("heap")
 	e.Len(m.eng.Pending())
-	var heapErr error
+	var encErr error
 	m.eng.ForEachPending(func(at sim.Time, seq uint64, h sim.Handler) {
-		if heapErr != nil {
+		if encErr != nil {
 			return
 		}
 		e.I64(int64(at))
 		e.U64(seq)
-		heapErr = m.encodeHandler(e, h)
+		encErr = m.encodeHandler(e, h)
 	})
-	if heapErr != nil {
-		return heapErr
+	if encErr != nil {
+		return encErr
 	}
 	return e.Close(w)
 }
@@ -363,9 +365,10 @@ func (m *Machine) Restore(r io.Reader, threads []ThreadSpec) (string, error) {
 		}
 	}
 
-	// The clock must be set before the heap is refilled (RestorePending
-	// rejects events in the past), and the heap after every controller
-	// (directory events bind to restored transactions).
+	// The clock must be set before the queue is refilled (RestorePending
+	// rejects events in the past), and the queue after every controller
+	// (directory events bind to restored transactions). Events may come
+	// in any order: older builds wrote them in their heap's array order.
 	if err := m.eng.RestoreClock(now, seq, fired); err != nil {
 		return meta, err
 	}
@@ -374,6 +377,7 @@ func (m *Machine) Restore(r io.Reader, threads []ThreadSpec) (string, error) {
 	if err := d.Err(); err != nil {
 		return meta, err
 	}
+	var seqs []uint64
 	for i := 0; i < pending; i++ {
 		at := sim.Time(d.I64())
 		sq := d.U64()
@@ -387,9 +391,18 @@ func (m *Machine) Restore(r io.Reader, threads []ThreadSpec) (string, error) {
 		if err := m.eng.RestorePending(at, sq, h); err != nil {
 			return meta, err
 		}
+		seqs = append(seqs, sq)
 	}
 	if err := d.Err(); err != nil {
 		return meta, err
+	}
+	// A live engine gives every pending event its own seq; two events
+	// sharing one would leave their pop order to the queue's layout.
+	slices.Sort(seqs)
+	for i := 1; i < len(seqs); i++ {
+		if seqs[i] == seqs[i-1] {
+			return meta, fmt.Errorf("system: checkpoint repeats event seq %d", seqs[i])
+		}
 	}
 	if rem := d.Remaining(); rem != 0 {
 		return meta, fmt.Errorf("system: %d bytes of unread checkpoint payload", rem)
@@ -405,6 +418,6 @@ func (m *Machine) Restore(r io.Reader, threads []ThreadSpec) (string, error) {
 }
 
 // maxHeapEvents bounds the decoded event count against corrupt
-// checkpoints; a live machine's heap holds at most a few events per
+// checkpoints; a live machine's queue holds at most a few events per
 // node.
 const maxHeapEvents = 1 << 24

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"allarm/internal/mem"
+	"allarm/internal/sim"
 	"allarm/internal/workload"
 )
 
@@ -253,6 +254,52 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	wrongPol, wpSpecs := snapBuild(t, baselinePolicy, false)
 	if _, err := wrongPol.Restore(bytes.NewReader(blob), wpSpecs); err == nil {
 		t.Fatalf("restore under a different policy succeeded")
+	}
+}
+
+// TestRestoreRejectsRepeatedSeq gives the first pending event of a real
+// checkpoint the seq of the second, behind a valid CRC: two events
+// sharing a seq have no defined pop order, so Restore must refuse them.
+func TestRestoreRejectsRepeatedSeq(t *testing.T) {
+	m, specs := snapBuild(t, allarmPolicy, false)
+	if err := m.Start(specs); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	stepUntilFired(t, m, 20000)
+	var seqs []uint64
+	m.Engine().ForEachPending(func(_ sim.Time, seq uint64, _ sim.Handler) { seqs = append(seqs, seq) })
+	if len(seqs) < 2 {
+		t.Fatalf("%d events pending, want at least 2", len(seqs))
+	}
+	var buf bytes.Buffer
+	if err := m.Snapshot(&buf, ""); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	blob := buf.Bytes()
+	fresh, fspecs := snapBuild(t, allarmPolicy, false)
+	if _, err := fresh.Restore(bytes.NewReader(blob), fspecs); err != nil {
+		t.Fatalf("intact checkpoint: %v", err)
+	}
+
+	// The heap section is its marker and the event count, then
+	// (time, seq, handler) records in ForEachPending order.
+	marker := binary.LittleEndian.AppendUint64(nil, uint64(len("heap")))
+	marker = append(marker, "heap"...)
+	i := bytes.LastIndex(blob, marker)
+	if i < 0 {
+		t.Fatal("heap section not found")
+	}
+	first := i + len(marker) + 8 + 8 // the first record's seq
+	if got := binary.LittleEndian.Uint64(blob[first:]); got != seqs[0] {
+		t.Fatalf("first record's seq is %d, want %d", got, seqs[0])
+	}
+	dup := bytes.Clone(blob)
+	binary.LittleEndian.PutUint64(dup[first:], seqs[1])
+	n := len(dup) - 4
+	binary.LittleEndian.PutUint32(dup[n:], crc32.Checksum(dup[:n], crc32.MakeTable(crc32.Castagnoli)))
+	fresh, fspecs = snapBuild(t, allarmPolicy, false)
+	if _, err := fresh.Restore(bytes.NewReader(dup), fspecs); err == nil || !strings.Contains(err.Error(), "repeats event seq") {
+		t.Fatalf("repeated seq: err = %v, want a repeated-seq error", err)
 	}
 }
 
