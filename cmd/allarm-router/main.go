@@ -14,7 +14,6 @@
 //	allarm-router -addr :8350 -shards ... -shard-token fleet-secret
 //	allarm-router -auth tokens.json       # client-facing bearer auth
 //	allarm-router -state-dir /var/lib/allarm-router   # sweep journal
-//	allarm-router -shards-file fleet.txt  # SIGHUP re-reads it
 //	allarm-router -health-interval 5s -fail-after 3
 //	allarm-router -attempts 4 -retry-backoff 250ms -shard-timeout 30s
 //
@@ -24,18 +23,19 @@
 // csv, table) renders byte-identically to a single-node run. Shards
 // are health-checked and routed around; a shard lost mid-sweep
 // degrades that sweep's jobs to "skipped" rather than failing the
-// gather, and a later membership change or readmission re-queues those
-// jobs onto their new owner. The fleet's shard set can be changed at
-// runtime via POST/DELETE /v1/shards (admin-scoped when -auth is set)
-// or by sending SIGHUP to re-read -shards-file. GET /metrics reports
-// per-shard request, retry and unhealthy interval counters
-// (?format=prometheus adds latency histograms in text exposition).
+// gather, and a later health transition re-queues those jobs onto
+// their new owner. The shard set is fixed while the router runs: to
+// change it, restart the router with an edited -shards list and the
+// same -state-dir; recovery moves the jobs of departed shards onto
+// their new owners. GET /metrics reports per-shard request, retry and
+// unhealthy interval counters (?format=prometheus adds latency
+// histograms in text exposition).
 //
 // Observability: every response carries an X-Allarm-Request-Id header,
 // forwarded on each shard call so one client request correlates across
 // the whole fleet's logs. GET /v1/sweeps/{id}/timeline merges the
 // router's lifecycle events (accepted, expanded, assigned, gathered,
-// migrated, requeued, done) with each shard's per-job timeline into one
+// requeued, done) with each shard's per-job timeline into one
 // fleet-wide view; /debug/pprof serves live profiles. Both are
 // admin-scoped when -auth is set. -log-level and -log-format select
 // slog verbosity and text or JSON encoding.
@@ -67,36 +67,13 @@ func main() {
 	os.Exit(run())
 }
 
-// readShardsFile parses a shard list file: one URL per line, blank
-// lines and #-comments ignored.
-func readShardsFile(path string) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var urls []string
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		urls = append(urls, line)
-	}
-	if len(urls) == 0 {
-		return nil, fmt.Errorf("%s: no shard URLs", path)
-	}
-	return urls, nil
-}
-
 func run() int {
 	var (
 		addr         = flag.String("addr", ":8350", "listen address (host:port; port 0 picks one)")
 		shards       = flag.String("shards", "", "comma-separated allarm-serve base URLs")
-		shardsFile   = flag.String("shards-file", "", "file of shard URLs, one per line (SIGHUP re-reads it)")
 		shardToken   = flag.String("shard-token", "", "bearer token the router presents to shards")
-		authFile     = flag.String("auth", "", "JSON file of client tokens (bearer auth, rate limits, job quotas; \"admin\": true unlocks /v1/shards)")
+		authFile     = flag.String("auth", "", "JSON file of client tokens (bearer auth, rate limits, job quotas; \"admin\": true unlocks timelines and pprof)")
 		stateDir     = flag.String("state-dir", "", "journal directory: accepted sweeps survive router restarts (empty = in-memory only)")
-		replicas     = flag.Int("replicas", 0, "virtual nodes per shard on the hash ring (0 = default)")
 		healthIvl    = flag.Duration("health-interval", 0, "shard health probe interval (0 = default 2s)")
 		failAfter    = flag.Int("fail-after", 0, "consecutive probe failures before a shard is excluded (0 = default 2)")
 		attempts     = flag.Int("attempts", 0, "attempts per shard request before giving up (0 = default 3)")
@@ -118,27 +95,19 @@ func run() int {
 	}
 
 	var shardList []string
-	if *shardsFile != "" {
-		var err error
-		if shardList, err = readShardsFile(*shardsFile); err != nil {
-			fmt.Fprintln(os.Stderr, "allarm-router:", err)
-			return 1
-		}
-	}
 	for _, s := range strings.Split(*shards, ",") {
 		if s = strings.TrimSpace(s); s != "" {
 			shardList = append(shardList, s)
 		}
 	}
 	if len(shardList) == 0 {
-		fmt.Fprintln(os.Stderr, "allarm-router: -shards or -shards-file is required (allarm-serve URLs)")
+		fmt.Fprintln(os.Stderr, "allarm-router: -shards is required (allarm-serve URLs)")
 		return 2
 	}
 
 	opts := fleet.Options{
 		Shards:         shardList,
 		ShardToken:     *shardToken,
-		Replicas:       *replicas,
 		HealthInterval: *healthIvl,
 		FailAfter:      *failAfter,
 		Attempts:       *attempts,
@@ -165,29 +134,6 @@ func run() int {
 		return 1
 	}
 	defer rt.Close()
-
-	// SIGHUP re-reads -shards-file and swaps the membership: moved keys
-	// re-dispatch, skipped jobs get their new owners, the change is
-	// journaled. Without -shards-file there is nothing to reload.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-	go func() {
-		for range hup {
-			if *shardsFile == "" {
-				logger.Warn("SIGHUP ignored (no -shards-file to reload)")
-				continue
-			}
-			urls, err := readShardsFile(*shardsFile)
-			if err != nil {
-				logger.Error("reload", "error", err)
-				continue
-			}
-			if err := rt.SetShards(urls); err != nil {
-				logger.Error("reload", "error", err)
-			}
-		}
-	}()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -35,9 +35,6 @@
 //	GET    /v1/policies             registered directory policies
 //	GET    /v1/benchmarks           benchmark presets
 //	GET    /v1/version              build version (fleet skew checks)
-//	GET    /v1/checkpoints/{name}   pull a job's machine-state checkpoint
-//	POST   /v1/checkpoints/{name}   push one (fleet migration; with
-//	                                -checkpoint-interval/-checkpoint-dir)
 //	GET    /healthz                 liveness (reports draining)
 //	GET    /metrics                 counters: jobs run, cache hits
 //	                                (memory/disk), recoveries, aborts;
@@ -61,15 +58,13 @@
 // With -checkpoint-interval N the daemon additionally checkpoints the
 // full machine state of every running simulation every N events (under
 // -checkpoint-dir, default <cache-dir>/jobckpts). A killed daemon then
-// resumes interrupted jobs from their latest checkpoint at boot —
-// bit-identically, losing at most one interval of simulation — long
+// resumes interrupted jobs from their latest checkpoint at boot,
+// bit-identically, losing at most one interval of simulation; long
 // jobs yield their worker slot to waiting work at checkpoint
-// boundaries (preemption), and the /v1/checkpoints endpoints let
-// allarm-router migrate in-flight jobs between shards on membership
-// changes. Corrupt, truncated or version-skewed checkpoint files are
-// discarded and the job re-simulates from scratch. Note the distinct
-// roles: -checkpoint holds drain-time partial-result NDJSON,
-// -checkpoint-dir holds resumable machine state.
+// boundaries (preemption). Corrupt, truncated or version-skewed
+// checkpoint files are discarded and the job re-simulates from
+// scratch. Note the distinct roles: -checkpoint holds drain-time
+// partial-result NDJSON, -checkpoint-dir holds resumable machine state.
 //
 // On SIGINT/SIGTERM the daemon drains: submissions are refused,
 // in-flight sweeps get -grace to finish, and whatever is still running

@@ -148,11 +148,10 @@
 // writes, and a restarted router recovers in-flight sweeps under their
 // original ids — re-asking the shards, whose content-addressed caches
 // answer without re-simulating, so a SIGKILL mid-gather costs nothing
-// but the restart. The shard set is mutable at runtime via
-// GET/POST/DELETE /v1/shards (admin-scoped when -auth is set) or
-// SIGHUP re-reading -shards-file; membership changes re-queue skipped
-// jobs onto their new owners and are journaled so recovery boots with
-// the current ring. Retries honor Retry-After on 429 and otherwise use
+// but the restart. The shard set is fixed while the router runs; to
+// change it, restart the router with an edited -shards list and the
+// same -state-dir, and recovery moves the owed and skipped jobs of
+// departed shards onto their new owners. Retries honor Retry-After on 429 and otherwise use
 // seeded full-jitter exponential backoff, with a -shard-timeout
 // deadline on every attempt. These claims are asserted under
 // deterministic chaos: internal/faultnet turns declarative fault plans

@@ -13,16 +13,14 @@ import (
 // unchanged JSON object and Prometheus text exposition from one
 // source.
 type routerMetrics struct {
-	reg               *obs.Registry
-	sweepsCompleted   *obs.Counter
-	sweepsDegraded    *obs.Counter
-	jobsScattered     *obs.Counter
-	jobsRequeued      *obs.Counter
-	jobsMigrated      *obs.Counter
-	shardFailures     *obs.Counter
-	membershipChanges *obs.Counter
-	gathers           *obs.Counter
-	gatherNs          *obs.Counter
+	reg             *obs.Registry
+	sweepsCompleted *obs.Counter
+	sweepsDegraded  *obs.Counter
+	jobsScattered   *obs.Counter
+	jobsRequeued    *obs.Counter
+	shardFailures   *obs.Counter
+	gathers         *obs.Counter
+	gatherNs        *obs.Counter
 
 	// gatherLatency is the distribution of dispatch-wave wall times
 	// (scatter → every shard gathered), Prometheus-only.
@@ -35,16 +33,14 @@ type routerMetrics struct {
 func newRouterMetrics() *routerMetrics {
 	reg := obs.NewRegistry()
 	return &routerMetrics{
-		reg:               reg,
-		sweepsCompleted:   reg.Counter("allarm_router_sweeps_completed_total", "Sweeps fully gathered."),
-		sweepsDegraded:    reg.Counter("allarm_router_sweeps_degraded_total", "Sweeps finished with at least one shard's jobs skipped."),
-		jobsScattered:     reg.Counter("allarm_router_jobs_scattered_total", "Jobs dispatched to shards."),
-		jobsRequeued:      reg.Counter("allarm_router_jobs_requeued_total", "Skipped jobs re-dispatched onto a new ring owner."),
-		jobsMigrated:      reg.Counter("allarm_router_jobs_migrated_total", "In-flight jobs whose checkpoint moved to a new owner."),
-		shardFailures:     reg.Counter("allarm_router_shard_failures_total", "Shard sub-sweeps lost past the retry budget."),
-		membershipChanges: reg.Counter("allarm_router_membership_changes_total", "Runtime shard-set mutations."),
-		gathers:           reg.Counter("allarm_router_gathers_total", "Completed dispatch waves."),
-		gatherNs:          reg.Counter("allarm_router_gather_nanoseconds_total", "Wall nanoseconds summed over dispatch waves."),
+		reg:             reg,
+		sweepsCompleted: reg.Counter("allarm_router_sweeps_completed_total", "Sweeps fully gathered."),
+		sweepsDegraded:  reg.Counter("allarm_router_sweeps_degraded_total", "Sweeps finished with at least one shard's jobs skipped."),
+		jobsScattered:   reg.Counter("allarm_router_jobs_scattered_total", "Jobs dispatched to shards."),
+		jobsRequeued:    reg.Counter("allarm_router_jobs_requeued_total", "Skipped jobs re-dispatched onto a new ring owner."),
+		shardFailures:   reg.Counter("allarm_router_shard_failures_total", "Shard sub-sweeps lost past the retry budget."),
+		gathers:         reg.Counter("allarm_router_gathers_total", "Completed dispatch waves."),
+		gatherNs:        reg.Counter("allarm_router_gather_nanoseconds_total", "Wall nanoseconds summed over dispatch waves."),
 		gatherLatency: reg.Histogram("allarm_router_gather_duration_seconds",
 			"Wall time of one dispatch wave (scatter to fully gathered).",
 			1e-9, obs.ExpBuckets(1_000_000, 4_000_000_000_000)), // 1ms .. ~67min
@@ -85,17 +81,12 @@ type Metrics struct {
 	SweepsRecovered uint64 `json:"sweeps_recovered"`
 	JobsScattered   uint64 `json:"jobs_scattered"`
 	// JobsRequeued counts skipped jobs re-dispatched onto a new ring
-	// owner after a membership change or health transition.
+	// owner after a health transition or a restart with a changed shard
+	// set.
 	JobsRequeued uint64 `json:"jobs_requeued"`
-	// JobsMigrated counts in-flight jobs whose machine-state checkpoint
-	// was moved to a new owner on a membership change — the new shard
-	// resumed them instead of re-simulating from event zero.
-	JobsMigrated uint64 `json:"jobs_migrated"`
 	// ShardFailures counts shard sub-sweeps lost past the retry budget.
-	ShardFailures uint64 `json:"shard_failures"`
-	// MembershipChanges counts runtime shard-set mutations.
-	MembershipChanges uint64 `json:"membership_changes"`
-	TracesUploaded    uint64 `json:"traces_uploaded"`
+	ShardFailures  uint64 `json:"shard_failures"`
+	TracesUploaded uint64 `json:"traces_uploaded"`
 	// Gathers counts completed dispatch waves (initial scatters, recovery
 	// resumes and requeues); GatherSecondsTotal sums their wall time.
 	Gathers            uint64         `json:"gathers"`
@@ -112,26 +103,23 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := time.Now()
-	mem := rt.mem.Load()
 	c := rt.front.Counts()
 	m := Metrics{
 		UptimeSeconds:      time.Since(rt.start).Seconds(),
-		ShardsTotal:        len(mem.shards),
+		ShardsTotal:        len(rt.shards),
 		SweepsSubmitted:    c.Submitted,
 		SweepsCompleted:    rt.met.sweepsCompleted.Load(),
 		SweepsDegraded:     rt.met.sweepsDegraded.Load(),
 		SweepsRecovered:    c.Recovered,
 		JobsScattered:      rt.met.jobsScattered.Load(),
 		JobsRequeued:       rt.met.jobsRequeued.Load(),
-		JobsMigrated:       rt.met.jobsMigrated.Load(),
 		ShardFailures:      rt.met.shardFailures.Load(),
-		MembershipChanges:  rt.met.membershipChanges.Load(),
 		TracesUploaded:     c.TracesUploaded,
 		Gathers:            rt.met.gathers.Load(),
 		GatherSecondsTotal: float64(rt.met.gatherNs.Load()) / 1e9,
-		Shards:             make([]ShardMetrics, len(mem.shards)),
+		Shards:             make([]ShardMetrics, len(rt.shards)),
 	}
-	for i, sh := range mem.shards {
+	for i, sh := range rt.shards {
 		spans, dur := sh.unhealthyTotal(now)
 		healthy := sh.isHealthy()
 		if healthy {

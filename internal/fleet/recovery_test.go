@@ -252,6 +252,136 @@ func TestFleetJournalRecoveryTerminal(t *testing.T) {
 	}
 }
 
+// TestFleetRequeueAfterShardRemoval: jobs degraded to "skipped" by a
+// dead shard are re-queued onto the new ring owner when the router is
+// restarted on the same state dir with the dead shard dropped from its
+// shard set — the recovered sweep re-opens, re-dispatches only the
+// moved jobs, and lands on done with every row a real result,
+// byte-identical to a single-node run.
+func TestFleetRequeueAfterShardRemoval(t *testing.T) {
+	dir := t.TempDir()
+	victim := newTestShard(t, server.Options{Workers: 4})
+	victim.gate = make(chan struct{})
+	healthy := newTestShard(t, server.Options{Workers: 4})
+	opts := Options{
+		Shards:         []string{healthy.url, victim.url},
+		Attempts:       2,
+		RetryBackoff:   5 * time.Millisecond,
+		HealthInterval: time.Hour, // no probes: the restart is the only mover
+		StateDir:       dir,
+	}
+	rt1, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(rt1.Handler())
+	defer close(victim.gate) // unblock the victim's workers for shutdown
+
+	sr := submit(t, ts1.URL, bigRequest())
+
+	// Wait until the healthy share is done, then crash the victim. Its
+	// jobs stay gated, so the victim never simulates anything.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		_, body := get(t, ts1.URL+"/v1/sweeps/"+sr.ID)
+		var v server.SweepView
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatal(err)
+		}
+		healthyDone, victimJobs := 0, 0
+		for _, j := range v.Jobs {
+			switch {
+			case j.Shard == healthy.url && j.Status == server.JobDone:
+				healthyDone++
+			case j.Shard == victim.url:
+				victimJobs++
+			}
+		}
+		if victimJobs > 0 && healthyDone == v.Total-victimJobs {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("healthy shard never finished its share: %+v", v)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	victim.kill()
+
+	if v := waitFleetDone(t, ts1.URL, sr.ID); v.Status != server.StatusDegraded {
+		t.Fatalf("sweep status %q, want degraded", v.Status)
+	}
+	// The finish is counted once the dispatch wave unwinds, just after
+	// the status flips.
+	var m Metrics
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		_, body := get(t, ts1.URL+"/metrics")
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatal(err)
+		}
+		if m.SweepsDegraded > 0 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if m.SweepsDegraded == 0 {
+		t.Error("sweeps_degraded = 0; the degraded finish went uncounted")
+	}
+	ts1.Close()
+	rt1.Close()
+
+	// Retire the dead shard by restarting without it: its skipped jobs
+	// move to the survivor, the sweep re-opens and completes for real.
+	opts.Shards = []string{healthy.url}
+	rt2, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(rt2.Handler())
+	t.Cleanup(func() {
+		ts2.Close()
+		rt2.Close()
+	})
+	final := waitFleetStatus(t, ts2.URL, sr.ID, server.StatusDone)
+	if final.Requeued < 1 {
+		t.Errorf("requeued = %d, want >= 1", final.Requeued)
+	}
+	for i, j := range final.Jobs {
+		if j.Shard != healthy.url || j.Status != server.JobDone {
+			t.Errorf("job %d after requeue: shard %s status %q", i, j.Shard, j.Status)
+		}
+	}
+	if victim.runs.Load() != 0 {
+		t.Errorf("victim ran %d jobs through its gate", victim.runs.Load())
+	}
+
+	// The repaired gather is indistinguishable from a single-node run.
+	single := newTestShard(t, server.Options{Workers: 4})
+	sid := submit(t, single.url, bigRequest())
+	for {
+		resp, _ := get(t, single.url+"/v1/sweeps/"+sid.ID+"/results?format=ndjson")
+		if resp.StatusCode == http.StatusOK {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for _, format := range []string{"ndjson", "csv"} {
+		_, gathered := get(t, ts2.URL+"/v1/sweeps/"+sr.ID+"/results?format="+format)
+		_, local := get(t, single.url+"/v1/sweeps/"+sid.ID+"/results?format="+format)
+		if !bytes.Equal(gathered, local) {
+			t.Errorf("format %s: repaired gather differs from single node:\nfleet:\n%s\nsingle:\n%s",
+				format, gathered, local)
+		}
+	}
+
+	_, body := get(t, ts2.URL+"/metrics")
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.JobsRequeued == 0 {
+		t.Error("jobs_requeued = 0 after a requeue wave")
+	}
+}
+
 // TestRetryDelaySchedule pins the retry pacing contract: a throttled
 // shard's Retry-After wins verbatim; everything else draws full jitter
 // in (0, backoff << (attempt-1)]; and a fixed JitterSeed replays the

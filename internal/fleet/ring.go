@@ -17,7 +17,7 @@ import (
 //
 // Removing one shard (or routing around it while it is unhealthy) moves
 // only the keys that pointed at it — the consistent-hashing property
-// that keeps the fleet's per-shard caches warm across membership
+// that keeps the fleet's per-shard caches warm when the shard set
 // changes. ALLARM itself distributes directory entries across
 // address-interleaved slices for the same reason: placement by stable
 // hash needs no coordination.
@@ -41,9 +41,6 @@ func hash64(s string) uint64 {
 // newRing builds the ring for the named shards with the given number of
 // points per shard (virtual nodes; more points = smoother balance).
 func newRing(names []string, replicas int) *ring {
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
 	r := &ring{points: make([]ringPoint, 0, len(names)*replicas)}
 	for i, name := range names {
 		for v := 0; v < replicas; v++ {

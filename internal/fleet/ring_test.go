@@ -21,7 +21,7 @@ func keys(n int) []string {
 func TestRingPlacementIsByNameNotOrder(t *testing.T) {
 	a := []string{"http://s1", "http://s2", "http://s3"}
 	b := []string{"http://s3", "http://s1", "http://s2"}
-	ra, rb := newRing(a, 0), newRing(b, 0)
+	ra, rb := newRing(a, defaultReplicas), newRing(b, defaultReplicas)
 	for _, k := range keys(500) {
 		na := a[ra.lookup(k, nil)]
 		nb := b[rb.lookup(k, nil)]
@@ -36,7 +36,7 @@ func TestRingPlacementIsByNameNotOrder(t *testing.T) {
 // owned; every other key keeps its shard (and its warm cache).
 func TestRingRemovalMovesOnlyVictimKeys(t *testing.T) {
 	names := []string{"http://s1", "http://s2", "http://s3", "http://s4"}
-	r := newRing(names, 0)
+	r := newRing(names, defaultReplicas)
 	const dead = 2
 	alive := func(i int) bool { return i != dead }
 	moved := 0
@@ -62,7 +62,7 @@ func TestRingRemovalMovesOnlyVictimKeys(t *testing.T) {
 // shard starves or hoards.
 func TestRingBalance(t *testing.T) {
 	names := []string{"http://s1", "http://s2", "http://s3"}
-	r := newRing(names, 0)
+	r := newRing(names, defaultReplicas)
 	counts := make([]int, len(names))
 	ks := keys(3000)
 	for _, k := range ks {
@@ -82,7 +82,7 @@ func TestRingNoShardAlive(t *testing.T) {
 	if got := r.lookup("k", func(int) bool { return false }); got != -1 {
 		t.Fatalf("lookup with no live shards = %d, want -1", got)
 	}
-	empty := newRing(nil, 0)
+	empty := newRing(nil, defaultReplicas)
 	if got := empty.lookup("k", nil); got != -1 {
 		t.Fatalf("empty ring lookup = %d, want -1", got)
 	}

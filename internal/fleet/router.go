@@ -31,40 +31,35 @@
 // health loop excludes the shard from new placements after FailAfter
 // consecutive probe failures and re-admits it on the first success.
 // Skipped is not final, though: when the ring's answer for a skipped
-// job changes — the owner was excluded by the health loop, or a
-// membership change (SetShards / the /v1/shards API) re-homed its key —
-// the job is claimed back, re-dispatched to the new owner, and the
-// sweep re-opens until every row is a real result (or the requeue
-// budget runs out).
+// job changes — the owner was excluded by the health loop, or a restart
+// dropped it from the shard set — the job is claimed back, re-dispatched
+// to the new owner, and the sweep re-opens until every row is a real
+// result (or the requeue budget runs out).
 //
 // # Survivability
 //
 // With Options.StateDir set, the Front journals every accepted sweep
-// (request + shard assignment) and uploaded trace, the router journals
-// gathered records as shard groups complete and membership changes —
-// all via the atomic temp+rename discipline of the shards' own stores.
-// A router killed mid-sweep (SIGKILL included) recovers its sweeps under
-// their original ids at boot, re-asks the owning shards (whose
+// (request + shard assignment) and uploaded trace, and the router
+// journals gathered records as shard groups complete — all via the
+// atomic temp+rename discipline of the shards' own stores. A router
+// killed mid-sweep (SIGKILL included) recovers its sweeps under their
+// original ids at boot, re-asks the owning shards (whose
 // content-addressed caches make the re-ask nearly free), and resumes
 // gathering; the recovered output is byte-identical to what the
 // uninterrupted gather would have produced.
 //
-// # Checkpoint migration
+// # Changing the shard set
 //
-// When shards run with -checkpoint-interval, a membership change does
-// better than skip-and-requeue for in-flight work: every non-terminal
-// job owned by a departing shard has its machine-state checkpoint
-// pulled from the old owner (GET /v1/checkpoints/{name}) and pushed to
-// its key's new ring owner, which resumes the simulation mid-flight
-// instead of restarting from event zero. The transfer is best-effort —
-// no checkpoint yet, or an already-dead shard, falls back to plain
-// re-dispatch — and late rows from the old owner are dropped by
-// ownership checks so a migrated job is never double-reported.
+// The shard set is fixed for the router's lifetime. To change it,
+// restart the router with an edited Options.Shards and the same
+// StateDir: recovery moves owed jobs whose shard has left, and skipped
+// jobs whose ring owner changed, onto their keys' current owners.
 package fleet
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math/rand"
@@ -111,22 +106,16 @@ const (
 // Options configures a Router.
 type Options struct {
 	// Shards are the allarm-serve base URLs (e.g. http://10.0.0.7:8347)
-	// the router boots with. At least one is required unless a journaled
-	// membership (StateDir) supplies the set. The set can change at
-	// runtime via SetShards/AddShard/RemoveShard (the /v1/shards API and
-	// SIGHUP reload in cmd/allarm-router); placement depends only on the
-	// current set, so every router with the same set computes the same
-	// placement.
+	// of the fleet; at least one is required. The set is fixed for the
+	// router's lifetime. Placement depends only on the set, so every
+	// router with the same set computes the same placement.
 	Shards []string
 	// ShardToken, when non-empty, is the bearer token presented to the
 	// shards (their Guard credential). Independent of the router's own
 	// Guard: clients authenticate to the router, the router to the fleet.
 	ShardToken string
-	// Replicas is the ring points per shard (<= 0: defaultReplicas).
-	Replicas int
 	// Guard, when non-nil, authenticates and rate-limits the router's
 	// own clients and enforces their job quotas at submit time.
-	// Membership mutations additionally require the admin scope.
 	Guard *server.Guard
 	// HealthInterval paces shard health probes (<= 0: 2s).
 	HealthInterval time.Duration
@@ -145,8 +134,8 @@ type Options struct {
 	// costs at most Attempts × ShardTimeout per step.
 	ShardTimeout time.Duration
 	// StateDir, when non-empty, enables the journal: accepted sweeps,
-	// gathered records, uploaded traces and membership changes are
-	// persisted there and recovered at boot.
+	// gathered records and uploaded traces are persisted there and
+	// recovered at boot.
 	StateDir string
 	// Transport, when non-nil, is the RoundTripper for all shard traffic
 	// (tests inject a faultnet.RoundTripper here).
@@ -167,20 +156,18 @@ type Options struct {
 // the router's own durable state (when StateDir is set) is only the
 // journal that lets a restart resume its gathers.
 type Router struct {
-	opts      Options
-	front     *server.Front
-	transport http.RoundTripper
-	ctx       context.Context
-	cancel    context.CancelFunc
-	start     time.Time
-	attempts  int
-	backoff   time.Duration
-	timeout   time.Duration
+	opts     Options
+	front    *server.Front
+	ctx      context.Context
+	cancel   context.CancelFunc
+	start    time.Time
+	attempts int
+	backoff  time.Duration
+	timeout  time.Duration
 
-	// mem is the current membership snapshot; memMu serializes mutations
-	// (readers just Load).
-	mem   atomic.Pointer[membership]
-	memMu sync.Mutex
+	// shards is the fleet, fixed at boot; ring places keys on it.
+	shards []*shard
+	ring   *ring
 
 	// rng feeds retry jitter (behind rngMu: retries are concurrent).
 	rngMu sync.Mutex
@@ -205,27 +192,47 @@ type shardRun struct {
 // New returns a ready Router with its health loop running and — when
 // StateDir holds journaled sweeps — its recovered gathers resuming.
 func New(opts Options) (*Router, error) {
+	if len(opts.Shards) == 0 {
+		return nil, fmt.Errorf("fleet: at least one shard is required")
+	}
+	shards := make([]*shard, 0, len(opts.Shards))
+	names := make([]string, 0, len(opts.Shards))
+	seen := make(map[string]bool, len(opts.Shards))
+	for _, raw := range opts.Shards {
+		name := strings.TrimRight(strings.TrimSpace(raw), "/")
+		if name == "" {
+			return nil, fmt.Errorf("fleet: empty shard URL")
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("fleet: duplicate shard %s", name)
+		}
+		seen[name] = true
+		shards = append(shards, newShard(name, opts.ShardToken, opts.Transport))
+		names = append(names, name)
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	rt := &Router{
-		opts:      opts,
-		transport: opts.Transport,
-		ctx:       ctx,
-		cancel:    cancel,
-		start:     time.Now(),
-		attempts:  opts.Attempts,
-		backoff:   opts.RetryBackoff,
-		timeout:   opts.ShardTimeout,
-		met:       newRouterMetrics(),
-		runs:      make(map[*server.SweepState][]shardRun),
+		opts:     opts,
+		ctx:      ctx,
+		cancel:   cancel,
+		start:    time.Now(),
+		attempts: opts.Attempts,
+		backoff:  opts.RetryBackoff,
+		timeout:  opts.ShardTimeout,
+		shards:   shards,
+		ring:     newRing(names, defaultReplicas),
+		met:      newRouterMetrics(),
+		runs:     make(map[*server.SweepState][]shardRun),
 	}
 	rt.met.reg.Gauge("allarm_router_uptime_seconds", "Seconds since the router started.",
 		func() float64 { return time.Since(rt.start).Seconds() })
-	rt.met.reg.Gauge("allarm_router_shards_total", "Shards in the membership.",
-		func() float64 { return float64(len(rt.mem.Load().shards)) })
+	rt.met.reg.Gauge("allarm_router_shards_total", "Shards in the fleet.",
+		func() float64 { return float64(len(rt.shards)) })
 	rt.met.reg.Gauge("allarm_router_shards_healthy", "Shards currently healthy.",
 		func() float64 {
 			n := 0
-			for _, sh := range rt.mem.Load().shards {
+			for _, sh := range rt.shards {
 				if sh.isHealthy() {
 					n++
 				}
@@ -263,25 +270,6 @@ func New(opts Options) (*Router, error) {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	rt.front = front
-
-	// The journaled membership — the set as of the last runtime mutation
-	// — outranks the boot flags: a restart must see the ring its sweeps
-	// were placed on, not a stale command line.
-	shardURLs := opts.Shards
-	if journaled, ok := rt.loadMembership(); ok {
-		shardURLs = journaled
-		rt.logf("membership: restored %d shard(s) from journal (overrides -shards)", len(journaled))
-	}
-	mem, err := rt.buildMembership(shardURLs, nil)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	rt.mem.Store(mem)
-
-	front.HandleFunc("GET /v1/shards", rt.handleShardsList)
-	front.HandleFunc("POST /v1/shards", rt.handleShardAdd)
-	front.HandleFunc("DELETE /v1/shards", rt.handleShardRemove)
 	front.HandleFunc("GET /healthz", rt.handleHealthz)
 	front.HandleFunc("GET /metrics", rt.handleMetrics)
 	front.Recover()
@@ -331,10 +319,9 @@ func (rt *Router) healthLoop() {
 // exclusion gives their keys a new ring owner, a readmission may give
 // back the original.
 func (rt *Router) probeAll(failAfter int) {
-	mem := rt.mem.Load()
 	var wg sync.WaitGroup
 	var flipped atomic.Bool
-	for _, sh := range mem.shards {
+	for _, sh := range rt.shards {
 		wg.Add(1)
 		go func(sh *shard) {
 			defer wg.Done()
@@ -390,14 +377,24 @@ func (rt *Router) probe(sh *shard) bool {
 	return true
 }
 
-// owner returns the name of job's ring owner in mem, ok == false when
-// no healthy shard can take it.
-func owner(mem *membership, job allarm.Job) (string, bool) {
-	si := mem.ring.lookup(job.Key(), mem.alive)
+// byName returns the fleet's shard with the given name, or nil.
+func (rt *Router) byName(name string) *shard {
+	for _, sh := range rt.shards {
+		if sh.name == name {
+			return sh
+		}
+	}
+	return nil
+}
+
+// owner returns the name of job's ring owner, ok == false when no
+// healthy shard can take it.
+func (rt *Router) owner(job allarm.Job) (string, bool) {
+	si := rt.ring.lookup(job.Key(), func(i int) bool { return rt.shards[i].isHealthy() })
 	if si < 0 {
 		return "", false
 	}
-	return mem.shards[si].name, true
+	return rt.shards[si].name, true
 }
 
 // owed reports whether a job still has to be gathered.
@@ -406,14 +403,12 @@ func owed(jv server.JobView) bool {
 }
 
 // Place implements server.Executor: every job goes to its key's ring
-// owner, all against one membership snapshot. Placement is by Job.Key,
-// so two identical jobs — within this sweep or across sweeps — always
-// meet the same cache.
+// owner. Placement is by Job.Key, so two identical jobs — within this
+// sweep or across sweeps — always meet the same cache.
 func (rt *Router) Place(jobs []allarm.Job) ([]string, error) {
-	mem := rt.mem.Load()
 	shards := make([]string, len(jobs))
 	for i, job := range jobs {
-		name, ok := owner(mem, job)
+		name, ok := rt.owner(job)
 		if !ok {
 			return nil, fmt.Errorf("no healthy shards")
 		}
@@ -425,15 +420,15 @@ func (rt *Router) Place(jobs []allarm.Job) ([]string, error) {
 
 // Run implements server.Executor: the first dispatch wave of a new or
 // recovered sweep. Owed jobs whose journaled shard has left the fleet
-// move to their key's current owner; with no owner at all they are
-// skipped.
+// (the router restarted with a different shard set) move to their
+// key's current owner; with no owner at all they are skipped. Skipped
+// jobs whose ring owner changed are requeued onto it.
 func (rt *Router) Run(st *server.SweepState) {
-	mem := rt.mem.Load()
 	if moved := st.Reassign(func(i int, jv server.JobView) (string, bool) {
-		if !owed(jv) || mem.byName(jv.Shard) != nil {
+		if !owed(jv) || rt.byName(jv.Shard) != nil {
 			return "", false
 		}
-		return owner(mem, st.Sweep.Jobs[i])
+		return rt.owner(st.Sweep.Jobs[i])
 	}); len(moved) > 0 {
 		rt.front.Journal(st)
 	}
@@ -443,7 +438,7 @@ func (rt *Router) Run(st *server.SweepState) {
 		if !owed(jv) {
 			continue
 		}
-		if sh := mem.byName(jv.Shard); sh != nil {
+		if sh := rt.byName(jv.Shard); sh != nil {
 			groups[sh] = append(groups[sh], i)
 			continue
 		}
@@ -454,23 +449,50 @@ func (rt *Router) Run(st *server.SweepState) {
 	if skipped {
 		rt.front.JournalRecords(st)
 	}
+	rt.requeueSweep(st, "restart")
 	rt.dispatch(st, groups)
 }
 
-// groupsOf groups job indices by the shard the sweep now places them on.
-func groupsOf(st *server.SweepState, mem *membership, idxs []int) map[*shard][]int {
-	jobs := st.View().Jobs
-	groups := make(map[*shard][]int)
-	for _, i := range idxs {
-		sh := mem.byName(jobs[i].Shard)
-		groups[sh] = append(groups[sh], i)
+// requeueSkipped sweeps every known sweep for skipped jobs whose
+// current ring owner is a healthy shard other than the one that failed
+// them, and re-dispatches exactly those. Called after health
+// transitions, when the ring's answer for a key can change.
+func (rt *Router) requeueSkipped(reason string) {
+	if rt.ctx.Err() != nil {
+		return
 	}
-	return groups
+	for _, st := range rt.front.Sweeps() {
+		rt.requeueSweep(st, reason)
+	}
 }
 
-// dispatch drives one wave of shard groups — the first scatter, a
-// requeue or a migration — and performs the sweep's one-time finish
-// effects if this wave completed it.
+// requeueSweep re-places one sweep's skipped jobs on the current ring.
+func (rt *Router) requeueSweep(st *server.SweepState, reason string) {
+	moved := st.Requeue(maxRequeueWaves, func(i int, jv server.JobView) (string, bool) {
+		if jv.Status != server.JobSkipped {
+			return "", false
+		}
+		return rt.owner(st.Sweep.Jobs[i])
+	})
+	if len(moved) == 0 {
+		return
+	}
+	rt.met.jobsRequeued.Add(uint64(len(moved)))
+	st.Timeline("requeued", -1, "", fmt.Sprintf("%d skipped job(s) after %s", len(moved), reason))
+	rt.front.Journal(st)
+	rt.logf("sweep %s: requeued %d skipped job(s) after %s", st.ID, len(moved), reason)
+	jobs := st.View().Jobs
+	groups := make(map[*shard][]int)
+	for _, i := range moved {
+		sh := rt.byName(jobs[i].Shard)
+		groups[sh] = append(groups[sh], i)
+	}
+	rt.front.Go(func() { rt.dispatch(st, groups) })
+}
+
+// dispatch drives one wave of shard groups — the first scatter or a
+// requeue — and performs the sweep's one-time finish effects if this
+// wave completed it.
 func (rt *Router) dispatch(st *server.SweepState, groups map[*shard][]int) {
 	begin := time.Now()
 	if len(groups) > 0 {
@@ -502,8 +524,8 @@ func (rt *Router) dispatch(st *server.SweepState, groups map[*shard][]int) {
 // asks the ring whether anyone else can own them (the failing shard may
 // already be excluded), which turns a mid-sweep shard death into a
 // re-dispatch instead of a permanent hole. Every delivery is
-// ownership-checked: rows for jobs a membership change migrated to a new
-// shard while this gather was in flight are dropped.
+// ownership-checked (SweepState.Deliver): a row only lands while its
+// job is still placed on this shard.
 func (rt *Router) gatherGroup(st *server.SweepState, sh *shard, globals []int) {
 	recs, err := rt.runShardSweep(st, sh, globals)
 	if err != nil {
@@ -591,7 +613,7 @@ func (rt *Router) runShardSweep(st *server.SweepState, sh *shard, globals []int)
 		var err error
 		id, err = sh.submitSweep(ctx, req, rt.timeout)
 		var he *httpError
-		if err != nil && isHTTPError(err, &he) && he.status == http.StatusBadRequest &&
+		if err != nil && errors.As(err, &he) && he.status == http.StatusBadRequest &&
 			strings.Contains(he.body, "unknown trace") {
 			// The shard lost (or never saw) an uploaded trace — a
 			// restart without a cache dir, or it joined after the
@@ -692,7 +714,7 @@ func (rt *Router) retry(ctx context.Context, sh *shard, fn func() error) error {
 // outage, from re-arriving in one synchronized burst.
 func (rt *Router) retryDelay(lastErr error, attempt int) time.Duration {
 	var he *httpError
-	if isHTTPError(lastErr, &he) && he.status == http.StatusTooManyRequests && he.retryAfter > 0 {
+	if errors.As(lastErr, &he) && he.status == http.StatusTooManyRequests && he.retryAfter > 0 {
 		return he.retryAfter
 	}
 	if attempt < 1 {
@@ -777,7 +799,7 @@ func (rt *Router) reuploadTraces(ctx context.Context, sh *shard, req *server.Swe
 // the trace later) is healed by the submit-time re-upload.
 func (rt *Router) TraceUploaded(id string, data []byte) {
 	var wg sync.WaitGroup
-	for _, sh := range rt.mem.Load().shards {
+	for _, sh := range rt.shards {
 		wg.Add(1)
 		go func(sh *shard) {
 			defer wg.Done()
@@ -800,13 +822,9 @@ func (rt *Router) Timeline(r *http.Request, st *server.SweepState) []obs.Timelin
 	rt.runsMu.Lock()
 	runs := append([]shardRun(nil), rt.runs[st]...)
 	rt.runsMu.Unlock()
-	mem := rt.mem.Load()
 	ctx := obs.ContextWithRequestID(r.Context(), obs.RequestID(r.Context()))
 	for _, run := range runs {
-		sh := mem.byName(run.shard)
-		if sh == nil {
-			continue // shard left the fleet; its events are unreachable
-		}
+		sh := rt.byName(run.shard)
 		tv, err := sh.fetchTimeline(ctx, run.id, rt.timeout)
 		if err != nil {
 			rt.logf("sweep %s: shard %s timeline: %v", st.ID, run.shard, err)
@@ -838,10 +856,9 @@ func (rt *Router) Forget(st *server.SweepState) {
 // router itself is "ok" while any shard is placeable; "degraded" means
 // new sweeps would be refused.
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	mem := rt.mem.Load()
 	healthy := 0
-	shards := make(map[string]string, len(mem.shards))
-	for _, sh := range mem.shards {
+	shards := make(map[string]string, len(rt.shards))
+	for _, sh := range rt.shards {
 		if sh.isHealthy() {
 			healthy++
 			shards[sh.name] = "healthy"

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -203,30 +204,13 @@ func (sh *shard) doJSON(ctx context.Context, method, path string, body []byte, t
 	return nil
 }
 
-// isHTTPError unwraps err into an *httpError (errors.As without the
-// import churn for a single type).
-func isHTTPError(err error, target **httpError) bool {
-	for err != nil {
-		if he, ok := err.(*httpError); ok {
-			*target = he
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
 // retryable reports whether an error is worth another attempt:
 // transport errors and 5xx are, 429 is (the shard asked us to slow
 // down, not to stop), any other 4xx is not (the request itself is
 // wrong).
 func retryable(err error) bool {
 	var he *httpError
-	if !isHTTPError(err, &he) {
+	if !errors.As(err, &he) {
 		return true
 	}
 	if he.status == http.StatusTooManyRequests {
@@ -309,50 +293,6 @@ func (sh *shard) fetchRecords(ctx context.Context, id string, timeout time.Durat
 		return nil, newHTTPError(resp, body)
 	}
 	return allarm.ReadRecords(resp.Body)
-}
-
-// maxCheckpointBytes bounds a pulled machine-state checkpoint; it
-// matches the shard-side POST bound.
-const maxCheckpointBytes = 1 << 30
-
-// fetchCheckpoint pulls a job's machine-state checkpoint from the shard
-// (the first half of in-flight job migration). Absence — the shard
-// never checkpointed the job, or already finished it — is ok == false,
-// not an error: migration is an optimization, the new owner can always
-// simulate from scratch.
-func (sh *shard) fetchCheckpoint(ctx context.Context, name string, timeout time.Duration) ([]byte, bool) {
-	cctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	resp, err := sh.do(cctx, http.MethodGet, "/v1/checkpoints/"+name, nil)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxCheckpointBytes))
-	if err != nil {
-		return nil, false
-	}
-	return data, true
-}
-
-// pushCheckpoint hands a migrated checkpoint to the job's new owner,
-// which will resume from it instead of simulating from event zero.
-func (sh *shard) pushCheckpoint(ctx context.Context, name string, data []byte, timeout time.Duration) error {
-	cctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	resp, err := sh.do(cctx, http.MethodPost, "/v1/checkpoints/"+name, data)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return newHTTPError(resp, body)
-	}
-	return nil
 }
 
 // sseEvent is one parsed frame of a shard's /events stream.

@@ -8,7 +8,7 @@ import (
 
 // A TimelineEvent is one step in a sweep's life: accepted, expanded,
 // assigned (router→shard), started / checkpointed / preempted /
-// resumed / migrated / finished (per job), gathered, done. Job is the
+// resumed / finished (per job), gathered, requeued, done. Job is the
 // job index the event concerns, -1 for sweep-level events. Shard names
 // the shard a merged event came from (router view only). RequestID
 // ties the event back to the request logs on every daemon it crossed.

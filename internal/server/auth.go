@@ -35,9 +35,8 @@ type ClientConfig struct {
 	// MaxJobs caps the expanded job count of one sweep submission
 	// (0 = unlimited).
 	MaxJobs int `json:"max_jobs,omitempty"`
-	// Admin grants the operational scope: fleet-membership mutations
-	// (allarm-router's POST/DELETE /v1/shards) require it. Ordinary
-	// sweep submission does not.
+	// Admin grants the operational scope: sweep timelines and
+	// /debug/pprof require it. Ordinary sweep submission does not.
 	Admin bool `json:"admin,omitempty"`
 	// Rate is the client's sustained request rate in requests/second
 	// (token-bucket refill). 0 with Burst 0 means unlimited; 0 with a
@@ -179,18 +178,18 @@ func (g *Guard) Wrap(next http.Handler) http.Handler {
 		token, ok := bearerToken(r)
 		if !ok {
 			w.Header().Set("WWW-Authenticate", `Bearer realm="allarm"`)
-			WriteError(w, http.StatusUnauthorized, fmt.Errorf("missing bearer token"))
+			writeError(w, http.StatusUnauthorized, fmt.Errorf("missing bearer token"))
 			return
 		}
 		c, ok := g.clients[token]
 		if !ok {
 			w.Header().Set("WWW-Authenticate", `Bearer realm="allarm"`)
-			WriteError(w, http.StatusUnauthorized, fmt.Errorf("unknown token"))
+			writeError(w, http.StatusUnauthorized, fmt.Errorf("unknown token"))
 			return
 		}
 		if !c.allow(time.Now()) {
 			w.Header().Set("Retry-After", "1")
-			WriteError(w, http.StatusTooManyRequests, fmt.Errorf("client %s over rate limit", c.name))
+			writeError(w, http.StatusTooManyRequests, fmt.Errorf("client %s over rate limit", c.name))
 			return
 		}
 		ctx := context.WithValue(r.Context(), guardCtxKey{}, Client{Name: c.name, MaxJobs: c.maxJobs, Admin: c.admin})
@@ -220,14 +219,14 @@ func CheckJobQuota(r *http.Request, jobs int) error {
 	return fmt.Errorf("sweep expands to %d jobs, over client %s's quota of %d", jobs, c.Name, c.MaxJobs)
 }
 
-// CheckAdmin enforces the admin scope on operational endpoints: nil
+// checkAdmin enforces the admin scope on operational endpoints: nil
 // when the request's client is an admin, or when the daemon runs
 // without a Guard (an open daemon has no principals to scope). The
 // caller renders the error as 403.
-func CheckAdmin(r *http.Request) error {
+func checkAdmin(r *http.Request) error {
 	c, ok := ClientFromRequest(r)
 	if !ok || c.Admin {
 		return nil
 	}
-	return fmt.Errorf("client %s lacks the admin scope (membership operations need \"admin\": true in the tokens file)", c.Name)
+	return fmt.Errorf("client %s lacks the admin scope (operational endpoints need \"admin\": true in the tokens file)", c.Name)
 }

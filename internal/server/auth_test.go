@@ -261,8 +261,8 @@ func TestCheckJobQuota(t *testing.T) {
 	}
 }
 
-// TestCheckAdmin: the admin scope gates operational endpoints (fleet
-// membership mutations) — granted per client in the tokens file,
+// TestCheckAdmin: the admin scope gates operational endpoints (pprof,
+// timelines) — granted per client in the tokens file,
 // implicit when the daemon runs unguarded, and the "admin" flag
 // round-trips through LoadGuard.
 func TestCheckAdmin(t *testing.T) {
@@ -276,16 +276,16 @@ func TestCheckAdmin(t *testing.T) {
 	request := func(token string) *http.Request {
 		var got *http.Request
 		h := g.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { got = r }))
-		req := httptest.NewRequest("POST", "/v1/shards", nil)
+		req := httptest.NewRequest("GET", "/debug/pprof/", nil)
 		req.Header.Set("Authorization", "Bearer "+token)
 		h.ServeHTTP(httptest.NewRecorder(), req)
 		return got
 	}
 
-	if err := CheckAdmin(request("op")); err != nil {
+	if err := checkAdmin(request("op")); err != nil {
 		t.Fatalf("admin client rejected: %v", err)
 	}
-	err = CheckAdmin(request("ro"))
+	err = checkAdmin(request("ro"))
 	if err == nil {
 		t.Fatal("non-admin client allowed")
 	}
@@ -293,7 +293,7 @@ func TestCheckAdmin(t *testing.T) {
 		t.Errorf("error does not name the client: %v", err)
 	}
 	// No guard in play: an open daemon has no principals to scope.
-	if err := CheckAdmin(httptest.NewRequest("POST", "/v1/shards", nil)); err != nil {
+	if err := checkAdmin(httptest.NewRequest("GET", "/debug/pprof/", nil)); err != nil {
 		t.Fatalf("unguarded request rejected: %v", err)
 	}
 

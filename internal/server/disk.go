@@ -46,7 +46,7 @@ type diskEntry struct {
 
 // NewDiskStore opens (creating if needed) the ResultStore rooted at
 // dir: one <sha256(key)>.json file per result, written with
-// AtomicWrite so a crash (SIGKILL) midway leaves either the old content
+// atomicWrite so a crash (SIGKILL) midway leaves either the old content
 // or none — never a torn entry. Each file is a single diskEntry JSON
 // object on one line — the same one-object-per-line convention as the
 // drain checkpoints' NDJSON, so `jq` and log pipelines can process a
@@ -97,7 +97,7 @@ func (s *ResultStore) Put(key string, res *allarm.Result) error {
 	data = append(data, '\n')
 	path := filepath.Join(s.dir, objectName(key))
 	_, statErr := os.Stat(path)
-	if err := AtomicWrite(path, data); err != nil {
+	if err := atomicWrite(path, data); err != nil {
 		return err
 	}
 	if os.IsNotExist(statErr) {
@@ -113,7 +113,7 @@ func (s *ResultStore) Len() int {
 	return int(s.entries.Load())
 }
 
-// AtomicWrite writes data to path via a same-directory temp file,
+// atomicWrite writes data to path via a same-directory temp file,
 // fsync and rename: a crash (SIGKILL included) leaves either the old
 // content or none, never a torn file. The file is synced before the
 // rename and the parent directory after it, so the guarantee holds
@@ -123,7 +123,7 @@ func (s *ResultStore) Len() int {
 // artifact in the system uses — the result store's entries, the
 // daemon's sweep specs and job checkpoints, and allarm-router's sweep
 // journal.
-func AtomicWrite(path string, data []byte) error {
+func atomicWrite(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {

@@ -357,28 +357,28 @@ func (f *Front) forget(st *SweepState, count *obs.Counter, why string) {
 func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	sweep, err := ExpandSweep(&req, f.traces.lookup)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := CheckJobQuota(r, sweep.Len()); err != nil {
-		WriteError(w, http.StatusForbidden, err)
+		writeError(w, http.StatusForbidden, err)
 		return
 	}
 	shards, err := f.exec.Place(sweep.Jobs)
 	if err != nil {
-		WriteError(w, http.StatusServiceUnavailable, err)
+		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
 	st := newSweepState(sweep, &req, shards, time.Now(), f.cfg.Incomplete)
 	st.ReqID = obs.RequestID(r.Context())
 	stampAccepted(st, "")
 	if !f.admit(st) {
-		WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("draining: not accepting new sweeps"))
+		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("draining: not accepting new sweeps"))
 		return
 	}
 	// Journal before acknowledging: once the client holds the id, a crash
@@ -413,7 +413,7 @@ func (f *Front) handleList(w http.ResponseWriter, r *http.Request) {
 func (f *Front) sweepOr404(w http.ResponseWriter, r *http.Request) *SweepState {
 	st := f.lookup(r.PathValue("id"))
 	if st == nil {
-		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
+		writeError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
 	}
 	return st
 }
@@ -434,11 +434,11 @@ func (f *Front) handleDelete(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case st == nil:
 		f.mu.Unlock()
-		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", id))
+		writeError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", id))
 		return
 	case !st.terminal():
 		f.mu.Unlock()
-		WriteError(w, http.StatusConflict, fmt.Errorf("sweep %s is still running; only finished sweeps can be deleted", id))
+		writeError(w, http.StatusConflict, fmt.Errorf("sweep %s is still running; only finished sweeps can be deleted", id))
 		return
 	}
 	delete(f.sweeps, id)
@@ -464,12 +464,12 @@ func (f *Front) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 	recs, status, ok := st.snapshot()
 	if !ok {
-		WriteError(w, http.StatusConflict, fmt.Errorf("sweep %s is %s; results are available once it is done", st.ID, status))
+		writeError(w, http.StatusConflict, fmt.Errorf("sweep %s is %s; results are available once it is done", st.ID, status))
 		return
 	}
 	format, err := negotiateFormat(r)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	emitter, ctype := formatEmitter(format)
@@ -492,7 +492,7 @@ func (f *Front) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		WriteError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -554,12 +554,12 @@ type TraceResponse struct {
 func (f *Front) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTraceBytes))
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("reading trace: %w", err))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("reading trace: %w", err))
 		return
 	}
 	id, wl, fresh, err := f.traces.add(data)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("parsing trace: %w", err))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing trace: %w", err))
 		return
 	}
 	if fresh {
@@ -577,8 +577,8 @@ func (f *Front) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 // Guard is configured.
 func adminOnly(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if err := CheckAdmin(r); err != nil {
-			WriteError(w, http.StatusForbidden, err)
+		if err := checkAdmin(r); err != nil {
+			writeError(w, http.StatusForbidden, err)
 			return
 		}
 		h(w, r)
@@ -596,8 +596,8 @@ func WriteJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
-// WriteError answers code with a {"error": ...} body.
-func WriteError(w http.ResponseWriter, code int, err error) {
+// writeError answers code with a {"error": ...} body.
+func writeError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})

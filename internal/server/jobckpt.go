@@ -6,46 +6,24 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	allarm "allarm"
 )
 
-// maxCheckpointBody bounds a POST /v1/checkpoints body; it matches the
-// checkpoint package's own decode bound, so anything the endpoint
-// accepts is at least parseable.
-const maxCheckpointBody = 1 << 30
-
-// CheckpointName maps a job key to its machine-state checkpoint file
-// name: the same sha256 content addressing as the result store
-// (objectName), with a distinct extension so the two namespaces can
-// never collide. Exported for allarm-router, which must compute the
-// identical name to migrate a checkpoint between shards.
-func CheckpointName(key string) string {
+// checkpointName maps a job key to its machine-state checkpoint file
+// name: the same sha256 content addressing as the result store, with a
+// distinct extension so the two namespaces can never collide.
+func checkpointName(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(sum[:]) + ".ckpt"
 }
 
-// validCheckpointName guards the /v1/checkpoints path parameter: only
-// names CheckpointName can produce are accepted, so a request can never
-// escape the checkpoint directory or touch a foreign file.
-func validCheckpointName(name string) bool {
-	const hexLen = sha256.Size * 2
-	if len(name) != hexLen+len(".ckpt") || !strings.HasSuffix(name, ".ckpt") {
-		return false
-	}
-	_, err := hex.DecodeString(name[:hexLen])
-	return err == nil
-}
-
 // checkpointPath returns the on-disk path of a job's checkpoint.
 func (s *Server) checkpointPath(key string) string {
-	return filepath.Join(s.jobCkptDir, CheckpointName(key))
+	return filepath.Join(s.jobCkptDir, checkpointName(key))
 }
 
 // runCheckpointed is the default job runner when machine-state
@@ -53,7 +31,7 @@ func (s *Server) checkpointPath(key string) string {
 // CheckpointInterval-event windows, writing a whole-machine snapshot at
 // every window boundary inside the measured region. A fresh run first
 // looks for a persisted checkpoint of the same job — left by a killed
-// predecessor, a preempted run, or a fleet migration push — and resumes
+// predecessor or a preempted run — and resumes
 // from it instead of simulating from event zero; resumed results are
 // bit-identical to uninterrupted ones (the resume contract is
 // golden-tested in the root package). Invalid checkpoints — corrupt,
@@ -78,7 +56,7 @@ func (s *Server) runCheckpointed(ctx context.Context, job allarm.Job) (*allarm.R
 		s.met.jobsResumed.Add(1)
 		s.markResumed(job.Key())
 		s.jobEvent(job.Key(), "resumed", fmt.Sprintf("from checkpoint at %d events", h.Events()))
-		s.logf("job %s: resumed from checkpoint at %d events", CheckpointName(job.Key()), h.Events())
+		s.logf("job %s: resumed from checkpoint at %d events", checkpointName(job.Key()), h.Events())
 	}
 	for {
 		done, err := h.Step(ctx, s.ckptInterval)
@@ -143,7 +121,7 @@ func (s *Server) writeJobCheckpoint(h *allarm.RunHandle, path string) bool {
 		s.logf("job checkpoint %s: snapshot: %v", filepath.Base(path), err)
 		return false
 	}
-	if err := AtomicWrite(path, buf.Bytes()); err != nil {
+	if err := atomicWrite(path, buf.Bytes()); err != nil {
 		s.logf("job checkpoint %s: write: %v", filepath.Base(path), err)
 		return false
 	}
@@ -176,47 +154,4 @@ func (s *Server) takeResumed(key string) bool {
 	}
 	delete(s.resumed, key)
 	return true
-}
-
-// handleCheckpointGet serves a job's machine-state checkpoint — the
-// pull half of fleet shard migration: when a shard is retired, the
-// router fetches the in-flight jobs' checkpoints from it and pushes
-// them to the keys' new owners.
-func (s *Server) handleCheckpointGet(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	if !validCheckpointName(name) {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("malformed checkpoint name %q", name))
-		return
-	}
-	data, err := os.ReadFile(filepath.Join(s.jobCkptDir, name))
-	if err != nil {
-		WriteError(w, http.StatusNotFound, fmt.Errorf("no checkpoint %s", name))
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(data)
-}
-
-// handleCheckpointPut accepts a pushed checkpoint (the other half of
-// migration): the next run of the matching job on this shard resumes
-// from it. The body is persisted verbatim with the same atomic
-// discipline as every other store file; validation happens at resume
-// time, where a bad blob falls back to a full re-simulation.
-func (s *Server) handleCheckpointPut(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	if !validCheckpointName(name) {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("malformed checkpoint name %q", name))
-		return
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCheckpointBody))
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("reading checkpoint: %w", err))
-		return
-	}
-	if err := AtomicWrite(filepath.Join(s.jobCkptDir, name), data); err != nil {
-		WriteError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.logf("checkpoint %s: accepted (%d bytes)", name, len(data))
-	w.WriteHeader(http.StatusCreated)
 }

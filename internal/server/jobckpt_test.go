@@ -65,58 +65,6 @@ func validCheckpointBlob(t *testing.T, job allarm.Job) []byte {
 	return buf.Bytes()
 }
 
-func postBytes(t *testing.T, url string, data []byte) *http.Response {
-	t.Helper()
-	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	return resp
-}
-
-// TestCheckpointNameValidation pins the checkpoint-name guard: only
-// sha256-hex + ".ckpt" names may reach the filesystem.
-func TestCheckpointNameValidation(t *testing.T) {
-	good := CheckpointName("any job key")
-	if !validCheckpointName(good) {
-		t.Fatalf("CheckpointName output rejected: %s", good)
-	}
-	for _, bad := range []string{
-		"", "x.ckpt", good[:10], strings.Repeat("z", 64) + ".ckpt",
-		strings.Repeat("a", 64) + ".json", "../" + good, good + "x",
-	} {
-		if validCheckpointName(bad) {
-			t.Errorf("accepted malformed checkpoint name %q", bad)
-		}
-	}
-}
-
-// TestCheckpointEndpoints round-trips a blob through the push/pull API
-// the router's migration uses.
-func TestCheckpointEndpoints(t *testing.T) {
-	dir := t.TempDir()
-	_, base := newTestServer(t, Options{
-		Workers: 1, CacheDir: dir, CheckpointInterval: 1 << 20,
-	})
-	name := CheckpointName("some job key")
-	blob := []byte("opaque checkpoint bytes")
-
-	if resp, _ := get(t, base+"/v1/checkpoints/"+name); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET of absent checkpoint: %d", resp.StatusCode)
-	}
-	if resp := postBytes(t, base+"/v1/checkpoints/"+name, blob); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("POST: %d", resp.StatusCode)
-	}
-	resp, body := get(t, base+"/v1/checkpoints/"+name)
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, blob) {
-		t.Fatalf("GET after POST: %d, %q", resp.StatusCode, body)
-	}
-	if resp := postBytes(t, base+"/v1/checkpoints/evil.ckpt", blob); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed name accepted: %d", resp.StatusCode)
-	}
-}
-
 // TestKillResumeFromCheckpoint is the server-side acceptance check: a
 // daemon killed mid-job leaves a machine-state checkpoint behind; its
 // successor recovers the sweep, resumes the job from the checkpoint
@@ -339,6 +287,21 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 		path := s.checkpointPath(job.Key())
 		if err := os.WriteFile(path, blob, 0o644); err != nil {
 			t.Fatal(err)
+		}
+		// No route reads or plants checkpoints: a client that could POST
+		// one would have the next run resume from it and cache the result
+		// under the job's content key.
+		ckptURL := base + "/v1/checkpoints/" + filepath.Base(path)
+		if resp, _ := get(t, ckptURL); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", ckptURL, resp.StatusCode)
+		}
+		resp, err := http.Post(ckptURL, "application/octet-stream", strings.NewReader("planted"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: status %d, want 404", ckptURL, resp.StatusCode)
 		}
 		sr := submit(t, base, req)
 		v := waitDone(t, base, sr.ID)

@@ -19,7 +19,7 @@ import (
 //	                            in hand; written by the router's gathers)
 //	traces/<id>                 raw uploaded trace bytes (traceStore)
 //
-// Every file is written with AtomicWrite, so a SIGKILL at any instant
+// Every file is written with atomicWrite, so a SIGKILL at any instant
 // leaves each file whole at its previous or its new content, never torn.
 // A sweep is journaled before its submission is acknowledged; at boot
 // the Front re-expands every entry under its original id, restores the
@@ -75,7 +75,7 @@ func (j *journal) writeSweep(st *SweepState) {
 	}
 	data, err := json.Marshal(e)
 	if err == nil {
-		err = AtomicWrite(j.path(st.ID, ".json"), append(data, '\n'))
+		err = atomicWrite(j.path(st.ID, ".json"), append(data, '\n'))
 	}
 	if err != nil {
 		j.logf("journal: sweep %s: %v", st.ID, err)
@@ -96,7 +96,7 @@ func (j *journal) writeRecords(st *SweepState) {
 			return
 		}
 	}
-	if err := AtomicWrite(j.path(st.ID, ".records.ndjson"), buf.Bytes()); err != nil {
+	if err := atomicWrite(j.path(st.ID, ".records.ndjson"), buf.Bytes()); err != nil {
 		j.logf("journal: records %s: %v", st.ID, err)
 	}
 }

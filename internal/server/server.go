@@ -50,9 +50,9 @@
 // Checkpoints are an optimization, never a correctness dependency: a
 // corrupt, truncated or version-skewed file is discarded and the job
 // re-simulates from scratch. Checkpoint boundaries also give the pool
-// preemption points — a long job yields its worker slot to waiting work
-// — and the /v1/checkpoints endpoints let allarm-router migrate
-// in-flight jobs between shards.
+// preemption points: a long job yields its worker slot to waiting work.
+// Checkpoints never cross the HTTP API; only this daemon's own runner
+// reads and writes them.
 //
 // # Cancellation
 //
@@ -125,9 +125,7 @@ type Options struct {
 	// JobCheckpointDir is where machine-state checkpoints live (one
 	// <sha256(Job.Key)>.ckpt per in-flight job). Empty with a CacheDir
 	// defaults to <CacheDir>/jobckpts; CheckpointInterval without any
-	// directory is a configuration error. The directory also backs the
-	// /v1/checkpoints endpoints allarm-router uses to migrate in-flight
-	// jobs between shards.
+	// directory is a configuration error.
 	JobCheckpointDir string
 	// Retain, when positive, evicts finished sweeps (and their journal
 	// entries and checkpoints) that reached a terminal state longer than
@@ -267,10 +265,6 @@ func New(opts Options) (*Server, error) {
 	s.registerGauges()
 	front.HandleFunc("GET /healthz", s.handleHealthz)
 	front.HandleFunc("GET /metrics", s.handleMetrics)
-	if s.jobCkptDir != "" {
-		front.HandleFunc("GET /v1/checkpoints/{name}", s.handleCheckpointGet)
-		front.HandleFunc("POST /v1/checkpoints/{name}", s.handleCheckpointPut)
-	}
 	front.Recover()
 	if opts.Retain > 0 {
 		s.janitors.Add(1)
@@ -425,7 +419,7 @@ func (s *Server) checkpoint(st *SweepState) {
 	var buf bytes.Buffer
 	err := (allarm.NDJSONEmitter{}).EmitRecords(&buf, recs)
 	if err == nil {
-		err = AtomicWrite(path, buf.Bytes())
+		err = atomicWrite(path, buf.Bytes())
 	}
 	if err != nil {
 		s.logf("sweep %s: checkpoint: %v", st.ID, err)

@@ -24,8 +24,8 @@ const (
 	StatusCheckpointed = "checkpointed"
 	// StatusDegraded: the router's gather completed but one or more
 	// shards could not deliver their jobs, which are reported as skipped
-	// rows. A membership change that gives those jobs a new owner
-	// re-opens the sweep (status back to running).
+	// rows. A requeue that gives those jobs a new owner re-opens the
+	// sweep (status back to running).
 	StatusDegraded = "degraded"
 )
 
@@ -56,9 +56,8 @@ type JobView struct {
 	Shard  string `json:"shard,omitempty"`
 	Status string `json:"status"`
 	// Resumed marks a job whose simulation continued from a
-	// machine-state checkpoint (after a restart, a preemption by a dead
-	// predecessor, or a fleet migration) instead of starting at event
-	// zero. The result is bit-identical either way.
+	// machine-state checkpoint left by a killed predecessor instead of
+	// starting at event zero. The result is bit-identical either way.
 	Resumed bool   `json:"resumed,omitempty"`
 	Error   string `json:"error,omitempty"`
 }
@@ -241,9 +240,8 @@ func (st *SweepState) Update(shard string, i int, status, errMsg string) {
 }
 
 // Deliver stores job i's row and final status if shard still owns the
-// job, reporting whether it applied. A migration can re-home a job while
-// its old owner's gather is mid-flight; the old owner's late rows must
-// not clobber the new owner's.
+// job, reporting whether it applied: a row from a shard the job has
+// since been moved off must not clobber its new owner's.
 func (st *SweepState) Deliver(shard string, i int, rec allarm.Record, status string) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()

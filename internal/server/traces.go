@@ -70,7 +70,7 @@ func (ts *traceStore) add(data []byte) (id string, wl allarm.Workload, fresh boo
 	}
 	e, fresh = ts.put(id, wl, data)
 	if fresh && ts.dir != "" {
-		if err := AtomicWrite(filepath.Join(ts.dir, id), data); err != nil {
+		if err := atomicWrite(filepath.Join(ts.dir, id), data); err != nil {
 			ts.logf("trace %s: persist: %v", id, err)
 		}
 	}
