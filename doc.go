@@ -151,9 +151,9 @@
 // but the restart. The shard set is fixed while the router runs; to
 // change it, restart the router with an edited -shards list and the
 // same -state-dir, and recovery moves the owed and skipped jobs of
-// departed shards onto their new owners. Retries honor Retry-After on 429 and otherwise use
-// seeded full-jitter exponential backoff, with a -shard-timeout
-// deadline on every attempt. These claims are asserted under
+// departed shards onto their new owners. Retries honor Retry-After on
+// 429 and otherwise use seeded full-jitter exponential backoff, with a
+// -shard-timeout deadline on every attempt. These claims are asserted under
 // deterministic chaos: internal/faultnet turns declarative fault plans
 // (latency, drops, 5xx/429 bursts, slow bodies) into a seeded
 // http.RoundTripper the fleet tests inject in-process. See the "Fault

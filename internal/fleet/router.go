@@ -616,8 +616,8 @@ func (rt *Router) runShardSweep(st *server.SweepState, sh *shard, globals []int)
 		if err != nil && errors.As(err, &he) && he.status == http.StatusBadRequest &&
 			strings.Contains(he.body, "unknown trace") {
 			// The shard lost (or never saw) an uploaded trace — a
-			// restart without a cache dir, or it joined after the
-			// upload broadcast. Re-upload from the router's copy and
+			// restart without a cache dir, or it was added to the
+			// -shards list after the upload broadcast. Re-upload from the router's copy and
 			// go again.
 			if uerr := rt.reuploadTraces(ctx, sh, req); uerr != nil {
 				return fmt.Errorf("%w (re-upload failed: %v)", err, uerr)

@@ -31,13 +31,13 @@ func (s *Server) checkpointPath(key string) string {
 // CheckpointInterval-event windows, writing a whole-machine snapshot at
 // every window boundary inside the measured region. A fresh run first
 // looks for a persisted checkpoint of the same job — left by a killed
-// predecessor or a preempted run — and resumes
-// from it instead of simulating from event zero; resumed results are
-// bit-identical to uninterrupted ones (the resume contract is
-// golden-tested in the root package). Invalid checkpoints — corrupt,
-// truncated, version-skewed, or belonging to a different job — are
-// discarded with a log line and the job re-simulates from scratch: a
-// checkpoint is an optimization, never a correctness dependency.
+// predecessor or a preempted run — and resumes from it instead of
+// simulating from event zero; resumed results are bit-identical to
+// uninterrupted ones (the resume contract is golden-tested in the root
+// package). Invalid checkpoints — corrupt, truncated, version-skewed,
+// or belonging to a different job — are discarded with a log line and
+// the job re-simulates from scratch: a checkpoint is an optimization,
+// never a correctness dependency.
 //
 // Between windows the runner also cooperates with the worker pool: when
 // another job is blocked waiting for a slot (s.waiting), the freshly
