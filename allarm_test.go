@@ -2,6 +2,7 @@ package allarm_test
 
 import (
 	"context"
+	"io"
 	"strings"
 	"testing"
 
@@ -15,6 +16,50 @@ func fastConfig() allarm.Config {
 	cfg.AccessesPerThread = 2_000
 	cfg.CheckInvariants = true
 	return cfg
+}
+
+// pair is one benchmark's baseline and ALLARM results.
+type pair struct{ Base, Opt *allarm.Result }
+
+// runPairs runs each benchmark under the baseline and ALLARM, failing
+// tb on any error.
+func runPairs(tb testing.TB, cfg allarm.Config, benchmarks ...string) []pair {
+	tb.Helper()
+	s := allarm.NewSweep(allarm.Job{Config: cfg}).
+		CrossBenchmarks(benchmarks...).
+		CrossPolicies(allarm.Baseline, allarm.ALLARM)
+	results, err := allarm.RunSweep(context.Background(), s)
+	if err == nil {
+		err = allarm.FirstError(results)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := make([]pair, 0, len(results)/2)
+	for i := 0; i+1 < len(results); i += 2 {
+		out = append(out, pair{results[i].Result, results[i+1].Result})
+	}
+	return out
+}
+
+// experimentTable renders experiment id as allarm-sim -exp does: its
+// sweep run by r (nil: a default Runner), then RenderExperiment.
+func experimentTable(ctx context.Context, w io.Writer, cfg allarm.Config, id string, opt allarm.Policy, r *allarm.Runner) error {
+	s, err := allarm.ExperimentSweep(cfg, id, opt)
+	if err != nil {
+		return err
+	}
+	if r == nil {
+		r = &allarm.Runner{}
+	}
+	results, err := r.Run(ctx, s)
+	if err == nil {
+		err = allarm.FirstError(results)
+	}
+	if err != nil {
+		return err
+	}
+	return allarm.RenderExperiment(w, cfg, id, opt, results)
 }
 
 func TestDefaultConfigIsTableI(t *testing.T) {
@@ -74,7 +119,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestRunProducesMetrics(t *testing.T) {
-	res, err := allarm.RunBenchmarkCtx(context.Background(), fastConfig(), "barnes")
+	res, err := allarm.Job{Benchmark: "barnes", Config: fastConfig()}.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,16 +135,14 @@ func TestRunProducesMetrics(t *testing.T) {
 }
 
 func TestRunUnknownBenchmark(t *testing.T) {
-	if _, err := allarm.RunBenchmarkCtx(context.Background(), fastConfig(), "nope"); err == nil {
+	if _, err := (allarm.Job{Benchmark: "nope", Config: fastConfig()}).RunCtx(context.Background()); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
 
 func TestRunPairSameSeedComparable(t *testing.T) {
-	base, opt, err := allarm.RunPair(fastConfig(), "ocean-cont")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := runPairs(t, fastConfig(), "ocean-cont")[0]
+	base, opt := p.Base, p.Opt
 	if base.PolicyUsed != allarm.Baseline || opt.PolicyUsed != allarm.ALLARM {
 		t.Fatal("policies mislabelled")
 	}
@@ -125,11 +168,11 @@ func TestRunPairSameSeedComparable(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	cfg := fastConfig()
-	a, err := allarm.RunBenchmarkCtx(context.Background(), cfg, "cholesky")
+	a, err := allarm.Job{Benchmark: "cholesky", Config: cfg}.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := allarm.RunBenchmarkCtx(context.Background(), cfg, "cholesky")
+	b, err := allarm.Job{Benchmark: "cholesky", Config: cfg}.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +180,7 @@ func TestDeterministicRuns(t *testing.T) {
 		t.Fatal("identical configs produced different results")
 	}
 	cfg.Seed = 999
-	c, err := allarm.RunBenchmarkCtx(context.Background(), cfg, "cholesky")
+	c, err := allarm.Job{Benchmark: "cholesky", Config: cfg}.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +200,7 @@ func TestALLARMRangesDisableEverything(t *testing.T) {
 		cfg.ALLARMRanges = append(cfg.ALLARMRanges,
 			allarm.AddrRange{Start: base + nodeBytes/2, End: base + nodeBytes})
 	}
-	res, err := allarm.RunBenchmarkCtx(context.Background(), cfg, "barnes")
+	res, err := allarm.Job{Benchmark: "barnes", Config: cfg}.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +212,7 @@ func TestALLARMRangesDisableEverything(t *testing.T) {
 func TestMultiProcessRun(t *testing.T) {
 	cfg := fastConfig()
 	mp := allarm.DefaultMultiProcess()
-	res, err := allarm.RunMultiProcessCtx(context.Background(), cfg, mp, "barnes")
+	res, err := allarm.Job{Benchmark: "barnes", Config: cfg, MultiProcess: &mp}.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +222,7 @@ func TestMultiProcessRun(t *testing.T) {
 	// Two separate address spaces: every page is process-local, so under
 	// ALLARM nearly all requests are local and PF allocations tiny.
 	cfg.Policy = allarm.ALLARM
-	opt, err := allarm.RunMultiProcessCtx(context.Background(), cfg, mp, "barnes")
+	opt, err := allarm.Job{Benchmark: "barnes", Config: cfg, MultiProcess: &mp}.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +235,11 @@ func TestMultiProcessValidation(t *testing.T) {
 	cfg := fastConfig()
 	mp := allarm.DefaultMultiProcess()
 	mp.Copies = 99
-	if _, err := allarm.RunMultiProcessCtx(context.Background(), cfg, mp, "barnes"); err == nil {
+	if _, err := (allarm.Job{Benchmark: "barnes", Config: cfg, MultiProcess: &mp}).RunCtx(context.Background()); err == nil {
 		t.Fatal("too many copies accepted")
 	}
 	mp = allarm.DefaultMultiProcess()
-	if _, err := allarm.RunMultiProcessCtx(context.Background(), cfg, mp, "nope"); err == nil {
+	if _, err := (allarm.Job{Benchmark: "nope", Config: cfg, MultiProcess: &mp}).RunCtx(context.Background()); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
@@ -219,7 +262,7 @@ func TestBenchmarksList(t *testing.T) {
 
 func TestRunExperimentTable1(t *testing.T) {
 	var sb strings.Builder
-	if err := allarm.RunExperimentWith(context.Background(), &sb, fastConfig(), "table1", nil); err != nil {
+	if err := experimentTable(context.Background(), &sb, fastConfig(), "table1", allarm.ALLARM, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -232,7 +275,7 @@ func TestRunExperimentTable1(t *testing.T) {
 
 func TestRunExperimentArea(t *testing.T) {
 	var sb strings.Builder
-	if err := allarm.RunExperimentWith(context.Background(), &sb, fastConfig(), "area", nil); err != nil {
+	if err := experimentTable(context.Background(), &sb, fastConfig(), "area", allarm.ALLARM, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "70.89") {
@@ -242,7 +285,7 @@ func TestRunExperimentArea(t *testing.T) {
 
 func TestRunExperimentUnknown(t *testing.T) {
 	var sb strings.Builder
-	if err := allarm.RunExperimentWith(context.Background(), &sb, fastConfig(), "fig99", nil); err == nil {
+	if err := experimentTable(context.Background(), &sb, fastConfig(), "fig99", allarm.ALLARM, nil); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -251,7 +294,7 @@ func TestRunExperimentFig2(t *testing.T) {
 	var sb strings.Builder
 	cfg := fastConfig()
 	cfg.CheckInvariants = false // speed: eight runs
-	if err := allarm.RunExperimentWith(context.Background(), &sb, cfg, "fig2", nil); err != nil {
+	if err := experimentTable(context.Background(), &sb, cfg, "fig2", allarm.ALLARM, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range allarm.Benchmarks() {
@@ -262,10 +305,8 @@ func TestRunExperimentFig2(t *testing.T) {
 }
 
 func TestSnoopHidingOnlyUnderALLARM(t *testing.T) {
-	base, opt, err := allarm.RunPair(fastConfig(), "fluidanimate")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := runPairs(t, fastConfig(), "fluidanimate")[0]
+	base, opt := p.Base, p.Opt
 	if base.LocalProbes != 0 {
 		t.Fatal("baseline issued local probes")
 	}

@@ -23,7 +23,7 @@ func benchSim(b *testing.B, benchmark string, accesses int, pol allarm.Policy) {
 	var events uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := allarm.RunBenchmarkCtx(context.Background(), cfg, benchmark)
+		res, err := allarm.Job{Benchmark: benchmark, Config: cfg}.RunCtx(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,7 +3,7 @@ package allarm_test
 // One benchmark per table and figure of the paper. Each bench runs the
 // corresponding experiment at a reduced access budget (so `go test
 // -bench=.` completes in minutes) and reports the headline series through
-// b.ReportMetric; cmd/allarm-bench regenerates the full-size tables.
+// b.ReportMetric; allarm-sim -exp regenerates the full-size tables.
 //
 // Benchmarks deliberately measure simulated-system metrics, not Go
 // wall-clock alone: the unit of work is "one full experiment".
@@ -26,7 +26,7 @@ func benchConfig() allarm.Config {
 func BenchmarkTable1SystemConfig(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		if err := allarm.RunExperimentWith(context.Background(), io.Discard, cfg, "table1", nil); err != nil {
+		if err := experimentTable(context.Background(), io.Discard, cfg, "table1", allarm.ALLARM, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -37,7 +37,7 @@ func BenchmarkFig2LocalRemoteRatio(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var locals []float64
 		for _, name := range allarm.Benchmarks() {
-			res, err := allarm.RunBenchmarkCtx(context.Background(), cfg, name)
+			res, err := allarm.Job{Benchmark: name, Config: cfg}.RunCtx(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -51,10 +51,7 @@ func BenchmarkFig2LocalRemoteRatio(b *testing.B) {
 func pairMetric(b *testing.B, metric string) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		pairs, err := allarm.RunAllPairs(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		pairs := runPairs(b, cfg, allarm.Benchmarks()...)
 		var vals []float64
 		for _, p := range pairs {
 			c := allarm.Compare(p.Base, p.Opt)
@@ -86,10 +83,7 @@ func BenchmarkFig3cTraffic(b *testing.B)   { pairMetric(b, "traffic") }
 func BenchmarkFig3dMessagesPerEviction(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		pairs, err := allarm.RunAllPairs(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		pairs := runPairs(b, cfg, allarm.Benchmarks()...)
 		var msgs []float64
 		for _, p := range pairs {
 			if m := p.Base.MessagesPerEviction(); m > 0 {
@@ -105,10 +99,7 @@ func BenchmarkFig3eL2Misses(b *testing.B) { pairMetric(b, "l2miss") }
 func BenchmarkFig3fDynamicEnergy(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		pairs, err := allarm.RunAllPairs(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		pairs := runPairs(b, cfg, allarm.Benchmarks()...)
 		var noc, pf []float64
 		for _, p := range pairs {
 			c := allarm.Compare(p.Base, p.Opt)
@@ -126,7 +117,7 @@ func BenchmarkFig3gSnoopHiding(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var fracs []float64
 		for _, name := range allarm.Benchmarks() {
-			res, err := allarm.RunBenchmarkCtx(context.Background(), cfg, name)
+			res, err := allarm.Job{Benchmark: name, Config: cfg}.RunCtx(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -143,7 +134,7 @@ func BenchmarkFig3hPFSizeSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := cfg
 		c.Policy = allarm.Baseline
-		ref, err := allarm.RunBenchmarkCtx(context.Background(), c, "blackscholes")
+		ref, err := allarm.Job{Benchmark: "blackscholes", Config: c}.RunCtx(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -151,7 +142,7 @@ func BenchmarkFig3hPFSizeSweep(b *testing.B) {
 			c := cfg
 			c.Policy = allarm.ALLARM
 			c.PFBytes = cfg.PFBytes / div
-			res, err := allarm.RunBenchmarkCtx(context.Background(), c, "blackscholes")
+			res, err := allarm.Job{Benchmark: "blackscholes", Config: c}.RunCtx(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -170,7 +161,7 @@ func fig4Bench(b *testing.B, policy allarm.Policy, metric string) {
 	for i := 0; i < b.N; i++ {
 		c := cfg
 		c.Policy = allarm.Baseline
-		ref, err := allarm.RunMultiProcessCtx(context.Background(), c, mp, "ocean-cont")
+		ref, err := allarm.Job{Benchmark: "ocean-cont", Config: c, MultiProcess: &mp}.RunCtx(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -179,7 +170,7 @@ func fig4Bench(b *testing.B, policy allarm.Policy, metric string) {
 			c := cfg
 			c.Policy = policy
 			c.PFBytes = cfg.PFBytes / div
-			res, err := allarm.RunMultiProcessCtx(context.Background(), c, mp, "ocean-cont")
+			res, err := allarm.Job{Benchmark: "ocean-cont", Config: c, MultiProcess: &mp}.RunCtx(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -217,7 +208,7 @@ func BenchmarkFig4fMultiProcessALLARMTraffic(b *testing.B) {
 
 func BenchmarkAreaTablePFArea(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := allarm.RunExperimentWith(context.Background(), io.Discard, benchConfig(), "area", nil); err != nil {
+		if err := experimentTable(context.Background(), io.Discard, benchConfig(), "area", allarm.ALLARM, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -231,7 +222,7 @@ func BenchmarkAblationSerialLocalProbe(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Policy = allarm.ALLARM
 	for i := 0; i < b.N; i++ {
-		res, err := allarm.RunBenchmarkCtx(context.Background(), cfg, "ocean-cont")
+		res, err := allarm.Job{Benchmark: "ocean-cont", Config: cfg}.RunCtx(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

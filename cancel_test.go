@@ -43,7 +43,7 @@ func TestRunCtxCancelMidSimulation(t *testing.T) {
 	job := allarm.Job{Benchmark: "ocean-cont", Config: cfg}
 
 	// Reference: the complete run.
-	ref, err := job.Run()
+	ref, err := job.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestRunCtxCancelMidSimulation(t *testing.T) {
 
 	// Deterministic re-run from a clean start: bit-identical to the
 	// reference, unperturbed by the aborted attempt.
-	rerun, err := job.Run()
+	rerun, err := job.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestRunCtxPreCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := allarm.RunCtx(ctx, cfg, wl)
+	res, err := allarm.Job{Workload: wl, Config: cfg}.RunCtx(ctx)
 	if !allarm.IsCancellation(err) {
 		t.Fatalf("err = %v, want a cancellation", err)
 	}

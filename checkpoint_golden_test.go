@@ -65,7 +65,7 @@ func TestResumeGoldenCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := job.Run()
+	ref, err := job.RunCtx(context.Background())
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}

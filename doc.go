@@ -17,7 +17,7 @@
 //
 // # Workloads
 //
-// Run simulates one Workload on one machine. Workloads come in three
+// A Job simulates one Workload on one machine. Workloads come in three
 // kinds — the synthetic SPLASH2/Parsec presets, bit-exact trace replays,
 // and user-programmatic generators — and any Workload implementation is
 // accepted. Workload, Access and Stream are the simulator's own
@@ -26,28 +26,21 @@
 //
 //	cfg := allarm.DefaultConfig()               // Table I parameters
 //	wl, _ := allarm.BenchmarkWorkload("ocean-cont", cfg.Threads, cfg.AccessesPerThread)
-//	res, err := allarm.Run(cfg, wl)
+//	res, err := allarm.Job{Workload: wl, Config: cfg}.RunCtx(ctx)
 //
-//	wl, _ = allarm.LoadTrace("barnes.trace")    // captured with CaptureTrace / allarm-trace
+//	wl, _ = allarm.LoadTrace("barnes.trace")    // captured with CaptureTrace / allarm-sim -gen
 //	wl, _ = allarm.NewWorkload(allarm.WorkloadSpec{...}) // programmatic
 //
-// Run and Job.Run have context-aware variants (RunCtx, Job.RunCtx);
-// the preset entry points RunBenchmarkCtx and RunMultiProcessCtx always
-// take a context. Every one of them steps a RunHandle (StartJob) to
-// completion. The simulation polls the context once per
+// Job{Benchmark: name} runs a preset by name, and Job.MultiProcess
+// selects the paper's multi-process mode. Job.RunCtx steps a RunHandle
+// (StartJob) to completion. The simulation polls the context once per
 // sim.CancelCheckBudget events — amortised to nothing on the hot
 // path — and a cancelled run returns a partial
 // Result (Partial == true, metrics up to the abort instant) together
 // with an error IsCancellation recognises. Partial results are never
 // cached anywhere; re-running the job from a clean start reproduces
-// the bit-identical complete result.
-//
-// RunBenchmarkCtx(ctx, cfg, name) is the preset shortcut, and RunPair
-// runs the paper's baseline/ALLARM comparison:
-//
-//	base, opt, err := allarm.RunPair(cfg, "ocean-cont")
-//	cmp := allarm.Compare(base, opt)
-//	fmt.Printf("speedup %.2fx, evictions ×%.2f\n", cmp.Speedup, cmp.EvictionRatio)
+// the bit-identical complete result. Compare normalises an optimised
+// run to its baseline the way the paper does.
 //
 // # Policies
 //
@@ -87,11 +80,10 @@
 // CSVEmitter, JSONEmitter) or consumed directly.
 //
 // Every table and figure of the paper is such a spec: ExperimentSweep
-// returns the grid behind an experiment id, RunExperimentWith runs the
-// grid and prints the series the paper plots, and the Vs variants (ExperimentSweepVs, RunExperimentVs)
-// regenerate any figure with a different optimised policy standing in
-// for ALLARM. See README.md for a quickstart and cmd/allarm-bench for
-// the figure-regeneration CLI.
+// returns the grid behind an experiment id, with any registered policy
+// standing in for ALLARM, and RenderExperiment prints the series the
+// paper plots from the grid's results. See README.md for a quickstart
+// and cmd/allarm-sim -exp for the figure-regeneration CLI.
 //
 // # Serving
 //
@@ -153,9 +145,9 @@
 // same -state-dir, and recovery moves the owed and skipped jobs of
 // departed shards onto their new owners. Retries honor Retry-After on
 // 429 and otherwise use seeded full-jitter exponential backoff, with a
-// -shard-timeout deadline on every attempt. These claims are asserted under
-// deterministic chaos: internal/faultnet turns declarative fault plans
-// (latency, drops, 5xx/429 bursts, slow bodies) into a seeded
-// http.RoundTripper the fleet tests inject in-process. See the "Fault
-// tolerance" section of README.md.
+// -shard-timeout deadline on every attempt. These claims are asserted
+// under deterministic chaos: a test-only injector in internal/fleet
+// turns declarative fault plans (latency, drops, 5xx/429 bursts, slow
+// bodies) into a seeded http.RoundTripper the fleet tests inject
+// in-process. See the "Fault tolerance" section of README.md.
 package allarm

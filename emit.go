@@ -100,7 +100,7 @@ func RecordOf(r SweepResult) Record {
 		Seed:      r.Job.Config.Seed,
 	}
 	if r.Job.Workload != nil {
-		// A first-class Workload wins over MultiProcess in Job.Run, so
+		// A first-class Workload wins over MultiProcess in Job.RunCtx, so
 		// the record must not describe a multi-process run.
 		rec.Threads = r.Job.Workload.Threads()
 	} else if r.Job.MultiProcess != nil {

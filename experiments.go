@@ -1,7 +1,6 @@
 package allarm
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -10,8 +9,8 @@ import (
 	"allarm/internal/stats"
 )
 
-// Experiment identifiers accepted by RunExperimentWith and ExperimentSweep
-// (one per table/figure of the paper).
+// Experiment identifiers accepted by ExperimentSweep and
+// RenderExperiment (one per table/figure of the paper).
 var ExperimentIDs = []string{
 	"table1",
 	"fig2",
@@ -20,47 +19,30 @@ var ExperimentIDs = []string{
 	"area",
 }
 
-// PairResults is the per-benchmark baseline/ALLARM pair of a sweep.
-type PairResults struct {
+// pairResults is the per-benchmark baseline/optimised pair of a sweep.
+type pairResults struct {
 	Benchmark string
 	Base, Opt *Result
 }
 
-// PairsSweep is the spec behind RunAllPairs and Figure 3: every
-// benchmark under both policies, baseline first.
-func PairsSweep(cfg Config) *Sweep {
-	return PairsSweepVs(cfg, ALLARM)
-}
-
-// PairsSweepVs is PairsSweep with the optimised policy under evaluation
-// made explicit: every benchmark under the baseline and opt, baseline
-// first. Any registered policy works (see RegisterPolicy).
-func PairsSweepVs(cfg Config, opt Policy) *Sweep {
+// pairsSweep is the spec behind Figure 3: every benchmark under the
+// baseline and opt, baseline first.
+func pairsSweep(cfg Config, opt Policy) *Sweep {
 	return NewSweep(Job{Config: cfg}).
 		CrossBenchmarks(Benchmarks()...).
 		CrossPolicies(Baseline, opt)
 }
 
-// RunAllPairs runs every benchmark under both policies at the given
-// configuration, in parallel across the machine's cores.
-func RunAllPairs(cfg Config) ([]PairResults, error) {
-	results, err := RunSweep(context.Background(), PairsSweep(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return pairsOf(results)
-}
-
-// pairsOf folds PairsSweep results (benchmark-major, baseline first)
+// pairsOf folds pairsSweep results (benchmark-major, baseline first)
 // into per-benchmark pairs, failing on the first job error in spec
 // order.
-func pairsOf(results []SweepResult) ([]PairResults, error) {
+func pairsOf(results []SweepResult) ([]pairResults, error) {
 	if err := FirstError(results); err != nil {
 		return nil, err
 	}
-	out := make([]PairResults, 0, len(results)/2)
+	out := make([]pairResults, 0, len(results)/2)
 	for i := 0; i+1 < len(results); i += 2 {
-		out = append(out, PairResults{
+		out = append(out, pairResults{
 			Benchmark: results[i].Job.Benchmark,
 			Base:      results[i].Result,
 			Opt:       results[i+1].Result,
@@ -71,18 +53,12 @@ func pairsOf(results []SweepResult) ([]PairResults, error) {
 
 // ExperimentSweep returns the declarative job spec behind one of the
 // paper's tables or figures: the exact simulations the experiment needs,
-// in the order its renderer consumes them. "table1" and "area" run no
-// simulations and return an empty sweep. Unknown ids return an error
-// listing the valid ones.
-func ExperimentSweep(cfg Config, id string) (*Sweep, error) {
-	return ExperimentSweepVs(cfg, id, ALLARM)
-}
-
-// ExperimentSweepVs is ExperimentSweep with the optimised policy under
-// evaluation made explicit, so a figure's grid can be regenerated for
-// any registered policy (allarm-bench -policy). opt == ALLARM reproduces
-// the paper exactly.
-func ExperimentSweepVs(cfg Config, id string, opt Policy) (*Sweep, error) {
+// in the order RenderExperiment consumes them. opt is the optimised
+// policy evaluated against the baseline; ALLARM reproduces the paper
+// exactly, and any registered policy can be read off the same figures.
+// "table1" and "area" run no simulations and return an empty sweep.
+// Unknown ids return an error listing the valid ones.
+func ExperimentSweep(cfg Config, id string, opt Policy) (*Sweep, error) {
 	switch id {
 	case "table1", "area":
 		return NewSweep(), nil
@@ -91,7 +67,7 @@ func ExperimentSweepVs(cfg Config, id string, opt Policy) (*Sweep, error) {
 		c.Policy = Baseline
 		return NewSweep(Job{Config: c}).CrossBenchmarks(Benchmarks()...), nil
 	case "fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f", "fig3g":
-		return PairsSweepVs(cfg, opt), nil
+		return pairsSweep(cfg, opt), nil
 	case "fig3h":
 		// Per benchmark: the full-size baseline reference, then the
 		// optimised policy at each Figure 3h probe-filter size.
@@ -138,41 +114,10 @@ func ExperimentSweepVs(cfg Config, id string, opt Policy) (*Sweep, error) {
 	}
 }
 
-// RunExperimentWith regenerates one of the paper's tables or figures at
-// the given configuration, writing the series the paper plots to w:
-// ExperimentSweep(cfg, id) executed by r (nil means a default all-cores
-// Runner) and rendered by the experiment's table formatter. Output is
-// byte-identical to the pre-sweep serial runner, because every
-// simulation is deterministic.
-func RunExperimentWith(ctx context.Context, w io.Writer, cfg Config, id string, r *Runner) error {
-	return RunExperimentVs(ctx, w, cfg, id, ALLARM, r)
-}
-
-// RunExperimentVs is RunExperimentWith with the optimised policy under
-// evaluation made explicit: the experiment's grid is built by
-// ExperimentSweepVs and rendered with the same normalisations the paper
-// uses, so any registered policy can be read off the paper's figures.
-func RunExperimentVs(ctx context.Context, w io.Writer, cfg Config, id string, opt Policy, r *Runner) error {
-	sweep, err := ExperimentSweepVs(cfg, id, opt)
-	if err != nil {
-		return err
-	}
-	if r == nil {
-		r = &Runner{}
-	}
-	results, err := r.Run(ctx, sweep)
-	if err != nil {
-		return err
-	}
-	if err := FirstError(results); err != nil {
-		return err
-	}
-	return renderExperiment(w, cfg, id, opt, results)
-}
-
-// renderExperiment formats the sweep results of experiment id, which
-// must be in ExperimentSweepVs(cfg, id, opt) spec order.
-func renderExperiment(w io.Writer, cfg Config, id string, opt Policy, results []SweepResult) error {
+// RenderExperiment writes the series the paper plots for experiment
+// id, normalised as the paper normalises them. results must hold the
+// completed jobs of ExperimentSweep(cfg, id, opt), in its spec order.
+func RenderExperiment(w io.Writer, cfg Config, id string, opt Policy, results []SweepResult) error {
 	switch id {
 	case "table1":
 		return renderTable1(w, cfg)
@@ -229,7 +174,7 @@ func renderFig2(w io.Writer, results []SweepResult) error {
 }
 
 // renderFig3 prints one of the Figure 3 per-benchmark bar charts.
-func renderFig3(w io.Writer, pairs []PairResults, id string) error {
+func renderFig3(w io.Writer, pairs []pairResults, id string) error {
 	switch id {
 	case "fig3a", "fig3b", "fig3c", "fig3e":
 		name := map[string]string{

@@ -122,14 +122,8 @@ func New(name string, capacityBytes, ways int) *Cache {
 // Name returns the cache's diagnostic name.
 func (c *Cache) Name() string { return c.name }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
-
-// CapacityBytes returns the data capacity.
-func (c *Cache) CapacityBytes() int { return c.sets * c.ways * mem.LineBytes }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }

@@ -83,7 +83,7 @@ func TestSetIndexDistribution(t *testing.T) {
 	if c.SetIndex(line(0)) == c.SetIndex(line(1)) {
 		t.Fatal("adjacent lines map to the same set")
 	}
-	if c.SetIndex(line(0)) != c.SetIndex(line(c.Sets())) {
+	if c.SetIndex(line(0)) != c.SetIndex(line(c.sets)) {
 		t.Fatal("lines one stride apart map to different sets")
 	}
 }
@@ -182,7 +182,7 @@ func TestExclusiveHierarchySwap(t *testing.T) {
 	h := newHier()
 	// Fill L1 beyond capacity so line 0 demotes to L2.
 	for i := 0; i < 9; i++ {
-		h.Fill(line(i*h.L1().Sets()), Exclusive, false, 0) // same L1 set
+		h.Fill(line(i*h.L1().sets), Exclusive, false, 0) // same L1 set
 	}
 	// One of the early lines must now be in L2, not L1.
 	demoted := line(0)
@@ -270,7 +270,7 @@ func TestUpgradeFillInL2(t *testing.T) {
 	// Place a Shared line, demote it to L2, then grant M.
 	h.Fill(line(0), Shared, false, 2)
 	for i := 1; i <= 8; i++ {
-		h.Fill(line(i*h.L1().Sets()), Exclusive, false, 0)
+		h.Fill(line(i*h.L1().sets), Exclusive, false, 0)
 	}
 	if h.L2().Peek(line(0)) == nil {
 		t.Skip("line 0 not demoted under this geometry")

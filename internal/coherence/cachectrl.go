@@ -109,9 +109,6 @@ func (c *CacheCtrl) Hierarchy() *cache.Hierarchy { return c.hier }
 // Stats returns a copy of the controller statistics.
 func (c *CacheCtrl) Stats() CtrlStats { return c.stats }
 
-// HasPending reports whether a demand miss is outstanding (test helper).
-func (c *CacheCtrl) HasPending() bool { return c.hasPending }
-
 // PoolStats returns the controller's message-pool counters (tests,
 // recycle diagnostics).
 func (c *CacheCtrl) PoolStats() MsgPoolStats { return c.pool.Stats() }

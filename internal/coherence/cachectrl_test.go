@@ -50,7 +50,7 @@ func TestReadMissSendsGetS(t *testing.T) {
 	if m == nil || m.Op != GetS || !m.ToDir || m.Dst != 1 || m.Addr != line(1) {
 		t.Fatalf("sent %v", m)
 	}
-	if !cc.HasPending() {
+	if !cc.hasPending {
 		t.Fatal("no MSHR allocated")
 	}
 }
@@ -295,7 +295,7 @@ func TestNoFillCompletesWithoutInstalling(t *testing.T) {
 	if doneAt == 0 {
 		t.Fatal("no-fill grant did not complete the access")
 	}
-	if cc.HasPending() {
+	if cc.hasPending {
 		t.Fatal("MSHR still held")
 	}
 	if l := cc.Hierarchy().PeekLine(line(1)); l != nil {

@@ -103,9 +103,6 @@ func NewProbeFilter(coverageBytes, ways int) *ProbeFilter {
 // Entries returns the total entry capacity.
 func (pf *ProbeFilter) Entries() int { return pf.sets * pf.ways }
 
-// CoverageBytes returns the bytes of cached data the filter can track.
-func (pf *ProbeFilter) CoverageBytes() int { return pf.Entries() * mem.LineBytes }
-
 // Ways returns the associativity.
 func (pf *ProbeFilter) Ways() int { return pf.ways }
 

@@ -8,18 +8,17 @@ import (
 	"testing"
 	"time"
 
-	"allarm/internal/faultnet"
 	"allarm/internal/server"
 )
 
 // TestFleetChaosByteIdentical runs the acceptance gauntlet: a seeded
-// faultnet plan (5xx bursts on submit, a 429 throttle, dropped
+// fault plan (5xx bursts on submit, a 429 throttle, dropped
 // connections, jittered latency) sits between the router and both
 // shards; the sweep must complete cleanly — retries absorb every fault
 // — with each job simulated exactly once fleet-wide and the gathered
 // output byte-identical to an unfaulted single node.
 func TestFleetChaosByteIdentical(t *testing.T) {
-	plan := faultnet.Plan{Rules: []faultnet.Rule{
+	plan := faultPlan{Rules: []faultRule{
 		// A deterministic 503 burst on the first two sub-sweep submits.
 		{Name: "submit-outage", Method: "POST", Path: "/v1/sweeps", Status: 503, Count: 2},
 		// One throttle on a status poll; the router must absorb it.
@@ -29,7 +28,7 @@ func TestFleetChaosByteIdentical(t *testing.T) {
 		// Background latency jitter over everything (seeded).
 		{Name: "latency", P: 0.4, LatencyMs: 1, JitterMs: 2},
 	}}
-	inj, err := faultnet.New(plan, 7)
+	inj, err := newInjector(plan, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +80,12 @@ func TestFleetChaosByteIdentical(t *testing.T) {
 // and the router's next attempt waits it out instead of using its own
 // (much shorter) backoff schedule.
 func TestFleetRetryAfterHonored(t *testing.T) {
-	plan := faultnet.Plan{Rules: []faultnet.Rule{
+	plan := faultPlan{Rules: []faultRule{
 		// Throttle the first two status-path GETs (the SSE subscribe may
 		// take one; the status poll takes at least one).
 		{Name: "throttle", Method: "GET", Path: "/v1/sweeps/", Status: 429, RetryAfterMs: 900, Count: 2},
 	}}
-	inj, err := faultnet.New(plan, 1)
+	inj, err := newInjector(plan, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +248,11 @@ func TestFleetChaosRecovery(t *testing.T) {
 	waitTotalRuns(t, []*testShard{sh}, 24)
 
 	// Second boot: same journal, now with faults on the re-poll path.
-	plan := faultnet.Plan{Rules: []faultnet.Rule{
+	plan := faultPlan{Rules: []faultRule{
 		{Name: "boot-outage", Method: "GET", Path: "/v1/sweeps", Status: 500, Count: 2},
 		{Name: "drop", Method: "POST", Path: "/v1/sweeps", Drop: true, Count: 1},
 	}}
-	inj, err := faultnet.New(plan, 3)
+	inj, err := newInjector(plan, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,28 @@
-// Package faultnet is a deterministic fault-injection harness for the
-// fleet's network paths: a declarative Plan of faults (latency, dropped
+package fleet
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// The fault injector is a deterministic harness for the fleet's
+// network paths: a declarative plan of faults (latency, dropped
 // connections, 5xx/429 bursts, slow bodies, health-check flaps)
-// applied by a seeded Injector, so every robustness claim the router
+// applied by a seeded injector, so every robustness claim the router
 // makes — retry, backoff, exclusion, re-admission, degradation, journal
 // recovery — can be asserted under replayable chaos instead of
 // hand-rolled one-off stubs.
 //
-// The Injector delivers its faults in-process: RoundTripper wraps an
+// The injector delivers its faults in-process: RoundTripper wraps an
 // http.RoundTripper, so a client's transport (the router's shard
 // transport in the fleet tests) sees chaos with no proxy in between.
 //
@@ -19,33 +35,20 @@
 // (P < 1) draw from one seeded RNG under a lock: a fixed seed replays
 // the same decision sequence whenever requests arrive in the same
 // order, which is what the chaos suites use for coverage.
-package faultnet
 
-import (
-	"context"
-	"fmt"
-	"io"
-	"math/rand"
-	"net/http"
-	"strconv"
-	"strings"
-	"sync"
-	"time"
-)
-
-// Plan is a declarative fault schedule: an ordered rule list evaluated
-// per request. Every rule that matches contributes its faults; the
+// faultPlan is a declarative fault schedule: an ordered rule list
+// evaluated per request. Every rule that matches contributes its faults; the
 // first terminal fault (drop or synthesized status) wins and stops
 // evaluation, while latency from earlier matching rules accumulates.
-type Plan struct {
-	Rules []Rule
+type faultPlan struct {
+	Rules []faultRule
 }
 
-// Rule matches a slice of traffic and names the fault to inject.
+// faultRule matches a slice of traffic and names the fault to inject.
 // Matching is by method, host and path prefix; the window fields
 // (Skip, Count, Every, P) select which of the matching requests
 // actually fault.
-type Rule struct {
+type faultRule struct {
 	// Name labels the rule in logs, stats and injected errors.
 	Name string
 
@@ -66,7 +69,7 @@ type Rule struct {
 	// deterministic health-check flap is Path:"/healthz", Every:2.
 	Every int
 	// P fires with this probability per armed match (0 or 1 = always),
-	// drawn from the Injector's seeded RNG.
+	// drawn from the injector's seeded RNG.
 	P float64
 
 	// LatencyMs delays the request before it is forwarded; JitterMs adds
@@ -87,7 +90,7 @@ type Rule struct {
 	SlowBodyMs int
 }
 
-func (p Plan) validate() error {
+func (p faultPlan) validate() error {
 	for i, r := range p.Rules {
 		if r.P < 0 || r.P > 1 {
 			return fmt.Errorf("faultnet: rule %d (%s): p must be in [0,1]", i, r.Name)
@@ -96,19 +99,19 @@ func (p Plan) validate() error {
 	return nil
 }
 
-// RuleStats reports one rule's activity: how many requests matched its
+// ruleStats reports one rule's activity: how many requests matched its
 // selectors and how many actually faulted.
-type RuleStats struct {
+type ruleStats struct {
 	Name    string
 	Matched uint64
 	Fired   uint64
 }
 
-// Injector applies a Plan deterministically. One Injector carries all
+// injector applies a faultPlan deterministically. One injector carries all
 // per-rule counters and the seeded RNG; wrap every client's transport
-// with the same Injector to keep one global fault sequence.
-type Injector struct {
-	rules []Rule
+// with the same injector to keep one global fault sequence.
+type injector struct {
+	rules []faultRule
 
 	mu      sync.Mutex
 	rng     *rand.Rand
@@ -116,13 +119,13 @@ type Injector struct {
 	fired   []uint64
 }
 
-// New returns an Injector for plan. The seed fixes every probabilistic
+// New returns an injector for plan. The seed fixes every probabilistic
 // decision: same plan, same seed, same request order — same faults.
-func New(plan Plan, seed int64) (*Injector, error) {
+func newInjector(plan faultPlan, seed int64) (*injector, error) {
 	if err := plan.validate(); err != nil {
 		return nil, err
 	}
-	return &Injector{
+	return &injector{
 		rules:   plan.Rules,
 		rng:     rand.New(rand.NewSource(seed)),
 		matched: make([]uint64, len(plan.Rules)),
@@ -132,16 +135,16 @@ func New(plan Plan, seed int64) (*Injector, error) {
 
 // Stats snapshots per-rule match/fire counters (chaos tests audit them
 // so a "passed" run proves its faults actually fired).
-func (in *Injector) Stats() []RuleStats {
+func (in *injector) Stats() []ruleStats {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	out := make([]RuleStats, len(in.rules))
+	out := make([]ruleStats, len(in.rules))
 	for i, r := range in.rules {
 		name := r.Name
 		if name == "" {
 			name = fmt.Sprintf("rule-%d", i)
 		}
-		out[i] = RuleStats{Name: name, Matched: in.matched[i], Fired: in.fired[i]}
+		out[i] = ruleStats{Name: name, Matched: in.matched[i], Fired: in.fired[i]}
 	}
 	return out
 }
@@ -161,7 +164,7 @@ func (d decision) terminal() bool { return d.drop || d.status != 0 }
 // decide evaluates the plan for one request. Counters and RNG advance
 // under the lock, so the decision sequence is a pure function of
 // (plan, seed, arrival order).
-func (in *Injector) decide(method, host, path string) decision {
+func (in *injector) decide(method, host, path string) decision {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	var d decision
@@ -215,18 +218,18 @@ func (in *Injector) decide(method, host, path string) decision {
 	return d
 }
 
-// DroppedError is the transport-level failure injected for Drop rules;
+// droppedError is the transport-level failure injected for Drop rules;
 // callers treating transport errors as retryable see exactly that.
-type DroppedError struct{ Rule string }
+type droppedError struct{ Rule string }
 
-func (e *DroppedError) Error() string {
+func (e *droppedError) Error() string {
 	return fmt.Sprintf("faultnet: connection reset by rule %s", e.Rule)
 }
 
 // RoundTripper wraps next with the injector's plan: the in-process
 // delivery mechanism, for pointing a client's transport at chaos
 // without any proxy between (nil next = http.DefaultTransport).
-func (in *Injector) RoundTripper(next http.RoundTripper) http.RoundTripper {
+func (in *injector) RoundTripper(next http.RoundTripper) http.RoundTripper {
 	if next == nil {
 		next = http.DefaultTransport
 	}
@@ -234,7 +237,7 @@ func (in *Injector) RoundTripper(next http.RoundTripper) http.RoundTripper {
 }
 
 type faultTransport struct {
-	in   *Injector
+	in   *injector
 	next http.RoundTripper
 }
 
@@ -246,7 +249,7 @@ func (t *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 	}
 	if d.drop {
-		return nil, &DroppedError{Rule: d.rule}
+		return nil, &droppedError{Rule: d.rule}
 	}
 	if d.status != 0 {
 		return synthResponse(req, d), nil
@@ -316,5 +319,189 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
+	}
+}
+
+// TestWindowRulesExactOrdinals: Skip/Count/Every fire on exact match
+// ordinals, independent of seed — the determinism tests assert against.
+func TestWindowRulesExactOrdinals(t *testing.T) {
+	plan := faultPlan{Rules: []faultRule{
+		{Name: "burst", Path: "/a", Skip: 2, Count: 3, Status: 503},
+		{Name: "flap", Path: "/h", Every: 2, Status: 500},
+	}}
+	in, err := newInjector(plan, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for i := 0; i < 8; i++ {
+		d := in.decide("GET", "x", "/a")
+		got = append(got, d.status)
+	}
+	// Skip 2, then a burst of exactly 3, then clean.
+	want := []int{0, 0, 503, 503, 503, 0, 0, 0}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("burst pattern %v, want %v", got, want)
+	}
+	got = got[:0]
+	for i := 0; i < 6; i++ {
+		d := in.decide("GET", "x", "/h")
+		got = append(got, d.status)
+	}
+	// Every 2: fire on armed matches 1, 3, 5 — a deterministic flap.
+	want = []int{500, 0, 500, 0, 500, 0}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("flap pattern %v, want %v", got, want)
+	}
+}
+
+// TestSeededDeterminism: same plan + seed + arrival order replays the
+// identical decision sequence; a different seed diverges.
+func TestSeededDeterminism(t *testing.T) {
+	plan := faultPlan{Rules: []faultRule{{Name: "p50", P: 0.5, Drop: true}}}
+	seq := func(seed int64) string {
+		in, err := newInjector(plan, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for i := 0; i < 64; i++ {
+			if in.decide("GET", "x", "/").drop {
+				b.WriteByte('1')
+			} else {
+				b.WriteByte('0')
+			}
+		}
+		return b.String()
+	}
+	a, b := seq(42), seq(42)
+	if a != b {
+		t.Errorf("same seed diverged:\n%s\n%s", a, b)
+	}
+	if c := seq(43); c == a {
+		t.Errorf("different seeds produced identical sequences (%s)", a)
+	}
+	if !strings.Contains(a, "1") || !strings.Contains(a, "0") {
+		t.Errorf("p=0.5 sequence degenerate: %s", a)
+	}
+}
+
+// TestRuleMatchers: method, host and path-prefix selection.
+func TestRuleMatchers(t *testing.T) {
+	plan := faultPlan{Rules: []faultRule{
+		{Name: "post-only", Method: "POST", Status: 500},
+		{Name: "host", Host: "h1:1", Path: "/v1/", Status: 502},
+	}}
+	in, err := newInjector(plan, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := in.decide("GET", "h2:1", "/x"); d.terminal() {
+		t.Errorf("unmatched request faulted: %+v", d)
+	}
+	if d := in.decide("POST", "h2:1", "/x"); d.status != 500 {
+		t.Errorf("method match: %+v", d)
+	}
+	if d := in.decide("GET", "h1:1", "/v1/sweeps"); d.status != 502 {
+		t.Errorf("host+path match: %+v", d)
+	}
+	if d := in.decide("GET", "h1:1", "/healthz"); d.terminal() {
+		t.Errorf("path prefix over-matched: %+v", d)
+	}
+}
+
+// TestRoundTripperFaults: drops become transport errors, statuses are
+// synthesized with Retry-After, latency delays, slow bodies meter reads
+// — and untargeted requests pass through untouched.
+func TestRoundTripperFaults(t *testing.T) {
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "payload")
+	}))
+	defer backend.Close()
+
+	plan := faultPlan{Rules: []faultRule{
+		{Name: "drop", Path: "/drop", Drop: true},
+		{Name: "throttle", Path: "/throttle", Status: 429, RetryAfterMs: 1500},
+		{Name: "lag", Path: "/lag", LatencyMs: 30},
+		{Name: "dribble", Path: "/slow", SlowBodyMs: 10},
+	}}
+	in, err := newInjector(plan, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Transport: in.RoundTripper(nil)}
+
+	if _, err := client.Get(backend.URL + "/drop"); err == nil {
+		t.Error("drop rule: request succeeded")
+	} else if !strings.Contains(err.Error(), "connection reset by rule drop") {
+		t.Errorf("drop rule error: %v", err)
+	}
+
+	resp, err := client.Get(backend.URL + "/throttle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("throttle status %d", resp.StatusCode)
+	}
+	// 1500ms rounds up to the header's whole-second granularity.
+	if ra := resp.Header.Get("Retry-After"); ra != "2" {
+		t.Errorf("Retry-After %q, want 2", ra)
+	}
+
+	start := time.Now()
+	resp, err = client.Get(backend.URL + "/lag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if d := time.Since(start); d < 30*time.Millisecond {
+		t.Errorf("latency rule added only %s", d)
+	}
+
+	resp, err = client.Get(backend.URL + "/slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start = time.Now()
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if string(body) != "payload" {
+		t.Errorf("slow body corrupted payload: %q", body)
+	}
+	if d := time.Since(start); d < 10*time.Millisecond {
+		t.Errorf("slow body added only %s", d)
+	}
+
+	resp, err = client.Get(backend.URL + "/clean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 || string(body) != "payload" {
+		t.Errorf("clean request disturbed: %d %q", resp.StatusCode, body)
+	}
+
+	stats := in.Stats()
+	for _, rs := range stats {
+		if rs.Fired != 1 {
+			t.Errorf("rule %s fired %d times, want 1", rs.Name, rs.Fired)
+		}
+	}
+}
+
+// TestNewRejectsOutOfRangeP: New validates the plan, refusing a rule
+// probability outside [0,1].
+func TestNewRejectsOutOfRangeP(t *testing.T) {
+	for _, p := range []float64{-0.5, 2} {
+		if _, err := newInjector(faultPlan{Rules: []faultRule{{Name: "x", P: p, Drop: true}}}, 1); err == nil {
+			t.Errorf("p = %v accepted", p)
+		}
+	}
+	if _, err := newInjector(faultPlan{Rules: []faultRule{{Name: "x", P: 0.25, Drop: true}}}, 1); err != nil {
+		t.Errorf("p = 0.25 rejected: %v", err)
 	}
 }

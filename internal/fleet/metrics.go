@@ -13,14 +13,12 @@ import (
 // unchanged JSON object and Prometheus text exposition from one
 // source.
 type routerMetrics struct {
-	reg             *obs.Registry
-	sweepsCompleted *obs.Counter
-	sweepsDegraded  *obs.Counter
-	jobsScattered   *obs.Counter
-	jobsRequeued    *obs.Counter
-	shardFailures   *obs.Counter
-	gathers         *obs.Counter
-	gatherNs        *obs.Counter
+	reg           *obs.Registry
+	jobsScattered *obs.Counter
+	jobsRequeued  *obs.Counter
+	shardFailures *obs.Counter
+	gathers       *obs.Counter
+	gatherNs      *obs.Counter
 
 	// gatherLatency is the distribution of dispatch-wave wall times
 	// (scatter → every shard gathered), Prometheus-only.
@@ -33,14 +31,12 @@ type routerMetrics struct {
 func newRouterMetrics() *routerMetrics {
 	reg := obs.NewRegistry()
 	return &routerMetrics{
-		reg:             reg,
-		sweepsCompleted: reg.Counter("allarm_router_sweeps_completed_total", "Sweeps fully gathered."),
-		sweepsDegraded:  reg.Counter("allarm_router_sweeps_degraded_total", "Sweeps finished with at least one shard's jobs skipped."),
-		jobsScattered:   reg.Counter("allarm_router_jobs_scattered_total", "Jobs dispatched to shards."),
-		jobsRequeued:    reg.Counter("allarm_router_jobs_requeued_total", "Skipped jobs re-dispatched onto a new ring owner."),
-		shardFailures:   reg.Counter("allarm_router_shard_failures_total", "Shard sub-sweeps lost past the retry budget."),
-		gathers:         reg.Counter("allarm_router_gathers_total", "Completed dispatch waves."),
-		gatherNs:        reg.Counter("allarm_router_gather_nanoseconds_total", "Wall nanoseconds summed over dispatch waves."),
+		reg:           reg,
+		jobsScattered: reg.Counter("allarm_router_jobs_scattered_total", "Jobs dispatched to shards."),
+		jobsRequeued:  reg.Counter("allarm_router_jobs_requeued_total", "Skipped jobs re-dispatched onto a new ring owner."),
+		shardFailures: reg.Counter("allarm_router_shard_failures_total", "Shard sub-sweeps lost past the retry budget."),
+		gathers:       reg.Counter("allarm_router_gathers_total", "Completed dispatch waves."),
+		gatherNs:      reg.Counter("allarm_router_gather_nanoseconds_total", "Wall nanoseconds summed over dispatch waves."),
 		gatherLatency: reg.Histogram("allarm_router_gather_duration_seconds",
 			"Wall time of one dispatch wave (scatter to fully gathered).",
 			1e-9, obs.ExpBuckets(1_000_000, 4_000_000_000_000)), // 1ms .. ~67min
@@ -108,8 +104,8 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds:      time.Since(rt.start).Seconds(),
 		ShardsTotal:        len(rt.shards),
 		SweepsSubmitted:    c.Submitted,
-		SweepsCompleted:    rt.met.sweepsCompleted.Load(),
-		SweepsDegraded:     rt.met.sweepsDegraded.Load(),
+		SweepsCompleted:    c.Completed,
+		SweepsDegraded:     c.Incomplete,
 		SweepsRecovered:    c.Recovered,
 		JobsScattered:      rt.met.jobsScattered.Load(),
 		JobsRequeued:       rt.met.jobsRequeued.Load(),

@@ -217,6 +217,15 @@ func TestFleetJournalRecoveryTerminal(t *testing.T) {
 	if ran := sh.runs.Load(); ran != 3 {
 		t.Errorf("restart re-ran simulations: %d, want 3", ran)
 	}
+	// The first router counted the finish; the recovered copy must not.
+	var m Metrics
+	_, body := get(t, ts2.URL+"/metrics")
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.SweepsCompleted != 0 {
+		t.Errorf("sweeps_completed = %d after recovering a finished sweep, want 0", m.SweepsCompleted)
+	}
 
 	// The id counter resumes past journaled ids.
 	sr2 := submit(t, ts2.URL, req)
@@ -310,18 +319,11 @@ func TestFleetRequeueAfterShardRemoval(t *testing.T) {
 	if v := waitFleetDone(t, ts1.URL, sr.ID); v.Status != server.StatusDegraded {
 		t.Fatalf("sweep status %q, want degraded", v.Status)
 	}
-	// The finish is counted once the dispatch wave unwinds, just after
-	// the status flips.
+	// The finish is counted before the status turns degraded.
 	var m Metrics
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		_, body := get(t, ts1.URL+"/metrics")
-		if err := json.Unmarshal(body, &m); err != nil {
-			t.Fatal(err)
-		}
-		if m.SweepsDegraded > 0 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	_, body := get(t, ts1.URL+"/metrics")
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
 	}
 	if m.SweepsDegraded == 0 {
 		t.Error("sweeps_degraded = 0; the degraded finish went uncounted")
@@ -373,7 +375,7 @@ func TestFleetRequeueAfterShardRemoval(t *testing.T) {
 		}
 	}
 
-	_, body := get(t, ts2.URL+"/metrics")
+	_, body = get(t, ts2.URL+"/metrics")
 	if err := json.Unmarshal(body, &m); err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ type Options struct {
 	// recovered at boot.
 	StateDir string
 	// Transport, when non-nil, is the RoundTripper for all shard traffic
-	// (tests inject a faultnet.RoundTripper here).
+	// (tests inject a fault-injecting RoundTripper here).
 	Transport http.RoundTripper
 	// JitterSeed seeds the retry-jitter RNG (0: time-seeded). Fixed
 	// seeds make chaos runs replayable.
@@ -491,32 +491,24 @@ func (rt *Router) requeueSweep(st *server.SweepState, reason string) {
 }
 
 // dispatch drives one wave of shard groups — the first scatter or a
-// requeue — and performs the sweep's one-time finish effects if this
-// wave completed it.
+// requeue.
 func (rt *Router) dispatch(st *server.SweepState, groups map[*shard][]int) {
+	if len(groups) == 0 {
+		return
+	}
 	begin := time.Now()
-	if len(groups) > 0 {
-		var wg sync.WaitGroup
-		for sh, globals := range groups {
-			wg.Add(1)
-			go func(sh *shard, globals []int) {
-				defer wg.Done()
-				rt.gatherGroup(st, sh, globals)
-			}(sh, globals)
-		}
-		wg.Wait()
-		rt.met.gathers.Add(1)
-		rt.met.gatherNs.Add(uint64(time.Since(begin).Nanoseconds()))
-		rt.met.gatherLatency.ObserveSince(begin)
+	var wg sync.WaitGroup
+	for sh, globals := range groups {
+		wg.Add(1)
+		go func(sh *shard, globals []int) {
+			defer wg.Done()
+			rt.gatherGroup(st, sh, globals)
+		}(sh, globals)
 	}
-	if status, ok := st.TakeFinishNotice(); ok {
-		if status == server.StatusDegraded {
-			rt.met.sweepsDegraded.Add(1)
-		} else {
-			rt.met.sweepsCompleted.Add(1)
-		}
-		rt.logf("sweep %s: %s (%s)", st.ID, status, time.Since(begin).Round(time.Millisecond))
-	}
+	wg.Wait()
+	rt.met.gathers.Add(1)
+	rt.met.gatherNs.Add(uint64(time.Since(begin).Nanoseconds()))
+	rt.met.gatherLatency.ObserveSince(begin)
 }
 
 // gatherGroup runs one shard's share of a sweep. Failure past the retry

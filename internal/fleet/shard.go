@@ -50,7 +50,7 @@ type shard struct {
 }
 
 // newShard builds a shard handle. transport may be nil (the default
-// transport); tests and chaos harnesses inject a faultnet.RoundTripper
+// transport); tests and chaos harnesses inject a fault-injecting RoundTripper
 // here to put simulated network failures between router and fleet.
 func newShard(name, token string, transport http.RoundTripper) *shard {
 	return &shard{

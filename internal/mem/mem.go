@@ -45,9 +45,6 @@ func PageOf(a PAddr) PAddr { return a &^ (PageBytes - 1) }
 // VPageOf returns the page-aligned base of a virtual address.
 func VPageOf(a VAddr) VAddr { return a &^ (PageBytes - 1) }
 
-// VLineOf returns the line-aligned base of a virtual address.
-func VLineOf(a VAddr) VAddr { return a &^ (LineBytes - 1) }
-
 // PageOffset returns the offset of a virtual address within its page.
 func PageOffset(a VAddr) uint64 { return uint64(a) & (PageBytes - 1) }
 
@@ -91,9 +88,6 @@ func NewPhysMem(nodes int, bytesPerNode uint64) *PhysMem {
 
 // Nodes returns the number of NUMA nodes.
 func (m *PhysMem) Nodes() int { return m.nodes }
-
-// BytesPerNode returns the DRAM capacity of each node.
-func (m *PhysMem) BytesPerNode() uint64 { return m.bytesPerNode }
 
 // TotalBytes returns the machine-wide DRAM capacity.
 func (m *PhysMem) TotalBytes() uint64 { return uint64(m.nodes) * m.bytesPerNode }

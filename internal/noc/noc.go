@@ -175,12 +175,6 @@ func leg(a, b, stride, inc, dec int) (step, dir, hops int) {
 	return -4 * stride, dec, a - b
 }
 
-// BytesFor returns the wire size of a message of the given class.
-func (m *Mesh) BytesFor(c Class) int { return m.cost[c].bytes }
-
-// FlitsFor returns the flit count of a message of the given class.
-func (m *Mesh) FlitsFor(c Class) int { return m.cost[c].flits }
-
 // Send accounts for one message injected at time now and returns its
 // arrival time at dst. Node-internal messages (src == dst) are delivered
 // after LocalLatency and generate no NoC traffic.

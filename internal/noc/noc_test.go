@@ -170,10 +170,10 @@ func TestArrivalNeverBeforeMinimumLatency(t *testing.T) {
 
 func TestFlitsFor(t *testing.T) {
 	m := New(testCfg())
-	if m.FlitsFor(Control) != 2 || m.FlitsFor(Data) != 18 {
-		t.Fatalf("flits: ctrl=%d data=%d", m.FlitsFor(Control), m.FlitsFor(Data))
+	if m.cost[Control].flits != 2 || m.cost[Data].flits != 18 {
+		t.Fatalf("flits: ctrl=%d data=%d", m.cost[Control].flits, m.cost[Data].flits)
 	}
-	if m.BytesFor(Control) != 8 || m.BytesFor(Data) != 72 {
+	if m.cost[Control].bytes != 8 || m.cost[Data].bytes != 72 {
 		t.Fatal("bytes wrong")
 	}
 }

@@ -87,6 +87,7 @@ type Front struct {
 	handler http.Handler
 
 	submitted, recovered, deleted, expired, tracesUploaded *obs.Counter
+	completed, incomplete                                  *obs.Counter
 
 	mu      sync.Mutex
 	closing bool
@@ -97,9 +98,11 @@ type Front struct {
 }
 
 // FrontCounts are the lifecycle counters both daemons report in their
-// /metrics JSON.
+// /metrics JSON. Completed counts sweeps that finished done, Incomplete
+// those that finished with FrontConfig.Incomplete.
 type FrontCounts struct {
 	Submitted, Recovered, Deleted, Expired, TracesUploaded uint64
+	Completed, Incomplete                                  uint64
 }
 
 // NewFront builds the front end over exec. Daemon-specific routes are
@@ -121,6 +124,8 @@ func NewFront(exec Executor, cfg FrontConfig) (*Front, error) {
 	f.deleted = reg.Counter(p+"sweeps_deleted_total", "Sweeps evicted by DELETE /v1/sweeps/{id}.")
 	f.expired = reg.Counter(p+"sweeps_expired_total", "Finished sweeps evicted by the -retain reaper.")
 	f.tracesUploaded = reg.Counter(p+"traces_uploaded_total", "Traces accepted by POST /v1/traces.")
+	f.completed = reg.Counter(p+"sweeps_completed_total", "Sweeps that finished with every job done.")
+	f.incomplete = reg.Counter(p+"sweeps_"+cfg.Incomplete+"_total", "Sweeps that finished with a job skipped or aborted.")
 
 	f.mux.HandleFunc("POST /v1/sweeps", f.handleSubmit)
 	f.mux.HandleFunc("GET /v1/sweeps", f.handleList)
@@ -191,6 +196,21 @@ func (f *Front) Counts() FrontCounts {
 		Submitted: f.submitted.Load(), Recovered: f.recovered.Load(),
 		Deleted: f.deleted.Load(), Expired: f.expired.Load(),
 		TracesUploaded: f.tracesUploaded.Load(),
+		Completed:      f.completed.Load(), Incomplete: f.incomplete.Load(),
+	}
+}
+
+// countFinish makes st count and log its finish transitions from now
+// on. The count lands under the sweep's lock, before any client can see
+// the terminal status, so a client that saw it also sees the count.
+func (f *Front) countFinish(st *SweepState) {
+	st.onFinish = func(status string) {
+		if status == StatusDone {
+			f.completed.Add(1)
+		} else {
+			f.incomplete.Add(1)
+		}
+		f.Logf("sweep %s: %s (%d jobs)", st.ID, status, len(st.jobs))
 	}
 }
 
@@ -310,7 +330,7 @@ func (f *Front) Recover() {
 				st.Deliver(st.jobs[l.Index].Shard, l.Index, l.Record, l.Status)
 			}
 		}
-		st.TakeFinishNotice() // a sweep finished before the restart was counted then
+		f.countFinish(st) // after the replay: a finish before the restart was counted then
 		f.admit(st)
 		f.recovered.Add(1)
 		f.Logf("sweep %s: recovered from %s (%d jobs, %d done)", e.ID, f.cfg.Dir, sweep.Len(), st.View().Done)
@@ -377,6 +397,7 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	st := newSweepState(sweep, &req, shards, time.Now(), f.cfg.Incomplete)
 	st.ReqID = obs.RequestID(r.Context())
 	stampAccepted(st, "")
+	f.countFinish(st)
 	if !f.admit(st) {
 		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("draining: not accepting new sweeps"))
 		return

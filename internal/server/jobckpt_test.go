@@ -41,7 +41,7 @@ func expandOne(t *testing.T, req SweepRequest) allarm.Job {
 // genuine checkpoint to corrupt in the fallback tests.
 func validCheckpointBlob(t *testing.T, job allarm.Job) []byte {
 	t.Helper()
-	ref, err := job.Run()
+	ref, err := job.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

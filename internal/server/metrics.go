@@ -14,8 +14,6 @@ import (
 // worker goroutines and read from handlers; everything is atomic.
 type metrics struct {
 	reg                *obs.Registry
-	sweepsCompleted    *obs.Counter
-	sweepsCheckpointed *obs.Counter
 	jobsRun            *obs.Counter
 	jobsAborted        *obs.Counter
 	jobErrors          *obs.Counter
@@ -47,8 +45,6 @@ func newMetrics() *metrics {
 	reg := obs.NewRegistry()
 	m := &metrics{
 		reg:                reg,
-		sweepsCompleted:    reg.Counter("allarm_sweeps_completed_total", "Sweeps that reached a terminal status."),
-		sweepsCheckpointed: reg.Counter("allarm_sweeps_checkpointed_total", "Sweeps checkpointed with partial results at drain."),
 		jobsRun:            reg.Counter("allarm_jobs_run_total", "Jobs actually simulated (cache misses that ran)."),
 		jobsAborted:        reg.Counter("allarm_jobs_aborted_total", "Jobs cancelled mid-simulation by drain."),
 		jobErrors:          reg.Counter("allarm_job_errors_total", "Jobs that failed with an error."),
@@ -186,8 +182,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Draining:              s.front.draining(),
 		SweepsSubmitted:       c.Submitted,
 		SweepsActive:          uint64(s.actives.Load()),
-		SweepsCompleted:       s.met.sweepsCompleted.Load(),
-		SweepsCheckpointed:    s.met.sweepsCheckpointed.Load(),
+		SweepsCompleted:       c.Completed,
+		SweepsCheckpointed:    c.Incomplete,
 		SweepsRecovered:       c.Recovered,
 		SweepsDeleted:         c.Deleted,
 		SweepsExpired:         c.Expired,

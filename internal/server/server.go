@@ -365,14 +365,13 @@ func (s *Server) Run(st *SweepState) {
 		Exec: s.exec,
 	}
 	runner.Run(s.ctx, st.Sweep)
-	switch status, _ := st.TakeFinishNotice(); status {
-	case StatusCheckpointed:
-		s.met.sweepsCheckpointed.Add(1)
+	// Only a drain skips or aborts jobs, finishing a sweep checkpointed.
+	if s.ctx.Err() == nil {
+		return
+	}
+	if v := st.View(); v.Status == StatusCheckpointed {
 		s.checkpoint(st)
-		s.logf("sweep %s: checkpointed with %d/%d jobs done", st.ID, st.View().Done, st.Sweep.Len())
-	case StatusDone:
-		s.met.sweepsCompleted.Add(1)
-		s.logf("sweep %s: done (%d jobs)", st.ID, st.Sweep.Len())
+		s.logf("sweep %s: checkpointed with %d/%d jobs done", st.ID, v.Done, st.Sweep.Len())
 	}
 }
 

@@ -145,8 +145,10 @@ type SweepState struct {
 	history    []event
 	subs       map[chan struct{}]struct{}
 	finished   chan struct{} // closed when final; replaced on re-open
-	// notice marks an unconsumed finish transition (TakeFinishNotice).
-	notice bool
+	// onFinish, when set, sees each finish transition under mu, before
+	// any reader can observe the terminal status; it must not block or
+	// call back into the sweep.
+	onFinish func(status string)
 }
 
 // newSweepState builds the record of an expanded sweep; shards, when
@@ -298,23 +300,12 @@ func (st *SweepState) maybeFinishLocked() {
 			break
 		}
 	}
-	st.notice = true
+	if st.onFinish != nil {
+		st.onFinish(st.status)
+	}
 	st.Timeline("done", -1, "", st.status)
 	st.publishSweepLocked()
 	close(st.finished)
-}
-
-// TakeFinishNotice consumes a finish transition exactly once, returning
-// the terminal status: the caller that gets ok == true performs the
-// one-time side effects (metrics, log line).
-func (st *SweepState) TakeFinishNotice() (status string, ok bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !st.notice {
-		return "", false
-	}
-	st.notice = false
-	return st.status, true
 }
 
 // Reassign moves every job place names a new shard for: the job goes
@@ -364,7 +355,6 @@ func (st *SweepState) reassignLocked(place func(i int, jv JobView) (string, bool
 		st.status = StatusRunning
 		st.finishedAt = time.Time{}
 		st.finished = make(chan struct{})
-		st.notice = false
 	}
 	for _, i := range moved {
 		st.publishJobLocked(i)

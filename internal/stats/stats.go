@@ -1,5 +1,5 @@
-// Package stats provides counters, summary statistics and text tables used
-// by the simulator and the experiment harness.
+// Package stats provides the summary statistics (means, geomeans, safe
+// ratios) and the text tables the experiment harness renders.
 //
 // Everything in this package is plain accounting — no simulation logic —
 // so it can be unit-tested in isolation and reused by any component.
@@ -8,28 +8,8 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
-
-// Counter is a monotonically increasing event counter.
-// The zero value is ready to use.
-type Counter struct {
-	n uint64
-}
-
-// Add increments the counter by delta. It panics on negative deltas: a
-// Counter is monotonic by contract (use Gauge-like plain ints elsewhere).
-func (c *Counter) Add(delta uint64) { c.n += delta }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Count returns the current value.
-func (c *Counter) Count() uint64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
 
 // Ratio returns a/b, or 0 when b is zero. It is the canonical "normalised
 // metric" helper: Ratio(allarm, baseline).
@@ -90,108 +70,6 @@ func GeomeanNonZero(xs []float64) float64 {
 		}
 	}
 	return Geomean(pos)
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Histogram is a fixed-bucket histogram over float64 samples; it also keeps
-// exact min/max/sum/count so means are not quantised.
-type Histogram struct {
-	bounds []float64 // ascending upper bounds; last bucket is +Inf
-	counts []uint64
-	n      uint64
-	sum    float64
-	min    float64
-	max    float64
-}
-
-// NewHistogram builds a histogram with the given ascending bucket upper
-// bounds. An implicit overflow bucket captures samples above the last
-// bound. Panics if bounds is empty or not strictly ascending.
-func NewHistogram(bounds ...float64) *Histogram {
-	if len(bounds) == 0 {
-		panic("stats: NewHistogram needs at least one bound")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats: histogram bounds must be strictly ascending")
-		}
-	}
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	return &Histogram{
-		bounds: b,
-		counts: make([]uint64, len(bounds)+1),
-		min:    math.Inf(1),
-		max:    math.Inf(-1),
-	}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(x float64) {
-	i := sort.SearchFloat64s(h.bounds, x)
-	h.counts[i]++
-	h.n++
-	h.sum += x
-	if x < h.min {
-		h.min = x
-	}
-	if x > h.max {
-		h.max = x
-	}
-}
-
-// Count returns the number of observed samples.
-func (h *Histogram) Count() uint64 { return h.n }
-
-// Mean returns the exact mean of observed samples (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Min returns the smallest observed sample (+Inf when empty).
-func (h *Histogram) Min() float64 { return h.min }
-
-// Max returns the largest observed sample (-Inf when empty).
-func (h *Histogram) Max() float64 { return h.max }
-
-// Quantile returns an upper bound for the q-quantile (0 <= q <= 1) using
-// the bucket boundaries. The overflow bucket reports the exact max.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := uint64(math.Ceil(q * float64(h.n)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.max
-		}
-	}
-	return h.max
 }
 
 // Table renders aligned text tables for experiment output. Columns are

@@ -7,22 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	if c.Count() != 0 {
-		t.Fatal("zero value not zero")
-	}
-	c.Inc()
-	c.Add(4)
-	if c.Count() != 5 {
-		t.Fatalf("got %d, want 5", c.Count())
-	}
-	c.Reset()
-	if c.Count() != 0 {
-		t.Fatal("Reset did not zero")
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if r := Ratio(1, 2); r != 0.5 {
 		t.Fatalf("Ratio(1,2) = %v", r)
@@ -107,68 +91,6 @@ func TestGeomeanBetweenMinAndMax(t *testing.T) {
 		return g >= min*(1-1e-9) && g <= max*(1+1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(1, 10, 100)
-	for _, v := range []float64{0.5, 5, 50, 500} {
-		h.Observe(v)
-	}
-	if h.Count() != 4 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	if h.Min() != 0.5 || h.Max() != 500 {
-		t.Fatalf("Min/Max = %v/%v", h.Min(), h.Max())
-	}
-	if m := h.Mean(); math.Abs(m-138.875) > 1e-9 {
-		t.Fatalf("Mean = %v", m)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(1, 2, 4, 8)
-	for i := 0; i < 100; i++ {
-		h.Observe(1.5) // falls in bucket with bound 2
-	}
-	if q := h.Quantile(0.5); q != 2 {
-		t.Fatalf("median bound = %v, want 2", q)
-	}
-	if q := h.Quantile(0); q != 2 {
-		t.Fatalf("q0 = %v", q)
-	}
-	h.Observe(100)
-	if q := h.Quantile(1); q != 100 {
-		t.Fatalf("q1 = %v, want exact max", q)
-	}
-}
-
-func TestHistogramEmptyQuantile(t *testing.T) {
-	h := NewHistogram(1)
-	if q := h.Quantile(0.9); q != 0 {
-		t.Fatalf("empty quantile = %v", q)
-	}
-}
-
-func TestHistogramPanicsOnBadBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for descending bounds")
-		}
-	}()
-	NewHistogram(2, 1)
-}
-
-func TestHistogramQuantileMonotone(t *testing.T) {
-	h := NewHistogram(1, 2, 4, 8, 16)
-	f := func(vals []float64) bool {
-		for _, v := range vals {
-			h.Observe(math.Abs(v))
-		}
-		return h.Quantile(0.25) <= h.Quantile(0.75)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

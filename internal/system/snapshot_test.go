@@ -327,7 +327,7 @@ func twoSpaceBuild(t *testing.T, leak bool) (*Machine, []ThreadSpec) {
 		}
 	}
 	if leak {
-		m.Phys().AllocFrame(0)
+		m.phys.AllocFrame(0)
 	}
 	return m, specs
 }

@@ -225,9 +225,6 @@ func New(cfg Config) (*Machine, error) {
 // Engine exposes the machine's event engine (event counts, tests).
 func (m *Machine) Engine() *sim.Engine { return m.eng }
 
-// Phys returns the machine's physical memory map.
-func (m *Machine) Phys() *mem.PhysMem { return m.phys }
-
 // NewAddressSpace creates a process address space over the machine's
 // physical memory. The machine remembers every space it hands out (in
 // creation order) so checkpoints capture translation state.

@@ -27,7 +27,7 @@ var MultiProcessNames = []string{
 // Benchmark builds the named benchmark's generator for the given thread
 // count and per-thread access budget. The parameterisations are
 // calibrated so that the simulated local/remote directory-request mix
-// approximates Figure 2 of the paper (`allarm-bench -exp fig2` prints
+// approximates Figure 2 of the paper (`allarm-sim -exp fig2` prints
 // the measured mix next to each benchmark).
 func Benchmark(name string, threads, accesses int) (*Synthetic, error) {
 	p, ok := presets[name]
@@ -42,15 +42,6 @@ func Benchmark(name string, threads, accesses int) (*Synthetic, error) {
 	p.Threads = threads
 	p.AccessesPerThread = accesses
 	return NewSynthetic(p)
-}
-
-// MustBenchmark is Benchmark for known-good names; it panics on error.
-func MustBenchmark(name string, threads, accesses int) *Synthetic {
-	w, err := Benchmark(name, threads, accesses)
-	if err != nil {
-		panic(err)
-	}
-	return w
 }
 
 const (

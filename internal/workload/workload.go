@@ -101,12 +101,6 @@ func PrivateBase(t int) uint64 {
 	return privateBase + uint64(t)*privateStride
 }
 
-// GlobalBase returns the read-shared (global) arena base address.
-func GlobalBase() uint64 { return globalBase }
-
-// SharedBase returns the shared arena base address.
-func SharedBase() uint64 { return sharedBase }
-
 // validate panics on nonsensical generator parameters; workloads are
 // constructed from trusted presets and explicit test inputs.
 func validateParams(p Params) error {

@@ -33,9 +33,9 @@ func TestStreamLengthAndBounds(t *testing.T) {
 		switch {
 		case a.VAddr >= PrivateBase(1) && a.VAddr < PrivateBase(2):
 			// private arena ok
-		case a.VAddr >= GlobalBase() && a.VAddr < GlobalBase()+uint64(w.p.GlobalBytes):
+		case a.VAddr >= globalBase && a.VAddr < globalBase+uint64(w.p.GlobalBytes):
 			// global arena ok
-		case a.VAddr >= SharedBase() && a.VAddr < SharedBase()+uint64(w.p.SharedBytes):
+		case a.VAddr >= sharedBase && a.VAddr < sharedBase+uint64(w.p.SharedBytes):
 			// shared arena ok
 		default:
 			t.Fatalf("access %#x outside any arena", uint64(a.VAddr))
@@ -83,9 +83,9 @@ func TestForEachPagePlacement(t *testing.T) {
 			t.Fatalf("page %#x assigned to thread %d", uint64(page), thread)
 		}
 		switch {
-		case page >= SharedBase():
+		case page >= sharedBase:
 			sharedPages++
-		case page >= GlobalBase():
+		case page >= globalBase:
 			globalPages++
 			// Global homes concentrate on the first k threads.
 			if thread >= p.GlobalHomeNodes {
@@ -115,7 +115,7 @@ func TestOwnerInitPlacesAtThreadZero(t *testing.T) {
 	p.Init = OwnerInit
 	w := MustSynthetic(p)
 	w.ForEachPage(func(page uint64, thread int) {
-		if page >= SharedBase() && thread != 0 {
+		if page >= sharedBase && thread != 0 {
 			t.Fatalf("owner-init shared page at thread %d", thread)
 		}
 	})
@@ -131,9 +131,9 @@ func TestWarmupCoversRegions(t *testing.T) {
 			break
 		}
 		switch {
-		case a.VAddr >= SharedBase():
+		case a.VAddr >= sharedBase:
 			shared = true
-		case a.VAddr >= GlobalBase():
+		case a.VAddr >= globalBase:
 			global = true
 		default:
 			priv = true
@@ -195,7 +195,10 @@ func TestValidationRejectsBadParams(t *testing.T) {
 
 func TestAccessesAreWordAligned(t *testing.T) {
 	for _, name := range BenchmarkNames {
-		w := MustBenchmark(name, 16, 500)
+		w, err := Benchmark(name, 16, 500)
+		if err != nil {
+			t.Fatal(err)
+		}
 		s := w.Stream(0, 9)
 		for {
 			a, ok := s.Next()
@@ -231,8 +234,8 @@ func TestStreamBoundsProperty(t *testing.T) {
 				return false
 			}
 			in := (a.VAddr >= PrivateBase(th) && a.VAddr < PrivateBase(th)+uint64(64<<10)) ||
-				(a.VAddr >= GlobalBase() && a.VAddr < GlobalBase()+uint64(64<<10)) ||
-				(a.VAddr >= SharedBase() && a.VAddr < SharedBase()+uint64(256<<10))
+				(a.VAddr >= globalBase && a.VAddr < globalBase+uint64(64<<10)) ||
+				(a.VAddr >= sharedBase && a.VAddr < sharedBase+uint64(256<<10))
 			if !in {
 				return false
 			}

@@ -132,7 +132,7 @@ func TestJobKeyDiscriminates(t *testing.T) {
 		}
 	}
 
-	// A first-class Workload makes MultiProcess inert (Job.Run ignores
+	// A first-class Workload makes MultiProcess inert (Job.RunCtx ignores
 	// it), so it must not split the key.
 	wl, err := allarm.BenchmarkWorkload("barnes", 4, 1000)
 	if err != nil {

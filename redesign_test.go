@@ -42,13 +42,13 @@ func sameResult(t *testing.T, label string, a, b *allarm.Result) {
 	}
 }
 
-// TestRunBenchmarkMatchesWorkloadRun: the RunBenchmarkCtx shortcut and the
+// TestRunBenchmarkMatchesWorkloadRun: a preset job (Job.Benchmark) and the
 // first-class Workload path are the same simulation, bit for bit.
 func TestRunBenchmarkMatchesWorkloadRun(t *testing.T) {
 	cfg := fastConfig()
 	for _, pol := range []allarm.Policy{allarm.Baseline, allarm.ALLARM} {
 		cfg.Policy = pol
-		shim, err := allarm.RunBenchmarkCtx(context.Background(), cfg, "barnes")
+		shim, err := allarm.Job{Benchmark: "barnes", Config: cfg}.RunCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestRunBenchmarkMatchesWorkloadRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := allarm.Run(cfg, wl)
+		direct, err := allarm.Job{Workload: wl, Config: cfg}.RunCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestPreRedesignGolden(t *testing.T) {
 		cfg.Seed = 1
 		cfg.Policy = pol
 		cfg.AccessesPerThread = g.accesses
-		res, err := allarm.RunBenchmarkCtx(context.Background(), cfg, g.benchmark)
+		res, err := allarm.Job{Benchmark: g.benchmark, Config: cfg}.RunCtx(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -121,7 +121,7 @@ func TestTraceRoundTripBitIdentical(t *testing.T) {
 	if err := allarm.CaptureTrace(&buf, wl, cfg.Seed); err != nil {
 		t.Fatal(err)
 	}
-	replay, err := allarm.ReadTrace(bytes.NewReader(buf.Bytes()))
+	replay, err := allarm.ReadTraceNamed(bytes.NewReader(buf.Bytes()), "trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,11 @@ func TestTraceRoundTripBitIdentical(t *testing.T) {
 	}
 	for _, pol := range []allarm.Policy{allarm.Baseline, allarm.ALLARM} {
 		cfg.Policy = pol
-		live, err := allarm.Run(cfg, wl)
+		live, err := allarm.Job{Workload: wl, Config: cfg}.RunCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		replayed, err := allarm.Run(cfg, replay)
+		replayed, err := allarm.Job{Workload: replay, Config: cfg}.RunCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestLoadTraceFromFile(t *testing.T) {
 	if loaded.Name() != "barnes.trace" {
 		t.Fatalf("name = %q", loaded.Name())
 	}
-	res, err := allarm.Run(cfg, loaded)
+	res, err := allarm.Job{Workload: loaded, Config: cfg}.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestALLARMHystScheme(t *testing.T) {
 	results := map[allarm.Policy]*allarm.Result{}
 	for _, pol := range []allarm.Policy{allarm.Baseline, allarm.ALLARM, allarm.ALLARMHyst} {
 		cfg.Policy = pol
-		res, err := allarm.RunBenchmarkCtx(context.Background(), cfg, "dedup")
+		res, err := allarm.Job{Benchmark: "dedup", Config: cfg}.RunCtx(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
@@ -279,14 +279,14 @@ func TestCustomPolicyIsUsed(t *testing.T) {
 	}
 	base := cfg
 	base.Policy = allarm.Baseline
-	res, err := allarm.RunBenchmarkCtx(context.Background(), cfg, "barnes")
+	res, err := allarm.Job{Benchmark: "barnes", Config: cfg}.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if misses == 0 {
 		t.Fatal("registered policy never consulted")
 	}
-	ref, err := allarm.RunBenchmarkCtx(context.Background(), base, "barnes")
+	ref, err := allarm.Job{Benchmark: "barnes", Config: base}.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestIllegalPolicyDecisionsPanic(t *testing.T) {
 			cfg.CheckInvariants = false
 			cfg.AccessesPerThread = 500
 			cfg.Policy = allarm.Policy(name)
-			_, _ = allarm.RunBenchmarkCtx(context.Background(), cfg, "dedup")
+			_, _ = allarm.Job{Benchmark: "dedup", Config: cfg}.RunCtx(context.Background())
 		})
 	}
 }
@@ -369,7 +369,7 @@ func TestNewWorkloadProgrammatic(t *testing.T) {
 	}
 	cfg := fastConfig()
 	cfg.Policy = allarm.ALLARM
-	res, err := allarm.Run(cfg, wl)
+	res, err := allarm.Job{Workload: wl, Config: cfg}.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,8 +404,8 @@ func (f streamFunc) Next() (allarm.Access, bool) { return f() }
 // TestRunWorkloadValidation: nil and oversized workloads are rejected.
 func TestRunWorkloadValidation(t *testing.T) {
 	cfg := fastConfig()
-	if _, err := allarm.Run(cfg, nil); err == nil {
-		t.Fatal("nil workload accepted")
+	if _, err := (allarm.Job{Config: cfg}).RunCtx(context.Background()); err == nil {
+		t.Fatal("job without a workload accepted")
 	}
 	wl, err := allarm.NewWorkload(allarm.WorkloadSpec{
 		Name: "too-wide", Threads: cfg.Nodes + 1,
@@ -416,11 +416,11 @@ func TestRunWorkloadValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := allarm.Run(cfg, wl); err == nil {
+	if _, err := (allarm.Job{Workload: wl, Config: cfg}).RunCtx(context.Background()); err == nil {
 		t.Fatal("workload wider than the machine accepted")
 	}
 	cfg.Policy = "registered-nowhere"
-	if _, err := allarm.RunBenchmarkCtx(context.Background(), cfg, "barnes"); err == nil {
+	if _, err := (allarm.Job{Benchmark: "barnes", Config: cfg}).RunCtx(context.Background()); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
@@ -441,7 +441,7 @@ func TestMixedSweep(t *testing.T) {
 	if err := allarm.CaptureTrace(&buf, wl, cfg.Seed); err != nil {
 		t.Fatal(err)
 	}
-	replay, err := allarm.ReadTrace(bytes.NewReader(buf.Bytes()))
+	replay, err := allarm.ReadTraceNamed(bytes.NewReader(buf.Bytes()), "trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,27 +522,14 @@ func TestCrossWorkloads(t *testing.T) {
 	}
 }
 
-// TestExperimentVsDefaultsMatchShims: the Vs variants at opt=ALLARM are
-// RunExperimentWith, byte for byte.
-func TestExperimentVsDefaultsMatchShims(t *testing.T) {
+// TestExperimentOtherPolicy: a non-default optimised policy flows
+// through the figure machinery.
+func TestExperimentOtherPolicy(t *testing.T) {
 	cfg := fastConfig()
 	cfg.CheckInvariants = false
 	cfg.AccessesPerThread = 1000
-	for _, id := range []string{"table1", "fig2"} {
-		var shim, vs strings.Builder
-		if err := allarm.RunExperimentWith(context.Background(), &shim, cfg, id, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := allarm.RunExperimentVs(context.Background(), &vs, cfg, id, allarm.ALLARM, nil); err != nil {
-			t.Fatal(err)
-		}
-		if shim.String() != vs.String() {
-			t.Fatalf("%s: Vs output differs from shim", id)
-		}
-	}
-	// And a non-default policy flows through the figure machinery.
 	var hyst strings.Builder
-	if err := allarm.RunExperimentVs(context.Background(), &hyst, cfg, "fig3a", allarm.ALLARMHyst, nil); err != nil {
+	if err := experimentTable(context.Background(), &hyst, cfg, "fig3a", allarm.ALLARMHyst, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(hyst.String(), "geomean") {

@@ -58,12 +58,12 @@ func snapshotMidway(t *testing.T, h *allarm.RunHandle, half uint64) []byte {
 }
 
 // checkResumeBitIdentical is the facade-level acceptance check for one
-// job: Job.Run, a stepwise run, and a snapshot-then-resume run must all
+// job: Job.RunCtx, a stepwise run, and a snapshot-then-resume run must all
 // produce the bit-identical Result, and the resumed run must not
 // re-simulate the pre-checkpoint events.
 func checkResumeBitIdentical(t *testing.T, job allarm.Job) {
 	t.Helper()
-	ref, err := job.Run()
+	ref, err := job.RunCtx(context.Background())
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -77,7 +77,7 @@ func checkResumeBitIdentical(t *testing.T, job allarm.Job) {
 	preEvents := h.Events()
 	stepped := driveToEnd(t, h)
 	if got := marshalResult(t, stepped); !bytes.Equal(refJSON, got) {
-		t.Fatalf("stepwise result differs from Job.Run:\n%s\n%s", refJSON, got)
+		t.Fatalf("stepwise result differs from Job.RunCtx:\n%s\n%s", refJSON, got)
 	}
 
 	r, err := allarm.ResumeJob(job, bytes.NewReader(blob))
@@ -131,7 +131,7 @@ func TestResumeTraceWorkload(t *testing.T) {
 	// read twice from the same bytes is exactly that.
 	wl, err := allarm.ReadTraceNamed(bytes.NewReader(traceBuf.Bytes()), "resume-trace")
 	if err != nil {
-		t.Fatalf("ReadTrace: %v", err)
+		t.Fatalf("ReadTraceNamed: %v", err)
 	}
 	checkResumeBitIdentical(t, allarm.Job{Workload: wl, Config: cfg})
 }
@@ -149,7 +149,7 @@ func TestResumeMultiProcess(t *testing.T) {
 func TestResumeRejectsWrongJob(t *testing.T) {
 	cfg := resumeTestConfig()
 	job := allarm.Job{Benchmark: "ocean-cont", Config: cfg}
-	ref, err := job.Run()
+	ref, err := job.RunCtx(context.Background())
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}

@@ -1,7 +1,6 @@
 package allarm
 
 import (
-	"context"
 	"fmt"
 
 	"allarm/internal/mem"
@@ -28,7 +27,7 @@ func MultiProcessBenchmarks() []string {
 // BenchmarkInfo describes one synthetic benchmark preset — the discovery
 // record behind DescribeBenchmarks and allarm-serve's GET /v1/benchmarks.
 type BenchmarkInfo struct {
-	// Name is the preset name Job.Benchmark and RunBenchmarkCtx accept.
+	// Name is the preset name Job.Benchmark accepts.
 	Name string `json:"name"`
 	// PrivateBytes, SharedBytes and GlobalBytes are the preset's region
 	// sizes at default scale (per thread, shared, and machine-wide
@@ -64,39 +63,6 @@ func DescribeBenchmarks() []BenchmarkInfo {
 		})
 	}
 	return out
-}
-
-// Run simulates one workload on the machine cfg describes and returns
-// its metrics. The workload supplies its own thread count (at most
-// cfg.Nodes — the modelled cores are in-order with one outstanding
-// access) and access streams; cfg.Threads and cfg.AccessesPerThread only
-// scale the benchmark presets and are ignored here. Thread i is pinned
-// to node i mod cfg.Nodes and pages are pre-placed per the workload's
-// ForEachPage declaration. Run is RunCtx with a background context.
-func Run(cfg Config, wl Workload) (*Result, error) {
-	return RunCtx(context.Background(), cfg, wl)
-}
-
-// RunCtx is Run with cancellation: the simulation polls ctx once per
-// sim.CancelCheckBudget events (amortised to nothing — a background
-// context costs literally zero) and aborts within one budget of ctx
-// expiring. A cancelled run returns both a non-nil partial Result
-// (Partial == true, metrics covering the events fired so far) and an
-// error satisfying errors.Is(err, ctx.Err()), so callers can checkpoint
-// sub-run progress while still treating the job as unfinished.
-func RunCtx(ctx context.Context, cfg Config, wl Workload) (*Result, error) {
-	if wl == nil {
-		return nil, fmt.Errorf("allarm: Run needs a workload (see BenchmarkWorkload, LoadTrace, NewWorkload)")
-	}
-	return Job{Workload: wl, Config: cfg}.RunCtx(ctx)
-}
-
-// RunBenchmarkCtx simulates one named benchmark preset under cfg (scaled
-// by cfg.Threads and cfg.AccessesPerThread) and returns its metrics,
-// with cancellation as in RunCtx. Output is byte-identical to the
-// pre-Workload-API Run(cfg, benchmark).
-func RunBenchmarkCtx(ctx context.Context, cfg Config, benchmark string) (*Result, error) {
-	return Job{Benchmark: benchmark, Config: cfg}.RunCtx(ctx)
 }
 
 // buildWorkloadMachine constructs the machine and thread specs for a
@@ -149,22 +115,6 @@ func placePages(space *mem.AddressSpace, wl Workload, nodeOf func(thread int) me
 	return nil
 }
 
-// RunPair runs the same benchmark and seed under the baseline and ALLARM
-// policies (concurrently), returning both results for normalised
-// comparisons.
-func RunPair(cfg Config, benchmark string) (base, opt *Result, err error) {
-	s := NewSweep(Job{Benchmark: benchmark, Config: cfg}).
-		CrossPolicies(Baseline, ALLARM)
-	results, err := RunSweep(context.Background(), s)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := FirstError(results); err != nil {
-		return nil, nil, err
-	}
-	return results[0].Result, results[1].Result, nil
-}
-
 // MultiProcessConfig adapts cfg for the paper's multi-process experiment
 // (§III-B): ncopies single-threaded copies of a benchmark, spread evenly
 // across the mesh, with each copy's footprint scaled so the 512 KiB probe
@@ -190,14 +140,6 @@ func DefaultMultiProcess() MultiProcessConfig {
 		FootprintBytes: 640 << 10,
 		LocalMemBytes:  576 << 10,
 	}
-}
-
-// RunMultiProcessCtx simulates mp.Copies single-threaded copies of the
-// named benchmark (coordinated to start together, as in the paper) and
-// returns combined metrics, with cancellation as in RunCtx. Runtime is
-// the completion time of the slower copy.
-func RunMultiProcessCtx(ctx context.Context, cfg Config, mp MultiProcessConfig, benchmark string) (*Result, error) {
-	return Job{Benchmark: benchmark, Config: cfg, MultiProcess: &mp}.RunCtx(ctx)
 }
 
 // buildMultiProcessMachine validates and constructs the machine and

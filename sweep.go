@@ -19,8 +19,8 @@ type Job struct {
 	// Benchmark names a workload preset (see Benchmarks and
 	// MultiProcessBenchmarks); ignored when Workload is non-nil.
 	Benchmark string
-	// Workload, when non-nil, is the first-class workload this job runs
-	// through Run. Sweeps can mix preset and Workload jobs freely.
+	// Workload, when non-nil, is the first-class workload this job runs.
+	// Sweeps can mix preset and Workload jobs freely.
 	Workload Workload
 	// Config is the machine (and, for presets, workload scale) for this
 	// job.
@@ -30,14 +30,18 @@ type Job struct {
 	MultiProcess *MultiProcessConfig
 }
 
-// Run executes the job and returns its metrics. It is RunCtx with a
-// background context.
-func (j Job) Run() (*Result, error) { return j.RunCtx(context.Background()) }
-
-// RunCtx executes the job under ctx: the simulation aborts within one
-// sim.CancelCheckBudget of events after ctx expires, returning the
-// partial Result (Partial == true) together with the cancellation
-// error. See RunCtx for the underlying contract.
+// RunCtx executes the job and returns its metrics. A workload job runs
+// on the machine Config describes with the workload's own thread count
+// (at most Config.Nodes) and streams; Config.Threads and
+// Config.AccessesPerThread only scale the benchmark presets. Thread i
+// is pinned to node i mod Config.Nodes and pages are pre-placed per the
+// workload's ForEachPage declaration.
+//
+// The simulation polls ctx once per sim.CancelCheckBudget events
+// (amortised to nothing; a background context costs nothing) and
+// aborts within one budget of ctx expiring, returning both a non-nil
+// partial Result (Partial == true, metrics covering the events fired so
+// far) and an error satisfying errors.Is(err, ctx.Err()).
 func (j Job) RunCtx(ctx context.Context) (*Result, error) {
 	h, err := StartJob(j)
 	if err != nil {
@@ -55,7 +59,7 @@ func (j Job) RunCtx(ctx context.Context) (*Result, error) {
 }
 
 // IsCancellation reports whether err stems from a cancelled or expired
-// context — the errors RunCtx, Job.RunCtx and Runner.Run attach to jobs
+// context — the errors Job.RunCtx and Runner.Run attach to jobs
 // that were aborted mid-simulation or skipped before starting. It is
 // how consumers (allarm-serve's per-job status, emitters, harnesses)
 // distinguish "the machine said no" from "the simulation failed".
@@ -98,7 +102,7 @@ func (j Job) workloadKey() string {
 // behaviour-affecting field). Silent drift would make the service cache
 // conflate distinct simulations or miss identical ones.
 func (j Job) Key() string {
-	// MultiProcess is inert when a first-class Workload is set (Job.Run
+	// MultiProcess is inert when a first-class Workload is set (Job.RunCtx
 	// checks Workload first), so it must not split the fingerprint.
 	mp := MultiProcessConfig{}
 	mpActive := j.Workload == nil && j.MultiProcess != nil

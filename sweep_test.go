@@ -220,7 +220,7 @@ func TestSweepProgressReporting(t *testing.T) {
 }
 
 // TestRunExperimentByteStableAcrossParallelism is the experiment-harness
-// acceptance check: the tables RunExperimentWith prints are byte-identical
+// acceptance check: the tables ExperimentSweep and RenderExperiment produce are byte-identical
 // no matter how many workers execute the underlying sweep (the serial
 // pre-sweep runner is the Parallelism=1 case).
 func TestRunExperimentByteStableAcrossParallelism(t *testing.T) {
@@ -231,10 +231,10 @@ func TestRunExperimentByteStableAcrossParallelism(t *testing.T) {
 	}
 	for _, id := range ids {
 		var serial, parallel strings.Builder
-		if err := allarm.RunExperimentWith(context.Background(), &serial, cfg, id, &allarm.Runner{Parallelism: 1}); err != nil {
+		if err := experimentTable(context.Background(), &serial, cfg, id, allarm.ALLARM, &allarm.Runner{Parallelism: 1}); err != nil {
 			t.Fatalf("%s serial: %v", id, err)
 		}
-		if err := allarm.RunExperimentWith(context.Background(), &parallel, cfg, id, &allarm.Runner{Parallelism: 8}); err != nil {
+		if err := experimentTable(context.Background(), &parallel, cfg, id, allarm.ALLARM, &allarm.Runner{Parallelism: 8}); err != nil {
 			t.Fatalf("%s parallel: %v", id, err)
 		}
 		if serial.String() != parallel.String() {
@@ -243,7 +243,7 @@ func TestRunExperimentByteStableAcrossParallelism(t *testing.T) {
 		}
 		// And the default (nil) runner matches both.
 		var def strings.Builder
-		if err := allarm.RunExperimentWith(context.Background(), &def, cfg, id, nil); err != nil {
+		if err := experimentTable(context.Background(), &def, cfg, id, allarm.ALLARM, nil); err != nil {
 			t.Fatalf("%s default runner: %v", id, err)
 		}
 		if def.String() != serial.String() {
@@ -271,7 +271,7 @@ func TestExperimentSweepSpecs(t *testing.T) {
 		{"fig4f", 6 * nmp}, // ref + 5 sizes per benchmark
 	}
 	for _, c := range cases {
-		s, err := allarm.ExperimentSweep(cfg, c.id)
+		s, err := allarm.ExperimentSweep(cfg, c.id, allarm.ALLARM)
 		if err != nil {
 			t.Fatalf("%s: %v", c.id, err)
 		}
@@ -279,11 +279,11 @@ func TestExperimentSweepSpecs(t *testing.T) {
 			t.Fatalf("%s: %d jobs, want %d", c.id, s.Len(), c.want)
 		}
 	}
-	if _, err := allarm.ExperimentSweep(cfg, "fig99"); err == nil {
+	if _, err := allarm.ExperimentSweep(cfg, "fig99", allarm.ALLARM); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 	// fig4d-f sweeps run the panel policy, with a baseline reference.
-	s, _ := allarm.ExperimentSweep(cfg, "fig4d")
+	s, _ := allarm.ExperimentSweep(cfg, "fig4d", allarm.ALLARM)
 	if s.Jobs[0].Config.Policy != allarm.Baseline || s.Jobs[1].Config.Policy != allarm.ALLARM {
 		t.Fatal("fig4d spec: wrong policies")
 	}
@@ -292,33 +292,9 @@ func TestExperimentSweepSpecs(t *testing.T) {
 	}
 	// fig4a-c need no extra reference: the full-size baseline grid point
 	// is the reference.
-	s, _ = allarm.ExperimentSweep(cfg, "fig4a")
+	s, _ = allarm.ExperimentSweep(cfg, "fig4a", allarm.ALLARM)
 	if s.Jobs[0].Config.Policy != allarm.Baseline || s.Jobs[0].Config.PFBytes != cfg.PFBytes {
 		t.Fatal("fig4a spec: first job is not the full-size baseline")
-	}
-}
-
-func TestRunAllPairsMatchesRunPair(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full benchmark suite twice")
-	}
-	cfg := tinyConfig()
-	pairs, err := allarm.RunAllPairs(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != len(allarm.Benchmarks()) {
-		t.Fatalf("%d pairs, want %d", len(pairs), len(allarm.Benchmarks()))
-	}
-	base, opt, err := allarm.RunPair(cfg, pairs[0].Benchmark)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.RuntimeNs != pairs[0].Base.RuntimeNs || opt.RuntimeNs != pairs[0].Opt.RuntimeNs {
-		t.Fatal("RunAllPairs and RunPair disagree on the same benchmark")
-	}
-	if pairs[0].Base.PolicyUsed != allarm.Baseline || pairs[0].Opt.PolicyUsed != allarm.ALLARM {
-		t.Fatal("pair policies mislabelled")
 	}
 }
 

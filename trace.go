@@ -11,9 +11,9 @@ import (
 
 // CaptureTrace writes a complete replayable trace of wl to w: its page
 // placements, its warmup pass and its measured access streams, captured
-// at the given seed. A workload loaded back with ReadTrace and run under
-// the same Config (and any policy) produces results bit-identical to
-// running wl directly — placement, warmup, access order and
+// at the given seed. A workload loaded back with LoadTrace or
+// ReadTraceNamed and run under the same Config (and any policy)
+// produces results bit-identical to running wl directly — placement, warmup, access order and
 // picosecond-exact think times all survive the round trip.
 func CaptureTrace(w io.Writer, wl Workload, seed uint64) error {
 	if wl == nil {
@@ -23,8 +23,8 @@ func CaptureTrace(w io.Writer, wl Workload, seed uint64) error {
 	return err
 }
 
-// LoadTrace reads a trace file captured with CaptureTrace (or the
-// allarm-trace tool) into a replayable Workload named after the file.
+// LoadTrace reads a trace file captured with CaptureTrace (or
+// allarm-sim -gen) into a replayable Workload named after the file.
 // Replays ignore the run seed: the captured streams are exact.
 func LoadTrace(path string) (Workload, error) {
 	f, err := os.Open(path)
@@ -37,12 +37,6 @@ func LoadTrace(path string) (Workload, error) {
 		return nil, fmt.Errorf("allarm: trace %s: %w", path, err)
 	}
 	return wl, nil
-}
-
-// ReadTrace reads a trace stream into a replayable Workload (named
-// "trace"; LoadTrace names it after its file).
-func ReadTrace(r io.Reader) (Workload, error) {
-	return ReadTraceNamed(r, "trace")
 }
 
 // ReadTraceNamed reads a trace stream into a replayable Workload with

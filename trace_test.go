@@ -2,6 +2,7 @@ package allarm_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"strings"
 	"testing"
@@ -55,11 +56,11 @@ func TestRunTraceLargerThanMemory(t *testing.T) {
 	if err := allarm.CaptureTrace(&buf, pagesWorkload(t, smallMemoryPages+1), 1); err != nil {
 		t.Fatal(err)
 	}
-	wl, err := allarm.ReadTrace(&buf)
+	wl, err := allarm.ReadTraceNamed(&buf, "trace")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := allarm.Run(smallMemoryConfig(), wl)
+	res, err := allarm.Job{Workload: wl, Config: smallMemoryConfig()}.RunCtx(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "physical memory exhausted") {
 		t.Fatalf("Run = %v, %v; want a memory-exhausted error", res, err)
 	}
@@ -72,10 +73,10 @@ func TestRunTraceLargerThanMemory(t *testing.T) {
 	if err := allarm.CaptureTrace(&buf, pagesWorkload(t, smallMemoryPages), 1); err != nil {
 		t.Fatal(err)
 	}
-	if wl, err = allarm.ReadTrace(&buf); err != nil {
+	if wl, err = allarm.ReadTraceNamed(&buf, "trace"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := allarm.Run(smallMemoryConfig(), wl); err != nil {
+	if _, err := (allarm.Job{Workload: wl, Config: smallMemoryConfig()}).RunCtx(context.Background()); err != nil {
 		t.Fatalf("a footprint that fits failed: %v", err)
 	}
 }
@@ -99,7 +100,7 @@ func TestRunFaultBeyondMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := allarm.Run(smallMemoryConfig(), wl)
+	res, err := allarm.Job{Workload: wl, Config: smallMemoryConfig()}.RunCtx(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "physical memory exhausted") {
 		t.Fatalf("Run = %v, %v; want a memory-exhausted error", res, err)
 	}
@@ -126,7 +127,7 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add(seed.Bytes()[:min(seed.Len(), 4096)])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		wl, err := allarm.ReadTrace(bytes.NewReader(data))
+		wl, err := allarm.ReadTraceNamed(bytes.NewReader(data), "trace")
 		if err != nil {
 			return
 		}
@@ -137,7 +138,7 @@ func FuzzReadTrace(f *testing.F) {
 		if err := allarm.CaptureTrace(&again, wl, 0); err != nil {
 			t.Fatalf("re-capture: %v", err)
 		}
-		re, err := allarm.ReadTrace(&again)
+		re, err := allarm.ReadTraceNamed(&again, "trace")
 		if err != nil {
 			t.Fatalf("re-captured trace does not decode: %v", err)
 		}
