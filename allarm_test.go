@@ -105,6 +105,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *allarm.Config) { c.L1Bytes = 0 },
 		func(c *allarm.Config) { c.MemMiBPerNode = 0 },
 		func(c *allarm.Config) { c.LinkBytesPerNs = 0 },
+		func(c *allarm.Config) { c.MemPolicy = 1 }, // next-touch, retired
 		func(c *allarm.Config) {
 			c.ALLARMRanges = []allarm.AddrRange{{Start: 5, End: 5}}
 		},

@@ -4,23 +4,20 @@ import (
 	"fmt"
 
 	"allarm/internal/core"
-	"allarm/internal/mem"
 	"allarm/internal/noc"
 	"allarm/internal/sim"
 	"allarm/internal/system"
 )
 
-// MemPolicy selects the OS page-placement policy.
+// MemPolicy selects the OS page-placement policy. FirstTouch is the
+// only policy modelled; the type stays because Job.Key prints the
+// Config field ("MemPolicy:0"), and that key addresses result stores
+// and checkpoint fingerprints.
 type MemPolicy int
 
-const (
-	// FirstTouch places a page at the first toucher's node (the default
-	// of mainstream operating systems; ALLARM's assumption).
-	FirstTouch MemPolicy = iota
-	// NextTouch additionally migrates marked pages to their next
-	// toucher.
-	NextTouch
-)
+// FirstTouch places a page at the first toucher's node (the default of
+// mainstream operating systems; ALLARM's assumption).
+const FirstTouch MemPolicy = 0
 
 // Config describes one simulated machine and workload scale. The zero
 // value is invalid; start from DefaultConfig (the paper's Table I).
@@ -40,7 +37,8 @@ type Config struct {
 	// ALLARMRanges optionally restricts ALLARM to physical address
 	// ranges (the paper's boot-time range registers). Empty = all.
 	ALLARMRanges []AddrRange
-	// MemPolicy is the OS placement policy (paper: first-touch).
+	// MemPolicy is the OS placement policy. It must be FirstTouch, the
+	// paper's; the field stays for Job.Key's format (see MemPolicy).
 	MemPolicy MemPolicy
 
 	// Machine geometry (Table I).
@@ -138,6 +136,9 @@ func (c Config) validateMachine() error {
 	if c.MemMiBPerNode <= 0 {
 		return fmt.Errorf("allarm: per-node memory must be positive")
 	}
+	if c.MemPolicy != FirstTouch {
+		return fmt.Errorf("allarm: memory policy %d is not modelled; only FirstTouch (0) is", c.MemPolicy)
+	}
 	sys, err := c.systemConfig()
 	if err != nil {
 		return err
@@ -211,12 +212,4 @@ func (c Config) systemConfig() (system.Config, error) {
 		CheckInvariants: c.CheckInvariants,
 		MaxEvents:       c.MaxEvents,
 	}, nil
-}
-
-// memPolicy lowers the OS placement policy.
-func (c Config) memPolicy() mem.Policy {
-	if c.MemPolicy == NextTouch {
-		return mem.NextTouch
-	}
-	return mem.FirstTouch
 }

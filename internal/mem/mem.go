@@ -1,14 +1,15 @@
 // Package mem models the memory-system substrate ALLARM depends on:
 // physical/virtual addresses, cache-line and page arithmetic, the NUMA
-// physical memory map (one DRAM block per node), and the operating-system
-// page allocation policies (first-touch and next-touch) whose behaviour
-// ALLARM exploits.
+// physical memory map (one DRAM block per node), and the operating
+// system's first-touch page placement, whose behaviour ALLARM exploits.
 //
 // ALLARM's private-data detection is stateless: it assumes first-touch
 // allocation homes thread-local pages at the toucher's node. This package
 // is therefore part of the paper's trusted computing base and is modelled
 // faithfully, including the best-effort fallback to remote nodes when a
-// domain's memory is exhausted (§II-A of the paper).
+// domain's memory is exhausted (§II-A of the paper). A page keeps its
+// first-touch frame for the whole run: pages never migrate and frames
+// are never freed.
 package mem
 
 import (
@@ -56,13 +57,10 @@ type PhysMem struct {
 	bytesPerNode uint64
 	framesPer    uint64
 	next         []uint64 // per-node bump pointer, in frames
-	free         [][]PAddr
-	allocated    []uint64 // per-node live frame count
 	// claimed is restore bookkeeping, one bit per touched frame of each
-	// node: DecodeState sets the free frames, and every
-	// AddressSpace.DecodeState claims the frames it maps, so no frame
-	// restores as both free and mapped, or as mapped by two spaces. A
-	// running machine never reads it.
+	// node: every AddressSpace.DecodeState claims the frames it maps, so
+	// no frame restores as mapped by two pages. A running machine never
+	// reads it.
 	claimed [][]uint64
 }
 
@@ -81,8 +79,6 @@ func NewPhysMem(nodes int, bytesPerNode uint64) *PhysMem {
 		bytesPerNode: bytesPerNode,
 		framesPer:    bytesPerNode / PageBytes,
 		next:         make([]uint64, nodes),
-		free:         make([][]PAddr, nodes),
-		allocated:    make([]uint64, nodes),
 	}
 }
 
@@ -103,78 +99,32 @@ func (m *PhysMem) Home(pa PAddr) NodeID {
 }
 
 // AllocFrame allocates one physical page frame from node n's DRAM.
-// It returns ok == false when the node is out of memory.
+// It returns ok == false when the node is out of memory. Frames are
+// never freed.
 func (m *PhysMem) AllocFrame(n NodeID) (PAddr, bool) {
 	if int(n) < 0 || int(n) >= m.nodes {
 		panic(fmt.Sprintf("mem: AllocFrame on invalid node %d", n))
-	}
-	if fl := m.free[n]; len(fl) > 0 {
-		pa := fl[len(fl)-1]
-		m.free[n] = fl[:len(fl)-1]
-		m.allocated[n]++
-		return pa, true
 	}
 	if m.next[n] >= m.framesPer {
 		return 0, false
 	}
 	frame := m.next[n]
 	m.next[n]++
-	m.allocated[n]++
 	base := uint64(n)*m.bytesPerNode + frame*PageBytes
 	return PAddr(base), true
 }
 
-// FreeFrame returns a previously allocated frame to its home node's pool.
-func (m *PhysMem) FreeFrame(pa PAddr) {
-	n := m.Home(pa)
-	if m.allocated[n] == 0 {
-		panic("mem: FreeFrame with no outstanding allocations on node")
-	}
-	m.allocated[n]--
-	m.free[n] = append(m.free[n], PageOf(pa))
-}
-
-// FramesInUse returns the number of live frames on node n.
-func (m *PhysMem) FramesInUse(n NodeID) uint64 { return m.allocated[n] }
-
-// FramesTouched returns node n's bump pointer: every frame the node has
-// ever handed out lies in its first FramesTouched pages.
+// FramesTouched returns node n's bump pointer: the node has handed out
+// exactly its first FramesTouched frames, and all of them are live.
 func (m *PhysMem) FramesTouched(n NodeID) uint64 { return m.next[n] }
-
-// Policy selects the OS NUMA page-placement policy for an address space.
-type Policy int
-
-const (
-	// FirstTouch allocates a page at the node of the first access — the
-	// default policy of mainstream operating systems and the one ALLARM's
-	// private-data assumption is built on.
-	FirstTouch Policy = iota
-	// NextTouch behaves as FirstTouch, but pages marked with MarkNextTouch
-	// are migrated to the node of the next access, fixing init-by-one-
-	// thread/use-by-another patterns (§II of the paper).
-	NextTouch
-)
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case FirstTouch:
-		return "first-touch"
-	case NextTouch:
-		return "next-touch"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
 
 // pte is one page-table slot, stored by value in the address space's
 // hash table. key is the virtual page with bit 0 set (pages are aligned,
-// so the bit is otherwise zero); key 0 marks an empty slot.
+// so the bit is otherwise zero); key 0 marks an empty slot. The home
+// node is not stored: it is a function of the frame (PhysMem.Home).
 type pte struct {
-	key       VAddr
-	frame     PAddr
-	home      NodeID
-	nextTouch bool // migrate on next access
+	key   VAddr
+	frame PAddr
 }
 
 // vpage returns the virtual page an occupied slot maps.
@@ -189,17 +139,15 @@ type ASStats struct {
 	// RemoteFallbacks counts pages placed remotely because the requested
 	// node was out of memory (first-touch is best-effort).
 	RemoteFallbacks uint64
-	// Migrations counts next-touch page migrations.
-	Migrations uint64
 }
 
 // AddressSpace is one process's virtual address space, translating virtual
-// pages to physical frames with a NUMA placement policy.
+// pages to physical frames placed by first touch.
 //
 // The page table is a flat open-addressed hash table of ptes stored by
 // value: a power-of-two slot array probed linearly from a multiplicative
-// hash of the page number. Pages are never unmapped (migration rewrites
-// a slot in place), so there are no deletes and no tombstones; the table
+// hash of the page number. Pages are never unmapped or moved, so there
+// are no deletes and no tombstones; the table
 // doubles when it passes 3/4 load. A lookup therefore touches one or two
 // adjacent slots and follows no pointer.
 //
@@ -207,7 +155,6 @@ type ASStats struct {
 // threaded by design.
 type AddressSpace struct {
 	phys   *PhysMem
-	policy Policy
 	pages  []pte // len is a power of two, never more than 3/4 full
 	mapped int   // occupied slots
 	stats  ASStats
@@ -216,13 +163,11 @@ type AddressSpace struct {
 // minPageSlots is the page table's initial slot count.
 const minPageSlots = 64
 
-// NewAddressSpace creates an empty address space over phys with the given
-// placement policy.
-func NewAddressSpace(phys *PhysMem, policy Policy) *AddressSpace {
+// NewAddressSpace creates an empty address space over phys.
+func NewAddressSpace(phys *PhysMem) *AddressSpace {
 	return &AddressSpace{
-		phys:   phys,
-		policy: policy,
-		pages:  make([]pte, minPageSlots),
+		phys:  phys,
+		pages: make([]pte, minPageSlots),
 	}
 }
 
@@ -248,12 +193,12 @@ func (as *AddressSpace) find(vp VAddr) *pte {
 }
 
 // insert maps the unmapped page vp and returns its slot.
-func (as *AddressSpace) insert(vp VAddr, frame PAddr, home NodeID) *pte {
+func (as *AddressSpace) insert(vp VAddr, frame PAddr) *pte {
 	if (as.mapped+1)*4 > len(as.pages)*3 {
 		as.resize(2 * len(as.pages))
 	}
 	as.mapped++
-	return as.place(pte{key: vp | 1, frame: frame, home: home})
+	return as.place(pte{key: vp | 1, frame: frame})
 }
 
 // place stores e in the first free slot of its probe sequence.
@@ -278,9 +223,6 @@ func (as *AddressSpace) resize(n int) {
 	}
 }
 
-// Policy returns the address space's placement policy.
-func (as *AddressSpace) Policy() Policy { return as.policy }
-
 // Stats returns a copy of the accumulated allocation statistics.
 func (as *AddressSpace) Stats() ASStats { return as.stats }
 
@@ -289,12 +231,11 @@ func (as *AddressSpace) Stats() ASStats { return as.stats }
 var ErrExhausted = errors.New("mem: physical memory exhausted")
 
 // Lookup is the per-access fast path of Translate: it returns the
-// physical address of va when va's page is mapped and no next-touch
-// migration is pending on it. Otherwise ok is false and the access must
-// fault through Translate.
+// physical address of va when va's page is mapped. Otherwise ok is
+// false and the access must fault through Translate.
 func (as *AddressSpace) Lookup(va VAddr) (pa PAddr, ok bool) {
 	e := as.find(VPageOf(va))
-	if e == nil || e.nextTouch {
+	if e == nil {
 		return 0, false
 	}
 	return e.frame + PAddr(PageOffset(va)), true
@@ -304,40 +245,24 @@ func (as *AddressSpace) Lookup(va VAddr) (pa PAddr, ok bool) {
 // requester's node on first touch (falling back to the nearest node with
 // free memory, in ascending hop order, when the local node is full).
 //
-// With the NextTouch policy, pages previously marked by MarkNextTouch are
-// migrated to requester's node on their next access.
-//
 // A fault that finds no free frame on any node returns ErrExhausted and
 // leaves the address space unchanged.
 func (as *AddressSpace) Translate(va VAddr, requester NodeID) (PAddr, error) {
 	vp := VPageOf(va)
 	e := as.find(vp)
 	if e == nil {
-		frame, home, err := as.allocate(requester)
+		frame, err := as.allocate(requester)
 		if err != nil {
 			return 0, err
 		}
-		e = as.insert(vp, frame, home)
-	} else if e.nextTouch && as.policy == NextTouch && e.home != requester {
-		// Migrate: allocate at the new node, free the old frame.
-		frame, home, err := as.allocate(requester)
-		if err != nil {
-			return 0, err
-		}
-		as.phys.FreeFrame(e.frame)
-		e.frame = frame
-		e.home = home
-		e.nextTouch = false
-		as.stats.Migrations++
-	} else if e.nextTouch {
-		e.nextTouch = false
+		e = as.insert(vp, frame)
 	}
 	return e.frame + PAddr(PageOffset(va)), nil
 }
 
 // allocate places a frame at want, or at the next node (mod N) with free
 // memory.
-func (as *AddressSpace) allocate(want NodeID) (PAddr, NodeID, error) {
+func (as *AddressSpace) allocate(want NodeID) (PAddr, error) {
 	n := as.phys.Nodes()
 	for i := 0; i < n; i++ {
 		node := NodeID((int(want) + i) % n)
@@ -348,24 +273,10 @@ func (as *AddressSpace) allocate(want NodeID) (PAddr, NodeID, error) {
 			} else {
 				as.stats.RemoteFallbacks++
 			}
-			return frame, node, nil
+			return frame, nil
 		}
 	}
-	return 0, 0, ErrExhausted
-}
-
-// MarkNextTouch marks every page overlapping [va, va+length) for next-
-// touch migration. It has no effect on pages never touched (they will be
-// first-touch allocated anyway) and is a no-op under the FirstTouch policy.
-func (as *AddressSpace) MarkNextTouch(va VAddr, length uint64) {
-	if as.policy != NextTouch {
-		return
-	}
-	for vp := VPageOf(va); vp < va+VAddr(length); vp += PageBytes {
-		if e := as.find(vp); e != nil {
-			e.nextTouch = true
-		}
-	}
+	return 0, ErrExhausted
 }
 
 // HomeOf reports the NUMA home node of va's page and whether the page has
@@ -375,7 +286,7 @@ func (as *AddressSpace) HomeOf(va VAddr) (NodeID, bool) {
 	if e == nil {
 		return 0, false
 	}
-	return e.home, true
+	return as.phys.Home(e.frame), true
 }
 
 // MappedPages returns the number of pages currently mapped.

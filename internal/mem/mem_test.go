@@ -68,19 +68,8 @@ func TestAllocFrameAndExhaustion(t *testing.T) {
 	if _, ok := m.AllocFrame(0); ok {
 		t.Fatal("allocation beyond capacity succeeded")
 	}
-	if m.FramesInUse(0) != 2 {
-		t.Fatalf("FramesInUse = %d", m.FramesInUse(0))
-	}
-}
-
-func TestFreeFrameReuse(t *testing.T) {
-	m := NewPhysMem(1, 2*PageBytes)
-	a, _ := m.AllocFrame(0)
-	m.AllocFrame(0)
-	m.FreeFrame(a)
-	c, ok := m.AllocFrame(0)
-	if !ok || c != a {
-		t.Fatalf("freed frame not reused: %v vs %v", c, a)
+	if m.FramesTouched(0) != 2 || m.FramesTouched(1) != 0 {
+		t.Fatalf("FramesTouched = %d,%d", m.FramesTouched(0), m.FramesTouched(1))
 	}
 }
 
@@ -96,7 +85,7 @@ func translate(t *testing.T, as *AddressSpace, va VAddr, node NodeID) PAddr {
 
 func TestFirstTouchPlacesLocally(t *testing.T) {
 	m := NewPhysMem(4, 1<<20)
-	as := NewAddressSpace(m, FirstTouch)
+	as := NewAddressSpace(m)
 	pa := translate(t, as, 0x1000, 2)
 	if m.Home(pa) != 2 {
 		t.Fatalf("first touch homed at %d, want 2", m.Home(pa))
@@ -117,7 +106,7 @@ func TestFirstTouchPlacesLocally(t *testing.T) {
 
 func TestFirstTouchFallsBackWhenFull(t *testing.T) {
 	m := NewPhysMem(2, PageBytes) // one frame per node
-	as := NewAddressSpace(m, FirstTouch)
+	as := NewAddressSpace(m)
 	translate(t, as, 0x0000, 0)
 	pa := translate(t, as, 0x2000, 0) // node 0 full → falls back to node 1
 	if m.Home(pa) != 1 {
@@ -130,7 +119,7 @@ func TestFirstTouchFallsBackWhenFull(t *testing.T) {
 
 func TestMemoryExhaustionErrors(t *testing.T) {
 	m := NewPhysMem(1, PageBytes)
-	as := NewAddressSpace(m, FirstTouch)
+	as := NewAddressSpace(m)
 	pa := translate(t, as, 0x0000, 0)
 	if _, err := as.Translate(0x2000, 0); !errors.Is(err, ErrExhausted) {
 		t.Fatalf("fault on a full machine: err = %v, want ErrExhausted", err)
@@ -144,43 +133,9 @@ func TestMemoryExhaustionErrors(t *testing.T) {
 	}
 }
 
-func TestNextTouchMigration(t *testing.T) {
-	m := NewPhysMem(4, 1<<20)
-	as := NewAddressSpace(m, NextTouch)
-	translate(t, as, 0x1000, 0)
-	as.MarkNextTouch(0x1000, PageBytes)
-	pa := translate(t, as, 0x1004, 3)
-	if m.Home(pa) != 3 {
-		t.Fatalf("next-touch did not migrate: home %d", m.Home(pa))
-	}
-	if st := as.Stats(); st.Migrations != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// Old frame must be reusable.
-	if m.FramesInUse(0) != 0 {
-		t.Fatal("old frame leaked")
-	}
-	// Further touches from other nodes no longer migrate.
-	pa2 := translate(t, as, 0x1008, 1)
-	if m.Home(pa2) != 3 {
-		t.Fatal("page migrated twice without a new mark")
-	}
-}
-
-func TestMarkNextTouchIgnoredUnderFirstTouch(t *testing.T) {
-	m := NewPhysMem(2, 1<<20)
-	as := NewAddressSpace(m, FirstTouch)
-	translate(t, as, 0x1000, 0)
-	as.MarkNextTouch(0x1000, PageBytes)
-	pa := translate(t, as, 0x1004, 1)
-	if m.Home(pa) != 0 {
-		t.Fatal("first-touch policy migrated a page")
-	}
-}
-
 func TestTranslatePreservesOffsets(t *testing.T) {
 	m := NewPhysMem(2, 1<<20)
-	as := NewAddressSpace(m, FirstTouch)
+	as := NewAddressSpace(m)
 	f := func(off uint16) bool {
 		va := VAddr(0x40000) + VAddr(off%PageBytes)
 		pa := translate(t, as, va, 1)
@@ -191,11 +146,5 @@ func TestTranslatePreservesOffsets(t *testing.T) {
 	}
 	if as.MappedPages() != 1 {
 		t.Fatalf("MappedPages = %d", as.MappedPages())
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if FirstTouch.String() != "first-touch" || NextTouch.String() != "next-touch" {
-		t.Fatal("Policy.String wrong")
 	}
 }

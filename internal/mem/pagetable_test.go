@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"allarm/internal/checkpoint"
 )
@@ -18,7 +20,7 @@ func scatter(i int) VAddr { return VAddr(uint64(i)*0x9e3779b1%(1<<28)) * PageByt
 func TestPageTableGrowth(t *testing.T) {
 	const pages = 5000
 	m := NewPhysMem(4, 8<<20)
-	as := NewAddressSpace(m, FirstTouch)
+	as := NewAddressSpace(m)
 	want := make(map[VAddr]PAddr, pages)
 	for i := 0; i < pages; i++ {
 		va := scatter(i) + VAddr(i%PageBytes)
@@ -48,38 +50,9 @@ func TestPageTableGrowth(t *testing.T) {
 	}
 }
 
-func TestPageTableNextTouchAcrossGrowth(t *testing.T) {
-	m := NewPhysMem(2, 8<<20)
-	as := NewAddressSpace(m, NextTouch)
-	for i := 0; i < 100; i++ {
-		translate(t, as, VAddr(i)*PageBytes, 0)
-	}
-	as.MarkNextTouch(10*PageBytes, 5*PageBytes) // pages 10..14
-	if _, ok := as.Lookup(12 * PageBytes); ok {
-		t.Fatal("Lookup served a page marked for next touch")
-	}
-	// Growth rehashes slots; the marks must move with them.
-	for i := 100; i < 1000; i++ {
-		translate(t, as, VAddr(i)*PageBytes, 0)
-	}
-	for i := 0; i < 20; i++ {
-		_, ok := as.Lookup(VAddr(i) * PageBytes)
-		if marked := i >= 10 && i < 15; ok == marked {
-			t.Fatalf("page %d: Lookup ok = %v, marked = %v", i, ok, marked)
-		}
-	}
-	pa := translate(t, as, 12*PageBytes, 1)
-	if m.Home(pa) != 1 || as.Stats().Migrations != 1 || as.MappedPages() != 1000 {
-		t.Fatalf("migration: home %d, stats %+v, %d mapped", m.Home(pa), as.Stats(), as.MappedPages())
-	}
-	if got, ok := as.Lookup(12*PageBytes + 8); !ok || got != pa+8 {
-		t.Fatal("migrated page does not translate to its new frame")
-	}
-}
-
 func TestPageTableLookupAllocatesNothing(t *testing.T) {
 	m := NewPhysMem(1, 8<<20)
-	as := NewAddressSpace(m, FirstTouch)
+	as := NewAddressSpace(m)
 	for i := 0; i < 600; i++ {
 		translate(t, as, scatter(i), 0)
 	}
@@ -111,17 +84,16 @@ func decodeSpace(blob []byte, phys *PhysMem) (*AddressSpace, error) {
 	if err := phys.DecodeState(d); err != nil {
 		return nil, err
 	}
-	as := NewAddressSpace(phys, NextTouch)
+	as := NewAddressSpace(phys)
 	return as, as.DecodeState(d)
 }
 
 func TestPageTableEncodeSorted(t *testing.T) {
 	m := NewPhysMem(2, 8<<20)
-	as := NewAddressSpace(m, NextTouch)
+	as := NewAddressSpace(m)
 	for i := 0; i < 300; i++ {
 		translate(t, as, scatter(i), NodeID(i%2))
 	}
-	as.MarkNextTouch(scatter(7), 1)
 	blob := encodeSpace(t, as)
 
 	d, err := checkpoint.NewDecoder(bytes.NewReader(blob))
@@ -131,26 +103,34 @@ func TestPageTableEncodeSorted(t *testing.T) {
 	if err := NewPhysMem(2, 8<<20).DecodeState(d); err != nil {
 		t.Fatal(err)
 	}
+	// The retired policy, migration count and next-touch marks are
+	// written as constants.
 	d.Expect("space")
-	d.I64()
+	if policy := d.I64(); policy != 0 {
+		t.Fatalf("policy = %d, want 0", policy)
+	}
 	checkpoint.DecodeStruct(d, &ASStats{})
+	if migrations := d.U64(); migrations != 0 {
+		t.Fatalf("migrations = %d, want 0", migrations)
+	}
 	n := d.Len(1 << 20)
 	var prev VAddr
-	marked := 0
 	for i := 0; i < n; i++ {
 		vp := VAddr(d.U64())
-		d.U64()
-		d.I64()
+		frame := PAddr(d.U64())
+		if home := NodeID(d.I64()); home != m.Home(frame) {
+			t.Fatalf("entry %d: home %d for a frame of node %d", i, home, m.Home(frame))
+		}
 		if d.Bool() {
-			marked++
+			t.Fatalf("entry %d: next-touch mark set", i)
 		}
 		if i > 0 && vp <= prev {
 			t.Fatalf("entry %d: page %#x after %#x", i, uint64(vp), uint64(prev))
 		}
 		prev = vp
 	}
-	if err := d.Err(); err != nil || n != 300 || marked != 1 || d.Remaining() != 0 {
-		t.Fatalf("decoded %d entries (%d marked), err %v, %d bytes left", n, marked, err, d.Remaining())
+	if err := d.Err(); err != nil || n != 300 || d.Remaining() != 0 {
+		t.Fatalf("decoded %d entries, err %v, %d bytes left", n, err, d.Remaining())
 	}
 
 	r, err := decodeSpace(blob, m)
@@ -160,35 +140,50 @@ func TestPageTableEncodeSorted(t *testing.T) {
 	if !bytes.Equal(encodeSpace(t, r), blob) || r.MappedPages() != 300 {
 		t.Fatal("restored page table does not re-encode identically")
 	}
-	if _, ok := r.Lookup(scatter(7)); ok {
-		t.Fatal("restored page lost its next-touch mark")
-	}
+}
+
+// reframe recomputes a checkpoint's CRC so the decoder sees intact
+// bytes.
+func reframe(b []byte) []byte {
+	n := len(b) - 4
+	binary.LittleEndian.PutUint32(b[n:], crc32.Checksum(b[:n], crc32.MakeTable(crc32.Castagnoli)))
+	return b
 }
 
 func TestPageTableDecodeRejects(t *testing.T) {
 	m := NewPhysMem(2, 1<<20)
-	as := NewAddressSpace(m, NextTouch)
+	as := NewAddressSpace(m)
 	translate(t, as, 0x3000, 0)
 	translate(t, as, 0x5000, 1)
-	// Node 0 hands out its second frame and takes it back, so frame
-	// 0x1000 is free and frame 0x2000 was never handed out.
-	f, _ := m.AllocFrame(0)
-	m.FreeFrame(f)
+	// Node 0 hands out its second frame, 0x1000, to no page; its third,
+	// 0x2000, was never handed out.
+	m.AllocFrame(0)
 	blob := encodeSpace(t, as)
-	// The entries follow the last stats field: count, then (page, frame,
-	// home, next-touch) per entry.
+	// The entries follow the migration count and the entry count:
+	// (page, frame, home, next-touch) per entry. Before the stats come
+	// the policy and the section marker.
 	first := uint64(len(blob) - 4 - 2*pteBytes)
+	migrations := first - 16
+	policy := migrations - 3*8 - 8
 	// patch writes u64 values at offset, value pairs.
 	patch := func(kv ...uint64) []byte {
 		b := bytes.Clone(blob)
 		for i := 0; i < len(kv); i += 2 {
 			binary.LittleEndian.PutUint64(b[kv[i]:], kv[i+1])
 		}
-		// Recompute the CRC so the decoder sees intact bytes.
-		n := len(b) - 4
-		binary.LittleEndian.PutUint32(b[n:], crc32.Checksum(b[:n], crc32.MakeTable(crc32.Castagnoli)))
-		return b
+		return reframe(b)
 	}
+	marked := bytes.Clone(blob)
+	marked[first+24] = 1
+	// A page mapping a frame its node lists as free, as a model that
+	// recycled frames could write: node 0 counts one of its two touched
+	// frames live and holds frame 0x1000 on its free list. The free
+	// frame lengthens the payload, whose length the header records
+	// after the (empty) meta string.
+	node0 := uint64(bytes.Index(blob, []byte("phys")) + len("phys") + 2*8)
+	freed := slices.Insert(patch(first+8, 0x1000, node0+8, 1, node0+16, 1), int(node0+24), make([]byte, 8)...)
+	binary.LittleEndian.PutUint64(freed[node0+24:], 0x1000)
+	binary.LittleEndian.PutUint64(freed[14:], binary.LittleEndian.Uint64(freed[14:])+8)
 	second := first + pteBytes
 	frame0 := binary.LittleEndian.Uint64(blob[first+8:])
 	for _, tc := range []struct {
@@ -202,8 +197,11 @@ func TestPageTableDecodeRejects(t *testing.T) {
 		{"home mismatch", "records home", patch(first+16, 1)},
 		{"count beyond payload", "exceeds limit", patch(first-8, 1<<30)},
 		{"frame never handed out", "never handed out", patch(first+8, 0x2000)},
-		{"free frame", "free or already mapped", patch(first+8, 0x1000)},
-		{"frame mapped twice", "free or already mapped", patch(second+8, frame0, second+16, 0)},
+		{"free frame", "touched frames", reframe(freed)},
+		{"frame mapped twice", "already mapped", patch(second+8, frame0, second+16, 0)},
+		{"next-touch policy", "placement policy 1", patch(policy, 1)},
+		{"migration", "1 migrations", patch(migrations, 1)},
+		{"next-touch mark", "next-touch", reframe(marked)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := decodeSpace(tc.blob, m)
@@ -212,69 +210,87 @@ func TestPageTableDecodeRejects(t *testing.T) {
 			}
 		})
 	}
+	if _, err := decodeSpace(blob, m); err != nil {
+		t.Fatalf("intact state did not restore: %v", err)
+	}
 }
 
 func TestPhysMemDecodeRejects(t *testing.T) {
+	// physBlob is the phys section of a map of two nodes of four frames
+	// each, whose node 0 has handed out next frames, counts live of them
+	// as live and holds free on its free list (node 1 is untouched): the
+	// layout an older model that recycled frames wrote.
+	physBlob := func(next, live uint64, free ...uint64) []byte {
+		e := checkpoint.NewEncoder("")
+		e.Section("phys")
+		e.Len(2)
+		e.U64(4 * PageBytes)
+		e.U64(next)
+		e.U64(live)
+		e.Len(len(free))
+		for _, pa := range free {
+			e.U64(pa)
+		}
+		e.U64(0)
+		e.U64(0)
+		e.Len(0)
+		var buf bytes.Buffer
+		if err := e.Close(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	decode := func(blob []byte) (*PhysMem, error) {
+		d, err := checkpoint.NewDecoder(bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewPhysMem(2, 4*PageBytes)
+		return r, r.DecodeState(d)
+	}
+
 	m := NewPhysMem(2, 4*PageBytes)
-	a, _ := m.AllocFrame(0)
 	m.AllocFrame(0)
-	m.FreeFrame(a)
+	m.AllocFrame(0)
 	e := checkpoint.NewEncoder("")
 	m.EncodeState(e)
 	var buf bytes.Buffer
 	if err := e.Close(&buf); err != nil {
 		t.Fatal(err)
 	}
-	blob := buf.Bytes()
-	// After the marker, node count and node size: node 0's bump
-	// pointer, live count, free-list length and free frames.
-	node0 := bytes.Index(blob, []byte("phys")) + len("phys") + 2*8
-	patch := func(off int, v uint64) []byte {
-		b := bytes.Clone(blob)
-		binary.LittleEndian.PutUint64(b[off:], v)
-		n := len(b) - 4
-		binary.LittleEndian.PutUint32(b[n:], crc32.Checksum(b[:n], crc32.MakeTable(crc32.Castagnoli)))
-		return b
+	if !bytes.Equal(buf.Bytes(), physBlob(2, 2)) {
+		t.Fatal("a map that handed out two frames does not encode them as live with an empty free list")
 	}
+	if r, err := decode(buf.Bytes()); err != nil || r.FramesTouched(0) != 2 || r.FramesTouched(1) != 0 {
+		t.Fatalf("intact state did not restore: %v", err)
+	}
+
+	// Every touched frame must be live; any free frame is rejected,
+	// whatever it names.
 	for _, tc := range []struct {
-		name, want string
-		blob       []byte
+		name string
+		blob []byte
 	}{
-		{"bump pointer beyond node", "touched frames", patch(node0, 5)},
-		{"more live than touched", "touched frames", patch(node0+8, 3)},
-		{"touched frame neither live nor free", "touched frames", patch(node0+8, 0)},
-		{"free frame of another node", "never handed out", patch(node0+24, 4*PageBytes)},
-		{"free frame above bump pointer", "never handed out", patch(node0+24, 2*PageBytes)},
-		{"unaligned free frame", "never handed out", patch(node0+24, 8)},
+		{"bump pointer beyond node", physBlob(5, 5)},
+		{"more live than touched", physBlob(2, 3)},
+		{"touched frame neither live nor free", physBlob(2, 1)},
+		{"recycled frame", physBlob(2, 1, PageBytes)},
+		{"free frame of another node", physBlob(2, 1, 4*PageBytes)},
+		{"free frame above bump pointer", physBlob(2, 1, 2*PageBytes)},
+		{"unaligned free frame", physBlob(2, 1, 8)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d, err := checkpoint.NewDecoder(bytes.NewReader(tc.blob))
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = NewPhysMem(2, 4*PageBytes).DecodeState(d)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %v, want %q", err, tc.want)
+			if _, err := decode(tc.blob); err == nil || !strings.Contains(err.Error(), "touched frames") {
+				t.Fatalf("err = %v, want a touched-frames error", err)
 			}
 		})
 	}
-	d, _ := checkpoint.NewDecoder(bytes.NewReader(blob))
-	if r := NewPhysMem(2, 4*PageBytes); r.DecodeState(d) != nil || r.FramesTouched(0) != 2 || r.FramesInUse(0) != 1 {
-		t.Fatal("intact state did not restore")
-	}
+}
 
-	// Node 0's second frame freed too, then the second free-list entry
-	// rewritten to name the first frame again.
-	m.FreeFrame(PageBytes)
-	e = checkpoint.NewEncoder("")
-	m.EncodeState(e)
-	buf.Reset()
-	if err := e.Close(&buf); err != nil {
-		t.Fatal(err)
-	}
-	blob = buf.Bytes()
-	d, _ = checkpoint.NewDecoder(bytes.NewReader(patch(node0+32, uint64(a))))
-	if err := NewPhysMem(2, 4*PageBytes).DecodeState(d); err == nil || !strings.Contains(err.Error(), "twice") {
-		t.Fatalf("duplicate free frame: err = %v", err)
+// TestPTESize pins the page-table slot at 16 bytes (key and frame):
+// the table is the largest host allocation of a big footprint.
+func TestPTESize(t *testing.T) {
+	if n := unsafe.Sizeof(pte{}); n != 16 {
+		t.Fatalf("pte is %d bytes, want 16", n)
 	}
 }

@@ -8,25 +8,24 @@ import (
 )
 
 // EncodeState writes the physical memory map's allocation state: the
-// per-node bump pointers, free-frame lists (in stack order — frame
-// recycling order affects future placements) and live-frame counts.
+// per-node bump pointers. The layout keeps two fields of an older model
+// that recycled frames, written as constants: each node's live-frame
+// count, which is its bump pointer since frames are never freed, and an
+// empty free list.
 func (m *PhysMem) EncodeState(e *checkpoint.Encoder) {
 	e.Section("phys")
 	e.Len(m.nodes)
 	e.U64(m.bytesPerNode)
 	for n := 0; n < m.nodes; n++ {
 		e.U64(m.next[n])
-		e.U64(m.allocated[n])
-		e.Len(len(m.free[n]))
-		for _, pa := range m.free[n] {
-			e.U64(uint64(pa))
-		}
+		e.U64(m.next[n]) // live frames
+		e.Len(0)         // free list
 	}
 }
 
 // DecodeState overwrites the allocation state. The map must have the
-// geometry the checkpoint was taken with. Every touched frame must be
-// either live or free, and free at most once.
+// geometry the checkpoint was taken with, and every touched frame must
+// be live: a checkpoint with a free frame did not come from this model.
 func (m *PhysMem) DecodeState(d *checkpoint.Decoder) error {
 	d.Expect("phys")
 	nodes := d.Len(m.nodes)
@@ -40,31 +39,18 @@ func (m *PhysMem) DecodeState(d *checkpoint.Decoder) error {
 	}
 	m.claimed = make([][]uint64, m.nodes)
 	for n := 0; n < m.nodes; n++ {
-		m.next[n] = d.U64()
-		m.allocated[n] = d.U64()
-		cnt := d.Len(int(m.framesPer))
+		next, live, free := d.U64(), d.U64(), d.U64()
 		if err := d.Err(); err != nil {
 			return err
 		}
-		if m.next[n] > m.framesPer || m.allocated[n]+uint64(cnt) != m.next[n] {
-			return fmt.Errorf("mem: node %d checkpoint counts %d live and %d free of %d touched frames, node has %d",
-				n, m.allocated[n], cnt, m.next[n], m.framesPer)
+		if next > m.framesPer || live != next || free != 0 {
+			return fmt.Errorf("mem: node %d checkpoint counts %d live and %d free of %d touched frames, node has %d; frames are never freed",
+				n, live, free, next, m.framesPer)
 		}
-		base := uint64(n) * m.bytesPerNode
-		m.claimed[n] = make([]uint64, (m.next[n]+63)/64)
-		m.free[n] = m.free[n][:0]
-		for i := 0; i < cnt; i++ {
-			pa := PAddr(d.U64())
-			if PageOf(pa) != pa || uint64(pa) < base || uint64(pa) >= base+m.next[n]*PageBytes {
-				return fmt.Errorf("mem: node %d free list holds frame %#x it never handed out", n, uint64(pa))
-			}
-			if m.claim(pa) {
-				return fmt.Errorf("mem: node %d free list holds frame %#x twice", n, uint64(pa))
-			}
-			m.free[n] = append(m.free[n], pa)
-		}
+		m.next[n] = next
+		m.claimed[n] = make([]uint64, (next+63)/64)
 	}
-	return d.Err()
+	return nil
 }
 
 // claim marks pa's frame, which its node has handed out, as accounted
@@ -79,12 +65,16 @@ func (m *PhysMem) claim(pa PAddr) bool {
 
 // EncodeState writes one address space's translation state: the page
 // table (sorted by virtual page, for a deterministic byte stream) and
-// allocation statistics. The placement policy is recorded and verified
-// on decode; the physical map is encoded separately by its owner.
+// allocation statistics; the physical map is encoded separately by its
+// owner. The layout keeps the fields of an older model with next-touch
+// migration, written as constants: placement policy 0 (first touch), a
+// migration count of 0, and per entry its frame's home node and a clear
+// next-touch mark.
 func (as *AddressSpace) EncodeState(e *checkpoint.Encoder) {
 	e.Section("space")
-	e.I64(int64(as.policy))
+	e.I64(0) // placement policy
 	checkpoint.EncodeStruct(e, &as.stats)
+	e.U64(0) // migrations
 	ptes := make([]pte, 0, as.mapped)
 	for i := range as.pages {
 		if as.pages[i].key != 0 {
@@ -97,8 +87,8 @@ func (as *AddressSpace) EncodeState(e *checkpoint.Encoder) {
 		p := &ptes[i]
 		e.U64(uint64(p.vpage()))
 		e.U64(uint64(p.frame))
-		e.I64(int64(p.home))
-		e.Bool(p.nextTouch)
+		e.I64(int64(as.phys.Home(p.frame)))
+		e.Bool(false) // next-touch mark
 	}
 }
 
@@ -108,22 +98,25 @@ const pteBytes = 8 + 8 + 8 + 1
 // DecodeState rebuilds the page table from a checkpoint, replacing any
 // existing mappings (a restore may run after the usual pre-placement
 // pass; the checkpointed state wins wholesale). The physical map must be
-// decoded first. It rejects entries that could not have come from a live
-// table: unaligned or repeated pages, and frames that are unaligned,
-// beyond the end of memory, homed at a node other than the one recorded,
-// never handed out by their node, on its free list, or mapped by an
+// decoded first. It rejects a placement policy other than first touch,
+// a migration, and entries that could not have come from a live table:
+// unaligned or repeated pages, pages marked for next touch, and frames
+// that are unaligned, beyond the end of memory, homed at a node other
+// than the one recorded, never handed out by their node, or mapped by an
 // earlier entry — of this space or of another space restored since the
 // physical map. Any of those would let AllocFrame hand the frame to a
 // second page.
 func (as *AddressSpace) DecodeState(d *checkpoint.Decoder) error {
 	d.Expect("space")
-	pol := Policy(d.I64())
+	policy := d.I64()
 	checkpoint.DecodeStruct(d, &as.stats)
+	migrations := d.U64()
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if pol != as.policy {
-		return fmt.Errorf("mem: checkpoint policy %v, space has %v", pol, as.policy)
+	if policy != 0 || migrations != 0 {
+		return fmt.Errorf("mem: checkpoint records placement policy %d and %d migrations; only first touch (policy 0) is modelled",
+			policy, migrations)
 	}
 	// Every entry takes pteBytes of payload, which bounds the table
 	// allocated below by the checkpoint's size.
@@ -143,13 +136,15 @@ func (as *AddressSpace) DecodeState(d *checkpoint.Decoder) error {
 		vp := VAddr(d.U64())
 		frame := PAddr(d.U64())
 		home := NodeID(d.I64())
-		next := d.Bool()
+		marked := d.Bool()
 		if err := d.Err(); err != nil {
 			return err
 		}
 		switch {
 		case VPageOf(vp) != vp:
 			return fmt.Errorf("mem: page-table entry for unaligned page %#x", uint64(vp))
+		case marked:
+			return fmt.Errorf("mem: page %#x is marked for next-touch migration, which is not modelled", uint64(vp))
 		case as.find(vp) != nil:
 			return fmt.Errorf("mem: duplicate page-table entry for page %#x", uint64(vp))
 		case PageOf(frame) != frame || uint64(frame) >= as.phys.TotalBytes():
@@ -159,9 +154,9 @@ func (as *AddressSpace) DecodeState(d *checkpoint.Decoder) error {
 		case uint64(frame)%as.phys.bytesPerNode/PageBytes >= as.phys.FramesTouched(home):
 			return fmt.Errorf("mem: page %#x maps to frame %#x, which node %d never handed out", uint64(vp), uint64(frame), home)
 		case as.phys.claim(frame):
-			return fmt.Errorf("mem: page %#x maps to frame %#x, which is free or already mapped", uint64(vp), uint64(frame))
+			return fmt.Errorf("mem: page %#x maps to frame %#x, which is already mapped", uint64(vp), uint64(frame))
 		}
-		as.insert(vp, frame, home).nextTouch = next
+		as.insert(vp, frame)
 	}
 	return d.Err()
 }

@@ -92,7 +92,6 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota
-	kindCounterFunc
 	kindGauge
 	kindHistogram
 )
@@ -138,13 +137,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	c := &Counter{}
 	r.add(&metric{name: name, help: help, labels: labels, kind: kindCounter, c: c})
 	return c
-}
-
-// CounterFunc registers a counter series whose value is computed at
-// exposition time — for monotonic values owned elsewhere (e.g. a raw
-// nanosecond total exposed as seconds).
-func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	r.add(&metric{name: name, help: help, labels: labels, kind: kindCounterFunc, fn: fn})
 }
 
 // Gauge registers a gauge series whose value is computed at exposition

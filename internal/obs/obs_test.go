@@ -242,7 +242,6 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("t_jobs_run_total", "Jobs run.")
 	reg.Gauge("t_active", "Active sweeps.", func() float64 { return 2.5 })
-	reg.CounterFunc("t_busy_seconds_total", "Busy time.", func() float64 { return 1.5 })
 	h := reg.Histogram("t_dur_seconds", "Job duration.", 1e-9,
 		[]uint64{1_000_000, 2_000_000, 4_000_000}, Label{"kind", "job"})
 
@@ -262,9 +261,6 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 		"# HELP t_active Active sweeps.",
 		"# TYPE t_active gauge",
 		"t_active 2.5",
-		"# HELP t_busy_seconds_total Busy time.",
-		"# TYPE t_busy_seconds_total counter",
-		"t_busy_seconds_total 1.5",
 		"# HELP t_dur_seconds Job duration.",
 		"# TYPE t_dur_seconds histogram",
 		`t_dur_seconds_bucket{kind="job",le="0.001"} 1`,

@@ -49,7 +49,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		switch m.kind {
 		case kindCounter:
 			fmt.Fprintf(w, "%s%s %d\n", m.name, labelString(m.labels, "", ""), m.c.Load())
-		case kindCounterFunc, kindGauge:
+		case kindGauge:
 			fmt.Fprintf(w, "%s%s %s\n", m.name, labelString(m.labels, "", ""), formatFloat(m.fn()))
 		case kindHistogram:
 			writeHistogram(w, m)
@@ -76,7 +76,7 @@ func writeHistogram(w io.Writer, m *metric) {
 
 func typeString(k metricKind) string {
 	switch k {
-	case kindCounter, kindCounterFunc:
+	case kindCounter:
 		return "counter"
 	case kindGauge:
 		return "gauge"

@@ -332,9 +332,10 @@ func (m *Machine) Restore(r io.Reader, threads []ThreadSpec) (string, error) {
 	if nspaces != len(m.spaces) {
 		return meta, fmt.Errorf("system: checkpoint has %d address spaces, machine has %d", nspaces, len(m.spaces))
 	}
-	// The spaces claim distinct frames, none of them free, so each
-	// node maps at most its live frames; equal totals then mean every
-	// node maps exactly FramesInUse frames, each by one page.
+	// The spaces claim distinct frames, each handed out by its node, so
+	// each node maps at most its touched frames, all of which are live;
+	// equal totals then mean every node maps exactly FramesTouched
+	// frames, each by one page.
 	var mapped, live uint64
 	for _, s := range m.spaces {
 		if err := s.DecodeState(d); err != nil {
@@ -343,7 +344,7 @@ func (m *Machine) Restore(r io.Reader, threads []ThreadSpec) (string, error) {
 		mapped += uint64(s.MappedPages())
 	}
 	for _, n := range m.nodes {
-		live += m.phys.FramesInUse(n.id)
+		live += m.phys.FramesTouched(n.id)
 	}
 	if mapped != live {
 		return meta, fmt.Errorf("system: checkpoint maps %d pages over %d live frames", mapped, live)

@@ -29,7 +29,7 @@ func snapBuild(t *testing.T, policy testPolicy, warmup bool) (*Machine, []Thread
 		t.Fatalf("New: %v", err)
 	}
 	wl := workload.MustSynthetic(stressParams(4, 2000))
-	space := m.NewAddressSpace(mem.FirstTouch)
+	space := m.NewAddressSpace()
 	preplace(t, space, wl, func(th int) mem.NodeID { return mem.NodeID(th % cfg.Nodes) })
 	var specs []ThreadSpec
 	for th := 0; th < 4; th++ {
@@ -317,7 +317,7 @@ func twoSpaceBuild(t *testing.T, leak bool) (*Machine, []ThreadSpec) {
 	wl := workload.MustSynthetic(stressParams(2, 1000))
 	var specs []ThreadSpec
 	for p := 0; p < 2; p++ {
-		space := m.NewAddressSpace(mem.FirstTouch)
+		space := m.NewAddressSpace()
 		preplace(t, space, wl, func(th int) mem.NodeID { return mem.NodeID(2*p + th) })
 		for th := 0; th < 2; th++ {
 			specs = append(specs, ThreadSpec{

@@ -228,8 +228,8 @@ func (m *Machine) Engine() *sim.Engine { return m.eng }
 // NewAddressSpace creates a process address space over the machine's
 // physical memory. The machine remembers every space it hands out (in
 // creation order) so checkpoints capture translation state.
-func (m *Machine) NewAddressSpace(policy mem.Policy) *mem.AddressSpace {
-	s := mem.NewAddressSpace(m.phys, policy)
+func (m *Machine) NewAddressSpace() *mem.AddressSpace {
+	s := mem.NewAddressSpace(m.phys)
 	m.spaces = append(m.spaces, s)
 	return s
 }

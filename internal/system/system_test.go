@@ -96,7 +96,7 @@ func runStress(t *testing.T, policy testPolicy, seed uint64) *RunResult {
 		t.Fatalf("New: %v", err)
 	}
 	wl := workload.MustSynthetic(stressParams(4, 3000))
-	space := m.NewAddressSpace(mem.FirstTouch)
+	space := m.NewAddressSpace()
 	preplace(t, space, wl, func(th int) mem.NodeID { return mem.NodeID(th % cfg.Nodes) })
 	var specs []ThreadSpec
 	for th := 0; th < 4; th++ {
@@ -168,7 +168,7 @@ func TestALLARMPrivateOnlyWorkload(t *testing.T) {
 		Pattern:     workload.Uniform, Init: workload.InterleavedInit,
 		Think: 1 * workload.Nanosecond,
 	})
-	space := m.NewAddressSpace(mem.FirstTouch)
+	space := m.NewAddressSpace()
 	preplace(t, space, wl, func(th int) mem.NodeID { return mem.NodeID(th) })
 	var specs []ThreadSpec
 	for th := 0; th < 4; th++ {
@@ -211,7 +211,7 @@ func TestBaselinePrivateOnlyWorkload(t *testing.T) {
 		Pattern:     workload.Uniform, Init: workload.InterleavedInit,
 		Think: 1 * workload.Nanosecond,
 	})
-	space := m.NewAddressSpace(mem.FirstTouch)
+	space := m.NewAddressSpace()
 	preplace(t, space, wl, func(th int) mem.NodeID { return mem.NodeID(th) })
 	var specs []ThreadSpec
 	for th := 0; th < 4; th++ {
@@ -255,7 +255,7 @@ func TestFull16NodeBothPolicies(t *testing.T) {
 			NeighborFrac: 0.2,
 			Think:        2 * workload.Nanosecond, ThinkJitter: 1 * workload.Nanosecond,
 		})
-		space := m.NewAddressSpace(mem.FirstTouch)
+		space := m.NewAddressSpace()
 		preplace(t, space, wl, func(th int) mem.NodeID { return mem.NodeID(th) })
 		var specs []ThreadSpec
 		for th := 0; th < 16; th++ {
@@ -282,7 +282,7 @@ func TestMsgPoolRecycleSteadyState(t *testing.T) {
 			t.Fatalf("New: %v", err)
 		}
 		wl := workload.MustSynthetic(stressParams(4, 3000))
-		space := m.NewAddressSpace(mem.FirstTouch)
+		space := m.NewAddressSpace()
 		preplace(t, space, wl, func(th int) mem.NodeID { return mem.NodeID(th % cfg.Nodes) })
 		var specs []ThreadSpec
 		for th := 0; th < 4; th++ {

@@ -79,7 +79,7 @@ func buildWorkloadMachine(cfg Config, wl Workload) (*system.Machine, []system.Th
 	if err != nil {
 		return nil, nil, err
 	}
-	space := m.NewAddressSpace(cfg.memPolicy())
+	space := m.NewAddressSpace()
 	nodeOf := func(t int) mem.NodeID { return mem.NodeID(t % cfg.Nodes) }
 	if err := placePages(space, wl, nodeOf); err != nil {
 		return nil, nil, err
@@ -201,7 +201,7 @@ func buildMultiProcessMachine(cfg Config, mp MultiProcessConfig, benchmark strin
 			return nil, nil, err
 		}
 		node := mem.NodeID(c * spread)
-		space := m.NewAddressSpace(cfg.memPolicy())
+		space := m.NewAddressSpace()
 		if err := placePages(space, wl, func(int) mem.NodeID { return node }); err != nil {
 			return nil, nil, err
 		}
