@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"allarm/internal/mem"
+	"allarm/internal/rng"
 )
 
 func line(i int) mem.PAddr { return mem.PAddr(i * mem.LineBytes) }
@@ -31,16 +32,16 @@ func TestStatePredicates(t *testing.T) {
 func TestInsertLookupRemove(t *testing.T) {
 	c := New("t", 4096, 4) // 64 lines, 16 sets
 	c.Insert(Line{Addr: line(1), State: Exclusive})
-	if l := c.Lookup(line(1)); l == nil || l.State != Exclusive {
+	if l := c.Lookup(line(1)); !l.Ok() || l.State() != Exclusive {
 		t.Fatal("lookup after insert failed")
 	}
-	if l := c.Peek(line(2)); l != nil {
+	if c.Peek(line(2)).Ok() {
 		t.Fatal("peek of absent line succeeded")
 	}
 	if _, ok := c.Remove(line(1)); !ok {
 		t.Fatal("remove failed")
 	}
-	if c.Peek(line(1)) != nil {
+	if c.Peek(line(1)).Ok() {
 		t.Fatal("line survived removal")
 	}
 }
@@ -93,7 +94,7 @@ func TestCacheInvariantNoDuplicates(t *testing.T) {
 	f := func(ops []uint8) bool {
 		for _, op := range ops {
 			a := line(int(op % 32))
-			if c.Peek(a) == nil {
+			if !c.Peek(a).Ok() {
 				c.Insert(Line{Addr: a, State: Exclusive})
 			} else if op%3 == 0 {
 				c.Remove(a)
@@ -150,8 +151,8 @@ func TestHierarchyMissThenHit(t *testing.T) {
 	if r := h.Access(line(1), false); r.Outcome != Hit || r.Level != 1 {
 		t.Fatalf("after fill: %+v", r)
 	}
-	if l := h.PeekLine(line(1)); l.Version != 7 {
-		t.Fatalf("version = %d", l.Version)
+	if v := h.Find(line(1)).Version(); v != 7 {
+		t.Fatalf("version = %d", v)
 	}
 }
 
@@ -161,7 +162,7 @@ func TestHierarchySilentEUpgrade(t *testing.T) {
 	if r := h.Access(line(1), true); r.Outcome != Hit {
 		t.Fatalf("store to E = %v", r.Outcome)
 	}
-	if st := h.ProbeState(line(1)); st != Modified {
+	if st := h.Find(line(1)).State(); st != Modified {
 		t.Fatalf("state after silent upgrade = %v", st)
 	}
 }
@@ -173,7 +174,7 @@ func TestHierarchyUpgradeMissOnShared(t *testing.T) {
 		t.Fatalf("store to S = %v", r.Outcome)
 	}
 	// The line must be retained pending the upgrade.
-	if h.ProbeState(line(1)) != Shared {
+	if h.Find(line(1)).State() != Shared {
 		t.Fatal("upgrade miss dropped the line")
 	}
 }
@@ -186,17 +187,17 @@ func TestExclusiveHierarchySwap(t *testing.T) {
 	}
 	// One of the early lines must now be in L2, not L1.
 	demoted := line(0)
-	if h.L1().Peek(demoted) != nil {
+	if h.L1().Peek(demoted).Ok() {
 		t.Skip("line 0 still in L1 under this geometry")
 	}
-	if h.L2().Peek(demoted) == nil {
+	if !h.L2().Peek(demoted).Ok() {
 		t.Fatal("demoted line not in L2")
 	}
 	if r := h.Access(demoted, false); r.Outcome != Hit || r.Level != 2 {
 		t.Fatalf("L2 hit = %+v", r)
 	}
 	// Exclusive property: after the swap the line is in L1 only.
-	if h.L2().Peek(demoted) != nil {
+	if h.L2().Peek(demoted).Ok() {
 		t.Fatal("line duplicated across levels after swap")
 	}
 }
@@ -204,14 +205,14 @@ func TestExclusiveHierarchySwap(t *testing.T) {
 func TestHierarchyInvalidate(t *testing.T) {
 	h := newHier()
 	h.Fill(line(1), Modified, false, 3)
-	st, dirty := h.Invalidate(line(1))
+	st, dirty := h.Invalidate(h.Find(line(1)))
 	if st != Modified || !dirty {
 		t.Fatalf("Invalidate = %v,%v", st, dirty)
 	}
-	if h.ProbeState(line(1)) != Invalid {
+	if h.Find(line(1)).State() != Invalid {
 		t.Fatal("line survived invalidation")
 	}
-	if st, dirty := h.Invalidate(line(9)); st != Invalid || dirty {
+	if st, dirty := h.Invalidate(h.Find(line(9))); st != Invalid || dirty {
 		t.Fatal("invalidate of absent line reported a hit")
 	}
 }
@@ -219,15 +220,15 @@ func TestHierarchyInvalidate(t *testing.T) {
 func TestHierarchyDowngrade(t *testing.T) {
 	h := newHier()
 	h.Fill(line(1), Modified, false, 0)
-	if prev := h.Downgrade(line(1)); prev != Modified {
+	if prev := h.Downgrade(h.Find(line(1))); prev != Modified {
 		t.Fatalf("prev = %v", prev)
 	}
-	if st := h.ProbeState(line(1)); st != Owned {
+	if st := h.Find(line(1)).State(); st != Owned {
 		t.Fatalf("M downgraded to %v, want O", st)
 	}
 	h.Fill(line(2), Exclusive, false, 0)
-	h.Downgrade(line(2))
-	if st := h.ProbeState(line(2)); st != Shared {
+	h.Downgrade(h.Find(line(2)))
+	if st := h.Find(line(2)).State(); st != Shared {
 		t.Fatalf("E downgraded to %v, want S", st)
 	}
 }
@@ -256,11 +257,11 @@ func TestVictimClassification(t *testing.T) {
 func TestSetTracked(t *testing.T) {
 	h := newHier()
 	h.Fill(line(1), Exclusive, true, 0)
-	if !h.PeekLine(line(1)).Untracked {
+	if !h.Find(line(1)).Untracked() {
 		t.Fatal("untracked mark lost")
 	}
 	h.SetTracked(line(1))
-	if h.PeekLine(line(1)).Untracked {
+	if h.Find(line(1)).Untracked() {
 		t.Fatal("SetTracked did not clear the mark")
 	}
 }
@@ -272,20 +273,54 @@ func TestUpgradeFillInL2(t *testing.T) {
 	for i := 1; i <= 8; i++ {
 		h.Fill(line(i*h.L1().sets), Exclusive, false, 0)
 	}
-	if h.L2().Peek(line(0)) == nil {
+	if !h.L2().Peek(line(0)).Ok() {
 		t.Skip("line 0 not demoted under this geometry")
 	}
 	h.Fill(line(0), Modified, false, 3)
-	if st := h.ProbeState(line(0)); st != Modified {
+	if st := h.Find(line(0)).State(); st != Modified {
 		t.Fatalf("upgrade-in-L2 state = %v", st)
 	}
-	if h.L1().Peek(line(0)) == nil {
+	if !h.L1().Peek(line(0)).Ok() {
 		t.Fatal("upgrade grant did not promote to L1")
 	}
 }
 
+// TestPackedLine pins a way's host cost: a tag word, a version and an
+// LRU tick, 24 bytes, all ways cut from one allocation.
 func TestPackedLine(t *testing.T) {
-	if n := unsafe.Sizeof(Line{}); n != 32 {
-		t.Fatalf("Line is %d bytes, want 32", n)
+	c := New("t", 4096, 4)
+	if n := unsafe.Sizeof(c.tags[0]) + unsafe.Sizeof(c.vers[0]) + unsafe.Sizeof(c.lrus[0]); n != 24 {
+		t.Fatalf("a way costs %d bytes, want 24", n)
+	}
+	// The cache header and one backing array.
+	if n := testing.AllocsPerRun(10, func() { New("t", 4096, 4) }); n != 2 {
+		t.Fatalf("New allocates %v times, want 2", n)
+	}
+}
+
+// BenchmarkHierarchyAccessFill drives a Table I hierarchy (32 KiB/4-way
+// L1, 256 KiB/4-way L2) with a seeded random mix over four L2s' worth of
+// lines, 30% stores, filling every miss: the per-access work of the
+// cache layer.
+func BenchmarkHierarchyAccessFill(b *testing.B) {
+	r := rng.New(1)
+	addrs := make([]mem.PAddr, 1<<16)
+	writes := make([]bool, len(addrs))
+	for i := range addrs {
+		addrs[i] = line(r.Intn(4 * (256 << 10) / mem.LineBytes))
+		writes[i] = r.Bool(0.3)
+	}
+	h := NewHierarchy(32<<10, 4, 256<<10, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i & (len(addrs) - 1)
+		if res := h.Access(addrs[j], writes[j]); res.Outcome != Hit {
+			st := Exclusive
+			if writes[j] {
+				st = Modified
+			}
+			h.Fill(addrs[j], st, false, 0)
+		}
 	}
 }

@@ -92,6 +92,10 @@ type AccessResult struct {
 	// Level is 1 for an L1 hit, 2 for an L2 hit (including upgrade misses
 	// that found the line) and 0 for a full miss. It drives hit latency.
 	Level int
+	// Line is the slot of the line the access found (Hit and
+	// UpgradeMiss), valid until the hierarchy next changes. The zero
+	// Slot on a Miss.
+	Line Slot
 	// Victims are lines evicted by an L2→L1 swap that need coherence
 	// actions. The slice aliases a scratch buffer that the next Access or
 	// Fill call overwrites; consume it before touching the hierarchy
@@ -115,23 +119,19 @@ func (h *Hierarchy) Access(lineAddr mem.PAddr, write bool) AccessResult {
 	h.stats.Accesses++
 	h.victims = h.victims[:0]
 
-	if l := h.l1.Lookup(lineAddr); l != nil {
-		out := h.hitPath(l, write)
+	if l := h.l1.Lookup(lineAddr); l.Ok() {
+		out := hitPath(l, write)
 		h.countHit(out, 1)
-		return AccessResult{Outcome: out, Level: 1}
+		return AccessResult{Outcome: out, Level: 1, Line: l}
 	}
-	if l2line := h.l2.Peek(lineAddr); l2line != nil {
+	if i := h.l2.find(lineAddr); i >= 0 {
 		// Exclusive hierarchy: move the line up to L1, demote the L1
-		// victim to L2.
-		moved, _ := h.l2.Remove(lineAddr)
-		h.insertL1(moved)
-		l := h.l1.Lookup(lineAddr)
-		if l == nil {
-			panic("cache: line vanished during L2→L1 swap")
-		}
-		out := h.hitPath(l, write)
+		// victim to L2. The promoted line is then used like an L1 hit.
+		l := h.insertL1(h.l2.take(i))
+		h.l1.touch(l.i)
+		out := hitPath(l, write)
 		h.countHit(out, 2)
-		return AccessResult{Outcome: out, Level: 2, Victims: h.victims}
+		return AccessResult{Outcome: out, Level: 2, Line: l, Victims: h.victims}
 	}
 	h.stats.Misses++
 	return AccessResult{Outcome: Miss}
@@ -151,15 +151,15 @@ func (h *Hierarchy) countHit(out AccessOutcome, level int) {
 }
 
 // hitPath applies store-upgrade rules to a present line.
-func (h *Hierarchy) hitPath(l *Line, write bool) AccessOutcome {
+func hitPath(l Slot, write bool) AccessOutcome {
 	if !write {
 		return Hit
 	}
-	switch l.State {
+	switch l.State() {
 	case Modified:
 		return Hit
 	case Exclusive:
-		l.State = Modified // silent E→M upgrade
+		l.setState(Modified) // silent E→M upgrade
 		return Hit
 	case Shared, Owned:
 		return UpgradeMiss
@@ -170,9 +170,10 @@ func (h *Hierarchy) hitPath(l *Line, write bool) AccessOutcome {
 
 // insertL1 inserts a line into L1, demoting any L1 victim into L2 and
 // appending L2 victims that require coherence actions to the scratch
-// buffer.
-func (h *Hierarchy) insertL1(line Line) {
-	if v, evicted := h.l1.Insert(line); evicted {
+// buffer. It returns the line's L1 slot.
+func (h *Hierarchy) insertL1(line Line) Slot {
+	at, v, evicted := h.l1.insert(line)
+	if evicted {
 		if v2, evicted2 := h.l2.Insert(v); evicted2 {
 			if v2.State == Shared {
 				// Silent drop; Hammer directories do not track sharers.
@@ -184,6 +185,7 @@ func (h *Hierarchy) insertL1(line Line) {
 			}
 		}
 	}
+	return Slot{h.l1, at}
 }
 
 // Fill completes a miss: the granted line enters L1 with the given state
@@ -191,82 +193,69 @@ func (h *Hierarchy) insertL1(line Line) {
 // the state is updated in place. Victims evicted to make room are
 // returned; as with Access, the slice aliases a reused scratch buffer.
 func (h *Hierarchy) Fill(lineAddr mem.PAddr, st State, untracked bool, version uint64) []Victim {
-	lineAddr = mem.LineOf(lineAddr)
+	return h.FillAt(h.Find(lineAddr), lineAddr, st, untracked, version)
+}
+
+// FillAt is Fill for a caller that has already located the line: l must
+// be what Find(lineAddr) returned, with no change to the hierarchy since.
+func (h *Hierarchy) FillAt(l Slot, lineAddr mem.PAddr, st State, untracked bool, version uint64) []Victim {
 	h.victims = h.victims[:0]
-	if l := h.l1.Peek(lineAddr); l != nil {
-		l.State = st
-		l.Untracked = untracked
-		l.Version = version
+	switch l.c {
+	case h.l1:
+		l.setState(st)
+		l.setUntracked(untracked)
+		l.SetVersion(version)
 		return nil
-	}
-	if l := h.l2.Peek(lineAddr); l != nil {
+	case h.l2:
 		// Upgrade grant while the line sat in L2: promote to L1.
-		moved, _ := h.l2.Remove(lineAddr)
+		moved := h.l2.take(l.i)
 		moved.State = st
 		moved.Untracked = untracked
 		moved.Version = version
 		h.insertL1(moved)
 		return h.victims
 	}
-	h.insertL1(Line{Addr: lineAddr, State: st, Untracked: untracked, Version: version})
+	h.insertL1(Line{Addr: mem.LineOf(lineAddr), State: st, Untracked: untracked, Version: version})
 	return h.victims
 }
 
-// ProbeState reports the current state of lineAddr without side effects.
-func (h *Hierarchy) ProbeState(lineAddr mem.PAddr) State {
-	if l := h.PeekLine(lineAddr); l != nil {
-		return l.State
+// Find returns the slot holding lineAddr in whichever level holds it, or
+// the zero Slot, without LRU side effects.
+func (h *Hierarchy) Find(lineAddr mem.PAddr) Slot {
+	lineAddr = mem.LineOf(lineAddr)
+	if i := h.l1.find(lineAddr); i >= 0 {
+		return Slot{h.l1, i}
 	}
-	return Invalid
+	return h.l2.slot(h.l2.find(lineAddr))
 }
 
-// PeekLine returns the line's bookkeeping from whichever level holds it,
-// or nil, without LRU side effects.
-func (h *Hierarchy) PeekLine(lineAddr mem.PAddr) *Line {
-	lineAddr = mem.LineOf(lineAddr)
-	if l := h.l1.Peek(lineAddr); l != nil {
-		return l
+// Invalidate removes the line in slot l from the hierarchy (a coherence
+// invalidation), returning the state it held (Invalid for the zero Slot)
+// and whether the line's data was dirty.
+func (h *Hierarchy) Invalidate(l Slot) (State, bool) {
+	if !l.Ok() {
+		return Invalid, false
 	}
-	return h.l2.Peek(lineAddr)
+	st := l.c.take(l.i).State
+	l.c.noteInvalidation()
+	h.stats.ProbeHits++
+	return st, st.Dirty()
 }
 
-// Invalidate removes lineAddr from the hierarchy (a coherence
-// invalidation), returning the state it held (Invalid if absent) and
-// whether the line's data was dirty.
-func (h *Hierarchy) Invalidate(lineAddr mem.PAddr) (State, bool) {
-	lineAddr = mem.LineOf(lineAddr)
-	if l, ok := h.l1.Remove(lineAddr); ok {
-		h.l1.noteInvalidation()
-		h.stats.ProbeHits++
-		return l.State, l.State.Dirty()
-	}
-	if l, ok := h.l2.Remove(lineAddr); ok {
-		h.l2.noteInvalidation()
-		h.stats.ProbeHits++
-		return l.State, l.State.Dirty()
-	}
-	return Invalid, false
-}
-
-// Downgrade moves lineAddr to the target shared-side state in response to
-// a read probe: M→O, E→S, O and S unchanged. It returns the state held
-// before the probe (Invalid if absent).
-func (h *Hierarchy) Downgrade(lineAddr mem.PAddr) State {
-	lineAddr = mem.LineOf(lineAddr)
-	l := h.l1.Peek(lineAddr)
-	if l == nil {
-		l = h.l2.Peek(lineAddr)
-	}
-	if l == nil {
+// Downgrade moves the line in slot l to the target shared-side state in
+// response to a read probe: M→O, E→S, O and S unchanged. It returns the
+// state held before the probe (Invalid for the zero Slot).
+func (h *Hierarchy) Downgrade(l Slot) State {
+	if !l.Ok() {
 		return Invalid
 	}
 	h.stats.ProbeHits++
-	prev := l.State
-	switch l.State {
+	prev := l.State()
+	switch prev {
 	case Modified:
-		l.State = Owned
+		l.setState(Owned)
 	case Exclusive:
-		l.State = Shared
+		l.setState(Shared)
 	}
 	return prev
 }
@@ -275,13 +264,8 @@ func (h *Hierarchy) Downgrade(lineAddr mem.PAddr) State {
 // allocates an entry for it (ALLARM remote-miss discovery). No-op when the
 // line is absent.
 func (h *Hierarchy) SetTracked(lineAddr mem.PAddr) {
-	lineAddr = mem.LineOf(lineAddr)
-	if l := h.l1.Peek(lineAddr); l != nil {
-		l.Untracked = false
-		return
-	}
-	if l := h.l2.Peek(lineAddr); l != nil {
-		l.Untracked = false
+	if l := h.Find(lineAddr); l.Ok() {
+		l.setUntracked(false)
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 )
 
 // Format is the current checkpoint format version. Bump it whenever the
@@ -63,6 +64,14 @@ type Encoder struct {
 func NewEncoder(meta string) *Encoder {
 	return &Encoder{meta: meta, buf: make([]byte, 0, 4096)}
 }
+
+// Grow reserves room for n more payload bytes, so a caller that knows
+// roughly how large its checkpoint will be (say, from the previous one)
+// pays for one buffer instead of a chain of doublings.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
+
+// Size returns the payload bytes written so far.
+func (e *Encoder) Size() int { return len(e.buf) }
 
 // Section writes a named marker delimiting the next group of values.
 func (e *Encoder) Section(name string) { e.String(name) }

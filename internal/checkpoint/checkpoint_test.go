@@ -312,3 +312,28 @@ func TestStructCodec(t *testing.T) {
 		t.Fatalf("struct round-trip: %+v vs %+v", in, out)
 	}
 }
+
+// TestEncoderGrowSize: Grow reserves room without writing, and Size
+// counts the payload bytes written.
+func TestEncoderGrowSize(t *testing.T) {
+	blob := func(grow int) []byte {
+		e := NewEncoder("m")
+		e.Grow(grow)
+		if e.Size() != 0 {
+			t.Fatalf("Size after Grow(%d) = %d", grow, e.Size())
+		}
+		e.Section("s")
+		e.U64(7)
+		if e.Size() != 8+1+8 {
+			t.Fatalf("Size = %d, want 17", e.Size())
+		}
+		var buf bytes.Buffer
+		if err := e.Close(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if !bytes.Equal(blob(0), blob(1<<16)) {
+		t.Fatal("Grow changed the checkpoint")
+	}
+}

@@ -150,20 +150,20 @@ func (c *CacheCtrl) CoreAccess(now sim.Time, addr mem.PAddr, write bool, done si
 	c.sendPuts(res.Victims)
 
 	if res.Outcome == cache.Hit {
-		l := c.hier.PeekLine(addr)
-		if l == nil {
+		l := res.Line
+		if !l.Ok() {
 			panic("coherence: hit without a line")
 		}
 		if write {
-			if !l.State.Writable() {
+			if !l.State().Writable() {
 				panic("coherence: store hit without writable line")
 			}
-			l.Version++
+			l.SetVersion(l.Version() + 1)
 			if c.OnStore != nil {
-				c.OnStore(addr, l.Version)
+				c.OnStore(addr, l.Version())
 			}
 		} else if c.OnLoad != nil {
-			c.OnLoad(addr, l.Version)
+			c.OnLoad(addr, l.Version())
 		}
 		c.eng.Schedule(t, done)
 		return
@@ -230,13 +230,11 @@ func (c *CacheCtrl) handleFill(now sim.Time, m *Msg) {
 		c.stats.UntrackedFills++
 	}
 
-	version := m.Version
 	// An upgrade grant can race a stale-but-older DRAM copy: if we still
 	// hold the line with newer data (we were the O-state owner asking for
 	// ownership), our version wins.
-	if l := c.hier.PeekLine(m.Addr); l != nil && l.Version > version {
-		version = l.Version
-	}
+	l := c.hier.Find(m.Addr)
+	version := max(m.Version, l.Version())
 	grant := m.Grant
 	if p.write {
 		if !grant.Writable() {
@@ -245,7 +243,7 @@ func (c *CacheCtrl) handleFill(now sim.Time, m *Msg) {
 		grant = cache.Modified
 		version++ // the store commits into the filled line
 	}
-	victims := c.hier.Fill(m.Addr, grant, m.Untracked, version)
+	victims := c.hier.FillAt(l, m.Addr, grant, m.Untracked, version)
 	c.sendPuts(victims)
 	if p.write {
 		if c.OnStore != nil {
@@ -282,20 +280,18 @@ func (c *CacheCtrl) handleProbe(now sim.Time, m *Msg) {
 
 	invalidate := m.Op == PrbInv || (m.Op == PrbLocal && m.Mode == GetM)
 
-	var prev cache.State
-	var version uint64
-	if l := c.hier.PeekLine(m.Addr); l != nil {
-		prev = l.State
-		version = l.Version
-	}
+	// One lookup serves the reply and the state change; an absent line
+	// reads as Invalid, version 0.
+	l := c.hier.Find(m.Addr)
+	prev, version := l.State(), l.Version()
 
 	owner := prev == cache.Modified || prev == cache.Owned || prev == cache.Exclusive
 	dirty := prev.Dirty()
 
 	if invalidate {
-		c.hier.Invalidate(m.Addr)
+		c.hier.Invalidate(l)
 	} else {
-		c.hier.Downgrade(m.Addr)
+		c.hier.Downgrade(l)
 	}
 
 	ack := c.pool.Get()

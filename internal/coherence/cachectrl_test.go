@@ -88,10 +88,10 @@ func TestFillCompletesAndAcks(t *testing.T) {
 	if cmp == nil || cmp.Dst != 1 || cmp.TxnID != 77 || !cmp.ToDir {
 		t.Fatalf("CmpAck wrong: %v", cmp)
 	}
-	if st := cc.Hierarchy().ProbeState(line(1)); st != cache.Exclusive {
+	if st := cc.Hierarchy().Find(line(1)).State(); st != cache.Exclusive {
 		t.Fatalf("state %v", st)
 	}
-	if cc.Hierarchy().PeekLine(line(1)).Version != 9 {
+	if cc.Hierarchy().Find(line(1)).Version() != 9 {
 		t.Fatal("version lost")
 	}
 }
@@ -105,7 +105,7 @@ func TestWriteFillUpgradesToModifiedAndBumpsVersion(t *testing.T) {
 		Grant: cache.Modified, Version: 4,
 	})
 	eng.Run(0)
-	l := cc.Hierarchy().PeekLine(line(1))
+	l := cc.Hierarchy().Find(line(1)).Line()
 	if l.State != cache.Modified || l.Version != 5 {
 		t.Fatalf("line %+v, want M v5", l)
 	}
@@ -146,7 +146,7 @@ func TestProbeInvOnOwnerForwardsData(t *testing.T) {
 	if ack == nil || !ack.Hit || ack.PrevState != cache.Modified || ack.TxnID != 11 {
 		t.Fatalf("ack %v", ack)
 	}
-	if cc.Hierarchy().ProbeState(line(3)) != cache.Invalid {
+	if cc.Hierarchy().Find(line(3)).State() != cache.Invalid {
 		t.Fatal("line survived invalidation")
 	}
 }
@@ -182,7 +182,7 @@ func TestProbeDownDowngradesAndForwards(t *testing.T) {
 		Mode: GetS, ForwardTo: 7, Grant: cache.Shared,
 	})
 	eng.Run(0)
-	if st := cc.Hierarchy().ProbeState(line(4)); st != cache.Owned {
+	if st := cc.Hierarchy().Find(line(4)).State(); st != cache.Owned {
 		t.Fatalf("state after PrbDown = %v", st)
 	}
 	var data *Msg
@@ -202,12 +202,12 @@ func TestPrbLocalModeSemantics(t *testing.T) {
 	cc.Hierarchy().Fill(line(5), cache.Exclusive, true, 0)
 	cc.HandleMsg(0, &Msg{Op: PrbLocal, Addr: line(5), Src: 0, Dst: 0, Mode: GetS, ForwardTo: 3, Grant: cache.Shared})
 	eng.Run(0)
-	if st := cc.Hierarchy().ProbeState(line(5)); st != cache.Shared {
+	if st := cc.Hierarchy().Find(line(5)).State(); st != cache.Shared {
 		t.Fatalf("PrbLocal/GetS left state %v", st)
 	}
 	cc.HandleMsg(eng.Now(), &Msg{Op: PrbLocal, Addr: line(5), Src: 0, Dst: 0, Mode: GetM, ForwardTo: 3, Grant: cache.Modified})
 	eng.Run(0)
-	if st := cc.Hierarchy().ProbeState(line(5)); st != cache.Invalid {
+	if st := cc.Hierarchy().Find(line(5)).State(); st != cache.Invalid {
 		t.Fatalf("PrbLocal/GetM left state %v", st)
 	}
 }
@@ -298,8 +298,8 @@ func TestNoFillCompletesWithoutInstalling(t *testing.T) {
 	if cc.hasPending {
 		t.Fatal("MSHR still held")
 	}
-	if l := cc.Hierarchy().PeekLine(line(1)); l != nil {
-		t.Fatalf("no-fill grant installed the line: %+v", l)
+	if l := cc.Hierarchy().Find(line(1)); l.Ok() {
+		t.Fatalf("no-fill grant installed the line: %+v", l.Line())
 	}
 	if len(loaded) != 1 || loaded[0] != 4 {
 		t.Fatalf("load observed %v, want the delivered version", loaded)

@@ -5,27 +5,26 @@ import (
 	"testing/quick"
 
 	"allarm/internal/mem"
+	"allarm/internal/rng"
 )
 
 func line(i int) mem.PAddr { return mem.PAddr(i * mem.LineBytes) }
 
 func TestProbeFilterLookupAllocRemove(t *testing.T) {
 	pf := NewProbeFilter(32<<10, 4) // 512 entries
-	if pf.Lookup(line(1)) != nil {
+	if _, ok := pf.Lookup(line(1)); ok {
 		t.Fatal("lookup hit in empty filter")
 	}
 	if _, evicted, ok := pf.Alloc(line(1), EntryEM, 3, nil); !ok || evicted {
 		t.Fatal("alloc failed")
 	}
-	e := pf.Lookup(line(1))
-	if e == nil || e.State != EntryEM || e.Owner != 3 {
+	e, ok := pf.Lookup(line(1))
+	if !ok || e.State != EntryEM || e.Owner != 3 {
 		t.Fatalf("entry %+v", e)
 	}
-	if !pf.Remove(line(1)) {
-		t.Fatal("remove failed")
-	}
-	if pf.Remove(line(1)) {
-		t.Fatal("double remove succeeded")
+	pf.free(pf.find(line(1)))
+	if pf.find(line(1)) >= 0 {
+		t.Fatal("entry survived free")
 	}
 	s := pf.Stats()
 	if s.Allocs != 1 || s.Deallocs != 1 || s.Hits != 1 || s.Misses != 1 {
@@ -75,11 +74,17 @@ func TestProbeFilterAllWaysBusy(t *testing.T) {
 func TestProbeFilterUpdate(t *testing.T) {
 	pf := NewProbeFilter(32<<10, 4)
 	pf.Alloc(line(5), EntryEM, 1, nil)
-	pf.Update(line(5), EntryO, 2)
+	pf.update(pf.find(line(5)), EntryO, 2)
 	e := pf.Peek(line(5))
 	if e.State != EntryO || e.Owner != 2 {
 		t.Fatalf("entry %+v", e)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("update of an absent entry did not panic")
+		}
+	}()
+	pf.update(pf.find(line(6)), EntryS, 0)
 }
 
 func TestProbeFilterOccupancyInvariant(t *testing.T) {
@@ -90,7 +95,7 @@ func TestProbeFilterOccupancyInvariant(t *testing.T) {
 			if pf.Peek(a) == nil {
 				pf.Alloc(a, EntryS, 0, nil)
 			} else if op%3 == 0 {
-				pf.Remove(a)
+				pf.free(pf.find(a))
 			} else {
 				pf.Lookup(a)
 			}
@@ -263,6 +268,27 @@ func TestMissActionString(t *testing.T) {
 	} {
 		if a.String() != want {
 			t.Fatalf("%v prints %q", a, a.String())
+		}
+	}
+}
+
+// BenchmarkProbeFilterPeekAlloc drives a Table I probe filter (512 KiB
+// coverage, 4-way) with a seeded random mix over four times its coverage:
+// each operation peeks a line and allocates it when absent, evicting
+// once the filter is full.
+func BenchmarkProbeFilterPeekAlloc(b *testing.B) {
+	r := rng.New(1)
+	addrs := make([]mem.PAddr, 1<<16)
+	for i := range addrs {
+		addrs[i] = line(r.Intn(4 * (512 << 10) / mem.LineBytes))
+	}
+	pf := NewProbeFilter(512<<10, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := addrs[i&(len(addrs)-1)]
+		if pf.Peek(a) == nil {
+			pf.Alloc(a, EntryEM, 0, nil)
 		}
 	}
 }

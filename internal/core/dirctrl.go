@@ -379,8 +379,8 @@ func (d *DirCtrl) dispatch(now sim.Time, t *txn) {
 		}
 	}
 
-	e := d.pf.Lookup(t.addr)
-	if e == nil {
+	e, ok := d.pf.Lookup(t.addr)
+	if !ok {
 		d.missFlow(now, t, isLocal)
 		return
 	}
@@ -499,7 +499,7 @@ func grantFor(wantM bool) cache.State {
 }
 
 // hitFlow handles a request whose line has a probe-filter entry.
-func (d *DirCtrl) hitFlow(now sim.Time, t *txn, e *Entry) {
+func (d *DirCtrl) hitFlow(now sim.Time, t *txn, e Entry) {
 	r := t.req.Src
 	wantM := t.req.Op == coherence.GetM
 
@@ -819,12 +819,12 @@ func (d *DirCtrl) tryComplete(now sim.Time, t *txn) {
 			// completing; DRAM is current and no owner remains.
 			t.finalState, t.finalOwner = EntryS, coherence.NoNode
 		}
-		e := d.pf.Peek(t.addr)
-		if e == nil {
+		i := d.pf.find(t.addr)
+		if i < 0 {
 			panic(fmt.Sprintf("core: entry for %#x vanished during transaction", uint64(t.addr)))
 		}
-		if e.State != t.finalState || e.Owner != t.finalOwner {
-			d.pf.Update(t.addr, t.finalState, t.finalOwner)
+		if d.pf.state(i) != t.finalState || d.pf.owners[i] != t.finalOwner {
+			d.pf.update(i, t.finalState, t.finalOwner)
 		}
 	}
 
@@ -904,19 +904,15 @@ func (d *DirCtrl) handlePut(now sim.Time, m *Msg) {
 // freed; O entries demote to S (an O eviction is always a PutM, so the
 // data is already in DRAM).
 func (d *DirCtrl) applyDeferredPut(t *txn) {
-	e := d.pf.Peek(t.addr)
-	if e == nil {
+	i := d.pf.find(t.addr)
+	if i < 0 || d.pf.owners[i] != t.putSrc {
 		return
 	}
-	switch e.State {
+	switch d.pf.state(i) {
 	case EntryEM:
-		if e.Owner == t.putSrc {
-			d.pf.Remove(t.addr)
-		}
+		d.pf.free(i)
 	case EntryO:
-		if e.Owner == t.putSrc {
-			d.pf.Update(t.addr, EntryS, coherence.NoNode)
-		}
+		d.pf.update(i, EntryS, coherence.NoNode)
 	}
 }
 
@@ -925,18 +921,18 @@ func (d *DirCtrl) applyDeferredPut(t *txn) {
 // dirty data just landed in DRAM, sharers may remain). Mismatched owners
 // mean the put is stale and the entry is left alone.
 func (d *DirCtrl) applyPutToEntry(m *Msg) {
-	e := d.pf.Peek(m.Addr)
-	if e == nil {
+	i := d.pf.find(m.Addr)
+	if i < 0 {
 		return // untracked (ALLARM) or already replaced
 	}
-	switch e.State {
+	switch d.pf.state(i) {
 	case EntryEM:
-		if e.Owner == m.Src {
-			d.pf.Remove(m.Addr)
+		if d.pf.owners[i] == m.Src {
+			d.pf.free(i)
 		}
 	case EntryO:
-		if e.Owner == m.Src && m.Op == coherence.PutM {
-			d.pf.Update(m.Addr, EntryS, coherence.NoNode)
+		if d.pf.owners[i] == m.Src && m.Op == coherence.PutM {
+			d.pf.update(i, EntryS, coherence.NoNode)
 		}
 	case EntryS:
 		// No owner: nothing to update.

@@ -412,9 +412,17 @@ func TestVerTable(t *testing.T) {
 	}
 }
 
+// TestPackedEntry pins a probe-filter way's host cost — a tag word, an
+// LRU tick and an owner, at most 20 bytes, all ways cut from one
+// allocation — and the directory's per-page record.
 func TestPackedEntry(t *testing.T) {
-	if n := unsafe.Sizeof(Entry{}); n != 24 {
-		t.Fatalf("Entry is %d bytes, want 24", n)
+	pf := NewProbeFilter(32<<10, 4)
+	if n := unsafe.Sizeof(pf.tags[0]) + unsafe.Sizeof(pf.lrus[0]) + unsafe.Sizeof(pf.owners[0]); n > 20 {
+		t.Fatalf("a probe-filter way costs %d bytes, want at most 20", n)
+	}
+	// The filter header and one backing array.
+	if n := testing.AllocsPerRun(10, func() { NewProbeFilter(32<<10, 4) }); n != 2 {
+		t.Fatalf("NewProbeFilter allocates %v times, want 2", n)
 	}
 	if n := unsafe.Sizeof(pageState{}); n != 16 {
 		t.Fatalf("pageState is %d bytes, want 16", n)

@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"unsafe"
 
 	"allarm/internal/mem"
 )
@@ -47,17 +48,26 @@ func (s EntryState) String() string {
 	}
 }
 
-// Entry is one probe-filter entry. Wide fields come first so an entry
-// packs into 24 bytes: a 4-way set that Peek or victim selection scans
-// spans 96 bytes instead of 128.
+// Entry is one probe-filter entry, as Lookup, Peek, Alloc's victim and
+// ForEachValid report it. The filter does not store Entries: it keeps
+// each way as a tag word, an LRU tick and an owner in parallel arrays
+// (see ProbeFilter).
 type Entry struct {
 	Addr mem.PAddr
-	lru  uint64
 	// Owner is the owning node for EM and O entries (undefined for S).
 	Owner mem.NodeID
 	State EntryState
-	valid bool
 }
+
+// A tag word holds a way's line address in its high bits and the valid
+// bit and EntryState in low bits a 64-byte-aligned address leaves clear.
+// An empty way's word is zero. A lookup compares tag&^pfState with
+// addr|pfValid: one mask and one compare per way.
+const (
+	pfState = 3 // bits 0–1: the EntryState
+	pfValid = 1 << 2
+	pfMeta  = mem.LineBytes - 1
+)
 
 // PFStats counts probe-filter array events; the energy model multiplies
 // them by per-event energies.
@@ -72,13 +82,19 @@ type PFStats struct {
 }
 
 // ProbeFilter is the set-associative sparse-directory tag store of one
-// home node.
+// home node. Way w of set s lives at index s*ways+w of three parallel
+// arrays cut from one allocation: tag words, LRU ticks and owners, 20
+// bytes per way.
 type ProbeFilter struct {
-	sets    int
-	ways    int
-	entries []Entry
-	tick    uint64
-	stats   PFStats
+	sets   int
+	ways   int
+	tags   []uint64
+	lrus   []uint64
+	owners []mem.NodeID
+	tick   uint64
+	stats  PFStats
+	// peeked is the copy Peek returns a pointer to.
+	peeked Entry
 }
 
 // NewProbeFilter builds a probe filter that tracks coverageBytes of cached
@@ -97,7 +113,15 @@ func NewProbeFilter(coverageBytes, ways int) *ProbeFilter {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("core: probe filter set count %d is not a power of two", sets))
 	}
-	return &ProbeFilter{sets: sets, ways: ways, entries: make([]Entry, n)}
+	// The owners (4 bytes each) take the backing array's last n/2 words.
+	b := make([]uint64, 2*n+(n+1)/2)
+	return &ProbeFilter{
+		sets:   sets,
+		ways:   ways,
+		tags:   b[:n:n],
+		lrus:   b[n : 2*n : 2*n],
+		owners: unsafe.Slice((*mem.NodeID)(unsafe.Pointer(&b[2*n])), n),
+	}
 }
 
 // Entries returns the total entry capacity.
@@ -113,51 +137,63 @@ func (pf *ProbeFilter) setIndex(addr mem.PAddr) int {
 	return int(uint64(addr)/mem.LineBytes) & (pf.sets - 1)
 }
 
-func (pf *ProbeFilter) set(addr mem.PAddr) []Entry {
-	i := pf.setIndex(addr) * pf.ways
-	return pf.entries[i : i+pf.ways]
+// find returns the index of the way holding the line-aligned addr, or -1,
+// without statistics or LRU effects.
+func (pf *ProbeFilter) find(addr mem.PAddr) int {
+	base := pf.setIndex(addr) * pf.ways
+	key := uint64(addr) | pfValid
+	for i, t := range pf.tags[base : base+pf.ways] {
+		if t&^pfState == key {
+			return base + i
+		}
+	}
+	return -1
+}
+
+func (pf *ProbeFilter) state(i int) EntryState { return EntryState(pf.tags[i] & pfState) }
+
+func (pf *ProbeFilter) entry(i int) Entry {
+	t := pf.tags[i]
+	return Entry{Addr: mem.PAddr(t &^ pfMeta), Owner: pf.owners[i], State: EntryState(t & pfState)}
 }
 
 // Lookup consults the filter for addr (counting a tag read, since the PF
 // is consulted on every incoming request regardless of policy) and
-// returns the entry or nil. Hits refresh LRU.
-func (pf *ProbeFilter) Lookup(addr mem.PAddr) *Entry {
-	addr = mem.LineOf(addr)
+// returns the entry and whether there is one. Hits refresh LRU.
+func (pf *ProbeFilter) Lookup(addr mem.PAddr) (Entry, bool) {
 	pf.stats.Reads++
-	set := pf.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].Addr == addr {
-			pf.tick++
-			set[i].lru = pf.tick
-			pf.stats.Hits++
-			return &set[i]
-		}
+	i := pf.find(mem.LineOf(addr))
+	if i < 0 {
+		pf.stats.Misses++
+		return Entry{}, false
 	}
-	pf.stats.Misses++
-	return nil
+	pf.tick++
+	pf.lrus[i] = pf.tick
+	pf.stats.Hits++
+	return pf.entry(i), true
 }
 
-// Peek returns the entry for addr without statistics or LRU effects.
+// Peek returns the entry for addr without statistics or LRU effects, or
+// nil. The pointer is to a copy the filter keeps, which the next Peek
+// overwrites; entries change only through the filter's methods.
 func (pf *ProbeFilter) Peek(addr mem.PAddr) *Entry {
-	addr = mem.LineOf(addr)
-	set := pf.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].Addr == addr {
-			return &set[i]
-		}
+	i := pf.find(mem.LineOf(addr))
+	if i < 0 {
+		return nil
 	}
-	return nil
+	pf.peeked = pf.entry(i)
+	return &pf.peeked
 }
 
-// Update rewrites the state/owner of an existing entry, counting an array
-// write. It panics if the entry is absent (callers look up first).
-func (pf *ProbeFilter) Update(addr mem.PAddr, st EntryState, owner mem.NodeID) {
-	e := pf.Peek(addr)
-	if e == nil {
-		panic(fmt.Sprintf("core: Update of absent entry %#x", uint64(addr)))
+// update rewrites the state and owner of the entry at index i (from
+// find), counting an array write. It panics if the way is empty (callers
+// look up first).
+func (pf *ProbeFilter) update(i int, st EntryState, owner mem.NodeID) {
+	if i < 0 || pf.tags[i]&pfValid == 0 {
+		panic(fmt.Sprintf("core: update of an absent entry (way %d)", i))
 	}
-	e.State = st
-	e.Owner = owner
+	pf.tags[i] = pf.tags[i]&^pfState | uint64(st)
+	pf.owners[i] = owner
 	pf.stats.Writes++
 }
 
@@ -165,33 +201,34 @@ func (pf *ProbeFilter) Update(addr mem.PAddr, st EntryState, owner mem.NodeID) {
 // least-recently-used entry whose line is not busy (per busy); the victim
 // must be back-invalidated by the caller. ok is false when every way in
 // the set holds a busy line, in which case nothing changes and the caller
-// retries later.
+// retries later. One pass over the set checks that addr is absent and
+// finds the first free way or, failing one, the victim.
 func (pf *ProbeFilter) Alloc(addr mem.PAddr, st EntryState, owner mem.NodeID, busy func(mem.PAddr) bool) (victim Entry, evicted, ok bool) {
 	addr = mem.LineOf(addr)
-	if pf.Peek(addr) != nil {
-		panic(fmt.Sprintf("core: Alloc of already-present entry %#x", uint64(addr)))
-	}
-	set := pf.set(addr)
-	vi := -1
-	for i := range set {
-		if !set[i].valid {
+	base := pf.setIndex(addr) * pf.ways
+	key := uint64(addr) | pfValid
+	free, vi := -1, -1
+	for i, t := range pf.tags[base : base+pf.ways] {
+		switch {
+		case t&^pfState == key:
+			panic(fmt.Sprintf("core: Alloc of already-present entry %#x", uint64(addr)))
+		case t&pfValid == 0:
+			if free < 0 {
+				free = i
+			}
+		case free >= 0 || busy != nil && busy(mem.PAddr(t&^pfMeta)):
+			// A free way needs no victim; a busy line cannot be one.
+		case vi < 0 || pf.lrus[base+i] < pf.lrus[base+vi]:
 			vi = i
-			break
 		}
 	}
-	if vi < 0 {
-		for i := range set {
-			if busy != nil && busy(set[i].Addr) {
-				continue
-			}
-			if vi < 0 || set[i].lru < set[vi].lru {
-				vi = i
-			}
-		}
+	at := base + free
+	if free < 0 {
 		if vi < 0 {
 			return Entry{}, false, false
 		}
-		victim = set[vi]
+		at = base + vi
+		victim = pf.entry(at)
 		evicted = true
 		pf.stats.Evictions++
 		// A replacement reads out the victim's tag and state before the
@@ -200,34 +237,29 @@ func (pf *ProbeFilter) Alloc(addr mem.PAddr, st EntryState, owner mem.NodeID, bu
 		pf.stats.Reads++
 	}
 	pf.tick++
-	set[vi] = Entry{Addr: addr, State: st, Owner: owner, valid: true, lru: pf.tick}
+	pf.tags[at] = key | uint64(st)
+	pf.lrus[at] = pf.tick
+	pf.owners[at] = owner
 	pf.stats.Writes++
 	pf.stats.Allocs++
 	return victim, evicted, true
 }
 
-// Remove deallocates the entry for addr (PutM/PutE flows), counting an
-// array write. It reports whether an entry was present.
-func (pf *ProbeFilter) Remove(addr mem.PAddr) bool {
-	addr = mem.LineOf(addr)
-	set := pf.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].Addr == addr {
-			set[i] = Entry{}
-			pf.stats.Writes++
-			pf.stats.Deallocs++
-			return true
-		}
-	}
-	return false
+// free deallocates the entry at index i (PutM/PutE flows), counting an
+// array write. An empty way is all zero, which the checkpoint encoding
+// relies on.
+func (pf *ProbeFilter) free(i int) {
+	pf.tags[i], pf.lrus[i], pf.owners[i] = 0, 0, 0
+	pf.stats.Writes++
+	pf.stats.Deallocs++
 }
 
 // Occupancy returns the number of valid entries (O(capacity); used by
 // tests and occupancy diagnostics, not by protocol flows).
 func (pf *ProbeFilter) Occupancy() int {
 	n := 0
-	for i := range pf.entries {
-		if pf.entries[i].valid {
+	for _, t := range pf.tags {
+		if t&pfValid != 0 {
 			n++
 		}
 	}
@@ -240,9 +272,9 @@ func (pf *ProbeFilter) ResetStats() { pf.stats = PFStats{} }
 
 // ForEachValid visits every valid entry (invariant checks).
 func (pf *ProbeFilter) ForEachValid(fn func(Entry)) {
-	for i := range pf.entries {
-		if pf.entries[i].valid {
-			fn(pf.entries[i])
+	for i, t := range pf.tags {
+		if t&pfValid != 0 {
+			fn(pf.entry(i))
 		}
 	}
 }

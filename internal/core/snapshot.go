@@ -129,20 +129,7 @@ func (d *DirCtrl) EncodeState(e *checkpoint.Encoder) error {
 	e.U64(d.txnSeq)
 	checkpoint.EncodeStruct(e, &d.stats)
 
-	// Probe filter: every slot in raw array order (valid bits and LRU
-	// ages included, so replacement replays identically).
-	e.Section("pf")
-	e.U64(d.pf.tick)
-	checkpoint.EncodeStruct(e, &d.pf.stats)
-	e.Len(len(d.pf.entries))
-	for i := range d.pf.entries {
-		en := &d.pf.entries[i]
-		e.U64(uint64(en.Addr))
-		e.U8(uint8(en.State))
-		e.I64(int64(en.Owner))
-		e.Bool(en.valid)
-		e.U64(en.lru)
-	}
+	d.encodePF(e)
 
 	// DRAM version shadow: every line a writeback reached, zero
 	// versions included.
@@ -228,30 +215,15 @@ func (d *DirCtrl) DecodeState(dec *checkpoint.Decoder) error {
 	d.txnSeq = dec.U64()
 	checkpoint.DecodeStruct(dec, &d.stats)
 
-	dec.Expect("pf")
-	d.pf.tick = dec.U64()
-	checkpoint.DecodeStruct(dec, &d.pf.stats)
-	n := dec.Len(len(d.pf.entries))
-	if err := dec.Err(); err != nil {
+	if err := d.decodePF(dec); err != nil {
 		return err
-	}
-	if n != len(d.pf.entries) {
-		return fmt.Errorf("core: checkpoint has %d probe-filter entries, filter has %d", n, len(d.pf.entries))
-	}
-	for i := range d.pf.entries {
-		en := &d.pf.entries[i]
-		en.Addr = mem.PAddr(dec.U64())
-		en.State = EntryState(dec.U8())
-		en.Owner = mem.NodeID(dec.I64())
-		en.valid = dec.Bool()
-		en.lru = dec.U64()
 	}
 
 	clear(d.pages)
 	d.vers, d.nbusy = verTable{}, 0
 
 	dec.Expect("dramver")
-	n = dec.Len(maxTableEntries)
+	n := dec.Len(maxTableEntries)
 	if err := dec.Err(); err != nil {
 		return err
 	}
@@ -404,4 +376,88 @@ func decodeTxn(d *checkpoint.Decoder, t *txn) {
 	t.finalValid = d.Bool()
 	t.finalState = EntryState(d.U8())
 	t.finalOwner = mem.NodeID(d.I64())
+}
+
+// encodePF writes the probe filter: the tick, the statistics and every
+// way in array order (valid bits and LRU ages included, so replacement
+// replays identically), each as the record the format has always
+// carried — address, state, owner, valid, LRU — and an empty way as all
+// zeros.
+func (d *DirCtrl) encodePF(e *checkpoint.Encoder) {
+	pf := d.pf
+	e.Section("pf")
+	e.U64(pf.tick)
+	checkpoint.EncodeStruct(e, &pf.stats)
+	e.Len(len(pf.tags))
+	for i, t := range pf.tags {
+		e.U64(t &^ pfMeta)
+		e.U8(uint8(t & pfState))
+		e.I64(int64(pf.owners[i]))
+		e.Bool(t&pfValid != 0)
+		e.U64(pf.lrus[i])
+	}
+}
+
+// decodePF overwrites the probe filter from a checkpoint. A way the
+// filter could not have produced is an error: an empty way with any
+// non-zero field, a valid byte other than 0 or 1, an unaligned address
+// or one outside this directory's touched range, a state out of range,
+// an owner that is not a node ID, a line outside its set, or one line in
+// two ways of a set.
+func (d *DirCtrl) decodePF(dec *checkpoint.Decoder) error {
+	pf := d.pf
+	dec.Expect("pf")
+	pf.tick = dec.U64()
+	checkpoint.DecodeStruct(dec, &pf.stats)
+	n := dec.Len(len(pf.tags))
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	if n != len(pf.tags) {
+		return fmt.Errorf("core: checkpoint has %d probe-filter entries, filter has %d", n, len(pf.tags))
+	}
+	for i := range pf.tags {
+		addr, st, owner := dec.U64(), dec.U8(), dec.I64()
+		valid, lru := dec.U8(), dec.U64()
+		if err := dec.Err(); err != nil {
+			return err
+		}
+		if err := d.restoreEntry(i, addr, st, owner, valid, lru); err != nil {
+			return fmt.Errorf("core: probe-filter way %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// restoreEntry validates one decoded probe-filter way and stores it at
+// index i.
+func (d *DirCtrl) restoreEntry(i int, addr uint64, st uint8, owner int64, valid uint8, lru uint64) error {
+	pf := d.pf
+	switch {
+	case valid > 1:
+		return fmt.Errorf("valid byte %d is not a boolean", valid)
+	case valid == 0:
+		if addr != 0 || st != 0 || owner != 0 || lru != 0 {
+			return fmt.Errorf("empty way holds data")
+		}
+		pf.tags[i], pf.lrus[i], pf.owners[i] = 0, 0, 0
+		return nil
+	case st > uint8(EntryS):
+		return fmt.Errorf("state %d out of range", st)
+	case owner != int64(mem.NodeID(owner)):
+		return fmt.Errorf("owner %d is not a node", owner)
+	case pf.setIndex(mem.PAddr(addr)) != i/pf.ways:
+		return fmt.Errorf("line %#x belongs to set %d", addr, pf.setIndex(mem.PAddr(addr)))
+	}
+	if err := d.checkLine(mem.PAddr(addr)); err != nil {
+		return err
+	}
+	key := addr | pfValid
+	for _, t := range pf.tags[i-i%pf.ways : i] {
+		if t&^pfState == key {
+			return fmt.Errorf("line %#x held twice in its set", addr)
+		}
+	}
+	pf.tags[i], pf.lrus[i], pf.owners[i] = key|uint64(st), lru, mem.NodeID(owner)
+	return nil
 }

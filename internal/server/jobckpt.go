@@ -58,6 +58,9 @@ func (s *Server) runCheckpointed(ctx context.Context, job allarm.Job) (*allarm.R
 		s.jobEvent(job.Key(), "resumed", fmt.Sprintf("from checkpoint at %d events", h.Events()))
 		s.logf("job %s: resumed from checkpoint at %d events", checkpointName(job.Key()), h.Events())
 	}
+	// buf holds each snapshot on its way to disk; reusing it sizes every
+	// snapshot's buffer from the previous one.
+	var buf bytes.Buffer
 	for {
 		done, err := h.Step(ctx, s.ckptInterval)
 		if err != nil {
@@ -77,7 +80,7 @@ func (s *Server) runCheckpointed(ctx context.Context, job allarm.Job) (*allarm.R
 		if !h.CanSnapshot() {
 			continue // warmup: not a checkpointable boundary
 		}
-		if s.writeJobCheckpoint(h, path) {
+		if s.writeJobCheckpoint(h, path, &buf) {
 			s.jobEvent(job.Key(), "checkpointed", fmt.Sprintf("at %d events", h.Events()))
 		}
 		if s.waiting.Load() > 0 {
@@ -111,13 +114,13 @@ func (s *Server) openOrResume(job allarm.Job, path string) (*allarm.RunHandle, b
 	return h, false, err
 }
 
-// writeJobCheckpoint snapshots the paused run to its checkpoint file,
-// reporting whether a checkpoint was persisted. Failures are logged,
-// never fatal: durability degrades, the simulation does not.
-func (s *Server) writeJobCheckpoint(h *allarm.RunHandle, path string) bool {
+// writeJobCheckpoint snapshots the paused run to its checkpoint file
+// through buf, reporting whether a checkpoint was persisted. Failures are
+// logged, never fatal: durability degrades, the simulation does not.
+func (s *Server) writeJobCheckpoint(h *allarm.RunHandle, path string, buf *bytes.Buffer) bool {
 	start := time.Now()
-	var buf bytes.Buffer
-	if err := h.Snapshot(&buf); err != nil {
+	buf.Reset()
+	if err := h.Snapshot(buf); err != nil {
 		s.logf("job checkpoint %s: snapshot: %v", filepath.Base(path), err)
 		return false
 	}

@@ -97,6 +97,7 @@ func (m *Machine) Snapshot(w io.Writer, meta string) error {
 	}
 
 	e := checkpoint.NewEncoder(meta)
+	e.Grow(m.snapBytes)
 	e.Section("machine")
 	e.Len(m.cfg.Nodes)
 
@@ -150,6 +151,7 @@ func (m *Machine) Snapshot(w io.Writer, meta string) error {
 	if encErr != nil {
 		return encErr
 	}
+	m.snapBytes = e.Size()
 	return e.Close(w)
 }
 

@@ -116,6 +116,10 @@ type Machine struct {
 	// run is the stepwise run in progress (Start/StepCtx); nil when no
 	// run is active.
 	run *runState
+
+	// snapBytes is the previous snapshot's payload size, which sizes the
+	// next snapshot's buffer.
+	snapBytes int
 }
 
 // runPhase tracks where a stepwise run is in its lifecycle.

@@ -165,10 +165,125 @@ func FuzzResumeJob(f *testing.F) {
 	for _, c := range retiredFieldCorruptions(f, payload) {
 		f.Add(c.payload)
 	}
+	for _, c := range malformedWayCorruptions(f, job, payload) {
+		f.Add(c.payload)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		h, err := allarm.ResumeJob(job, bytes.NewReader(alckFrame(head, payload)))
 		if err == nil && h == nil {
 			t.Fatal("ResumeJob returned neither a handle nor an error")
 		}
 	})
+}
+
+// Way records as the cache and probe-filter sections write them (see
+// internal/cache and internal/core): a section marker, the LRU tick, the
+// statistics counters, the way count, then one fixed-size record per
+// way in array order.
+const (
+	cacheStats, cacheWay = 6, 27 // addr, state, untracked, version, valid, LRU
+	pfStats, pfWay       = 7, 26 // addr, state, owner, valid, LRU
+)
+
+// wayRecords returns the payload offset of every way record in the first
+// section called name.
+func wayRecords(t testing.TB, payload []byte, name string, stats, size int) []int {
+	t.Helper()
+	marker := binary.LittleEndian.AppendUint64(nil, uint64(len(name)))
+	marker = append(marker, name...)
+	i := bytes.Index(payload, marker)
+	if i < 0 {
+		t.Fatalf("no %q section", name)
+	}
+	off := i + len(marker) + 8 + 8*stats
+	n := int(binary.LittleEndian.Uint64(payload[off:]))
+	recs := make([]int, n)
+	for w := range recs {
+		recs[w] = off + 8 + w*size
+	}
+	return recs
+}
+
+// pickWays returns, from a table of way records whose valid byte sits at
+// validAt, the first valid way, the first empty one, and two valid ways
+// of one set.
+func pickWays(t testing.TB, payload []byte, recs []int, ways, validAt int) (valid, empty, a, b int) {
+	t.Helper()
+	valid, empty, a, b = -1, -1, -1, -1
+	for w, off := range recs {
+		switch {
+		case payload[off+validAt] == 0:
+			if empty < 0 {
+				empty = off
+			}
+		case valid < 0:
+			valid = off
+		}
+		if b < 0 && payload[off+validAt] == 1 {
+			for v := w - w%ways; v < w; v++ {
+				if payload[recs[v]+validAt] == 1 {
+					a, b = recs[v], off
+					break
+				}
+			}
+		}
+	}
+	if valid < 0 || empty < 0 || b < 0 {
+		t.Fatalf("want a valid way, an empty one and a set with two lines; got %d, %d, %d", valid, empty, b)
+	}
+	return valid, empty, a, b
+}
+
+// malformedWayCorruptions rewrites one way of node 0's L2 or probe filter
+// into one the packed tag words cannot hold or the cache could not have
+// produced.
+func malformedWayCorruptions(t testing.TB, job allarm.Job, payload []byte) []corruption {
+	t.Helper()
+	put := func(off int, v uint64) []byte {
+		b := bytes.Clone(payload)
+		binary.LittleEndian.PutUint64(b[off:], v)
+		return b
+	}
+	set := func(off int, v byte) []byte {
+		b := bytes.Clone(payload)
+		b[off] = v
+		return b
+	}
+	u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(payload[off:]) }
+
+	l2 := wayRecords(t, payload, "cache:L2", cacheStats, cacheWay)
+	cv, ce, ca, cb := pickWays(t, payload, l2, job.Config.L2Ways, 18)
+	pf := wayRecords(t, payload, "pf", pfStats, pfWay)
+	pv, pe, pa, pb := pickWays(t, payload, pf, job.Config.PFWays, 17)
+	return []corruption{
+		{"cache empty way with data", "empty way holds data", put(ce+19, 1)},
+		{"cache flag not a bool", "not booleans", set(cv+18, 2)},
+		{"cache unaligned line", "not line-aligned", put(cv, u64(cv)|8)},
+		{"cache state out of range", "state 5 out of range", set(cv+8, 5)},
+		{"cache valid line in I", "in state I", set(cv+8, 0)},
+		{"cache line in wrong set", "belongs to set", put(cv, u64(cv)+64)},
+		{"cache line twice in a set", "held twice", put(cb, u64(ca))},
+		{"pf empty way with data", "empty way holds data", put(pe+9, 1)},
+		{"pf flag not a bool", "not a boolean", set(pv+17, 2)},
+		{"pf unaligned line", "is not a line of directory", put(pv, u64(pv)|8)},
+		{"pf state out of range", "state 3 out of range", set(pv+8, 3)},
+		{"pf owner not a node", "is not a node", put(pv+9, 1<<40)},
+		{"pf line in wrong set", "belongs to set", put(pv, u64(pv)+64)},
+		{"pf line twice in a set", "held twice", put(pb, u64(pa))},
+	}
+}
+
+// TestResumeRejectsMalformedWays: a checkpoint whose cache or probe-filter
+// ways could not have come from a running machine must not resume.
+func TestResumeRejectsMalformedWays(t *testing.T) {
+	job := goldenCheckpointJob()
+	head, payload := goldenPayload(t)
+	for _, c := range malformedWayCorruptions(t, job, payload) {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := allarm.ResumeJob(job, bytes.NewReader(alckFrame(head, c.payload)))
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want %q", err, c.want)
+			}
+		})
+	}
 }
