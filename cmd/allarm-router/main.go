@@ -14,20 +14,19 @@
 //	allarm-router -addr :8350 -shards ... -shard-token fleet-secret
 //	allarm-router -auth tokens.json       # client-facing bearer auth
 //	allarm-router -state-dir /var/lib/allarm-router   # sweep journal
-//	allarm-router -health-interval 5s -fail-after 3
-//	allarm-router -attempts 4 -retry-backoff 250ms -shard-timeout 30s
 //
 // A sweep submitted here is expanded exactly as a single daemon would
 // expand it, scattered to the owning shards as explicit job lists,
 // and gathered back in submission order — every emitter (json, ndjson,
 // csv, table) renders byte-identically to a single-node run. Shards
-// are health-checked and routed around; a shard lost mid-sweep
-// degrades that sweep's jobs to "skipped" rather than failing the
-// gather, and a later health transition re-queues those jobs onto
-// their new owner. The shard set is fixed while the router runs: to
-// change it, restart the router with an edited -shards list and the
-// same -state-dir; recovery moves the jobs of departed shards onto
-// their new owners. GET /metrics reports per-shard request, retry and
+// are health-checked every 2s and excluded after two failed probes;
+// each shard call gets 3 attempts with jittered backoff from 100ms and
+// a 30s deadline. A shard lost mid-sweep degrades that sweep's jobs to
+// "skipped" rather than failing the gather, and a later health
+// transition re-queues those jobs onto their new owner. The shard set
+// is fixed while the router runs: to change it, restart the router
+// with an edited -shards list and the same -state-dir; recovery moves
+// the jobs of departed shards onto their new owners. GET /metrics reports per-shard request, retry and
 // unhealthy interval counters (?format=prometheus adds latency
 // histograms in text exposition).
 //
@@ -44,15 +43,10 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	allarm "allarm"
@@ -69,19 +63,14 @@ func main() {
 
 func run() int {
 	var (
-		addr         = flag.String("addr", ":8350", "listen address (host:port; port 0 picks one)")
-		shards       = flag.String("shards", "", "comma-separated allarm-serve base URLs")
-		shardToken   = flag.String("shard-token", "", "bearer token the router presents to shards")
-		authFile     = flag.String("auth", "", "JSON file of client tokens (bearer auth, rate limits, job quotas; \"admin\": true unlocks timelines and pprof)")
-		stateDir     = flag.String("state-dir", "", "journal directory: accepted sweeps survive router restarts (empty = in-memory only)")
-		healthIvl    = flag.Duration("health-interval", 0, "shard health probe interval (0 = default 2s)")
-		failAfter    = flag.Int("fail-after", 0, "consecutive probe failures before a shard is excluded (0 = default 2)")
-		attempts     = flag.Int("attempts", 0, "attempts per shard request before giving up (0 = default 3)")
-		backoff      = flag.Duration("retry-backoff", 0, "base backoff between retries, doubled per attempt with full jitter (0 = default 100ms)")
-		shardTimeout = flag.Duration("shard-timeout", 0, "per-attempt deadline on every shard call (0 = default 30s)")
-		logLevel     = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
-		logFormat    = flag.String("log-format", "text", "log encoding: text or json")
-		version      = flag.Bool("version", false, "print version and exit")
+		addr       = flag.String("addr", ":8350", "listen address (host:port; port 0 picks one)")
+		shards     = flag.String("shards", "", "comma-separated allarm-serve base URLs")
+		shardToken = flag.String("shard-token", "", "bearer token the router presents to shards")
+		authFile   = flag.String("auth", "", "JSON file of client tokens (bearer auth, rate limits, job quotas; \"admin\": true unlocks timelines and pprof)")
+		stateDir   = flag.String("state-dir", "", "journal directory: accepted sweeps survive router restarts (empty = in-memory only)")
+		logLevel   = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
+		logFormat  = flag.String("log-format", "text", "log encoding: text or json")
+		version    = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
 	if *version {
@@ -105,17 +94,7 @@ func run() int {
 		return 2
 	}
 
-	opts := fleet.Options{
-		Shards:         shardList,
-		ShardToken:     *shardToken,
-		HealthInterval: *healthIvl,
-		FailAfter:      *failAfter,
-		Attempts:       *attempts,
-		RetryBackoff:   *backoff,
-		ShardTimeout:   *shardTimeout,
-		StateDir:       *stateDir,
-		Logger:         logger,
-	}
+	opts := fleet.Options{Shards: shardList, ShardToken: *shardToken, StateDir: *stateDir, Logger: logger}
 	if *authFile != "" {
 		guard, err := server.LoadGuard(*authFile)
 		if err != nil {
@@ -125,9 +104,6 @@ func run() int {
 		opts.Guard = guard
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	rt, err := fleet.New(opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "allarm-router:", err)
@@ -135,37 +111,8 @@ func run() int {
 	}
 	defer rt.Close()
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "allarm-router:", err)
-		return 1
-	}
-	// The resolved address goes to stdout so scripts starting the router
-	// on an ephemeral port (-addr :0) can discover where it listens.
-	fmt.Printf("allarm-router: listening on http://%s, %d shard(s)\n", ln.Addr(), len(shardList))
-
-	// ReadHeaderTimeout bounds slow-loris header dribble; IdleTimeout
-	// reaps abandoned keep-alive connections. No overall write timeout:
-	// /events streams for as long as a sweep runs.
-	hs := &http.Server{
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		fmt.Fprintln(os.Stderr, "allarm-router:", err)
-		return 1
-	case <-ctx.Done():
-	}
-	stop() // a second signal kills immediately instead of waiting out shutdown
-
-	sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer scancel()
-	if err := hs.Shutdown(sctx); err != nil {
+	note := fmt.Sprintf(", %d shard(s)", len(shardList))
+	if err := server.ServeDaemon("allarm-router", *addr, note, rt.Handler(), nil, 10*time.Second); err != nil {
 		fmt.Fprintln(os.Stderr, "allarm-router:", err)
 		return 1
 	}

@@ -82,11 +82,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	allarm "allarm"
@@ -127,9 +123,6 @@ func run() int {
 		return 1
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	opts := server.Options{
 		Workers:            *parallel,
 		CacheEntries:       *cacheSize,
@@ -155,42 +148,13 @@ func run() int {
 	}
 	defer srv.Close()
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "allarm-serve:", err)
-		return 1
+	drain := func() {
+		logger.Info("signal received; draining", "grace", *grace)
+		dctx, cancel := context.WithTimeout(context.Background(), *grace)
+		defer cancel()
+		srv.Drain(dctx)
 	}
-	// The resolved address goes to stdout so scripts starting the daemon
-	// on an ephemeral port (-addr :0) can discover where it listens.
-	fmt.Printf("allarm-serve: listening on http://%s\n", ln.Addr())
-
-	// ReadHeaderTimeout bounds slow-loris header dribble; IdleTimeout
-	// reaps abandoned keep-alive connections. No overall write timeout:
-	// /events streams for as long as a sweep runs.
-	hs := &http.Server{
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		fmt.Fprintln(os.Stderr, "allarm-serve:", err)
-		return 1
-	case <-ctx.Done():
-	}
-	stop() // a second signal kills immediately instead of re-draining
-
-	logger.Info("signal received; draining", "grace", *grace)
-	dctx, cancel := context.WithTimeout(context.Background(), *grace)
-	defer cancel()
-	srv.Drain(dctx)
-
-	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer scancel()
-	if err := hs.Shutdown(sctx); err != nil {
+	if err := server.ServeDaemon("allarm-serve", *addr, "", srv.Handler(), drain, 5*time.Second); err != nil {
 		fmt.Fprintln(os.Stderr, "allarm-serve:", err)
 		return 1
 	}

@@ -144,8 +144,8 @@
 // change it, restart the router with an edited -shards list and the
 // same -state-dir, and recovery moves the owed and skipped jobs of
 // departed shards onto their new owners. Retries honor Retry-After on
-// 429 and otherwise use seeded full-jitter exponential backoff, with a
-// -shard-timeout deadline on every attempt. These claims are asserted
+// 429 and otherwise use full-jitter exponential backoff, with a fixed
+// 30 s deadline on every attempt. These claims are asserted
 // under deterministic chaos: a test-only injector in internal/fleet
 // turns declarative fault plans (latency, drops, 5xx/429 bursts, slow
 // bodies) into a seeded http.RoundTripper the fleet tests inject

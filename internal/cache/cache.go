@@ -66,9 +66,12 @@ type Line struct {
 	Version uint64
 	// State is the MOESI state.
 	State State
-	// Untracked marks an ALLARM line cached without a probe-filter entry.
-	// Real hardware has no such bit — ALLARM is stateless — it exists here
-	// only for statistics and invariant checking.
+	// Untracked marks a line filled by an ALLARM grant without a
+	// probe-filter entry. Real hardware has no such bit — ALLARM is
+	// stateless — so it is bookkeeping only: set at fill time and never
+	// cleared, it may stay set on a home copy that a later remote miss
+	// made tracked, and neither the coherence checker's final check nor
+	// the put path acts on it.
 	Untracked bool
 }
 
@@ -253,13 +256,6 @@ func (c *Cache) Lookup(lineAddr mem.PAddr) Slot {
 	return c.slot(i)
 }
 
-// Peek returns the slot holding lineAddr without touching LRU state, or
-// the zero Slot. Probes use Peek so that coherence activity does not
-// perturb replacement decisions.
-func (c *Cache) Peek(lineAddr mem.PAddr) Slot {
-	return c.slot(c.find(mem.LineOf(lineAddr)))
-}
-
 // Insert places a line (which must not already be present) and returns the
 // evicted victim, if any. The caller is responsible for the victim's
 // writeback/notification flow.
@@ -308,33 +304,12 @@ func (c *Cache) insert(line Line) (at int, victim Line, evicted bool) {
 	return at, victim, evicted
 }
 
-// Remove invalidates lineAddr and returns the line it held.
-// ok is false when the line was not present.
-func (c *Cache) Remove(lineAddr mem.PAddr) (Line, bool) {
-	i := c.find(mem.LineOf(lineAddr))
-	if i < 0 {
-		return Line{}, false
-	}
-	return c.take(i), true
-}
-
 // take empties way i and returns the line it held. An empty way is all
 // zero, which the checkpoint encoding relies on.
 func (c *Cache) take(i int) Line {
 	l := Slot{c, i}.Line()
 	c.tags[i], c.vers[i], c.lrus[i] = 0, 0, 0
 	return l
-}
-
-// CountValid returns the number of valid lines (O(capacity); test helper).
-func (c *Cache) CountValid() int {
-	n := 0
-	for _, t := range c.tags {
-		if t&tagValid != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // ForEachValid calls fn for every valid line (test/invariant helper).

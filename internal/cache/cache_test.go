@@ -11,6 +11,17 @@ import (
 
 func line(i int) mem.PAddr { return mem.PAddr(i * mem.LineBytes) }
 
+// present reports whether c holds a, through the probe path (find), which
+// leaves LRU state alone.
+func present(c *Cache, a mem.PAddr) bool { return c.find(a) >= 0 }
+
+// countValid counts c's valid lines.
+func countValid(c *Cache) int {
+	n := 0
+	c.ForEachValid(func(Line) { n++ })
+	return n
+}
+
 func TestStatePredicates(t *testing.T) {
 	cases := []struct {
 		s                      State
@@ -35,13 +46,13 @@ func TestInsertLookupRemove(t *testing.T) {
 	if l := c.Lookup(line(1)); !l.Ok() || l.State() != Exclusive {
 		t.Fatal("lookup after insert failed")
 	}
-	if c.Peek(line(2)).Ok() {
+	if present(c, line(2)) {
 		t.Fatal("peek of absent line succeeded")
 	}
-	if _, ok := c.Remove(line(1)); !ok {
-		t.Fatal("remove failed")
+	if l := c.take(c.find(line(1))); l.Addr != line(1) {
+		t.Fatalf("remove returned %+v", l)
 	}
-	if c.Peek(line(1)).Ok() {
+	if present(c, line(1)) {
 		t.Fatal("line survived removal")
 	}
 }
@@ -61,7 +72,7 @@ func TestPeekDoesNotTouchLRU(t *testing.T) {
 	c := New("t", 2*mem.LineBytes, 2)
 	c.Insert(Line{Addr: line(0), State: Exclusive})
 	c.Insert(Line{Addr: line(1), State: Exclusive})
-	c.Peek(line(0)) // must NOT refresh
+	present(c, line(0)) // must NOT refresh
 	v, _ := c.Insert(Line{Addr: line(2), State: Exclusive})
 	if v.Addr != line(0) {
 		t.Fatal("Peek refreshed LRU")
@@ -94,10 +105,10 @@ func TestCacheInvariantNoDuplicates(t *testing.T) {
 	f := func(ops []uint8) bool {
 		for _, op := range ops {
 			a := line(int(op % 32))
-			if !c.Peek(a).Ok() {
+			if !present(c, a) {
 				c.Insert(Line{Addr: a, State: Exclusive})
 			} else if op%3 == 0 {
-				c.Remove(a)
+				c.take(c.find(a))
 			} else {
 				c.Lookup(a)
 			}
@@ -111,7 +122,7 @@ func TestCacheInvariantNoDuplicates(t *testing.T) {
 			}
 			seen[l.Addr] = true
 		})
-		return !dup && c.CountValid() <= 16
+		return !dup && countValid(c) <= 16
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -131,7 +142,7 @@ func TestStatsCounting(t *testing.T) {
 	if c.Stats().Fills != 0 {
 		t.Fatal("ResetStats failed")
 	}
-	if c.CountValid() != 2 {
+	if countValid(c) != 2 {
 		t.Fatal("ResetStats touched contents")
 	}
 }
@@ -187,17 +198,17 @@ func TestExclusiveHierarchySwap(t *testing.T) {
 	}
 	// One of the early lines must now be in L2, not L1.
 	demoted := line(0)
-	if h.L1().Peek(demoted).Ok() {
+	if present(h.L1(), demoted) {
 		t.Skip("line 0 still in L1 under this geometry")
 	}
-	if !h.L2().Peek(demoted).Ok() {
+	if !present(h.L2(), demoted) {
 		t.Fatal("demoted line not in L2")
 	}
 	if r := h.Access(demoted, false); r.Outcome != Hit || r.Level != 2 {
 		t.Fatalf("L2 hit = %+v", r)
 	}
 	// Exclusive property: after the swap the line is in L1 only.
-	if h.L2().Peek(demoted).Ok() {
+	if present(h.L2(), demoted) {
 		t.Fatal("line duplicated across levels after swap")
 	}
 }
@@ -254,18 +265,6 @@ func TestVictimClassification(t *testing.T) {
 	}
 }
 
-func TestSetTracked(t *testing.T) {
-	h := newHier()
-	h.Fill(line(1), Exclusive, true, 0)
-	if !h.Find(line(1)).Untracked() {
-		t.Fatal("untracked mark lost")
-	}
-	h.SetTracked(line(1))
-	if h.Find(line(1)).Untracked() {
-		t.Fatal("SetTracked did not clear the mark")
-	}
-}
-
 func TestUpgradeFillInL2(t *testing.T) {
 	h := newHier()
 	// Place a Shared line, demote it to L2, then grant M.
@@ -273,14 +272,14 @@ func TestUpgradeFillInL2(t *testing.T) {
 	for i := 1; i <= 8; i++ {
 		h.Fill(line(i*h.L1().sets), Exclusive, false, 0)
 	}
-	if !h.L2().Peek(line(0)).Ok() {
+	if !present(h.L2(), line(0)) {
 		t.Skip("line 0 not demoted under this geometry")
 	}
 	h.Fill(line(0), Modified, false, 3)
 	if st := h.Find(line(0)).State(); st != Modified {
 		t.Fatalf("upgrade-in-L2 state = %v", st)
 	}
-	if !h.L1().Peek(line(0)).Ok() {
+	if !present(h.L1(), line(0)) {
 		t.Fatal("upgrade grant did not promote to L1")
 	}
 }

@@ -260,15 +260,6 @@ func (h *Hierarchy) Downgrade(l Slot) State {
 	return prev
 }
 
-// SetTracked clears the untracked mark on a line after the home directory
-// allocates an entry for it (ALLARM remote-miss discovery). No-op when the
-// line is absent.
-func (h *Hierarchy) SetTracked(lineAddr mem.PAddr) {
-	if l := h.Find(lineAddr); l.Ok() {
-		l.setUntracked(false)
-	}
-}
-
 // ResetStats zeroes hierarchy and per-level counters, keeping contents.
 func (h *Hierarchy) ResetStats() {
 	h.stats = HierStats{}

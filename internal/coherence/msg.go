@@ -112,7 +112,8 @@ type Msg struct {
 	// probed owner should grant when forwarding).
 	Grant cache.State
 	// Untracked marks a DataMsg granted by an ALLARM home without a
-	// probe-filter entry (bookkeeping only; see cache.Line.Untracked).
+	// probe-filter entry; the fill copies it into the line's mark
+	// (bookkeeping only; see cache.Line.Untracked).
 	Untracked bool
 	// NoFill marks a DataMsg (or the PrbLocal that may forward one) whose
 	// data must be consumed without installing the line: the home serves

@@ -208,8 +208,8 @@ func TestRangeSetProperty(t *testing.T) {
 
 func TestProbeFilterGeometry(t *testing.T) {
 	pf := NewProbeFilter(512<<10, 4)
-	if pf.Entries() != 8192 || pf.Entries()*mem.LineBytes != 512<<10 || pf.Ways() != 4 {
-		t.Fatalf("geometry: %d entries, %d bytes", pf.Entries(), pf.Entries()*mem.LineBytes)
+	if n := pf.sets * pf.ways; n != 8192 || n*mem.LineBytes != 512<<10 || pf.Ways() != 4 {
+		t.Fatalf("geometry: %d entries, %d bytes", n, n*mem.LineBytes)
 	}
 }
 

@@ -125,7 +125,6 @@ func NewProbeFilter(coverageBytes, ways int) *ProbeFilter {
 }
 
 // Entries returns the total entry capacity.
-func (pf *ProbeFilter) Entries() int { return pf.sets * pf.ways }
 
 // Ways returns the associativity.
 func (pf *ProbeFilter) Ways() int { return pf.ways }

@@ -40,7 +40,6 @@ func New(latency, interval sim.Time) *Controller {
 }
 
 // Latency returns the configured access latency.
-func (c *Controller) Latency() sim.Time { return c.latency }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Controller) Stats() Stats { return c.stats }

@@ -33,9 +33,9 @@ func TestFleetChaosByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, base, shards := newTestFleet(t, 2, server.Options{Workers: 4}, Options{
-		Transport:  inj.RoundTripper(nil),
-		Attempts:   4,
-		JitterSeed: 99,
+		transport:  inj.RoundTripper(nil),
+		attempts:   4,
+		jitterSeed: 99,
 	})
 	single := newTestShard(t, server.Options{Workers: 4})
 
@@ -90,10 +90,10 @@ func TestFleetRetryAfterHonored(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, base, shards := newTestFleet(t, 1, server.Options{Workers: 2}, Options{
-		Transport: inj.RoundTripper(nil),
-		Attempts:  3,
+		transport: inj.RoundTripper(nil),
+		attempts:  3,
 		// Without Retry-After the jittered backoff would wait < 10ms.
-		RetryBackoff: 5 * time.Millisecond,
+		retryBackoff: 5 * time.Millisecond,
 	})
 
 	req := server.SweepRequest{
@@ -127,10 +127,10 @@ func TestFleetHealthFlapChurn(t *testing.T) {
 	healthy := newTestShard(t, server.Options{Workers: 4})
 	rt, err := New(Options{
 		Shards:         []string{healthy.url, victim.url},
-		Attempts:       2,
-		RetryBackoff:   2 * time.Millisecond,
-		HealthInterval: 10 * time.Millisecond,
-		FailAfter:      2,
+		attempts:       2,
+		retryBackoff:   2 * time.Millisecond,
+		healthInterval: 10 * time.Millisecond,
+		failAfter:      2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -228,9 +228,9 @@ func TestFleetChaosRecovery(t *testing.T) {
 	sh := newTestShard(t, server.Options{Workers: 4})
 	cleanOpts := Options{
 		Shards:         []string{sh.url},
-		Attempts:       4,
-		RetryBackoff:   2 * time.Millisecond,
-		HealthInterval: time.Hour,
+		attempts:       4,
+		retryBackoff:   2 * time.Millisecond,
+		healthInterval: time.Hour,
 		StateDir:       dir,
 	}
 
@@ -257,8 +257,8 @@ func TestFleetChaosRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	chaosOpts := cleanOpts
-	chaosOpts.Transport = inj.RoundTripper(nil)
-	chaosOpts.JitterSeed = 11
+	chaosOpts.transport = inj.RoundTripper(nil)
+	chaosOpts.jitterSeed = 11
 	rt2, err := New(chaosOpts)
 	if err != nil {
 		t.Fatal(err)

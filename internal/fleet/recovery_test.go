@@ -65,9 +65,9 @@ func TestFleetJournalRecoveryMidSweep(t *testing.T) {
 	shards := []*testShard{healthy, victim}
 	opts := Options{
 		Shards:         []string{healthy.url, victim.url},
-		Attempts:       2,
-		RetryBackoff:   5 * time.Millisecond,
-		HealthInterval: time.Hour,
+		attempts:       2,
+		retryBackoff:   5 * time.Millisecond,
+		healthInterval: time.Hour,
 		StateDir:       dir,
 	}
 
@@ -175,9 +175,9 @@ func TestFleetJournalRecoveryTerminal(t *testing.T) {
 	sh := newTestShard(t, server.Options{Workers: 4})
 	opts := Options{
 		Shards:         []string{sh.url},
-		Attempts:       2,
-		RetryBackoff:   5 * time.Millisecond,
-		HealthInterval: time.Hour,
+		attempts:       2,
+		retryBackoff:   5 * time.Millisecond,
+		healthInterval: time.Hour,
 		StateDir:       dir,
 	}
 	req := server.SweepRequest{
@@ -274,9 +274,9 @@ func TestFleetRequeueAfterShardRemoval(t *testing.T) {
 	healthy := newTestShard(t, server.Options{Workers: 4})
 	opts := Options{
 		Shards:         []string{healthy.url, victim.url},
-		Attempts:       2,
-		RetryBackoff:   5 * time.Millisecond,
-		HealthInterval: time.Hour, // no probes: the restart is the only mover
+		attempts:       2,
+		retryBackoff:   5 * time.Millisecond,
+		healthInterval: time.Hour, // no probes: the restart is the only mover
 		StateDir:       dir,
 	}
 	rt1, err := New(opts)
@@ -386,15 +386,15 @@ func TestFleetRequeueAfterShardRemoval(t *testing.T) {
 
 // TestRetryDelaySchedule pins the retry pacing contract: a throttled
 // shard's Retry-After wins verbatim; everything else draws full jitter
-// in (0, backoff << (attempt-1)]; and a fixed JitterSeed replays the
+// in (0, backoff << (attempt-1)]; and a fixed jitterSeed replays the
 // same draw sequence.
 func TestRetryDelaySchedule(t *testing.T) {
 	mk := func(seed int64) *Router {
 		rt, err := New(Options{
 			Shards:         []string{"http://127.0.0.1:1"},
-			RetryBackoff:   100 * time.Millisecond,
-			HealthInterval: time.Hour,
-			JitterSeed:     seed,
+			retryBackoff:   100 * time.Millisecond,
+			healthInterval: time.Hour,
+			jitterSeed:     seed,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -27,9 +27,11 @@
 //
 // A shard that dies mid-sweep does not fail the gather: after the
 // retry budget its jobs are reported as skipped rows (the error column
-// names the shard) and the sweep finishes with status "degraded". The
-// health loop excludes the shard from new placements after FailAfter
-// consecutive probe failures and re-admits it on the first success.
+// names the shard) and the sweep finishes with status "degraded"; so do
+// the jobs a draining shard skipped, whose status comes from the shard's
+// final status view. The health loop excludes the shard from new
+// placements after failAfter consecutive probe failures and re-admits
+// it on the first success.
 // Skipped is not final, though: when the ring's answer for a skipped
 // job changes — the owner was excluded by the health loop, or a restart
 // dropped it from the shard set — the job is claimed back, re-dispatched
@@ -39,7 +41,8 @@
 // # Survivability
 //
 // With Options.StateDir set, the Front journals every accepted sweep
-// (request + shard assignment) and uploaded trace, and the router
+// (request + shard assignment) and keeps uploaded traces (a shard that
+// lacks one gets it re-uploaded at submit time), and the router
 // journals gathered records as shard groups complete — all via the
 // atomic temp+rename discipline of the shards' own stores. A router
 // killed mid-sweep (SIGKILL included) recovers its sweeps under their
@@ -74,22 +77,27 @@ import (
 	"allarm/internal/server"
 )
 
-// Tuning defaults.
+// Tuning. The first five are the defaults of the matching unexported
+// Options fields, which only this package's tests set.
 const (
-	// defaultReplicas is the ring points per shard; enough that removing
-	// one shard spreads its keys roughly evenly over the survivors.
-	defaultReplicas = 64
 	// defaultHealthInterval paces /healthz probes.
 	defaultHealthInterval = 2 * time.Second
 	// defaultFailAfter is the consecutive probe failures before a shard
-	// is excluded from placement.
+	// is excluded from placement; one success re-admits it.
 	defaultFailAfter = 2
-	// defaultAttempts bounds tries per shard call (1 + retries).
+	// defaultAttempts bounds tries per shard call (1 + retries). 4xx
+	// answers other than 429 are never retried.
 	defaultAttempts = 3
-	// defaultRetryBackoff seeds the exponential retry backoff.
+	// defaultRetryBackoff seeds the exponential retry backoff. Actual
+	// waits are full-jittered; a 429's Retry-After overrides the schedule.
 	defaultRetryBackoff = 100 * time.Millisecond
-	// defaultShardTimeout bounds non-streaming shard calls.
+	// defaultShardTimeout bounds every non-streaming shard call — submit,
+	// poll, record fetch, trace upload — so a hung shard costs at most
+	// attempts × shardTimeout per step.
 	defaultShardTimeout = 30 * time.Second
+	// defaultReplicas is the ring points per shard; enough that removing
+	// one shard spreads its keys roughly evenly over the survivors.
+	defaultReplicas = 64
 	// probeTimeout bounds one health probe.
 	probeTimeout = 2 * time.Second
 	// maxTraces bounds retained trace uploads. The router keeps raw
@@ -117,37 +125,26 @@ type Options struct {
 	// Guard, when non-nil, authenticates and rate-limits the router's
 	// own clients and enforces their job quotas at submit time.
 	Guard *server.Guard
-	// HealthInterval paces shard health probes (<= 0: 2s).
-	HealthInterval time.Duration
-	// FailAfter is the consecutive probe failures before a shard is
-	// excluded from new placements (<= 0: 2). One success re-admits it.
-	FailAfter int
-	// Attempts bounds tries per shard call (<= 0: 3). 4xx answers other
-	// than 429 are never retried.
-	Attempts int
-	// RetryBackoff seeds the exponential backoff between retries
-	// (<= 0: 100ms). Actual waits are full-jittered; a 429's Retry-After
-	// overrides the schedule.
-	RetryBackoff time.Duration
-	// ShardTimeout bounds every non-streaming shard call — submit, poll,
-	// record fetch, trace upload (<= 0: 30s). A hung shard therefore
-	// costs at most Attempts × ShardTimeout per step.
-	ShardTimeout time.Duration
 	// StateDir, when non-empty, enables the journal: accepted sweeps,
 	// gathered records and uploaded traces are persisted there and
 	// recovered at boot.
 	StateDir string
-	// Transport, when non-nil, is the RoundTripper for all shard traffic
-	// (tests inject a fault-injecting RoundTripper here).
-	Transport http.RoundTripper
-	// JitterSeed seeds the retry-jitter RNG (0: time-seeded). Fixed
-	// seeds make chaos runs replayable.
-	JitterSeed int64
 	// Logger, when non-nil, receives one info line per lifecycle event,
 	// and the Handler emits one request log line per request with
 	// method/route/status/duration and the X-Allarm-Request-Id
 	// correlation id.
 	Logger *slog.Logger
+
+	// Test knobs; zero values take the default* constants. transport
+	// carries all shard traffic (the fault injector), and a positive
+	// jitterSeed makes the retry jitter replayable.
+	healthInterval time.Duration
+	failAfter      int
+	attempts       int
+	retryBackoff   time.Duration
+	shardTimeout   time.Duration
+	transport      http.RoundTripper
+	jitterSeed     int64
 }
 
 // Router is the remote executor: it scatters sweeps over a shard fleet
@@ -156,14 +153,11 @@ type Options struct {
 // the router's own durable state (when StateDir is set) is only the
 // journal that lets a restart resume its gathers.
 type Router struct {
-	opts     Options
-	front    *server.Front
-	ctx      context.Context
-	cancel   context.CancelFunc
-	start    time.Time
-	attempts int
-	backoff  time.Duration
-	timeout  time.Duration
+	opts   Options // test knobs resolved to their defaults
+	front  *server.Front
+	ctx    context.Context
+	cancel context.CancelFunc
+	start  time.Time
 
 	// shards is the fleet, fixed at boot; ring places keys on it.
 	shards []*shard
@@ -207,23 +201,28 @@ func New(opts Options) (*Router, error) {
 			return nil, fmt.Errorf("fleet: duplicate shard %s", name)
 		}
 		seen[name] = true
-		shards = append(shards, newShard(name, opts.ShardToken, opts.Transport))
+		shards = append(shards, newShard(name, opts.ShardToken, opts.transport))
 		names = append(names, name)
 	}
 
+	orDefault(&opts.healthInterval, defaultHealthInterval)
+	orDefault(&opts.failAfter, defaultFailAfter)
+	orDefault(&opts.attempts, defaultAttempts)
+	orDefault(&opts.retryBackoff, defaultRetryBackoff)
+	orDefault(&opts.shardTimeout, defaultShardTimeout)
+	orDefault(&opts.jitterSeed, time.Now().UnixNano())
+
 	ctx, cancel := context.WithCancel(context.Background())
 	rt := &Router{
-		opts:     opts,
-		ctx:      ctx,
-		cancel:   cancel,
-		start:    time.Now(),
-		attempts: opts.Attempts,
-		backoff:  opts.RetryBackoff,
-		timeout:  opts.ShardTimeout,
-		shards:   shards,
-		ring:     newRing(names, defaultReplicas),
-		met:      newRouterMetrics(),
-		runs:     make(map[*server.SweepState][]shardRun),
+		opts:   opts,
+		ctx:    ctx,
+		cancel: cancel,
+		start:  time.Now(),
+		shards: shards,
+		ring:   newRing(names, defaultReplicas),
+		rng:    rand.New(rand.NewSource(opts.jitterSeed)),
+		met:    newRouterMetrics(),
+		runs:   make(map[*server.SweepState][]shardRun),
 	}
 	rt.met.reg.Gauge("allarm_router_uptime_seconds", "Seconds since the router started.",
 		func() float64 { return time.Since(rt.start).Seconds() })
@@ -239,20 +238,6 @@ func New(opts Options) (*Router, error) {
 			}
 			return float64(n)
 		})
-	if rt.attempts <= 0 {
-		rt.attempts = defaultAttempts
-	}
-	if rt.backoff <= 0 {
-		rt.backoff = defaultRetryBackoff
-	}
-	if rt.timeout <= 0 {
-		rt.timeout = defaultShardTimeout
-	}
-	seed := opts.JitterSeed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	rt.rng = rand.New(rand.NewSource(seed))
 
 	front, err := server.NewFront(rt, server.FrontConfig{
 		IDPrefix:       "fs-",
@@ -277,6 +262,13 @@ func New(opts Options) (*Router, error) {
 	return rt, nil
 }
 
+// orDefault sets an unset (non-positive) tuning knob to its default.
+func orDefault[T int | int64 | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
+}
+
 // Handler returns the router's HTTP handler (behind the Guard when one
 // is configured).
 func (rt *Router) Handler() http.Handler { return rt.front.Handler() }
@@ -294,22 +286,14 @@ func (rt *Router) logf(format string, args ...any) { rt.front.Logf(format, args.
 // healthLoop probes every shard each interval, excluding and
 // re-admitting them as their /healthz answers flip.
 func (rt *Router) healthLoop() {
-	interval := rt.opts.HealthInterval
-	if interval <= 0 {
-		interval = defaultHealthInterval
-	}
-	failAfter := rt.opts.FailAfter
-	if failAfter <= 0 {
-		failAfter = defaultFailAfter
-	}
-	t := time.NewTicker(interval)
+	t := time.NewTicker(rt.opts.healthInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-rt.ctx.Done():
 			return
 		case <-t.C:
-			rt.probeAll(failAfter)
+			rt.probeAll()
 		}
 	}
 }
@@ -318,7 +302,7 @@ func (rt *Router) healthLoop() {
 // round that flipped any shard's state re-evaluates skipped jobs: an
 // exclusion gives their keys a new ring owner, a readmission may give
 // back the original.
-func (rt *Router) probeAll(failAfter int) {
+func (rt *Router) probeAll() {
 	var wg sync.WaitGroup
 	var flipped atomic.Bool
 	for _, sh := range rt.shards {
@@ -326,7 +310,7 @@ func (rt *Router) probeAll(failAfter int) {
 		go func(sh *shard) {
 			defer wg.Done()
 			ok := rt.probe(sh)
-			switch sh.probeResult(ok, failAfter, time.Now()) {
+			switch sh.probeResult(ok, rt.opts.failAfter, time.Now()) {
 			case "excluded":
 				flipped.Store(true)
 				rt.logf("shard %s: unhealthy, excluded from placement", sh.name)
@@ -511,7 +495,9 @@ func (rt *Router) dispatch(st *server.SweepState, groups map[*shard][]int) {
 	rt.met.gatherLatency.ObserveSince(begin)
 }
 
-// gatherGroup runs one shard's share of a sweep. Failure past the retry
+// gatherGroup runs one shard's share of a sweep, delivering each row with
+// the job's status from the shard's final status view (a draining shard
+// skips jobs, which a row alone cannot tell from errors). Failure past the retry
 // budget degrades the group's jobs to skipped rows — then immediately
 // asks the ring whether anyone else can own them (the failing shard may
 // already be excluded), which turns a mid-sweep shard death into a
@@ -519,7 +505,7 @@ func (rt *Router) dispatch(st *server.SweepState, groups map[*shard][]int) {
 // ownership-checked (SweepState.Deliver): a row only lands while its
 // job is still placed on this shard.
 func (rt *Router) gatherGroup(st *server.SweepState, sh *shard, globals []int) {
-	recs, err := rt.runShardSweep(st, sh, globals)
+	recs, jobs, err := rt.runShardSweep(st, sh, globals)
 	if err != nil {
 		if rt.ctx.Err() != nil {
 			// Shutdown, not shard failure: leave the jobs owed so the
@@ -537,26 +523,10 @@ func (rt *Router) gatherGroup(st *server.SweepState, sh *shard, globals []int) {
 		return
 	}
 	for li, g := range globals {
-		// The status reconciles what the SSE stream may not have
-		// delivered (idempotent: terminal states never regress).
-		st.Deliver(sh.name, g, recs[li], statusOfRecord(recs[li]))
+		st.Deliver(sh.name, g, recs[li], jobs[li].Status)
 	}
 	st.Timeline("gathered", -1, sh.name, fmt.Sprintf("%d record(s)", len(recs)))
 	rt.front.JournalRecords(st)
-}
-
-// statusOfRecord reconciles a job's final status from its gathered row,
-// for jobs whose SSE events were lost (stream broke mid-sweep but the
-// fetch succeeded).
-func statusOfRecord(rec allarm.Record) string {
-	switch {
-	case rec.Error == "":
-		return server.JobDone
-	case rec.Aborted:
-		return server.JobAborted
-	default:
-		return server.JobError
-	}
 }
 
 // specOf reconstructs the request-level workload spec of an expanded
@@ -589,10 +559,10 @@ func subRequestFor(st *server.SweepState, globals []int) *server.SweepRequest {
 // runShardSweep runs one shard's share: submit (re-uploading traces the
 // shard turns out not to know), then watch its SSE stream for per-job
 // progress while the status poll — which owns the completion decision
-// and the retry budget — runs beside it, then fetch the finished
-// records. Every bounded call carries ShardTimeout, so a hung shard
+// and the final job statuses — runs beside it, then fetch the finished
+// records. Every bounded call carries shardTimeout, so a hung shard
 // costs at most the retry budget, never a stalled sweep.
-func (rt *Router) runShardSweep(st *server.SweepState, sh *shard, globals []int) ([]allarm.Record, error) {
+func (rt *Router) runShardSweep(st *server.SweepState, sh *shard, globals []int) ([]allarm.Record, []server.JobView, error) {
 	sh.jobsAssigned.Add(uint64(len(globals)))
 	req := subRequestFor(st, globals)
 	// Shard calls run on the router's lifetime context (the inbound
@@ -603,23 +573,22 @@ func (rt *Router) runShardSweep(st *server.SweepState, sh *shard, globals []int)
 	var id string
 	submit := func() error {
 		var err error
-		id, err = sh.submitSweep(ctx, req, rt.timeout)
+		id, err = sh.submitSweep(ctx, req, rt.opts.shardTimeout)
 		var he *httpError
 		if err != nil && errors.As(err, &he) && he.status == http.StatusBadRequest &&
 			strings.Contains(he.body, "unknown trace") {
-			// The shard lost (or never saw) an uploaded trace — a
-			// restart without a cache dir, or it was added to the
-			// -shards list after the upload broadcast. Re-upload from the router's copy and
+			// The shard never saw the trace, or lost it (evicted, or a
+			// restart without a cache dir). Upload the router's copy and
 			// go again.
 			if uerr := rt.reuploadTraces(ctx, sh, req); uerr != nil {
 				return fmt.Errorf("%w (re-upload failed: %v)", err, uerr)
 			}
-			id, err = sh.submitSweep(ctx, req, rt.timeout)
+			id, err = sh.submitSweep(ctx, req, rt.opts.shardTimeout)
 		}
 		return err
 	}
 	if err := rt.retry(ctx, sh, submit); err != nil {
-		return nil, fmt.Errorf("submit: %w", err)
+		return nil, nil, fmt.Errorf("submit: %w", err)
 	}
 	rt.runsMu.Lock()
 	rt.runs[st] = append(rt.runs[st], shardRun{shard: sh.name, id: id, globals: globals})
@@ -648,26 +617,26 @@ func (rt *Router) runShardSweep(st *server.SweepState, sh *shard, globals []int)
 			rt.logf("sweep %s: shard %s: event stream broke, polling: %v", st.ID, sh.name, err)
 		}
 	}()
-	err := rt.awaitTerminal(ctx, sh, id, streamDone)
+	final, err := rt.awaitTerminal(ctx, sh, id, streamDone)
 	scancel()
 	<-streamDone
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	var recs []allarm.Record
 	fetch := func() error {
 		var err error
-		recs, err = sh.fetchRecords(ctx, id, rt.timeout)
+		recs, err = sh.fetchRecords(ctx, id, rt.opts.shardTimeout)
 		return err
 	}
 	if err := rt.retry(ctx, sh, fetch); err != nil {
-		return nil, fmt.Errorf("results: %w", err)
+		return nil, nil, fmt.Errorf("results: %w", err)
 	}
-	if len(recs) != len(globals) {
-		return nil, fmt.Errorf("shard returned %d records for %d jobs", len(recs), len(globals))
+	if len(recs) != len(globals) || len(final.Jobs) != len(globals) {
+		return nil, nil, fmt.Errorf("shard returned %d records and %d job views for %d jobs", len(recs), len(final.Jobs), len(globals))
 	}
-	return recs, nil
+	return recs, final.Jobs, nil
 }
 
 // retry runs fn until it succeeds, returns a non-retryable error, or
@@ -676,7 +645,7 @@ func (rt *Router) runShardSweep(st *server.SweepState, sh *shard, globals []int)
 // on a 429.
 func (rt *Router) retry(ctx context.Context, sh *shard, fn func() error) error {
 	var err error
-	for attempt := 0; attempt < rt.attempts; attempt++ {
+	for attempt := 0; attempt < rt.opts.attempts; attempt++ {
 		if attempt > 0 {
 			sh.retries.Add(1)
 			select {
@@ -715,51 +684,38 @@ func (rt *Router) retryDelay(lastErr error, attempt int) time.Duration {
 	if attempt > 16 {
 		attempt = 16 // past here the ceiling is minutes; cap the shift
 	}
-	ceil := rt.backoff << (attempt - 1)
+	ceil := rt.opts.retryBackoff << (attempt - 1)
 	rt.rngMu.Lock()
 	d := time.Duration(rt.rng.Int63n(int64(ceil)))
 	rt.rngMu.Unlock()
 	return d + 1
 }
 
-// awaitTerminal polls a shard sweep's status until it is final,
-// tolerating up to the retry budget of consecutive poll failures.
-// streamDone short-circuits one wait when the SSE stream ends (the
-// sweep is usually final at that instant).
-func (rt *Router) awaitTerminal(ctx context.Context, sh *shard, id string, streamDone <-chan struct{}) error {
-	fails := 0
+// awaitTerminal polls a shard sweep's status until it is final and
+// returns that final view. Each poll is one retry call, so failures pace
+// by the retry schedule (a 429's Retry-After included) and only a
+// successful poll's wait is short-circuited by streamDone, closed when
+// the SSE stream ends (the sweep is usually final at that instant).
+func (rt *Router) awaitTerminal(ctx context.Context, sh *shard, id string, streamDone <-chan struct{}) (server.SweepView, error) {
 	for {
-		v, err := sh.sweepStatus(ctx, id, rt.timeout)
-		switch {
-		case err != nil:
-			if !retryable(err) {
-				return fmt.Errorf("status: %w", err)
-			}
-			fails++
-			if fails >= rt.attempts {
-				return fmt.Errorf("status: %w", err)
-			}
-			sh.retries.Add(1)
-		case v.Status == server.StatusDone || v.Status == server.StatusCheckpointed:
-			return nil
-		default:
-			fails = 0
+		var v server.SweepView
+		poll := func() error {
+			var err error
+			v, err = sh.sweepStatus(ctx, id, rt.opts.shardTimeout)
+			return err
 		}
-		delay := rt.backoff
-		poke := streamDone
-		if err != nil {
-			// A failed poll paces by the retry schedule — and a 429's
-			// Retry-After in particular must not be short-circuited by
-			// the stream ending.
-			delay = rt.retryDelay(err, fails)
-			poke = nil
+		if err := rt.retry(ctx, sh, poll); err != nil {
+			return v, fmt.Errorf("status: %w", err)
+		}
+		if v.Status == server.StatusDone || v.Status == server.StatusCheckpointed {
+			return v, nil
 		}
 		select {
-		case <-time.After(delay):
-		case <-poke:
+		case <-time.After(rt.opts.retryBackoff):
+		case <-streamDone:
 			streamDone = nil // poll immediately once; then pace normally
 		case <-ctx.Done():
-			return ctx.Err()
+			return v, ctx.Err()
 		}
 	}
 }
@@ -778,29 +734,11 @@ func (rt *Router) reuploadTraces(ctx context.Context, sh *shard, req *server.Swe
 		if !ok {
 			return fmt.Errorf("trace %s: not held by this router (re-upload it)", id)
 		}
-		if err := sh.uploadTrace(ctx, data, rt.timeout); err != nil {
+		if err := sh.uploadTrace(ctx, data, rt.opts.shardTimeout); err != nil {
 			return fmt.Errorf("trace %s: %w", id, err)
 		}
 	}
 	return nil
-}
-
-// TraceUploaded implements server.Executor: the upload is broadcast to
-// every shard so sub-sweep submits do not each pay a 400-retry round
-// trip. Best-effort: a shard that misses it (down right now, or evicts
-// the trace later) is healed by the submit-time re-upload.
-func (rt *Router) TraceUploaded(id string, data []byte) {
-	var wg sync.WaitGroup
-	for _, sh := range rt.shards {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			if err := sh.uploadTrace(rt.ctx, data, rt.timeout); err != nil {
-				rt.logf("trace %s: broadcast to %s: %v", id, sh.name, err)
-			}
-		}(sh)
-	}
-	wg.Wait()
 }
 
 // Timeline implements server.Executor: the router's own lifecycle
@@ -817,7 +755,7 @@ func (rt *Router) Timeline(r *http.Request, st *server.SweepState) []obs.Timelin
 	ctx := obs.ContextWithRequestID(r.Context(), obs.RequestID(r.Context()))
 	for _, run := range runs {
 		sh := rt.byName(run.shard)
-		tv, err := sh.fetchTimeline(ctx, run.id, rt.timeout)
+		tv, err := sh.fetchTimeline(ctx, run.id, rt.opts.shardTimeout)
 		if err != nil {
 			rt.logf("sweep %s: shard %s timeline: %v", st.ID, run.shard, err)
 			continue

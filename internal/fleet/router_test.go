@@ -40,8 +40,10 @@ type testShard struct {
 	ts   *httptest.Server
 	url  string
 	runs atomic.Int64
-	dead atomic.Bool   // when set, every request answers 500
-	gate chan struct{} // nil = run immediately; else RunJob blocks on it
+	dead atomic.Bool // when set, every request answers 500
+	// eventsDown, when set, makes GET /v1/sweeps/{id}/events answer 500.
+	eventsDown atomic.Bool
+	gate       chan struct{} // nil = run immediately; else RunJob blocks on it
 }
 
 // newTestShard starts one backend. opts.RunJob is overridden with the
@@ -67,7 +69,7 @@ func newTestShard(t *testing.T, opts server.Options) *testShard {
 	inner := srv.Handler()
 	sh.srv = srv
 	sh.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if sh.dead.Load() {
+		if sh.dead.Load() || (sh.eventsDown.Load() && strings.HasSuffix(r.URL.Path, "/events")) {
 			http.Error(w, "shard down", http.StatusInternalServerError)
 			return
 		}
@@ -99,16 +101,16 @@ func newTestFleet(t *testing.T, n int, shardOpts server.Options, ropts Options) 
 		urls[i] = shards[i].url
 	}
 	ropts.Shards = urls
-	if ropts.Attempts == 0 {
-		ropts.Attempts = 2
+	if ropts.attempts == 0 {
+		ropts.attempts = 2
 	}
-	if ropts.RetryBackoff == 0 {
-		ropts.RetryBackoff = 5 * time.Millisecond
+	if ropts.retryBackoff == 0 {
+		ropts.retryBackoff = 5 * time.Millisecond
 	}
-	if ropts.HealthInterval == 0 {
+	if ropts.healthInterval == 0 {
 		// Tests control health transitions explicitly; a long default
 		// interval keeps the loop from flipping state mid-assertion.
-		ropts.HealthInterval = time.Hour
+		ropts.healthInterval = time.Hour
 	}
 	rt, err := New(ropts)
 	if err != nil {
@@ -335,9 +337,9 @@ func TestFleetShardDeathDegradesGracefully(t *testing.T) {
 	healthy := newTestShard(t, server.Options{Workers: 4})
 	rt, err := New(Options{
 		Shards:         []string{healthy.url, victim.url},
-		Attempts:       2,
-		RetryBackoff:   5 * time.Millisecond,
-		HealthInterval: time.Hour,
+		attempts:       2,
+		retryBackoff:   5 * time.Millisecond,
+		healthInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -442,13 +444,54 @@ func TestFleetShardDeathDegradesGracefully(t *testing.T) {
 	}
 }
 
+// TestFleetDrainedShardJobsStaySkipped: a shard drained mid-sweep ends
+// its unstarted jobs skipped, and the router takes that status from the
+// shard's final status view, not from the rows: with the shard's event
+// stream failing, nothing else could tell it the jobs were skipped
+// rather than failed.
+func TestFleetDrainedShardJobsStaySkipped(t *testing.T) {
+	_, base, shards := newTestFleet(t, 1, server.Options{Workers: 2}, Options{})
+	sh := shards[0]
+	sh.gate = make(chan struct{}) // never opened: every job waits for the drain
+	sh.eventsDown.Store(true)
+	sr := submit(t, base, bigRequest())
+
+	// Drain only once the shard holds the sub-sweep, so the router's
+	// submit is not itself refused.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var views []server.SweepView
+		_, body := get(t, sh.url+"/v1/sweeps")
+		if json.Unmarshal(body, &views) == nil && len(views) == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("shard never received the sub-sweep")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // no grace: cancel every job now
+	sh.srv.Drain(ctx)
+
+	v := waitFleetDone(t, base, sr.ID)
+	if v.Status != server.StatusDegraded {
+		t.Errorf("sweep status %q, want degraded", v.Status)
+	}
+	for i, j := range v.Jobs {
+		if j.Status != server.JobSkipped {
+			t.Errorf("job %d: status %q, want skipped", i, j.Status)
+		}
+	}
+}
+
 // TestFleetHealthExclusionAndReadmission: a shard failing its probes is
 // excluded from new placements and re-admitted when it recovers, with
 // the outage visible in /metrics.
 func TestFleetHealthExclusionAndReadmission(t *testing.T) {
 	_, base, shards := newTestFleet(t, 2, server.Options{Workers: 2}, Options{
-		HealthInterval: 10 * time.Millisecond,
-		FailAfter:      2,
+		healthInterval: 10 * time.Millisecond,
+		failAfter:      2,
 	})
 	sick := shards[1]
 	sick.dead.Store(true)
@@ -593,10 +636,10 @@ func TestFleetGuardRails(t *testing.T) {
 	}
 }
 
-// TestFleetTraceReupload: a trace uploaded while one shard is down is
-// healed at submit time — the router re-uploads from its own copy when
-// the shard answers "unknown trace" — so the sweep still completes
-// cleanly across the whole fleet.
+// TestFleetTraceReupload: a trace uploaded to the router reaches the
+// shards at submit time — the router uploads its own copy when a shard
+// answers "unknown trace", even one that was down during the client's
+// upload — so the sweep still completes cleanly across the whole fleet.
 func TestFleetTraceReupload(t *testing.T) {
 	_, base, shards := newTestFleet(t, 2, server.Options{Workers: 2}, Options{})
 	amnesiac := shards[1]
@@ -610,7 +653,7 @@ func TestFleetTraceReupload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The broadcast to the down shard fails; the router keeps its copy.
+	// The router keeps its copy; no shard sees the upload itself.
 	amnesiac.dead.Store(true)
 	resp, body := func() (*http.Response, []byte) {
 		resp, err := http.Post(base+"/v1/traces", "application/octet-stream", bytes.NewReader(trace.Bytes()))

@@ -111,8 +111,9 @@ func (sh *shard) unhealthyTotal(now time.Time) (spans uint64, dur time.Duration)
 }
 
 // do performs one HTTP request against the shard with the bearer
-// credential attached. Callers bound it with a context.
-func (sh *shard) do(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
+// credential attached; ctype labels a non-nil body. Callers bound it
+// with a context.
+func (sh *shard) do(ctx context.Context, method, path, ctype string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -122,7 +123,7 @@ func (sh *shard) do(ctx context.Context, method, path string, body []byte) (*htt
 		return nil, err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", ctype)
 	}
 	if sh.token != "" {
 		req.Header.Set("Authorization", "Bearer "+sh.token)
@@ -184,7 +185,7 @@ func parseRetryAfter(v string) time.Duration {
 func (sh *shard) doJSON(ctx context.Context, method, path string, body []byte, timeout time.Duration, out any) error {
 	cctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	resp, err := sh.do(cctx, method, path, body)
+	resp, err := sh.do(cctx, method, path, "application/json", body)
 	if err != nil {
 		return err
 	}
@@ -247,23 +248,12 @@ func (sh *shard) sweepStatus(ctx context.Context, id string, timeout time.Durati
 	return v, err
 }
 
-// uploadTrace posts raw trace bytes (broadcast and 400-recovery paths).
+// uploadTrace posts raw trace bytes to a shard that answered "unknown
+// trace".
 func (sh *shard) uploadTrace(ctx context.Context, data []byte, timeout time.Duration) error {
 	cctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(cctx, http.MethodPost, sh.name+"/v1/traces", bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if sh.token != "" {
-		req.Header.Set("Authorization", "Bearer "+sh.token)
-	}
-	if id := obs.RequestID(cctx); id != "" {
-		req.Header.Set(obs.RequestIDHeader, id)
-	}
-	sh.requests.Add(1)
-	resp, err := sh.client.Do(req)
+	resp, err := sh.do(cctx, http.MethodPost, "/v1/traces", "application/octet-stream", data)
 	if err != nil {
 		return err
 	}
@@ -283,7 +273,7 @@ func (sh *shard) uploadTrace(ctx context.Context, data []byte, timeout time.Dura
 func (sh *shard) fetchRecords(ctx context.Context, id string, timeout time.Duration) ([]allarm.Record, error) {
 	cctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	resp, err := sh.do(cctx, http.MethodGet, "/v1/sweeps/"+id+"/results?format=ndjson", nil)
+	resp, err := sh.do(cctx, http.MethodGet, "/v1/sweeps/"+id+"/results?format=ndjson", "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +299,7 @@ type sseEvent struct {
 // which owns the completion decision — a silently hung stream can never
 // stall a gather.
 func (sh *shard) streamEvents(ctx context.Context, id string, onEvent func(sseEvent)) error {
-	resp, err := sh.do(ctx, http.MethodGet, "/v1/sweeps/"+id+"/events", nil)
+	resp, err := sh.do(ctx, http.MethodGet, "/v1/sweeps/"+id+"/events", "", nil)
 	if err != nil {
 		return err
 	}

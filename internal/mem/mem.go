@@ -279,15 +279,5 @@ func (as *AddressSpace) allocate(want NodeID) (PAddr, error) {
 	return 0, ErrExhausted
 }
 
-// HomeOf reports the NUMA home node of va's page and whether the page has
-// been allocated yet.
-func (as *AddressSpace) HomeOf(va VAddr) (NodeID, bool) {
-	e := as.find(VPageOf(va))
-	if e == nil {
-		return 0, false
-	}
-	return as.phys.Home(e.frame), true
-}
-
 // MappedPages returns the number of pages currently mapped.
 func (as *AddressSpace) MappedPages() int { return as.mapped }

@@ -95,8 +95,8 @@ func TestFirstTouchPlacesLocally(t *testing.T) {
 	if PageOf(pa2) != PageOf(pa) {
 		t.Fatal("same virtual page translated to different frames")
 	}
-	if home, ok := as.HomeOf(0x1000); !ok || home != 2 {
-		t.Fatalf("HomeOf = %d,%v", home, ok)
+	if pa, ok := as.Lookup(0x1000); !ok || m.Home(pa) != 2 {
+		t.Fatalf("home of the mapped page = %d,%v", m.Home(pa), ok)
 	}
 	st := as.Stats()
 	if st.PagesAllocated != 1 || st.LocalAllocations != 1 || st.RemoteFallbacks != 0 {

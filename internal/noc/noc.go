@@ -141,20 +141,6 @@ func (m *Mesh) ResetStats() { m.stats = Stats{} }
 // Nodes returns the number of mesh nodes.
 func (m *Mesh) Nodes() int { return m.cfg.Width * m.cfg.Height }
 
-// Hops returns the XY-route hop count between two nodes (Manhattan
-// distance).
-func (m *Mesh) Hops(src, dst mem.NodeID) int {
-	s, d := m.xy[src], m.xy[dst]
-	return abs(s.x-d.x) + abs(s.y-d.y)
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 // Directed-link direction indices: node n's link in direction dir is
 // free[4n+dir].
 const (

@@ -42,6 +42,18 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// hops sends one control message and returns the hop count Send
+// charged for it: its flit-hops over its flits (0 for a local delivery).
+func hops(m *Mesh, src, dst mem.NodeID) int {
+	before := m.Stats()
+	m.Send(0, src, dst, Control)
+	after := m.Stats()
+	if after.Flits == before.Flits {
+		return 0
+	}
+	return int((after.FlitHops - before.FlitHops) / (after.Flits - before.Flits))
+}
+
 func TestHopsIsManhattan(t *testing.T) {
 	m := New(testCfg())
 	cases := []struct {
@@ -51,8 +63,8 @@ func TestHopsIsManhattan(t *testing.T) {
 		{0, 0, 0}, {0, 1, 1}, {0, 3, 3}, {0, 4, 1}, {0, 15, 6}, {5, 10, 2},
 	}
 	for _, c := range cases {
-		if got := m.Hops(c.src, c.dst); got != c.want {
-			t.Fatalf("Hops(%d,%d) = %d, want %d", c.src, c.dst, got, c.want)
+		if got := hops(m, c.src, c.dst); got != c.want {
+			t.Fatalf("hops(%d,%d) = %d, want %d", c.src, c.dst, got, c.want)
 		}
 	}
 }
@@ -61,7 +73,7 @@ func TestHopsSymmetric(t *testing.T) {
 	m := New(testCfg())
 	f := func(a, b uint8) bool {
 		s, d := mem.NodeID(a%16), mem.NodeID(b%16)
-		return m.Hops(s, d) == m.Hops(d, s)
+		return hops(m, s, d) == hops(m, d, s)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -159,8 +171,11 @@ func TestArrivalNeverBeforeMinimumLatency(t *testing.T) {
 			return true
 		}
 		t0 := sim.Time(now) * sim.Nanosecond
+		before := m.Stats()
 		at := m.Send(t0, src, dst, Control)
-		min := t0 + sim.Time(m.Hops(src, dst))*m.cfg.LinkLatency
+		after := m.Stats()
+		hops := (after.FlitHops - before.FlitHops) / (after.Flits - before.Flits)
+		min := t0 + sim.Time(hops)*m.cfg.LinkLatency
 		return at > min
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -61,18 +61,6 @@ func (h *Histogram) ObserveSince(t0 time.Time) {
 	h.Observe(uint64(time.Since(t0).Nanoseconds()))
 }
 
-// Count returns the total number of recorded samples.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
-// Sum returns the sum of all samples in exposed (scaled) units.
-func (h *Histogram) Sum() float64 { return float64(h.sum.Load()) * h.scale }
-
 // ExpBuckets returns doubling bucket bounds from lo until hi is
 // covered, for Histogram construction: lo, 2lo, 4lo, ... >= hi.
 func ExpBuckets(lo, hi uint64) []uint64 {

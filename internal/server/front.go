@@ -22,6 +22,10 @@ const (
 	maxSubmitBytes = 1 << 20
 	// maxTraceBytes bounds a POST /v1/traces body.
 	maxTraceBytes = 64 << 20
+	// maxSweepJobs bounds one request's expanded job count, checked
+	// before any job is built. At ≈110 bytes per JobSpec, the router's
+	// largest explicit sub-sweep then stays under maxSubmitBytes.
+	maxSweepJobs = 4096
 )
 
 // Executor runs the sweeps a Front accepts. The Front owns everything a
@@ -44,8 +48,6 @@ type Executor interface {
 	// Forget drops whatever the executor keeps for a deleted or expired
 	// sweep.
 	Forget(st *SweepState)
-	// TraceUploaded sees every accepted trace upload, new or repeated.
-	TraceUploaded(id string, data []byte)
 }
 
 // FrontConfig configures a Front.
@@ -303,7 +305,7 @@ func stampAccepted(st *SweepState, detail string) {
 // restored, and the executor runs whatever is still owed. Entries that
 // no longer expand are logged and skipped — the daemon must come up.
 func (f *Front) Recover() {
-	entries := f.journal.loadSweeps()
+	entries := f.journal.loadSweeps(f.cfg.IDPrefix)
 	for _, e := range entries {
 		var n uint64
 		if _, err := fmt.Sscanf(e.ID, f.cfg.IDPrefix+"%d", &n); err == nil && n > f.nextID {
@@ -504,8 +506,8 @@ func (f *Front) handleResults(w http.ResponseWriter, r *http.Request) {
 // "job" event per job transition and one "sweep" event per lifecycle
 // transition. New subscribers first replay the full history, so a late
 // subscriber still sees every transition; the stream ends when the
-// sweep is final. The finished channel is re-fetched each round: a
-// requeue re-opens a sweep and replaces it.
+// sweep is final. The finish publishes a sweep event like any other
+// transition, so the subscription's poke is the only wakeup needed.
 func (f *Front) handleEvents(w http.ResponseWriter, r *http.Request) {
 	st := f.sweepOr404(w, r)
 	if st == nil {
@@ -544,7 +546,6 @@ func (f *Front) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-poke:
 		case <-r.Context().Done():
 			return
-		case <-st.finishedCh():
 		}
 	}
 }
@@ -587,7 +588,6 @@ func (f *Front) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 		f.tracesUploaded.Add(1)
 		f.Logf("trace %s: %d bytes, %d threads", id, len(data), wl.Threads())
 	}
-	f.exec.TraceUploaded(id, data)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusCreated)
 	WriteJSON(w, TraceResponse{ID: id, Workload: "trace:" + id, Threads: wl.Threads()})
@@ -707,12 +707,16 @@ func RequestConfig(o *ConfigOverrides) allarm.Config {
 
 // ExpandSweep validates req and expands it into a Sweep: the crossed
 // grid (Benchmarks/Workloads × Policies × PFKiB) followed by the
-// explicit Jobs, in order. traces resolves "trace:ID" workload specs
+// explicit Jobs, in order. A request over maxSweepJobs jobs is refused
+// before any job is built. traces resolves "trace:ID" workload specs
 // (nil means traces are not supported). The expansion is deterministic
 // — the same request always yields the same jobs in the same order —
 // which both restart recovery and the router's scatter/gather merge
 // depend on: a shard expands a sub-sweep exactly as the router did.
 func ExpandSweep(req *SweepRequest, traces func(id string) allarm.Workload) (*allarm.Sweep, error) {
+	if jobCount(req) > maxSweepJobs {
+		return nil, fmt.Errorf("sweep expands to more than %d jobs", maxSweepJobs)
+	}
 	cfg := RequestConfig(req.Config)
 
 	known := make(map[string]bool)
@@ -809,6 +813,19 @@ func ExpandSweep(req *SweepRequest, traces func(id string) allarm.Workload) (*al
 		return nil, fmt.Errorf("empty sweep: give at least one benchmark, workload or job")
 	}
 	return sweep, nil
+}
+
+// jobCount is the number of jobs req expands to, or more than
+// maxSweepJobs without computing a product that could overflow.
+func jobCount(req *SweepRequest) int {
+	n := len(req.Benchmarks) + len(req.Workloads)
+	for _, k := range []int{len(req.Policies), len(req.PFKiB)} {
+		if k > 1 && n > maxSweepJobs/k {
+			return maxSweepJobs + 1
+		}
+		n *= max(1, k)
+	}
+	return n + len(req.Jobs)
 }
 
 // formatEmitter maps a negotiated format name to its emitter and

@@ -54,7 +54,6 @@ func (s *Server) runCheckpointed(ctx context.Context, job allarm.Job) (*allarm.R
 	}
 	if resumed {
 		s.met.jobsResumed.Add(1)
-		s.markResumed(job.Key())
 		s.jobEvent(job.Key(), "resumed", fmt.Sprintf("from checkpoint at %d events", h.Events()))
 		s.logf("job %s: resumed from checkpoint at %d events", checkpointName(job.Key()), h.Events())
 	}
@@ -132,29 +131,5 @@ func (s *Server) writeJobCheckpoint(h *allarm.RunHandle, path string, buf *bytes
 	s.met.checkpointBytes.Add(uint64(buf.Len()))
 	s.met.ckptWrite.ObserveSince(start)
 	s.met.ckptSize.Observe(uint64(buf.Len()))
-	return true
-}
-
-// markResumed records that the job with this key was resumed from a
-// checkpoint, for the sweep's per-job view ("resumed":true).
-func (s *Server) markResumed(key string) {
-	s.mu.Lock()
-	if s.resumed == nil {
-		s.resumed = make(map[string]bool)
-	}
-	s.resumed[key] = true
-	s.mu.Unlock()
-}
-
-// takeResumed consumes the resumed mark for a key (read-once keeps the
-// map bounded by in-flight jobs; coalesced followers of the same
-// execution intentionally do not re-claim it).
-func (s *Server) takeResumed(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.resumed[key] {
-		return false
-	}
-	delete(s.resumed, key)
 	return true
 }

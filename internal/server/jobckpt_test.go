@@ -314,6 +314,38 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	})
 }
 
+// TestCoalescedResumeMarksEverySweep: two sweeps coalesced onto one
+// execution that resumes from a checkpoint both report the job as
+// resumed, as both timelines do.
+func TestCoalescedResumeMarksEverySweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulations")
+	}
+	req := ckptSweepRequest(30_000)
+	job := expandOne(t, req)
+	blob := validCheckpointBlob(t, job)
+	s, base := newTestServer(t, Options{Workers: 1, CacheDir: t.TempDir(), CheckpointInterval: 1 << 20})
+	if err := os.WriteFile(s.checkpointPath(job.Key()), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Hold the only pool slot until both sweeps are running the job: the
+	// first leads the flight, the second follows it.
+	s.sem <- struct{}{}
+	ids := []string{submit(t, base, req).ID, submit(t, base, req).ID}
+	for _, id := range ids {
+		waitJob(t, base, id, 0, JobRunning)
+	}
+	<-s.sem
+	for _, id := range ids {
+		if v := waitDone(t, base, id); v.Status != StatusDone || !v.Jobs[0].Resumed {
+			t.Errorf("sweep %s: %+v, want done and resumed", id, v.Jobs[0])
+		}
+	}
+	if got := s.met.jobsResumed.Load(); got != 1 {
+		t.Errorf("jobs_resumed = %d, want 1 (one execution)", got)
+	}
+}
+
 // TestPreemptionYieldsSlot pins checkpoint-based preemption: with one
 // worker, a long checkpointing job yields its slot to a freshly
 // submitted short job at a checkpoint boundary, then resumes and both

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -101,8 +102,11 @@ func (j *journal) writeRecords(st *SweepState) {
 	}
 }
 
-// loadSweeps returns every journaled sweep, oldest id first.
-func (j *journal) loadSweeps() []journalEntry {
+// loadSweeps returns every journaled sweep, oldest id first. An entry
+// whose id is not its own file name, in prefix+digits form, is skipped
+// like an unreadable one: the id later names the sweep's journal, record
+// and checkpoint files.
+func (j *journal) loadSweeps(prefix string) []journalEntry {
 	if j == nil {
 		return nil
 	}
@@ -115,7 +119,9 @@ func (j *journal) loadSweeps() []journalEntry {
 		if err == nil {
 			err = json.Unmarshal(data, &e)
 		}
-		if err != nil || e.ID == "" || e.Request == nil {
+		digits, ok := strings.CutPrefix(e.ID, prefix)
+		ok = ok && digits != "" && strings.Trim(digits, "0123456789") == "" && p == j.path(e.ID, ".json")
+		if err != nil || !ok || e.Request == nil {
 			j.logf("journal: %s: unreadable entry, skipping", p)
 			continue
 		}

@@ -12,8 +12,11 @@
 // and results always render from its records through the library's
 // RecordEmitters, so a sweep's bytes do not depend on where it ran.
 //
-// What differs is the Executor. Server runs jobs locally; fleet.Router
-// scatters them over allarm-serve shards and gathers the records back.
+// What differs is the Executor, whose four methods place a submission's
+// jobs, run a sweep, assemble its timeline and forget a deleted one.
+// Server runs jobs locally; fleet.Router scatters them over allarm-serve
+// shards and gathers the records back. Both daemons share one process
+// lifecycle, ServeDaemon: listen, banner, signals, drain and shutdown.
 //
 // # Local execution
 //
@@ -168,12 +171,12 @@ type Server struct {
 	// janitors tracks the Retain janitor goroutine; Close waits for it.
 	janitors sync.WaitGroup
 
-	mu      sync.Mutex
-	resumed map[string]bool // job keys resumed from a checkpoint (view flag)
+	mu sync.Mutex
 	// jobRefs maps an in-flight job key to every (sweep, index) running
 	// it, so checkpoint/preempt/resume events — which happen deep in the
-	// runner where only the Job is known — land on the right timelines,
-	// including every sweep coalesced onto one flight.
+	// runner where only the Job is known — land on the right timelines
+	// (and a resume on the job views), including every sweep coalesced
+	// onto one flight.
 	jobRefs map[string][]jobRef
 }
 
@@ -355,9 +358,6 @@ func (s *Server) Run(st *SweepState) {
 		},
 		JobDone: func(i, _ int, r allarm.SweepResult) {
 			s.unregisterJobRef(r.Job.Key(), st, i)
-			if s.takeResumed(r.Job.Key()) {
-				st.setResumed(i)
-			}
 			status := jobStatus(r)
 			st.Timeline("finished", i, "", status)
 			st.Deliver("", i, allarm.RecordOf(r), status)
@@ -402,9 +402,6 @@ func (s *Server) Forget(st *SweepState) {
 		os.Remove(filepath.Join(s.checkpointDir, st.ID+".ndjson"))
 	}
 }
-
-// TraceUploaded implements Executor: nothing beyond the Front's store.
-func (s *Server) TraceUploaded(string, []byte) {}
 
 // checkpoint writes a cancelled sweep's partial results as NDJSON
 // (aborted jobs carry their partial metrics and "aborted":true),
@@ -539,12 +536,16 @@ func (s *Server) unregisterJobRef(key string, st *SweepState, idx int) {
 
 // jobEvent fans a runner-level event out to the timeline of every
 // sweep currently running the job — with coalescing, one execution can
-// serve several sweeps, and each should see the event.
+// serve several sweeps, and each should see the event. A "resumed"
+// event also flags each job view.
 func (s *Server) jobEvent(key, event, detail string) {
 	s.mu.Lock()
 	refs := append([]jobRef(nil), s.jobRefs[key]...)
 	s.mu.Unlock()
 	for _, ref := range refs {
+		if event == "resumed" {
+			ref.st.setResumed(ref.idx)
+		}
 		ref.st.Timeline(event, ref.idx, "", detail)
 	}
 }

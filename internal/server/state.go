@@ -144,7 +144,6 @@ type SweepState struct {
 	finishedAt time.Time
 	history    []event
 	subs       map[chan struct{}]struct{}
-	finished   chan struct{} // closed when final; replaced on re-open
 	// onFinish, when set, sees each finish transition under mu, before
 	// any reader can observe the terminal status; it must not block or
 	// call back into the sweep.
@@ -165,7 +164,6 @@ func newSweepState(sweep *allarm.Sweep, req *SweepRequest, shards []string, crea
 		records:    make([]allarm.Record, n),
 		have:       make([]bool, n),
 		subs:       make(map[chan struct{}]struct{}),
-		finished:   make(chan struct{}),
 	}
 	for i, j := range sweep.Jobs {
 		st.jobs[i] = JobView{
@@ -281,8 +279,9 @@ func (st *SweepState) final() bool {
 }
 
 // maybeFinishLocked closes the sweep once every job is terminal and
-// every record is present — the only way a sweep finishes. Callers hold
-// st.mu.
+// every record is present — the only way a sweep finishes — and
+// publishes the final sweep event, which is the finish signal every
+// subscriber waits on. Callers hold st.mu.
 func (st *SweepState) maybeFinishLocked() {
 	if st.final() || st.done != len(st.jobs) {
 		return
@@ -305,15 +304,13 @@ func (st *SweepState) maybeFinishLocked() {
 	}
 	st.Timeline("done", -1, "", st.status)
 	st.publishSweepLocked()
-	close(st.finished)
 }
 
 // Reassign moves every job place names a new shard for: the job goes
 // back to pending there, a terminal one giving up its record and its
-// place in the done count, and a finished sweep re-opens with a fresh
-// finished channel. place sees each job under the sweep's lock, so it
-// must not block or call back into the sweep. It returns the moved
-// indices.
+// place in the done count, and a finished sweep re-opens. place sees
+// each job under the sweep's lock, so it must not block or call back
+// into the sweep. It returns the moved indices.
 func (st *SweepState) Reassign(place func(i int, jv JobView) (shard string, ok bool)) []int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -354,7 +351,6 @@ func (st *SweepState) reassignLocked(place func(i int, jv JobView) (string, bool
 	if len(moved) > 0 && st.final() {
 		st.status = StatusRunning
 		st.finishedAt = time.Time{}
-		st.finished = make(chan struct{})
 	}
 	for _, i := range moved {
 		st.publishJobLocked(i)
@@ -454,12 +450,4 @@ func (st *SweepState) eventsSince(from int) ([]event, bool) {
 		return nil, st.final()
 	}
 	return append([]event(nil), st.history[from:]...), st.final()
-}
-
-// finishedCh returns the channel closed when the sweep (currently)
-// finishes. A re-open replaces it, so waiters re-fetch after each wake.
-func (st *SweepState) finishedCh() <-chan struct{} {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.finished
 }

@@ -6,19 +6,9 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"strings"
 )
-
-// Ratio returns a/b, or 0 when b is zero. It is the canonical "normalised
-// metric" helper: Ratio(allarm, baseline).
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
 
 // SafeDiv returns num/den or def when den == 0.
 func SafeDiv(num, den, def float64) float64 {
@@ -88,20 +78,6 @@ func NewTable(header ...string) *Table {
 // AddRow appends a row. Rows shorter than the header are padded with empty
 // cells; longer rows extend the table width.
 func (t *Table) AddRow(cells ...string) {
-	t.rows = append(t.rows, cells)
-}
-
-// AddRowf appends a row of formatted cells: each argument is rendered with
-// the corresponding verb in verbs (reused cyclically if shorter).
-func (t *Table) AddRowf(verbs []string, args ...interface{}) {
-	cells := make([]string, len(args))
-	for i, a := range args {
-		v := "%v"
-		if len(verbs) > 0 {
-			v = verbs[i%len(verbs)]
-		}
-		cells[i] = fmt.Sprintf(v, a)
-	}
 	t.rows = append(t.rows, cells)
 }
 

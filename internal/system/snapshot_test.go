@@ -12,7 +12,6 @@ import (
 
 	"allarm/internal/mem"
 	"allarm/internal/sim"
-	"allarm/internal/workload"
 )
 
 // snapBuild constructs a fresh machine + thread specs for the snapshot
@@ -28,7 +27,7 @@ func snapBuild(t *testing.T, policy testPolicy, warmup bool) (*Machine, []Thread
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	wl := workload.MustSynthetic(stressParams(4, 2000))
+	wl := synthetic(t, stressParams(4, 2000))
 	space := m.NewAddressSpace()
 	preplace(t, space, wl, func(th int) mem.NodeID { return mem.NodeID(th % cfg.Nodes) })
 	var specs []ThreadSpec
@@ -314,7 +313,7 @@ func twoSpaceBuild(t *testing.T, leak bool) (*Machine, []ThreadSpec) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	wl := workload.MustSynthetic(stressParams(2, 1000))
+	wl := synthetic(t, stressParams(2, 1000))
 	var specs []ThreadSpec
 	for p := 0; p < 2; p++ {
 		space := m.NewAddressSpace()

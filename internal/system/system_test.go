@@ -77,6 +77,16 @@ func table1Config(policy testPolicy) Config {
 	return c
 }
 
+// synthetic builds a generator the test knows to be valid.
+func synthetic(t testing.TB, p workload.Params) *workload.Synthetic {
+	t.Helper()
+	w, err := workload.NewSynthetic(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 func stressParams(threads, accesses int) workload.Params {
 	return workload.Params{
 		Name: "stress", Threads: threads, AccessesPerThread: accesses,
@@ -95,7 +105,7 @@ func runStress(t *testing.T, policy testPolicy, seed uint64) *RunResult {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	wl := workload.MustSynthetic(stressParams(4, 3000))
+	wl := synthetic(t, stressParams(4, 3000))
 	space := m.NewAddressSpace()
 	preplace(t, space, wl, func(th int) mem.NodeID { return mem.NodeID(th % cfg.Nodes) })
 	var specs []ThreadSpec
@@ -160,7 +170,7 @@ func TestALLARMPrivateOnlyWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl := workload.MustSynthetic(workload.Params{
+	wl := synthetic(t, workload.Params{
 		Name: "private-only", Threads: 4, AccessesPerThread: 4000,
 		PrivateBytes: 64 << 10, PrivateFrac: 1.0,
 		PrivateWriteFrac: 0.5, PrivateHot: 0.3, SeqRunFrac: 0.5,
@@ -203,7 +213,7 @@ func TestBaselinePrivateOnlyWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl := workload.MustSynthetic(workload.Params{
+	wl := synthetic(t, workload.Params{
 		Name: "private-only", Threads: 4, AccessesPerThread: 4000,
 		PrivateBytes: 64 << 10, PrivateFrac: 1.0,
 		PrivateWriteFrac: 0.5, PrivateHot: 0.3, SeqRunFrac: 0.5,
@@ -246,7 +256,7 @@ func TestFull16NodeBothPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wl := workload.MustSynthetic(workload.Params{
+		wl := synthetic(t, workload.Params{
 			Name: "full16", Threads: 16, AccessesPerThread: 4000,
 			PrivateBytes: 128 << 10, PrivateFrac: 0.5,
 			PrivateWriteFrac: 0.35, PrivateHot: 0.4, SeqRunFrac: 0.5,
@@ -281,7 +291,7 @@ func TestMsgPoolRecycleSteadyState(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		wl := workload.MustSynthetic(stressParams(4, 3000))
+		wl := synthetic(t, stressParams(4, 3000))
 		space := m.NewAddressSpace()
 		preplace(t, space, wl, func(th int) mem.NodeID { return mem.NodeID(th % cfg.Nodes) })
 		var specs []ThreadSpec

@@ -11,7 +11,7 @@ import (
 
 func testWorkload(t *testing.T) *workload.Synthetic {
 	t.Helper()
-	return workload.MustSynthetic(workload.Params{
+	w, err := workload.NewSynthetic(workload.Params{
 		Name: "trace-test", Threads: 3, AccessesPerThread: 100,
 		PrivateBytes: 16 << 10, PrivateFrac: 0.6,
 		PrivateWriteFrac: 0.4, PrivateHot: 0.5, SeqRunFrac: 0.5,
@@ -19,6 +19,10 @@ func testWorkload(t *testing.T) *workload.Synthetic {
 		Pattern: workload.Uniform, Init: workload.InterleavedInit,
 		Think: 3 * workload.Nanosecond, ThinkJitter: 2 * workload.Nanosecond,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 // sameStream asserts two streams are element-wise identical, including

@@ -150,15 +150,6 @@ func NewSynthetic(p Params) (*Synthetic, error) {
 	return &Synthetic{p: p}, nil
 }
 
-// MustSynthetic is NewSynthetic for the trusted built-in presets.
-func MustSynthetic(p Params) *Synthetic {
-	w, err := NewSynthetic(p)
-	if err != nil {
-		panic(err)
-	}
-	return w
-}
-
 // Name implements Workload.
 func (w *Synthetic) Name() string { return w.p.Name }
 
@@ -170,9 +161,6 @@ func (w *Synthetic) Key() string {
 
 // Threads implements Workload.
 func (w *Synthetic) Threads() int { return w.p.Threads }
-
-// Params returns a copy of the generator parameters.
-func (w *Synthetic) Params() Params { return w.p }
 
 // ForEachPage implements Workload: private pages belong to their thread;
 // global pages interleave across threads (balanced homes); shared pages
@@ -204,13 +192,6 @@ func (w *Synthetic) ForEachPage(fn func(page uint64, thread int)) {
 			fn(va, i%w.p.Threads)
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // WarmupStream implements Workload: thread t's initialisation pass, run before the

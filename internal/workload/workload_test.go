@@ -21,7 +21,7 @@ func testParams() Params {
 }
 
 func TestStreamLengthAndBounds(t *testing.T) {
-	w := MustSynthetic(testParams())
+	w := synthetic(t, testParams())
 	s := w.Stream(1, 7)
 	n := 0
 	for {
@@ -47,7 +47,7 @@ func TestStreamLengthAndBounds(t *testing.T) {
 }
 
 func TestStreamDeterminism(t *testing.T) {
-	w := MustSynthetic(testParams())
+	w := synthetic(t, testParams())
 	a, b := w.Stream(2, 42), w.Stream(2, 42)
 	for i := 0; i < 2000; i++ {
 		x, okx := a.Next()
@@ -59,7 +59,7 @@ func TestStreamDeterminism(t *testing.T) {
 }
 
 func TestStreamsDifferAcrossThreadsAndSeeds(t *testing.T) {
-	w := MustSynthetic(testParams())
+	w := synthetic(t, testParams())
 	same := 0
 	a, b := w.Stream(0, 1), w.Stream(1, 1)
 	for i := 0; i < 100; i++ {
@@ -76,7 +76,7 @@ func TestStreamsDifferAcrossThreadsAndSeeds(t *testing.T) {
 
 func TestForEachPagePlacement(t *testing.T) {
 	p := testParams()
-	w := MustSynthetic(p)
+	w := synthetic(t, p)
 	privPages, globalPages, sharedPages := 0, 0, 0
 	w.ForEachPage(func(page uint64, thread int) {
 		if thread < 0 || thread >= p.Threads {
@@ -113,7 +113,7 @@ func TestForEachPagePlacement(t *testing.T) {
 func TestOwnerInitPlacesAtThreadZero(t *testing.T) {
 	p := testParams()
 	p.Init = OwnerInit
-	w := MustSynthetic(p)
+	w := synthetic(t, p)
 	w.ForEachPage(func(page uint64, thread int) {
 		if page >= sharedBase && thread != 0 {
 			t.Fatalf("owner-init shared page at thread %d", thread)
@@ -122,7 +122,7 @@ func TestOwnerInitPlacesAtThreadZero(t *testing.T) {
 }
 
 func TestWarmupCoversRegions(t *testing.T) {
-	w := MustSynthetic(testParams())
+	w := synthetic(t, testParams())
 	s := w.WarmupStream(0, 1)
 	priv, global, shared := false, false, false
 	for {
@@ -224,7 +224,7 @@ func TestPatternStrings(t *testing.T) {
 }
 
 func TestStreamBoundsProperty(t *testing.T) {
-	w := MustSynthetic(testParams())
+	w := synthetic(t, testParams())
 	f := func(seed uint64, thread uint8) bool {
 		th := int(thread) % 4
 		s := w.Stream(th, seed)
@@ -250,7 +250,7 @@ func TestStreamBoundsProperty(t *testing.T) {
 func TestHotOwnerStreamsShareOneZipfTable(t *testing.T) {
 	p := testParams()
 	p.Pattern, p.Init, p.SharedHot = HotOwner, OwnerInit, 0.9
-	w := MustSynthetic(p)
+	w := synthetic(t, p)
 	var wg sync.WaitGroup
 	streams := make([]Stream, p.Threads)
 	for i := range streams {
@@ -268,7 +268,7 @@ func TestHotOwnerStreamsShareOneZipfTable(t *testing.T) {
 	}
 	// Sampling a shared table replays a private one exactly.
 	for i, s := range streams {
-		own := MustSynthetic(p).Stream(i, 9)
+		own := synthetic(t, p).Stream(i, 9)
 		for j := 0; j < p.AccessesPerThread; j++ {
 			x, _ := s.Next()
 			y, _ := own.Next()
@@ -277,4 +277,14 @@ func TestHotOwnerStreamsShareOneZipfTable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// synthetic builds a generator the test knows to be valid.
+func synthetic(t testing.TB, p Params) *Synthetic {
+	t.Helper()
+	w, err := NewSynthetic(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
