@@ -26,9 +26,9 @@
 // transition re-queues those jobs onto their new owner. The shard set
 // is fixed while the router runs: to change it, restart the router
 // with an edited -shards list and the same -state-dir; recovery moves
-// the jobs of departed shards onto their new owners. GET /metrics reports per-shard request, retry and
-// unhealthy interval counters (?format=prometheus adds latency
-// histograms in text exposition).
+// the jobs of departed shards onto their new owners. GET /metrics
+// reports per-shard request, retry and unhealthy interval counters
+// (?format=prometheus adds latency histograms in text exposition).
 //
 // Observability: every response carries an X-Allarm-Request-Id header,
 // forwarded on each shard call so one client request correlates across

@@ -124,8 +124,6 @@ func NewProbeFilter(coverageBytes, ways int) *ProbeFilter {
 	}
 }
 
-// Entries returns the total entry capacity.
-
 // Ways returns the associativity.
 func (pf *ProbeFilter) Ways() int { return pf.ways }
 

@@ -39,8 +39,6 @@ func New(latency, interval sim.Time) *Controller {
 	return &Controller{latency: latency, interval: interval}
 }
 
-// Latency returns the configured access latency.
-
 // Stats returns a copy of the accumulated statistics.
 func (c *Controller) Stats() Stats { return c.stats }
 

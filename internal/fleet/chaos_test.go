@@ -130,7 +130,6 @@ func TestFleetHealthFlapChurn(t *testing.T) {
 		attempts:       2,
 		retryBackoff:   2 * time.Millisecond,
 		healthInterval: 10 * time.Millisecond,
-		failAfter:      2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -77,24 +77,24 @@ import (
 	"allarm/internal/server"
 )
 
-// Tuning. The first five are the defaults of the matching unexported
-// Options fields, which only this package's tests set.
+// Tuning. The default* values are the defaults of the matching
+// unexported Options fields, which only this package's tests set.
 const (
 	// defaultHealthInterval paces /healthz probes.
 	defaultHealthInterval = 2 * time.Second
-	// defaultFailAfter is the consecutive probe failures before a shard
-	// is excluded from placement; one success re-admits it.
-	defaultFailAfter = 2
+	// failAfter is the consecutive probe failures before a shard is
+	// excluded from placement; one success re-admits it.
+	failAfter = 2
 	// defaultAttempts bounds tries per shard call (1 + retries). 4xx
 	// answers other than 429 are never retried.
 	defaultAttempts = 3
 	// defaultRetryBackoff seeds the exponential retry backoff. Actual
 	// waits are full-jittered; a 429's Retry-After overrides the schedule.
 	defaultRetryBackoff = 100 * time.Millisecond
-	// defaultShardTimeout bounds every non-streaming shard call — submit,
-	// poll, record fetch, trace upload — so a hung shard costs at most
+	// shardTimeout bounds every non-streaming shard call — submit, poll,
+	// record fetch, trace upload — so a hung shard costs at most
 	// attempts × shardTimeout per step.
-	defaultShardTimeout = 30 * time.Second
+	shardTimeout = 30 * time.Second
 	// defaultReplicas is the ring points per shard; enough that removing
 	// one shard spreads its keys roughly evenly over the survivors.
 	defaultReplicas = 64
@@ -139,10 +139,8 @@ type Options struct {
 	// carries all shard traffic (the fault injector), and a positive
 	// jitterSeed makes the retry jitter replayable.
 	healthInterval time.Duration
-	failAfter      int
 	attempts       int
 	retryBackoff   time.Duration
-	shardTimeout   time.Duration
 	transport      http.RoundTripper
 	jitterSeed     int64
 }
@@ -206,10 +204,8 @@ func New(opts Options) (*Router, error) {
 	}
 
 	orDefault(&opts.healthInterval, defaultHealthInterval)
-	orDefault(&opts.failAfter, defaultFailAfter)
 	orDefault(&opts.attempts, defaultAttempts)
 	orDefault(&opts.retryBackoff, defaultRetryBackoff)
-	orDefault(&opts.shardTimeout, defaultShardTimeout)
 	orDefault(&opts.jitterSeed, time.Now().UnixNano())
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -310,7 +306,7 @@ func (rt *Router) probeAll() {
 		go func(sh *shard) {
 			defer wg.Done()
 			ok := rt.probe(sh)
-			switch sh.probeResult(ok, rt.opts.failAfter, time.Now()) {
+			switch sh.probeResult(ok, time.Now()) {
 			case "excluded":
 				flipped.Store(true)
 				rt.logf("shard %s: unhealthy, excluded from placement", sh.name)
@@ -497,11 +493,11 @@ func (rt *Router) dispatch(st *server.SweepState, groups map[*shard][]int) {
 
 // gatherGroup runs one shard's share of a sweep, delivering each row with
 // the job's status from the shard's final status view (a draining shard
-// skips jobs, which a row alone cannot tell from errors). Failure past the retry
-// budget degrades the group's jobs to skipped rows — then immediately
-// asks the ring whether anyone else can own them (the failing shard may
-// already be excluded), which turns a mid-sweep shard death into a
-// re-dispatch instead of a permanent hole. Every delivery is
+// skips jobs, which a row alone cannot tell from errors). Failure past
+// the retry budget degrades the group's jobs to skipped rows — then
+// immediately asks the ring whether anyone else can own them (the
+// failing shard may already be excluded), which turns a mid-sweep shard
+// death into a re-dispatch instead of a permanent hole. Every delivery is
 // ownership-checked (SweepState.Deliver): a row only lands while its
 // job is still placed on this shard.
 func (rt *Router) gatherGroup(st *server.SweepState, sh *shard, globals []int) {
@@ -573,17 +569,17 @@ func (rt *Router) runShardSweep(st *server.SweepState, sh *shard, globals []int)
 	var id string
 	submit := func() error {
 		var err error
-		id, err = sh.submitSweep(ctx, req, rt.opts.shardTimeout)
+		id, err = sh.submitSweep(ctx, req, shardTimeout)
 		var he *httpError
 		if err != nil && errors.As(err, &he) && he.status == http.StatusBadRequest &&
 			strings.Contains(he.body, "unknown trace") {
 			// The shard never saw the trace, or lost it (evicted, or a
 			// restart without a cache dir). Upload the router's copy and
 			// go again.
-			if uerr := rt.reuploadTraces(ctx, sh, req); uerr != nil {
+			if uerr := rt.reuploadTraces(ctx, sh, st, req); uerr != nil {
 				return fmt.Errorf("%w (re-upload failed: %v)", err, uerr)
 			}
-			id, err = sh.submitSweep(ctx, req, rt.opts.shardTimeout)
+			id, err = sh.submitSweep(ctx, req, shardTimeout)
 		}
 		return err
 	}
@@ -627,7 +623,7 @@ func (rt *Router) runShardSweep(st *server.SweepState, sh *shard, globals []int)
 	var recs []allarm.Record
 	fetch := func() error {
 		var err error
-		recs, err = sh.fetchRecords(ctx, id, rt.opts.shardTimeout)
+		recs, err = sh.fetchRecords(ctx, id, shardTimeout)
 		return err
 	}
 	if err := rt.retry(ctx, sh, fetch); err != nil {
@@ -701,7 +697,7 @@ func (rt *Router) awaitTerminal(ctx context.Context, sh *shard, id string, strea
 		var v server.SweepView
 		poll := func() error {
 			var err error
-			v, err = sh.sweepStatus(ctx, id, rt.opts.shardTimeout)
+			v, err = sh.sweepStatus(ctx, id, shardTimeout)
 			return err
 		}
 		if err := rt.retry(ctx, sh, poll); err != nil {
@@ -722,7 +718,7 @@ func (rt *Router) awaitTerminal(ctx context.Context, sh *shard, id string, strea
 
 // reuploadTraces pushes the router's copies of every trace the
 // sub-sweep references to one shard.
-func (rt *Router) reuploadTraces(ctx context.Context, sh *shard, req *server.SweepRequest) error {
+func (rt *Router) reuploadTraces(ctx context.Context, sh *shard, st *server.SweepState, req *server.SweepRequest) error {
 	sent := make(map[string]bool)
 	for _, js := range req.Jobs {
 		id, ok := strings.CutPrefix(js.Workload, "trace:")
@@ -730,11 +726,11 @@ func (rt *Router) reuploadTraces(ctx context.Context, sh *shard, req *server.Swe
 			continue
 		}
 		sent[id] = true
-		data, ok := rt.front.TraceBytes(id)
+		data, ok := st.TraceBytes(id)
 		if !ok {
 			return fmt.Errorf("trace %s: not held by this router (re-upload it)", id)
 		}
-		if err := sh.uploadTrace(ctx, data, rt.opts.shardTimeout); err != nil {
+		if err := sh.uploadTrace(ctx, data, shardTimeout); err != nil {
 			return fmt.Errorf("trace %s: %w", id, err)
 		}
 	}
@@ -755,7 +751,7 @@ func (rt *Router) Timeline(r *http.Request, st *server.SweepState) []obs.Timelin
 	ctx := obs.ContextWithRequestID(r.Context(), obs.RequestID(r.Context()))
 	for _, run := range runs {
 		sh := rt.byName(run.shard)
-		tv, err := sh.fetchTimeline(ctx, run.id, rt.opts.shardTimeout)
+		tv, err := sh.fetchTimeline(ctx, run.id, shardTimeout)
 		if err != nil {
 			rt.logf("sweep %s: shard %s timeline: %v", st.ID, run.shard, err)
 			continue

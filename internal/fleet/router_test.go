@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -491,7 +492,6 @@ func TestFleetDrainedShardJobsStaySkipped(t *testing.T) {
 func TestFleetHealthExclusionAndReadmission(t *testing.T) {
 	_, base, shards := newTestFleet(t, 2, server.Options{Workers: 2}, Options{
 		healthInterval: 10 * time.Millisecond,
-		failAfter:      2,
 	})
 	sick := shards[1]
 	sick.dead.Store(true)
@@ -689,6 +689,84 @@ func TestFleetTraceReupload(t *testing.T) {
 		t.Skip("placement sent no jobs to the amnesiac shard; re-upload path not exercised this run")
 	}
 	if got := totalRuns(shards); got != int64(v.Total) {
+		t.Fatalf("ran %d simulations for %d jobs", got, v.Total)
+	}
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// postTrace uploads a trace to base and returns the reply.
+func postTrace(t *testing.T, base string, data []byte) server.TraceResponse {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/traces", "application/octet-stream", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	var tr server.TraceResponse
+	if resp.StatusCode != http.StatusCreated || json.Unmarshal(body, &tr) != nil {
+		t.Fatalf("trace upload: status %d: %s", resp.StatusCode, body)
+	}
+	return tr
+}
+
+// TestFleetTraceReuploadAfterEviction: an accepted sweep keeps the raw
+// bytes of its traces, so its shard sub-sweep can still re-upload one
+// that an in-memory router has since evicted from its trace store.
+func TestFleetTraceReuploadAfterEviction(t *testing.T) {
+	arrived, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	gated := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/sweeps" {
+			once.Do(func() { close(arrived) })
+			select {
+			case <-release:
+			case <-r.Context().Done():
+				return nil, r.Context().Err()
+			}
+		}
+		return http.DefaultTransport.RoundTrip(r)
+	})
+	_, base, shards := newTestFleet(t, 1, server.Options{Workers: 2}, Options{transport: gated})
+
+	capture := func(bench string, seed uint64) []byte {
+		wl, err := allarm.BenchmarkWorkload(bench, 2, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := allarm.CaptureTrace(&b, wl, seed); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	tr := postTrace(t, base, capture("barnes", 1))
+	req := server.SweepRequest{
+		Workloads: []string{tr.Workload},
+		Policies:  []string{"baseline", "allarm"},
+		Config:    &server.ConfigOverrides{Threads: 2, AccessesPerThread: 32},
+	}
+	sr := submit(t, base, req)
+	<-arrived // dispatched; the shard submit waits at the gate
+
+	// maxTraces newer uploads evict the first from the router's store.
+	for seed := uint64(2); seed < 2+maxTraces; seed++ {
+		postTrace(t, base, capture("barnes", seed))
+	}
+	if resp, body := postJSON(t, base+"/v1/sweeps", req); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("trace still in the router's store (status %d: %s); eviction not exercised", resp.StatusCode, body)
+	}
+
+	close(release)
+	v := waitFleetDone(t, base, sr.ID)
+	if v.Status != server.StatusDone {
+		t.Fatalf("status %q, want done: %+v", v.Status, v.Jobs)
+	}
+	if got := shards[0].runs.Load(); got != int64(v.Total) {
 		t.Fatalf("ran %d simulations for %d jobs", got, v.Total)
 	}
 }

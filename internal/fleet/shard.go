@@ -74,7 +74,7 @@ func (sh *shard) isHealthy() bool {
 // state after failAfter consecutive failures and re-admitting it on the
 // first success. It returns the transition ("excluded", "readmitted" or
 // "") for logging.
-func (sh *shard) probeResult(ok bool, failAfter int, now time.Time) string {
+func (sh *shard) probeResult(ok bool, now time.Time) string {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if ok {

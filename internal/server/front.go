@@ -59,7 +59,7 @@ type FrontConfig struct {
 	// accepted sweeps and uploaded traces survive a restart.
 	Dir string
 	// MaxTraces bounds the uploads kept in memory; KeepTraceBytes keeps
-	// their raw bytes too.
+	// their raw bytes too, and each sweep those of the traces it uses.
 	MaxTraces      int
 	KeepTraceBytes bool
 	// Incomplete is the final status of a sweep with a skipped or aborted
@@ -175,9 +175,24 @@ func (f *Front) Handler() http.Handler { return f.handler }
 // HandleFunc adds a daemon-specific route.
 func (f *Front) HandleFunc(pattern string, h http.HandlerFunc) { f.mux.HandleFunc(pattern, h) }
 
-// TraceBytes returns an uploaded trace's raw bytes (the router re-uploads
-// them to shards that lost the trace).
-func (f *Front) TraceBytes(id string) ([]byte, bool) { return f.traces.raw(id) }
+// expand expands req against the trace store. With KeepTraceBytes it
+// also returns the raw bytes of every trace the sweep references, read
+// in the same lookup as the workload: the sweep holds them for its
+// lifetime, so a later eviction cannot strand the router's re-upload.
+func (f *Front) expand(req *SweepRequest) (*allarm.Sweep, map[string][]byte, error) {
+	var raws map[string][]byte
+	sweep, err := ExpandSweep(req, func(id string) allarm.Workload {
+		e := f.traces.load(id)
+		if e.raw != nil {
+			if raws == nil {
+				raws = make(map[string][]byte)
+			}
+			raws[id] = e.raw
+		}
+		return e.wl
+	})
+	return sweep, raws, err
+}
 
 // Journal rewrites a sweep's journal entry (after its jobs moved).
 func (f *Front) Journal(st *SweepState) { f.journal.writeSweep(st) }
@@ -313,7 +328,7 @@ func (f *Front) Recover() {
 		}
 	}
 	for _, e := range entries {
-		sweep, err := ExpandSweep(e.Request, f.traces.lookup)
+		sweep, raws, err := f.expand(e.Request)
 		var shards []string
 		if err == nil {
 			shards, err = e.shards(sweep.Len())
@@ -323,6 +338,7 @@ func (f *Front) Recover() {
 			continue
 		}
 		st := newSweepState(sweep, e.Request, shards, e.Created, f.cfg.Incomplete)
+		st.traces = raws
 		// Recovery has no inbound request; a fresh correlation id still
 		// stitches the resumed run's logs and timeline together.
 		st.ID, st.recovered, st.ReqID = e.ID, true, obs.NewRequestID()
@@ -382,7 +398,7 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	sweep, err := ExpandSweep(&req, f.traces.lookup)
+	sweep, raws, err := f.expand(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -397,7 +413,7 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := newSweepState(sweep, &req, shards, time.Now(), f.cfg.Incomplete)
-	st.ReqID = obs.RequestID(r.Context())
+	st.ReqID, st.traces = obs.RequestID(r.Context()), raws
 	stampAccepted(st, "")
 	f.countFinish(st)
 	if !f.admit(st) {

@@ -133,6 +133,9 @@ type SweepState struct {
 	recovered  bool
 	incomplete string // terminal status when a job was skipped or aborted
 	tl         obs.Timeline
+	// traces holds the raw bytes of the traces the sweep references
+	// (FrontConfig.KeepTraceBytes), for the router's re-upload.
+	traces map[string][]byte
 
 	mu         sync.Mutex
 	status     string
@@ -196,6 +199,14 @@ func (st *SweepState) Timeline(event string, job int, shard, detail string) {
 
 // Events snapshots the sweep's own timeline.
 func (st *SweepState) Events() []obs.TimelineEvent { return st.tl.Snapshot() }
+
+// TraceBytes returns the raw bytes of a trace the sweep references,
+// captured at expansion when the front keeps trace bytes (the router
+// re-uploads them to shards that lack the trace).
+func (st *SweepState) TraceBytes(id string) ([]byte, bool) {
+	data, ok := st.traces[id]
+	return data, ok
+}
 
 // publish appends an event to the history and pokes every subscriber.
 // Callers hold st.mu.

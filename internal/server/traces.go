@@ -17,8 +17,9 @@ import (
 // "trace:<id>". Memory holds at most max parsed traces, evicting the
 // oldest; with a directory every upload is also persisted there, and a
 // lookup that misses memory reloads it from disk. Sweeps capture their
-// Workload at expansion, so eviction never breaks an accepted sweep —
-// only future "trace:ID" specs pay a reload.
+// Workload (and, with keepRaw, the raw bytes) at expansion, so eviction
+// never breaks an accepted sweep — only future "trace:ID" specs pay a
+// reload.
 type traceStore struct {
 	dir     string // "" = memory only
 	max     int
@@ -77,26 +78,8 @@ func (ts *traceStore) add(data []byte) (id string, wl allarm.Workload, fresh boo
 	return id, e.wl, fresh, nil
 }
 
-// lookup resolves a trace id, reloading a persisted upload that is not
-// in memory. It returns nil for unknown or malformed ids.
-func (ts *traceStore) lookup(id string) allarm.Workload {
-	return ts.load(id).wl
-}
-
-// raw returns a trace's uploaded bytes, from memory or disk.
-func (ts *traceStore) raw(id string) ([]byte, bool) {
-	if e := ts.load(id); e.raw != nil {
-		return e.raw, true
-	}
-	if ts.dir == "" || !validTraceID(id) {
-		return nil, false
-	}
-	raw, err := os.ReadFile(filepath.Join(ts.dir, id))
-	return raw, err == nil
-}
-
 // load returns the entry for id from memory or, failing that, disk (the
-// zero entry when neither has it).
+// zero entry for a malformed id or when neither has it).
 func (ts *traceStore) load(id string) traceEntry {
 	if !validTraceID(id) {
 		return traceEntry{}

@@ -71,10 +71,10 @@ func TestTraceStoreAddUnderEviction(t *testing.T) {
 		wg.Wait()
 	}
 	for i, id := range ids {
-		if ts.lookup(id) == nil {
+		if ts.load(id).wl == nil {
 			t.Errorf("trace %d (%s) not resolvable after eviction", i, id)
 		}
-		if raw, ok := ts.raw(id); !ok || !bytes.Equal(raw, traces[i]) {
+		if raw := ts.load(id).raw; !bytes.Equal(raw, traces[i]) {
 			t.Errorf("trace %d: raw bytes not recoverable", i)
 		}
 	}
