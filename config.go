@@ -21,6 +21,10 @@ const FirstTouch MemPolicy = 0
 
 // Config describes one simulated machine and workload scale. The zero
 // value is invalid; start from DefaultConfig (the paper's Table I).
+//
+// Every field is part of Job.Key, which writes them one by one
+// (Config.appendKey in sweep.go): a new field needs an entry there, in
+// declaration order, or TestJobKeyMatchesFormat fails.
 type Config struct {
 	// Threads is the software thread count (Table I: 16, one per node).
 	Threads int

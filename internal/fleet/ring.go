@@ -32,7 +32,8 @@ type ringPoint struct {
 
 // hash64 is the ring's hash: the first 8 bytes of SHA-256, matching the
 // collision discipline of the result store's content addressing (keys
-// embed %+v-rendered configs; a weak hash would cluster them).
+// spell out whole configs and differ in a few digits; a weak hash would
+// cluster them).
 func hash64(s string) uint64 {
 	sum := sha256.Sum256([]byte(s))
 	return binary.BigEndian.Uint64(sum[:8])

@@ -65,10 +65,10 @@ func NewDiskStore(dir string) (*ResultStore, error) {
 }
 
 // objectName maps a job key to its entry file name. Keys are arbitrary
-// strings (they embed %+v-rendered configs), so the name is the key's
-// SHA-256; the key itself is stored inside the entry and checked on Get
-// — a hash collision or a foreign file can never serve the wrong
-// simulation.
+// strings (they spell out whole configs and free-form workload names),
+// so the name is the key's SHA-256; the key itself is stored inside the
+// entry and checked on Get — a hash collision or a foreign file can
+// never serve the wrong simulation.
 func objectName(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(sum[:]) + ".json"

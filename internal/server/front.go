@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -200,10 +201,11 @@ func (f *Front) Journal(st *SweepState) { f.journal.writeSweep(st) }
 // JournalRecords rewrites a sweep's journaled records.
 func (f *Front) JournalRecords(st *SweepState) { f.journal.writeRecords(st) }
 
-// Logf logs one lifecycle line at info (no-op without a Logger).
+// Logf logs one lifecycle line at info (no-op without a Logger, and
+// not formatted when the Logger drops info lines).
 func (f *Front) Logf(format string, args ...any) {
-	if f.cfg.Logger != nil {
-		f.cfg.Logger.Info(fmt.Sprintf(format, args...))
+	if l := f.cfg.Logger; l != nil && l.Enabled(context.Background(), slog.LevelInfo) {
+		l.Info(fmt.Sprintf(format, args...))
 	}
 }
 

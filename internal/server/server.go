@@ -345,6 +345,10 @@ func (s *Server) Place([]allarm.Job) ([]string, error) { return nil, nil }
 func (s *Server) Run(st *SweepState) {
 	s.actives.Add(1)
 	defer s.actives.Add(-1)
+	// Each job's key, computed once in Start and reused by JobDone
+	// (which runs on the same worker). A job skipped before Start keeps
+	// "", which unregisterJobRef ignores.
+	keys := make([]string, st.Sweep.Len())
 	runner := &allarm.Runner{
 		// Per-sweep fan-out matches the pool width; the pool itself is
 		// enforced globally in exec, so concurrent sweeps share — not
@@ -352,12 +356,13 @@ func (s *Server) Run(st *SweepState) {
 		// jobs resolve without occupying a pool slot.
 		Parallelism: s.workers,
 		Start: func(i, _ int, j allarm.Job) {
-			s.registerJobRef(j.Key(), st, i)
+			keys[i] = j.Key()
+			s.registerJobRef(keys[i], st, i)
 			st.Timeline("started", i, "", "")
 			st.Update("", i, JobRunning, "")
 		},
 		JobDone: func(i, _ int, r allarm.SweepResult) {
-			s.unregisterJobRef(r.Job.Key(), st, i)
+			s.unregisterJobRef(keys[i], st, i)
 			status := jobStatus(r)
 			st.Timeline("finished", i, "", status)
 			st.Deliver("", i, allarm.RecordOf(r), status)

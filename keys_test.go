@@ -2,6 +2,8 @@ package allarm_test
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	allarm "allarm"
@@ -143,5 +145,84 @@ func TestJobKeyDiscriminates(t *testing.T) {
 	b := allarm.Job{Workload: wl, Config: cfg, MultiProcess: &mp}
 	if a.Key() != b.Key() {
 		t.Error("inert MultiProcess split the key of a Workload job")
+	}
+}
+
+// TestJobKeyMatchesFormat holds Job.Key to its reference form (fmt's
+// %+v rendering, FormatKey) for the preset configurations and for a
+// Config whose every field carries a distinct non-zero value, set
+// through reflect: a Config field added without a Job.Key appender
+// entry, or an entry out of declaration order, fails here.
+func TestJobKeyMatchesFormat(t *testing.T) {
+	mp := allarm.DefaultMultiProcess()
+	jobs := map[string]allarm.Job{
+		"default":       {Benchmark: "barnes", Config: allarm.DefaultConfig()},
+		"experiment":    {Benchmark: "ocean-cont", Config: allarm.ExperimentConfig()},
+		"golden":        {Benchmark: "barnes", Config: goldenKeyConfig()},
+		"multi-process": {Benchmark: "ocean-cont", Config: allarm.ExperimentConfig(), MultiProcess: &mp},
+		"every-field":   {Benchmark: "barnes", Config: everyFieldConfig(t)},
+	}
+	for name, j := range jobs {
+		if got, want := j.Key(), allarm.FormatKey(j); got != want {
+			t.Errorf("%s: Key differs from its reference form:\n got %q\nwant %q", name, got, want)
+		}
+	}
+}
+
+// everyFieldConfig sets each Config field, in declaration order, to a
+// value no other field holds.
+func everyFieldConfig(t *testing.T) allarm.Config {
+	t.Helper()
+	var c allarm.Config
+	v := reflect.ValueOf(&c).Elem()
+	n := 0
+	var fill func(f reflect.Value, name string)
+	fill = func(f reflect.Value, name string) {
+		n++
+		switch f.Kind() {
+		case reflect.Int:
+			f.SetInt(int64(1000 + n))
+		case reflect.Uint64:
+			f.SetUint(uint64(2000 + n))
+		case reflect.Float64:
+			f.SetFloat(float64(n) + 0.25)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.String:
+			f.SetString(fmt.Sprintf("policy-%d", n))
+		case reflect.Slice:
+			s := reflect.MakeSlice(f.Type(), 2, 2)
+			for i := 0; i < s.Len(); i++ {
+				fill(s.Index(i), name)
+			}
+			f.Set(s)
+		case reflect.Struct:
+			for i := 0; i < f.NumField(); i++ {
+				fill(f.Field(i), name+"."+f.Type().Field(i).Name)
+			}
+		default:
+			t.Fatalf("Config.%s: kind %s has no test value; extend everyFieldConfig", name, f.Kind())
+		}
+	}
+	for i := 0; i < v.NumField(); i++ {
+		fill(v.Field(i), v.Type().Field(i).Name)
+	}
+	return c
+}
+
+// TestJobKeyAllocs pins the key's cost in allocations: the buffer and
+// the returned string.
+func TestJobKeyAllocs(t *testing.T) {
+	j := allarm.Job{Benchmark: "barnes", Config: allarm.ExperimentConfig()}
+	if n := testing.AllocsPerRun(100, func() { j.Key() }); n > 2 {
+		t.Errorf("Job.Key allocates %v times, want at most 2", n)
+	}
+}
+
+func BenchmarkJobKey(b *testing.B) {
+	j := allarm.Job{Benchmark: "barnes", Config: allarm.ExperimentConfig()}
+	b.ReportAllocs()
+	for b.Loop() {
+		j.Key()
 	}
 }

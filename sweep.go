@@ -3,8 +3,8 @@ package allarm
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -76,17 +76,19 @@ func (j Job) WorkloadName() string {
 	return j.Benchmark
 }
 
-// workloadKey fingerprints the job's workload for Dedup: benchmark
+// appendWorkloadKey appends the job's workload fingerprint: benchmark
 // presets by name, Workloads by their Key (see Keyer) or, failing that,
 // by name and thread count.
-func (j Job) workloadKey() string {
+func (j Job) appendWorkloadKey(b []byte) []byte {
 	if j.Workload == nil {
-		return "bench:" + j.Benchmark
+		return append(append(b, "bench:"...), j.Benchmark...)
 	}
+	b = append(b, "wl:"...)
 	if k, ok := j.Workload.(Keyer); ok {
-		return "wl:" + k.Key()
+		return append(b, k.Key()...)
 	}
-	return fmt.Sprintf("wl:%s#%d", j.Workload.Name(), j.Workload.Threads())
+	b = append(append(b, j.Workload.Name()...), '#')
+	return strconv.AppendInt(b, int64(j.Workload.Threads()), 10)
 }
 
 // Key returns a stable fingerprint identifying the simulation the job
@@ -101,6 +103,16 @@ func (j Job) workloadKey() string {
 // simulation semantics actually change (for example, Config gaining a
 // behaviour-affecting field). Silent drift would make the service cache
 // conflate distinct simulations or miss identical ones.
+//
+// The key is four '|'-separated parts: the workload ("bench:NAME",
+// "wl:KEY" for a Keyer, else "wl:NAME#THREADS"), whether the
+// multi-process section is active ("true"/"false"), that section and
+// the Config. The last two are written field by field in declaration
+// order as "{Name:value ...}": integers and bools in decimal and
+// true/false, floats in strconv's shortest 'g' form, Policy through its
+// String, ALLARMRanges as "[{Start:S End:E} ...]" ("[]" when empty).
+// Those are the bytes fmt's %+v prints for the two structs, which is
+// the reference TestJobKeyMatchesFormat and FuzzJobKey hold the key to.
 func (j Job) Key() string {
 	// MultiProcess is inert when a first-class Workload is set (Job.RunCtx
 	// checks Workload first), so it must not split the fingerprint.
@@ -109,7 +121,66 @@ func (j Job) Key() string {
 	if mpActive {
 		mp = *j.MultiProcess
 	}
-	return fmt.Sprintf("%s|%t|%+v|%+v", j.workloadKey(), mpActive, mp, j.Config)
+	b := make([]byte, 0, 512)
+	b = append(j.appendWorkloadKey(b), '|')
+	b = append(strconv.AppendBool(b, mpActive), '|')
+	b = appendIntField(b, "{Copies:", mp.Copies)
+	b = appendIntField(b, " FootprintBytes:", mp.FootprintBytes)
+	b = appendIntField(b, " LocalMemBytes:", mp.LocalMemBytes)
+	b = append(b, "}|"...)
+	return string(j.Config.appendKey(b))
+}
+
+// appendKey appends the Config part of Job.Key, one entry per field in
+// declaration order.
+func (c *Config) appendKey(b []byte) []byte {
+	b = appendIntField(b, "{Threads:", c.Threads)
+	b = appendIntField(b, " AccessesPerThread:", c.AccessesPerThread)
+	b = strconv.AppendUint(append(b, " Seed:"...), c.Seed, 10)
+	b = append(append(b, " Policy:"...), c.Policy.String()...)
+	b = append(b, " ALLARMRanges:["...)
+	for i, r := range c.ALLARMRanges {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendUint(append(b, "{Start:"...), r.Start, 10)
+		b = strconv.AppendUint(append(b, " End:"...), r.End, 10)
+		b = append(b, '}')
+	}
+	b = append(b, ']')
+	b = appendIntField(b, " MemPolicy:", int(c.MemPolicy))
+	b = appendIntField(b, " Nodes:", c.Nodes)
+	b = appendIntField(b, " MeshW:", c.MeshW)
+	b = appendIntField(b, " MeshH:", c.MeshH)
+	b = appendIntField(b, " L1Bytes:", c.L1Bytes)
+	b = appendIntField(b, " L1Ways:", c.L1Ways)
+	b = appendIntField(b, " L2Bytes:", c.L2Bytes)
+	b = appendIntField(b, " L2Ways:", c.L2Ways)
+	b = appendIntField(b, " PFBytes:", c.PFBytes)
+	b = appendIntField(b, " PFWays:", c.PFWays)
+	b = appendFloatField(b, " CacheNs:", c.CacheNs)
+	b = appendFloatField(b, " DirNs:", c.DirNs)
+	b = appendFloatField(b, " DRAMNs:", c.DRAMNs)
+	b = appendFloatField(b, " LinkNs:", c.LinkNs)
+	b = appendFloatField(b, " DRAMIntervalNs:", c.DRAMIntervalNs)
+	b = appendFloatField(b, " LinkBytesPerNs:", c.LinkBytesPerNs)
+	b = appendIntField(b, " FlitBytes:", c.FlitBytes)
+	b = appendIntField(b, " CtrlMsgBytes:", c.CtrlMsgBytes)
+	b = appendIntField(b, " DataMsgBytes:", c.DataMsgBytes)
+	b = appendIntField(b, " MemMiBPerNode:", c.MemMiBPerNode)
+	b = strconv.AppendBool(append(b, " CheckInvariants:"...), c.CheckInvariants)
+	b = strconv.AppendUint(append(b, " MaxEvents:"...), c.MaxEvents, 10)
+	return append(b, '}')
+}
+
+func appendIntField(b []byte, name string, v int) []byte {
+	return strconv.AppendInt(append(b, name...), int64(v), 10)
+}
+
+// appendFloatField writes v as fmt's %v does: shortest 'g', with
+// "+Inf", "-Inf" and "NaN" for the non-finite values.
+func appendFloatField(b []byte, name string, v float64) []byte {
+	return strconv.AppendFloat(append(b, name...), v, 'g', -1, 64)
 }
 
 // Sweep is an ordered list of jobs — the declarative spec of an
