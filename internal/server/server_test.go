@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -663,5 +664,38 @@ func TestListSweeps(t *testing.T) {
 	}
 	if len(views) != 2 || views[0].ID != a.ID || views[1].ID != b.ID {
 		t.Fatalf("listing: %+v", views)
+	}
+}
+
+type stringerFunc func() string
+
+func (f stringerFunc) String() string { return f() }
+
+// TestLogfSkipsDroppedLines checks that Logf writes an info line as it
+// always did, and formats nothing when the logger drops info lines.
+func TestLogfSkipsDroppedLines(t *testing.T) {
+	noTime := func(_ []string, a slog.Attr) slog.Attr {
+		if a.Key == slog.TimeKey {
+			return slog.Attr{}
+		}
+		return a
+	}
+	for _, tc := range []struct {
+		level      slog.Level
+		want       string
+		formatting int
+	}{
+		{slog.LevelInfo, `level=INFO msg="sweep s1: 3 jobs"` + "\n", 1},
+		{slog.LevelWarn, "", 0},
+	} {
+		var buf bytes.Buffer
+		calls := 0
+		arg := stringerFunc(func() string { calls++; return "3 jobs" })
+		h := slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: tc.level, ReplaceAttr: noTime})
+		(&Front{cfg: FrontConfig{Logger: slog.New(h)}}).Logf("sweep %s: %v", "s1", arg)
+		if buf.String() != tc.want || calls != tc.formatting {
+			t.Errorf("level %v: logged %q with %d formatting calls, want %q with %d",
+				tc.level, buf.String(), calls, tc.want, tc.formatting)
+		}
 	}
 }

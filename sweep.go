@@ -121,6 +121,8 @@ func (j Job) Key() string {
 	if mpActive {
 		mp = *j.MultiProcess
 	}
+	// A preset job's key runs to about 430 bytes; 512 fits it without
+	// regrowth.
 	b := make([]byte, 0, 512)
 	b = append(j.appendWorkloadKey(b), '|')
 	b = append(strconv.AppendBool(b, mpActive), '|')
