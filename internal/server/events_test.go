@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
 	allarm "allarm"
+	"allarm/internal/obs"
 )
 
 // sseFrame is one parsed "event:/data:" frame.
@@ -168,5 +170,84 @@ func TestSSELateSubscribersReplay(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// scriptExec places job i on shards[i] and runs a sweep by calling run
+// on its state, so a test can publish an exact sequence of updates.
+type scriptExec struct {
+	stubExec
+	shards []string
+	run    func(st *SweepState)
+}
+
+func (e scriptExec) Place([]allarm.Job) ([]string, error) { return e.shards, nil }
+func (e scriptExec) Run(st *SweepState)                   { e.run(st) }
+
+// TestSSEGolden pins the exact /events body of a three-job sweep: a
+// done job, an errored job whose message needs JSON escaping (quotes,
+// HTML characters, a control character, non-ASCII text, U+2028 and an
+// invalid UTF-8 byte), and a resumed job placed on a shard.
+func TestSSEGolden(t *testing.T) {
+	const shard = "http://shard-b:8080"
+	front, err := NewFront(scriptExec{
+		shards: []string{"", "", shard},
+		run: func(st *SweepState) {
+			st.Update("", 0, JobRunning, "")
+			st.Deliver("", 0, allarm.Record{Benchmark: "barnes", Policy: "baseline"}, JobDone)
+			st.Update("", 1, JobRunning, "")
+			msg := "bad \"cfg\" <x> & y\tünïcødé\u2028end\xff"
+			st.Deliver("", 1, allarm.Record{Benchmark: "barnes", Policy: "allarm", Error: msg}, JobError)
+			st.setResumed(2)
+			st.Update(shard, 2, JobRunning, "")
+			st.Deliver(shard, 2, allarm.Record{Benchmark: "barnes", Policy: "allarm-hyst"}, JobDone)
+		},
+	}, FrontConfig{IDPrefix: "sw-", Incomplete: StatusCheckpointed, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(front.Handler())
+	defer srv.Close()
+	defer front.Close(nil)
+	sr := submit(t, srv.URL, SweepRequest{
+		Benchmarks: []string{"barnes"},
+		Policies:   []string{"baseline", "allarm", "allarm-hyst"},
+	})
+	resp, err := http.Get(srv.URL + "/v1/sweeps/" + sr.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `event: sweep
+data: {"sweep":"sw-000001","status":"running","done":0,"total":3}
+
+event: job
+data: {"sweep":"sw-000001","index":0,"benchmark":"barnes","policy":"baseline","pf_kib":128,"status":"running","done":0,"total":3}
+
+event: job
+data: {"sweep":"sw-000001","index":0,"benchmark":"barnes","policy":"baseline","pf_kib":128,"status":"done","done":1,"total":3}
+
+event: job
+data: {"sweep":"sw-000001","index":1,"benchmark":"barnes","policy":"allarm","pf_kib":128,"status":"running","done":1,"total":3}
+
+event: job
+data: {"sweep":"sw-000001","index":1,"benchmark":"barnes","policy":"allarm","pf_kib":128,"status":"error","done":2,"total":3,"error":"bad \"cfg\" \u003cx\u003e \u0026 y\tünïcødé\u2028end\ufffd"}
+
+event: job
+data: {"sweep":"sw-000001","index":2,"benchmark":"barnes","policy":"allarm-hyst","pf_kib":128,"shard":"http://shard-b:8080","status":"running","resumed":true,"done":2,"total":3}
+
+event: job
+data: {"sweep":"sw-000001","index":2,"benchmark":"barnes","policy":"allarm-hyst","pf_kib":128,"shard":"http://shard-b:8080","status":"done","resumed":true,"done":3,"total":3}
+
+event: sweep
+data: {"sweep":"sw-000001","status":"done","done":3,"total":3}
+
+`
+	if string(body) != want {
+		t.Fatalf("/events body:\n%q\nwant:\n%q", body, want)
 	}
 }
