@@ -1,6 +1,7 @@
 package allarm_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -243,3 +244,32 @@ func TestTableEmitterReferenceSpeedup(t *testing.T) {
 		t.Fatalf("geomean row missing:\n%s", out)
 	}
 }
+
+// benchRows is n successful results, the hit path's usual rows.
+func benchRows(n int) []allarm.SweepResult {
+	ok := fabricatedResults()[0]
+	rows := make([]allarm.SweepResult, n)
+	for i := range rows {
+		rows[i] = ok
+	}
+	return rows
+}
+
+func benchmarkEmit(b *testing.B, e allarm.Emitter) {
+	for _, n := range []int{1, 64} {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			rows := benchRows(n)
+			var buf bytes.Buffer
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := e.Emit(&buf, rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkEmitCSV(b *testing.B)    { benchmarkEmit(b, allarm.CSVEmitter{}) }
+func BenchmarkEmitNDJSON(b *testing.B) { benchmarkEmit(b, allarm.NDJSONEmitter{}) }
