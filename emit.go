@@ -2,12 +2,18 @@ package allarm
 
 import (
 	"bufio"
-	"encoding/csv"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
+	"strings"
+	"sync"
+	"unicode"
+	"unicode/utf8"
 
+	"allarm/internal/jsonw"
 	"allarm/internal/stats"
 )
 
@@ -30,6 +36,10 @@ type Emitter interface {
 // spec order). All built-in emitters implement it, and their Emit is
 // defined as EmitRecords over RecordsOf, which is what guarantees
 // gathered output matches single-node output byte for byte.
+//
+// Two appenders render every Record: appendCells writes the Table and
+// CSV cells, and appendJSON the JSON and NDJSON object. Each emitter
+// appends its whole output into one pooled buffer and writes it once.
 type RecordEmitter interface {
 	Emitter
 	EmitRecords(w io.Writer, recs []Record) error
@@ -153,7 +163,8 @@ func RecordsOf(results []SweepResult) []Record {
 // as NDJSONEmitter writes them). It is the gather side of the fleet
 // merge seam: Records survive the NDJSON round trip losslessly —
 // re-emitting what ReadRecords returns produces the original bytes —
-// because Go's JSON encoder prints floats in their shortest exact form.
+// because the NDJSON appender prints floats as encoding/json does, in
+// their shortest exact form.
 func ReadRecords(r io.Reader) ([]Record, error) {
 	var recs []Record
 	sc := bufio.NewScanner(r)
@@ -175,26 +186,158 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 	return recs, nil
 }
 
-// cells renders the record's fields as strings in sweepColumns order.
-// Failed jobs print zero metrics (the error column explains why).
-func (rec Record) cells() []string {
-	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
-	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 1, 64) }
+// noMetrics stands in for a failed job's missing metrics.
+var noMetrics RecordMetrics
+
+// appendCells appends the record's Table and CSV cells in sweepColumns
+// order, the one place that lists them and their formats. text appends
+// a string cell and end closes each cell. Failed jobs print zero
+// metrics (the error column explains why).
+func (rec *Record) appendCells(b []byte, text func([]byte, string) []byte, end func([]byte) []byte) []byte {
+	i := func(b []byte, v int) []byte { return end(strconv.AppendInt(b, int64(v), 10)) }
+	u := func(b []byte, v uint64) []byte { return end(strconv.AppendUint(b, v, 10)) }
+	f := func(b []byte, v float64) []byte { return end(appendFixed1(b, v)) }
 	m := rec.RecordMetrics
 	if m == nil {
-		m = &RecordMetrics{}
+		m = &noMetrics
 	}
-	return []string{
-		rec.Benchmark, rec.Policy,
-		strconv.Itoa(rec.Threads), strconv.Itoa(rec.Copies),
-		strconv.Itoa(rec.PFKiB), u(rec.Seed), rec.Error,
-		f(m.RuntimeNs), u(m.Accesses), u(m.PFAllocs),
-		u(m.PFEvictions), u(m.EvictionMsgs), u(m.L2Misses),
-		u(m.NoCBytes), u(m.NoCMessages), u(m.LocalRequests),
-		u(m.RemoteRequests), u(m.LocalProbes), u(m.ProbesHidden),
-		u(m.UntrackedGrants), u(m.UncachedGrants),
-		f(m.NoCEnergyPJ), f(m.PFEnergyPJ),
+	b = end(text(b, rec.Benchmark))
+	b = end(text(b, rec.Policy))
+	b = i(i(i(b, rec.Threads), rec.Copies), rec.PFKiB)
+	b = end(text(u(b, rec.Seed), rec.Error))
+	b = f(b, m.RuntimeNs)
+	b = u(u(u(u(u(b, m.Accesses), m.PFAllocs), m.PFEvictions), m.EvictionMsgs), m.L2Misses)
+	b = u(u(u(u(u(b, m.NoCBytes), m.NoCMessages), m.LocalRequests), m.RemoteRequests), m.LocalProbes)
+	b = u(u(u(b, m.ProbesHidden), m.UntrackedGrants), m.UncachedGrants)
+	return f(f(b, m.NoCEnergyPJ), m.PFEnergyPJ)
+}
+
+// appendFixed1 appends v exactly as strconv.AppendFloat(b, v, 'f', 1,
+// 64) does, without strconv's multiprecision path. Below 2^53, |v| is
+// m/2^k with integers m < 2^53 and k ≥ 0, so the one-decimal rounding
+// (half to even on the exact value) is integer arithmetic on 10m.
+func appendFixed1(b []byte, v float64) []byte {
+	abs := math.Abs(v)
+	if !(abs < 1<<53) {
+		return strconv.AppendFloat(b, v, 'f', 1, 64)
 	}
+	frac, exp := math.Frexp(abs)
+	m, k := uint64(frac*(1<<53)), 53-exp
+	var q uint64 // round(10|v|)
+	if k < 58 {  // from 58 on, 10m < 2^57 is below half a unit
+		n := 10 * m
+		q = n >> k
+		rem, half := n&(1<<k-1), uint64(1)<<k>>1
+		if rem > half || rem == half && q&1 == 1 {
+			q++
+		}
+	}
+	if math.Signbit(v) {
+		b = append(b, '-')
+	}
+	return append(append(strconv.AppendUint(b, q/10, 10), '.'), byte('0'+q%10))
+}
+
+// cells renders the record's cells as strings, for the table.
+func (rec *Record) cells() []string {
+	var ends []int
+	b := rec.appendCells(nil, func(b []byte, s string) []byte { return append(b, s...) },
+		func(b []byte) []byte { ends = append(ends, len(b)); return b })
+	row, cells := string(b), make([]string, len(ends))
+	start := 0
+	for i, e := range ends {
+		cells[i], start = row[start:e], e
+	}
+	return cells
+}
+
+// appendCSVField appends s as encoding/csv writes a field: quoted when
+// it is `\.` or holds a comma, quote, CR or LF, or starts with a space
+// rune, with each quote doubled inside. The empty field is unquoted.
+func appendCSVField(b []byte, s string) []byte {
+	quote := s == `\.`
+	for i := 0; i < len(s) && !quote; i++ {
+		c := s[i]
+		quote = c == ',' || c == '"' || c == '\r' || c == '\n'
+	}
+	if !quote {
+		if r, _ := utf8.DecodeRuneInString(s); s == "" || !unicode.IsSpace(r) {
+			return append(b, s...)
+		}
+	}
+	b = append(b, '"')
+	for {
+		i := strings.IndexByte(s, '"')
+		if i < 0 {
+			return append(append(b, s...), '"')
+		}
+		b = append(append(b, s[:i+1]...), '"')
+		s = s[i+1:]
+	}
+}
+
+// appendJSON appends the record as encoding/json marshals it: copies,
+// error and aborted are omitted when empty, and a nil RecordMetrics
+// drops every metric key. A NaN or infinite metric is an error.
+func (rec *Record) appendJSON(b []byte) ([]byte, error) {
+	o := jsonw.Open(b)
+	o.String("benchmark", rec.Benchmark)
+	o.String("policy", rec.Policy)
+	o.Int("threads", rec.Threads)
+	if rec.Copies != 0 {
+		o.Int("copies", rec.Copies)
+	}
+	o.Int("pf_kib", rec.PFKiB)
+	o.Uint("seed", rec.Seed)
+	if rec.Error != "" {
+		o.String("error", rec.Error)
+	}
+	if rec.Aborted {
+		o.Bool("aborted", true)
+	}
+	if m := rec.RecordMetrics; m != nil {
+		o.Float("runtime_ns", m.RuntimeNs)
+		o.Uint("accesses", m.Accesses)
+		o.Uint("pf_allocs", m.PFAllocs)
+		o.Uint("pf_evictions", m.PFEvictions)
+		o.Uint("eviction_msgs", m.EvictionMsgs)
+		o.Uint("l2_misses", m.L2Misses)
+		o.Uint("noc_bytes", m.NoCBytes)
+		o.Uint("noc_msgs", m.NoCMessages)
+		o.Uint("local_reqs", m.LocalRequests)
+		o.Uint("remote_reqs", m.RemoteRequests)
+		o.Uint("local_probes", m.LocalProbes)
+		o.Uint("probes_hidden", m.ProbesHidden)
+		o.Uint("untracked_grants", m.UntrackedGrants)
+		o.Uint("uncached_grants", m.UncachedGrants)
+		o.Float("noc_energy_pj", m.NoCEnergyPJ)
+		o.Float("pf_energy_pj", m.PFEnergyPJ)
+	}
+	return o.Close()
+}
+
+// emitBufs recycles the emitters' output buffers; buffers past
+// maxPooledBuf are left to the collector.
+var emitBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBuf = 64 << 10
+
+// emitOnce renders into a pooled buffer and writes it to w in one call.
+// When fill fails it returns what the reflective encoders would have
+// written before the failure, and that goes out with the error.
+func emitOnce(w io.Writer, fill func(b []byte) ([]byte, error)) error {
+	bp := emitBufs.Get().(*[]byte)
+	b, err := fill((*bp)[:0])
+	if len(b) > 0 {
+		if _, werr := w.Write(b); err == nil {
+			err = werr
+		}
+	}
+	if cap(b) <= maxPooledBuf {
+		*bp = b[:0]
+		emitBufs.Put(bp)
+	}
+	return err
 }
 
 // TableEmitter renders sweep results as an aligned text table, one row
@@ -219,7 +362,8 @@ func (e *TableEmitter) Emit(w io.Writer, results []SweepResult) error {
 	t := stats.NewTable(header...)
 	var speedups []float64
 	for _, r := range results {
-		cells := RecordOf(r).cells()
+		rec := RecordOf(r)
+		cells := rec.cells()
 		v := 0.0
 		if ref := e.Reference(r); ref != nil && r.Result != nil {
 			v = stats.SafeDiv(ref.RuntimeNs, r.Result.RuntimeNs, 0)
@@ -240,8 +384,8 @@ func (e *TableEmitter) Emit(w io.Writer, results []SweepResult) error {
 // needs live Results).
 func (e *TableEmitter) EmitRecords(w io.Writer, recs []Record) error {
 	t := stats.NewTable(sweepColumns...)
-	for _, rec := range recs {
-		t.AddRow(rec.cells()...)
+	for i := range recs {
+		t.AddRow(recs[i].cells()...)
 	}
 	_, err := fmt.Fprint(w, t.String())
 	return err
@@ -257,18 +401,21 @@ func (e CSVEmitter) Emit(w io.Writer, results []SweepResult) error {
 
 // EmitRecords implements RecordEmitter.
 func (CSVEmitter) EmitRecords(w io.Writer, recs []Record) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(sweepColumns); err != nil {
-		return err
-	}
-	for _, rec := range recs {
-		if err := cw.Write(rec.cells()); err != nil {
-			return err
+	return emitOnce(w, func(b []byte) ([]byte, error) {
+		b = append(b, csvHeader...)
+		for i := range recs {
+			b = recs[i].appendCells(b, appendCSVField, csvComma)
+			b[len(b)-1] = '\n'
 		}
-	}
-	cw.Flush()
-	return cw.Error()
+		return b, nil
+	})
 }
+
+// csvHeader is the CSV header line; csvComma ends each CSV cell (the
+// row's last comma becomes its newline).
+var csvHeader = strings.Join(sweepColumns, ",") + "\n"
+
+func csvComma(b []byte) []byte { return append(b, ',') }
 
 // JSONEmitter renders sweep results as a JSON array of records.
 type JSONEmitter struct {
@@ -282,12 +429,33 @@ func (e JSONEmitter) Emit(w io.Writer, results []SweepResult) error {
 }
 
 // EmitRecords implements RecordEmitter.
+// The indented form is the compact one through json.Indent, which is
+// what json.Encoder's SetIndent does.
 func (e JSONEmitter) EmitRecords(w io.Writer, recs []Record) error {
-	enc := json.NewEncoder(w)
-	if e.Indent {
-		enc.SetIndent("", "  ")
-	}
-	return enc.Encode(recs)
+	return emitOnce(w, func(b []byte) ([]byte, error) {
+		if recs == nil {
+			b = append(b, "null"...)
+		} else {
+			b = append(b, '[')
+			for i := range recs {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				var err error
+				if b, err = recs[i].appendJSON(b); err != nil {
+					return b[:0], err
+				}
+			}
+			b = append(b, ']')
+		}
+		b = append(b, '\n')
+		if !e.Indent {
+			return b, nil
+		}
+		var out bytes.Buffer
+		err := json.Indent(&out, b, "", "  ")
+		return out.Bytes(), err
+	})
 }
 
 // NDJSONEmitter renders sweep results as newline-delimited JSON: one
@@ -307,11 +475,14 @@ func (e NDJSONEmitter) Emit(w io.Writer, results []SweepResult) error {
 
 // EmitRecords implements RecordEmitter.
 func (NDJSONEmitter) EmitRecords(w io.Writer, recs []Record) error {
-	enc := json.NewEncoder(w)
-	for _, rec := range recs {
-		if err := enc.Encode(rec); err != nil {
-			return err
+	return emitOnce(w, func(b []byte) ([]byte, error) {
+		for i := range recs {
+			row, err := recs[i].appendJSON(b)
+			if err != nil {
+				return b, err
+			}
+			b = append(row, '\n')
 		}
-	}
-	return nil
+		return b, nil
+	})
 }

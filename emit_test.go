@@ -273,3 +273,21 @@ func benchmarkEmit(b *testing.B, e allarm.Emitter) {
 
 func BenchmarkEmitCSV(b *testing.B)    { benchmarkEmit(b, allarm.CSVEmitter{}) }
 func BenchmarkEmitNDJSON(b *testing.B) { benchmarkEmit(b, allarm.NDJSONEmitter{}) }
+
+// TestCSVEmitAllocs: a one-row CSV render of a live result allocates
+// only what RecordsOf needs (the record slice and its metrics), not a
+// writer, a buffer or a string per cell.
+func TestCSVEmitAllocs(t *testing.T) {
+	rows := benchRows(1)
+	var buf bytes.Buffer
+	buf.Grow(4096)
+	allocs := testing.AllocsPerRun(200, func() {
+		buf.Reset()
+		if err := (allarm.CSVEmitter{}).Emit(&buf, rows); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("one-row CSV Emit: %.0f allocs, want at most 3", allocs)
+	}
+}

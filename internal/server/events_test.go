@@ -251,3 +251,31 @@ data: {"sweep":"sw-000001","status":"done","done":3,"total":3}
 		t.Fatalf("/events body:\n%q\nwant:\n%q", body, want)
 	}
 }
+
+// FuzzEventEncoders holds the SSE frame encoders to json.Marshal of
+// JobEvent and sweepEvent over fuzzed strings (HTML characters, control
+// bytes, invalid UTF-8, U+2028) and counters.
+func FuzzEventEncoders(f *testing.F) {
+	for i, s := range []string{"", "barnes", "<a&b>", "q\"\\", "\x00\x1f\x7f", "\xff", "a\u2028b\u2029", "ünï"} {
+		f.Add(s, "sw-000001", "http://shard-b:8080", JobError, "allarm", i, -i, 1<<40, i%2 == 0)
+	}
+	f.Fuzz(func(t *testing.T, s, sweep, shard, status, policy string, n, m, total int, resumed bool) {
+		check := func(e event, payload any, typ string) {
+			data, err := json.Marshal(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := "event: " + typ + "\ndata: " + string(data) + "\n\n"
+			if got := string(e.appendFrame(nil)); got != want {
+				t.Fatalf("frame %q, want %q", got, want)
+			}
+		}
+		job := JobEvent{
+			Sweep: sweep, Index: n, Benchmark: s, Policy: policy, PFKiB: m, Shard: shard,
+			Status: status, Resumed: resumed, Done: m ^ n, Total: total, Error: s + status,
+		}
+		check(event{job: job}, job, "job")
+		sw := sweepEvent{Sweep: sweep, Status: s, Done: n, Total: total}
+		check(event{isSweep: true, sweep: sw}, sw, "sweep")
+	})
+}

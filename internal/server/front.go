@@ -526,6 +526,8 @@ func (f *Front) handleResults(w http.ResponseWriter, r *http.Request) {
 // subscriber still sees every transition; the stream ends when the
 // sweep is final. The finish publishes a sweep event like any other
 // transition, so the subscription's poke is the only wakeup needed.
+// Each wake encodes the new events into one buffer, reused across
+// wakes, and writes it once.
 func (f *Front) handleEvents(w http.ResponseWriter, r *http.Request) {
 	st := f.sweepOr404(w, r)
 	if st == nil {
@@ -544,12 +546,15 @@ func (f *Front) handleEvents(w http.ResponseWriter, r *http.Request) {
 	poke := st.subscribe()
 	defer st.unsubscribe(poke)
 	sent := 0
+	var buf []byte
 	for {
 		evs, final := st.eventsSince(sent)
-		for _, e := range evs {
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Type, e.Data)
-		}
 		if len(evs) > 0 {
+			buf = buf[:0]
+			for i := range evs {
+				buf = evs[i].appendFrame(buf)
+			}
+			w.Write(buf)
 			sent += len(evs)
 			flusher.Flush()
 		}

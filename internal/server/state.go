@@ -1,11 +1,11 @@
 package server
 
 import (
-	"encoding/json"
 	"sync"
 	"time"
 
 	allarm "allarm"
+	"allarm/internal/jsonw"
 	"allarm/internal/obs"
 )
 
@@ -81,11 +81,22 @@ type SweepView struct {
 	Jobs     []JobView `json:"jobs"`
 }
 
-// event is one SSE frame of a sweep's progress stream: Type becomes the
-// SSE event name, Data its JSON payload.
+// event is one SSE frame of a sweep's progress stream, captured at
+// publish time and encoded only when a subscriber reads it: a "sweep"
+// frame when isSweep is set, a "job" frame otherwise.
 type event struct {
-	Type string
-	Data []byte
+	isSweep bool
+	sweep   sweepEvent
+	job     JobEvent
+}
+
+// appendFrame appends the event's "event: …\ndata: …\n\n" frame, its
+// data encoded as encoding/json marshals the payload.
+func (e *event) appendFrame(b []byte) []byte {
+	if e.isSweep {
+		return append(e.sweep.appendJSON(append(b, "event: sweep\ndata: "...)), "\n\n"...)
+	}
+	return append(e.job.appendJSON(append(b, "event: job\ndata: "...)), "\n\n"...)
 }
 
 // JobEvent is the payload of per-job SSE events.
@@ -103,6 +114,29 @@ type JobEvent struct {
 	Error     string `json:"error,omitempty"`
 }
 
+func (ev *JobEvent) appendJSON(b []byte) []byte {
+	o := jsonw.Open(b)
+	o.String("sweep", ev.Sweep)
+	o.Int("index", ev.Index)
+	o.String("benchmark", ev.Benchmark)
+	o.String("policy", ev.Policy)
+	o.Int("pf_kib", ev.PFKiB)
+	if ev.Shard != "" {
+		o.String("shard", ev.Shard)
+	}
+	o.String("status", ev.Status)
+	if ev.Resumed {
+		o.Bool("resumed", true)
+	}
+	o.Int("done", ev.Done)
+	o.Int("total", ev.Total)
+	if ev.Error != "" {
+		o.String("error", ev.Error)
+	}
+	b, _ = o.Close() // no floats, so no error
+	return b
+}
+
 // sweepEvent is the payload of sweep-level SSE events.
 type sweepEvent struct {
 	Sweep  string `json:"sweep"`
@@ -111,9 +145,20 @@ type sweepEvent struct {
 	Total  int    `json:"total"`
 }
 
+func (ev *sweepEvent) appendJSON(b []byte) []byte {
+	o := jsonw.Open(b)
+	o.String("sweep", ev.Sweep)
+	o.String("status", ev.Status)
+	o.Int("done", ev.Done)
+	o.Int("total", ev.Total)
+	b, _ = o.Close()
+	return b
+}
+
 // SweepState is one accepted sweep: its expanded jobs, live per-job
 // progress, the delivered records, the SSE history and the lifecycle
-// timeline. Progress arrives concurrently (worker hooks, shard streams,
+// timeline. The history holds typed events, encoded only for
+// subscribers, so a sweep nobody watches encodes none. Progress arrives concurrently (worker hooks, shard streams,
 // gathers); all mutation goes through the mutex, and a job that reached
 // a terminal state never regresses, so replayed updates are idempotent.
 //
@@ -145,7 +190,7 @@ type SweepState struct {
 	have       []bool
 	requeues   int
 	finishedAt time.Time
-	history    []event
+	history    []event // append-only
 	subs       map[chan struct{}]struct{}
 	// onFinish, when set, sees each finish transition under mu, before
 	// any reader can observe the terminal status; it must not block or
@@ -210,12 +255,8 @@ func (st *SweepState) TraceBytes(id string) ([]byte, bool) {
 
 // publish appends an event to the history and pokes every subscriber.
 // Callers hold st.mu.
-func (st *SweepState) publish(typ string, payload any) {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return // payloads are our own structs; cannot fail
-	}
-	st.history = append(st.history, event{Type: typ, Data: data})
+func (st *SweepState) publish(e event) {
+	st.history = append(st.history, e)
 	for ch := range st.subs {
 		select {
 		case ch <- struct{}{}:
@@ -225,17 +266,17 @@ func (st *SweepState) publish(typ string, payload any) {
 }
 
 func (st *SweepState) publishSweepLocked() {
-	st.publish("sweep", sweepEvent{Sweep: st.ID, Status: st.status, Done: st.done, Total: len(st.jobs)})
+	st.publish(event{isSweep: true, sweep: sweepEvent{Sweep: st.ID, Status: st.status, Done: st.done, Total: len(st.jobs)}})
 }
 
 func (st *SweepState) publishJobLocked(i int) {
 	jv := st.jobs[i]
-	st.publish("job", JobEvent{
+	st.publish(event{job: JobEvent{
 		Sweep: st.ID, Index: i,
 		Benchmark: jv.Benchmark, Policy: jv.Policy, PFKiB: jv.PFKiB,
 		Shard: jv.Shard, Status: jv.Status, Resumed: jv.Resumed,
 		Done: st.done, Total: len(st.jobs), Error: jv.Error,
-	})
+	}})
 }
 
 // Update applies job i's status change if shard still owns the job
@@ -453,12 +494,10 @@ func (st *SweepState) unsubscribe(ch chan struct{}) {
 }
 
 // eventsSince returns the history from index from on, plus whether the
-// sweep is final.
+// sweep is final. The history is append-only, so the returned events
+// never change and are read without the lock.
 func (st *SweepState) eventsSince(from int) ([]event, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if from >= len(st.history) {
-		return nil, st.final()
-	}
-	return append([]event(nil), st.history[from:]...), st.final()
+	return st.history[min(from, len(st.history)):], st.final()
 }

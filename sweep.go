@@ -3,6 +3,7 @@ package allarm
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"strconv"
 	"sync"
@@ -180,9 +181,16 @@ func appendIntField(b []byte, name string, v int) []byte {
 }
 
 // appendFloatField writes v as fmt's %v does: shortest 'g', with
-// "+Inf", "-Inf" and "NaN" for the non-finite values.
+// "+Inf", "-Inf" and "NaN" for the non-finite values. Integral values
+// below 1e6 in magnitude, which every preset uses, print as the integer
+// without the shortest-float search; −0 (printed "-0") and 1e6 and up
+// (printed in exponent form) stay on 'g'.
 func appendFloatField(b []byte, name string, v float64) []byte {
-	return strconv.AppendFloat(append(b, name...), v, 'g', -1, 64)
+	b = append(b, name...)
+	if i := int64(v); float64(i) == v && i > -1e6 && i < 1e6 && (i != 0 || !math.Signbit(v)) {
+		return strconv.AppendInt(b, i, 10)
+	}
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // Sweep is an ordered list of jobs — the declarative spec of an
