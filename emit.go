@@ -37,9 +37,9 @@ type Emitter interface {
 // defined as EmitRecords over RecordsOf, which is what guarantees
 // gathered output matches single-node output byte for byte.
 //
-// Two appenders render every Record: appendCells writes the Table and
-// CSV cells, and appendJSON the JSON and NDJSON object. Each emitter
-// appends its whole output into one pooled buffer and writes it once.
+// Two appenders render every Record: appendCells the Table and CSV
+// cells, appendJSON the JSON and NDJSON object. Each emitter appends its
+// whole output into one pooled buffer and writes it once.
 type RecordEmitter interface {
 	Emitter
 	EmitRecords(w io.Writer, recs []Record) error
@@ -186,49 +186,46 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 	return recs, nil
 }
 
-// noMetrics stands in for a failed job's missing metrics.
-var noMetrics RecordMetrics
+// counts are the integer metrics in column order.
+func (m *RecordMetrics) counts() [13]uint64 {
+	return [...]uint64{m.Accesses, m.PFAllocs, m.PFEvictions, m.EvictionMsgs, m.L2Misses, m.NoCBytes, m.NoCMessages,
+		m.LocalRequests, m.RemoteRequests, m.LocalProbes, m.ProbesHidden, m.UntrackedGrants, m.UncachedGrants}
+}
 
 // appendCells appends the record's Table and CSV cells in sweepColumns
-// order, the one place that lists them and their formats. text appends
-// a string cell and end closes each cell. Failed jobs print zero
-// metrics (the error column explains why).
+// order: text appends a string cell and end closes every cell. Failed
+// jobs print zero metrics (the error column explains why).
 func (rec *Record) appendCells(b []byte, text func([]byte, string) []byte, end func([]byte) []byte) []byte {
 	i := func(b []byte, v int) []byte { return end(strconv.AppendInt(b, int64(v), 10)) }
 	u := func(b []byte, v uint64) []byte { return end(strconv.AppendUint(b, v, 10)) }
 	f := func(b []byte, v float64) []byte { return end(appendFixed1(b, v)) }
 	m := rec.RecordMetrics
 	if m == nil {
-		m = &noMetrics
+		m = &RecordMetrics{}
 	}
-	b = end(text(b, rec.Benchmark))
-	b = end(text(b, rec.Policy))
-	b = i(i(i(b, rec.Threads), rec.Copies), rec.PFKiB)
-	b = end(text(u(b, rec.Seed), rec.Error))
+	b = end(text(end(text(b, rec.Benchmark)), rec.Policy))
+	b = end(text(u(i(i(i(b, rec.Threads), rec.Copies), rec.PFKiB), rec.Seed), rec.Error))
 	b = f(b, m.RuntimeNs)
-	b = u(u(u(u(u(b, m.Accesses), m.PFAllocs), m.PFEvictions), m.EvictionMsgs), m.L2Misses)
-	b = u(u(u(u(u(b, m.NoCBytes), m.NoCMessages), m.LocalRequests), m.RemoteRequests), m.LocalProbes)
-	b = u(u(u(b, m.ProbesHidden), m.UntrackedGrants), m.UncachedGrants)
+	for _, v := range m.counts() {
+		b = u(b, v)
+	}
 	return f(f(b, m.NoCEnergyPJ), m.PFEnergyPJ)
 }
 
 // appendFixed1 appends v exactly as strconv.AppendFloat(b, v, 'f', 1,
-// 64) does, without strconv's multiprecision path. Below 2^53, |v| is
-// m/2^k with integers m < 2^53 and k ≥ 0, so the one-decimal rounding
-// (half to even on the exact value) is integer arithmetic on 10m.
+// 64) does, without strconv's multiprecision path: below 2^53, |v| is
+// m/2^k for integers m < 2^53 and k ≥ 0, so rounding 10|v| half to even
+// is integer arithmetic on 10m.
 func appendFixed1(b []byte, v float64) []byte {
-	abs := math.Abs(v)
-	if !(abs < 1<<53) {
+	if !(math.Abs(v) < 1<<53) {
 		return strconv.AppendFloat(b, v, 'f', 1, 64)
 	}
-	frac, exp := math.Frexp(abs)
-	m, k := uint64(frac*(1<<53)), 53-exp
-	var q uint64 // round(10|v|)
-	if k < 58 {  // from 58 on, 10m < 2^57 is below half a unit
-		n := 10 * m
+	frac, exp := math.Frexp(math.Abs(v))
+	n, k := 10*uint64(frac*(1<<53)), 53-exp
+	var q uint64 // stays 0 from k = 58 on, where n < 2^57 is under half a unit
+	if k < 58 {
 		q = n >> k
-		rem, half := n&(1<<k-1), uint64(1)<<k>>1
-		if rem > half || rem == half && q&1 == 1 {
+		if rem, half := n&(1<<k-1), uint64(1)<<k>>1; rem > half || rem == half && q&1 == 1 {
 			q++
 		}
 	}
@@ -239,46 +236,31 @@ func appendFixed1(b []byte, v float64) []byte {
 }
 
 // cells renders the record's cells as strings, for the table.
-func (rec *Record) cells() []string {
-	var ends []int
-	b := rec.appendCells(nil, func(b []byte, s string) []byte { return append(b, s...) },
-		func(b []byte) []byte { ends = append(ends, len(b)); return b })
-	row, cells := string(b), make([]string, len(ends))
-	start := 0
-	for i, e := range ends {
-		cells[i], start = row[start:e], e
-	}
+func (rec Record) cells() []string {
+	cells := make([]string, 0, len(sweepColumns))
+	rec.appendCells(nil, func(b []byte, s string) []byte { return append(b, s...) }, func(b []byte) []byte {
+		cells = append(cells, string(b))
+		return b[:0]
+	})
 	return cells
 }
 
 // appendCSVField appends s as encoding/csv writes a field: quoted when
-// it is `\.` or holds a comma, quote, CR or LF, or starts with a space
-// rune, with each quote doubled inside. The empty field is unquoted.
+// it is `\.`, holds a comma, quote, CR or LF, or starts with a space
+// rune, with each quote doubled inside.
 func appendCSVField(b []byte, s string) []byte {
 	quote := s == `\.`
 	for i := 0; i < len(s) && !quote; i++ {
-		c := s[i]
-		quote = c == ',' || c == '"' || c == '\r' || c == '\n'
+		quote = s[i] == ',' || s[i] == '"' || s[i] == '\r' || s[i] == '\n'
 	}
-	if !quote {
-		if r, _ := utf8.DecodeRuneInString(s); s == "" || !unicode.IsSpace(r) {
-			return append(b, s...)
-		}
+	if r, _ := utf8.DecodeRuneInString(s); !quote && !unicode.IsSpace(r) {
+		return append(b, s...)
 	}
-	b = append(b, '"')
-	for {
-		i := strings.IndexByte(s, '"')
-		if i < 0 {
-			return append(append(b, s...), '"')
-		}
-		b = append(append(b, s[:i+1]...), '"')
-		s = s[i+1:]
-	}
+	return append(append(append(b, '"'), strings.ReplaceAll(s, `"`, `""`)...), '"')
 }
 
-// appendJSON appends the record as encoding/json marshals it: copies,
-// error and aborted are omitted when empty, and a nil RecordMetrics
-// drops every metric key. A NaN or infinite metric is an error.
+// appendJSON appends the record as encoding/json marshals it (a nil
+// RecordMetrics drops every metric key); a NaN or ±Inf metric fails.
 func (rec *Record) appendJSON(b []byte) ([]byte, error) {
 	o := jsonw.Open(b)
 	o.String("benchmark", rec.Benchmark)
@@ -297,43 +279,28 @@ func (rec *Record) appendJSON(b []byte) ([]byte, error) {
 	}
 	if m := rec.RecordMetrics; m != nil {
 		o.Float("runtime_ns", m.RuntimeNs)
-		o.Uint("accesses", m.Accesses)
-		o.Uint("pf_allocs", m.PFAllocs)
-		o.Uint("pf_evictions", m.PFEvictions)
-		o.Uint("eviction_msgs", m.EvictionMsgs)
-		o.Uint("l2_misses", m.L2Misses)
-		o.Uint("noc_bytes", m.NoCBytes)
-		o.Uint("noc_msgs", m.NoCMessages)
-		o.Uint("local_reqs", m.LocalRequests)
-		o.Uint("remote_reqs", m.RemoteRequests)
-		o.Uint("local_probes", m.LocalProbes)
-		o.Uint("probes_hidden", m.ProbesHidden)
-		o.Uint("untracked_grants", m.UntrackedGrants)
-		o.Uint("uncached_grants", m.UncachedGrants)
+		for i, v := range m.counts() {
+			o.Uint(sweepColumns[8+i], v) // the keys are the column names
+		}
 		o.Float("noc_energy_pj", m.NoCEnergyPJ)
 		o.Float("pf_energy_pj", m.PFEnergyPJ)
 	}
 	return o.Close()
 }
 
-// emitBufs recycles the emitters' output buffers; buffers past
-// maxPooledBuf are left to the collector.
+// emitBufs recycles output buffers of up to 64 KiB.
 var emitBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-const maxPooledBuf = 64 << 10
-
 // emitOnce renders into a pooled buffer and writes it to w in one call.
-// When fill fails it returns what the reflective encoders would have
-// written before the failure, and that goes out with the error.
+// When fill fails, it returns what the reflective encoders wrote before
+// the failure, and that goes out with the error.
 func emitOnce(w io.Writer, fill func(b []byte) ([]byte, error)) error {
 	bp := emitBufs.Get().(*[]byte)
 	b, err := fill((*bp)[:0])
-	if len(b) > 0 {
-		if _, werr := w.Write(b); err == nil {
-			err = werr
-		}
+	if _, werr := w.Write(b); err == nil {
+		err = werr
 	}
-	if cap(b) <= maxPooledBuf {
+	if cap(b) <= 64<<10 {
 		*bp = b[:0]
 		emitBufs.Put(bp)
 	}
@@ -362,8 +329,7 @@ func (e *TableEmitter) Emit(w io.Writer, results []SweepResult) error {
 	t := stats.NewTable(header...)
 	var speedups []float64
 	for _, r := range results {
-		rec := RecordOf(r)
-		cells := rec.cells()
+		cells := RecordOf(r).cells()
 		v := 0.0
 		if ref := e.Reference(r); ref != nil && r.Result != nil {
 			v = stats.SafeDiv(ref.RuntimeNs, r.Result.RuntimeNs, 0)
@@ -384,8 +350,8 @@ func (e *TableEmitter) Emit(w io.Writer, results []SweepResult) error {
 // needs live Results).
 func (e *TableEmitter) EmitRecords(w io.Writer, recs []Record) error {
 	t := stats.NewTable(sweepColumns...)
-	for i := range recs {
-		t.AddRow(recs[i].cells()...)
+	for _, rec := range recs {
+		t.AddRow(rec.cells()...)
 	}
 	_, err := fmt.Fprint(w, t.String())
 	return err
@@ -404,18 +370,14 @@ func (CSVEmitter) EmitRecords(w io.Writer, recs []Record) error {
 	return emitOnce(w, func(b []byte) ([]byte, error) {
 		b = append(b, csvHeader...)
 		for i := range recs {
-			b = recs[i].appendCells(b, appendCSVField, csvComma)
-			b[len(b)-1] = '\n'
+			b = recs[i].appendCells(b, appendCSVField, func(b []byte) []byte { return append(b, ',') })
+			b[len(b)-1] = '\n' // the row's last comma
 		}
 		return b, nil
 	})
 }
 
-// csvHeader is the CSV header line; csvComma ends each CSV cell (the
-// row's last comma becomes its newline).
 var csvHeader = strings.Join(sweepColumns, ",") + "\n"
-
-func csvComma(b []byte) []byte { return append(b, ',') }
 
 // JSONEmitter renders sweep results as a JSON array of records.
 type JSONEmitter struct {
@@ -428,32 +390,23 @@ func (e JSONEmitter) Emit(w io.Writer, results []SweepResult) error {
 	return e.EmitRecords(w, RecordsOf(results))
 }
 
-// EmitRecords implements RecordEmitter.
-// The indented form is the compact one through json.Indent, which is
-// what json.Encoder's SetIndent does.
+// EmitRecords implements RecordEmitter. The indented form is the
+// compact one through json.Indent, as json.Encoder's SetIndent does.
 func (e JSONEmitter) EmitRecords(w io.Writer, recs []Record) error {
 	return emitOnce(w, func(b []byte) ([]byte, error) {
 		if recs == nil {
-			b = append(b, "null"...)
-		} else {
-			b = append(b, '[')
-			for i := range recs {
-				if i > 0 {
-					b = append(b, ',')
-				}
-				var err error
-				if b, err = recs[i].appendJSON(b); err != nil {
-					return b[:0], err
-				}
-			}
-			b = append(b, ']')
+			return append(b, "null\n"...), nil // the same indented
 		}
-		b = append(b, '\n')
+		b, err := appendRecords(append(b, '['), recs, ',')
+		if err != nil {
+			return b[:0], err
+		}
+		b = append(b[:len(b)-min(len(recs), 1)], ']', '\n') // drop the last comma
 		if !e.Indent {
 			return b, nil
 		}
 		var out bytes.Buffer
-		err := json.Indent(&out, b, "", "  ")
+		err = json.Indent(&out, b, "", "  ")
 		return out.Bytes(), err
 	})
 }
@@ -475,14 +428,18 @@ func (e NDJSONEmitter) Emit(w io.Writer, results []SweepResult) error {
 
 // EmitRecords implements RecordEmitter.
 func (NDJSONEmitter) EmitRecords(w io.Writer, recs []Record) error {
-	return emitOnce(w, func(b []byte) ([]byte, error) {
-		for i := range recs {
-			row, err := recs[i].appendJSON(b)
-			if err != nil {
-				return b, err
-			}
-			b = append(row, '\n')
+	return emitOnce(w, func(b []byte) ([]byte, error) { return appendRecords(b, recs, '\n') })
+}
+
+// appendRecords appends each record's JSON followed by sep. On a
+// failure it returns the rows before the failing one.
+func appendRecords(b []byte, recs []Record, sep byte) ([]byte, error) {
+	for i := range recs {
+		row, err := recs[i].appendJSON(b)
+		if err != nil {
+			return b, err
 		}
-		return b, nil
-	})
+		b = append(row, sep)
+	}
+	return b, nil
 }

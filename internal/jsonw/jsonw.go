@@ -1,8 +1,5 @@
 // Package jsonw appends JSON exactly as encoding/json marshals it, with
-// no reflection. The records and events the daemons serve are fixed
-// structs, so their encoders write each member in declaration order
-// through an Object; fuzz tests hold them to encoding/json byte for
-// byte.
+// no reflection. Fuzz tests hold its users to encoding/json.
 package jsonw
 
 import (
@@ -12,127 +9,83 @@ import (
 	"unicode/utf8"
 )
 
-// Object appends one JSON object's members in call order. Keys are
-// written verbatim, so they must not need escaping. The first float
-// encoding/json refuses (NaN or ±Inf) is kept in Err, and the caller
-// discards B, as json.Marshal writes nothing for such a value.
+// Object appends one JSON object's members in call order; keys are
+// written verbatim. The first NaN or ±Inf float is kept in Err, and the
+// caller discards B, as encoding/json writes nothing for such a value.
 type Object struct {
 	B   []byte
 	Err error
 }
 
-// Open starts an object at the end of b.
-func Open(b []byte) Object { return Object{B: append(b, '{')} }
-
-// Close ends the object, returning the buffer and the first error.
+// Open starts an object at the end of b; Close ends it.
+func Open(b []byte) Object               { return Object{B: append(b, '{')} }
 func (o *Object) Close() ([]byte, error) { return append(o.B, '}'), o.Err }
 
-func (o *Object) key(k string) {
+func (o *Object) key(k string) []byte {
 	if o.B[len(o.B)-1] != '{' {
 		o.B = append(o.B, ',')
 	}
-	o.B = append(append(append(o.B, '"'), k...), '"', ':')
+	return append(append(append(o.B, '"'), k...), '"', ':')
 }
 
-// String appends a string member.
-func (o *Object) String(k, v string) {
-	o.key(k)
-	o.B = appendString(o.B, v)
-}
-
-// Int appends an integer member.
-func (o *Object) Int(k string, v int) {
-	o.key(k)
-	o.B = strconv.AppendInt(o.B, int64(v), 10)
-}
-
-// Uint appends an unsigned integer member.
-func (o *Object) Uint(k string, v uint64) {
-	o.key(k)
-	o.B = strconv.AppendUint(o.B, v, 10)
-}
-
-// Bool appends a boolean member.
-func (o *Object) Bool(k string, v bool) {
-	o.key(k)
-	o.B = strconv.AppendBool(o.B, v)
-}
-
-// Float appends a float64 member.
-func (o *Object) Float(k string, v float64) {
-	o.key(k)
-	var err error
-	if o.B, err = appendFloat(o.B, v); err != nil && o.Err == nil {
-		o.Err = err
-	}
-}
+// String, Int, Uint, Bool and Float append one member each.
+func (o *Object) String(k, v string)        { o.B = appendString(o.key(k), v) }
+func (o *Object) Int(k string, v int)       { o.B = strconv.AppendInt(o.key(k), int64(v), 10) }
+func (o *Object) Uint(k string, v uint64)   { o.B = strconv.AppendUint(o.key(k), v, 10) }
+func (o *Object) Bool(k string, v bool)     { o.B = strconv.AppendBool(o.key(k), v) }
+func (o *Object) Float(k string, v float64) { o.B = appendFloat(o.key(k), v, &o.Err) }
 
 const hex = "0123456789abcdef"
 
 // appendString appends s as encoding/json writes a string with HTML
-// escaping: quote, backslash and control characters escaped, <, > and &
-// as \u003c, \u003e and \u0026, each invalid UTF-8 byte as \ufffd, and
-// U+2028 and U+2029 escaped.
+// escaping: quote and backslash escaped, \b \t \n \f \r by letter, and
+// other control bytes, <, >, &, U+2028, U+2029 and each invalid UTF-8
+// byte as a \u escape (the last as \ufffd).
 func appendString(b []byte, s string) []byte {
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-			}
-			i++
-			start = i
+		c, size := rune(s[i]), 1
+		if c >= utf8.RuneSelf {
+			c, size = utf8.DecodeRuneInString(s[i:])
+		}
+		if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' &&
+			c != 0x2028 && c != 0x2029 && (c != utf8.RuneError || size > 1) {
+			i += size
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
+		b = append(b, s[start:i]...)
 		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(append(b, s[start:i]...), `\ufffd`...)
-			start = i + size
-		case r == '\u2028' || r == '\u2029':
-			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
-			start = i + size
+		case c == '"' || c == '\\':
+			b = append(b, '\\', byte(c))
+		case c >= '\b' && c <= '\r' && c != '\v':
+			b = append(b, '\\', "btn_fr"[c-'\b'])
+		default:
+			b = append(b, '\\', 'u', hex[c>>12], hex[c>>8&0xF], hex[c>>4&0xF], hex[c&0xF])
 		}
 		i += size
+		start = i
 	}
 	return append(append(b, s[start:]...), '"')
 }
 
-// appendFloat appends v as encoding/json writes a float64: shortest 'f'
-// form, or 'e' form with a two-digit exponent shortened (e-09 → e-9)
-// when |v| < 1e-6 or |v| ≥ 1e21. NaN and ±Inf are an error.
-func appendFloat(b []byte, v float64) ([]byte, error) {
-	if math.IsInf(v, 0) || math.IsNaN(v) {
-		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(v, 'g', -1, 64)}
+// appendFloat appends v as encoding/json writes a float64: the shortest
+// 'f' form, or the 'e' form with e-09 shortened to e-9 when |v| < 1e-6
+// or |v| ≥ 1e21. NaN and ±Inf append nothing and set *err if unset.
+func appendFloat(b []byte, v float64, err *error) []byte {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		if *err == nil {
+			*err = &json.UnsupportedValueError{Str: strconv.FormatFloat(v, 'g', -1, 64)}
+		}
+		return b
 	}
-	format := byte('f')
-	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+	if abs := math.Abs(v); abs == 0 || abs >= 1e-6 && abs < 1e21 {
+		return strconv.AppendFloat(b, v, 'f', -1, 64)
 	}
-	b = strconv.AppendFloat(b, v, format, -1, 64)
-	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+	b = strconv.AppendFloat(b, v, 'e', -1, 64)
+	if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
 		b[n-2] = b[n-1]
 		b = b[:n-1]
 	}
-	return b, nil
+	return b
 }

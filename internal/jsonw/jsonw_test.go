@@ -44,7 +44,8 @@ func TestFloatMatchesMarshal(t *testing.T) {
 		math.NaN(), math.Inf(1), math.Inf(-1)}
 	for _, v := range cases {
 		want, ok := marshal(t, v)
-		got, err := appendFloat(nil, v)
+		var err error
+		got := appendFloat(nil, v, &err)
 		if (err == nil) != ok || ok && string(got) != want {
 			t.Fatalf("appendFloat(%v) = %s, %v; want %s (ok %v)", v, got, err, want, ok)
 		}

@@ -526,8 +526,7 @@ func (f *Front) handleResults(w http.ResponseWriter, r *http.Request) {
 // subscriber still sees every transition; the stream ends when the
 // sweep is final. The finish publishes a sweep event like any other
 // transition, so the subscription's poke is the only wakeup needed.
-// Each wake encodes the new events into one buffer, reused across
-// wakes, and writes it once.
+// Each wake encodes its new events into one reused buffer, written once.
 func (f *Front) handleEvents(w http.ResponseWriter, r *http.Request) {
 	st := f.sweepOr404(w, r)
 	if st == nil {

@@ -91,12 +91,37 @@ type event struct {
 }
 
 // appendFrame appends the event's "event: …\ndata: …\n\n" frame, its
-// data encoded as encoding/json marshals the payload.
+// data as encoding/json marshals the payload.
 func (e *event) appendFrame(b []byte) []byte {
+	var o jsonw.Object
 	if e.isSweep {
-		return append(e.sweep.appendJSON(append(b, "event: sweep\ndata: "...)), "\n\n"...)
+		o = jsonw.Open(append(b, "event: sweep\ndata: "...))
+		o.String("sweep", e.sweep.Sweep)
+		o.String("status", e.sweep.Status)
+		o.Int("done", e.sweep.Done)
+		o.Int("total", e.sweep.Total)
+	} else {
+		o = jsonw.Open(append(b, "event: job\ndata: "...))
+		o.String("sweep", e.job.Sweep)
+		o.Int("index", e.job.Index)
+		o.String("benchmark", e.job.Benchmark)
+		o.String("policy", e.job.Policy)
+		o.Int("pf_kib", e.job.PFKiB)
+		if e.job.Shard != "" {
+			o.String("shard", e.job.Shard)
+		}
+		o.String("status", e.job.Status)
+		if e.job.Resumed {
+			o.Bool("resumed", true)
+		}
+		o.Int("done", e.job.Done)
+		o.Int("total", e.job.Total)
+		if e.job.Error != "" {
+			o.String("error", e.job.Error)
+		}
 	}
-	return append(e.job.appendJSON(append(b, "event: job\ndata: "...)), "\n\n"...)
+	b, _ = o.Close() // no floats, so no error
+	return append(b, "\n\n"...)
 }
 
 // JobEvent is the payload of per-job SSE events.
@@ -114,29 +139,6 @@ type JobEvent struct {
 	Error     string `json:"error,omitempty"`
 }
 
-func (ev *JobEvent) appendJSON(b []byte) []byte {
-	o := jsonw.Open(b)
-	o.String("sweep", ev.Sweep)
-	o.Int("index", ev.Index)
-	o.String("benchmark", ev.Benchmark)
-	o.String("policy", ev.Policy)
-	o.Int("pf_kib", ev.PFKiB)
-	if ev.Shard != "" {
-		o.String("shard", ev.Shard)
-	}
-	o.String("status", ev.Status)
-	if ev.Resumed {
-		o.Bool("resumed", true)
-	}
-	o.Int("done", ev.Done)
-	o.Int("total", ev.Total)
-	if ev.Error != "" {
-		o.String("error", ev.Error)
-	}
-	b, _ = o.Close() // no floats, so no error
-	return b
-}
-
 // sweepEvent is the payload of sweep-level SSE events.
 type sweepEvent struct {
 	Sweep  string `json:"sweep"`
@@ -145,22 +147,13 @@ type sweepEvent struct {
 	Total  int    `json:"total"`
 }
 
-func (ev *sweepEvent) appendJSON(b []byte) []byte {
-	o := jsonw.Open(b)
-	o.String("sweep", ev.Sweep)
-	o.String("status", ev.Status)
-	o.Int("done", ev.Done)
-	o.Int("total", ev.Total)
-	b, _ = o.Close()
-	return b
-}
-
 // SweepState is one accepted sweep: its expanded jobs, live per-job
 // progress, the delivered records, the SSE history and the lifecycle
 // timeline. The history holds typed events, encoded only for
-// subscribers, so a sweep nobody watches encodes none. Progress arrives concurrently (worker hooks, shard streams,
-// gathers); all mutation goes through the mutex, and a job that reached
-// a terminal state never regresses, so replayed updates are idempotent.
+// subscribers, so a sweep nobody watches encodes none. Progress arrives
+// concurrently (worker hooks, shard streams, gathers); all mutation goes
+// through the mutex, and a job that reached a terminal state never
+// regresses, so replayed updates are idempotent.
 //
 // The sweep finishes itself: once every job is terminal AND every
 // record is delivered, the status flips to done — or to the sweep's

@@ -181,10 +181,9 @@ func appendIntField(b []byte, name string, v int) []byte {
 }
 
 // appendFloatField writes v as fmt's %v does: shortest 'g', with
-// "+Inf", "-Inf" and "NaN" for the non-finite values. Integral values
-// below 1e6 in magnitude, which every preset uses, print as the integer
-// without the shortest-float search; −0 (printed "-0") and 1e6 and up
-// (printed in exponent form) stay on 'g'.
+// "+Inf", "-Inf" and "NaN" for the non-finite values. Integers below
+// 1e6 in magnitude, as every preset uses, skip the shortest-float search
+// ('g' prints −0 as "-0" and 1e6 up in exponent form).
 func appendFloatField(b []byte, name string, v float64) []byte {
 	b = append(b, name...)
 	if i := int64(v); float64(i) == v && i > -1e6 && i < 1e6 && (i != 0 || !math.Signbit(v)) {
