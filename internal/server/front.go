@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -549,7 +550,7 @@ func (f *Front) handleEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		evs, final := st.eventsSince(sent)
 		if len(evs) > 0 {
-			buf = buf[:0]
+			buf = slices.Grow(buf[:0], 256*len(evs)) // a job frame is about 230 bytes
 			for i := range evs {
 				buf = evs[i].appendFrame(buf)
 			}

@@ -205,6 +205,7 @@ func newSweepState(sweep *allarm.Sweep, req *SweepRequest, shards []string, crea
 		records:    make([]allarm.Record, n),
 		have:       make([]bool, n),
 		subs:       make(map[chan struct{}]struct{}),
+		history:    make([]event, 0, 2*n+2), // a running and a final event per job, two sweep events
 	}
 	for i, j := range sweep.Jobs {
 		st.jobs[i] = JobView{
