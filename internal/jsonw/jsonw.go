@@ -84,8 +84,7 @@ func appendFloat(b []byte, v float64, err *error) []byte {
 	}
 	b = strconv.AppendFloat(b, v, 'e', -1, 64)
 	if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
+		return append(b[:n-2], b[n-1]) // e-09 → e-9
 	}
 	return b
 }

@@ -554,7 +554,9 @@ func (f *Front) handleEvents(w http.ResponseWriter, r *http.Request) {
 			for i := range evs {
 				buf = evs[i].appendFrame(buf)
 			}
-			w.Write(buf)
+			if _, err := w.Write(buf); err != nil {
+				return // the client is gone
+			}
 			sent += len(evs)
 			flusher.Flush()
 		}
