@@ -137,6 +137,9 @@ type Config struct {
 	AllocName string
 	// LookupLatency is the probe-filter access latency (Table I: 1 ns).
 	LookupLatency sim.Time
+	// Versions supplies the blocks that hold DRAM versions (required);
+	// a machine's directories share one.
+	Versions *VersionBlocks
 	// RetryDelay spaces re-attempts when an allocation finds every way of
 	// a set busy (rare; bounded by transaction completion).
 	RetryDelay sim.Time
@@ -155,11 +158,11 @@ type DirCtrl struct {
 
 	// base is the first address of the home's range.
 	base mem.PAddr
-	// pages, spare and vers hold the per-line state (linestate.go);
-	// nbusy counts the lines with a transaction in flight.
+	// pages holds each page's busy and version blocks (linestate.go),
+	// spare the idle busy blocks kept for reuse; nbusy counts the lines
+	// with a transaction in flight.
 	pages  []pageState
 	spare  []*busyBlock
-	vers   verTable
 	nbusy  int
 	txnSeq uint64
 
@@ -192,6 +195,9 @@ func NewDirCtrl(cfg Config, pf *ProbeFilter, eng *sim.Engine, port coherence.Por
 	}
 	if cfg.Size == 0 || cfg.Size%mem.PageBytes != 0 {
 		panic("core: directory home range must be page-aligned and non-empty")
+	}
+	if cfg.Versions == nil {
+		panic("core: directory needs a version block source")
 	}
 	return &DirCtrl{
 		cfg:   cfg,

@@ -4,7 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
-	"math/bits"
+	"math/rand/v2"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -38,7 +39,7 @@ func newTestDir() (*DirCtrl, *sim.Engine, *recPort) {
 	d := NewDirCtrl(Config{
 		Node: 1, Nodes: 4, Size: testHomeBytes,
 		Alloc: NewBaseline(PolicyContext{}), AllocName: "baseline",
-		LookupLatency: sim.Nanosecond,
+		LookupLatency: sim.Nanosecond, Versions: new(VersionBlocks),
 	}, NewProbeFilter(mem.LineBytes, 1), eng, p, dram.New(50*sim.Nanosecond, 0))
 	return d, eng, p
 }
@@ -101,8 +102,23 @@ func encodeDir(t testing.TB, d *DirCtrl) []byte {
 }
 
 // testFrames is the frame count restored test directories reserve: the
-// live scenario touches lines in the first two pages.
-const testFrames = 4
+// live scenario touches lines in the first two pages, spreadDir in all
+// of them.
+const testFrames = 16
+
+// spreadDir is liveDir with writebacks reaching every reserved page, at
+// one to a few lines each.
+func spreadDir(t testing.TB) *DirCtrl {
+	d, eng, _ := liveDir(t)
+	for p := 2; p < testFrames; p++ {
+		for i := 0; i <= p%4; i++ {
+			line := homeLine(p*mem.LinesPerPage + (p*7+i*13)%mem.LinesPerPage)
+			d.HandleMsg(eng.Now(), &Msg{Op: coherence.PutM, Addr: line, Src: mem.NodeID(p % 4), Version: uint64(p * i)})
+		}
+	}
+	eng.Run(0)
+	return d
+}
 
 func decodeDir(blob []byte) (*DirCtrl, error) {
 	dec, err := checkpoint.NewDecoder(bytes.NewReader(blob))
@@ -194,12 +210,13 @@ func TestDirCtrlSnapshotRoundTrip(t *testing.T) {
 
 // checkLines verifies the line-state bookkeeping: every busy block's
 // count matches its transactions and is non-zero, spare blocks are
-// empty, nbusy counts the busy lines, and the version table holds a slot
-// for exactly the groups with a written line.
+// empty, nbusy counts the busy lines, every version block belongs to one
+// page and holds a written line, versions of unwritten lines are zero,
+// and the unused version blocks are empty.
 func checkLines(t *testing.T, d *DirCtrl) {
 	t.Helper()
 	busy := 0
-	groups := map[uint64]bool{}
+	owner := map[*verBlock]int{}
 	for p, ps := range d.pages {
 		if b := ps.busy; b != nil {
 			n := 0
@@ -213,12 +230,19 @@ func checkLines(t *testing.T, d *DirCtrl) {
 			}
 			busy += n
 		}
-		for w := ps.written; w != 0; w &= w - 1 {
-			g := (uint64(p)*mem.LinesPerPage + uint64(bits.TrailingZeros64(w))) / verGroup
-			if d.vers.find(g+1).key == 0 {
-				t.Fatalf("page %d: written line without a version slot", p)
+		if b := ps.vers; b != nil {
+			if q, ok := owner[b]; ok {
+				t.Fatalf("pages %d and %d share a version block", q, p)
 			}
-			groups[g] = true
+			owner[b] = p
+			if b.written == 0 {
+				t.Fatalf("page %d: version block without a written line", p)
+			}
+			for i, v := range b.v {
+				if b.written>>i&1 == 0 && v != 0 {
+					t.Fatalf("page %d: unwritten line %d has version %d", p, i, v)
+				}
+			}
 		}
 	}
 	for _, b := range d.spare {
@@ -226,8 +250,13 @@ func checkLines(t *testing.T, d *DirCtrl) {
 			t.Fatal("spare busy block is not empty")
 		}
 	}
-	if busy != d.nbusy || len(groups) != d.vers.n {
-		t.Fatalf("nbusy %d for %d busy lines; %d version slots for %d written groups", d.nbusy, busy, d.vers.n, len(groups))
+	for i := range d.cfg.Versions.free {
+		if d.cfg.Versions.free[i] != (verBlock{}) {
+			t.Fatal("unused version block is not empty")
+		}
+	}
+	if busy != d.nbusy {
+		t.Fatalf("nbusy %d for %d busy lines", d.nbusy, busy)
 	}
 }
 
@@ -326,8 +355,8 @@ func TestDirCtrlLineTable(t *testing.T) {
 	d, _, _ := newTestDir()
 	// Reserving the whole home costs 16 bytes a page and nothing else.
 	d.Reserve(testHomeBytes / mem.PageBytes * 2)
-	if len(d.pages) != testHomeBytes/mem.PageBytes || len(d.vers.slots) != 0 || len(d.spare) != 0 {
-		t.Fatalf("Reserve sized %d pages, %d version slots", len(d.pages), len(d.vers.slots))
+	if len(d.pages) != testHomeBytes/mem.PageBytes || d.cfg.Versions.free != nil || len(d.spare) != 0 {
+		t.Fatalf("Reserve sized %d pages, %d version blocks", len(d.pages), len(d.cfg.Versions.free))
 	}
 
 	d, _, _ = newTestDir()
@@ -376,45 +405,126 @@ func TestDirCtrlLineTable(t *testing.T) {
 	checkLines(t, d)
 }
 
-func TestVerTable(t *testing.T) {
-	var vt verTable
-	if vt.get(7) != 0 {
-		t.Fatal("empty table has a version")
+// TestVersionStore holds the DRAM version store to a map: random
+// writebacks, clustered on a few pages and scattered over the whole home
+// (past the reserved pages, up to its last line), with zero versions and
+// overwrites, must read back as the map does, in ascending order, and
+// survive a checkpoint round trip byte for byte.
+func TestVersionStore(t *testing.T) {
+	const lines = testHomeBytes / mem.LineBytes
+	d, _, _ := newTestDir()
+	d.Reserve(2)
+	ref := map[mem.PAddr]uint64{}
+	r := rand.New(rand.NewPCG(1, 2))
+	set := func(addr mem.PAddr, v uint64) {
+		d.setVersion(addr, v)
+		ref[addr] = v
 	}
-	// Scattered lines (several growth steps), neighbours sharing a
-	// group, and overwrites.
-	const n = 5000
-	line := func(i uint64) uint64 { return i * 977 % (1 << 20) }
-	groups := map[uint64]bool{}
-	for i := uint64(0); i < n; i++ {
-		vt.put(line(i), i)
-		vt.put(line(i)+1, i+1)
-		groups[line(i)/verGroup] = true
-		groups[(line(i)+1)/verGroup] = true
-	}
-	for i := uint64(0); i < n; i += 2 {
-		vt.put(line(i), i+n)
-	}
-	if vt.n != len(groups) || vt.n*4 > len(vt.slots)*3 || len(vt.slots)&(len(vt.slots)-1) != 0 {
-		t.Fatalf("%d slots in use of %d, for %d groups", vt.n, len(vt.slots), len(groups))
-	}
-	for i := uint64(0); i < n; i++ {
-		want := i
-		if i%2 == 0 {
-			want += n
+	check := func() {
+		t.Helper()
+		for i := 0; i < 2000; i++ {
+			a := homeLine(r.IntN(lines))
+			v, ok := ref[a]
+			if d.written(a) != ok || d.version(a) != v {
+				t.Fatalf("line %#x: written %v version %d, want %v %d", uint64(a), d.written(a), d.version(a), ok, v)
+			}
 		}
-		if got := vt.get(line(i)); got != want {
-			t.Fatalf("line %d: version %d, want %d", line(i), got, want)
+		var got []mem.PAddr
+		d.eachWritten(func(a mem.PAddr, v uint64) {
+			if len(got) > 0 && a <= got[len(got)-1] {
+				t.Fatalf("eachWritten visited %#x after %#x", uint64(a), uint64(got[len(got)-1]))
+			}
+			if w, ok := ref[a]; !ok || w != v {
+				t.Fatalf("eachWritten: line %#x version %d, want %d (written %v)", uint64(a), v, w, ok)
+			}
+			got = append(got, a)
+		})
+		if len(got) != len(ref) {
+			t.Fatalf("eachWritten visited %d lines, %d written", len(got), len(ref))
 		}
+		checkLines(t, d)
 	}
-	if vt.get(1<<20+3) != 0 {
-		t.Fatal("absent line has a version")
+
+	for round := 0; round < 20; round++ {
+		for i := 0; i < 300; i++ {
+			var line int
+			if r.IntN(2) == 0 {
+				line = r.IntN(4 * mem.LinesPerPage) // the first pages, densely
+			} else {
+				line = r.IntN(lines)
+			}
+			v := r.Uint64() % 4 // small versions: zeros and repeats
+			if r.IntN(4) == 0 {
+				v = r.Uint64()
+			}
+			set(homeLine(line), v)
+		}
+		check()
 	}
+	// The home's last page, its last line overwritten with 0.
+	set(homeLine(lines-mem.LinesPerPage), 7)
+	set(homeLine(lines-1), 9)
+	set(homeLine(lines-1), 0)
+	check()
+	if len(d.pages) != testHomeBytes/mem.PageBytes {
+		t.Fatalf("%d pages for a %d-page home", len(d.pages), testHomeBytes/mem.PageBytes)
+	}
+
+	blob := encodeDir(t, d)
+	dec, err := checkpoint.NewDecoder(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, _, _ := newTestDir()
+	rd.Reserve(testHomeBytes / mem.PageBytes)
+	if err := rd.DecodeState(dec); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeDir(t, rd), blob) {
+		t.Fatal("decoded version store does not re-encode identically")
+	}
+	d = rd
+	check()
+}
+
+// TestVersionBlockAllocs pins the version store's allocations: first
+// writebacks to P distinct pages, split between two directories sharing
+// their blocks as a machine's do, allocate once per verChunk pages, and
+// further writebacks to a written page allocate nothing.
+func TestVersionBlockAllocs(t *testing.T) {
+	const pages = 100
+	d, _, _ := newTestDir()
+	d.Reserve(testHomeBytes / mem.PageBytes)
+	peer := NewDirCtrl(d.cfg, NewProbeFilter(mem.LineBytes, 1), &sim.Engine{}, &recPort{}, dram.New(50*sim.Nanosecond, 0))
+	peer.Reserve(testHomeBytes / mem.PageBytes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for p := 0; p < pages; p++ {
+		dir := d
+		if p%3 == 0 {
+			dir = peer
+		}
+		dir.setVersion(homeLine(p*mem.LinesPerPage+p%mem.LinesPerPage), uint64(p))
+	}
+	runtime.ReadMemStats(&after)
+	if n, limit := after.Mallocs-before.Mallocs, uint64((pages+verChunk-1)/verChunk); n > limit {
+		t.Fatalf("versions on %d pages allocated %d times, want at most %d", pages, n, limit)
+	}
+	v := uint64(0)
+	if n := testing.AllocsPerRun(100, func() {
+		v++
+		d.setVersion(homeLine(5*mem.LinesPerPage+int(v)%mem.LinesPerPage), v)
+	}); n != 0 {
+		t.Fatalf("a writeback to a written page allocates %v times", n)
+	}
+	checkLines(t, d)
+	checkLines(t, peer)
 }
 
 // TestPackedEntry pins a probe-filter way's host cost — a tag word, an
 // LRU tick and an owner, at most 20 bytes, all ways cut from one
-// allocation — and the directory's per-page record.
+// allocation — and the directory's per-page record: two block pointers,
+// 16 bytes.
 func TestPackedEntry(t *testing.T) {
 	pf := NewProbeFilter(32<<10, 4)
 	if n := unsafe.Sizeof(pf.tags[0]) + unsafe.Sizeof(pf.lrus[0]) + unsafe.Sizeof(pf.owners[0]); n > 20 {
@@ -435,7 +545,7 @@ func TestPackedEntry(t *testing.T) {
 func FuzzDirCtrlDecodeState(f *testing.F) {
 	live, _, _ := liveDir(f)
 	empty, _, _ := newTestDir()
-	for _, d := range []*DirCtrl{live, empty} {
+	for _, d := range []*DirCtrl{live, spreadDir(f), empty} {
 		e := checkpoint.NewEncoder("")
 		if err := d.EncodeState(e); err != nil {
 			f.Fatal(err)

@@ -8,25 +8,27 @@ import (
 )
 
 // Per-line directory state: the transaction in flight on each busy line
-// and the DRAM data version of each line a writeback reached. Both live
-// in flat arrays indexed from the home's base, with no Go map and no
-// per-line allocation, and host memory follows the lines that hold
-// state:
+// and the DRAM data version of each line a writeback reached. Both hang
+// off one flat array of pages indexed from the home's base, with no Go
+// map and no per-line allocation, and host memory follows the lines
+// that hold state:
 //
 //   - pages has one 16-byte pageState per frame first-touch has handed
 //     out (Reserve sizes it; a line beyond it grows it by doubling);
 //   - a page with a transaction in flight holds a busyBlock, which goes
 //     back to spare once the page's last transaction finishes, so the
 //     blocks in use are bounded by the transactions in flight;
-//   - vers holds one slot per group of neighbouring lines with a DRAM
-//     version.
+//   - a page a writeback reached holds a verBlock for the rest of the
+//     run (a DRAM version is never dropped). Blocks are cut from chunks
+//     of verChunk that the machine's directories share (VersionBlocks),
+//     so a run allocates once per verChunk written pages.
 
-// pageState is one page's directory state. written has bit i set when
-// line i of the page has a DRAM version in vers; busy holds the page's
-// in-flight transactions and is nil when every line is idle.
+// pageState is one page's directory state: busy holds the page's
+// in-flight transactions and is nil when every line is idle; vers holds
+// its lines' DRAM versions and is nil until a writeback reaches one.
 type pageState struct {
-	busy    *busyBlock
-	written uint64
+	busy *busyBlock
+	vers *verBlock
 }
 
 // busyBlock holds the transactions in flight on one page's lines; n
@@ -34,6 +36,38 @@ type pageState struct {
 type busyBlock struct {
 	txns [mem.LinesPerPage]*txn
 	n    int
+}
+
+// verBlock holds the DRAM versions of one page's lines: written has bit
+// i set when a writeback reached line i, and v[i] is that line's version
+// (0 for a line no writeback reached).
+type verBlock struct {
+	written uint64
+	v       [mem.LinesPerPage]uint64
+}
+
+// VersionBlocks hands out DRAM version blocks, verChunk per allocation.
+// The directories of one machine share one, so the machine leaves one
+// chunk partly unused, not one per directory. The zero value is ready
+// for use; like the directories it serves, it is driven by one event
+// loop and is not safe for concurrent use.
+type VersionBlocks struct {
+	free []verBlock // the current chunk's blocks not yet handed out
+}
+
+// verChunk is the number of verBlocks one allocation provides. Its
+// 9,360 bytes nearly fill the allocator's 9,472-byte size class, which
+// 16 blocks would round up to as well.
+const verChunk = 18
+
+// get returns an empty block.
+func (vb *VersionBlocks) get() *verBlock {
+	if len(vb.free) == 0 {
+		vb.free = make([]verBlock, verChunk)
+	}
+	b := &vb.free[0]
+	vb.free = vb.free[1:]
+	return b
 }
 
 // slot returns addr's page and its line within the page. An address
@@ -88,35 +122,53 @@ func (d *DirCtrl) setBusy(addr mem.PAddr, t *txn) {
 	}
 }
 
+// verBlockOf returns the version block of addr's page, nil before a
+// writeback reached the page, and addr's line within the page.
+func (d *DirCtrl) verBlockOf(addr mem.PAddr) (*verBlock, uint64) {
+	p, i := d.slot(addr)
+	if p < uint64(len(d.pages)) {
+		return d.pages[p].vers, i
+	}
+	return nil, i
+}
+
 // written reports whether a writeback ever reached DRAM for addr's line.
 func (d *DirCtrl) written(addr mem.PAddr) bool {
-	p, i := d.slot(addr)
-	return p < uint64(len(d.pages)) && d.pages[p].written>>i&1 != 0
+	b, i := d.verBlockOf(addr)
+	return b != nil && b.written>>i&1 != 0
 }
 
 // version returns the DRAM data version of addr's line, 0 when no
 // writeback reached it.
 func (d *DirCtrl) version(addr mem.PAddr) uint64 {
-	if !d.written(addr) {
-		return 0
+	if b, i := d.verBlockOf(addr); b != nil {
+		return b.v[i]
 	}
-	return d.vers.get(uint64(addr-d.base) / mem.LineBytes)
+	return 0
 }
 
-// setVersion records version as the DRAM data version of addr's line.
+// setVersion records version as the DRAM data version of addr's line,
+// giving the page its version block at its first writeback.
 func (d *DirCtrl) setVersion(addr mem.PAddr, version uint64) {
 	p, i := d.slot(addr)
-	d.page(p).written |= 1 << i
-	d.vers.put(uint64(addr-d.base)/mem.LineBytes, version)
+	ps := d.page(p)
+	if ps.vers == nil {
+		ps.vers = d.cfg.Versions.get()
+	}
+	ps.vers.written |= 1 << i
+	ps.vers.v[i] = version
 }
 
 // eachWritten calls fn for every line with a DRAM version, in ascending
 // address order.
 func (d *DirCtrl) eachWritten(fn func(addr mem.PAddr, version uint64)) {
 	for p := range d.pages {
-		for w := d.pages[p].written; w != 0; w &= w - 1 {
-			line := uint64(p)*mem.LinesPerPage + uint64(bits.TrailingZeros64(w))
-			fn(d.base+mem.PAddr(line*mem.LineBytes), d.vers.get(line))
+		if b := d.pages[p].vers; b != nil {
+			for w := b.written; w != 0; w &= w - 1 {
+				i := bits.TrailingZeros64(w)
+				line := uint64(p)*mem.LinesPerPage + uint64(i)
+				fn(d.base+mem.PAddr(line*mem.LineBytes), b.v[i])
+			}
 		}
 	}
 }
@@ -163,76 +215,4 @@ func (d *DirCtrl) resize(n uint64) {
 	t := make([]pageState, min(n, d.cfg.Size/mem.PageBytes))
 	copy(t, d.pages)
 	d.pages = t
-}
-
-// verTable maps line numbers (offsets from the home's base, in lines) to
-// DRAM versions. Like the page table it is a flat open-addressed hash
-// table: a power-of-two slot array probed linearly from a
-// multiplicative hash. Each slot holds an aligned group of verGroup
-// lines, so a run of neighbouring lines shares one slot and its cache
-// lines. A version is never dropped, so there are no deletes and no
-// tombstones; the table doubles when it passes 3/4 load. Which lines of
-// a group hold a version is recorded in pageState.written, not here.
-type verTable struct {
-	slots []verSlot // len is zero or a power of two, never more than 3/4 full
-	n     int       // occupied slots
-}
-
-// verGroup is the number of lines one verTable slot covers.
-const verGroup = 8
-
-// verSlot is one verTable slot. key is the group number plus one; 0
-// marks an empty slot.
-type verSlot struct {
-	key  uint64
-	vers [verGroup]uint64
-}
-
-// minVerSlots is the version table's first slot count.
-const minVerSlots = 16
-
-// groupHash spreads group numbers over the table (Fibonacci hashing).
-func groupHash(key uint64) uint64 { return key * 0x9e3779b97f4a7c15 >> 32 }
-
-// get returns line's version, 0 when the table has none.
-func (t *verTable) get(line uint64) uint64 {
-	if len(t.slots) == 0 {
-		return 0
-	}
-	return t.find(line/verGroup + 1).vers[line%verGroup]
-}
-
-// put sets line's version.
-func (t *verTable) put(line, ver uint64) {
-	key := line/verGroup + 1
-	if len(t.slots) == 0 {
-		t.slots = make([]verSlot, minVerSlots)
-	}
-	s := t.find(key)
-	if s.key == 0 {
-		if (t.n+1)*4 > len(t.slots)*3 {
-			old := t.slots
-			t.slots = make([]verSlot, 2*len(old))
-			for i := range old {
-				if old[i].key != 0 {
-					*t.find(old[i].key) = old[i]
-				}
-			}
-			s = t.find(key)
-		}
-		s.key = key
-		t.n++
-	}
-	s.vers[line%verGroup] = ver
-}
-
-// find returns key's slot, or the empty slot where it belongs. The
-// table must have slots.
-func (t *verTable) find(key uint64) *verSlot {
-	mask := uint64(len(t.slots) - 1)
-	for i := groupHash(key) & mask; ; i = (i + 1) & mask {
-		if s := &t.slots[i]; s.key == key || s.key == 0 {
-			return s
-		}
-	}
 }

@@ -219,8 +219,10 @@ func (d *DirCtrl) DecodeState(dec *checkpoint.Decoder) error {
 		return err
 	}
 
+	// Dropping the pages' blocks resets every line; the unused tail of
+	// the version chunk was never handed out, so it is still zero.
 	clear(d.pages)
-	d.vers, d.nbusy = verTable{}, 0
+	d.nbusy = 0
 
 	dec.Expect("dramver")
 	n := dec.Len(maxTableEntries)

@@ -148,3 +148,19 @@ func TestTimelineSortStable(t *testing.T) {
 		t.Fatalf("sort reordered same-order events: %+v", ev)
 	}
 }
+
+func TestTimelineGrow(t *testing.T) {
+	var tl Timeline
+	tl.Add(TimelineEvent{Event: "accepted", Job: -1})
+	tl.Grow(64)
+	if n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 32; i++ {
+			tl.Add(TimelineEvent{Event: "started", Job: i})
+		}
+	}); n != 0 {
+		t.Fatalf("64 Adds after Grow(64) allocated %v times", n)
+	}
+	if ev := tl.Snapshot(); len(ev) != 65 || ev[0].Event != "accepted" || ev[64].Job != 31 {
+		t.Fatalf("snapshot has %d events", len(ev))
+	}
+}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -43,6 +44,14 @@ func (t *Timeline) Add(e TimelineEvent) {
 	}
 	t.mu.Lock()
 	t.events = append(t.events, e)
+	t.mu.Unlock()
+}
+
+// Grow makes room for n more events, so the next n Adds do not grow
+// the record.
+func (t *Timeline) Grow(n int) {
+	t.mu.Lock()
+	t.events = slices.Grow(t.events, n)
 	t.mu.Unlock()
 }
 

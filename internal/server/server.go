@@ -345,10 +345,13 @@ func (s *Server) Place([]allarm.Job) ([]string, error) { return nil, nil }
 func (s *Server) Run(st *SweepState) {
 	s.actives.Add(1)
 	defer s.actives.Add(-1)
-	// Each job's key, computed once in Start and reused by JobDone
-	// (which runs on the same worker). A job skipped before Start keeps
-	// "", which unregisterJobRef ignores.
+	// Each job's key, computed once in Start and reused by Exec and
+	// JobDone (which run on the same worker). A job skipped before Start
+	// keeps "", which unregisterJobRef ignores.
 	keys := make([]string, st.Sweep.Len())
+	// The sweep's timeline gets a started and a finished event per job
+	// and its closing event.
+	st.tl.Grow(2*st.Sweep.Len() + 1)
 	runner := &allarm.Runner{
 		// Per-sweep fan-out matches the pool width; the pool itself is
 		// enforced globally in exec, so concurrent sweeps share — not
@@ -367,7 +370,9 @@ func (s *Server) Run(st *SweepState) {
 			st.Timeline("finished", i, "", status)
 			st.Deliver("", i, allarm.RecordOf(r), status)
 		},
-		Exec: s.exec,
+		Exec: func(ctx context.Context, i int, j allarm.Job) (*allarm.Result, error) {
+			return s.exec(ctx, keys[i], j)
+		},
 	}
 	runner.Run(s.ctx, st.Sweep)
 	// Only a drain skips or aborts jobs, finishing a sweep checkpointed.
@@ -429,12 +434,12 @@ func (s *Server) checkpoint(st *SweepState) {
 	s.logf("sweep %s: partial results checkpointed to %s", st.ID, path)
 }
 
-// exec runs one job through the two-tier cache, the singleflight group
-// and the bounded pool, in that order. It is the Runner.Exec of every
-// sweep, so its outcome for a job must equal Job.RunCtx's — it only
-// ever returns a result the simulator produced for exactly this key.
-func (s *Server) exec(ctx context.Context, job allarm.Job) (*allarm.Result, error) {
-	key := job.Key()
+// exec runs one job, whose Job.Key is key, through the two-tier cache,
+// the singleflight group and the bounded pool, in that order. It is the
+// Runner.Exec of every sweep, so its outcome for a job must equal
+// Job.RunCtx's — it only ever returns a result the simulator produced
+// for exactly this key.
+func (s *Server) exec(ctx context.Context, key string, job allarm.Job) (*allarm.Result, error) {
 	if res, src := s.cache.Get(key); src != tierNone {
 		s.countHit(src)
 		return res, nil

@@ -203,6 +203,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 	p := &port{m: m}
 	home := func(a mem.PAddr) mem.NodeID { return m.phys.Home(a) }
+	vers := new(core.VersionBlocks)
 	for i := 0; i < cfg.Nodes; i++ {
 		id := mem.NodeID(i)
 		hier := cache.NewHierarchy(cfg.L1Bytes, cfg.L1Ways, cfg.L2Bytes, cfg.L2Ways)
@@ -215,7 +216,7 @@ func New(cfg Config) (*Machine, error) {
 			dir: core.NewDirCtrl(core.Config{
 				Node: id, Nodes: cfg.Nodes, Size: cfg.MemBytesPerNode,
 				Alloc: cfg.Alloc(id), AllocName: cfg.AllocName,
-				LookupLatency: cfg.DirLatency,
+				LookupLatency: cfg.DirLatency, Versions: vers,
 			}, core.NewProbeFilter(cfg.PFCoverage, cfg.PFWays), m.eng, p, dc),
 		}
 		m.nodes = append(m.nodes, n)

@@ -41,8 +41,19 @@ func Benchmark(name string, threads, accesses int) (*Synthetic, error) {
 	}
 	p.Threads = threads
 	p.AccessesPerThread = accesses
-	return NewSynthetic(p)
+	return newSynthetic(p, presetHot[name])
 }
+
+// presetHot holds each preset's HotOwner Zipf table, so a process builds
+// it once, not once per job. Threads and the access budget, the only
+// parameters Benchmark sets, do not shape the table.
+var presetHot = func() map[string]*hotTable {
+	m := make(map[string]*hotTable, len(presets))
+	for name := range presets {
+		m[name] = new(hotTable)
+	}
+	return m
+}()
 
 const (
 	kib = 1024

@@ -131,13 +131,24 @@ type Synthetic struct {
 	p Params
 
 	// hot is HotOwner's Zipf table, built on the first Stream call and
-	// shared read-only by every thread's sampler.
-	hotOnce sync.Once
-	hot     rng.ZipfCDF
+	// shared read-only by every thread's sampler. A preset's workloads
+	// share their preset's table.
+	hot *hotTable
+}
+
+// hotTable is a Zipf table built on first use.
+type hotTable struct {
+	once sync.Once
+	cdf  rng.ZipfCDF
 }
 
 // NewSynthetic validates p and returns the workload.
 func NewSynthetic(p Params) (*Synthetic, error) {
+	return newSynthetic(p, new(hotTable))
+}
+
+// newSynthetic is NewSynthetic with the workload's Zipf table.
+func newSynthetic(p Params, hot *hotTable) (*Synthetic, error) {
 	if err := validateParams(p); err != nil {
 		return nil, err
 	}
@@ -147,7 +158,7 @@ func NewSynthetic(p Params) (*Synthetic, error) {
 	if p.BlockRun <= 0 {
 		p.BlockRun = 32
 	}
-	return &Synthetic{p: p}, nil
+	return &Synthetic{p: p, hot: hot}, nil
 }
 
 // Name implements Workload.
@@ -291,14 +302,14 @@ func (w *Synthetic) Stream(t int, seed uint64) Stream {
 
 // hotCDF returns the workload's shared HotOwner Zipf table.
 func (w *Synthetic) hotCDF() rng.ZipfCDF {
-	w.hotOnce.Do(func() {
+	w.hot.once.Do(func() {
 		n := w.p.SharedBytes / mem.LineBytes
 		if n > 4096 {
 			n = 4096 // Zipf table over the hot head; tail sampled uniform
 		}
-		w.hot = rng.NewZipfCDF(n, w.p.SharedHot)
+		w.hot.cdf = rng.NewZipfCDF(n, w.p.SharedHot)
 	})
-	return w.hot
+	return w.hot.cdf
 }
 
 // hashName folds a benchmark name into the seed so different benchmarks

@@ -261,9 +261,9 @@ func TestHotOwnerStreamsShareOneZipfTable(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	table := &w.hot[0]
+	table := &w.hot.cdf[0]
 	w.Stream(0, 9)
-	if &w.hot[0] != table || len(w.hot) != 4096 {
+	if &w.hot.cdf[0] != table || len(w.hot.cdf) != 4096 {
 		t.Fatal("a later stream rebuilt the Zipf table")
 	}
 	// Sampling a shared table replays a private one exactly.
@@ -275,6 +275,41 @@ func TestHotOwnerStreamsShareOneZipfTable(t *testing.T) {
 			if x != y {
 				t.Fatalf("thread %d diverges at access %d: %+v vs %+v", i, j, x, y)
 			}
+		}
+	}
+}
+
+// TestPresetZipfTableBuiltOnce checks that every workload Benchmark
+// returns for a preset samples the preset's one Zipf table, and that a
+// workload built with NewSynthetic, even from the same parameters, gets
+// its own table and leaves the presets' alone.
+func TestPresetZipfTableBuiltOnce(t *testing.T) {
+	a, err := Benchmark("blackscholes", 4, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Benchmark("blackscholes", 16, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Stream(0, 1)
+	b.Stream(3, 2)
+	if &a.hot.cdf[0] != &b.hot.cdf[0] || a.hot != presetHot["blackscholes"] {
+		t.Fatal("two blackscholes workloads built their own Zipf tables")
+	}
+	p, _ := Preset("blackscholes")
+	p.Threads, p.AccessesPerThread = 4, 100
+	c := synthetic(t, p)
+	c.Stream(0, 1)
+	if &c.hot.cdf[0] == &a.hot.cdf[0] {
+		t.Fatal("a custom workload shares the preset's Zipf table")
+	}
+	if len(presetHot) != len(presets) {
+		t.Fatalf("%d cached Zipf tables for %d presets", len(presetHot), len(presets))
+	}
+	for name, h := range presetHot {
+		if h == c.hot {
+			t.Fatalf("a custom workload's Zipf table is cached as %s's", name)
 		}
 	}
 }

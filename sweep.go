@@ -324,15 +324,17 @@ type Runner struct {
 	// consumers that need the spec index — like allarm-serve's per-job
 	// status — subscribe to.
 	JobDone func(index, total int, r SweepResult)
-	// Exec, when non-nil, executes each job in place of Job.RunCtx — the
-	// seam for layering a result cache, in-flight deduplication or
-	// remote execution under a sweep (allarm-serve's content-addressed
-	// cache plugs in here). Exec must be safe for concurrent calls and
-	// must preserve Job.RunCtx's contract: what it returns for a job
-	// must equal what Job.RunCtx would produce. The context is the one
-	// Runner.Run was given; honouring it is what lets a drain abort a
-	// simulation mid-run instead of waiting it out.
-	Exec func(ctx context.Context, j Job) (*Result, error)
+	// Exec, when non-nil, executes the job at the given spec index in
+	// place of Job.RunCtx — the seam for layering a result cache,
+	// in-flight deduplication or remote execution under a sweep
+	// (allarm-serve's content-addressed cache plugs in here). It runs on
+	// the worker that called Start for the same index, so state Start
+	// computed for the job can be handed on by index. Exec must be safe
+	// for concurrent calls and must preserve Job.RunCtx's contract: what
+	// it returns for a job must equal what Job.RunCtx would produce. The
+	// context is the one Runner.Run was given; honouring it is what lets
+	// a drain abort a simulation mid-run instead of waiting it out.
+	Exec func(ctx context.Context, index int, j Job) (*Result, error)
 }
 
 // Run executes every job of the sweep and returns the results in spec
@@ -377,7 +379,7 @@ func (r *Runner) Run(ctx context.Context, s *Sweep) ([]SweepResult, error) {
 	}
 	exec := r.Exec
 	if exec == nil {
-		exec = func(ctx context.Context, j Job) (*Result, error) { return j.RunCtx(ctx) }
+		exec = func(ctx context.Context, _ int, j Job) (*Result, error) { return j.RunCtx(ctx) }
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -395,7 +397,7 @@ func (r *Runner) Run(ctx context.Context, s *Sweep) ([]SweepResult, error) {
 				if r.Start != nil {
 					r.Start(i, len(jobs), jobs[i])
 				}
-				res, err := exec(ctx, jobs[i])
+				res, err := exec(ctx, i, jobs[i])
 				finish(i, SweepResult{Job: jobs[i], Result: res, Err: err})
 			}
 		}()
