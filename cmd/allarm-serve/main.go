@@ -10,7 +10,7 @@
 //	allarm-serve -addr 127.0.0.1:0        # ephemeral port (printed)
 //	allarm-serve -parallel 4 -cache 4096
 //	allarm-serve -cache-dir /var/lib/allarm -retain 24h
-//	allarm-serve -checkpoint /var/lib/allarm -grace 60s
+//	allarm-serve -cache-dir /var/lib/allarm -grace 60s
 //	allarm-serve -cache-dir /var/lib/allarm -checkpoint-interval 500000
 //	                                          # machine-state checkpoints:
 //	                                          # kill-resume + preemption
@@ -55,23 +55,23 @@
 // re-simulating. -retain bounds how long finished sweeps (not their
 // cached results) are kept.
 //
-// With -checkpoint-interval N the daemon additionally checkpoints the
-// full machine state of every running simulation every N events (under
-// -checkpoint-dir, default <cache-dir>/jobckpts). A killed daemon then
-// resumes interrupted jobs from their latest checkpoint at boot,
-// bit-identically, losing at most one interval of simulation; long
-// jobs yield their worker slot to waiting work at checkpoint
+// With -checkpoint-interval N (which needs -cache-dir) the daemon
+// additionally checkpoints the full machine state of every running
+// simulation every N events under <cache-dir>/jobckpts. A killed
+// daemon then resumes interrupted jobs from their latest checkpoint at
+// boot, bit-identically, losing at most one interval of simulation;
+// long jobs yield their worker slot to waiting work at checkpoint
 // boundaries (preemption). Corrupt, truncated or version-skewed
 // checkpoint files are discarded and the job re-simulates from
-// scratch. Note the distinct roles: -checkpoint holds drain-time
-// partial-result NDJSON, -checkpoint-dir holds resumable machine state.
+// scratch.
 //
 // On SIGINT/SIGTERM the daemon drains: submissions are refused,
 // in-flight sweeps get -grace to finish, and whatever is still running
 // is cancelled — the cancellation reaches into the simulation event
-// loop, so even a long job aborts within one event budget — with
-// partial results checkpointed (fetchable until exit and written as
-// <sweep-id>.ndjson under -checkpoint or <cache-dir>/checkpoints).
+// loop, so even a long job aborts within one event budget. The sweep
+// ends "checkpointed" with its partial results fetchable until exit;
+// with -cache-dir it stays journaled and the next boot finishes it
+// under the same id.
 //
 // See the "Durability & cancellation" section of README.md for the
 // cache-dir layout, checkpoint format and drain semantics, and the
@@ -98,19 +98,17 @@ func main() {
 
 func run() int {
 	var (
-		addr       = flag.String("addr", ":8347", "listen address (host:port; port 0 picks one)")
-		parallel   = flag.Int("parallel", 0, "simulation worker count (0 = all cores)")
-		cacheSize  = flag.Int("cache", server.DefaultCacheEntries, "in-memory result cache capacity in entries")
-		cacheDir   = flag.String("cache-dir", "", "directory for the persistent result store and restart recovery")
-		retain     = flag.Duration("retain", 0, "evict finished sweeps this long after completion (0 = keep forever)")
-		checkpoint = flag.String("checkpoint", "", "directory for drain-time partial-result checkpoints (default <cache-dir>/checkpoints)")
-		ckptEvery  = flag.Uint64("checkpoint-interval", 0, "events between machine-state job checkpoints (0 = off); enables resume-after-kill and preemption")
-		ckptDir    = flag.String("checkpoint-dir", "", "directory for machine-state job checkpoints (default <cache-dir>/jobckpts)")
-		grace      = flag.Duration("grace", 30*time.Second, "drain grace period before in-flight sweeps are cancelled")
-		authFile   = flag.String("auth", "", "JSON file of client tokens (bearer auth, rate limits, job quotas)")
-		logLevel   = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
-		logFormat  = flag.String("log-format", "text", "log encoding: text or json")
-		version    = flag.Bool("version", false, "print version and exit")
+		addr      = flag.String("addr", ":8347", "listen address (host:port; port 0 picks one)")
+		parallel  = flag.Int("parallel", 0, "simulation worker count (0 = all cores)")
+		cacheSize = flag.Int("cache", server.DefaultCacheEntries, "in-memory result cache capacity in entries")
+		cacheDir  = flag.String("cache-dir", "", "state directory: persistent result store, sweep journal, traces and job checkpoints")
+		retain    = flag.Duration("retain", 0, "evict finished sweeps this long after completion (0 = keep forever)")
+		ckptEvery = flag.Uint64("checkpoint-interval", 0, "events between machine-state job checkpoints under <cache-dir>/jobckpts (0 = off); enables resume-after-kill and preemption")
+		grace     = flag.Duration("grace", 30*time.Second, "drain grace period before in-flight sweeps are cancelled")
+		authFile  = flag.String("auth", "", "JSON file of client tokens (bearer auth, rate limits, job quotas)")
+		logLevel  = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
+		logFormat = flag.String("log-format", "text", "log encoding: text or json")
+		version   = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
 	if *version {
@@ -128,9 +126,7 @@ func run() int {
 		CacheEntries:       *cacheSize,
 		CacheDir:           *cacheDir,
 		Retain:             *retain,
-		CheckpointDir:      *checkpoint,
 		CheckpointInterval: *ckptEvery,
-		JobCheckpointDir:   *ckptDir,
 		Logger:             logger,
 	}
 	if *authFile != "" {

@@ -110,8 +110,9 @@
 // ones. Drain-time cancellation rides Runner.Exec's context into the
 // event loop, so an executing simulation aborts within one
 // sim.CancelCheckBudget of events; interrupted jobs are reported
-// "aborted" (with partial metrics in the checkpoint NDJSON, flagged
-// "aborted":true) and never-started ones "skipped". See the Serving
+// "aborted" (their results rows carry partial metrics, flagged
+// "aborted":true) and never-started ones "skipped", and the drained
+// sweep resumes under its id at the next boot. See the Serving
 // and "Durability & cancellation" sections of README.md for a curl
 // quickstart, the cache-dir layout and the drain semantics.
 //

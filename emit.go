@@ -72,8 +72,7 @@ type Record struct {
 	// Aborted marks a job cancelled mid-simulation (drain, Ctrl-C): the
 	// error explains the cancellation and the metrics, when present, are
 	// the partial counts up to the abort instant. Only JSON-based
-	// emitters carry the flag (checkpoint NDJSON in particular); the
-	// CSV/table column set is unchanged.
+	// emitters carry the flag; the CSV/table column set is unchanged.
 	Aborted bool `json:"aborted,omitempty"`
 
 	*RecordMetrics
@@ -123,7 +122,7 @@ func RecordOf(r SweepResult) Record {
 		if !rec.Aborted {
 			// Failed or skipped outright: no metrics to report. Aborted
 			// jobs fall through so their partial counts are emitted
-			// alongside the error (checkpoint NDJSON relies on this).
+			// alongside the error (a drained sweep's rows rely on this).
 			return rec
 		}
 	}

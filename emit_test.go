@@ -127,8 +127,8 @@ func TestNDJSONEmitterGolden(t *testing.T) {
 
 // TestEmitAbortedRecord: a job cancelled mid-simulation (partial
 // Result + cancellation error) is emitted with "aborted":true and its
-// partial metrics alongside the error — the checkpoint NDJSON contract
-// — while plain failures and successes are unchanged.
+// partial metrics alongside the error — the contract a drained
+// sweep's served rows rely on — while plain failures and successes are unchanged.
 func TestEmitAbortedRecord(t *testing.T) {
 	cfg := allarm.Config{Threads: 16, PFBytes: 128 << 10, Seed: 1, Policy: allarm.Baseline}
 	aborted := allarm.SweepResult{

@@ -49,8 +49,8 @@ type diskEntry struct {
 // atomicWrite so a crash (SIGKILL) midway leaves either the old content
 // or none — never a torn entry. Each file is a single diskEntry JSON
 // object on one line — the same one-object-per-line convention as the
-// drain checkpoints' NDJSON, so `jq` and log pipelines can process a
-// whole store with `cat dir/*.json`.
+// ndjson results format, so `jq` and log pipelines can process a whole
+// store with `cat dir/*.json`.
 func NewDiskStore(dir string) (*ResultStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("result store: %w", err)
@@ -64,15 +64,20 @@ func NewDiskStore(dir string) (*ResultStore, error) {
 	return s, nil
 }
 
-// objectName maps a job key to its entry file name. Keys are arbitrary
-// strings (they spell out whole configs and free-form workload names),
-// so the name is the key's SHA-256; the key itself is stored inside the
-// entry and checked on Get — a hash collision or a foreign file can
-// never serve the wrong simulation.
-func objectName(key string) string {
+// keyFileName maps a job key to a file name: the key's SHA-256 in hex
+// plus ext. Keys are arbitrary strings (they spell out whole configs and
+// free-form workload names), so they cannot name files themselves. The
+// result store (".json") and the job checkpoints (".ckpt") both use it;
+// the distinct extensions keep the two namespaces apart.
+func keyFileName(key, ext string) string {
 	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:]) + ".json"
+	return hex.EncodeToString(sum[:]) + ext
 }
+
+// objectName maps a job key to its result-store entry name. The key
+// itself is stored inside the entry and checked on Get — a hash
+// collision or a foreign file can never serve the wrong simulation.
+func objectName(key string) string { return keyFileName(key, ".json") }
 
 // Get returns the stored result for key, or false when the entry is
 // absent, unreadable or fails key verification.

@@ -3,8 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,17 +11,9 @@ import (
 	allarm "allarm"
 )
 
-// checkpointName maps a job key to its machine-state checkpoint file
-// name: the same sha256 content addressing as the result store, with a
-// distinct extension so the two namespaces can never collide.
-func checkpointName(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:]) + ".ckpt"
-}
-
 // checkpointPath returns the on-disk path of a job's checkpoint.
 func (s *Server) checkpointPath(key string) string {
-	return filepath.Join(s.jobCkptDir, checkpointName(key))
+	return filepath.Join(s.jobCkptDir, keyFileName(key, ".ckpt"))
 }
 
 // runCheckpointed is the default job runner when machine-state
@@ -55,7 +45,7 @@ func (s *Server) runCheckpointed(ctx context.Context, job allarm.Job) (*allarm.R
 	if resumed {
 		s.met.jobsResumed.Add(1)
 		s.jobEvent(job.Key(), "resumed", fmt.Sprintf("from checkpoint at %d events", h.Events()))
-		s.logf("job %s: resumed from checkpoint at %d events", checkpointName(job.Key()), h.Events())
+		s.logf("job %s: resumed from checkpoint at %d events", filepath.Base(path), h.Events())
 	}
 	// buf holds each snapshot on its way to disk; reusing it sizes every
 	// snapshot's buffer from the previous one.

@@ -346,6 +346,32 @@ func TestCoalescedResumeMarksEverySweep(t *testing.T) {
 	}
 }
 
+// TestCheckpointIntervalNeedsCacheDir: job checkpoints live only under
+// <CacheDir>/jobckpts, so asking for them without a cache directory is
+// a configuration error rather than a daemon that silently cannot
+// resume.
+func TestCheckpointIntervalNeedsCacheDir(t *testing.T) {
+	s, err := New(Options{Workers: 1, CheckpointInterval: 4096})
+	if err == nil {
+		s.Close()
+		t.Fatal("New accepted CheckpointInterval without CacheDir")
+	}
+}
+
+// TestKeyFileNamesStable pins the on-disk names of a result-store entry
+// and a job checkpoint for one key, so a cache directory written by an
+// older daemon stays readable.
+func TestKeyFileNamesStable(t *testing.T) {
+	const hex = "ed496d2b008580870e811c61d6b11278964475c3f414d464ce034e9c66051608" // sha256("some-job-key")
+	if got := objectName("some-job-key"); got != hex+".json" {
+		t.Errorf("result entry name %q, want %q", got, hex+".json")
+	}
+	s := &Server{jobCkptDir: "ckpts"}
+	if got, want := s.checkpointPath("some-job-key"), filepath.Join("ckpts", hex+".ckpt"); got != want {
+		t.Errorf("checkpoint path %q, want %q", got, want)
+	}
+}
+
 // TestPreemptionYieldsSlot pins checkpoint-based preemption: with one
 // worker, a long checkpointing job yields its slot to a freshly
 // submitted short job at a checkpoint boundary, then resumes and both

@@ -104,8 +104,8 @@ func (j *journal) writeRecords(st *SweepState) {
 
 // loadSweeps returns every journaled sweep, oldest id first. An entry
 // whose id is not its own file name, in prefix+digits form, is skipped
-// like an unreadable one: the id later names the sweep's journal, record
-// and checkpoint files.
+// like an unreadable one: the id later names the sweep's journal and
+// record files.
 func (j *journal) loadSweeps(prefix string) []journalEntry {
 	if j == nil {
 		return nil

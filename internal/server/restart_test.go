@@ -162,25 +162,36 @@ func TestRestartReenqueuesOnlyMissingJobs(t *testing.T) {
 }
 
 // TestCloseWaitsForSweeps: Close returns only after every sweep
-// goroutine has finished writing, so a restarted daemon (or a test's
-// directory cleanup) never races a dying one's cache-dir writes, and it
-// refuses submissions from then on.
+// goroutine has finished, so a restarted daemon (or a test's directory
+// cleanup) never races a dying one's cache-dir writes, and it refuses
+// submissions from then on.
 func TestCloseWaitsForSweeps(t *testing.T) {
 	dir := t.TempDir()
+	var returned atomic.Bool
 	s, base := newTestServer(t, Options{
 		Workers:  1,
 		CacheDir: dir,
 		RunJob: func(ctx context.Context, j allarm.Job) (*allarm.Result, error) {
 			<-ctx.Done()
 			time.Sleep(50 * time.Millisecond) // a slow abort
+			returned.Store(true)
 			return nil, ctx.Err()
 		},
 	})
 	sr := submit(t, base, tinySweepRequest())
 	waitJob(t, base, sr.ID, 0, JobRunning)
 	s.Close()
-	if _, err := os.Stat(filepath.Join(dir, "checkpoints", sr.ID+".ndjson")); err != nil {
-		t.Errorf("Close returned before the sweep's checkpoint landed: %v", err)
+	// One read, no polling: the sweep must already be terminal.
+	if !returned.Load() {
+		t.Error("Close returned before the executing job's RunJob did")
+	}
+	_, body := get(t, base+"/v1/sweeps/"+sr.ID)
+	var v SweepView
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatal(err)
+	}
+	if v.Status != StatusCheckpointed {
+		t.Errorf("status %q right after Close, want %q", v.Status, StatusCheckpointed)
 	}
 	resp, body := postJSON(t, base+"/v1/sweeps", tinySweepRequest())
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -190,8 +201,8 @@ func TestCloseWaitsForSweeps(t *testing.T) {
 
 // TestDrainAbortsExecutingJob: with cancellation threaded through
 // Exec, a drain interrupts the running simulation (status "aborted",
-// partial metrics in the checkpoint) and skips the queued one (status
-// "skipped") — and the checkpoint NDJSON distinguishes the two.
+// partial metrics in its results row) and skips the queued one (status
+// "skipped") — and the served NDJSON distinguishes the two.
 func TestDrainAbortsExecutingJob(t *testing.T) {
 	dir := t.TempDir()
 	s, base := newTestServer(t, Options{
@@ -224,13 +235,13 @@ func TestDrainAbortsExecutingJob(t *testing.T) {
 		t.Errorf("queued job status %q, want %q", v.Jobs[1].Status, JobSkipped)
 	}
 
-	data, err := os.ReadFile(filepath.Join(dir, "checkpoints", sr.ID+".ndjson"))
-	if err != nil {
-		t.Fatal(err)
+	resp, data := get(t, base+"/v1/sweeps/"+sr.ID+"/results?format=ndjson")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("checkpointed results: %d: %s", resp.StatusCode, data)
 	}
 	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
 	if len(lines) != 2 {
-		t.Fatalf("%d checkpoint lines, want 2:\n%s", len(lines), data)
+		t.Fatalf("%d result lines, want 2:\n%s", len(lines), data)
 	}
 	var aborted, skipped struct {
 		Aborted  bool    `json:"aborted"`
@@ -244,10 +255,10 @@ func TestDrainAbortsExecutingJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !aborted.Aborted || aborted.Error == "" || aborted.Accesses == nil {
-		t.Errorf("aborted checkpoint line missing aborted flag, error or partial metrics: %s", lines[0])
+		t.Errorf("aborted row missing aborted flag, error or partial metrics: %s", lines[0])
 	}
 	if skipped.Aborted || skipped.Error == "" || skipped.Accesses != nil {
-		t.Errorf("skipped checkpoint line should carry the error only: %s", lines[1])
+		t.Errorf("skipped row should carry the error only: %s", lines[1])
 	}
 
 	m := metricsOf(t, base)
@@ -256,6 +267,75 @@ func TestDrainAbortsExecutingJob(t *testing.T) {
 	}
 	if m.JobErrors != 0 {
 		t.Errorf("cancellations counted as job errors: %+v", m)
+	}
+}
+
+// TestDrainedSweepResumesAtBoot: a drained sweep reads "checkpointed",
+// stays journaled, and the next daemon on the same directory finishes
+// it under the same id — the job finished before the drain comes from
+// the disk store, the aborted one re-runs, and the CSV equals an
+// uninterrupted daemon's.
+func TestDrainedSweepResumesAtBoot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulations")
+	}
+	dir := t.TempDir()
+	// Job 0 (baseline) runs to completion; job 1 (allarm) holds the one
+	// worker until the drain cancels it, then reports partial metrics.
+	s1, base1 := newTestServer(t, Options{
+		Workers:  1,
+		CacheDir: dir,
+		RunJob: func(ctx context.Context, j allarm.Job) (*allarm.Result, error) {
+			if j.Config.Policy == allarm.ALLARM {
+				<-ctx.Done()
+				return &allarm.Result{Benchmark: j.WorkloadName(), PolicyUsed: j.Config.Policy, Events: 11, Partial: true}, ctx.Err()
+			}
+			return j.RunCtx(ctx)
+		},
+	})
+	sr := submit(t, base1, tinySweepRequest())
+	waitJob(t, base1, sr.ID, 0, JobDone)
+	waitJob(t, base1, sr.ID, 1, JobRunning)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // expired grace
+	s1.Drain(ctx)
+	if v := waitDone(t, base1, sr.ID); v.Status != StatusCheckpointed || v.Jobs[1].Status != JobAborted {
+		t.Fatalf("drained sweep: %+v", v)
+	}
+
+	var runs atomic.Int64
+	_, base2 := newTestServer(t, Options{
+		Workers:  1,
+		CacheDir: dir,
+		RunJob: func(ctx context.Context, j allarm.Job) (*allarm.Result, error) {
+			runs.Add(1)
+			if j.Config.Policy != allarm.ALLARM {
+				t.Errorf("re-simulated job %q/%v, which finished before the drain", j.WorkloadName(), j.Config.Policy)
+			}
+			return j.RunCtx(ctx)
+		},
+	})
+	v := waitDone(t, base2, sr.ID)
+	if v.Status != StatusDone || !v.Recovered {
+		t.Fatalf("recovered sweep: %+v", v)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Errorf("%d jobs ran after the restart, want the aborted 1", got)
+	}
+	if m := metricsOf(t, base2); m.CacheDiskHits != 1 || m.JobsRun != 1 || m.SweepsRecovered != 1 {
+		t.Errorf("metrics after drain and restart: %+v", m)
+	}
+	_, resumed := get(t, base2+"/v1/sweeps/"+sr.ID+"/results?format=csv")
+
+	_, base3 := newTestServer(t, Options{Workers: 2})
+	sr3 := submit(t, base3, tinySweepRequest())
+	waitDone(t, base3, sr3.ID)
+	_, uninterrupted := get(t, base3+"/v1/sweeps/"+sr3.ID+"/results?format=csv")
+	if !bytes.Equal(resumed, uninterrupted) {
+		t.Errorf("drained-and-resumed CSV differs from an uninterrupted daemon's:\nresumed:\n%s\nuninterrupted:\n%s", resumed, uninterrupted)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "checkpoints")); !os.IsNotExist(err) {
+		t.Errorf("the drain wrote a checkpoints/ directory (stat: %v)", err)
 	}
 }
 

@@ -30,15 +30,15 @@
 // # Durability
 //
 // With a cache directory (Options.CacheDir, allarm-serve -cache-dir)
-// the daemon becomes restart-safe. The in-memory LRU gains a disk tier
-// (results/, content-addressed by the same Job.Key) that every complete
-// result is written through to; the Front journals submitted sweeps
-// (sweeps/<id>.json) until they are deleted or expire and keeps uploaded
-// traces (traces/<id>); and drain checkpoints default into checkpoints/.
-// At boot every journaled sweep is re-enqueued under its original id —
-// jobs whose keys are already in the disk store are served from it
-// without re-simulating, so a SIGKILL costs at most the simulations
-// that were mid-flight.
+// the daemon becomes restart-safe, and that directory holds all of its
+// state. The in-memory LRU gains a disk tier (results/, content-addressed
+// by the same Job.Key) that every complete result is written through to;
+// the Front journals submitted sweeps (sweeps/<id>.json) until they are
+// deleted or expire and keeps uploaded traces (traces/<id>); job
+// checkpoints go to jobckpts/ (below). At boot every journaled sweep is
+// re-enqueued under its original id — jobs whose keys are already in the
+// disk store are served from it without re-simulating, so a SIGKILL
+// costs at most the simulations that were mid-flight.
 //
 // # Machine-state checkpoints
 //
@@ -62,13 +62,14 @@
 // Drain cancellation is threaded through Runner.Exec into the event
 // loop itself (sim.RunCtx), so an executing simulation aborts within
 // one sim.CancelCheckBudget of events instead of running to completion.
-// Interrupted jobs report status "aborted" (with their partial metrics
-// in the checkpoint NDJSON); jobs cancellation reached first report
-// "skipped"; the sweep ends "checkpointed".
+// Interrupted jobs report status "aborted" (their results rows carry
+// the partial metrics until the daemon exits; nothing writes them to
+// disk); jobs cancellation reached first report "skipped"; the sweep
+// ends "checkpointed" and stays journaled, so the next daemon finishes
+// it under the same id.
 package server
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"log/slog"
@@ -110,29 +111,20 @@ type Options struct {
 	// Guard, when non-nil, authenticates and rate-limits every request
 	// (see Guard) and enforces per-client job quotas at submit time.
 	Guard *Guard
-	// CheckpointDir, when non-empty, receives one <sweep-id>.ndjson per
-	// sweep still in flight when Drain cancels it. Empty with a CacheDir
-	// defaults to <CacheDir>/checkpoints.
-	CheckpointDir string
 	// CheckpointInterval, when positive, enables machine-state
 	// checkpointing of running simulations (allarm-serve
 	// -checkpoint-interval): every that-many events, the executing job's
-	// whole simulation state is snapshotted to the job checkpoint
-	// directory, a killed daemon resumes interrupted jobs from their
-	// latest checkpoint at boot instead of re-simulating from event
-	// zero, and long jobs are preempted at checkpoint boundaries when
-	// shorter work is waiting for a pool slot. Resumed results are
-	// bit-identical to uninterrupted ones. Ignored when Options.RunJob
-	// is set (the injected runner owns execution).
+	// whole simulation state is snapshotted to <CacheDir>/jobckpts, a
+	// killed daemon resumes interrupted jobs from their latest
+	// checkpoint at boot instead of re-simulating from event zero, and
+	// long jobs are preempted at checkpoint boundaries when shorter
+	// work is waiting for a pool slot. Resumed results are bit-identical
+	// to uninterrupted ones. It requires CacheDir, and is ignored when
+	// Options.RunJob is set (the injected runner owns execution).
 	CheckpointInterval uint64
-	// JobCheckpointDir is where machine-state checkpoints live (one
-	// <sha256(Job.Key)>.ckpt per in-flight job). Empty with a CacheDir
-	// defaults to <CacheDir>/jobckpts; CheckpointInterval without any
-	// directory is a configuration error.
-	JobCheckpointDir string
 	// Retain, when positive, evicts finished sweeps (and their journal
-	// entries and checkpoints) that reached a terminal state longer than
-	// this ago, instead of keeping them for the daemon's lifetime. The
+	// entries) that reached a terminal state longer than this ago,
+	// instead of keeping them for the daemon's lifetime. The
 	// content-addressed result store is not affected: identical
 	// re-submissions stay cache hits after the sweep itself is gone.
 	Retain time.Duration
@@ -152,22 +144,21 @@ type Options struct {
 // the two-tier result cache and job checkpoints, under a Front. Create
 // with New, serve Handler, stop with Drain.
 type Server struct {
-	opts          Options
-	front         *Front
-	workers       int
-	ctx           context.Context
-	cancel        context.CancelFunc
-	sem           chan struct{}
-	cache         *tieredStore
-	flights       flightGroup
-	met           *metrics
-	start         time.Time
-	runJob        func(ctx context.Context, j allarm.Job) (*allarm.Result, error)
-	checkpointDir string       // drain checkpoints; "" = none
-	jobCkptDir    string       // machine-state job checkpoints; "" = off
-	ckptInterval  uint64       // events between job checkpoints
-	waiting       atomic.Int64 // jobs blocked on the worker pool (preemption signal)
-	actives       atomic.Int64 // sweeps being run (metrics)
+	opts         Options
+	front        *Front
+	workers      int
+	ctx          context.Context
+	cancel       context.CancelFunc
+	sem          chan struct{}
+	cache        *tieredStore
+	flights      flightGroup
+	met          *metrics
+	start        time.Time
+	runJob       func(ctx context.Context, j allarm.Job) (*allarm.Result, error)
+	jobCkptDir   string       // <CacheDir>/jobckpts; "" = job checkpoints off
+	ckptInterval uint64       // events between job checkpoints
+	waiting      atomic.Int64 // jobs blocked on the worker pool (preemption signal)
+	actives      atomic.Int64 // sweeps being run (metrics)
 	// janitors tracks the Retain janitor goroutine; Close waits for it.
 	janitors sync.WaitGroup
 
@@ -200,31 +191,27 @@ func New(opts Options) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		opts:          opts,
-		workers:       workers,
-		ctx:           ctx,
-		cancel:        cancel,
-		sem:           make(chan struct{}, workers),
-		cache:         &tieredStore{lru: newResultCache(entries)},
-		start:         time.Now(),
-		runJob:        opts.RunJob,
-		checkpointDir: opts.CheckpointDir,
-		jobCkptDir:    opts.JobCheckpointDir,
-		ckptInterval:  opts.CheckpointInterval,
-		met:           newMetrics(),
-		jobRefs:       make(map[string][]jobRef),
+		opts:         opts,
+		workers:      workers,
+		ctx:          ctx,
+		cancel:       cancel,
+		sem:          make(chan struct{}, workers),
+		cache:        &tieredStore{lru: newResultCache(entries)},
+		start:        time.Now(),
+		runJob:       opts.RunJob,
+		ckptInterval: opts.CheckpointInterval,
+		met:          newMetrics(),
+		jobRefs:      make(map[string][]jobRef),
 	}
 	fail := func(err error) (*Server, error) {
 		cancel()
 		return nil, err
 	}
-	if s.ckptInterval > 0 && s.jobCkptDir == "" && opts.CacheDir != "" {
+	if s.ckptInterval > 0 {
+		if opts.CacheDir == "" {
+			return fail(fmt.Errorf("CheckpointInterval needs CacheDir (nowhere to persist checkpoints)"))
+		}
 		s.jobCkptDir = filepath.Join(opts.CacheDir, "jobckpts")
-	}
-	if s.ckptInterval > 0 && s.jobCkptDir == "" {
-		return fail(fmt.Errorf("CheckpointInterval needs JobCheckpointDir or CacheDir (nowhere to persist checkpoints)"))
-	}
-	if s.jobCkptDir != "" {
 		if err := os.MkdirAll(s.jobCkptDir, 0o755); err != nil {
 			return fail(fmt.Errorf("job checkpoint dir: %w", err))
 		}
@@ -243,12 +230,6 @@ func New(opts Options) (*Server, error) {
 			return fail(err)
 		}
 		s.cache.disk = disk
-		if s.checkpointDir == "" {
-			s.checkpointDir = filepath.Join(opts.CacheDir, "checkpoints")
-		}
-		if err := os.MkdirAll(s.checkpointDir, 0o755); err != nil {
-			return fail(fmt.Errorf("cache dir: %w", err))
-		}
 	}
 	front, err := NewFront(s, FrontConfig{
 		IDPrefix:     "sw-",
@@ -294,14 +275,13 @@ func (s *Server) logf(format string, args ...any) { s.front.Logf(format, args...
 // Drain shuts the daemon down gracefully: new sweep submissions are
 // refused (503) immediately, then in-flight sweeps get until ctx
 // expires to complete; after that, still-running sweeps are cancelled
-// and checkpointed — their partial results stay fetchable (skipped
-// jobs carry the cancellation error, aborted ones additionally their
-// partial metrics) and, with a checkpoint directory, are written as
-// <sweep-id>.ndjson. Cancellation reaches into the event loop itself
-// (sim.RunCtx), so total drain time is bounded by the grace period plus
-// one event budget — not by a full simulation. With a CacheDir, the
-// cancelled sweeps stay journaled, so the next daemon re-enqueues
-// exactly the jobs that did not finish.
+// and checkpointed — their partial results stay fetchable until exit
+// (skipped jobs carry the cancellation error, aborted ones additionally
+// their partial metrics). Cancellation reaches into the event loop
+// itself (sim.RunCtx), so total drain time is bounded by the grace
+// period plus one event budget — not by a full simulation. With a
+// CacheDir, the cancelled sweeps stay journaled, so the next daemon
+// re-enqueues exactly the jobs that did not finish.
 func (s *Server) Drain(ctx context.Context) {
 	done := make(chan struct{})
 	go func() {
@@ -380,14 +360,13 @@ func (s *Server) Run(st *SweepState) {
 		return
 	}
 	if v := st.View(); v.Status == StatusCheckpointed {
-		s.checkpoint(st)
 		s.logf("sweep %s: checkpointed with %d/%d jobs done", st.ID, v.Done, st.Sweep.Len())
 	}
 }
 
 // jobStatus classifies a finished job. On cancellation a job is aborted
 // iff a partial result exists — the predicate the emitters use for the
-// "aborted" flag, so the status endpoint and the checkpoint NDJSON never
+// "aborted" flag, so the status endpoint and the results rows never
 // disagree — and skipped when no simulation was interrupted.
 func jobStatus(r allarm.SweepResult) string {
 	switch {
@@ -405,34 +384,9 @@ func jobStatus(r allarm.SweepResult) string {
 // Timeline implements Executor: the sweep's own events.
 func (s *Server) Timeline(_ *http.Request, st *SweepState) []obs.TimelineEvent { return st.Events() }
 
-// Forget implements Executor: a forgotten sweep's drain checkpoint goes
-// with it.
-func (s *Server) Forget(st *SweepState) {
-	if s.checkpointDir != "" {
-		os.Remove(filepath.Join(s.checkpointDir, st.ID+".ndjson"))
-	}
-}
-
-// checkpoint writes a cancelled sweep's partial results as NDJSON
-// (aborted jobs carry their partial metrics and "aborted":true),
-// atomically, so a kill during shutdown never leaves a torn checkpoint.
-func (s *Server) checkpoint(st *SweepState) {
-	if s.checkpointDir == "" {
-		return
-	}
-	path := filepath.Join(s.checkpointDir, st.ID+".ndjson")
-	recs, _, _ := st.snapshot()
-	var buf bytes.Buffer
-	err := (allarm.NDJSONEmitter{}).EmitRecords(&buf, recs)
-	if err == nil {
-		err = atomicWrite(path, buf.Bytes())
-	}
-	if err != nil {
-		s.logf("sweep %s: checkpoint: %v", st.ID, err)
-		return
-	}
-	s.logf("sweep %s: partial results checkpointed to %s", st.ID, path)
-}
+// Forget implements Executor: the journal and result store hold all of
+// a local sweep's state, and the Front already drops its journal entry.
+func (s *Server) Forget(*SweepState) {}
 
 // exec runs one job, whose Job.Key is key, through the two-tier cache,
 // the singleflight group and the bounded pool, in that order. It is the

@@ -18,9 +18,9 @@ const (
 	// StatusDone: every job finished; results are final.
 	StatusDone = "done"
 	// StatusCheckpointed: the daemon drained before the sweep finished;
-	// the partial results are final (unreached jobs carry the
-	// cancellation error) and, when a checkpoint directory is
-	// configured, were written to disk.
+	// the partial results are final for this process (unreached jobs
+	// carry the cancellation error), and with a cache directory the
+	// sweep stays journaled for the next boot to finish.
 	StatusCheckpointed = "checkpointed"
 	// StatusDegraded: the router's gather completed but one or more
 	// shards could not deliver their jobs, which are reported as skipped
@@ -31,13 +31,12 @@ const (
 
 // Per-job states within a sweep. A drain-time cancellation produces two
 // distinct terminal states: "aborted" for a job whose simulation was
-// interrupted mid-run (its record carries the partial metrics, and the
-// checkpoint NDJSON row carries "aborted":true — the two surfaces
-// always agree), and "skipped" for a job whose simulation never ran —
-// whether the cancellation reached it in the queue, blocked on the
-// worker pool, or waiting on a coalesced flight, or a dead shard never
-// delivered it. "error" is reserved for simulations that actually
-// failed.
+// interrupted mid-run (its results row carries the partial metrics and
+// "aborted":true — the status and the row always agree), and "skipped"
+// for a job whose simulation never ran — whether the cancellation
+// reached it in the queue, blocked on the worker pool, or waiting on a
+// coalesced flight, or a dead shard never delivered it. "error" is
+// reserved for simulations that actually failed.
 const (
 	JobPending = "pending"
 	JobRunning = "running"
