@@ -490,25 +490,32 @@ func TestVersionStore(t *testing.T) {
 // TestVersionBlockAllocs pins the version store's allocations: first
 // writebacks to P distinct pages, split between two directories sharing
 // their blocks as a machine's do, allocate once per verChunk pages, and
-// further writebacks to a written page allocate nothing.
+// further writebacks to a written page allocate nothing. Mallocs are
+// counted process-wide, where a stray runtime allocation only adds to
+// the count, so the fewest over a few fresh directory pairs is taken.
 func TestVersionBlockAllocs(t *testing.T) {
-	const pages = 100
-	d, _, _ := newTestDir()
-	d.Reserve(testHomeBytes / mem.PageBytes)
-	peer := NewDirCtrl(d.cfg, NewProbeFilter(mem.LineBytes, 1), &sim.Engine{}, &recPort{}, dram.New(50*sim.Nanosecond, 0))
-	peer.Reserve(testHomeBytes / mem.PageBytes)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for p := 0; p < pages; p++ {
-		dir := d
-		if p%3 == 0 {
-			dir = peer
+	const pages, pairs = 100, 5
+	var d, peer *DirCtrl
+	fewest := ^uint64(0)
+	for range pairs {
+		d, _, _ = newTestDir()
+		d.Reserve(testHomeBytes / mem.PageBytes)
+		peer = NewDirCtrl(d.cfg, NewProbeFilter(mem.LineBytes, 1), &sim.Engine{}, &recPort{}, dram.New(50*sim.Nanosecond, 0))
+		peer.Reserve(testHomeBytes / mem.PageBytes)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for p := 0; p < pages; p++ {
+			dir := d
+			if p%3 == 0 {
+				dir = peer
+			}
+			dir.setVersion(homeLine(p*mem.LinesPerPage+p%mem.LinesPerPage), uint64(p))
 		}
-		dir.setVersion(homeLine(p*mem.LinesPerPage+p%mem.LinesPerPage), uint64(p))
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
 	}
-	runtime.ReadMemStats(&after)
-	if n, limit := after.Mallocs-before.Mallocs, uint64((pages+verChunk-1)/verChunk); n > limit {
-		t.Fatalf("versions on %d pages allocated %d times, want at most %d", pages, n, limit)
+	if limit := uint64((pages + verChunk - 1) / verChunk); fewest > limit {
+		t.Fatalf("versions on %d pages allocated at fewest %d times over %d directory pairs, want at most %d", pages, fewest, pairs, limit)
 	}
 	v := uint64(0)
 	if n := testing.AllocsPerRun(100, func() {

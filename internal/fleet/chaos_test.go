@@ -21,10 +21,11 @@ func TestFleetChaosByteIdentical(t *testing.T) {
 	plan := faultPlan{Rules: []faultRule{
 		// A deterministic 503 burst on the first two sub-sweep submits.
 		{Name: "submit-outage", Method: "POST", Path: "/v1/sweeps", Status: 503, Count: 2},
-		// One throttle on a status poll; the router must absorb it.
+		// One throttle on a gather GET; the router must absorb it.
 		{Name: "throttle", Method: "GET", Path: "/v1/sweeps", Status: 429, RetryAfterMs: 50, Count: 1},
-		// Two dropped connections later in the poll sequence.
-		{Name: "drops", Method: "GET", Path: "/v1/sweeps", Drop: true, Skip: 4, Count: 2},
+		// Two dropped connections on later gather GETs: results asks,
+		// and the stream and polls of a sub-sweep still running.
+		{Name: "drops", Method: "GET", Path: "/v1/sweeps", Drop: true, Skip: 1, Count: 2},
 		// Background latency jitter over everything (seeded).
 		{Name: "latency", P: 0.4, LatencyMs: 1, JitterMs: 2},
 	}}

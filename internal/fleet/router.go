@@ -18,10 +18,21 @@
 //
 // A sub-sweep is sent as an explicit JobSpec list in global spec order
 // — the same SweepRequest the shard would accept from any client, so a
-// shard needs no fleet awareness at all. Results come back as NDJSON
-// Records and are delivered into the sweep's SweepState, which renders
-// them through the same emitters a single daemon uses: gathered output
-// is byte-identical to a single-node run of the same request.
+// shard needs no fleet awareness at all. Right after the submit the
+// router asks for the sub-sweep's NDJSON results. A shard answers them
+// only once its sweep is final, and marks exactly the error-free rows
+// done, so when it answers and no row carries an error the gather is
+// complete: a share served from the shard's caches costs a submit and
+// one results fetch. A sub-sweep still running answers 409; only then
+// does the router open the shard's SSE stream for per-job progress and
+// poll its status view until final, and fetch the rows after. Rows that
+// carry an error take their job status from the shard's final status
+// view, so a draining shard's skipped jobs stay skipped. The records are
+// delivered into the sweep's SweepState, which renders them through the
+// same emitters a single daemon uses: gathered output is byte-identical
+// to a single-node run of the same request. A share gathered from a
+// finished shard publishes only its jobs' terminal events on the
+// router's own stream, with no "running" frames before them.
 //
 // # Degradation and requeue
 //
@@ -492,8 +503,7 @@ func (rt *Router) dispatch(st *server.SweepState, groups map[*shard][]int) {
 }
 
 // gatherGroup runs one shard's share of a sweep, delivering each row with
-// the job's status from the shard's final status view (a draining shard
-// skips jobs, which a row alone cannot tell from errors). Failure past
+// the job status runShardSweep resolved for it. Failure past
 // the retry budget degrades the group's jobs to skipped rows — then
 // immediately asks the ring whether anyone else can own them (the
 // failing shard may already be excluded), which turns a mid-sweep shard
@@ -501,7 +511,7 @@ func (rt *Router) dispatch(st *server.SweepState, groups map[*shard][]int) {
 // ownership-checked (SweepState.Deliver): a row only lands while its
 // job is still placed on this shard.
 func (rt *Router) gatherGroup(st *server.SweepState, sh *shard, globals []int) {
-	recs, jobs, err := rt.runShardSweep(st, sh, globals)
+	recs, statuses, err := rt.runShardSweep(st, sh, globals)
 	if err != nil {
 		if rt.ctx.Err() != nil {
 			// Shutdown, not shard failure: leave the jobs owed so the
@@ -519,7 +529,7 @@ func (rt *Router) gatherGroup(st *server.SweepState, sh *shard, globals []int) {
 		return
 	}
 	for li, g := range globals {
-		st.Deliver(sh.name, g, recs[li], jobs[li].Status)
+		st.Deliver(sh.name, g, recs[li], statuses[li])
 	}
 	st.Timeline("gathered", -1, sh.name, fmt.Sprintf("%d record(s)", len(recs)))
 	rt.front.JournalRecords(st)
@@ -552,18 +562,21 @@ func subRequestFor(st *server.SweepState, globals []int) *server.SweepRequest {
 	return &server.SweepRequest{Jobs: specs, Config: st.Request.Config}
 }
 
-// runShardSweep runs one shard's share: submit (re-uploading traces the
-// shard turns out not to know), then watch its SSE stream for per-job
-// progress while the status poll — which owns the completion decision
-// and the final job statuses — runs beside it, then fetch the finished
-// records. Every bounded call carries shardTimeout, so a hung shard
-// costs at most the retry budget, never a stalled sweep.
-func (rt *Router) runShardSweep(st *server.SweepState, sh *shard, globals []int) ([]allarm.Record, []server.JobView, error) {
+// runShardSweep runs one shard's share and resolves each row's job
+// status, as the package doc's Scatter/gather section describes: submit
+// (re-uploading traces the shard turns out not to know), ask for the
+// results at once, and on a 409 watch the running sub-sweep to its end
+// before asking again. An error-free row is done; a row with an error
+// takes its status from the final status view (a draining shard skips
+// jobs, which a row alone cannot tell from errors). Every bounded call
+// carries shardTimeout, so a hung shard costs at most the retry budget,
+// never a stalled sweep.
+func (rt *Router) runShardSweep(st *server.SweepState, sh *shard, globals []int) ([]allarm.Record, []string, error) {
 	sh.jobsAssigned.Add(uint64(len(globals)))
 	req := subRequestFor(st, globals)
 	// Shard calls run on the router's lifetime context (the inbound
 	// request returned 202 long ago), but carry the sweep's correlation
-	// id so every hop — submit, polls, record fetch — logs it.
+	// id so every hop — submit, results, stream, polls — logs it.
 	ctx := obs.ContextWithRequestID(rt.ctx, st.ReqID)
 
 	var id string
@@ -591,10 +604,57 @@ func (rt *Router) runShardSweep(st *server.SweepState, sh *shard, globals []int)
 	rt.runsMu.Unlock()
 	st.Timeline("assigned", -1, sh.name, fmt.Sprintf("%d job(s) as shard sweep %s", len(globals), id))
 
-	// The SSE stream is advisory progress (remapped local → global
-	// indices); the poll below decides completion. Running them
-	// concurrently means a stream that hangs silently — open socket, no
-	// frames — can never stall the gather.
+	var recs []allarm.Record
+	fetch := func() error {
+		var err error
+		recs, err = sh.fetchRecords(ctx, id, shardTimeout)
+		return err
+	}
+	var final *server.SweepView
+	err := rt.retry(ctx, sh, fetch)
+	var he *httpError
+	if errors.As(err, &he) && he.status == http.StatusConflict {
+		v, werr := rt.watchRunning(ctx, st, sh, id, globals)
+		if werr != nil {
+			return nil, nil, werr
+		}
+		final = &v
+		err = rt.retry(ctx, sh, fetch)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("results: %w", err)
+	}
+	if len(recs) != len(globals) {
+		return nil, nil, fmt.Errorf("shard returned %d records for %d jobs", len(recs), len(globals))
+	}
+	statuses := make([]string, len(recs))
+	for li, rec := range recs {
+		if rec.Error == "" {
+			statuses[li] = server.JobDone
+			continue
+		}
+		if final == nil {
+			v, err := rt.awaitTerminal(ctx, sh, id, nil)
+			if err != nil {
+				return nil, nil, err
+			}
+			final = &v
+		}
+		if len(final.Jobs) != len(globals) {
+			return nil, nil, fmt.Errorf("shard returned %d job views for %d jobs", len(final.Jobs), len(globals))
+		}
+		statuses[li] = final.Jobs[li].Status
+	}
+	return recs, statuses, nil
+}
+
+// watchRunning waits out a shard sub-sweep that was still running when
+// its results were first asked for, and returns its final status view.
+// The SSE stream is advisory progress (remapped local → global indices);
+// awaitTerminal's poll decides completion. Running them concurrently
+// means a stream that hangs silently — open socket, no frames — can
+// never stall the gather.
+func (rt *Router) watchRunning(ctx context.Context, st *server.SweepState, sh *shard, id string, globals []int) (server.SweepView, error) {
 	sctx, scancel := context.WithCancel(ctx)
 	streamDone := make(chan struct{})
 	go func() {
@@ -616,23 +676,7 @@ func (rt *Router) runShardSweep(st *server.SweepState, sh *shard, globals []int)
 	final, err := rt.awaitTerminal(ctx, sh, id, streamDone)
 	scancel()
 	<-streamDone
-	if err != nil {
-		return nil, nil, err
-	}
-
-	var recs []allarm.Record
-	fetch := func() error {
-		var err error
-		recs, err = sh.fetchRecords(ctx, id, shardTimeout)
-		return err
-	}
-	if err := rt.retry(ctx, sh, fetch); err != nil {
-		return nil, nil, fmt.Errorf("results: %w", err)
-	}
-	if len(recs) != len(globals) || len(final.Jobs) != len(globals) {
-		return nil, nil, fmt.Errorf("shard returned %d records and %d job views for %d jobs", len(recs), len(final.Jobs), len(globals))
-	}
-	return recs, final.Jobs, nil
+	return final, err
 }
 
 // retry runs fn until it succeeds, returns a non-retryable error, or
@@ -688,10 +732,13 @@ func (rt *Router) retryDelay(lastErr error, attempt int) time.Duration {
 }
 
 // awaitTerminal polls a shard sweep's status until it is final and
-// returns that final view. Each poll is one retry call, so failures pace
-// by the retry schedule (a 429's Retry-After included) and only a
-// successful poll's wait is short-circuited by streamDone, closed when
-// the SSE stream ends (the sweep is usually final at that instant).
+// returns that final view: the completion authority for a sub-sweep
+// that was still running at its first results ask, and the source of
+// the statuses of rows that carry an error. Each poll is one retry call,
+// so failures pace by the retry schedule (a 429's Retry-After included)
+// and only a successful poll's wait is short-circuited by streamDone,
+// closed when the SSE stream ends (the sweep is usually final at that
+// instant); a nil streamDone paces every wait by the backoff.
 func (rt *Router) awaitTerminal(ctx context.Context, sh *shard, id string, streamDone <-chan struct{}) (server.SweepView, error) {
 	for {
 		var v server.SweepView

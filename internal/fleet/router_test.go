@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -45,6 +46,13 @@ type testShard struct {
 	// eventsDown, when set, makes GET /v1/sweeps/{id}/events answer 500.
 	eventsDown atomic.Bool
 	gate       chan struct{} // nil = run immediately; else RunJob blocks on it
+	// holdResults, when set, holds each GET …/results until the shard
+	// sweep is final, so the ask can never meet a still-running sweep.
+	holdResults atomic.Bool
+
+	logMu  sync.Mutex
+	log    []string     // "kind status" per answered request, in answer order
+	active atomic.Int64 // requests being answered
 }
 
 // newTestShard starts one backend. opts.RunJob is overridden with the
@@ -70,11 +78,22 @@ func newTestShard(t *testing.T, opts server.Options) *testShard {
 	inner := srv.Handler()
 	sh.srv = srv
 	sh.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sh.active.Add(1)
+		defer func() {
+			sh.logMu.Lock()
+			sh.log = append(sh.log, fmt.Sprintf("%s %d", requestKind(r), rw.code))
+			sh.logMu.Unlock()
+			sh.active.Add(-1)
+		}()
 		if sh.dead.Load() || (sh.eventsDown.Load() && strings.HasSuffix(r.URL.Path, "/events")) {
-			http.Error(w, "shard down", http.StatusInternalServerError)
+			http.Error(rw, "shard down", http.StatusInternalServerError)
 			return
 		}
-		inner.ServeHTTP(w, r)
+		if sh.holdResults.Load() && requestKind(r) == "results" {
+			awaitFinal(inner, strings.TrimSuffix(r.URL.Path, "/results"))
+		}
+		inner.ServeHTTP(rw, r)
 	}))
 	sh.url = sh.ts.URL
 	t.Cleanup(func() {
@@ -82,6 +101,61 @@ func newTestShard(t *testing.T, opts server.Options) *testShard {
 		srv.Close()
 	})
 	return sh
+}
+
+// statusWriter records the status code a handler answers with; it
+// passes Flush through for the SSE stream.
+type statusWriter struct {
+	http.ResponseWriter
+	code int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	w.code = code
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *statusWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
+// requestKind names a shard request by what it asks for: submit,
+// status, results, events, or its method and path.
+func requestKind(r *http.Request) string {
+	rest, ok := strings.CutPrefix(r.URL.Path, "/v1/sweeps/")
+	switch {
+	case r.Method == http.MethodPost && r.URL.Path == "/v1/sweeps":
+		return "submit"
+	case ok && r.Method == http.MethodGet && !strings.Contains(rest, "/"):
+		return "status"
+	case ok && r.Method == http.MethodGet && strings.HasSuffix(rest, "/results"):
+		return "results"
+	case ok && r.Method == http.MethodGet && strings.HasSuffix(rest, "/events"):
+		return "events"
+	}
+	return r.Method + " " + r.URL.Path
+}
+
+// awaitFinal polls a shard sweep's status through the daemon's own
+// handler until the sweep is final.
+func awaitFinal(inner http.Handler, statusPath string) {
+	for {
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, statusPath, nil))
+		var v server.SweepView
+		if json.Unmarshal(rec.Body.Bytes(), &v) != nil || v.Status == server.StatusDone || v.Status == server.StatusCheckpointed {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// takeLog returns the requests answered since the last call and clears
+// the log.
+func (sh *testShard) takeLog() []string {
+	sh.logMu.Lock()
+	defer sh.logMu.Unlock()
+	out := sh.log
+	sh.log = nil
+	return out
 }
 
 // kill makes the shard answer 500 to everything and severs open
@@ -325,6 +399,110 @@ func TestFleetResubmitZeroResimulations(t *testing.T) {
 	waitFleetDone(t, base, third.ID)
 	if got := totalRuns(shards); got != ran+24 {
 		t.Fatalf("overlapping sweep ran %d new simulations, want 24", got-ran)
+	}
+}
+
+// TestFleetCachedGatherRequests: a resubmitted sweep whose every job is
+// cached costs each shard exactly one submit and one results fetch — no
+// event stream and no status poll. Each shard holds the results ask
+// until its sweep is final, so the count does not hang on timing.
+func TestFleetCachedGatherRequests(t *testing.T) {
+	_, base, shards := newTestFleet(t, 2, server.Options{Workers: 4}, Options{})
+	req := bigRequest()
+	waitFleetDone(t, base, submit(t, base, req).ID)
+	ran := totalRuns(shards)
+	for _, sh := range shards {
+		// A stream the first gather opened may still be closing.
+		deadline := time.Now().Add(10 * time.Second)
+		for sh.active.Load() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("shard requests of the first sweep never finished")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		sh.holdResults.Store(true)
+		sh.takeLog()
+	}
+
+	v := waitFleetDone(t, base, submit(t, base, req).ID)
+	if v.Status != server.StatusDone {
+		t.Fatalf("resubmit status %q, want done", v.Status)
+	}
+	if got := totalRuns(shards); got != ran {
+		t.Fatalf("resubmit re-ran simulations: %d -> %d", ran, got)
+	}
+	for i, sh := range shards {
+		if got, want := strings.Join(sh.takeLog(), ", "), "submit 202, results 200"; got != want {
+			t.Errorf("shard %d answered %q, want %q", i, got, want)
+		}
+	}
+}
+
+// TestFleetRunningGatherWatches: a sub-sweep still running when its
+// results are first asked for answers 409, and the gather then finishes
+// through the event stream and the status poll, with rows equal to a
+// single daemon's in every format.
+func TestFleetRunningGatherWatches(t *testing.T) {
+	_, base, shards := newTestFleet(t, 1, server.Options{Workers: 4}, Options{})
+	sh := shards[0]
+	sh.gate = make(chan struct{})
+	single := newTestShard(t, server.Options{Workers: 4})
+	req := bigRequest()
+	sr := submit(t, base, req)
+
+	var log []string
+	until := func(what string, done func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			log = append(log, sh.takeLog()...)
+			if done() {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("shard never answered %s; it answered %d requests, last %v", what, len(log), log[max(0, len(log)-5):])
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	count := func(entry string) int {
+		n := 0
+		for _, e := range log {
+			if e == entry {
+				n++
+			}
+		}
+		return n
+	}
+	until("results 409", func() bool { return count("results 409") > 0 })
+	close(sh.gate)
+	if v := waitFleetDone(t, base, sr.ID); v.Status != server.StatusDone {
+		t.Fatalf("sweep status %q, want done", v.Status)
+	}
+	until("events 200", func() bool { return count("events 200") > 0 })
+
+	var results []string
+	for _, e := range log {
+		if strings.HasPrefix(e, "results ") {
+			results = append(results, e)
+		}
+	}
+	if got, want := strings.Join(results, ", "), "results 409, results 200"; got != want {
+		t.Errorf("results asks answered %q, want %q", got, want)
+	}
+	if count("status 200") == 0 {
+		t.Errorf("the gather never polled the shard's status: %v", log)
+	}
+
+	singleID := submit(t, single.url, req).ID
+	waitFleetDone(t, single.url, singleID)
+	for _, format := range []string{"json", "ndjson", "csv", "table"} {
+		_, gathered := get(t, base+"/v1/sweeps/"+sr.ID+"/results?format="+format)
+		_, local := get(t, single.url+"/v1/sweeps/"+singleID+"/results?format="+format)
+		if !bytes.Equal(gathered, local) {
+			t.Errorf("format %s: gathered output differs from single node:\nfleet:\n%s\nsingle:\n%s",
+				format, gathered, local)
+		}
 	}
 }
 

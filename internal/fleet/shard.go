@@ -265,8 +265,9 @@ func (sh *shard) uploadTrace(ctx context.Context, data []byte, timeout time.Dura
 	return nil
 }
 
-// fetchRecords downloads a finished shard sweep's results as NDJSON and
-// decodes them into Records — the gather half of the merge seam. NDJSON
+// fetchRecords downloads a shard sweep's results as NDJSON and decodes
+// them into Records — the gather half of the merge seam. A sweep still
+// running answers 409, which the router reads as "watch it first". NDJSON
 // is the wire format because Go's JSON float round-trip is exact: the
 // router re-encodes the decoded records bit-identically, which is what
 // makes gathered output byte-equal to a single-node run.
@@ -295,7 +296,8 @@ type sseEvent struct {
 // invoking onEvent per frame until the stream ends or ctx is
 // cancelled. The server replays full history to new subscribers, so a
 // reconnect re-delivers earlier frames; consumers must be idempotent.
-// The stream is advisory: the router runs it beside the status poll,
+// The stream is advisory and opened only for a sub-sweep still running
+// at its first results ask: the router runs it beside the status poll,
 // which owns the completion decision — a silently hung stream can never
 // stall a gather.
 func (sh *shard) streamEvents(ctx context.Context, id string, onEvent func(sseEvent)) error {

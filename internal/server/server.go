@@ -360,7 +360,14 @@ func (s *Server) Run(st *SweepState) {
 		return
 	}
 	if v := st.View(); v.Status == StatusCheckpointed {
-		s.logf("sweep %s: checkpointed with %d/%d jobs done", st.ID, v.Done, st.Sweep.Len())
+		// v.Done counts every terminal job; the line counts finished ones.
+		done := 0
+		for _, j := range v.Jobs {
+			if j.Status == JobDone {
+				done++
+			}
+		}
+		s.logf("sweep %s: checkpointed with %d/%d jobs done", st.ID, done, len(v.Jobs))
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -629,6 +630,70 @@ func TestDrainCheckpointsPartialResults(t *testing.T) {
 	m := metricsOf(t, base)
 	if m.SweepsCheckpointed != 1 || !m.Draining {
 		t.Errorf("metrics after drain: %+v", m)
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe for a logger's concurrent writes.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestDrainLogCountsDoneJobs: the drain's "checkpointed" log line counts
+// only jobs that finished, not the cancelled ones that are also terminal.
+func TestDrainLogCountsDoneJobs(t *testing.T) {
+	var logs syncBuffer
+	s, base := newTestServer(t, Options{
+		Workers: 2,
+		Logger:  slog.New(slog.NewTextHandler(&logs, nil)),
+		RunJob: func(ctx context.Context, _ allarm.Job) (*allarm.Result, error) {
+			<-ctx.Done() // gated until the drain cancels it
+			return nil, ctx.Err()
+		},
+	})
+	sr := submit(t, base, tinySweepRequest())
+	deadline := time.Now().Add(10 * time.Second)
+	for running := 0; running < 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 2 jobs started", running)
+		}
+		time.Sleep(time.Millisecond)
+		var v SweepView
+		_, body := get(t, base+"/v1/sweeps/"+sr.ID)
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatal(err)
+		}
+		running = 0
+		for _, j := range v.Jobs {
+			if j.Status == JobRunning {
+				running++
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // no grace: cancel both jobs now
+	s.Drain(ctx)
+	if v := waitDone(t, base, sr.ID); v.Status != StatusCheckpointed {
+		t.Fatalf("status %q, want %q", v.Status, StatusCheckpointed)
+	}
+	want := "sweep " + sr.ID + ": checkpointed with 0/2 jobs done"
+	for !strings.Contains(logs.String(), want) {
+		if time.Now().After(deadline) {
+			t.Fatalf("log lacks %q:\n%s", want, logs.String())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
