@@ -60,7 +60,7 @@ var sweepColumns = []string{
 // nodes. The metrics are an embedded pointer so JSON keeps legitimate
 // zeros on successful runs (ALLARM eliminating every eviction must read
 // as "pf_evictions": 0) while failed jobs omit the metric keys entirely;
-// ReadRecords round-trips both cases losslessly.
+// ReadRecords reads both cases back as NDJSONEmitter wrote them.
 type Record struct {
 	Benchmark string `json:"benchmark"`
 	Policy    string `json:"policy"`
@@ -158,37 +158,70 @@ func RecordsOf(results []SweepResult) []Record {
 	return recs
 }
 
-// ReadRecords decodes an NDJSON stream of Records (one object per line,
-// as NDJSONEmitter writes them). It is the gather side of the fleet
-// merge seam: Records survive the NDJSON round trip losslessly —
-// re-emitting what ReadRecords returns produces the original bytes —
-// because the NDJSON appender prints floats as encoding/json does, in
-// their shortest exact form.
+// ReadRecords decodes the NDJSON that this version's NDJSONEmitter
+// writes, one Record per line, and rejects everything else. It is the
+// gather side of the fleet merge seam: re-emitting what it returns
+// writes the same bytes in every format, because it accepts each member
+// only in the form appendJSON writes it (floats in encoding/json's
+// shortest exact form, strings with its escapes). Blank lines are
+// skipped and a line may take up to 1 MiB. Any other line (whitespace,
+// unknown, duplicate or reordered keys, null, a leading zero, a
+// surrogate escape, a metric block cut short) fails with an error that
+// names the record's index. A line ReadRecords accepts, encoding/json
+// decodes to the same Record, with a nil RecordMetrics where the line
+// has no metric key. All the metrics share one allocation.
 func ReadRecords(r io.Reader) ([]Record, error) {
 	var recs []Record
+	var ms []RecordMetrics
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(nil, 1<<20)
+	sc.Split(scanLines)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("allarm: record %d: %w", len(recs), err)
+		recs, ms = append(recs, Record{}), append(ms, RecordMetrics{})
+		rec, m := &recs[len(recs)-1], &ms[len(ms)-1]
+		has, err := rec.decodeJSON(line, m)
+		if err != nil {
+			return nil, fmt.Errorf("allarm: record %d: %w", len(recs)-1, err)
 		}
-		recs = append(recs, rec)
+		if has {
+			rec.RecordMetrics = m // a mark until ms stops moving
+		} else {
+			ms = ms[:len(ms)-1]
+		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("allarm: record %d: %w", len(recs), err)
+	}
+	j := 0
+	for i := range recs {
+		if recs[i].RecordMetrics != nil {
+			recs[i].RecordMetrics = &ms[j]
+			j++
+		}
 	}
 	return recs, nil
 }
 
-// counts are the integer metrics in column order.
-func (m *RecordMetrics) counts() [13]uint64 {
-	return [...]uint64{m.Accesses, m.PFAllocs, m.PFEvictions, m.EvictionMsgs, m.L2Misses, m.NoCBytes, m.NoCMessages,
-		m.LocalRequests, m.RemoteRequests, m.LocalProbes, m.ProbesHidden, m.UntrackedGrants, m.UncachedGrants}
+// scanLines is bufio.ScanLines without its dropping of a trailing
+// carriage return, which NDJSONEmitter never writes.
+func scanLines(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
+
+// countFields are the integer metrics in column order.
+func (m *RecordMetrics) countFields() [13]*uint64 {
+	return [...]*uint64{&m.Accesses, &m.PFAllocs, &m.PFEvictions, &m.EvictionMsgs, &m.L2Misses, &m.NoCBytes, &m.NoCMessages,
+		&m.LocalRequests, &m.RemoteRequests, &m.LocalProbes, &m.ProbesHidden, &m.UntrackedGrants, &m.UncachedGrants}
 }
 
 // appendCells appends the record's Table and CSV cells in sweepColumns
@@ -205,8 +238,8 @@ func (rec *Record) appendCells(b []byte, text func([]byte, string) []byte, end f
 	b = end(text(end(text(b, rec.Benchmark)), rec.Policy))
 	b = end(text(u(i(i(i(b, rec.Threads), rec.Copies), rec.PFKiB), rec.Seed), rec.Error))
 	b = f(b, m.RuntimeNs)
-	for _, v := range m.counts() {
-		b = u(b, v)
+	for _, v := range m.countFields() {
+		b = u(b, *v)
 	}
 	return f(f(b, m.NoCEnergyPJ), m.PFEnergyPJ)
 }
@@ -278,13 +311,51 @@ func (rec *Record) appendJSON(b []byte) ([]byte, error) {
 	}
 	if m := rec.RecordMetrics; m != nil {
 		o.Float("runtime_ns", m.RuntimeNs)
-		for i, v := range m.counts() {
-			o.Uint(sweepColumns[8+i], v) // the keys are the column names
+		for i, v := range m.countFields() {
+			o.Uint(sweepColumns[8+i], *v) // the keys are the column names
 		}
 		o.Float("noc_energy_pj", m.NoCEnergyPJ)
 		o.Float("pf_energy_pj", m.PFEnergyPJ)
 	}
 	return o.Close()
+}
+
+// decodeJSON reads back a line that appendJSON wrote, with its metrics
+// into m, and reports whether the line has them. It fails on any line
+// appendJSON would not write, such as one with a zero "copies" or an
+// empty "error", which appendJSON omits.
+func (rec *Record) decodeJSON(line []byte, m *RecordMetrics) (bool, error) {
+	d := jsonw.Read(line)
+	rec.Benchmark = d.String("benchmark")
+	rec.Policy = d.String("policy")
+	rec.Threads = d.Int("threads")
+	if d.Has("copies") {
+		if rec.Copies = d.Int("copies"); rec.Copies == 0 {
+			d.Fail()
+		}
+	}
+	rec.PFKiB = d.Int("pf_kib")
+	rec.Seed = d.Uint("seed")
+	if d.Has("error") {
+		if rec.Error = d.String("error"); rec.Error == "" {
+			d.Fail()
+		}
+	}
+	if d.Has("aborted") {
+		if rec.Aborted = d.Bool("aborted"); !rec.Aborted {
+			d.Fail()
+		}
+	}
+	has := d.Has("runtime_ns")
+	if has {
+		m.RuntimeNs = d.Float("runtime_ns")
+		for i, v := range m.countFields() {
+			*v = d.Uint(sweepColumns[8+i])
+		}
+		m.NoCEnergyPJ = d.Float("noc_energy_pj")
+		m.PFEnergyPJ = d.Float("pf_energy_pj")
+	}
+	return has, d.Close()
 }
 
 // emitBufs recycles output buffers of up to 64 KiB.
@@ -417,7 +488,11 @@ func (e JSONEmitter) EmitRecords(w io.Writer, recs []Record) error {
 // as they read, and `jq` or a log pipeline can process output without
 // buffering the whole array. It is also the fleet wire format:
 // allarm-router gathers shard results as NDJSON, decodes them with
-// ReadRecords and re-renders the merged rows byte-identically.
+// ReadRecords and re-renders the merged rows byte-identically. Each line
+// is one compact object in appendJSON's key order, and ReadRecords
+// accepts exactly the lines this version writes: a line with other
+// spacing, keys or number forms, even one encoding/json would read, is
+// an error.
 type NDJSONEmitter struct{}
 
 // Emit implements Emitter.

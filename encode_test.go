@@ -103,32 +103,13 @@ func checkEncoders(t *testing.T, recs []allarm.Record) {
 // The fuzzed record sits between a plain one and a failed one, so an
 // unsupported float must leave exactly the preceding rows written.
 func FuzzRecordEncoders(f *testing.F) {
-	texts := []string{"", `\.`, " lead", "\tx", "\u00a0nbsp", "\u0085x", "a\u2028b", "a,b", `q"q"`, "cr\rlf\n", "<&>",
-		"\xff\xfe", "\u2028\u2029", "ünïcødé", "barnes", `allarm: unknown benchmark "no-such"`}
-	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, 1e-6, 1e-7,
-		1e20, 1e21, 1234.5, 0.05, 0.25, 9.95, math.MaxFloat64, 1 << 53}
-	for i, s := range texts {
-		v := floats[i%len(floats)]
-		f.Add(s, texts[(i+1)%len(texts)], texts[(i+2)%len(texts)],
-			math.Float64bits(v), math.Float64bits(floats[(i+3)%len(floats)]), math.Float64bits(-v), uint64(i)*977, uint8(i))
+	for i, s := range fuzzTexts {
+		v := fuzzFloats[i%len(fuzzFloats)]
+		f.Add(s, fuzzTexts[(i+1)%len(fuzzTexts)], fuzzTexts[(i+2)%len(fuzzTexts)],
+			math.Float64bits(v), math.Float64bits(fuzzFloats[(i+3)%len(fuzzFloats)]), math.Float64bits(-v), uint64(i)*977, uint8(i))
 	}
 	f.Fuzz(func(t *testing.T, bench, policy, errMsg string, rt, nocE, pfE, count uint64, flags uint8) {
-		rec := allarm.Record{
-			Benchmark: bench, Policy: policy, Error: errMsg,
-			Threads: int(int32(count)), PFKiB: int(int16(count >> 32)), Seed: count * 0x9e3779b97f4a7c15,
-			Aborted: flags&1 != 0,
-		}
-		if flags&2 != 0 {
-			rec.Copies = int(count >> 48)
-		}
-		if flags&4 == 0 {
-			rec.RecordMetrics = &allarm.RecordMetrics{
-				RuntimeNs: math.Float64frombits(rt), NoCEnergyPJ: math.Float64frombits(nocE), PFEnergyPJ: math.Float64frombits(pfE),
-				Accesses: count, PFAllocs: count >> 1, PFEvictions: count >> 7, EvictionMsgs: ^count, L2Misses: count * 3,
-				NoCBytes: count << 5, NoCMessages: 1, LocalRequests: count >> 13, RemoteRequests: count & 0xffff,
-				LocalProbes: count >> 40, ProbesHidden: 7, UntrackedGrants: math.MaxUint64, UncachedGrants: count % 10,
-			}
-		}
+		rec := fuzzRecord(bench, policy, errMsg, rt, nocE, pfE, count, flags)
 		plain := fabricatedResults()
 		recs := []allarm.Record{allarm.RecordOf(plain[0]), rec, allarm.RecordOf(plain[1])}
 		if flags&8 != 0 {
@@ -139,6 +120,38 @@ func FuzzRecordEncoders(f *testing.F) {
 			checkEncoders(t, nil)
 		}
 	})
+}
+
+// fuzzTexts and fuzzFloats seed the record fuzzers' text fields and
+// metric floats.
+var (
+	fuzzTexts = []string{"", `\.`, " lead", "\tx", "\u00a0nbsp", "\u0085x", "a\u2028b", "a,b", `q"q"`, "cr\rlf\n", "<&>",
+		"\xff\xfe", "\u2028\u2029", "ünïcødé", "barnes", `allarm: unknown benchmark "no-such"`}
+	fuzzFloats = []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, 1e-6, 1e-7,
+		1e20, 1e21, 1234.5, 0.05, 0.25, 9.95, math.MaxFloat64, 1 << 53}
+)
+
+// fuzzRecord builds a record from fuzzed fields: metric floats from raw
+// IEEE bits, ints cut from count, and in flags the aborted mark (1),
+// copies (2) and no metrics (4).
+func fuzzRecord(bench, policy, errMsg string, rt, nocE, pfE, count uint64, flags uint8) allarm.Record {
+	rec := allarm.Record{
+		Benchmark: bench, Policy: policy, Error: errMsg,
+		Threads: int(int32(count)), PFKiB: int(int16(count >> 32)), Seed: count * 0x9e3779b97f4a7c15,
+		Aborted: flags&1 != 0,
+	}
+	if flags&2 != 0 {
+		rec.Copies = int(count >> 48)
+	}
+	if flags&4 == 0 {
+		rec.RecordMetrics = &allarm.RecordMetrics{
+			RuntimeNs: math.Float64frombits(rt), NoCEnergyPJ: math.Float64frombits(nocE), PFEnergyPJ: math.Float64frombits(pfE),
+			Accesses: count, PFAllocs: count >> 1, PFEvictions: count >> 7, EvictionMsgs: ^count, L2Misses: count * 3,
+			NoCBytes: count << 5, NoCMessages: 1, LocalRequests: count >> 13, RemoteRequests: count & 0xffff,
+			LocalProbes: count >> 40, ProbesHidden: 7, UntrackedGrants: math.MaxUint64, UncachedGrants: count % 10,
+		}
+	}
+	return rec
 }
 
 // TestCSVFloatCells: the one-decimal metric cells match strconv's 'f', 1

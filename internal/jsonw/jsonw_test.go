@@ -3,6 +3,9 @@ package jsonw
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"unicode/utf8"
 )
@@ -70,5 +73,117 @@ func TestObjectMembers(t *testing.T) {
 	o.Float("b", math.NaN())
 	if _, err := o.Close(); err == nil || err.Error() != "json: unsupported value: +Inf" {
 		t.Fatalf("error %v, want the first unsupported value", err)
+	}
+}
+
+// readString reads b as the object {"s":…} and returns member s.
+func readString(b []byte) (string, error) {
+	m := Read(b)
+	s := m.String("s")
+	return s, m.Close()
+}
+
+// TestStringReadBack: every string appendString writes reads back as
+// encoding/json reads it (invalid bytes as U+FFFD), and of the 65,536
+// lowercase \u escapes, exactly the ones appendString writes read.
+func TestStringReadBack(t *testing.T) {
+	cases := []string{"", "plain", "bad \"cfg\" <x> & y\tünïcødé end\xff", "\xed\xa0\x80", "\xf0\x9f\x98", "a b\x7f\\"}
+	written := map[string]bool{string(appendString(nil, "\xff")): true}
+	for c := 0; c < 256; c++ {
+		cases = append(cases, string([]byte{byte(c)}), "a"+string([]byte{byte(c)})+"z")
+	}
+	for r := rune(0); r <= 0xffff; r++ {
+		cases = append(cases, string(r))
+		written[string(appendString(nil, string(r)))] = true
+	}
+	for _, s := range cases {
+		o := Open(nil)
+		o.String("s", s)
+		b, _ := o.Close()
+		if got, err := readString(b); got != string([]rune(s)) || err != nil {
+			t.Fatalf("%s read as %q, %v; want %q", b, got, err, string([]rune(s)))
+		}
+	}
+	for r := 0; r <= 0xffff; r++ {
+		esc := `"\u` + string([]byte{hex[r>>12], hex[r>>8&0xF], hex[r>>4&0xF], hex[r&0xF]}) + `"`
+		got, err := readString([]byte(`{"s":` + esc + `}`))
+		if (err == nil) != written[esc] || err == nil && got != string(rune(r)) {
+			t.Fatalf("%s read as %q, %v; appendString writes it: %v", esc, got, err, written[esc])
+		}
+	}
+}
+
+// TestMembersReadBack: an object of every member kind reads back, and a
+// reader that meets what Object would not write fails at that byte.
+func TestMembersReadBack(t *testing.T) {
+	b := []byte(`{"s":"\u003ca\u003e","i":-3,"u":7,"b":true,"f":0.25}`)
+	m := Read(b)
+	s, i, u, ok, f := m.String("s"), m.Int("i"), m.Uint("u"), m.Bool("b"), m.Float("f")
+	if err := m.Close(); err != nil || s != "<a>" || i != -3 || u != 7 || !ok || f != 0.25 {
+		t.Fatalf("read %q %d %d %v %v, %v", s, i, u, ok, f, err)
+	}
+	m = Read(b)
+	m.String("s")
+	if m.Has("u") || !m.Has("i") {
+		t.Fatal("Has does not see the next key only")
+	}
+	m.Uint("i") // a uint has no sign
+	if err := m.Close(); err == nil || err.Error() != "jsonw: unexpected input at byte 25" {
+		t.Fatalf("error %v, want one at byte 25, the minus sign", err)
+	}
+}
+
+// TestShortFixed: whenever shortFixed reads a token, strconv.ParseFloat
+// reads the same float from it and appendFloat writes it back as the
+// token. The tokens are random decimals of up to 17 digits around the
+// 1e-6 switch point, with and without trailing zeros, and appendFloat's
+// own output for random floats, most of which shortFixed must read.
+func TestShortFixed(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var toks []string
+	for i := 0; i < 200000; i++ {
+		digits := strconv.FormatUint(r.Uint64()>>r.Intn(64), 10)
+		digits = digits[:min(len(digits), 1+r.Intn(17))]
+		point := r.Intn(len(digits) + 8)
+		tok := digits
+		switch {
+		case point < len(digits):
+			tok = digits[:point] + "." + digits[point:]
+		case point > len(digits):
+			tok = "0." + strings.Repeat("0", point-len(digits)-1) + digits
+		}
+		if r.Intn(2) == 0 {
+			tok = "-" + tok
+		}
+		var err error
+		toks = append(toks, tok, tok+"0", string(appendFloat(nil, float64(r.Int63n(1e12))/1000, &err)))
+	}
+	mustRead := []string{"0", "-0", "0.000001", "-0.000001", "123456789012345", "1.5", "100000000000000"}
+	read := 0
+	for _, tok := range append(toks, mustRead...) {
+		v, ok := shortFixed([]byte(tok))
+		if !ok {
+			continue
+		}
+		read++
+		want, err := strconv.ParseFloat(tok, 64)
+		var werr error
+		if err != nil || math.Float64bits(v) != math.Float64bits(want) || string(appendFloat(nil, v, &werr)) != tok {
+			t.Fatalf("shortFixed(%s) = %v; strconv reads %v, appendFloat writes %s", tok, v, want, appendFloat(nil, v, &werr))
+		}
+	}
+	if read < len(toks)/4 {
+		t.Fatalf("shortFixed read only %d of %d tokens", read, len(toks))
+	}
+	for _, tok := range mustRead {
+		if _, ok := shortFixed([]byte(tok)); !ok {
+			t.Errorf("shortFixed does not read %s", tok)
+		}
+	}
+	for _, tok := range []string{"", "-", "00", "01", "0.", ".5", "1.", "1.50", "0.0", "0.0000001", "1e5", "+1",
+		"1234567890123456", "0.000000000000000000000000001"} {
+		if _, ok := shortFixed([]byte(tok)); ok {
+			t.Errorf("shortFixed reads %q", tok)
+		}
 	}
 }

@@ -7,7 +7,10 @@
 // combination recommended by Blackman & Vigna for seeding.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic 64-bit PRNG (xoshiro256**).
 //
@@ -74,7 +77,9 @@ func (r *Source) Intn(n int) int {
 }
 
 // Uint64n returns a uniform uint64 in [0, n). It panics if n == 0.
-// It uses Lemire's multiply-shift rejection method to avoid modulo bias.
+// It uses Lemire's multiply-shift rejection method to avoid modulo bias,
+// with his early exit: the threshold -n % n is below n, so a low half of
+// at least n is accepted without computing it.
 func (r *Source) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n called with zero n")
@@ -83,28 +88,15 @@ func (r *Source) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
-	// Rejection sampling on the top bits.
-	threshold := -n % n
-	for {
-		v := r.Uint64()
-		hi, lo := mul64(v, n)
-		if lo >= threshold {
-			return hi
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		// Rejection sampling on the top bits.
+		threshold := -n % n
+		for lo < threshold {
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return hi, lo
+	return hi
 }
 
 // Float64 returns a uniform float64 in [0, 1).

@@ -222,3 +222,65 @@ func TestReseedProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refUint64n is Uint64n as it was before Lemire's early exit: the
+// threshold computed on every call and the 128-bit product by hand.
+func refUint64n(r *Source, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
+	}
+	threshold := -n % n
+	for {
+		v := r.Uint64()
+		const mask32 = 1<<32 - 1
+		a0, a1, b0, b1 := v&mask32, v>>32, n&mask32, n>>32
+		w0 := a0 * b0
+		t := a1*b0 + w0>>32
+		w1 := t&mask32 + a0*b1
+		if v*n >= threshold {
+			return a1*b1 + t>>32 + w1>>32
+		}
+	}
+}
+
+// TestUint64nMatchesReference: the early exit changes neither the value
+// nor the number of draws, for small n, large n (where rejection is
+// likely) and n next to powers of two, over many seeds.
+func TestUint64nMatchesReference(t *testing.T) {
+	pick := New(99)
+	for i := 0; i < 20000; i++ {
+		var n uint64
+		switch i % 4 {
+		case 0:
+			n = 1 + pick.Uint64()%1000
+		case 1:
+			n = pick.Uint64() | 1<<63
+		case 2:
+			n = 1<<(1+pick.Uint64()%63) + pick.Uint64()%3 - 1
+		default:
+			n = pick.Uint64() >> (pick.Uint64() % 64)
+		}
+		if n == 0 {
+			n = 1
+		}
+		seed := pick.Uint64()
+		a, b := New(seed), New(seed)
+		for j := 0; j < 8; j++ {
+			if got, want := a.Uint64n(n), refUint64n(b, n); got != want {
+				t.Fatalf("n=%d seed=%d draw %d: got %d, want %d", n, seed, j, got, want)
+			}
+		}
+		if a.s != b.s {
+			t.Fatalf("n=%d seed=%d: the sources drew a different number of words", n, seed)
+		}
+	}
+}
+
+func BenchmarkUint64n(b *testing.B) {
+	r := New(1)
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink += r.Uint64n(1000)
+	}
+	_ = sink
+}
