@@ -338,7 +338,10 @@ func (rt *Router) probeAll() {
 // should avoid it, so "draining" bodies are treated as unhealthy). On
 // the first success it also records the shard's build version and logs
 // a skew warning once: mixed builds serve correctly (Job.Key excludes
-// the version) but should not linger.
+// the version) only while both write the same NDJSON record form.
+// ReadRecords rejects any line this build's emitter would not write,
+// so once a Record member is added or moved, every gather from a shard
+// of the other build fails with "allarm: record N".
 func (rt *Router) probe(sh *shard) bool {
 	var health struct {
 		Status string `json:"status"`

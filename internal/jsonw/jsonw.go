@@ -335,70 +335,14 @@ func (m *Members) Float(k string) float64 {
 		return 0
 	}
 	tok := m.b[:n]
-	v, ok := shortFixed(tok)
-	if !ok {
-		var err error
-		v, err = strconv.ParseFloat(string(tok), 64)
-		var buf [maxFloatLen]byte
-		if err != nil || string(appendFloat(buf[:0], v, &err)) != string(tok) {
-			m.Fail()
-			return 0
-		}
+	v, err := strconv.ParseFloat(string(tok), 64)
+	var buf [maxFloatLen]byte
+	if err != nil || string(appendFloat(buf[:0], v, &err)) != string(tok) {
+		m.Fail()
+		return 0
 	}
 	m.b = m.b[n:]
 	return v
-}
-
-// pow10 are the powers of ten a float64 holds exactly.
-var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
-	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
-
-// shortFixed reads tok without strconv when it is a decimal of at most
-// 15 significant digits in appendFloat's 'f' form: -?(0|[1-9][0-9]*),
-// then optionally a point and digits that end in a nonzero one, with
-// a value of 0 or at least 1e-6. Any decimal of at most 15 significant
-// digits is the one its nearest float64 rounds back to at that
-// precision, so it is that float's shortest form, which appendFloat
-// writes as tok. The float is the digits as an integer below 10^15
-// divided by an exact power of ten, both exact, so the quotient is
-// correctly rounded as strconv.ParseFloat's is. ok is false for any
-// other token, which may still be appendFloat's.
-func shortFixed(tok []byte) (v float64, ok bool) {
-	neg := len(tok) > 0 && tok[0] == '-'
-	if neg {
-		tok = tok[1:]
-	}
-	var mant uint64
-	digits, scale, point := 0, 0, -1
-	for i, c := range tok {
-		switch {
-		case c == '.' && point < 0 && i > 0:
-			point = i
-		case '0' <= c && c <= '9':
-			if mant > 0 || c != '0' {
-				digits++
-			}
-			mant = mant*10 + uint64(c-'0')
-			if point >= 0 {
-				scale++
-			}
-		default:
-			return 0, false
-		}
-	}
-	switch {
-	case len(tok) == 0, digits > 15, scale >= len(pow10), len(tok) > 1 && tok[0] == '0' && tok[1] != '.',
-		point >= 0 && (scale == 0 || tok[len(tok)-1] == '0'):
-		return 0, false
-	}
-	v = float64(mant) / pow10[scale]
-	if v != 0 && v < 1e-6 {
-		return 0, false
-	}
-	if neg {
-		v = -v
-	}
-	return v, true
 }
 
 func isFloatByte(c byte) bool {

@@ -3,9 +3,6 @@ package jsonw
 import (
 	"encoding/json"
 	"math"
-	"math/rand"
-	"strconv"
-	"strings"
 	"testing"
 	"unicode/utf8"
 )
@@ -130,60 +127,5 @@ func TestMembersReadBack(t *testing.T) {
 	m.Uint("i") // a uint has no sign
 	if err := m.Close(); err == nil || err.Error() != "jsonw: unexpected input at byte 25" {
 		t.Fatalf("error %v, want one at byte 25, the minus sign", err)
-	}
-}
-
-// TestShortFixed: whenever shortFixed reads a token, strconv.ParseFloat
-// reads the same float from it and appendFloat writes it back as the
-// token. The tokens are random decimals of up to 17 digits around the
-// 1e-6 switch point, with and without trailing zeros, and appendFloat's
-// own output for random floats, most of which shortFixed must read.
-func TestShortFixed(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	var toks []string
-	for i := 0; i < 200000; i++ {
-		digits := strconv.FormatUint(r.Uint64()>>r.Intn(64), 10)
-		digits = digits[:min(len(digits), 1+r.Intn(17))]
-		point := r.Intn(len(digits) + 8)
-		tok := digits
-		switch {
-		case point < len(digits):
-			tok = digits[:point] + "." + digits[point:]
-		case point > len(digits):
-			tok = "0." + strings.Repeat("0", point-len(digits)-1) + digits
-		}
-		if r.Intn(2) == 0 {
-			tok = "-" + tok
-		}
-		var err error
-		toks = append(toks, tok, tok+"0", string(appendFloat(nil, float64(r.Int63n(1e12))/1000, &err)))
-	}
-	mustRead := []string{"0", "-0", "0.000001", "-0.000001", "123456789012345", "1.5", "100000000000000"}
-	read := 0
-	for _, tok := range append(toks, mustRead...) {
-		v, ok := shortFixed([]byte(tok))
-		if !ok {
-			continue
-		}
-		read++
-		want, err := strconv.ParseFloat(tok, 64)
-		var werr error
-		if err != nil || math.Float64bits(v) != math.Float64bits(want) || string(appendFloat(nil, v, &werr)) != tok {
-			t.Fatalf("shortFixed(%s) = %v; strconv reads %v, appendFloat writes %s", tok, v, want, appendFloat(nil, v, &werr))
-		}
-	}
-	if read < len(toks)/4 {
-		t.Fatalf("shortFixed read only %d of %d tokens", read, len(toks))
-	}
-	for _, tok := range mustRead {
-		if _, ok := shortFixed([]byte(tok)); !ok {
-			t.Errorf("shortFixed does not read %s", tok)
-		}
-	}
-	for _, tok := range []string{"", "-", "00", "01", "0.", ".5", "1.", "1.50", "0.0", "0.0000001", "1e5", "+1",
-		"1234567890123456", "0.000000000000000000000000001"} {
-		if _, ok := shortFixed([]byte(tok)); ok {
-			t.Errorf("shortFixed reads %q", tok)
-		}
 	}
 }
