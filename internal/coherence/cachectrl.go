@@ -45,10 +45,8 @@ type CacheCtrl struct {
 	pending    mshr
 	hasPending bool
 
-	// pool recycles the messages this controller sends; sends recycles
-	// the deferred-send records for messages injected at array release.
-	pool  MsgPool
-	sends sim.FreeList[sendEvent]
+	// pool is the machine's message pool, shared by all its controllers.
+	pool *MsgPool
 
 	// OnStore and OnLoad, when non-nil, observe every committed store
 	// (with the line's new version) and completed load (with the version
@@ -70,31 +68,23 @@ type mshr struct {
 	done   sim.Handler
 }
 
-// sendEvent injects a message when the cache arrays release it. Records
-// are recycled through the controller's free list, so deferred sends
-// allocate nothing in steady state.
-type sendEvent struct {
-	c *CacheCtrl
-	m *Msg
-}
+// outbox is the Receiver of a message whose send a controller deferred
+// until its arrays release it: when the message fires, it enters the
+// network. Being one pointer, it goes into a Receiver without allocating.
+type outbox struct{ c *CacheCtrl }
 
-// Handle implements sim.Handler: return the record first, then send (the
-// send may itself schedule more deferred sends and reuse the record).
-func (s *sendEvent) Handle(now sim.Time) {
-	c, m := s.c, s.m
-	s.m = nil
-	c.sends.Put(s)
-	c.port.Send(m)
-}
+// HandleMsg implements Receiver.
+func (o outbox) HandleMsg(_ sim.Time, m *Msg) { o.c.port.Send(m) }
 
 // NewCacheCtrl builds a controller for node over hier, sending messages
-// through port and resolving line homes with home.
-func NewCacheCtrl(node mem.NodeID, hier *cache.Hierarchy, eng *sim.Engine, port Port, home func(mem.PAddr) mem.NodeID, serviceTime sim.Time) *CacheCtrl {
+// taken from pool through port and resolving line homes with home.
+func NewCacheCtrl(node mem.NodeID, hier *cache.Hierarchy, eng *sim.Engine, port Port, pool *MsgPool, home func(mem.PAddr) mem.NodeID, serviceTime sim.Time) *CacheCtrl {
 	return &CacheCtrl{
 		node:        node,
 		hier:        hier,
 		eng:         eng,
 		port:        port,
+		pool:        pool,
 		home:        home,
 		serviceTime: serviceTime,
 	}
@@ -108,10 +98,6 @@ func (c *CacheCtrl) Hierarchy() *cache.Hierarchy { return c.hier }
 
 // Stats returns a copy of the controller statistics.
 func (c *CacheCtrl) Stats() CtrlStats { return c.stats }
-
-// PoolStats returns the controller's message-pool counters (tests,
-// recycle diagnostics).
-func (c *CacheCtrl) PoolStats() MsgPoolStats { return c.pool.Stats() }
 
 // ResetStats zeroes the controller and hierarchy counters, keeping cache
 // contents (measurement begins after warmup).
@@ -183,7 +169,7 @@ func (c *CacheCtrl) CoreAccess(now sim.Time, addr mem.PAddr, write bool, done si
 
 // HandleMsg processes a message delivered to this node's cache controller.
 // The controller is the message's final owner: it releases m (back to the
-// sender's pool) once the handling flow has consumed it.
+// machine's pool) once the handling flow has consumed it.
 func (c *CacheCtrl) HandleMsg(now sim.Time, m *Msg) {
 	switch m.Op {
 	case DataMsg:
@@ -320,9 +306,7 @@ func (c *CacheCtrl) sendAt(t sim.Time, m *Msg) {
 		c.port.Send(m)
 		return
 	}
-	s := c.sends.Get()
-	s.c, s.m = c, m
-	c.eng.Schedule(t, s)
+	c.eng.Schedule(t, m.To(outbox{c}))
 }
 
 // sendPuts issues eviction notifications for hierarchy victims: PutM for

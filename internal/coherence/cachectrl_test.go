@@ -34,7 +34,7 @@ func newCtrl(t *testing.T) (*CacheCtrl, *fakePort, *sim.Engine) {
 	eng := &sim.Engine{}
 	port := &fakePort{}
 	hier := cache.NewHierarchy(512, 2, 2048, 4)
-	cc := NewCacheCtrl(0, hier, eng, port, homeAt(1), 1*sim.Nanosecond)
+	cc := NewCacheCtrl(0, hier, eng, port, new(MsgPool), homeAt(1), 1*sim.Nanosecond)
 	return cc, port, eng
 }
 
@@ -217,7 +217,7 @@ func TestEvictionSendsPuts(t *testing.T) {
 	eng := &sim.Engine{}
 	port := &fakePort{}
 	hier := cache.NewHierarchy(128, 2, 128, 2) // 2+2 lines
-	cc := NewCacheCtrl(0, hier, eng, port, homeAt(1), 1*sim.Nanosecond)
+	cc := NewCacheCtrl(0, hier, eng, port, new(MsgPool), homeAt(1), 1*sim.Nanosecond)
 	hier.Fill(line(0), cache.Modified, false, 9)
 	hier.Fill(line(1), cache.Exclusive, false, 0)
 	hier.Fill(line(2), cache.Exclusive, false, 0)

@@ -11,6 +11,7 @@ import (
 	"allarm/internal/cache"
 	"allarm/internal/mem"
 	"allarm/internal/noc"
+	"allarm/internal/sim"
 )
 
 // Op is a coherence message opcode.
@@ -138,7 +139,27 @@ type Msg struct {
 	// guards the recycle discipline against double release.
 	pool  *MsgPool
 	freed bool
+	// rx takes the message when it fires as a scheduled event.
+	rx Receiver
 }
+
+// Receiver takes a message when it fires from the event queue: the
+// controller it is addressed to, once it has crossed the network, or the
+// outbox of a cache controller that deferred its send.
+type Receiver interface {
+	HandleMsg(now sim.Time, m *Msg)
+}
+
+// To sets the receiver m goes to when it fires and returns m, ready to
+// be scheduled.
+func (m *Msg) To(rx Receiver) *Msg {
+	m.rx = rx
+	return m
+}
+
+// Handle implements sim.Handler: the message itself is the scheduled
+// event, whether it is about to enter the network or to arrive.
+func (m *Msg) Handle(now sim.Time) { m.rx.HandleMsg(now, m) }
 
 // String renders a compact description for debugging and test failures.
 func (m *Msg) String() string {
@@ -151,7 +172,7 @@ func (m *Msg) String() string {
 
 // Port delivers coherence messages between controllers. The system layer
 // implements it on top of the NoC, computing latencies and scheduling the
-// destination controller's handler.
+// message to reach the destination controller.
 type Port interface {
 	// Send enqueues m for delivery. Ownership of m transfers to the port
 	// and then to the receiving controller, which calls Release once it
@@ -161,17 +182,17 @@ type Port interface {
 	Send(m *Msg)
 }
 
-// MsgPool is a LIFO free list of coherence messages. Controllers allocate
-// every message they send from their own pool and the receiving
-// controller releases it when its flow no longer needs it, so steady-state
-// simulation recycles a small working set instead of allocating per
-// message.
+// MsgPool is a LIFO free list of coherence messages. All controllers of
+// one simulated machine allocate every message they send from the
+// machine's single pool, and the receiving controller releases it when
+// its flow no longer needs it, so steady-state simulation recycles a
+// small working set instead of allocating per message.
 //
-// A pool is NOT safe for concurrent use — but it never needs to be: all
-// controllers of one simulated machine share that machine's single event
-// goroutine, and messages never cross machines. Parallel sweeps run one
-// machine (and therefore one set of pools) per worker; the pool-recycle
-// tests run such sweeps under -race to enforce this.
+// A pool is NOT safe for concurrent use — but it never needs to be: a
+// machine runs on one event goroutine, and messages never cross
+// machines. Parallel sweeps run one machine (and therefore one pool) per
+// worker; the pool-recycle tests run such sweeps under -race to enforce
+// this.
 type MsgPool struct {
 	free  []*Msg
 	stats MsgPoolStats
@@ -202,7 +223,7 @@ func (p *MsgPool) Get() *Msg {
 	return &Msg{pool: p}
 }
 
-// Release returns m to the pool that created it. Messages built directly
+// Release returns m to the pool it came from. Messages built directly
 // with &Msg{} (tests, tools) have no pool and are left to the garbage
 // collector. Releasing a pooled message twice panics: it means two flows
 // believe they own the message, which would corrupt protocol state once

@@ -50,13 +50,14 @@ func TestMsgReleaseWithoutPoolIsNoop(t *testing.T) {
 func TestCacheCtrlRecyclesMessages(t *testing.T) {
 	eng := &sim.Engine{}
 	hier := cache.NewHierarchy(1<<10, 2, 4<<10, 2)
-	cc := NewCacheCtrl(0, hier, eng, &loopbackPort{}, func(mem.PAddr) mem.NodeID { return 0 }, sim.Nanosecond)
+	pool := new(MsgPool)
+	cc := NewCacheCtrl(0, hier, eng, &loopbackPort{}, pool, func(mem.PAddr) mem.NodeID { return 0 }, sim.Nanosecond)
 
 	addr := mem.PAddr(0x40)
 	done := false
 	cc.CoreAccess(eng.Now(), addr, false, sim.HandlerFunc(func(sim.Time) { done = true }))
 	// The GetS went to the loopback port; answer it with a fill.
-	fill := cc.pool.Get()
+	fill := pool.Get()
 	fill.Op, fill.Addr, fill.Grant = DataMsg, addr, cache.Exclusive
 	cc.HandleMsg(eng.Now(), fill)
 	eng.Run(0)
@@ -64,15 +65,15 @@ func TestCacheCtrlRecyclesMessages(t *testing.T) {
 		t.Fatal("access did not complete")
 	}
 
-	s := cc.PoolStats()
+	s := pool.Stats()
 	if s.Puts == 0 {
 		t.Fatalf("no messages recycled: %+v", s)
 	}
 	// A second identical flow must reuse freed messages, not allocate.
-	news := cc.PoolStats().News
+	news := pool.Stats().News
 	cc.HandleMsg(eng.Now(), &Msg{Op: PrbInv, Addr: addr, Src: 1, ForwardTo: NoNode})
 	eng.Run(0)
-	if got := cc.PoolStats().News; got != news {
+	if got := pool.Stats().News; got != news {
 		t.Fatalf("probe flow allocated %d fresh messages, want 0", got-news)
 	}
 }

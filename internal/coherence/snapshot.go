@@ -1,22 +1,21 @@
 package coherence
 
 import (
-	"fmt"
-
 	"allarm/internal/cache"
 	"allarm/internal/checkpoint"
 	"allarm/internal/mem"
 	"allarm/internal/sim"
 )
 
-// Checkpoint support. Every in-flight coherence message is owned by
-// exactly one holder (a NoC delivery, a parked directory transaction, a
-// waiter queue, a deferred send, a deferred ack), so messages are
-// serialized inline with their owner. Restored messages are built
-// without a pool — Release then no-ops and the garbage collector takes
-// them once their flow completes — which is safe because pool membership
-// never affects protocol behaviour, only allocation counts, and pool
-// statistics do not feed results. Free lists themselves restart empty.
+// Checkpoint support. Every live coherence message has exactly one
+// holder (the event queue, as a message crossing the network or waiting
+// in a deferred send; a parked directory transaction; a waiter queue; a
+// deferred ack), so messages are serialized inline with their holder.
+// Restored messages are built without a pool — Release then no-ops and
+// the garbage collector takes them once their flow completes — which is
+// safe because pool membership never affects protocol behaviour, only
+// allocation counts, and pool statistics do not feed results. The
+// machine's message pool and free lists restart empty.
 
 // EncodeMsg writes one message (or its absence, when m is nil).
 func EncodeMsg(e *checkpoint.Encoder, m *Msg) {
@@ -67,36 +66,21 @@ func DecodeMsg(d *checkpoint.Decoder) *Msg {
 	return m
 }
 
-// SendEventOwner reports whether h is a deferred-send record and, if so,
-// which node's cache controller owns it (the system layer dispatches
-// encoding to that controller).
-func SendEventOwner(h sim.Handler) (mem.NodeID, bool) {
-	if s, ok := h.(*sendEvent); ok {
-		return s.c.node, true
+// DeferredSender reports whether h is a message waiting in a cache
+// controller's deferred send rather than travelling the network and, if
+// so, which node's controller deferred it.
+func DeferredSender(h sim.Handler) (mem.NodeID, bool) {
+	if m, ok := h.(*Msg); ok {
+		if o, ok := m.rx.(outbox); ok {
+			return o.c.node, true
+		}
 	}
 	return 0, false
 }
 
-// EncodeSendEvent writes the payload of a deferred send owned by this
-// controller (the message; the controller identity is written by the
-// caller).
-func (c *CacheCtrl) EncodeSendEvent(e *checkpoint.Encoder, h sim.Handler) {
-	EncodeMsg(e, h.(*sendEvent).m)
-}
-
-// DecodeSendEvent rebuilds a deferred-send handler for this controller.
-func (c *CacheCtrl) DecodeSendEvent(d *checkpoint.Decoder) (sim.Handler, error) {
-	m := DecodeMsg(d)
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if m == nil {
-		return nil, fmt.Errorf("coherence: deferred send without a message")
-	}
-	s := c.sends.Get()
-	s.c, s.m = c, m
-	return s, nil
-}
+// Outbox returns the Receiver that makes a restored message a deferred
+// send of this controller.
+func (c *CacheCtrl) Outbox() Receiver { return outbox{c} }
 
 // EncodeState writes the controller's mutable state: array occupancy,
 // counters, the private hierarchy, and the outstanding miss (whose

@@ -137,9 +137,11 @@ type Config struct {
 	AllocName string
 	// LookupLatency is the probe-filter access latency (Table I: 1 ns).
 	LookupLatency sim.Time
-	// Versions supplies the blocks that hold DRAM versions (required);
-	// a machine's directories share one.
+	// Versions, Msgs and Events supply DRAM version blocks, messages and
+	// event records (all required); a machine's controllers share each.
 	Versions *VersionBlocks
+	Msgs     *coherence.MsgPool
+	Events   *DirEvents
 	// RetryDelay spaces re-attempts when an allocation finds every way of
 	// a set busy (rare; bounded by transaction completion).
 	RetryDelay sim.Time
@@ -166,12 +168,12 @@ type DirCtrl struct {
 	nbusy  int
 	txnSeq uint64
 
-	// pool recycles the messages this directory sends; events and txns
-	// recycle scheduled-event records and transaction objects, so the
-	// steady-state request flow allocates nothing.
-	pool   coherence.MsgPool
-	events sim.FreeList[dirEvent]
-	txns   sim.FreeList[txn]
+	// txns recycles transaction objects. It stays per directory: a stale
+	// dirEvent checks its finished transaction with d.busy(t.addr) and
+	// t.id, so a record recycled to another directory would carry a line
+	// outside this home, which busy rejects with a panic, and an id from
+	// that directory's txnSeq, which could match.
+	txns sim.FreeList[txn]
 
 	// nextFree models the controller's occupancy: every message the
 	// directory processes (requests, probes' acks, puts) holds the
@@ -196,8 +198,8 @@ func NewDirCtrl(cfg Config, pf *ProbeFilter, eng *sim.Engine, port coherence.Por
 	if cfg.Size == 0 || cfg.Size%mem.PageBytes != 0 {
 		panic("core: directory home range must be page-aligned and non-empty")
 	}
-	if cfg.Versions == nil {
-		panic("core: directory needs a version block source")
+	if cfg.Versions == nil || cfg.Msgs == nil || cfg.Events == nil {
+		panic("core: directory needs version blocks, a message pool and an event list")
 	}
 	return &DirCtrl{
 		cfg:   cfg,
@@ -221,10 +223,6 @@ func (d *DirCtrl) DRAM() *dram.Controller { return d.dram }
 
 // Stats returns a copy of the directory statistics.
 func (d *DirCtrl) Stats() DirStats { return d.stats }
-
-// PoolStats returns the directory's message-pool counters (tests,
-// recycle diagnostics).
-func (d *DirCtrl) PoolStats() coherence.MsgPoolStats { return d.pool.Stats() }
 
 // ResetStats zeroes the directory counters (including the probe
 // filter's), keeping all protocol state; measurement begins after warmup.
@@ -255,7 +253,7 @@ func (d *DirCtrl) occupy(now sim.Time) sim.Time {
 
 // dirEvent is one scheduled directory occurrence: a transaction dispatch,
 // a DRAM completion, a deferred ack, or an allocation retry. Records are
-// recycled through the controller's free list. Transaction-bound kinds
+// recycled through the machine's DirEvents list. Transaction-bound kinds
 // carry the transaction id observed at scheduling time; a mismatch at
 // fire time means the transaction restarted (or finished and was
 // recycled) and the event is stale.
@@ -266,6 +264,9 @@ type dirEvent struct {
 	id   uint64
 	m    *Msg
 }
+
+// DirEvents is the dirEvent free list that a machine's directories share.
+type DirEvents = sim.FreeList[dirEvent]
 
 const (
 	evDispatch uint8 = iota
@@ -279,7 +280,7 @@ const (
 func (ev *dirEvent) Handle(now sim.Time) {
 	d, kind, t, id, m := ev.d, ev.kind, ev.t, ev.id, ev.m
 	ev.t, ev.m = nil, nil
-	d.events.Put(ev)
+	d.cfg.Events.Put(ev)
 	switch kind {
 	case evDispatch:
 		if d.busy(t.addr) != t || t.id != id {
@@ -307,7 +308,7 @@ func (ev *dirEvent) Handle(now sim.Time) {
 // schedule queues a directory event of the given kind at time at, using a
 // recycled record when one is free.
 func (d *DirCtrl) schedule(at sim.Time, kind uint8, t *txn, m *Msg) {
-	ev := d.events.Get()
+	ev := d.cfg.Events.Get()
 	ev.d, ev.kind, ev.t, ev.m = d, kind, t, m
 	if t != nil {
 		ev.id = t.id
@@ -490,7 +491,7 @@ func (d *DirCtrl) missFlow(now sim.Time, t *txn, isLocal bool) {
 func (d *DirCtrl) sendLocalProbe(t *txn, r mem.NodeID, grant cache.State, noFill bool) {
 	t.localProbe = true
 	d.stats.LocalProbes++
-	m := d.pool.Get()
+	m := d.cfg.Msgs.Get()
 	m.Op, m.Addr, m.Src, m.Dst = coherence.PrbLocal, t.addr, d.cfg.Node, d.cfg.Node
 	m.Mode, m.ForwardTo, m.Grant, m.TxnID = t.req.Op, r, grant, t.id
 	m.NoFill = noFill
@@ -541,7 +542,7 @@ func (d *DirCtrl) hitFlow(now sim.Time, t *txn, e Entry) {
 		}
 		// For GetS the final entry depends on the owner's state (M→O(o),
 		// E→S), decided when the ack arrives.
-		m := d.pool.Get()
+		m := d.cfg.Msgs.Get()
 		m.Op, m.Addr, m.Src, m.Dst = op, t.addr, d.cfg.Node, e.Owner
 		m.Mode, m.ForwardTo, m.Grant, m.TxnID = t.req.Op, r, grant, t.id
 		d.port.Send(m)
@@ -553,7 +554,7 @@ func (d *DirCtrl) hitFlow(now sim.Time, t *txn, e Entry) {
 			t.pendingAcks = 1
 			d.stats.DirectedProbes++
 			t.finalValid, t.finalState, t.finalOwner = true, EntryO, e.Owner
-			m := d.pool.Get()
+			m := d.cfg.Msgs.Get()
 			m.Op, m.Addr, m.Src, m.Dst = coherence.PrbDown, t.addr, d.cfg.Node, e.Owner
 			m.Mode, m.ForwardTo, m.Grant, m.TxnID = t.req.Op, r, cache.Shared, t.id
 			d.port.Send(m)
@@ -603,7 +604,7 @@ func (d *DirCtrl) broadcastInv(t *txn, requester mem.NodeID, grant cache.State) 
 			continue
 		}
 		t.pendingAcks++
-		m := d.pool.Get()
+		m := d.cfg.Msgs.Get()
 		m.Op, m.Addr, m.Src, m.Dst = coherence.PrbInv, t.addr, d.cfg.Node, dst
 		m.Mode, m.ForwardTo, m.Grant, m.TxnID = coherence.GetM, requester, grant, t.id
 		d.port.Send(m)
@@ -638,7 +639,7 @@ func (d *DirCtrl) maybeSendData(t *txn) {
 		return
 	}
 	t.dataSent = true
-	m := d.pool.Get()
+	m := d.cfg.Msgs.Get()
 	m.Op, m.Addr, m.Src, m.Dst = coherence.DataMsg, t.addr, d.cfg.Node, t.req.Src
 	m.Grant, m.Untracked, m.NoFill = t.grant, t.untracked, t.noFill
 	m.Version, m.TxnID = d.version(t.addr), t.id
@@ -972,7 +973,7 @@ func (d *DirCtrl) startEviction(now sim.Time, victim Entry) {
 		if dst != d.cfg.Node {
 			d.stats.EvictionMsgs++ // the probe; the ack is counted on receipt
 		}
-		m := d.pool.Get()
+		m := d.cfg.Msgs.Get()
 		m.Op, m.Addr, m.Src, m.Dst = coherence.PrbInv, victim.Addr, d.cfg.Node, dst
 		m.Mode, m.ForwardTo, m.TxnID = coherence.GetM, coherence.NoNode, t.id
 		d.port.Send(m)

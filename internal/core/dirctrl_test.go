@@ -40,6 +40,7 @@ func newTestDir() (*DirCtrl, *sim.Engine, *recPort) {
 		Node: 1, Nodes: 4, Size: testHomeBytes,
 		Alloc: NewBaseline(PolicyContext{}), AllocName: "baseline",
 		LookupLatency: sim.Nanosecond, Versions: new(VersionBlocks),
+		Msgs: new(coherence.MsgPool), Events: new(DirEvents),
 	}, NewProbeFilter(mem.LineBytes, 1), eng, p, dram.New(50*sim.Nanosecond, 0))
 	return d, eng, p
 }

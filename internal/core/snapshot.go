@@ -19,7 +19,7 @@ import (
 // order. Each in-flight transaction owns at most one request message and
 // its waiter queue, and each pending evAck event owns its ack — so
 // messages serialize inline with exactly one owner and restore without
-// pools.
+// a pool.
 //
 // Stale events need care: a dirEvent whose transaction restarted (new
 // id) or finished must still fire and drop itself, because dropped
@@ -61,7 +61,7 @@ func (d *DirCtrl) DecodeEvent(dec *checkpoint.Decoder) (sim.Handler, error) {
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
-	ev := d.events.Get()
+	ev := d.cfg.Events.Get()
 	ev.d, ev.kind = d, kind
 	if kind == evAck {
 		m := coherence.DecodeMsg(dec)

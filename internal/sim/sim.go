@@ -33,8 +33,8 @@
 //
 // Everything scheduled is a Handler: a typed object whose Handle method
 // runs at the scheduled time. Model components allocate their handler
-// records once — or keep a FreeList of them — and re-schedule them for
-// every occurrence (message deliveries, controller pipelines, CPU issue
+// records once — or keep a FreeList or pool of them — and re-schedule
+// them for every occurrence (messages, controller pipelines, CPU issue
 // loops), so steady-state simulation schedules no memory at all, and a
 // checkpoint can encode every pending event by its record type.
 // HandlerFunc adapts a closure for tests and one-off call sites; it

@@ -27,8 +27,9 @@ import (
 //	hCPUStep  — a cpu's "issue next access" record (payload: cpu index)
 //	hCPUPend  — a cpu's think-delay pend (payload: cpu index; the pended
 //	            address/write bit live in the cpu state)
-//	hDelivery — a NoC in-flight message (payload: the message)
-//	hSend     — a cache controller's deferred send (payload: node + msg)
+//	hDelivery — a message crossing the NoC (payload: the message)
+//	hSend     — a message in a cache controller's deferred send
+//	            (payload: node + message)
 //	hDir      — a directory event (payload: node + kind + binding)
 //
 // Workload cursors are restored by skip-replay: the caller rebuilds each
@@ -71,10 +72,7 @@ func (m *Machine) CanSnapshot() bool {
 
 func (m *Machine) knownHandler(h sim.Handler) bool {
 	switch h.(type) {
-	case *cpuStep, *cpu, *delivery:
-		return true
-	}
-	if _, ok := coherence.SendEventOwner(h); ok {
+	case *cpuStep, *cpu, *coherence.Msg:
 		return true
 	}
 	if _, ok := core.DirEventOwner(h); ok {
@@ -166,15 +164,14 @@ func (m *Machine) encodeHandler(e *checkpoint.Encoder, h sim.Handler) error {
 		e.U8(hCPUPend)
 		e.U32(uint32(v.idx))
 		return nil
-	case *delivery:
-		e.U8(hDelivery)
-		coherence.EncodeMsg(e, v.msg)
-		return nil
-	}
-	if node, ok := coherence.SendEventOwner(h); ok {
-		e.U8(hSend)
-		e.I64(int64(node))
-		m.nodes[node].cc.EncodeSendEvent(e, h)
+	case *coherence.Msg:
+		if node, ok := coherence.DeferredSender(v); ok {
+			e.U8(hSend)
+			e.I64(int64(node))
+		} else {
+			e.U8(hDelivery)
+		}
+		coherence.EncodeMsg(e, v)
 		return nil
 	}
 	if node, ok := core.DirEventOwner(h); ok {
@@ -211,19 +208,7 @@ func (m *Machine) decodeHandler(d *checkpoint.Decoder) (sim.Handler, error) {
 		}
 		return m.cpus[idx], nil
 	case hDelivery:
-		msg := coherence.DecodeMsg(d)
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		if msg == nil {
-			return nil, fmt.Errorf("system: in-flight delivery without a message")
-		}
-		if int(msg.Dst) < 0 || int(msg.Dst) >= len(m.nodes) {
-			return nil, fmt.Errorf("system: in-flight message to invalid node %d", msg.Dst)
-		}
-		dl := m.deliveries.Get()
-		dl.m, dl.msg = m, msg
-		return dl, nil
+		return m.decodeMsg(d, nil)
 	case hSend, hDir:
 		node := int(d.I64())
 		if err := d.Err(); err != nil {
@@ -233,12 +218,31 @@ func (m *Machine) decodeHandler(d *checkpoint.Decoder) (sim.Handler, error) {
 			return nil, fmt.Errorf("system: checkpoint references node %d of %d", node, len(m.nodes))
 		}
 		if tag == hSend {
-			return m.nodes[node].cc.DecodeSendEvent(d)
+			return m.decodeMsg(d, m.nodes[node].cc.Outbox())
 		}
 		return m.nodes[node].dir.DecodeEvent(d)
 	default:
 		return nil, fmt.Errorf("system: unknown handler tag %d", tag)
 	}
+}
+
+// decodeMsg reads a scheduled message bound for rx, or, when rx is nil,
+// crossing the network to the controller it is addressed to.
+func (m *Machine) decodeMsg(d *checkpoint.Decoder, rx coherence.Receiver) (sim.Handler, error) {
+	msg := coherence.DecodeMsg(d)
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if msg == nil {
+		return nil, fmt.Errorf("system: pending event without a message")
+	}
+	if int(msg.Src) < 0 || int(msg.Src) >= len(m.nodes) || int(msg.Dst) < 0 || int(msg.Dst) >= len(m.nodes) {
+		return nil, fmt.Errorf("system: pending message %d→%d between invalid nodes", msg.Src, msg.Dst)
+	}
+	if rx == nil {
+		rx = m.receiver(msg)
+	}
+	return msg.To(rx), nil
 }
 
 // Restore loads a checkpoint into a freshly built machine and resumes

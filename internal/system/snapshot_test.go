@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"allarm/internal/coherence"
 	"allarm/internal/mem"
 	"allarm/internal/sim"
 )
@@ -136,6 +137,68 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 			}
 			resumed := finishRun(t, m3)
 			assertIdentical(t, ref, resumed, "resumed run")
+		})
+	}
+}
+
+// pendingMsgs counts the messages in m's event queue: those waiting in a
+// cache controller's deferred send and those crossing the network.
+func pendingMsgs(m *Machine) (sends, inFlight int) {
+	m.eng.ForEachPending(func(_ sim.Time, _ uint64, h sim.Handler) {
+		if _, ok := h.(*coherence.Msg); !ok {
+			return
+		}
+		if _, ok := coherence.DeferredSender(h); ok {
+			sends++
+		} else {
+			inFlight++
+		}
+	})
+	return sends, inFlight
+}
+
+// TestSnapshotPendingMessages checkpoints at a window boundary where the
+// event queue holds both kinds of scheduled message, a deferred send
+// (hSend) and a message crossing the network (hDelivery): both must come
+// back as pending messages of the restored machine, and the resumed run
+// must finish bit-identically.
+func TestSnapshotPendingMessages(t *testing.T) {
+	for _, policy := range []testPolicy{baselinePolicy, allarmPolicy} {
+		t.Run(policy.String(), func(t *testing.T) {
+			m1, specs1 := snapBuild(t, policy, false)
+			ref, err := m1.Run(specs1)
+			if err != nil {
+				t.Fatalf("reference run: %v", err)
+			}
+
+			m2, specs2 := snapBuild(t, policy, false)
+			if err := m2.Start(specs2); err != nil {
+				t.Fatalf("Start: %v", err)
+			}
+			sends, inFlight := 0, 0
+			for sends == 0 || inFlight == 0 {
+				done, err := m2.StepCtx(context.Background(), 1)
+				if err != nil {
+					t.Fatalf("StepCtx: %v", err)
+				}
+				if done {
+					t.Fatal("run completed without a deferred send and an in-flight message pending together")
+				}
+				sends, inFlight = pendingMsgs(m2)
+			}
+			var buf bytes.Buffer
+			if err := m2.Snapshot(&buf, "msgs"); err != nil {
+				t.Fatalf("Snapshot: %v", err)
+			}
+
+			m3, specs3 := snapBuild(t, policy, false)
+			if _, err := m3.Restore(bytes.NewReader(buf.Bytes()), specs3); err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			if s, f := pendingMsgs(m3); s != sends || f != inFlight {
+				t.Fatalf("restored queue holds %d deferred sends and %d in-flight messages, want %d and %d", s, f, sends, inFlight)
+			}
+			assertIdentical(t, ref, finishRun(t, m3), "resumed run")
 		})
 	}
 }

@@ -107,9 +107,8 @@ type Machine struct {
 	// capture (and a restore can re-fill) the full translation state.
 	spaces []*mem.AddressSpace
 
-	// deliveries recycles the NoC in-flight records, so message
-	// delivery allocates nothing in steady state.
-	deliveries sim.FreeList[delivery]
+	// msgs is the message pool all controllers share.
+	msgs *coherence.MsgPool
 
 	roiStart sim.Time
 
@@ -157,36 +156,21 @@ type node struct {
 // port implements coherence.Port on the mesh.
 type port struct{ m *Machine }
 
-// delivery is one NoC in-flight record: a message travelling the mesh,
-// scheduled as a sim.Handler for its arrival time. Records cycle through
-// the machine's free list.
-type delivery struct {
-	m   *Machine
-	msg *coherence.Msg
-}
-
-// Handle hands the message to the destination controller. The record is
-// recycled first, so handlers that send further messages can reuse it.
-func (d *delivery) Handle(now sim.Time) {
-	m, msg := d.m, d.msg
-	d.msg = nil
-	m.deliveries.Put(d)
-	dst := m.nodes[msg.Dst]
-	if msg.ToDir {
-		dst.dir.HandleMsg(now, msg)
-	} else {
-		dst.cc.HandleMsg(now, msg)
-	}
-}
-
 // Send computes the message's network latency (with link contention) and
-// schedules delivery at the destination controller.
+// schedules the message itself to reach its destination controller.
 func (p *port) Send(msg *coherence.Msg) {
 	m := p.m
 	arrival := m.mesh.Send(m.eng.Now(), msg.Src, msg.Dst, msg.Op.Class())
-	d := m.deliveries.Get()
-	d.m, d.msg = m, msg
-	m.eng.Schedule(arrival, d)
+	m.eng.Schedule(arrival, msg.To(m.receiver(msg)))
+}
+
+// receiver returns the controller msg is addressed to.
+func (m *Machine) receiver(msg *coherence.Msg) coherence.Receiver {
+	n := m.nodes[msg.Dst]
+	if msg.ToDir {
+		return n.dir
+	}
+	return n.cc
 }
 
 // New builds a machine. The physical memory map is shared by all address
@@ -200,10 +184,11 @@ func New(cfg Config) (*Machine, error) {
 		eng:  &sim.Engine{},
 		mesh: noc.New(cfg.NoC),
 		phys: mem.NewPhysMem(cfg.Nodes, cfg.MemBytesPerNode),
+		msgs: new(coherence.MsgPool),
 	}
 	p := &port{m: m}
 	home := func(a mem.PAddr) mem.NodeID { return m.phys.Home(a) }
-	vers := new(core.VersionBlocks)
+	vers, events := new(core.VersionBlocks), new(core.DirEvents)
 	for i := 0; i < cfg.Nodes; i++ {
 		id := mem.NodeID(i)
 		hier := cache.NewHierarchy(cfg.L1Bytes, cfg.L1Ways, cfg.L2Bytes, cfg.L2Ways)
@@ -211,12 +196,12 @@ func New(cfg Config) (*Machine, error) {
 		n := &node{
 			id:   id,
 			hier: hier,
-			cc:   coherence.NewCacheCtrl(id, hier, m.eng, p, home, cfg.CacheLatency),
+			cc:   coherence.NewCacheCtrl(id, hier, m.eng, p, m.msgs, home, cfg.CacheLatency),
 			dram: dc,
 			dir: core.NewDirCtrl(core.Config{
 				Node: id, Nodes: cfg.Nodes, Size: cfg.MemBytesPerNode,
 				Alloc: cfg.Alloc(id), AllocName: cfg.AllocName,
-				LookupLatency: cfg.DirLatency, Versions: vers,
+				LookupLatency: cfg.DirLatency, Versions: vers, Msgs: m.msgs, Events: events,
 			}, core.NewProbeFilter(cfg.PFCoverage, cfg.PFWays), m.eng, p, dc),
 		}
 		m.nodes = append(m.nodes, n)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"allarm/internal/coherence"
 	"allarm/internal/core"
 	"allarm/internal/mem"
 	"allarm/internal/noc"
@@ -279,7 +278,7 @@ func TestFull16NodeBothPolicies(t *testing.T) {
 	}
 }
 
-// TestMsgPoolRecycleSteadyState checks the message free lists' recycle
+// TestMsgPoolRecycleSteadyState checks the message pool's recycle
 // discipline end to end: after a run quiesces, every pooled message the
 // controllers allocated has been released back (no leaks), and the
 // steady state runs on a small recycled working set rather than fresh
@@ -305,16 +304,9 @@ func TestMsgPoolRecycleSteadyState(t *testing.T) {
 			t.Fatalf("Run(%v): %v", policy, err)
 		}
 
-		var gets, puts, news uint64
-		for i := 0; i < cfg.Nodes; i++ {
-			for _, s := range []coherence.MsgPoolStats{
-				m.CacheCtrl(i).PoolStats(), m.Node(i).PoolStats(),
-			} {
-				gets += s.Gets
-				puts += s.Puts
-				news += s.News
-			}
-		}
+		// Every controller draws from the machine's one pool.
+		s := m.msgs.Stats()
+		gets, puts, news := s.Gets, s.Puts, s.News
 		if gets == 0 {
 			t.Fatalf("%v: controllers allocated no pooled messages", policy)
 		}

@@ -300,7 +300,7 @@ func TestExperimentSweepSpecs(t *testing.T) {
 
 // TestMsgPoolRecycleParallelSweep runs concurrent simulations to enforce
 // that the message/event free lists are confined to their machine's
-// goroutine: each worker owns one machine and one set of pools, so the
+// goroutine: each worker owns one machine and its pool, so the
 // race detector must stay silent while results stay deterministic. The
 // CI race job runs this under -race.
 func TestMsgPoolRecycleParallelSweep(t *testing.T) {
