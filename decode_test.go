@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -226,6 +227,72 @@ func TestReadRecordsRejects(t *testing.T) {
 	}
 }
 
+// TestReadRecordsStrings: every one-byte string, each byte between two
+// letters, every rune up to U+FFFF and a few mixed strings read back
+// from a record as encoding/json reads them; and of the 65,536 lowercase
+// \u escapes in a record string, exactly the ones the emitter writes
+// are accepted, each as the rune it stands for.
+func TestReadRecordsStrings(t *testing.T) {
+	cases := []string{"", "plain", "bad \"cfg\" <x> & y\tünïcødé end\xff", "\xed\xa0\x80", "\xf0\x9f\x98", "a b\x7f\\"}
+	for c := 0; c < 256; c++ {
+		cases = append(cases, string([]byte{byte(c)}), "a"+string([]byte{byte(c)})+"z")
+	}
+	for r := rune(0); r <= 0xffff; r++ {
+		cases = append(cases, string(r))
+	}
+	var recs []allarm.Record
+	for i := 0; i < len(cases); i += 3 {
+		rec := allarm.Record{Benchmark: cases[i], Threads: 1}
+		if i+2 < len(cases) {
+			rec.Policy, rec.Error = cases[i+1], cases[i+2]
+		}
+		recs = append(recs, rec)
+	}
+	checkReadBack(t, recs)
+
+	line := func(bench string) string {
+		var b bytes.Buffer
+		(allarm.NDJSONEmitter{}).EmitRecords(&b, []allarm.Record{{Benchmark: bench, Policy: "allarm", Threads: 16}})
+		return b.String()
+	}
+	written := map[string]bool{line("\xff"): true} // the one line with \ufffd
+	for r := rune(0); r <= 0xffff; r++ {
+		written[line(string(r))] = true
+	}
+	for r := rune(0); r <= 0xffff; r++ {
+		esc := fmt.Sprintf(`"\u%04x"`, r)
+		in := strings.Replace(line("x"), `"x"`, esc, 1)
+		got, err := allarm.ReadRecords(strings.NewReader(in))
+		if (err == nil) != written[in] || err == nil && got[0].Benchmark != string(r) {
+			t.Fatalf("%s read as %v, %v; the emitter writes it: %v", esc, got, err, written[in])
+		}
+	}
+}
+
+// TestReadRecordsErrorOffset: a rejected line's error names the first
+// byte that differs from the emitter's line for the record read from
+// it, counted in the line's own bytes.
+func TestReadRecordsErrorOffset(t *testing.T) {
+	ufffd := strings.Replace(goodLine, `"barnes"`, `"\ufffd"`, 1) // as the emitter writes "\xff"
+	if _, err := allarm.ReadRecords(strings.NewReader(ufffd)); err != nil {
+		t.Fatalf("%s: %v", ufffd, err)
+	}
+	for _, c := range []struct{ line, at string }{
+		{strings.Replace(goodLine, `"seed":1`, `"seed":-1`, 1), `-1`},                       // a uint has no sign
+		{strings.Replace(ufffd, `"seed":1`, `"seed":-1`, 1), `-1`},                          // past the escape
+		{strings.Replace(goodLine, `"threads":16`, `"threads":16,"copies":0`, 1), `copies`}, // omitted when zero
+		{strings.Replace(goodLine, `1234.5`, `1234.50`, 1), `0,`},                           // not the shortest float
+		{goodLine + "{}", "{}"}, // trailing bytes
+		{" " + goodLine, " "},   // leading whitespace
+	} {
+		_, err := allarm.ReadRecords(strings.NewReader(c.line))
+		want := fmt.Sprintf("allarm: record 0: not the emitter's line from byte %d", strings.Index(c.line, c.at))
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", c.line, err, want)
+		}
+	}
+}
+
 // hitRecords are n successful rows shaped like the served hit sweep's:
 // 8 benchmarks × 2 policies × 4 probe-filter sizes, with metrics.
 func hitRecords(n int) []allarm.Record {
@@ -256,8 +323,9 @@ func hitBody(tb testing.TB, n int) []byte {
 }
 
 // TestReadRecordsAllocs: a 64-row hit body costs the benchmark and
-// policy strings of each row, plus a constant for the scanner and the
-// growth of the record and metric slices (measured: 144 = 2×64 + 16).
+// policy strings of each row, plus a constant for the scanner, the
+// re-append buffer and the growth of the record and metric slices
+// (measured: 145 = 2×64 + 17).
 func TestReadRecordsAllocs(t *testing.T) {
 	body := hitBody(t, 64)
 	allocs := testing.AllocsPerRun(100, func() {

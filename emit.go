@@ -158,21 +158,24 @@ func RecordsOf(results []SweepResult) []Record {
 	return recs
 }
 
-// ReadRecords decodes the NDJSON that this version's NDJSONEmitter
+// ReadRecords decodes the NDJSON that this build's NDJSONEmitter
 // writes, one Record per line, and rejects everything else. It is the
-// gather side of the fleet merge seam: re-emitting what it returns
-// writes the same bytes in every format, because it accepts each member
-// only in the form appendJSON writes it (floats in encoding/json's
-// shortest exact form, strings with its escapes). Blank lines are
-// skipped and a line may take up to 1 MiB. Any other line (whitespace,
-// unknown, duplicate or reordered keys, null, a leading zero, a
-// surrogate escape, a metric block cut short) fails with an error that
-// names the record's index. A line ReadRecords accepts, encoding/json
-// decodes to the same Record, with a nil RecordMetrics where the line
-// has no metric key. All the metrics share one allocation.
+// gather side of the fleet merge seam. The one rule is that a line must
+// be byte for byte what NDJSONEmitter writes for the record read from
+// it, so appendJSON is the only definition of a record line: each line
+// is read leniently, appended again and compared. The single allowed
+// difference is a \ufffd escape, which the emitter writes for an invalid
+// UTF-8 byte and which reads back as a raw U+FFFD. Re-emitting what
+// ReadRecords returns therefore writes the same bytes in every format.
+// Blank lines are skipped and a line may take up to 1 MiB. Any other
+// line fails with an error that names the record's index and the first
+// byte that differs. A line ReadRecords accepts, encoding/json decodes
+// to the same Record, with a nil RecordMetrics where the line has no
+// metric key. All the metrics share one allocation.
 func ReadRecords(r io.Reader) ([]Record, error) {
 	var recs []Record
 	var ms []RecordMetrics
+	enc := make([]byte, 0, 512)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, 1<<20)
 	sc.Split(scanLines)
@@ -183,14 +186,16 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 		}
 		recs, ms = append(recs, Record{}), append(ms, RecordMetrics{})
 		rec, m := &recs[len(recs)-1], &ms[len(ms)-1]
-		has, err := rec.decodeJSON(line, m)
-		if err != nil {
-			return nil, fmt.Errorf("allarm: record %d: %w", len(recs)-1, err)
-		}
-		if has {
+		if rec.decodeJSON(line, m) {
 			rec.RecordMetrics = m // a mark until ms stops moving
 		} else {
 			ms = ms[:len(ms)-1]
+		}
+		// A NaN or ±Inf metric appends no value, so its line never
+		// matches and the error needs no check of its own.
+		enc, _ = rec.appendJSON(enc[:0])
+		if at := mismatch(line, enc); at >= 0 {
+			return nil, fmt.Errorf("allarm: record %d: not the emitter's line from byte %d", len(recs)-1, at)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -204,6 +209,30 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 		}
 	}
 	return recs, nil
+}
+
+// mismatch is the offset of line's first byte that differs from enc,
+// the emitter's line for the record read from it, or -1 when none does.
+// A \ufffd escape in line matches the raw U+FFFD it reads back as.
+func mismatch(line, enc []byte) int {
+	if bytes.Equal(line, enc) {
+		return -1
+	}
+	i, j := 0, 0
+	for i < len(line) && j < len(enc) {
+		switch {
+		case line[i] == enc[j]:
+			i, j = i+1, j+1
+		case bytes.HasPrefix(line[i:], []byte(`\ufffd`)) && bytes.HasPrefix(enc[j:], []byte("\ufffd")):
+			i, j = i+6, j+3
+		default:
+			return i
+		}
+	}
+	if i == len(line) && j == len(enc) {
+		return -1
+	}
+	return i
 }
 
 // scanLines is bufio.ScanLines without its dropping of a trailing
@@ -320,31 +349,24 @@ func (rec *Record) appendJSON(b []byte) ([]byte, error) {
 	return o.Close()
 }
 
-// decodeJSON reads back a line that appendJSON wrote, with its metrics
-// into m, and reports whether the line has them. It fails on any line
-// appendJSON would not write, such as one with a zero "copies" or an
-// empty "error", which appendJSON omits.
-func (rec *Record) decodeJSON(line []byte, m *RecordMetrics) (bool, error) {
+// decodeJSON reads a line leniently, with its metrics into m, and
+// reports whether the line has them. ReadRecords, not decodeJSON,
+// decides whether appendJSON writes the line.
+func (rec *Record) decodeJSON(line []byte, m *RecordMetrics) bool {
 	d := jsonw.Read(line)
 	rec.Benchmark = d.String("benchmark")
 	rec.Policy = d.String("policy")
 	rec.Threads = d.Int("threads")
 	if d.Has("copies") {
-		if rec.Copies = d.Int("copies"); rec.Copies == 0 {
-			d.Fail()
-		}
+		rec.Copies = d.Int("copies")
 	}
 	rec.PFKiB = d.Int("pf_kib")
 	rec.Seed = d.Uint("seed")
 	if d.Has("error") {
-		if rec.Error = d.String("error"); rec.Error == "" {
-			d.Fail()
-		}
+		rec.Error = d.String("error")
 	}
 	if d.Has("aborted") {
-		if rec.Aborted = d.Bool("aborted"); !rec.Aborted {
-			d.Fail()
-		}
+		rec.Aborted = d.Bool("aborted")
 	}
 	has := d.Has("runtime_ns")
 	if has {
@@ -355,7 +377,7 @@ func (rec *Record) decodeJSON(line []byte, m *RecordMetrics) (bool, error) {
 		m.NoCEnergyPJ = d.Float("noc_energy_pj")
 		m.PFEnergyPJ = d.Float("pf_energy_pj")
 	}
-	return has, d.Close()
+	return has
 }
 
 // emitBufs recycles output buffers of up to 64 KiB.
@@ -490,7 +512,7 @@ func (e JSONEmitter) EmitRecords(w io.Writer, recs []Record) error {
 // allarm-router gathers shard results as NDJSON, decodes them with
 // ReadRecords and re-renders the merged rows byte-identically. Each line
 // is one compact object in appendJSON's key order, and ReadRecords
-// accepts exactly the lines this version writes: a line with other
+// accepts exactly the lines this build writes: a line with other
 // spacing, keys or number forms, even one encoding/json would read, is
 // an error.
 type NDJSONEmitter struct{}

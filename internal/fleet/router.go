@@ -339,9 +339,10 @@ func (rt *Router) probeAll() {
 // the first success it also records the shard's build version and logs
 // a skew warning once: mixed builds serve correctly (Job.Key excludes
 // the version) only while both write the same NDJSON record form.
-// ReadRecords rejects any line this build's emitter would not write,
-// so once a Record member is added or moved, every gather from a shard
-// of the other build fails with "allarm: record N".
+// ReadRecords accepts a line only if it is byte for byte what this
+// build's NDJSONEmitter writes for the record read from it, so once a
+// Record member is added or moved, every gather from a shard of the
+// other build fails with "allarm: record N".
 func (rt *Router) probe(sh *shard) bool {
 	var health struct {
 		Status string `json:"status"`

@@ -268,11 +268,11 @@ func (sh *shard) uploadTrace(ctx context.Context, data []byte, timeout time.Dura
 // fetchRecords downloads a shard sweep's results as NDJSON and decodes
 // them into Records — the gather half of the merge seam. A sweep still
 // running answers 409, which the router reads as "watch it first".
-// allarm.ReadRecords accepts only the lines NDJSONEmitter writes, each
-// member in the one form the emitter gives it (floats in their shortest
-// exact form), so the router re-encodes the decoded records to the
-// shard's bytes, which is what makes gathered output byte-equal to a
-// single-node run; any other body fails the fetch.
+// allarm.ReadRecords accepts a line only if it is byte for byte what
+// this build's NDJSONEmitter writes for the record read from it, so the
+// router re-encodes the decoded records to the shard's bytes, which is
+// what makes gathered output byte-equal to a single-node run; any other
+// body fails the fetch.
 func (sh *shard) fetchRecords(ctx context.Context, id string, timeout time.Duration) ([]allarm.Record, error) {
 	cctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()

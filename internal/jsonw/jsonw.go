@@ -1,11 +1,12 @@
 // Package jsonw appends JSON exactly as encoding/json marshals it, with
-// no reflection, and reads back exactly what it appends. Fuzz tests hold
-// its users to encoding/json.
+// no reflection, and reads back what it appends. The reader is lenient:
+// the writer is the only definition of the form, so a caller that must
+// accept nothing else appends what it read again and requires the same
+// bytes. Fuzz tests hold its users to encoding/json.
 package jsonw
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"strconv"
 	"unicode/utf8"
@@ -91,48 +92,24 @@ func appendFloat(b []byte, v float64, err *error) []byte {
 	return b
 }
 
-// Members reads back one object that Object appended, in the same call
+// Members reads back an object that Object appended, in the same call
 // order: String, Int, Uint, Bool and Float each take the member with
-// the given key and accept only the bytes Object would have written for
-// it. Has peeks at the next member's key, for members the writer may
-// omit. The first mismatch fails the read, after which every method
-// returns a zero value, and Close reports the mismatch's byte offset.
+// the given key, and Has peeks at the next member's key, for members
+// the writer may omit. The read is lenient: it checks only what it
+// needs to find each value, and at input it cannot read it stops, after
+// which every method returns a zero value. A caller that needs the
+// writer's exact form appends what it read again and compares bytes.
 type Members struct {
-	b     []byte // the unread rest of the input
-	n     int    // the input's length
+	b     []byte // the unread rest of the input, nil once the read stopped
 	first bool   // no member read yet
-	at    int    // offset of the first mismatch, or -1
 }
 
-// Read starts reading the object that makes up all of b.
+// Read starts reading the object at the head of b.
 func Read(b []byte) Members {
-	m := Members{b: b, n: len(b), first: true, at: -1}
 	if len(b) == 0 || b[0] != '{' {
-		m.Fail()
-	} else {
-		m.b = b[1:]
+		return Members{}
 	}
-	return m
-}
-
-// Fail fails the read at the current offset, for a member the reader
-// accepted but the writer would not have written.
-func (m *Members) Fail() {
-	if m.at < 0 {
-		m.at = m.n - len(m.b)
-	}
-	m.b = nil
-}
-
-// Close ends the object; it fails unless "}" ends the input.
-func (m *Members) Close() error {
-	if len(m.b) != 1 || m.b[0] != '}' {
-		m.Fail()
-	}
-	if m.at >= 0 {
-		return fmt.Errorf("jsonw: unexpected input at byte %d", m.at)
-	}
-	return nil
+	return Members{b: b[1:], first: true}
 }
 
 // keyLen is the length of the separator and key k at the head of the
@@ -153,69 +130,92 @@ func (m *Members) keyLen(k string) int {
 // Has reports whether member k comes next.
 func (m *Members) Has(k string) bool { return m.keyLen(k) > 0 }
 
-// key consumes member k's key, or fails the read.
+// key consumes member k's key, or stops the read.
 func (m *Members) key(k string) bool {
 	n := m.keyLen(k)
 	if n == 0 {
-		m.Fail()
+		m.b = nil
 		return false
 	}
 	m.b, m.first = m.b[n:], false
 	return true
 }
 
-// String reads member k's string as appendString wrote it: one
-// allocation, or none for the empty string.
+// token consumes member k and returns its value's bytes, up to the next
+// comma or closing brace.
+func (m *Members) token(k string) []byte {
+	if !m.key(k) {
+		return nil
+	}
+	n := 0
+	for n < len(m.b) && m.b[n] != ',' && m.b[n] != '}' {
+		n++
+	}
+	tok := m.b[:n]
+	m.b = m.b[n:]
+	return tok
+}
+
+// Int and Uint read member k's decimal: each byte of the value counts
+// as a digit and overflow wraps, so a token reads as its own value only
+// where the writer would have written it. Bool and Float read what
+// strconv reads, or false and zero.
+func (m *Members) Int(k string) int {
+	tok := m.token(k)
+	if len(tok) > 0 && tok[0] == '-' {
+		return -int(digits(tok[1:]))
+	}
+	return int(digits(tok))
+}
+
+func (m *Members) Uint(k string) uint64 { return digits(m.token(k)) }
+
+func digits(tok []byte) uint64 {
+	var v uint64
+	for _, c := range tok {
+		v = v*10 + uint64(c-'0')
+	}
+	return v
+}
+
+func (m *Members) Bool(k string) bool { return string(m.token(k)) == "true" }
+
+func (m *Members) Float(k string) float64 {
+	v, _ := strconv.ParseFloat(string(m.token(k)), 64)
+	return v
+}
+
+// String reads member k's string: one allocation, or none for the empty
+// string. Each \u escape stands for one rune, so a surrogate escape
+// reads as U+FFFD.
 func (m *Members) String(k string) string {
 	if !m.key(k) || len(m.b) == 0 || m.b[0] != '"' {
-		m.Fail()
+		m.b = nil
 		return ""
 	}
-	m.b = m.b[1:]
+	b := m.b[1:]
 	buf := make([]byte, 0, 128)
 	for {
-		n, ok := rawRun(m.b)
-		buf, m.b = append(buf, m.b[:n]...), m.b[n:]
-		if !ok || len(m.b) == 0 {
+		n := 0
+		for n < len(b) && b[n] != '"' && b[n] != '\\' {
+			n++
+		}
+		buf, b = append(buf, b[:n]...), b[n:]
+		if len(b) == 0 {
 			break
 		}
-		if m.b[0] == '"' {
-			m.b = m.b[1:]
+		if b[0] == '"' {
+			m.b = b[1:]
 			return string(buf)
 		}
 		size := 0
-		if buf, size = appendUnescaped(buf, m.b); size == 0 {
+		if buf, size = appendUnescaped(buf, b); size == 0 {
 			break
 		}
-		m.b = m.b[size:]
+		b = b[size:]
 	}
-	m.Fail()
+	m.b = nil
 	return ""
-}
-
-// rawRun is the length of the run at the head of b that appendString
-// copies unescaped, up to a quote, a backslash or the end of b; ok is
-// false when the run ends at a byte appendString would have escaped.
-func rawRun(b []byte) (n int, ok bool) {
-	for n < len(b) {
-		c := b[n]
-		if c >= utf8.RuneSelf {
-			r, size := utf8.DecodeRune(b[n:])
-			if r == utf8.RuneError && size == 1 || r == 0x2028 || r == 0x2029 {
-				return n, false
-			}
-			n += size
-			continue
-		}
-		if c == '"' || c == '\\' {
-			return n, true
-		}
-		if c < ' ' || c == '<' || c == '>' || c == '&' {
-			return n, false
-		}
-		n++
-	}
-	return n, true
 }
 
 // unescape maps the byte after a backslash to what its two-byte escape
@@ -223,9 +223,7 @@ func rawRun(b []byte) (n int, ok bool) {
 var unescape = [256]byte{'"': '"', '\\': '\\', 'b': '\b', 't': '\t', 'n': '\n', 'f': '\f', 'r': '\r'}
 
 // appendUnescaped appends what the escape at the head of b stands for
-// and returns the escape's length, or 0 for an escape appendString does
-// not write: it writes \u only in lowercase, and only for control bytes
-// without a letter escape, <, >, &, U+2028, U+2029 and U+FFFD.
+// and returns the escape's length, or 0 for input that is no escape.
 func appendUnescaped(buf, b []byte) ([]byte, int) {
 	if len(b) < 2 {
 		return buf, 0
@@ -236,115 +234,9 @@ func appendUnescaped(buf, b []byte) ([]byte, int) {
 	if b[1] != 'u' || len(b) < 6 {
 		return buf, 0
 	}
-	var r rune
-	for _, h := range b[2:6] {
-		switch {
-		case '0' <= h && h <= '9':
-			r = r<<4 | rune(h-'0')
-		case 'a' <= h && h <= 'f':
-			r = r<<4 | rune(h-'a'+10)
-		default:
-			return buf, 0
-		}
+	r, err := strconv.ParseUint(string(b[2:6]), 16, 16)
+	if err != nil {
+		return buf, 0
 	}
-	if r < ' ' && (r < '\b' || r > '\r' || r == '\v') || r == '<' || r == '>' || r == '&' ||
-		r == 0x2028 || r == 0x2029 || r == utf8.RuneError {
-		return utf8.AppendRune(buf, r), 6
-	}
-	return buf, 0
-}
-
-// digits reads a decimal without a redundant leading zero whose value
-// is at most max.
-func (m *Members) digits(max uint64) uint64 {
-	var v uint64
-	n := 0
-	for ; n < len(m.b) && '0' <= m.b[n] && m.b[n] <= '9'; n++ {
-		c := uint64(m.b[n] - '0')
-		if v > (max-c)/10 {
-			m.b = m.b[n:]
-			m.Fail()
-			return 0
-		}
-		v = v*10 + c
-	}
-	if n == 0 || n > 1 && m.b[0] == '0' {
-		m.Fail()
-		return 0
-	}
-	m.b = m.b[n:]
-	return v
-}
-
-// Int reads member k's int as strconv.AppendInt wrote it.
-func (m *Members) Int(k string) int {
-	if !m.key(k) {
-		return 0
-	}
-	if len(m.b) == 0 || m.b[0] != '-' {
-		return int(m.digits(math.MaxInt))
-	}
-	m.b = m.b[1:]
-	v := m.digits(math.MaxInt + 1)
-	if v == 0 {
-		m.Fail() // AppendInt writes no -0
-	}
-	return -int(v)
-}
-
-// Uint reads member k's uint64 as strconv.AppendUint wrote it.
-func (m *Members) Uint(k string) uint64 {
-	if !m.key(k) {
-		return 0
-	}
-	return m.digits(math.MaxUint64)
-}
-
-// Bool reads member k's true or false.
-func (m *Members) Bool(k string) bool {
-	switch {
-	case !m.key(k):
-	case len(m.b) >= 4 && string(m.b[:4]) == "true":
-		m.b = m.b[4:]
-		return true
-	case len(m.b) >= 5 && string(m.b[:5]) == "false":
-		m.b = m.b[5:]
-	default:
-		m.Fail()
-	}
-	return false
-}
-
-// maxFloatLen bounds appendFloat's output: 17 significant digits with
-// a sign and "0.00000" (the 'f' form just above 1e-6) take 25 bytes.
-const maxFloatLen = 32
-
-// Float reads member k's float64 as appendFloat wrote it: the value
-// strconv.ParseFloat reads from the token, provided appendFloat writes
-// that value back as the same token.
-func (m *Members) Float(k string) float64 {
-	if !m.key(k) {
-		return 0
-	}
-	n := 0
-	for n < len(m.b) && n <= maxFloatLen && isFloatByte(m.b[n]) {
-		n++
-	}
-	if n > maxFloatLen {
-		m.Fail()
-		return 0
-	}
-	tok := m.b[:n]
-	v, err := strconv.ParseFloat(string(tok), 64)
-	var buf [maxFloatLen]byte
-	if err != nil || string(appendFloat(buf[:0], v, &err)) != string(tok) {
-		m.Fail()
-		return 0
-	}
-	m.b = m.b[n:]
-	return v
-}
-
-func isFloatByte(c byte) bool {
-	return '0' <= c && c <= '9' || c == '-' || c == '+' || c == '.' || c == 'e'
+	return utf8.AppendRune(buf, rune(r)), 6
 }

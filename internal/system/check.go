@@ -21,14 +21,17 @@ import (
 //   - version coherence: the newest version of a line lives either in a
 //     dirty cached copy or in DRAM.
 type checker struct {
-	m       *Machine
-	golden  map[mem.PAddr]uint64
-	errs    []string
-	maxErrs int
+	m      *Machine
+	golden map[mem.PAddr]uint64
+	errs   []string // the first maxErrs failures' messages
+	failed int      // every failure
 }
 
+// maxErrs bounds the failure messages a checker keeps.
+const maxErrs = 20
+
 func newChecker(m *Machine) *checker {
-	c := &checker{m: m, golden: make(map[mem.PAddr]uint64), maxErrs: 20}
+	c := &checker{m: m, golden: make(map[mem.PAddr]uint64)}
 	for _, n := range m.nodes {
 		n := n
 		n.cc.OnStore = func(addr mem.PAddr, version uint64) {
@@ -52,7 +55,8 @@ func newChecker(m *Machine) *checker {
 }
 
 func (c *checker) fail(format string, args ...interface{}) {
-	if len(c.errs) < c.maxErrs {
+	c.failed++
+	if len(c.errs) < maxErrs {
 		c.errs = append(c.errs, fmt.Sprintf(format, args...))
 	}
 }
@@ -164,10 +168,10 @@ func (c *checker) finalCheck() error {
 		}
 	}
 
-	if len(c.errs) == 0 {
+	if c.failed == 0 {
 		return nil
 	}
-	msg := fmt.Sprintf("system: %d invariant violations; first: %s", len(c.errs), c.errs[0])
+	msg := fmt.Sprintf("system: %d invariant violations; first: %s", c.failed, c.errs[0])
 	for i := 1; i < len(c.errs) && i < 5; i++ {
 		msg += "\n  " + c.errs[i]
 	}

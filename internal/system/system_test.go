@@ -99,12 +99,20 @@ func stressParams(threads, accesses int) workload.Params {
 
 func runStress(t *testing.T, policy testPolicy, seed uint64) *RunResult {
 	t.Helper()
+	_, res := stressMachine(t, policy, seed, 3000)
+	return res
+}
+
+// stressMachine runs the stress workload with the given accesses per
+// thread on a checked 2x2 machine and returns the quiesced machine.
+func stressMachine(t *testing.T, policy testPolicy, seed uint64, accesses int) (*Machine, *RunResult) {
+	t.Helper()
 	cfg := testConfig(policy)
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	wl := synthetic(t, stressParams(4, 3000))
+	wl := synthetic(t, stressParams(4, accesses))
 	space := m.NewAddressSpace()
 	preplace(t, space, wl, func(th int) mem.NodeID { return mem.NodeID(th % cfg.Nodes) })
 	var specs []ThreadSpec
@@ -118,7 +126,7 @@ func runStress(t *testing.T, policy testPolicy, seed uint64) *RunResult {
 	if err != nil {
 		t.Fatalf("Run(%v, seed %d): %v", policy, seed, err)
 	}
-	return res
+	return m, res
 }
 
 // TestStressInvariantsBaseline runs a write-heavy, tightly shared workload
